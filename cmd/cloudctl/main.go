@@ -378,9 +378,10 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 }
 
 // walInfo inspects a WAL directory offline: the segment/snapshot
-// inventory, then a full replay validation. Corruption makes it return
-// an error, which main turns into a nonzero exit — so it doubles as a
-// pre-restart integrity gate in scripts.
+// inventory, the record-codec versions its frames carry (two of them
+// means the directory spans an upgrade), then a full replay validation.
+// Corruption makes it return an error, which main turns into a nonzero
+// exit — so it doubles as a pre-restart integrity gate in scripts.
 func walInfo(dir string) error {
 	info, err := wal.Inspect(dir)
 	if err != nil {
@@ -402,10 +403,13 @@ func walInfo(dir string) error {
 	}
 
 	rep, err := core.ValidateWALDir(dir)
+	if len(rep.CodecVersions) > 0 {
+		fmt.Printf("\ncodec versions: %v\n", rep.CodecVersions)
+	}
 	if err != nil {
 		return fmt.Errorf("replay validation FAILED: %w", err)
 	}
-	fmt.Printf("\nreplay validation OK: snapshot=%v (lsn %d), %d tail records, torn-tail=%v\n",
+	fmt.Printf("replay validation OK: snapshot=%v (lsn %d), %d tail records, torn-tail=%v\n",
 		rep.HasSnapshot, rep.SnapshotLSN, rep.Records, rep.TailTruncated)
 	fmt.Printf("recovered state: gen=%d clients=%d files=%d live-chunks=%d stripes=%d\n",
 		rep.Gen, rep.Clients, rep.Files, rep.LiveChunks, rep.Stripes)
@@ -442,6 +446,6 @@ commands:
   stats
   health               (providers, op metrics, replication lag if clustered)
   locate <client> <filename>   (with -shards: owning shard + replica set)
-  wal-info <wal-dir>   (offline: inventory + replay-validate a WAL directory)`)
+  wal-info <wal-dir>   (offline: inventory, codec versions + replay-validate a WAL directory)`)
 	os.Exit(2)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/privacy"
 	"repro/internal/provider"
+	"repro/internal/raid"
 	"repro/internal/wal"
 )
 
@@ -279,6 +280,32 @@ func BenchmarkUploadWALOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkUploadDefended measures the paper's highly-sensitive write —
+// the shape of the end-to-end benchmark's defended-large workload: a
+// buffered 4 MiB upload at PL3 (512 chunks of 8 KiB), 25 % misleading
+// bytes, RAID-6, commit record on a grouped-sync WAL. Zero-latency
+// in-memory providers leave decoy injection, parity and the record
+// encoding as the cost. Each file is removed again outside the timer so
+// the tables hold tombstones, not a growing population.
+func BenchmarkUploadDefended(b *testing.B) {
+	data := payload(4<<20, 78)
+	d := benchWALDistributor(b, b.TempDir(), wal.SyncGrouped)
+	opts := UploadOptions{MisleadFraction: 0.25, Assurance: raid.RAID6}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Upload("alice", "root", "f", data, privacy.High, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := d.RemoveFile("alice", "root", "f"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

@@ -252,6 +252,13 @@ func (d *Distributor) installState(st *walState) {
 	}
 	d.clients = st.Clients
 	d.chunks = st.Chunks
+	// A checkpoint written before tombstones were stripped carries removed
+	// rows in full, encryption keys included; drop that on the way in.
+	for i := range d.chunks {
+		if d.chunks[i].CPIndex < 0 {
+			d.chunks[i].tombstone()
+		}
+	}
 	d.stripes = st.Stripes
 	d.gen = st.Gen
 	d.fidSeq = st.FIDSeq
@@ -376,10 +383,7 @@ func (d *Distributor) applyWALRecord(rec *walRecord) error {
 				st.Parity = nil
 				st.Members = nil
 			}
-			e.CPIndex = -1
-			e.SnapVID = ""
-			e.SPIndex = -1
-			e.Mirrors = nil
+			e.tombstone()
 		}
 		c.Count -= remaining
 		delete(c.Files, rec.Filename)
@@ -406,10 +410,7 @@ func (d *Distributor) applyWALRecord(rec *walRecord) error {
 		d.bumpParityProvLocked(rec.Parity, 1)
 		e := &d.chunks[idx]
 		d.bumpChunkProvLocked(e, -1)
-		e.CPIndex = -1
-		e.SPIndex = -1
-		e.SnapVID = ""
-		e.Mirrors = nil
+		e.tombstone()
 		fe.ChunkIdx[rec.Serial] = -1
 		c.Count--
 		fe.Gen = rec.FileGen
@@ -814,6 +815,11 @@ type WALReport struct {
 	SnapshotLSN   uint64
 	Records       int
 	TailTruncated bool
+	// CodecVersions lists, in ascending order, the walcodec layout
+	// versions found at the head of the snapshot and the tail records:
+	// more than one means the directory spans an upgrade and the older
+	// frames go away with the next checkpoint.
+	CodecVersions []int
 	Gen           uint64
 	Clients       int
 	Files         int
@@ -834,6 +840,17 @@ func ValidateWALDir(dir string) (WALReport, error) {
 		SnapshotLSN:   rec.SnapshotLSN,
 		Records:       len(rec.Records),
 		TailTruncated: rec.TailTruncated,
+	}
+	var seen [256]bool
+	for _, frame := range append([][]byte{rec.Snapshot}, rec.Records...) {
+		if len(frame) > 0 {
+			seen[frame[0]] = true
+		}
+	}
+	for v, found := range seen {
+		if found {
+			rep.CodecVersions = append(rep.CodecVersions, v)
+		}
 	}
 	d := &Distributor{clients: map[string]*clientEntry{}}
 	if rec.Snapshot != nil {

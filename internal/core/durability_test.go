@@ -433,6 +433,9 @@ func TestValidateWALDirReport(t *testing.T) {
 	if rep.TailTruncated {
 		t.Fatal("clean crash at SyncAlways must not report a torn tail")
 	}
+	if !reflect.DeepEqual(rep.CodecVersions, []int{walCodecVersion}) {
+		t.Fatalf("CodecVersions = %v: the encoder writes version %d only", rep.CodecVersions, walCodecVersion)
+	}
 }
 
 func TestWALBugSkipSyncLosesCommits(t *testing.T) {
@@ -462,5 +465,165 @@ func TestWALBugSkipSyncLosesCommits(t *testing.T) {
 	d2.mu.Unlock()
 	if registered {
 		t.Fatal("BugSkipSync did not lose the acknowledged commit — the planted bug is gone")
+	}
+}
+
+// TestTombstonesKeepNothing: a removed chunk's row is never compacted
+// away, so whatever it keeps it keeps forever. It must keep only the
+// marker — no positions list, no AES key, no names — on the live commit
+// path, after WAL replay, and on a follower applying the replicated
+// records; and the three tables must stay DeepEqual.
+func TestTombstonesKeepNothing(t *testing.T) {
+	fleet := testFleet(t, 8)
+	dir := t.TempDir()
+	cfg := Config{Fleet: fleet, Secret: []byte("s"), MisleadSeed: 5, WALDir: dir, WALSync: wal.SyncAlways}
+	primary, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := New(Config{Fleet: fleet, Secret: []byte("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(primary, follower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterClient("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddPassword("alice", "root", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("0123456789abcdef0123456789abcdef")
+	for name, opts := range map[string]UploadOptions{
+		"decoys":   {MisleadFraction: 0.25, Assurance: raid.RAID6},
+		"sealed":   {EncryptKey: key, Replicas: 1},
+		"survivor": {MisleadFraction: 0.1},
+	} {
+		if _, err := c.Upload("alice", "root", name, payload(40_000, 3), privacy.High, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.UpdateChunk("alice", "root", "sealed", 1, payload(5_000, 4), UploadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.RemoveChunk("alice", "root", "sealed", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.RemoveChunk("alice", "root", "survivor", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.RemoveFile("alice", "root", "decoys"); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.RemoveFile("alice", "root", "sealed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := c.ReplicationStats(); rs.SnapshotSyncs != 0 {
+		t.Fatalf("follower fell back to a snapshot; the record-apply path went untested: %+v", rs)
+	}
+	live := primary.chunks
+	if err := primary.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+
+	bare := chunkEntry{CPIndex: -1, SPIndex: -1}
+	dead := 0
+	for i := range live {
+		if live[i].CPIndex >= 0 {
+			continue
+		}
+		dead++
+		if e := &live[i]; !reflect.DeepEqual(*e, bare) {
+			t.Errorf("tombstone %d still holds file %q, vid %q, %d decoy positions, a %d-byte key",
+				i, e.Filename, e.VirtualID, e.Mislead.Count(), len(e.EncKey))
+		}
+	}
+	if want := 5 + 5 + 1; dead != want { // 40 000 B at PL3 is 5 chunks a file
+		t.Fatalf("%d tombstones, want %d", dead, want)
+	}
+	if !reflect.DeepEqual(recovered.chunks, live) {
+		t.Error("chunk table after WAL replay differs from the live one")
+	}
+	if !reflect.DeepEqual(follower.chunks, live) {
+		t.Error("follower's chunk table after record apply differs from the primary's")
+	}
+}
+
+// TestRecoversV1WALDirectory opens a WAL directory written by the last
+// build whose codec was version 1 (testdata/wal-v1: a checkpoint taken
+// after a defended upload, an encrypted upload and its removal, then an
+// update and a line-decoy upload in the log tail). It must recover, its
+// position lists must arrive intact in the compact form, the removed
+// file's rows — stored in full, key included, by that build — must come
+// back as bare tombstones, and the first checkpoint must leave a
+// directory that is version 2 throughout.
+func TestRecoversV1WALDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snap-0000000000000005.ckpt", "wal-0000000000000005.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "wal-v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := ValidateWALDir(dir)
+	if err != nil {
+		t.Fatalf("offline validation of the v1 directory: %v", err)
+	}
+	if !reflect.DeepEqual(rep.CodecVersions, []int{1}) || !rep.HasSnapshot || rep.Records != 2 {
+		t.Fatalf("v1 directory reported as %+v", rep)
+	}
+
+	d, err := New(Config{Fleet: testFleet(t, 8), Secret: []byte("s"), WALDir: dir, WALSync: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("recovery of the v1 directory: %v", err)
+	}
+	decoys := map[string][]int{"decoys": {2048, 300}, "lines": {4}} // per chunk; 12 000 B and "x,9\n"
+	files := d.clients["alice"].Files
+	if len(files) != len(decoys) {
+		t.Fatalf("recovered %d files, want %d", len(files), len(decoys))
+	}
+	for name, want := range decoys {
+		fe := files[name]
+		if fe == nil || len(fe.ChunkIdx) != len(want) {
+			t.Fatalf("file %q: recovered as %+v", name, fe)
+		}
+		for serial, idx := range fe.ChunkIdx {
+			e := &d.chunks[idx]
+			if e.Mislead.Count() != want[serial] {
+				t.Errorf("%s#%d: %d decoy positions, want %d", name, serial, e.Mislead.Count(), want[serial])
+			}
+			if err := e.Mislead.Validate(e.PayloadLen); err != nil {
+				t.Errorf("%s#%d: recovered positions do not fit the %d-byte payload: %v", name, serial, e.PayloadLen, err)
+			}
+		}
+	}
+	for i := range d.chunks {
+		if e := &d.chunks[i]; e.CPIndex < 0 && !reflect.DeepEqual(*e, chunkEntry{CPIndex: -1, SPIndex: -1}) {
+			t.Errorf("tombstone %d recovered with file %q and a %d-byte key", i, e.Filename, len(e.EncKey))
+		}
+	}
+
+	// Close checkpoints: from here on the directory holds v2 only.
+	if err := d.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = ValidateWALDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.CodecVersions, []int{2}) || rep.Files != 2 {
+		t.Fatalf("after a checkpoint the directory reports %+v", rep)
 	}
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/privacy"
+	"repro/internal/raid"
 )
 
 func TestRemoveFile(t *testing.T) {
@@ -326,5 +328,49 @@ func TestUpdateChunkWithSiblingProviderDown(t *testing.T) {
 			t.Fatalf("provider %d down after update: %v", i, err)
 		}
 		p.SetOutage(false)
+	}
+}
+
+// TestRemoveReleasesMemory is the regression test for the leak the
+// end-to-end benchmark found: every removed chunk kept its full row —
+// for a defended file that was the whole sampling permutation, ~10 MB
+// per MiB uploaded — so a put/remove loop grew without bound. After 50
+// cycles of a 1 MiB PL3 object with 25 % decoys the heap must be back
+// within a small constant of where it started; what legitimately stays
+// is 50 × 128 bare tombstones and their emptied stripe rows, just under
+// 2 MiB. (Tombstones that keep even the compact position list hold
+// 19 MiB here.)
+func TestRemoveReleasesMemory(t *testing.T) {
+	d := testDistributor(t, 8)
+	data := payload(1<<20, 9)
+	opts := UploadOptions{MisleadFraction: 0.25, Assurance: raid.RAID6}
+	cycle := func() {
+		if _, err := d.Upload("alice", "root", "f", data, privacy.High, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RemoveFile("alice", "root", "f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle returns what sync.Pool held through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cycle() // pools, provider maps and table backing arrays reach their working size
+	before := heap()
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	after := heap()
+	runtime.KeepAlive(d) // or the collector frees the tables under test
+	runtime.KeepAlive(data)
+	const slack = 4 << 20
+	t.Logf("heap %d KiB before, %d KiB after 50 cycles", before>>10, after>>10)
+	if after > before+slack {
+		t.Fatalf("heap grew %d KiB over 50 upload/remove cycles (limit %d KiB): removed files are being retained",
+			(after-before)>>10, slack>>10)
 	}
 }

@@ -103,10 +103,7 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 		if entry.SnapVID != "" && entry.SPIndex >= 0 {
 			d.provCount[entry.SPIndex]--
 		}
-		entry.CPIndex = -1
-		entry.SnapVID = ""
-		entry.SPIndex = -1
-		entry.Mirrors = nil
+		entry.tombstone()
 	}
 	for sid := range seenStripe {
 		st := &d.stripes[sid]
@@ -321,10 +318,7 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	stNow.Members = newMembers
 	stNow.ShardLen = shardLen
 	stNow.Parity = newParity
-	e.CPIndex = -1
-	e.SPIndex = -1
-	e.SnapVID = ""
-	e.Mirrors = nil
+	e.tombstone()
 	fe.ChunkIdx[serial] = -1
 	c.Count--
 	d.cache.remove(cacheKey{fid: fe.FID, serial: serial, gen: fileGen})

@@ -102,7 +102,7 @@ func (d *Distributor) planStreamStripe(t *writeTicket, client, filename string, 
 		defer d.mu.Unlock()
 
 		for i, data := range datas {
-			payload, inj, err := d.preparePayload(data, encKey, opts)
+			payload, inj, err := d.preparePayload(data, encKey, opts, &job.pooled)
 			if err != nil {
 				return err
 			}

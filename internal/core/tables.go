@@ -49,8 +49,16 @@ type ChunkRow struct {
 	PL        privacy.Level
 	CPIndex   int
 	SPIndex   int // -1 renders as NA
-	Mislead   []int
+	// Mislead holds the leading positions of the row's M set — as many
+	// as the paper-style rendering prints — and MisleadCount its size;
+	// expanding every decoy of every chunk would make the view cost more
+	// than the tables it describes.
+	Mislead      []int
+	MisleadCount int
 }
+
+// chunkRowMisleadSample is how many M positions a ChunkRow carries.
+const chunkRowMisleadSample = 3
 
 // ProviderTable snapshots Table I.
 func (d *Distributor) ProviderTable() []ProviderRow {
@@ -137,11 +145,12 @@ func (d *Distributor) ChunkTable() []ChunkRow {
 			continue // removed
 		}
 		rows = append(rows, ChunkRow{
-			VirtualID: c.VirtualID,
-			PL:        c.PL,
-			CPIndex:   c.CPIndex,
-			SPIndex:   c.SPIndex,
-			Mislead:   append([]int(nil), c.Mislead.Positions...),
+			VirtualID:    c.VirtualID,
+			PL:           c.PL,
+			CPIndex:      c.CPIndex,
+			SPIndex:      c.SPIndex,
+			Mislead:      c.Mislead.First(chunkRowMisleadSample),
+			MisleadCount: c.Mislead.Count(),
 		})
 	}
 	return rows
@@ -199,14 +208,12 @@ func FormatChunkTable(rows []ChunkRow) string {
 		}
 		m := "{}"
 		if len(r.Mislead) > 0 {
-			sample := r.Mislead
 			more := ""
-			if len(sample) > 3 {
-				sample = sample[:3]
+			if r.MisleadCount > len(r.Mislead) {
 				more = ", ..."
 			}
-			parts := make([]string, len(sample))
-			for i, p := range sample {
+			parts := make([]string, len(r.Mislead))
+			for i, p := range r.Mislead {
 				parts[i] = fmt.Sprintf("%d", p)
 			}
 			m = "{" + strings.Join(parts, ", ") + more + "}"

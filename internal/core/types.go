@@ -92,6 +92,16 @@ type chunkEntry struct {
 	Mirrors []mirrorRef
 }
 
+// tombstone reduces a removed chunk's row to the bare marker every table
+// scan skips on (CPIndex < 0). Rows are never compacted — a table index
+// is an identity that file entries, stripes and WAL records refer to —
+// so whatever a tombstone kept would live as long as the process: the
+// misleading-byte positions (most of a defended chunk's row), and the
+// AES key, which must not outlive the data it protected. Commit, WAL
+// replay and replication apply all go through here, so recovered tables
+// still DeepEqual live ones.
+func (e *chunkEntry) tombstone() { *e = chunkEntry{CPIndex: -1, SPIndex: -1} }
+
 // mirrorRef locates one replica of a chunk.
 type mirrorRef struct {
 	VirtualID string

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bufpool"
-	"repro/internal/cryptofrag"
-	"repro/internal/mislead"
 	"repro/internal/provider"
 	"repro/internal/raid"
 )
@@ -48,24 +46,20 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// Build the new payload: encrypted files stay encrypted; otherwise a
 	// fresh mislead injection if requested. This stays in the plan phase
 	// because the mislead RNG and the encryption nonce are d.mu-guarded.
-	payload := newData
-	var inj mislead.Injection
-	switch {
-	case entry.EncKey != nil:
-		if opts.MisleadFraction > 0 || len(opts.MisleadLines) > 0 {
-			d.mu.Unlock()
-			return fmt.Errorf("%w: misleading data and encryption are mutually exclusive", ErrConfig)
-		}
-		payload, err = cryptofrag.Encrypt(entry.EncKey, newData, d.nextEncNonce())
-	case len(opts.MisleadLines) > 0:
-		payload, inj, err = mislead.InjectLines(newData, opts.MisleadLines, d.misleadRNG)
-	case opts.MisleadFraction > 0:
-		payload, inj, err = mislead.Inject(newData, opts.MisleadFraction, d.misleadRNG)
-	default:
-		cp := make([]byte, len(newData))
-		copy(cp, newData)
-		payload = cp
+	if entry.EncKey != nil && (opts.MisleadFraction > 0 || len(opts.MisleadLines) > 0) {
+		d.mu.Unlock()
+		return fmt.Errorf("%w: misleading data and encryption are mutually exclusive", ErrConfig)
 	}
+	// Pooled scratch — the inflated payload here, padding and parity
+	// further down. Providers copy on Put, so everything drawn is dead
+	// once this call returns.
+	var pooled [][]byte
+	defer func() {
+		for _, b := range pooled {
+			bufpool.Put(b)
+		}
+	}()
+	payload, inj, err := d.preparePayload(newData, entry.EncKey, opts, &pooled)
 	if err != nil {
 		d.mu.Unlock()
 		return err
@@ -225,15 +219,8 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 				shardLen = len(pv)
 			}
 		}
-		// Pooled scratch: zero-padded copies for short shards plus the
-		// parity outputs. Providers copy on Put, so everything drawn here
-		// is dead once the parity writes finish.
-		var pooled [][]byte
-		defer func() {
-			for _, b := range pooled {
-				bufpool.Put(b)
-			}
-		}()
+		// Zero-padded copies for short shards plus the parity outputs are
+		// pooled scratch too.
 		padded := make([][]byte, len(payloads))
 		for i, p := range payloads {
 			if len(p) == shardLen {

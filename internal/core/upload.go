@@ -52,8 +52,12 @@ func (d *Distributor) validateUpload(filename string, pl privacy.Level, opts Upl
 
 // preparePayload builds a chunk's stored payload from its original data:
 // encryption, line decoys or byte decoys per opts. The mislead RNG and
-// the encryption nonce are d.mu-guarded, so callers hold d.mu.
-func (d *Distributor) preparePayload(data []byte, encKey []byte, opts UploadOptions) ([]byte, mislead.Injection, error) {
+// the encryption nonce are d.mu-guarded, so callers hold d.mu. Byte
+// decoys inflate into a bufpool buffer, which is appended to *pooled:
+// the caller owns that list and returns its buffers once the payload
+// has shipped (providers copy on Put). Without decoys or a key the
+// payload aliases data.
+func (d *Distributor) preparePayload(data []byte, encKey []byte, opts UploadOptions, pooled *[][]byte) ([]byte, mislead.Injection, error) {
 	switch {
 	case encKey != nil:
 		payload, err := cryptofrag.Encrypt(encKey, data, d.nextEncNonce())
@@ -61,7 +65,9 @@ func (d *Distributor) preparePayload(data []byte, encKey []byte, opts UploadOpti
 	case len(opts.MisleadLines) > 0:
 		return mislead.InjectLines(data, opts.MisleadLines, d.misleadRNG)
 	case opts.MisleadFraction > 0:
-		return mislead.Inject(data, opts.MisleadFraction, d.misleadRNG)
+		buf := bufpool.Get(mislead.InflatedLen(len(data), opts.MisleadFraction))
+		*pooled = append(*pooled, buf)
+		return mislead.InjectTo(buf[:0], data, opts.MisleadFraction, d.misleadRNG)
 	}
 	return data, mislead.Injection{}, nil
 }
@@ -143,7 +149,7 @@ func (d *Distributor) Upload(client, password, filename string, data []byte, pl 
 	}
 	prep := make([]prepared, len(chunks))
 	for i, ch := range chunks {
-		payload, inj, perr := d.preparePayload(ch.Data, encKey, opts)
+		payload, inj, perr := d.preparePayload(ch.Data, encKey, opts, &pooled)
 		if perr != nil {
 			abortLocked()
 			d.mu.Unlock()

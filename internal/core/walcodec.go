@@ -21,7 +21,8 @@ import (
 // record and no reflection.
 //
 // Layout rules:
-//   - every payload starts with a version byte (walCodecVersion),
+//   - every payload starts with a version byte (walCodecVersion; see
+//     walCodecV1 for the one older layout still read),
 //   - unsigned fields are uvarints, signed ones zigzag varints
 //     (SPIndex/StripeID use -1 as "none"),
 //   - strings are length-prefixed, never nil,
@@ -29,18 +30,59 @@ import (
 //     (1) round-trip distinctly — recovered tables must DeepEqual the
 //     tables a live distributor would hold,
 //   - map entries are written in sorted key order so encoding a given
-//     state is deterministic.
+//     state is deterministic,
+//   - a chunk's misleading-byte positions are one length-prefixed blob:
+//     the gap list mislead.Injection already holds (≈1 byte per decoy),
+//     copied in and out whole. No length+1 here — "no decoys" has a
+//     single representation, the empty blob.
 //
 // Decoding is strict: claimed lengths are bounds-checked against the
 // remaining input before allocating, and trailing bytes after the last
 // field are corruption, not slack.
 
-// walCodecVersion identifies this layout. A decoder seeing any other
-// value fails loudly rather than misparse a frame from a different
-// build.
-const walCodecVersion = 1
+// walCodecVersion identifies this layout and is the only one written.
+// walCodecV1 differs in a single field — a chunk's misleading-byte
+// positions were a length+1-prefixed list of absolute zigzag varints,
+// ~2 bytes per decoy and one decode call each — and is still read, so a
+// directory written before the change recovers; the first checkpoint
+// after that rewrites everything as v2. A decoder seeing any other value
+// fails loudly rather than misparse a frame from a different build.
+const (
+	walCodecVersion = 2
+	walCodecV1      = 1
+)
 
 type walEnc struct{ b []byte }
+
+// newWALEnc starts a payload in a buffer presized from the caller's
+// estimate, so a multi-hundred-chunk record is built without regrowing
+// (and recopying) under d.mu.
+func newWALEnc(sizeHint int) *walEnc {
+	e := &walEnc{b: make([]byte, 0, sizeHint)}
+	e.b = append(e.b, walCodecVersion)
+	return e
+}
+
+// chunksSizeHint estimates the encoded size of cs: the variable-length
+// fields exactly, the ~20 varints and the checksum as a flat allowance.
+func chunksSizeHint(cs []chunkEntry) int {
+	n := 0
+	for i := range cs {
+		c := &cs[i]
+		n += 96 + len(c.VirtualID) + len(c.Mislead.Encoded()) + len(c.Client) + len(c.Filename) +
+			len(c.EncKey) + len(c.SnapVID) + 24*len(c.Mirrors)
+	}
+	return n
+}
+
+// stripesSizeHint is chunksSizeHint for stripe rows.
+func stripesSizeHint(ss []stripeEntry) int {
+	n := 0
+	for i := range ss {
+		n += 16 + 3*len(ss[i].Members) + 24*len(ss[i].Parity)
+	}
+	return n
+}
 
 func (e *walEnc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *walEnc) i(v int)      { e.b = binary.AppendVarint(e.b, int64(v)) }
@@ -77,7 +119,8 @@ func (e *walEnc) chunk(c *chunkEntry) {
 	e.i(int(c.PL))
 	e.i(c.CPIndex)
 	e.i(c.SPIndex)
-	e.ints(c.Mislead.Positions)
+	e.u64(uint64(len(c.Mislead.Encoded())))
+	e.b = append(e.b, c.Mislead.Encoded()...)
 	e.str(c.Client)
 	e.str(c.Filename)
 	e.i(c.Serial)
@@ -140,8 +183,8 @@ func (e *walEnc) stripes(ss []stripeEntry) {
 // encodeWALRecord serializes one commit record. All fields are written
 // in fixed order; varints make the unset ones cost a byte each.
 func encodeWALRecord(rec *walRecord) []byte {
-	e := &walEnc{b: make([]byte, 0, 192)}
-	e.b = append(e.b, walCodecVersion)
+	e := newWALEnc(192 + len(rec.Client) + len(rec.Filename) + chunksSizeHint(rec.Chunks) +
+		stripesSizeHint(rec.Stripes) + 3*len(rec.ChunkIdx) + len(rec.Chunk.Mislead.Encoded()))
 	e.str(rec.Op)
 	e.u64(rec.Gen)
 	e.u64(rec.FIDSeq)
@@ -176,8 +219,7 @@ func encodeWALRecord(rec *walRecord) []byte {
 
 // encodeWALState serializes a checkpoint snapshot of the full tables.
 func encodeWALState(st *walState) []byte {
-	e := &walEnc{b: make([]byte, 0, 1024)}
-	e.b = append(e.b, walCodecVersion)
+	e := newWALEnc(1024 + chunksSizeHint(st.Chunks) + stripesSizeHint(st.Stripes))
 	if st.Clients == nil {
 		e.u64(0)
 	} else {
@@ -237,6 +279,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // check err once at the end.
 type walDec struct {
 	b   []byte
+	v   byte // codec version of the payload, set by version()
 	err error
 }
 
@@ -331,12 +374,28 @@ func (d *walDec) ints() []int {
 	return out
 }
 
+// mislead decodes a chunk's misleading-byte positions — the one field
+// whose layout depends on the codec version.
+func (d *walDec) mislead() mislead.Injection {
+	var inj mislead.Injection
+	var err error
+	if d.v == walCodecV1 {
+		inj, err = mislead.FromPositions(d.ints())
+	} else {
+		inj, err = mislead.FromEncoded(d.take(d.u64()))
+	}
+	if err != nil {
+		d.fail("walcodec: %v", err)
+	}
+	return inj
+}
+
 func (d *walDec) chunk(c *chunkEntry) {
 	c.VirtualID = d.str()
 	c.PL = privacy.Level(d.i())
 	c.CPIndex = d.i()
 	c.SPIndex = d.i()
-	c.Mislead = mislead.Injection{Positions: d.ints()}
+	c.Mislead = d.mislead()
 	c.Client = d.str()
 	c.Filename = d.str()
 	c.Serial = d.i()
@@ -404,10 +463,11 @@ func (d *walDec) version() {
 		d.fail("walcodec: empty payload")
 		return
 	}
-	if d.b[0] != walCodecVersion {
-		d.fail("walcodec: unknown version %d (want %d)", d.b[0], walCodecVersion)
+	if d.b[0] != walCodecVersion && d.b[0] != walCodecV1 {
+		d.fail("walcodec: unknown version %d (want %d or %d)", d.b[0], walCodecVersion, walCodecV1)
 		return
 	}
+	d.v = d.b[0]
 	d.b = d.b[1:]
 }
 

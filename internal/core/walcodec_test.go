@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +13,15 @@ import (
 	"repro/internal/raid"
 )
 
+// misleadAt builds an Injection from literal positions.
+func misleadAt(positions ...int) mislead.Injection {
+	inj, err := mislead.FromPositions(positions)
+	if err != nil {
+		panic(err)
+	}
+	return inj
+}
+
 // codecChunk builds a chunkEntry exercising every field, including the
 // -1 sentinels and a nil-vs-empty distinction on EncKey/Mirrors.
 func codecChunk(i int) chunkEntry {
@@ -19,7 +30,7 @@ func codecChunk(i int) chunkEntry {
 		PL:         privacy.High,
 		CPIndex:    3,
 		SPIndex:    -1,
-		Mislead:    mislead.Injection{Positions: []int{1, 7, 19}},
+		Mislead:    misleadAt(1, 7, 19, 20, 400),
 		Client:     "alice",
 		Filename:   "f",
 		Serial:     i,
@@ -36,7 +47,7 @@ func codecChunk(i int) chunkEntry {
 	if i%2 == 0 {
 		c.EncKey = nil
 		c.Mirrors = nil
-		c.Mislead.Positions = nil
+		c.Mislead = mislead.Injection{}
 		c.SPIndex = 4
 		c.StripeID = 2
 	}
@@ -71,6 +82,136 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("op %s: round trip mismatch:\n got %+v\nwant %+v", want.Op, got, want)
 		}
+	}
+}
+
+// The position list travels as the gap bytes mislead.Injection already
+// holds, copied whole behind one length prefix — no per-decoy varint
+// call on either side, and about a byte per decoy in the frame.
+func TestWALChunkMisleadIsOneBlob(t *testing.T) {
+	c := codecChunk(1)
+	rec := walRecord{Op: "update", Chunk: c}
+	enc := encodeWALRecord(&rec)
+	if enc[0] != walCodecVersion || walCodecVersion != 2 {
+		t.Fatalf("encoder wrote version %d, want 2", enc[0])
+	}
+	gaps := c.Mislead.Encoded()
+	blob := append(binary.AppendUvarint(nil, uint64(len(gaps))), gaps...)
+	if !bytes.Contains(enc, blob) {
+		t.Fatalf("frame %x does not carry the gap list %x as one length-prefixed blob", enc, blob)
+	}
+	var got walRecord
+	if err := decodeWALRecord(enc, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Chunk.Mislead.Positions(), []int{1, 7, 19, 20, 400}) {
+		t.Fatalf("positions after round trip: %v", got.Chunk.Mislead.Positions())
+	}
+	// The decoded Injection must own its bytes: the frame buffer belongs
+	// to the WAL reader.
+	for i := range enc {
+		enc[i] = 0xff
+	}
+	if !reflect.DeepEqual(got.Chunk, c) {
+		t.Fatal("decoded chunk aliases the frame buffer")
+	}
+	// A gap list cut inside a varint is corruption, not a shorter list.
+	bad := walRecord{Op: "update", Chunk: codecChunk(1)}
+	frame := encodeWALRecord(&bad)
+	at := bytes.Index(frame, blob)
+	frame[at+len(blob)-1] |= 0x80
+	if err := decodeWALRecord(frame, &got); err == nil || !strings.Contains(err.Error(), "walcodec") {
+		t.Fatalf("gap list ending inside a varint: err = %v", err)
+	}
+}
+
+// goldenV1Chunks are the rows inside the two version-1 frames below,
+// which were written by the last build whose encoder produced version 1
+// (positions as absolute zigzag varints). A directory holding such
+// frames must keep recovering.
+func goldenV1Chunks() []chunkEntry {
+	defended := chunkEntry{
+		VirtualID: "vid-7", PL: privacy.High, CPIndex: 3, SPIndex: -1,
+		Mislead: misleadAt(0, 1, 2, 130, 131, 20000),
+		Client:  "alice", Filename: "f", Serial: 1, PayloadLen: 20006, DataLen: 20000,
+		StripeID: 4,
+	}
+	for j := range defended.Sum {
+		defended.Sum[j] = byte(j)
+	}
+	plain := defended
+	plain.Mislead = mislead.Injection{}
+	plain.Serial = 0
+	plain.VirtualID = "vid-6"
+	plain.EncKey = []byte{9, 8, 7}
+	return []chunkEntry{plain, defended}
+}
+
+const (
+	goldenV1Record = "010675706c6f61642a11006305616c6963650166000011060c140803057669642d360606010005616c696365016600ccb802c0b802000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f04090807080000057669642d370606010700020484028602c0b80205616c696365016602ccb802c0b802000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0008000002080cccb802031416020270300a031416000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003"
+	goldenV1State  = "010205616c69636505616c6963650202683106020166016606110300020c00040303057669642d360606010005616c696365016600ccb802c0b802000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f04090807080000057669642d370606010700020484028602c0b80205616c696365016602ccb802c0b802000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0008000002080cccb802031416020270300a2a110063"
+)
+
+func TestWALCodecDecodesGoldenV1(t *testing.T) {
+	stripes := []stripeEntry{{ID: 4, Level: raid.RAID6, ShardLen: 20006, Members: []int{10, 11}, Parity: []parityShard{{VirtualID: "p0", CPIndex: 5}}}}
+	wantRec := walRecord{
+		Op: "upload", Gen: 42, FIDSeq: 17, VIDCtr: 99,
+		Client: "alice", Filename: "f", FID: 17, PL: privacy.High, Raid: raid.RAID6,
+		ChunksBase: 10, StripesBase: 4,
+		Chunks: goldenV1Chunks(), Stripes: stripes,
+		ChunkIdx: []int{10, 11}, ClientGen: 3,
+	}
+	frame, err := hex.DecodeString(goldenV1Record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec walRecord
+	if err := decodeWALRecord(frame, &rec); err != nil {
+		t.Fatalf("v1 record: %v", err)
+	}
+	if !reflect.DeepEqual(rec, wantRec) {
+		t.Errorf("v1 record decoded to\n %+v\nwant\n %+v", rec, wantRec)
+	}
+	// Re-encoding writes version 2 and decodes to the same record: the
+	// upgrade is lossless.
+	again := encodeWALRecord(&rec)
+	var rec2 walRecord
+	if again[0] != 2 || decodeWALRecord(again, &rec2) != nil || !reflect.DeepEqual(rec2, wantRec) {
+		t.Errorf("v1 record did not survive re-encoding as v2 (version byte %d)", again[0])
+	}
+	if len(again) >= len(frame) {
+		t.Errorf("v2 frame is %d bytes, v1 was %d: the compact form should be smaller", len(again), len(frame))
+	}
+
+	wantState := walState{
+		Clients: map[string]*clientEntry{"alice": {
+			Name: "alice", Passwords: map[string]privacy.Level{"h1": privacy.High},
+			Files: map[string]*fileEntry{"f": {Filename: "f", PL: privacy.High, FID: 17, ChunkIdx: []int{0, 1}, Raid: raid.RAID6}},
+			Count: 2, Gen: 3,
+		}},
+		Chunks: goldenV1Chunks(), Stripes: stripes,
+		Gen: 42, FIDSeq: 17, VIDCtr: 99,
+	}
+	snap, err := hex.DecodeString(goldenV1State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st walState
+	if err := decodeWALState(snap, &st); err != nil {
+		t.Fatalf("v1 snapshot: %v", err)
+	}
+	if !reflect.DeepEqual(st, wantState) {
+		t.Errorf("v1 snapshot decoded to\n %+v\nwant\n %+v", st, wantState)
+	}
+
+	// v1 positions that are not strictly increasing were never valid;
+	// they must fail the decode, not reach Strip.
+	bad := bytes.Replace(frame, []byte{0x07, 0x00, 0x02, 0x04}, []byte{0x07, 0x04, 0x02, 0x04}, 1)
+	if bytes.Equal(bad, frame) {
+		t.Fatal("golden frame does not contain the expected position list")
+	}
+	if err := decodeWALRecord(bad, &rec); err == nil || !strings.Contains(err.Error(), "walcodec") {
+		t.Errorf("disordered v1 positions: err = %v", err)
 	}
 }
 
@@ -113,6 +254,7 @@ func TestWALCodecStrictness(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"bad version":    append([]byte{walCodecVersion + 1}, good[1:]...),
+		"version zero":   append([]byte{0}, good[1:]...),
 		"truncated":      good[:len(good)/2],
 		"trailing bytes": append(append([]byte{}, good...), 0),
 	}

@@ -28,11 +28,27 @@ func FuzzInjectStrip(f *testing.F) {
 	})
 }
 
-// FuzzStripHostile feeds Strip arbitrary injections: it must never panic.
+// FuzzStripHostile feeds Strip arbitrary encoded position bytes — what a
+// corrupt-but-CRC-valid WAL frame could carry — both through FromEncoded
+// and with a forged count beside them: it must never panic or read
+// outside the payload, and whatever it accepts must strip to exactly the
+// payload minus Count bytes.
 func FuzzStripHostile(f *testing.F) {
-	f.Add([]byte("abc"), 0, 1)
-	f.Add([]byte{}, 5, -3)
-	f.Fuzz(func(t *testing.T, data []byte, p1, p2 int) {
-		_, _ = Strip(data, Injection{Positions: []int{p1, p2}})
+	f.Add([]byte("abc"), []byte{0, 1}, 2)
+	f.Add([]byte{}, []byte{5}, -3)
+	f.Add([]byte("abcdef"), []byte{0x80}, 1)
+	f.Add([]byte("abcdef"), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, 2)
+	f.Fuzz(func(t *testing.T, data, enc []byte, count int) {
+		check := func(inj Injection) {
+			got, err := Strip(data, inj)
+			if err == nil && len(got) != len(data)-inj.Count() {
+				t.Fatalf("accepted %d decoys in %d bytes but kept %d", inj.Count(), len(data), len(got))
+			}
+			_ = inj.Positions()
+		}
+		if inj, err := FromEncoded(enc); err == nil {
+			check(inj)
+		}
+		check(Injection{count: count, gaps: enc})
 	})
 }

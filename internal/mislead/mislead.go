@@ -10,35 +10,168 @@
 package mislead
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
-// Injection describes misleading bytes added to one chunk: Positions are
-// indices into the *inflated* payload that hold decoy bytes. This is the
-// "M" column of the paper's Chunk Table.
+// Injection describes misleading bytes added to one chunk: the indices
+// into the *inflated* payload that hold decoy bytes. This is the "M"
+// column of the paper's Chunk Table.
+//
+// The positions are held the way they are persisted: one uvarint per
+// decoy giving the number of kept bytes between it and the previous
+// decoy (position − previous position − 1, with −1 before the first).
+// A gap cannot be negative, so any well-formed gap list is strictly
+// increasing; a typical decoy costs one byte where a []int cost eight.
+// The zero value is "no decoys".
 type Injection struct {
-	Positions []int
+	count int
+	gaps  []byte
 }
 
 // Count returns the number of injected bytes.
-func (inj Injection) Count() int { return len(inj.Positions) }
+func (inj Injection) Count() int { return inj.count }
 
-// Validate checks positions are sorted, unique, non-negative and within
-// the inflated length.
-func (inj Injection) Validate(inflatedLen int) error {
+// Encoded returns the gap list for persistence. The slice aliases the
+// Injection and must not be modified; FromEncoded is its inverse.
+func (inj Injection) Encoded() []byte { return inj.gaps }
+
+// FromEncoded adopts a persisted gap list (copying it, so the source
+// buffer may be reused). It checks only that enc is a sequence of whole
+// uvarints; Validate bounds the positions against a payload.
+func FromEncoded(enc []byte) (Injection, error) {
+	if len(enc) == 0 {
+		return Injection{}, nil
+	}
+	if enc[len(enc)-1] >= 0x80 {
+		return Injection{}, fmt.Errorf("mislead: encoded positions end inside a varint")
+	}
+	count := 0
+	for _, b := range enc {
+		if b < 0x80 {
+			count++
+		}
+	}
+	return Injection{count: count, gaps: append([]byte(nil), enc...)}, nil
+}
+
+// MarshalBinary and UnmarshalBinary are Encoded and FromEncoded for
+// encoding/gob, which carries the distributor's full-metadata snapshot
+// between cluster members and cannot see unexported fields.
+func (inj Injection) MarshalBinary() ([]byte, error) { return inj.gaps, nil }
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (inj *Injection) UnmarshalBinary(enc []byte) error {
+	decoded, err := FromEncoded(enc)
+	if err == nil {
+		*inj = decoded
+	}
+	return err
+}
+
+// FromPositions builds an Injection from absolute decoy positions, which
+// must be non-negative and strictly increasing.
+func FromPositions(positions []int) (Injection, error) {
+	if len(positions) == 0 {
+		return Injection{}, nil
+	}
+	gaps := make([]byte, 0, len(positions)+len(positions)/8+8)
 	prev := -1
-	for _, p := range inj.Positions {
-		if p < 0 || p >= inflatedLen {
-			return fmt.Errorf("mislead: position %d outside inflated payload of %d bytes", p, inflatedLen)
-		}
+	for _, p := range positions {
 		if p <= prev {
-			return fmt.Errorf("mislead: positions not strictly increasing at %d", p)
+			return Injection{}, fmt.Errorf("mislead: positions not strictly increasing at %d", p)
 		}
+		gaps = binary.AppendUvarint(gaps, uint64(p-prev-1))
 		prev = p
 	}
-	return nil
+	return Injection{count: len(positions), gaps: gaps}, nil
+}
+
+// Positions decodes the absolute decoy positions, nil when there are
+// none. A malformed gap list (see Validate) decodes as far as it is
+// well formed.
+func (inj Injection) Positions() []int { return inj.First(inj.count) }
+
+// First decodes at most n leading positions — what a table view prints
+// — without expanding the whole list.
+func (inj Injection) First(n int) []int {
+	// Every position takes at least one encoded byte, which bounds the
+	// allocation even under a forged count.
+	n = min(n, inj.count, len(inj.gaps))
+	if n <= 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	pos := -1
+	for b := inj.gaps; len(b) > 0 && len(out) < n; {
+		gap, w := binary.Uvarint(b)
+		if w <= 0 {
+			break
+		}
+		b = b[w:]
+		pos += int(gap) + 1
+		out = append(out, pos)
+	}
+	return out
+}
+
+// Validate checks that the gap list is well formed, holds exactly Count
+// positions, and that every position lies within the inflated length.
+// Sortedness and uniqueness need no check: gaps cannot be negative.
+func (inj Injection) Validate(inflatedLen int) error {
+	_, err := inj.walk(inflatedLen, nil, nil)
+	return err
+}
+
+// walk is the one decoder of the gap list: it checks what Validate
+// promises and, when inflated is given (a nil payload has nothing to
+// copy either way), appends the kept bytes between the decoys to dst as
+// it goes — each gap is a run of kept bytes, copied
+// with one bulk append, followed by one skipped decoy. Checking inside
+// the copying pass keeps StripTo to a single walk.
+func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error) {
+	if inj.count < 0 || inj.count > len(inj.gaps) {
+		return nil, fmt.Errorf("mislead: %d positions claimed by %d encoded bytes", inj.count, len(inj.gaps))
+	}
+	from, seen := 0, 0 // from: first payload index after the previous decoy
+	for b := inj.gaps; len(b) > 0; seen++ {
+		// Gaps below 128 — all but a few per chunk at any useful decoy
+		// fraction — are one byte and skip the varint loop.
+		gap, w := uint64(b[0]), 1
+		if gap >= 0x80 {
+			if gap, w = binary.Uvarint(b); w <= 0 {
+				return nil, fmt.Errorf("mislead: malformed position varint at decoy %d", seen)
+			}
+		}
+		b = b[w:]
+		// Compare before adding: a hostile gap near 2^64 must not wrap.
+		if gap >= uint64(inflatedLen-from) {
+			return nil, fmt.Errorf("mislead: decoy %d outside inflated payload of %d bytes", seen, inflatedLen)
+		}
+		decoy := from + int(gap)
+		if inflated != nil {
+			dst = append(dst, inflated[from:decoy]...)
+		}
+		from = decoy + 1
+	}
+	if seen != inj.count {
+		return nil, fmt.Errorf("mislead: %d positions encoded, %d claimed", seen, inj.count)
+	}
+	if inflated != nil {
+		dst = append(dst, inflated[from:]...)
+	}
+	return dst, nil
+}
+
+// InflatedLen is the length Inject produces for n payload bytes: the
+// caller of InjectTo sizes its buffer with it.
+func InflatedLen(n int, fraction float64) int {
+	return n + int(float64(n)*fraction)
 }
 
 // Inject inserts decoy bytes into data so that the decoy content blends in
@@ -47,63 +180,118 @@ func (inj Injection) Validate(inflatedLen int) error {
 // the ratio of decoy bytes to original bytes. The returned Injection
 // records the decoy positions in the inflated payload.
 func Inject(data []byte, fraction float64, rng *rand.Rand) ([]byte, Injection, error) {
+	return InjectTo(nil, data, fraction, rng)
+}
+
+// InjectTo is Inject appending the inflated payload to dst — typically a
+// zero-length slice of a pooled buffer of InflatedLen bytes, so the bulk
+// write path inflates without allocating. dst must not overlap data.
+//
+// The decoy positions are a uniform random subset of the inflated
+// payload, drawn by Floyd's algorithm into a bitmap: one draw per decoy,
+// no permutation of the whole payload. One walk over the bitmap then
+// meets the positions in order, copies the kept bytes between them in
+// bulk, draws each decoy byte and emits its gap — so nothing is sorted
+// and no per-byte flag is tested. The draw sequence, and with it the
+// output, is a pure function of the rng's state.
+func InjectTo(dst, data []byte, fraction float64, rng *rand.Rand) ([]byte, Injection, error) {
 	if fraction < 0 || fraction > 1 {
 		return nil, Injection{}, fmt.Errorf("mislead: fraction %v outside [0,1]", fraction)
 	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	nDecoys := int(float64(len(data)) * fraction)
+	nDecoys := InflatedLen(len(data), fraction) - len(data)
 	if nDecoys == 0 {
-		out := make([]byte, len(data))
-		copy(out, data)
-		return out, Injection{}, nil
+		return append(dst, data...), Injection{}, nil
 	}
 	inflatedLen := len(data) + nDecoys
-	// Choose decoy positions uniformly in the inflated payload.
-	positions := pickPositions(inflatedLen, nDecoys, rng)
-	isDecoy := make([]bool, inflatedLen)
-	for _, p := range positions {
-		isDecoy[p] = true
+
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	words := (inflatedLen + 63) / 64
+	if cap(s.bitmap) < words {
+		s.bitmap = make([]uint64, words)
 	}
-	out := make([]byte, inflatedLen)
-	src := 0
-	for i := range out {
-		if isDecoy[i] {
-			out[i] = decoyByte(data, rng)
-		} else {
-			out[i] = data[src]
-			src++
+	bitmap := s.bitmap[:words]
+	clear(bitmap)
+	for j := inflatedLen - nDecoys; j < inflatedLen; j++ {
+		t := below(rng, j+1)
+		if bitmap[t>>6]&(1<<(t&63)) != 0 {
+			t = j // j itself cannot be taken yet: every earlier draw was below it
+		}
+		bitmap[t>>6] |= 1 << (t & 63)
+	}
+
+	base := len(dst)
+	if cap(dst)-base < inflatedLen {
+		grown := make([]byte, base, base+inflatedLen)
+		copy(grown, dst)
+		dst = grown
+	}
+	out := dst[base : base+inflatedLen]
+	// One byte per gap below 128; a sparse injection's mean gap says how
+	// many bytes its typical varint takes. The slack absorbs the spread.
+	gapBytes := (bits.Len(uint(inflatedLen/nDecoys)) + 6) / 7
+	gaps := make([]byte, 0, nDecoys*gapBytes+nDecoys/8+8)
+	src, prev := 0, -1
+	for w, word := range bitmap {
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 + bits.TrailingZeros64(word)
+			kept := p - prev - 1
+			// Most runs are a few bytes, where a memmove call costs more
+			// in size dispatch than in copying. Away from either end, move
+			// a fixed 16 bytes instead: the excess lands on out[p:], which
+			// this and the following iterations overwrite.
+			if kept <= 16 && src+16 <= len(data) && prev+17 <= inflatedLen {
+				*(*[16]byte)(out[prev+1:]) = *(*[16]byte)(data[src:])
+			} else {
+				copy(out[prev+1:p], data[src:src+kept])
+			}
+			src += kept
+			out[p] = data[below(rng, len(data))]
+			gaps = binary.AppendUvarint(gaps, uint64(kept))
+			prev = p
 		}
 	}
-	return out, Injection{Positions: positions}, nil
+	copy(out[prev+1:], data[src:])
+	return dst[:base+inflatedLen], Injection{count: nDecoys, gaps: gaps}, nil
 }
 
-// pickPositions samples n distinct positions in [0, total) and returns
-// them sorted.
-func pickPositions(total, n int, rng *rand.Rand) []int {
-	perm := rng.Perm(total)[:n]
-	sort.Ints(perm)
-	return perm
-}
-
-// decoyByte samples a byte from the payload's own empirical distribution
-// (or uniformly if the payload is empty).
-func decoyByte(data []byte, rng *rand.Rand) byte {
-	if len(data) == 0 {
-		return byte(rng.Intn(256))
+// below returns a uniform integer in [0, n). Two draws per decoy make
+// this the sampler's inner cost, and rand.Intn spends most of its time
+// in two integer divisions; the multiply-shift reduction (Lemire 2019,
+// the one math/rand keeps private for Shuffle) divides only when a draw
+// lands in the sliver that would bias the result, and redraws there, so
+// the outcome is exactly uniform.
+func below(rng *rand.Rand, n int) int {
+	if n > math.MaxUint32 {
+		return rng.Intn(n)
 	}
-	return data[rng.Intn(len(data))]
+	bound := uint32(n)
+	prod := uint64(rng.Uint32()) * uint64(bound)
+	if low := uint32(prod); low < bound {
+		for reject := -bound % bound; low < reject; low = uint32(prod) {
+			prod = uint64(rng.Uint32()) * uint64(bound)
+		}
+	}
+	return int(prod >> 32)
 }
+
+// scratch is the per-call sampling bitmap, pooled by pointer so that
+// borrowing and returning it allocates nothing.
+type scratch struct{ bitmap []uint64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Strip removes the injected bytes, recovering the original payload.
 // The returned slice has exact capacity — it retains nothing beyond the
 // recovered bytes.
 func Strip(inflated []byte, inj Injection) ([]byte, error) {
-	if err := inj.Validate(len(inflated)); err != nil {
-		return nil, err
+	if inj.count < 0 || inj.count > len(inflated) {
+		return nil, fmt.Errorf("mislead: %d decoys claimed in a payload of %d bytes", inj.count, len(inflated))
 	}
-	out := make([]byte, 0, len(inflated)-len(inj.Positions))
+	out := make([]byte, 0, len(inflated)-inj.count)
 	return StripTo(out, inflated, inj)
 }
 
@@ -113,19 +301,10 @@ func Strip(inflated []byte, inj Injection) ([]byte, error) {
 // allocations. Returns the extended slice; if dst lacks capacity the
 // usual append reallocation applies.
 //
-// Positions are strictly increasing (Validate enforces it), so the kept
-// bytes are the gaps between consecutive decoys: copy each gap with one
-// bulk append instead of testing every byte against a position set.
+// The gap list is walked directly and once (see walk). On error dst's
+// spare capacity may already hold a partial copy; its length is as given.
 func StripTo(dst, inflated []byte, inj Injection) ([]byte, error) {
-	if err := inj.Validate(len(inflated)); err != nil {
-		return nil, err
-	}
-	prev := 0
-	for _, p := range inj.Positions {
-		dst = append(dst, inflated[prev:p]...)
-		prev = p + 1
-	}
-	return append(dst, inflated[prev:]...), nil
+	return inj.walk(len(inflated), dst, inflated)
 }
 
 // InjectLines inserts whole misleading records (lines) into line-oriented
@@ -156,19 +335,25 @@ func InjectLines(data []byte, decoyLines [][]byte, rng *rand.Rand) ([]byte, Inje
 	}
 	sort.Ints(insertAt)
 
-	var out []byte
-	var positions []int
+	// A decoy line is a run of adjacent positions: its first byte carries
+	// the gap back to the previous decoy, every later byte a gap of 0.
+	var out, gaps []byte
+	count, prev := 0, -1
+	decoy := func(b byte) {
+		gaps = binary.AppendUvarint(gaps, uint64(len(out)-prev-1))
+		prev = len(out)
+		out = append(out, b)
+		count++
+	}
 	di := 0
 	for off := 0; off <= len(data); off++ {
 		for di < len(insertAt) && insertAt[di] == off {
 			line := decoyLines[di]
 			for _, b := range line {
-				positions = append(positions, len(out))
-				out = append(out, b)
+				decoy(b)
 			}
 			if len(line) == 0 || line[len(line)-1] != '\n' {
-				positions = append(positions, len(out))
-				out = append(out, '\n')
+				decoy('\n')
 			}
 			di++
 		}
@@ -176,7 +361,7 @@ func InjectLines(data []byte, decoyLines [][]byte, rng *rand.Rand) ([]byte, Inje
 			out = append(out, data[off])
 		}
 	}
-	return out, Injection{Positions: positions}, nil
+	return out, Injection{count: count, gaps: gaps}, nil
 }
 
 // Overhead reports the storage overhead ratio of an injection relative to

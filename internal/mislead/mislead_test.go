@@ -2,11 +2,24 @@ package mislead
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// mustPositions builds an Injection from literal positions.
+func mustPositions(t testing.TB, positions ...int) Injection {
+	t.Helper()
+	inj, err := FromPositions(positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
 
 func TestInjectStripRoundTrip(t *testing.T) {
 	data := []byte("the original sensitive payload that must survive")
@@ -65,27 +78,106 @@ func TestInjectEmptyPayload(t *testing.T) {
 	}
 }
 
-func TestInjectionValidate(t *testing.T) {
-	if err := (Injection{Positions: []int{1, 3, 5}}).Validate(6); err != nil {
+// InjectTo appends after whatever dst already holds and uses dst's spare
+// capacity when it suffices — the pooled-buffer contract the write path
+// relies on.
+func TestInjectToAppendsInPlace(t *testing.T) {
+	data := bytes.Repeat([]byte("abcdefgh"), 64)
+	want, wantInj, err := Inject(data, 0.25, rand.New(rand.NewSource(9)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (Injection{Positions: []int{-1}}).Validate(6); err == nil {
-		t.Fatal("negative position accepted")
+	buf := make([]byte, 3, 3+InflatedLen(len(data), 0.25))
+	copy(buf, "pre")
+	got, inj, err := InjectTo(buf, data, 0.25, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (Injection{Positions: []int{6}}).Validate(6); err == nil {
+	if &got[0] != &buf[0] {
+		t.Fatal("InjectTo reallocated a buffer that had room")
+	}
+	if string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) || !reflect.DeepEqual(inj, wantInj) {
+		t.Fatal("InjectTo output differs from Inject under the same seed")
+	}
+	// Too little room: grows like append, prefix preserved.
+	got, _, err = InjectTo([]byte("pre"), data, 0.25, rand.New(rand.NewSource(9)))
+	if err != nil || string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) {
+		t.Fatalf("InjectTo without capacity: err=%v", err)
+	}
+}
+
+func TestInjectionValidate(t *testing.T) {
+	if err := mustPositions(t, 1, 3, 5).Validate(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustPositions(t, 6).Validate(6); err == nil {
 		t.Fatal("out-of-range position accepted")
 	}
-	if err := (Injection{Positions: []int{3, 3}}).Validate(6); err == nil {
-		t.Fatal("duplicate position accepted")
+	if err := mustPositions(t, 0).Validate(0); err == nil {
+		t.Fatal("position accepted in an empty payload")
 	}
-	if err := (Injection{Positions: []int{5, 2}}).Validate(6); err == nil {
-		t.Fatal("unsorted positions accepted")
+	for name, inj := range map[string]Injection{
+		"count above encoded":   {count: 3, gaps: []byte{0, 0}},
+		"count below encoded":   {count: 1, gaps: []byte{0, 0}},
+		"negative count":        {count: -1},
+		"ends inside a varint":  {count: 1, gaps: []byte{0x80}},
+		"varint overflows":      {count: 1, gaps: append(bytes.Repeat([]byte{0xff}, 10), 0x01)},
+		"gap wraps past 2^63":   {count: 2, gaps: append([]byte{1}, append(bytes.Repeat([]byte{0xff}, 9), 0x01)...)},
+		"positions but no gaps": {count: 2},
+	} {
+		if err := inj.Validate(1 << 20); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestFromPositionsRejectsDisorder(t *testing.T) {
+	for name, positions := range map[string][]int{
+		"negative":  {-1},
+		"duplicate": {3, 3},
+		"unsorted":  {5, 2},
+	} {
+		if _, err := FromPositions(positions); err == nil {
+			t.Errorf("%s positions accepted", name)
+		}
+	}
+}
+
+func TestEncodedRoundTrip(t *testing.T) {
+	want := []int{0, 1, 2, 130, 131, 20000, 20001}
+	inj := mustPositions(t, want...)
+	if got := inj.Positions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("positions %v, want %v", got, want)
+	}
+	if got := inj.First(3); !reflect.DeepEqual(got, want[:3]) {
+		t.Fatalf("first 3 = %v", got)
+	}
+	src := append([]byte(nil), inj.Encoded()...)
+	back, err := FromEncoded(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, inj) {
+		t.Fatalf("FromEncoded(Encoded()) = %+v, want %+v", back, inj)
+	}
+	src[0] ^= 0x7f
+	if !reflect.DeepEqual(back, inj) {
+		t.Fatal("FromEncoded aliased its input")
+	}
+	if empty, err := FromEncoded(nil); err != nil || !reflect.DeepEqual(empty, Injection{}) || empty.Positions() != nil {
+		t.Fatalf("empty encoding: %+v, %v", empty, err)
+	}
+	if _, err := FromEncoded([]byte{0x01, 0x80}); err == nil {
+		t.Fatal("encoding that ends inside a varint accepted")
 	}
 }
 
 func TestStripRejectsBadInjection(t *testing.T) {
-	if _, err := Strip([]byte("abc"), Injection{Positions: []int{9}}); err == nil {
+	if _, err := Strip([]byte("abc"), mustPositions(t, 9)); err == nil {
 		t.Fatal("bad injection accepted by Strip")
+	}
+	if _, err := Strip([]byte("abc"), Injection{count: 7, gaps: make([]byte, 7)}); err == nil {
+		t.Fatal("more decoys than payload bytes accepted by Strip")
 	}
 }
 
@@ -118,6 +210,100 @@ func TestDecoyBytesComeFromPayloadDistribution(t *testing.T) {
 	}
 }
 
+// Property: the sampler places exactly int(len·fraction) decoys, at
+// sorted, distinct, in-range positions, for any payload and fraction.
+func TestSamplerPositionsProperty(t *testing.T) {
+	f := func(n uint16, fracSeed uint8, seed int64) bool {
+		data := make([]byte, int(n)%5000)
+		frac := float64(fracSeed%101) / 100.0
+		inflated, inj, err := Inject(data, frac, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return false
+		}
+		want := int(float64(len(data)) * frac)
+		positions := inj.Positions()
+		if inj.Count() != want || len(positions) != want || len(inflated) != len(data)+want {
+			return false
+		}
+		prev := -1
+		for _, p := range positions {
+			if p <= prev || p >= len(inflated) {
+				return false
+			}
+			prev = p
+		}
+		return inj.Validate(len(inflated)) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The position stream and the decoy bytes are a pure function of the
+// seed: determinism gates (simcheck, minecheck) compare whole runs.
+func TestSameSeedSameBytes(t *testing.T) {
+	data := make([]byte, 8<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	a, injA, _ := Inject(data, 0.25, rand.New(rand.NewSource(42)))
+	b, injB, _ := Inject(data, 0.25, rand.New(rand.NewSource(42)))
+	if !bytes.Equal(a, b) || !reflect.DeepEqual(injA, injB) {
+		t.Fatal("same seed produced different output")
+	}
+	c, _, _ := Inject(data, 0.25, rand.New(rand.NewSource(43)))
+	if bytes.Equal(a, c) {
+		t.Fatal("different seeds produced identical output")
+	}
+}
+
+// Every slot of the inflated payload is equally likely to hold a decoy.
+// 20 000 draws of 12 decoys in 60 slots: each slot expects 4 000 hits,
+// standard deviation √(20000·0.2·0.8) ≈ 57; ±6σ keeps the test quiet
+// across seeds while a biased sampler (say one favouring the tail, the
+// classic Floyd off-by-one) misses by thousands.
+func TestSamplerUniform(t *testing.T) {
+	const draws, size, frac = 20000, 48, 0.25
+	data := make([]byte, size)
+	rng := rand.New(rand.NewSource(11))
+	var hits [size + size/4]int
+	for i := 0; i < draws; i++ {
+		_, inj, err := Inject(data, frac, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range inj.Positions() {
+			hits[p]++
+		}
+	}
+	p := float64(size/4) / float64(len(hits))
+	mean := draws * p
+	tol := 6 * math.Sqrt(draws*p*(1-p))
+	for slot, h := range hits {
+		if math.Abs(float64(h)-mean) > tol {
+			t.Errorf("slot %d hit %d times, want %.0f ± %.0f", slot, h, mean, tol)
+		}
+	}
+}
+
+// Inject's cost is pinned so the permutation-and-sort sampler (80 KB and
+// a dozen allocations per 8 KiB chunk) cannot come back unnoticed: the
+// inflated payload and the gap list, nothing else.
+func TestInjectAllocationBudget(t *testing.T) {
+	for _, frac := range []float64{0.05, 0.25} {
+		data := make([]byte, 8<<10)
+		rng := rand.New(rand.NewSource(1))
+		var inj Injection
+		var out []byte
+		call := func() { out, inj, _ = Inject(data, frac, rng) }
+		call() // warm the scratch pool
+		if allocs := testing.AllocsPerRun(200, call); allocs > 2 {
+			t.Errorf("fraction %v: %v allocs per Inject, want <= 2", frac, allocs)
+		}
+		if got, limit := cap(out)+cap(inj.gaps), len(out)*3/2; got > limit {
+			t.Errorf("fraction %v: Inject holds %d bytes for a %d-byte payload, want <= %d", frac, got, len(out), limit)
+		}
+	}
+}
+
 func TestInjectLinesRoundTrip(t *testing.T) {
 	data := []byte("r1,a\nr2,b\nr3,c\n")
 	decoys := [][]byte{[]byte("fake1,x"), []byte("fake2,y\n")}
@@ -143,6 +329,44 @@ func TestInjectLinesRoundTrip(t *testing.T) {
 	}
 }
 
+// A decoy line is a run of adjacent positions, so in the gap list every
+// byte of a line after its first is a gap of 0 — and the list survives
+// persistence (Encoded → FromEncoded) and still strips exactly.
+func TestInjectLinesGapForm(t *testing.T) {
+	data := []byte("r1,a\nr2,b\nr3,c\n")
+	decoys := [][]byte{[]byte("fake1,x"), []byte("fake2,y\n")}
+	inflated, inj, err := InjectLines(data, decoys, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len("fake1,x\n") + len("fake2,y\n"); inj.Count() != want || len(inj.Encoded()) != want {
+		t.Fatalf("%d decoys in %d encoded bytes, want %d one-byte gaps", inj.Count(), len(inj.Encoded()), want)
+	}
+	nonzero := 0
+	for _, g := range inj.Encoded() {
+		if g != 0 {
+			nonzero++
+		}
+	}
+	if nonzero > len(decoys) {
+		t.Fatalf("%d non-zero gaps for %d decoy lines: runs are not adjacent", nonzero, len(decoys))
+	}
+	positions := inj.Positions()
+	for i, p := range positions {
+		if !bytes.Contains([]byte("fake1,x\nfake2,y\n"), inflated[p:p+1]) {
+			t.Fatalf("position %d (#%d) holds %q, not a decoy byte", p, i, inflated[p])
+		}
+	}
+	back, err := FromEncoded(inj.Encoded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Strip(inflated, back)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("strip through the persisted form: %q, %v", got, err)
+	}
+}
+
 func TestInjectLinesNoDecoys(t *testing.T) {
 	data := []byte("a\nb\n")
 	out, inj, err := InjectLines(data, nil, nil)
@@ -155,7 +379,11 @@ func TestOverhead(t *testing.T) {
 	if Overhead(0, Injection{}) != 0 {
 		t.Fatal("zero-length overhead should be 0")
 	}
-	if got := Overhead(100, Injection{Positions: make([]int, 25)}); got != 0.25 {
+	positions := make([]int, 25)
+	for i := range positions {
+		positions[i] = i
+	}
+	if got := Overhead(100, mustPositions(t, positions...)); got != 0.25 {
 		t.Fatalf("overhead = %v, want 0.25", got)
 	}
 }
@@ -211,4 +439,47 @@ func TestInjectLinesRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+var (
+	benchOut []byte
+	benchInj Injection
+)
+
+// benchShapes are the chunk sizes the privacy levels use (PL3 8 KiB,
+// PL2 16 KiB, PL0 64 KiB) crossed with a sparse and the benchmark's
+// defended-large decoy fraction.
+func benchShapes(b *testing.B, run func(b *testing.B, data []byte, frac float64)) {
+	for _, size := range []int{8 << 10, 16 << 10, 64 << 10} {
+		for _, frac := range []float64{0.05, 0.25} {
+			data := make([]byte, size)
+			rand.New(rand.NewSource(1)).Read(data)
+			b.Run(fmt.Sprintf("%dKiB/f%.2f", size>>10, frac), func(b *testing.B) {
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				run(b, data, frac)
+			})
+		}
+	}
+}
+
+func BenchmarkInject(b *testing.B) {
+	benchShapes(b, func(b *testing.B, data []byte, frac float64) {
+		rng := rand.New(rand.NewSource(1))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchOut, benchInj, _ = Inject(data, frac, rng)
+		}
+	})
+}
+
+func BenchmarkStripTo(b *testing.B) {
+	benchShapes(b, func(b *testing.B, data []byte, frac float64) {
+		inflated, inj, _ := Inject(data, frac, rand.New(rand.NewSource(1)))
+		dst := make([]byte, 0, len(data))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchOut, _ = StripTo(dst[:0], inflated, inj)
+		}
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -118,17 +117,9 @@ func (c *Client) postOnce(path string, body []byte) ([]byte, error) {
 		return nil, &netError{fmt.Errorf("transport: %s: %w", path, err)}
 	}
 	defer resp.Body.Close()
-	// Read one byte past the cap: a body that reaches it was truncated,
-	// and must fail loudly instead of being returned as a success.
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxRespRead+1))
+	payload, err := readResponse(path, resp)
 	if err != nil {
-		// The response died mid-body (connection reset, timeout). The
-		// server already executed the request, so surface it as a
-		// transport failure and let the idempotent layers retry it.
-		return nil, &netError{fmt.Errorf("transport: %s: %w", path, err)}
-	}
-	if int64(len(payload)) > maxRespRead {
-		return nil, fmt.Errorf("%w: %s: body larger than %d bytes", ErrOversizeResponse, path, maxRespRead)
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
 		return nil, statusToCoreError(resp.StatusCode, string(payload))
@@ -166,18 +157,17 @@ func (c *Client) getJSON(path string, v any) error {
 			lastErr = &netError{fmt.Errorf("transport: %s: %w", path, err)}
 			continue
 		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, maxRespRead+1))
+		payload, err := readResponse(path, resp)
 		resp.Body.Close()
-		if err != nil {
+		if isNetworkError(err) {
 			// Mid-body transport failure. These GETs are read-only, so
 			// replaying the request is exactly as safe as retrying one
-			// that never connected — previously this returned the decode
-			// error immediately and wasted the remaining attempts.
-			lastErr = &netError{fmt.Errorf("transport: %s: %w", path, err)}
+			// that never connected.
+			lastErr = err
 			continue
 		}
-		if int64(len(payload)) > maxRespRead {
-			return fmt.Errorf("%w: %s: body larger than %d bytes", ErrOversizeResponse, path, maxRespRead)
+		if err != nil {
+			return err
 		}
 		if resp.StatusCode != http.StatusOK {
 			if len(payload) > 512 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,9 +21,10 @@ import (
 // is itself the outage, so each probe carries its own short deadline.
 const probeTimeout = time.Second
 
-// maxBlobRead bounds how much of a chunk response body Get will accept.
-// It is a variable (normally maxBlobBytes) only so tests can lower it
-// without serving a 64 MiB body.
+// maxBlobRead bounds a chunk body on the provider hop, in both
+// directions: what Get accepts in a response and what the provider
+// server accepts in a put. It is a variable (normally maxBlobBytes) only
+// so tests can lower it without moving a 64 MiB body.
 var maxBlobRead int64 = maxBlobBytes
 
 // RemoteProvider is a provider.Provider backed by a ProviderServer over
@@ -114,16 +116,16 @@ func (rp *RemoteProvider) Get(key string) ([]byte, error) {
 		if resp.StatusCode != http.StatusOK {
 			return false, statusToProviderError(resp)
 		}
-		// Read one byte past the cap: a body that reaches it was truncated,
-		// and silently handing back a cut-off blob would surface later as
-		// an inexplicable length or checksum mismatch far from the cause.
-		data, err = io.ReadAll(io.LimitReader(resp.Body, maxBlobRead+1))
-		if err != nil {
-			return false, err
-		}
-		if int64(len(data)) > maxBlobRead {
-			data = nil
+		// A blob past the cap, or one that stops short of its declared
+		// length, must fail here: handed back cut off it would surface
+		// later as an inexplicable length or checksum mismatch far from
+		// the cause.
+		data, err = readBody(resp.Body, resp.ContentLength, maxBlobRead)
+		if errors.Is(err, errOversizeBody) {
 			return false, fmt.Errorf("transport: blob %q exceeds %d-byte limit", key, maxBlobRead)
+		}
+		if err != nil {
+			return false, fmt.Errorf("transport: blob %q: %w", key, err)
 		}
 		return false, nil
 	})
@@ -236,7 +238,7 @@ func providerError(resp *http.Response) error {
 }
 
 func statusToProviderError(resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	msg := errorText(resp, 512)
 	switch resp.StatusCode {
 	case http.StatusNotFound:
 		return fmt.Errorf("%w: %s", provider.ErrNotFound, bytes.TrimSpace(msg))

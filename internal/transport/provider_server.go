@@ -13,14 +13,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/provider"
 )
 
 // maxBlobBytes bounds request bodies to keep a misbehaving client from
-// exhausting a provider's memory.
+// exhausting a provider's memory (applied through maxBlobRead).
 const maxBlobBytes = 64 << 20
 
 // ProviderServer exposes one provider over HTTP.
@@ -62,13 +62,13 @@ func providerStatus(err error) int {
 
 func (s *ProviderServer) putChunk(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBlobBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, err := readBody(r.Body, r.ContentLength, maxBlobRead)
+	if errors.Is(err, errOversizeBody) {
+		http.Error(w, "blob too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	if len(body) > maxBlobBytes {
-		http.Error(w, "blob too large", http.StatusRequestEntityTooLarge)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if err := s.p.Put(key, body); err != nil {
@@ -85,6 +85,9 @@ func (s *ProviderServer) getChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	// Declared, so the reader allocates the blob once (see readBody);
+	// net/http would otherwise chunk anything past its 2 KiB buffer.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 

@@ -184,12 +184,9 @@ func (c *Client) UploadFrom(client, password, filename string, r io.Reader, pl p
 	// The response is a small JSON document (FileInfo or an error body),
 	// so the usual metadata cap applies here even though the request body
 	// was unbounded.
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxRespRead+1))
+	payload, err := readResponse("/v1/stream/upload", resp)
 	if err != nil {
-		return core.FileInfo{}, &netError{fmt.Errorf("transport: /v1/stream/upload: %w", err)}
-	}
-	if int64(len(payload)) > maxRespRead {
-		return core.FileInfo{}, fmt.Errorf("%w: /v1/stream/upload: body larger than %d bytes", ErrOversizeResponse, maxRespRead)
+		return core.FileInfo{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return core.FileInfo{}, statusToCoreError(resp.StatusCode, string(payload))
@@ -221,8 +218,7 @@ func (c *Client) GetFileTo(w io.Writer, client, password, filename string) (int6
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, statusToCoreError(resp.StatusCode, string(msg))
+		return 0, statusToCoreError(resp.StatusCode, string(errorText(resp, 4096)))
 	}
 	n, err := io.Copy(w, resp.Body)
 	if err != nil {

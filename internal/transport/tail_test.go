@@ -19,9 +19,7 @@ import (
 // body larger than the transfer cap must surface as an explicit error,
 // never as silently cut-off bytes that would fail a checksum far away.
 func TestRemoteProviderGetOversizeError(t *testing.T) {
-	saved := maxBlobRead
-	maxBlobRead = 1 << 10
-	t.Cleanup(func() { maxBlobRead = saved })
+	lowerBlobCap(t, 1<<10)
 
 	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
 	if err := mem.Put("big", bytes.Repeat([]byte{7}, 2<<10)); err != nil {
