@@ -89,18 +89,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeReconstruct -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
 
-# Data-plane benchmarks: RAID and misleading-byte kernels and the
-# distributor's read and defended-write paths, three interleaved
-# repetitions, summarized to $(BENCHOUT) with speedups over the recorded
-# pre-optimization baselines.
+# Data-plane benchmarks: RAID and misleading-byte kernels, the
+# distributor's read and defended-write paths and the client→distributor
+# upload hop, three interleaved repetitions, summarized to $(BENCHOUT)
+# with speedups over the recorded pre-optimization baselines.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 3 \
-		./internal/raid ./internal/mislead ./internal/core | $(GO) run ./cmd/benchjson -out $(BENCHOUT)
+		./internal/raid ./internal/mislead ./internal/core ./internal/transport | $(GO) run ./cmd/benchjson -out $(BENCHOUT)
 
 # One-iteration smoke run for CI: proves every benchmark still compiles
 # and executes without spending CI minutes on stable numbers.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/raid ./internal/mislead ./internal/core | $(GO) run ./cmd/benchjson -out /dev/null
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./internal/raid ./internal/mislead ./internal/core ./internal/transport | $(GO) run ./cmd/benchjson -out /dev/null
 
 # Warp-class mixed-workload load benchmark (cmd/cloudbench) against an
 # in-process networked fleet; latency percentiles and the throughput

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +97,7 @@ type Distributor struct {
 	parallelism  int
 	streamWindow int
 	hedgeAfter   time.Duration
-	misleadRNG   *rand.Rand
+	misleadSeed  int64 // every write derives its own decoy stream from it (decoyRNG)
 	health       *health.Tracker
 
 	clients   map[string]*clientEntry
@@ -117,7 +116,7 @@ type Distributor struct {
 	gen         uint64          // bumped on every committed mutation
 
 	counters opCounters
-	encNonce uint64
+	encNonce uint64 // last reserved AES-CTR nonce; writes take blocks of it under mu
 	fidSeq   uint64 // last assigned fileEntry.FID
 
 	// cache holds recovered chunk bytes keyed by (file id, serial,
@@ -149,12 +148,28 @@ type Distributor struct {
 	// mutation's encoded WAL record under d.mu — the replication feed a
 	// Cluster taps. Nil outside cluster membership.
 	commitHook func(raw []byte)
+
+	// byteWorkHook, when a test sets it, is called by every write-path
+	// stage that works on payload bytes (split, prepare, parity), from
+	// where the work happens — the lock-discipline test asserts d.mu is
+	// free there. Nil in production.
+	byteWorkHook func(stage string)
 }
 
-// nextEncNonce returns a fresh AES-CTR nonce. Callers hold d.mu.
-func (d *Distributor) nextEncNonce() uint64 {
-	d.encNonce++
-	return d.encNonce
+// reserveNoncesLocked takes n consecutive AES-CTR nonces and returns the
+// first: the values n steps of a per-chunk counter would have produced,
+// as one block, so the encryption itself can run after the unlock.
+// Callers hold d.mu.
+func (d *Distributor) reserveNoncesLocked(n int) uint64 {
+	first := d.encNonce + 1
+	d.encNonce += uint64(n)
+	return first
+}
+
+func (d *Distributor) byteWork(stage string) {
+	if d.byteWorkHook != nil {
+		d.byteWorkHook(stage)
+	}
 }
 
 // New validates cfg and builds a Distributor.
@@ -220,7 +235,7 @@ func New(cfg Config) (*Distributor, error) {
 		parallelism:  par,
 		streamWindow: window,
 		hedgeAfter:   cfg.HedgeAfter,
-		misleadRNG:   rand.New(rand.NewSource(cfg.MisleadSeed + 1)),
+		misleadSeed:  cfg.MisleadSeed,
 		health:       health.NewTracker(cfg.Fleet.Len(), cfg.Health),
 		clients:      make(map[string]*clientEntry),
 		provCount:    make([]int, cfg.Fleet.Len()),

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // This file is the streaming data plane: UploadStream and GetFileTo move
@@ -18,26 +17,6 @@ import (
 // the whole-buffer fast path for small objects; these are the large-blob
 // path where materializing the file would evict the chunk cache and
 // starve the bufpool.
-
-// stripeJob is one stripe of a streaming upload flowing from the planner
-// to a ship worker: the staged shards plus the metadata rows they patch
-// on failover. Positions inside a job are job-relative — chunkPos
-// indexes job.chunks and stripePos is always 0 — because the stripe is
-// planned before the distributor knows how many stripes precede it; the
-// commit rebases everything in stripe order once the final stripe lands.
-type stripeJob struct {
-	shards []stagedShard
-	chunks []chunkEntry
-	stripe [1]stripeEntry
-	pooled [][]byte // buffers released to bufpool once the job ships
-}
-
-func (j *stripeJob) releaseBuffers() {
-	for _, b := range j.pooled {
-		bufpool.Put(b)
-	}
-	j.pooled = nil
-}
 
 // readStripe reads up to width chunks of chunkSize bytes from r into
 // pooled buffers. It returns io.EOF when the stream is exhausted; the
@@ -69,188 +48,27 @@ func readStripe(r io.Reader, chunkSize, width int, first bool) ([][]byte, int, e
 	return datas, total, nil
 }
 
-// planStreamStripe stages one stripe of a streaming upload under d.mu:
-// payload preparation (the mislead RNG and the encryption nonce are
-// lock-guarded), placement, virtual-id allocation, parity and ticket
-// staging — the same plan phase Upload runs for the whole file, scoped
-// to one stripe. datas are the stripe's raw chunk buffers (ownership
-// moves into the returned job); baseSerial numbers the first chunk.
-func (d *Distributor) planStreamStripe(t *writeTicket, client, filename string, pl privacy.Level, level raid.Level, encKey []byte, opts UploadOptions, datas [][]byte, baseSerial int) (*stripeJob, error) {
-	parity := level.ParityShards()
-	job := &stripeJob{pooled: append([][]byte(nil), datas...)}
-
-	sums := make([][32]byte, len(datas))
-	for i, data := range datas {
-		sums[i] = sha256.Sum256(data)
-	}
-
-	// Everything that touches distributor state — payload preparation
-	// (the mislead RNG and the encryption nonce are lock-guarded),
-	// placement, virtual-id allocation and ticket staging — runs under
-	// d.mu. Padding and parity math run after the unlock: they touch only
-	// job-local buffers and are the bulk of the planning cost, and a
-	// streaming upload acquires d.mu once per stripe — keeping the hold
-	// O(metadata) instead of O(bytes) lets concurrent readers interleave
-	// with a long transfer instead of convoying behind it. The parity
-	// payloads are staged before they are computed, which is safe because
-	// a job reaches a ship worker only after this function returns.
-	payloads := make([][]byte, len(datas))
-	parityBufs := make([][]byte, parity)
-	shardLen := 0
-	err := func() error {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-
-		for i, data := range datas {
-			payload, inj, err := d.preparePayload(data, encKey, opts, &job.pooled)
-			if err != nil {
-				return err
-			}
-			payloads[i] = payload
-			job.chunks = append(job.chunks, chunkEntry{
-				PL:      pl,
-				SPIndex: -1,
-				Mislead: inj,
-				Client:  client, Filename: filename,
-				Serial:     baseSerial + i,
-				PayloadLen: len(payload),
-				DataLen:    len(data),
-				Sum:        sums[i],
-				EncKey:     encKey,
-			})
-			if len(payload) > shardLen {
-				shardLen = len(payload)
-			}
-		}
-		if shardLen == 0 {
-			shardLen = 1 // parity over empty chunks still needs one byte
-		}
-
-		placement, err := d.placeShards(pl, len(datas)+parity)
-		if err != nil {
-			return err
-		}
-		st := &job.stripe[0]
-		st.Level = level
-		st.ShardLen = shardLen
-		for gi := range datas {
-			vid := d.vids.Next()
-			provIdx := placement[gi]
-			ce := &job.chunks[gi]
-			ce.VirtualID = vid
-			ce.CPIndex = provIdx
-
-			exclude := map[int]bool{provIdx: true}
-			for r := 0; r < opts.Replicas; r++ {
-				mIdx, err := d.placeParityExcluding(pl, exclude)
-				if err != nil {
-					return fmt.Errorf("placing replica %d of chunk %d: %w", r+1, ce.Serial, err)
-				}
-				exclude[mIdx] = true
-				mvid := d.vids.Next()
-				ce.Mirrors = append(ce.Mirrors, mirrorRef{VirtualID: mvid, CPIndex: mIdx})
-				job.shards = append(job.shards, stagedShard{
-					kind: shardMirror, chunkPos: gi, mirrorPos: r,
-					stripePos: 0, parityPos: -1,
-					provIdx: mIdx, vid: mvid, payload: payloads[gi],
-				})
-				d.stageLocked(t, mIdx, mvid)
-			}
-
-			st.Members = append(st.Members, gi)
-			job.shards = append(job.shards, stagedShard{
-				kind: shardData, chunkPos: gi, mirrorPos: -1,
-				stripePos: 0, parityPos: -1,
-				provIdx: provIdx, vid: vid, payload: payloads[gi],
-			})
-			d.stageLocked(t, provIdx, vid)
-		}
-		for pi := 0; pi < parity; pi++ {
-			vid := d.vids.Next()
-			provIdx := placement[len(datas)+pi]
-			parityBufs[pi] = bufpool.Get(shardLen)
-			job.pooled = append(job.pooled, parityBufs[pi])
-			st.Parity = append(st.Parity, parityShard{VirtualID: vid, CPIndex: provIdx})
-			job.shards = append(job.shards, stagedShard{
-				kind: shardParity, chunkPos: -1, mirrorPos: -1,
-				stripePos: 0, parityPos: pi,
-				provIdx: provIdx, vid: vid, payload: parityBufs[pi],
-			})
-			d.stageLocked(t, provIdx, vid)
-		}
-		return nil
-	}()
-	if err != nil {
-		return job, err
-	}
-
-	if parity > 0 {
-		padded := make([][]byte, len(datas))
-		for gi, p := range payloads {
-			if len(p) == shardLen {
-				padded[gi] = p
-			} else {
-				pad := bufpool.Get(shardLen)
-				n := copy(pad, p)
-				clear(pad[n:])
-				padded[gi] = pad
-				job.pooled = append(job.pooled, pad)
-			}
-		}
-		if err := raid.ParityInto(level, padded, parityBufs); err != nil {
-			return job, err
-		}
-	}
-	return job, nil
-}
-
 // UploadStream is Upload behind an io.Reader: it chunks, misleads (or
 // encrypts), stripes and ships the file stripe-by-stripe as bytes
 // arrive, holding at most Config.StreamWindow stripes of payload in
 // flight — peak distributor memory for the request is O(window × stripe
 // size) regardless of file size. The plan→ship→commit protocol is
-// unchanged: every stripe stages on one write ticket, the filename is
-// reserved for the whole transfer, the WAL commit record lands before
-// anything becomes visible, and any failure (read error, placement,
-// provider exhaustion, log append) rolls back every blob already stored
-// — a crashed or aborted stream leaves no orphans and no partial file.
+// Upload's, function for function: openUpload, then placeStripe and
+// fillStripe per stripe on one write ticket with the filename reserved
+// for the whole transfer, commitUploadLocked putting the WAL record down
+// before anything becomes visible, and abortUpload on any failure (read
+// error, placement, provider exhaustion, log append) rolling back every
+// blob already stored — a crashed or aborted stream leaves no orphans
+// and no partial file.
 func (d *Distributor) UploadStream(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
-	level, err := d.validateUpload(filename, pl, opts)
-	if err != nil {
-		return FileInfo{}, err
-	}
 	chunkSize, err := d.policy.Size(pl)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	var encKey []byte
-	if len(opts.EncryptKey) > 0 {
-		encKey = append([]byte(nil), opts.EncryptKey...)
-	}
-	parity := level.ParityShards()
-
-	// ---- Open: authorize, reserve the filename, open the ticket ----
-	resKey := client + "\x00" + filename
-	d.mu.Lock()
-	if _, err := d.authorize(client, password, pl); err != nil {
-		d.mu.Unlock()
-		return FileInfo{}, err
-	}
-	c := d.clients[client]
-	if _, dup := c.Files[filename]; dup || d.reserved[resKey] {
-		d.mu.Unlock()
-		return FileInfo{}, fmt.Errorf("%w: %s", ErrExists, filename)
-	}
-	width, err := d.effectiveWidth(pl, parity)
+	u, err := d.openUpload(client, password, filename, pl, opts)
 	if err != nil {
-		d.mu.Unlock()
 		return FileInfo{}, err
 	}
-	d.reserved[resKey] = true
-	t := d.newTicketLocked()
-	d.fidSeq++
-	fid := d.fidSeq
-	d.mu.Unlock()
 
 	// ---- Pipeline: plan stripes as bytes arrive, ship them on worker
 	// goroutines. The semaphore slot taken before reading a stripe is
@@ -277,7 +95,7 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 			defer wg.Done()
 			for job := range jobCh {
 				if !failed() {
-					st, err := d.shipStaged(pl, job.shards, job.chunks, job.stripe[:], t)
+					st, err := d.shipStaged(pl, job.shards, job.chunks, job.stripe[:], u.ticket)
 					mu.Lock()
 					stored = append(stored, st...)
 					if err != nil && shipErr == nil {
@@ -301,7 +119,7 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 			<-sem
 			break
 		}
-		datas, n, rerr := readStripe(r, chunkSize, width, serial == 0)
+		datas, n, rerr := readStripe(r, chunkSize, u.width, serial == 0)
 		total += n
 		if rerr == io.EOF {
 			eof = true
@@ -317,7 +135,15 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 			<-sem
 			break
 		}
-		job, perr := d.planStreamStripe(t, client, filename, pl, level, encKey, opts, datas, serial)
+		sums := make([][32]byte, len(datas))
+		for i, data := range datas {
+			sums[i] = sha256.Sum256(data)
+		}
+		d.byteWork("split")
+		job, perr := d.placeStripe(u, datas, sums, serial)
+		if perr == nil {
+			perr = d.fillStripe(u, job)
+		}
 		if perr != nil {
 			job.releaseBuffers()
 			planErr = perr
@@ -331,87 +157,24 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 	close(jobCh)
 	wg.Wait()
 
-	abort := func(cause error) (FileInfo, error) {
+	// ---- Commit: the per-stripe rows in stream order, exactly Upload's
+	// commit. shipErr is read without its mutex: the workers are done.
+	err = planErr
+	if err == nil {
+		err = shipErr
+	}
+	if err == nil {
+		newChunks, newStripes, chunkIdx := assembleStripes(jobs, serial)
 		d.mu.Lock()
-		d.releaseTicketLocked(t)
-		delete(d.reserved, resKey)
+		err = d.commitUploadLocked(u, newChunks, newStripes, chunkIdx)
 		d.mu.Unlock()
-		d.rollbackStored(stored)
-		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", cause)
 	}
-	if planErr != nil {
-		return abort(planErr)
-	}
-	if shipErr != nil {
-		return abort(shipErr)
-	}
-
-	// ---- Commit: assemble the per-stripe rows in stream order, rebase
-	// them onto the live tables and log before anything becomes visible —
-	// byte-identical semantics to Upload's commit.
-	nChunks := serial
-	fe := &fileEntry{Filename: filename, PL: pl, FID: fid, Raid: level, ChunkIdx: make([]int, nChunks)}
-	newChunks := make([]chunkEntry, 0, nChunks)
-	newStripes := make([]stripeEntry, 0, len(jobs))
-	for si, job := range jobs {
-		cbase := len(newChunks)
-		st := job.stripe[0]
-		st.ID = si
-		for j := range st.Members {
-			st.Members[j] += cbase
-		}
-		for i := range job.chunks {
-			job.chunks[i].StripeID = si
-			fe.ChunkIdx[job.chunks[i].Serial] = cbase + i
-		}
-		newChunks = append(newChunks, job.chunks...)
-		newStripes = append(newStripes, st)
-	}
-
-	d.mu.Lock()
-	base := len(d.chunks)
-	sbase := len(d.stripes)
-	for i := range newChunks {
-		newChunks[i].StripeID += sbase
-	}
-	for i := range newStripes {
-		newStripes[i].ID += sbase
-		for j := range newStripes[i].Members {
-			newStripes[i].Members[j] += base
-		}
-	}
-	for s := range fe.ChunkIdx {
-		fe.ChunkIdx[s] += base
-	}
-	c = d.clients[client]
-	rec := &walRecord{
-		Op: "upload", Client: client, Filename: filename,
-		FID: fe.FID, PL: pl, Raid: level,
-		ChunksBase: base, StripesBase: sbase,
-		Chunks: newChunks, Stripes: newStripes, ChunkIdx: fe.ChunkIdx,
-		FileGen: fe.Gen, ClientGen: c.Gen + 1, Gen: d.gen + 1,
-	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
-		delete(d.reserved, resKey)
-		d.mu.Unlock()
-		d.rollbackStored(stored)
+	if err != nil {
+		d.abortUpload(u, stored)
 		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
 	}
-	d.chunks = append(d.chunks, newChunks...)
-	d.stripes = append(d.stripes, newStripes...)
-	d.commitTicketLocked(t)
-	delete(d.reserved, resKey)
-	c.Files[filename] = fe
-	c.Count += nChunks
-	c.Gen++
-	d.gen++
-	d.counters.uploads.Add(1)
 	d.counters.streamUploads.Add(1)
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-
-	return FileInfo{Filename: filename, PL: pl, Chunks: nChunks, Raid: level, Bytes: total}, nil
+	return FileInfo{Filename: filename, PL: pl, Chunks: serial, Raid: u.level, Bytes: total}, nil
 }
 
 // GetFileTo streams a whole file into w in chunk order while up to

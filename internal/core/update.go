@@ -15,15 +15,17 @@ import (
 // of a chunk after each modification" (paper §IV-A, Chunk Table).
 // The stripe's parity is re-encoded over the new contents.
 //
-// The write runs in three phases. Plan (under d.mu): validate, build the
-// new payload, snapshot fetch plans for the pre-state and every stripe
+// The write runs in three phases. Plan (under d.mu): validate, reserve
+// the nonce, snapshot fetch plans for the pre-state and every stripe
 // sibling, and stage fresh virtual ids for every blob the update will
 // produce — snapshot, post-state, mirrors and parity all get new ids, so
 // nothing stored for the old generation is overwritten or deleted until
-// the new generation is fully durable. Ship (no lock): read the
-// pre-state and siblings, then write every new blob with failover. Any
-// failure aborts with the tables untouched: the chunk row, provider
-// counts and the previous snapshot all keep serving. Commit (under
+// the new generation is fully durable. Ship (no lock): build the new
+// payload (encrypted, or with fresh decoys from this write's own
+// stream), read the pre-state and siblings, then write every new blob
+// with failover, re-encoding parity on the way. Any failure aborts with
+// the tables untouched: the chunk row, provider counts and the previous
+// snapshot all keep serving. Commit (under
 // d.mu): re-check the file's generation — a concurrent mutation means
 // ErrConflict and a rollback of the new blobs — then swap every row
 // field at once and retire the superseded blobs.
@@ -43,26 +45,15 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	fileGen := fe.Gen
 	entryIdx := fe.ChunkIdx[serial]
 
-	// Build the new payload: encrypted files stay encrypted; otherwise a
-	// fresh mislead injection if requested. This stays in the plan phase
-	// because the mislead RNG and the encryption nonce are d.mu-guarded.
+	// Encrypted files stay encrypted; otherwise a fresh mislead injection
+	// if requested.
 	if entry.EncKey != nil && (opts.MisleadFraction > 0 || len(opts.MisleadLines) > 0) {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: misleading data and encryption are mutually exclusive", ErrConfig)
 	}
-	// Pooled scratch — the inflated payload here, padding and parity
-	// further down. Providers copy on Put, so everything drawn is dead
-	// once this call returns.
-	var pooled [][]byte
-	defer func() {
-		for _, b := range pooled {
-			bufpool.Put(b)
-		}
-	}()
-	payload, inj, err := d.preparePayload(newData, entry.EncKey, opts, &pooled)
-	if err != nil {
-		d.mu.Unlock()
-		return err
+	var nonce uint64
+	if entry.EncKey != nil {
+		nonce = d.reserveNoncesLocked(1)
 	}
 
 	// Snapshot the row being replaced and its stripe geometry.
@@ -127,13 +118,29 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	}
 	d.mu.Unlock()
 
-	// ---- Ship: all provider I/O happens without the lock ----
+	// ---- Ship: payload bytes and provider I/O, all without the lock ----
+	// Pooled scratch — the inflated payload here, padding and parity
+	// further down. Providers copy on Put, so everything drawn is dead
+	// once this call returns.
+	var pooled [][]byte
+	defer func() {
+		for _, b := range pooled {
+			bufpool.Put(b)
+		}
+	}()
 	var stored []storedShard
 	abort := func(err error) error {
 		d.rollbackStored(stored)
 		d.releaseTicket(t)
 		return err
 	}
+
+	payload, inj, err := preparePayload(newData, old.EncKey, opts, nonce, d.decoyRNG(opts, fe.FID, serial, fileGen+1), &pooled)
+	if err != nil {
+		return abort(err)
+	}
+	sum := sha256.Sum256(newData)
+	d.byteWork("prepare")
 
 	oldPayload, err := d.fetchPayloadPlan(&pre)
 	if err != nil {
@@ -241,6 +248,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 		if err := raid.ParityInto(level, padded, parityBufs); err != nil {
 			return abort(fmt.Errorf("core: re-encode: %w", err))
 		}
+		d.byteWork("parity")
 		for pi := range newParity {
 			pex := map[int]bool{postProv: true}
 			for _, s := range sibs {
@@ -280,7 +288,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	newEntry.Mislead = inj
 	newEntry.PayloadLen = len(payload)
 	newEntry.DataLen = len(newData)
-	newEntry.Sum = sha256.Sum256(newData)
+	newEntry.Sum = sum
 	rec := &walRecord{
 		Op: "update", Client: client, Filename: filename, Serial: serial,
 		StripeID: stripeID, Chunk: newEntry, Parity: newParity, ShardLen: shardLen,

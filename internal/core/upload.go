@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/bufpool"
 	"repro/internal/chunker"
@@ -51,262 +54,318 @@ func (d *Distributor) validateUpload(filename string, pl privacy.Level, opts Upl
 }
 
 // preparePayload builds a chunk's stored payload from its original data:
-// encryption, line decoys or byte decoys per opts. The mislead RNG and
-// the encryption nonce are d.mu-guarded, so callers hold d.mu. Byte
-// decoys inflate into a bufpool buffer, which is appended to *pooled:
-// the caller owns that list and returns its buffers once the payload
-// has shipped (providers copy on Put). Without decoys or a key the
-// payload aliases data.
-func (d *Distributor) preparePayload(data []byte, encKey []byte, opts UploadOptions, pooled *[][]byte) ([]byte, mislead.Injection, error) {
+// encryption under nonce, line decoys or byte decoys drawn from rng, per
+// opts. It is a pure function of its arguments, so every write path runs
+// it without d.mu. Byte decoys inflate into a bufpool buffer, which is
+// appended to *pooled: the caller owns that list and returns its buffers
+// once the payload has shipped (providers copy on Put). Without decoys or
+// a key the payload aliases data.
+func preparePayload(data, encKey []byte, opts UploadOptions, nonce uint64, rng *rand.Rand, pooled *[][]byte) ([]byte, mislead.Injection, error) {
 	switch {
 	case encKey != nil:
-		payload, err := cryptofrag.Encrypt(encKey, data, d.nextEncNonce())
+		payload, err := cryptofrag.Encrypt(encKey, data, nonce)
 		return payload, mislead.Injection{}, err
 	case len(opts.MisleadLines) > 0:
-		return mislead.InjectLines(data, opts.MisleadLines, d.misleadRNG)
+		return mislead.InjectLines(data, opts.MisleadLines, rng)
 	case opts.MisleadFraction > 0:
 		buf := bufpool.Get(mislead.InflatedLen(len(data), opts.MisleadFraction))
 		*pooled = append(*pooled, buf)
-		return mislead.InjectTo(buf[:0], data, opts.MisleadFraction, d.misleadRNG)
+		return mislead.InjectTo(buf[:0], data, opts.MisleadFraction, rng)
 	}
 	return data, mislead.Injection{}, nil
 }
 
-// Upload receives a file from a client, fragments it according to the
-// file's privacy level, optionally injects misleading bytes, stripes the
-// chunks with RAID parity and scatters everything over the provider
-// fleet. It returns the chunk count the client later uses to request
-// chunks by (filename, serial).
-//
-// The write runs in three phases. Plan (under d.mu): validate, chunk,
-// build payloads, place shards and allocate virtual ids into staged
-// tables that reference nothing live; the filename is reserved so a
-// concurrent identical upload fails fast with ErrExists. Ship (no lock):
-// every shard goes out with bounded fan-out and per-shard failover; one
-// slow provider delays only this upload, not other clients. Commit
-// (under d.mu): staged rows are rebased onto the live tables and the
-// provider counts folded in atomically — or, on a failed ship, the
-// staging is withdrawn and stored blobs rolled back, leaving no trace.
-func (d *Distributor) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
+// decoyRNG derives the decoy stream of one write from the configured
+// seed and the write's identity: the file's FID, the first serial it
+// covers and the file generation it produces (0 for the upload itself).
+// FIDs are never reissued, not even across a recovery, and every
+// committed update moves the generation, so an UpdateChunk never replays
+// the positions of the chunk it replaces — while two distributors given
+// the same seed and the same operations still store identical bytes.
+// Returns nil when opts asks for no decoys.
+func (d *Distributor) decoyRNG(opts UploadOptions, fid uint64, serial int, gen uint64) *rand.Rand {
+	if opts.MisleadFraction == 0 && len(opts.MisleadLines) == 0 {
+		return nil
+	}
+	var id [32]byte
+	binary.LittleEndian.PutUint64(id[0:], uint64(d.misleadSeed))
+	binary.LittleEndian.PutUint64(id[8:], fid)
+	binary.LittleEndian.PutUint64(id[16:], uint64(serial))
+	binary.LittleEndian.PutUint64(id[24:], gen)
+	sum := sha256.Sum256(id[:])
+	return rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(sum[:]))))
+}
+
+// uploadCtx is what one Upload or UploadStream carries from its open
+// hold to its commit.
+type uploadCtx struct {
+	client, filename string
+	resKey           string // the filename reservation in d.reserved
+	pl               privacy.Level
+	level            raid.Level
+	opts             UploadOptions
+	encKey           []byte
+	width            int // data shards per stripe
+	fid              uint64
+	ticket           *writeTicket
+	decoys           *rand.Rand // nil when opts asks for none
+}
+
+// openUpload validates the request and runs the first, short hold of
+// d.mu: authorize, reserve the filename (a concurrent identical upload
+// fails fast with ErrExists), open the write ticket and take the FID.
+// Everything opened here ends in commitUploadLocked or abortUpload.
+func (d *Distributor) openUpload(client, password, filename string, pl privacy.Level, opts UploadOptions) (*uploadCtx, error) {
 	level, err := d.validateUpload(filename, pl, opts)
 	if err != nil {
-		return FileInfo{}, err
+		return nil, err
 	}
-
-	// ---- Plan: stage everything under the lock, mutate nothing live ----
-	resKey := client + "\x00" + filename
-	d.mu.Lock()
-	c, err := d.authorize(client, password, pl)
-	if err != nil {
-		d.mu.Unlock()
-		return FileInfo{}, err
+	u := &uploadCtx{
+		client: client, filename: filename, resKey: client + "\x00" + filename,
+		pl: pl, level: level, opts: opts,
 	}
-	if _, dup := c.Files[filename]; dup || d.reserved[resKey] {
-		d.mu.Unlock()
-		return FileInfo{}, fmt.Errorf("%w: %s", ErrExists, filename)
-	}
-	d.reserved[resKey] = true
-	t := d.newTicketLocked()
-	// abortLocked undoes the reservation and staging; used by every error
-	// path once the ticket is open. Callers hold d.mu.
-	abortLocked := func() {
-		d.releaseTicketLocked(t)
-		delete(d.reserved, resKey)
-	}
-
-	chunks, err := chunker.Split(data, pl, d.policy)
-	if err != nil {
-		abortLocked()
-		d.mu.Unlock()
-		return FileInfo{}, err
-	}
-	// Every pooled buffer this upload draws (chunk splits, stripe padding,
-	// parity) is dead once the function returns: providers copy payloads on
-	// Put and the committed tables hold only metadata, so the deferred
-	// release cannot race anything live.
-	pooled := make([][]byte, 0, len(chunks))
-	defer func() {
-		for _, b := range pooled {
-			bufpool.Put(b)
-		}
-	}()
-	for _, ch := range chunks {
-		pooled = append(pooled, ch.Data)
-	}
-
-	// Prepare payloads (with optional misleading data) per chunk. This
-	// stays in the plan phase: the mislead RNG and the encryption nonce
-	// are d.mu-guarded.
-	type prepared struct {
-		payload []byte
-		inj     mislead.Injection
-		sum     [32]byte
-		dataLen int
-	}
-	var encKey []byte
 	if len(opts.EncryptKey) > 0 {
-		encKey = append([]byte(nil), opts.EncryptKey...)
+		u.encKey = append([]byte(nil), opts.EncryptKey...)
 	}
-	prep := make([]prepared, len(chunks))
-	for i, ch := range chunks {
-		payload, inj, perr := d.preparePayload(ch.Data, encKey, opts, &pooled)
-		if perr != nil {
-			abortLocked()
-			d.mu.Unlock()
-			return FileInfo{}, perr
-		}
-		prep[i] = prepared{payload: payload, inj: inj, sum: ch.Sum, dataLen: len(ch.Data)}
-	}
-
-	parity := level.ParityShards()
-	width, err := d.effectiveWidth(pl, parity)
-	if err != nil {
-		abortLocked()
-		d.mu.Unlock()
-		return FileInfo{}, err
-	}
-
-	d.fidSeq++
-	fe := &fileEntry{Filename: filename, PL: pl, FID: d.fidSeq, Raid: level, ChunkIdx: make([]int, len(chunks))}
-
-	// Staged rows use positions relative to the staged slices — the live
-	// table lengths can change while the ship phase runs, so absolute
-	// indices only exist at commit, when everything is rebased at once.
-	var shards []stagedShard
-	newChunks := make([]chunkEntry, 0, len(chunks))
-	newStripes := make([]stripeEntry, 0, (len(chunks)+width-1)/width)
-
-	for start := 0; start < len(prep); start += width {
-		end := start + width
-		if end > len(prep) {
-			end = len(prep)
-		}
-		group := prep[start:end]
-		shardLen := 0
-		for _, p := range group {
-			if len(p.payload) > shardLen {
-				shardLen = len(p.payload)
-			}
-		}
-		if shardLen == 0 {
-			shardLen = 1 // parity over empty chunks still needs one byte
-		}
-		nShards := len(group) + parity
-		placement, err := d.placeShards(pl, nShards)
+	err = func() error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		c, err := d.authorize(client, password, pl)
 		if err != nil {
-			abortLocked()
-			d.mu.Unlock()
-			return FileInfo{}, err
+			return err
 		}
+		if _, dup := c.Files[filename]; dup || d.reserved[u.resKey] {
+			return fmt.Errorf("%w: %s", ErrExists, filename)
+		}
+		if u.width, err = d.effectiveWidth(pl, level.ParityShards()); err != nil {
+			return err
+		}
+		d.reserved[u.resKey] = true
+		u.ticket = d.newTicketLocked()
+		d.fidSeq++
+		u.fid = d.fidSeq
+		return nil
+	}()
+	if err != nil {
+		return nil, err
+	}
+	u.decoys = d.decoyRNG(opts, u.fid, 0, 0)
+	return u, nil
+}
 
-		stripePos := len(newStripes)
-		st := stripeEntry{ID: stripePos, Level: level, ShardLen: shardLen}
-		padded := make([][]byte, len(group))
-		for gi, p := range group {
-			serial := start + gi
-			vid := d.vids.Next()
-			provIdx := placement[gi]
-			chunkPos := len(newChunks)
-			ce := chunkEntry{
-				VirtualID:  vid,
-				PL:         pl,
-				CPIndex:    provIdx,
-				SPIndex:    -1,
-				Mislead:    p.inj,
-				Client:     client,
-				Filename:   filename,
-				Serial:     serial,
-				PayloadLen: len(p.payload),
-				DataLen:    p.dataLen,
-				Sum:        p.sum,
-				EncKey:     encKey,
-				StripeID:   stripePos,
-			}
-			// Mirrors: extra full copies on providers distinct from the
-			// chunk's own and from each other.
-			exclude := map[int]bool{provIdx: true}
-			for r := 0; r < opts.Replicas; r++ {
-				mIdx, err := d.placeParityExcluding(pl, exclude)
-				if err != nil {
-					abortLocked()
-					d.mu.Unlock()
-					return FileInfo{}, fmt.Errorf("placing replica %d of chunk %d: %w", r+1, serial, err)
-				}
-				exclude[mIdx] = true
-				mvid := d.vids.Next()
-				ce.Mirrors = append(ce.Mirrors, mirrorRef{VirtualID: mvid, CPIndex: mIdx})
-				shards = append(shards, stagedShard{
-					kind: shardMirror, chunkPos: chunkPos, mirrorPos: r,
-					stripePos: stripePos, parityPos: -1,
-					provIdx: mIdx, vid: mvid, payload: p.payload,
-				})
-				d.stageLocked(t, mIdx, mvid)
-			}
+// abortUpload withdraws an open upload — staging and reservation
+// released, every blob already stored rolled back — leaving no trace.
+func (d *Distributor) abortUpload(u *uploadCtx, stored []storedShard) {
+	d.mu.Lock()
+	d.releaseTicketLocked(u.ticket)
+	delete(d.reserved, u.resKey)
+	d.mu.Unlock()
+	d.rollbackStored(stored)
+}
 
-			newChunks = append(newChunks, ce)
-			fe.ChunkIdx[serial] = chunkPos
-			st.Members = append(st.Members, chunkPos)
-			shards = append(shards, stagedShard{
-				kind: shardData, chunkPos: chunkPos, mirrorPos: -1,
-				stripePos: stripePos, parityPos: -1,
-				provIdx: provIdx, vid: vid, payload: p.payload,
+// stripeJob is one planned stripe of an upload: the staged shards plus
+// the metadata rows they patch on failover. Positions inside a job are
+// job-relative — chunkPos indexes job.chunks and stripePos is always 0 —
+// because a stripe is planned before the distributor knows how many
+// stripes precede it; assembleStripes puts them in file order.
+type stripeJob struct {
+	shards []stagedShard
+	chunks []chunkEntry
+	stripe [1]stripeEntry
+	datas  [][]byte // the stripe's raw chunks, what fillStripe works from
+	nonce  uint64   // chunk i encrypts under nonce+i
+	pooled [][]byte // buffers released to bufpool once the job ships
+}
+
+func (j *stripeJob) releaseBuffers() {
+	for _, b := range j.pooled {
+		bufpool.Put(b)
+	}
+	j.pooled = nil
+}
+
+// placeStripe stages one stripe of an upload: one hold of d.mu that does
+// everything touching distributor state — the stripe's block of AES-CTR
+// nonces, placement, virtual ids and ticket staging — and nothing that
+// touches a payload byte. The hold is O(shards) however large the chunks
+// are, so readers interleave with a long write instead of convoying
+// behind it. datas are the stripe's raw chunk buffers (ownership moves
+// into the returned job, also on error), sums their SHA-256 and
+// baseSerial numbers the first chunk. The shards come back staged but
+// without payloads; fillStripe supplies those, which is safe because a
+// job reaches a ship worker only after both.
+func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte, baseSerial int) (*stripeJob, error) {
+	parity := u.level.ParityShards()
+	job := &stripeJob{
+		shards: make([]stagedShard, 0, len(datas)*(1+u.opts.Replicas)+parity),
+		chunks: make([]chunkEntry, len(datas)),
+		datas:  datas,
+		// a hint: the chunks, an inflated or padded copy of each, the parity
+		pooled: append(make([][]byte, 0, 2*len(datas)+parity), datas...),
+	}
+	st := &job.stripe[0]
+	st.Level = u.level
+	st.Members = make([]int, 0, len(datas))
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if u.encKey != nil {
+		job.nonce = d.reserveNoncesLocked(len(datas))
+	}
+	placement, err := d.placeShards(u.pl, len(datas)+parity)
+	if err != nil {
+		return job, err
+	}
+	for gi, data := range datas {
+		vid := d.vids.Next()
+		provIdx := placement[gi]
+		ce := &job.chunks[gi]
+		*ce = chunkEntry{
+			VirtualID: vid,
+			PL:        u.pl,
+			CPIndex:   provIdx,
+			SPIndex:   -1,
+			Client:    u.client,
+			Filename:  u.filename,
+			Serial:    baseSerial + gi,
+			DataLen:   len(data),
+			Sum:       sums[gi],
+			EncKey:    u.encKey,
+		}
+		// Mirrors: extra full copies on providers distinct from the
+		// chunk's own and from each other.
+		exclude := map[int]bool{provIdx: true}
+		for r := 0; r < u.opts.Replicas; r++ {
+			mIdx, err := d.placeParityExcluding(u.pl, exclude)
+			if err != nil {
+				return job, fmt.Errorf("placing replica %d of chunk %d: %w", r+1, ce.Serial, err)
+			}
+			exclude[mIdx] = true
+			mvid := d.vids.Next()
+			ce.Mirrors = append(ce.Mirrors, mirrorRef{VirtualID: mvid, CPIndex: mIdx})
+			job.shards = append(job.shards, stagedShard{
+				kind: shardMirror, chunkPos: gi, mirrorPos: r,
+				stripePos: 0, parityPos: -1,
+				provIdx: mIdx, vid: mvid,
 			})
-			d.stageLocked(t, provIdx, vid)
+			d.stageLocked(u.ticket, mIdx, mvid)
+		}
+		st.Members = append(st.Members, gi)
+		job.shards = append(job.shards, stagedShard{
+			kind: shardData, chunkPos: gi, mirrorPos: -1,
+			stripePos: 0, parityPos: -1,
+			provIdx: provIdx, vid: vid,
+		})
+		d.stageLocked(u.ticket, provIdx, vid)
+	}
+	for pi := 0; pi < parity; pi++ {
+		vid := d.vids.Next()
+		provIdx := placement[len(datas)+pi]
+		st.Parity = append(st.Parity, parityShard{VirtualID: vid, CPIndex: provIdx})
+		job.shards = append(job.shards, stagedShard{
+			kind: shardParity, chunkPos: -1, mirrorPos: -1,
+			stripePos: 0, parityPos: pi,
+			provIdx: provIdx, vid: vid,
+		})
+		d.stageLocked(u.ticket, provIdx, vid)
+	}
+	return job, nil
+}
 
-			// Parity math needs equal-length shards; only payloads shorter
-			// than the stripe width get a pooled, zero-padded copy.
-			if len(p.payload) == shardLen {
-				padded[gi] = p.payload
-			} else {
-				pad := bufpool.Get(shardLen)
-				n := copy(pad, p.payload)
-				clear(pad[n:])
-				padded[gi] = pad
-				pooled = append(pooled, pad)
-			}
+// fillStripe does a placed stripe's byte work, with no lock held:
+// encryption or decoy injection per chunk, then padding and parity, on
+// job-local buffers. Upload places every stripe before it fills the
+// first: alternating would have each placement hold — sorting, HMACs,
+// map inserts — evict the kernels' working set, which costs a 4 MiB
+// defended put about 7 ms.
+func (d *Distributor) fillStripe(u *uploadCtx, job *stripeJob) error {
+	parity := u.level.ParityShards()
+	payloads := make([][]byte, len(job.datas))
+	shardLen := 0
+	for i, data := range job.datas {
+		payload, inj, err := preparePayload(data, u.encKey, u.opts, job.nonce+uint64(i), u.decoys, &job.pooled)
+		if err != nil {
+			return err
 		}
-		if parity > 0 {
-			parityBufs := make([][]byte, parity)
-			for pi := range parityBufs {
-				parityBufs[pi] = bufpool.Get(shardLen)
-				pooled = append(pooled, parityBufs[pi])
-			}
-			if err := raid.ParityInto(level, padded, parityBufs); err != nil {
-				abortLocked()
-				d.mu.Unlock()
-				return FileInfo{}, err
-			}
-			for pi := 0; pi < parity; pi++ {
-				vid := d.vids.Next()
-				provIdx := placement[len(group)+pi]
-				st.Parity = append(st.Parity, parityShard{VirtualID: vid, CPIndex: provIdx})
-				shards = append(shards, stagedShard{
-					kind: shardParity, chunkPos: -1, mirrorPos: -1,
-					stripePos: stripePos, parityPos: pi,
-					provIdx: provIdx, vid: vid, payload: parityBufs[pi],
-				})
-				d.stageLocked(t, provIdx, vid)
-			}
+		payloads[i] = payload
+		job.chunks[i].Mislead = inj
+		job.chunks[i].PayloadLen = len(payload)
+		if len(payload) > shardLen {
+			shardLen = len(payload)
 		}
+	}
+	d.byteWork("prepare")
+	if shardLen == 0 {
+		shardLen = 1 // parity over empty chunks still needs one byte
+	}
+	job.stripe[0].ShardLen = shardLen
+	parityBufs := make([][]byte, parity)
+	for pi := range parityBufs {
+		parityBufs[pi] = bufpool.Get(shardLen)
+		job.pooled = append(job.pooled, parityBufs[pi])
+	}
+	for si := range job.shards {
+		s := &job.shards[si]
+		if s.kind == shardParity {
+			s.payload = parityBufs[s.parityPos]
+		} else {
+			s.payload = payloads[s.chunkPos]
+		}
+	}
+	if parity > 0 {
+		// Parity math needs equal-length shards; only payloads shorter
+		// than the stripe's longest get a pooled, zero-padded copy.
+		padded := make([][]byte, len(payloads))
+		for gi, p := range payloads {
+			if len(p) == shardLen {
+				padded[gi] = p
+				continue
+			}
+			pad := bufpool.Get(shardLen)
+			n := copy(pad, p)
+			clear(pad[n:])
+			padded[gi] = pad
+			job.pooled = append(job.pooled, pad)
+		}
+		if err := raid.ParityInto(u.level, padded, parityBufs); err != nil {
+			return err
+		}
+		d.byteWork("parity")
+	}
+	return nil
+}
+
+// assembleStripes lays the planned stripes out in file order: the chunk
+// and stripe rows of the whole file, positions relative to those slices
+// (commitUploadLocked rebases them onto the live tables), and the
+// serial → chunk row index.
+func assembleStripes(jobs []*stripeJob, nChunks int) (newChunks []chunkEntry, newStripes []stripeEntry, chunkIdx []int) {
+	newChunks = make([]chunkEntry, 0, nChunks)
+	newStripes = make([]stripeEntry, 0, len(jobs))
+	chunkIdx = make([]int, nChunks)
+	for si, job := range jobs {
+		cbase := len(newChunks)
+		st := job.stripe[0]
+		st.ID = si
+		for j := range st.Members {
+			st.Members[j] += cbase
+		}
+		for i := range job.chunks {
+			job.chunks[i].StripeID = si
+			chunkIdx[job.chunks[i].Serial] = cbase + i
+		}
+		newChunks = append(newChunks, job.chunks...)
 		newStripes = append(newStripes, st)
 	}
-	d.mu.Unlock()
+	return newChunks, newStripes, chunkIdx
+}
 
-	// ---- Ship: all provider puts happen without the lock ----
-	// shipStaged fails individual shards over to other healthy providers;
-	// if a shard runs out of providers, everything already stored is
-	// rolled back here, so a failed upload leaves no orphan blobs.
-	stored, err := d.shipStaged(pl, shards, newChunks, newStripes, t)
-	if err != nil {
-		d.mu.Lock()
-		abortLocked()
-		d.mu.Unlock()
-		d.rollbackStored(stored)
-		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
-	}
-
-	// ---- Commit: rebase staged rows onto the live tables atomically ----
-	d.mu.Lock()
+// commitUploadLocked is the commit every upload ends in: rebase the
+// staged rows onto the live tables, log, publish. The commit record must
+// be on the log before the rows become visible; when the append fails
+// nothing was touched and the caller aborts like a failed ship. Callers
+// hold d.mu.
+func (d *Distributor) commitUploadLocked(u *uploadCtx, newChunks []chunkEntry, newStripes []stripeEntry, chunkIdx []int) error {
 	base := len(d.chunks)
 	sbase := len(d.stripes)
 	for i := range newChunks {
@@ -318,36 +377,120 @@ func (d *Distributor) Upload(client, password, filename string, data []byte, pl 
 			newStripes[i].Members[j] += base
 		}
 	}
-	for serial := range fe.ChunkIdx {
-		fe.ChunkIdx[serial] += base
+	for serial := range chunkIdx {
+		chunkIdx[serial] += base
 	}
-	// Durability point: the commit record must be on the log before the
-	// rows become visible. A failed append aborts like a failed ship —
-	// staging withdrawn, stored blobs rolled back, no trace.
+	c := d.clients[u.client]
+	fe := &fileEntry{Filename: u.filename, PL: u.pl, FID: u.fid, Raid: u.level, ChunkIdx: chunkIdx}
 	rec := &walRecord{
-		Op: "upload", Client: client, Filename: filename,
-		FID: fe.FID, PL: pl, Raid: level,
+		Op: "upload", Client: u.client, Filename: u.filename,
+		FID: fe.FID, PL: u.pl, Raid: u.level,
 		ChunksBase: base, StripesBase: sbase,
-		Chunks: newChunks, Stripes: newStripes, ChunkIdx: fe.ChunkIdx,
+		Chunks: newChunks, Stripes: newStripes, ChunkIdx: chunkIdx,
 		FileGen: fe.Gen, ClientGen: c.Gen + 1, Gen: d.gen + 1,
 	}
 	if err := d.logAppendLocked(rec); err != nil {
-		abortLocked()
-		d.mu.Unlock()
-		d.rollbackStored(stored)
-		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
+		return err
 	}
 	d.chunks = append(d.chunks, newChunks...)
 	d.stripes = append(d.stripes, newStripes...)
-	d.commitTicketLocked(t)
-	delete(d.reserved, resKey)
-	c.Files[filename] = fe
-	c.Count += len(chunks)
+	d.commitTicketLocked(u.ticket)
+	delete(d.reserved, u.resKey)
+	c.Files[u.filename] = fe
+	c.Count += len(newChunks)
 	c.Gen++
 	d.gen++
 	d.counters.uploads.Add(1)
 	d.maybeCheckpointLocked()
-	d.mu.Unlock()
+	return nil
+}
 
-	return FileInfo{Filename: filename, PL: pl, Chunks: len(chunks), Raid: level, Bytes: len(data)}, nil
+// Upload receives a file from a client, fragments it according to the
+// file's privacy level, optionally injects misleading bytes, stripes the
+// chunks with RAID parity and scatters everything over the provider
+// fleet. It returns the chunk count the client later uses to request
+// chunks by (filename, serial).
+//
+// The write runs in three phases, and d.mu is held only for metadata.
+// Plan: openUpload's short hold, then chunk split + SHA-256 with no lock,
+// then placeStripe per stripe — a short hold that places shards and
+// allocates virtual ids into staged rows that reference nothing live —
+// then fillStripe per stripe, the byte work, unlocked. Ship (no lock):
+// every shard goes out with bounded fan-out and per-shard failover; one
+// slow provider delays only this upload, not other clients. Commit
+// (under d.mu): staged rows are rebased onto the live tables and the
+// provider counts folded in atomically — or, on a failed ship, the
+// staging is withdrawn and stored blobs rolled back, leaving no trace.
+func (d *Distributor) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
+	u, err := d.openUpload(client, password, filename, pl, opts)
+	if err != nil {
+		return FileInfo{}, err
+	}
+	// Every pooled buffer this upload draws (chunk splits, inflated
+	// payloads, stripe padding, parity) is dead once the function returns:
+	// providers copy payloads on Put and the committed tables hold only
+	// metadata, so the deferred release cannot race anything live.
+	var jobs []*stripeJob
+	defer func() {
+		for _, job := range jobs {
+			job.releaseBuffers()
+		}
+	}()
+
+	chunks, err := chunker.Split(data, pl, d.policy)
+	if err != nil {
+		d.abortUpload(u, nil)
+		return FileInfo{}, err
+	}
+	d.byteWork("split")
+	for start := 0; start < len(chunks); start += u.width {
+		group := chunks[start:min(start+u.width, len(chunks))]
+		datas := make([][]byte, len(group))
+		sums := make([][32]byte, len(group))
+		for i, ch := range group {
+			datas[i], sums[i] = ch.Data, ch.Sum
+		}
+		job, err := d.placeStripe(u, datas, sums, start)
+		jobs = append(jobs, job)
+		if err != nil {
+			d.abortUpload(u, nil)
+			return FileInfo{}, err
+		}
+	}
+	for _, job := range jobs {
+		if err := d.fillStripe(u, job); err != nil {
+			d.abortUpload(u, nil)
+			return FileInfo{}, err
+		}
+	}
+
+	// Ship all stripes in one bounded fan-out, so the shards are numbered
+	// against the file's rows rather than their stripe's. shipStaged fails
+	// individual shards over to other healthy providers; if a shard runs
+	// out of providers, everything already stored is rolled back here, so
+	// a failed upload leaves no orphan blobs.
+	newChunks, newStripes, chunkIdx := assembleStripes(jobs, len(chunks))
+	shards := make([]stagedShard, 0, len(jobs)*len(jobs[0].shards))
+	cbase := 0
+	for si, job := range jobs {
+		for _, s := range job.shards {
+			if s.chunkPos >= 0 {
+				s.chunkPos += cbase
+			}
+			s.stripePos = si
+			shards = append(shards, s)
+		}
+		cbase += len(job.chunks)
+	}
+	stored, err := d.shipStaged(pl, shards, newChunks, newStripes, u.ticket)
+	if err == nil {
+		d.mu.Lock()
+		err = d.commitUploadLocked(u, newChunks, newStripes, chunkIdx)
+		d.mu.Unlock()
+	}
+	if err != nil {
+		d.abortUpload(u, stored)
+		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
+	}
+	return FileInfo{Filename: filename, PL: pl, Chunks: len(chunks), Raid: u.level, Bytes: len(data)}, nil
 }

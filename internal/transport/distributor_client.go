@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // Client is a Go client for a DistributorServer — what an application
@@ -112,7 +111,18 @@ func isNetworkError(err error) bool {
 }
 
 func (c *Client) postOnce(path string, body []byte) ([]byte, error) {
-	resp, err := c.http.Post(c.base+path, "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.do(path, req)
+}
+
+// do sends req once and returns the response payload, read under the
+// metadata cap; a non-2xx status comes back as the core error it names.
+func (c *Client) do(path string, req *http.Request) ([]byte, error) {
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, &netError{fmt.Errorf("transport: %s: %w", path, err)}
 	}
@@ -192,40 +202,9 @@ func (c *Client) AddPassword(client, password string, pl privacy.Level) error {
 	return err
 }
 
-// UploadOptions mirrors core.UploadOptions for the wire.
-type UploadOptions struct {
-	Assurance       raid.Level
-	NoParity        bool
-	MisleadFraction float64
-	// MisleadLines supplies whole decoy records to blend into the
-	// chunks instead of byte-level decoys — the knob line-oriented
-	// files use so decoys parse like real records and poison mining
-	// (core.UploadOptions.MisleadLines, carried over the wire).
-	MisleadLines [][]byte
-	Replicas     int
-	EncryptKey   []byte
-}
-
-// Upload ships a file to the distributor.
-func (c *Client) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	payload, err := c.post("/v1/upload", uploadReq{
-		Client: client, Password: password, Filename: filename,
-		PL: int(pl), Data: data,
-		Assurance: int(opts.Assurance), NoParity: opts.NoParity,
-		MisleadFraction: opts.MisleadFraction,
-		MisleadLines:    opts.MisleadLines,
-		Replicas:        opts.Replicas,
-		EncryptKey:      opts.EncryptKey,
-	})
-	if err != nil {
-		return core.FileInfo{}, err
-	}
-	var info core.FileInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return core.FileInfo{}, err
-	}
-	return info, nil
-}
+// UploadOptions is core.UploadOptions: the wire carries every field
+// (write.go), so the client takes the distributor's own type.
+type UploadOptions = core.UploadOptions
 
 // GetChunk fetches one chunk by (filename, serial).
 func (c *Client) GetChunk(client, password, filename string, serial int) ([]byte, error) {
@@ -240,12 +219,6 @@ func (c *Client) GetFile(client, password, filename string) ([]byte, error) {
 // GetSnapshot fetches a chunk's pre-modification state.
 func (c *Client) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
 	return c.postIdempotent("/v1/get_snapshot", chunkReq{Client: client, Password: password, Filename: filename, Serial: serial})
-}
-
-// UpdateChunk replaces a chunk's contents.
-func (c *Client) UpdateChunk(client, password, filename string, serial int, data []byte) error {
-	_, err := c.post("/v1/update_chunk", chunkReq{Client: client, Password: password, Filename: filename, Serial: serial, Data: data})
-	return err
 }
 
 // RemoveChunk deletes one chunk.

@@ -3,11 +3,11 @@ package transport
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // DistributorServer exposes a Cloud Data Distributor over HTTP — the
@@ -76,16 +76,33 @@ func coreStatus(err error) int {
 	}
 }
 
+// maxJSONRequest bounds a JSON request body. Payloads travel as octets
+// (write.go), so what is left in JSON is names, passwords and integers.
+const maxJSONRequest = 64 << 10
+
+// decode reads a JSON request under maxJSONRequest: a declared excess is
+// refused unread, an undeclared one once the cap is hit, both with 413.
 func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return v, false
+	var err error
+	tooBig := r.ContentLength > maxJSONRequest
+	if !tooBig {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONRequest)).Decode(&v)
+		var cut *http.MaxBytesError
+		tooBig = errors.As(err, &cut)
 	}
-	return v, true
+	switch {
+	case tooBig:
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxJSONRequest), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	default:
+		return v, true
+	}
+	return v, false
 }
 
-// Wire DTOs. Data travels base64-encoded via encoding/json's []byte rule.
+// Wire DTOs of the JSON routes.
 
 type clientReq struct {
 	Name string `json:"name"`
@@ -97,28 +114,11 @@ type passwordReq struct {
 	PL       int    `json:"pl"`
 }
 
-type uploadReq struct {
-	Client          string  `json:"client"`
-	Password        string  `json:"password"`
-	Filename        string  `json:"filename"`
-	PL              int     `json:"pl"`
-	Data            []byte  `json:"data"`
-	Assurance       int     `json:"assurance,omitempty"`
-	NoParity        bool    `json:"noParity,omitempty"`
-	MisleadFraction float64 `json:"misleadFraction,omitempty"`
-	// MisleadLines are whole decoy records to blend into the chunks
-	// (core.UploadOptions.MisleadLines); []byte marshals as base64.
-	MisleadLines [][]byte `json:"misleadLines,omitempty"`
-	Replicas     int      `json:"replicas,omitempty"`
-	EncryptKey   []byte   `json:"encryptKey,omitempty"`
-}
-
 type chunkReq struct {
 	Client   string `json:"client"`
 	Password string `json:"password"`
 	Filename string `json:"filename"`
 	Serial   int    `json:"serial"`
-	Data     []byte `json:"data,omitempty"` // update_chunk only
 }
 
 type fileReq struct {
@@ -149,26 +149,6 @@ func (s *DistributorServer) addPassword(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *DistributorServer) upload(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[uploadReq](w, r)
-	if !ok {
-		return
-	}
-	info, err := s.d.Upload(req.Client, req.Password, req.Filename, req.Data, privacy.Level(req.PL), core.UploadOptions{
-		Assurance:       raid.Level(req.Assurance),
-		NoParity:        req.NoParity,
-		MisleadFraction: req.MisleadFraction,
-		MisleadLines:    req.MisleadLines,
-		Replicas:        req.Replicas,
-		EncryptKey:      req.EncryptKey,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	writeJSON(w, info)
 }
 
 func (s *DistributorServer) getChunk(w http.ResponseWriter, r *http.Request) {
@@ -211,18 +191,6 @@ func (s *DistributorServer) getSnapshot(w http.ResponseWriter, r *http.Request) 
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(data)
-}
-
-func (s *DistributorServer) updateChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	if err := s.d.UpdateChunk(req.Client, req.Password, req.Filename, req.Serial, req.Data, core.UploadOptions{}); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *DistributorServer) removeChunk(w http.ResponseWriter, r *http.Request) {

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // ShardProxy serves the DistributorServer wire surface in front of a
@@ -34,11 +33,11 @@ func NewShardProxy(sys *System) *ShardProxy {
 	}
 	p.mux.HandleFunc("POST /v1/clients", p.registerClient)
 	p.mux.HandleFunc("POST /v1/passwords", p.addPassword)
-	p.mux.HandleFunc("POST /v1/upload", p.upload)
+	p.mux.HandleFunc("POST /v1/upload", p.forwardStream)
 	p.mux.HandleFunc("POST /v1/get_chunk", p.getChunk)
 	p.mux.HandleFunc("POST /v1/get_file", p.getFile)
 	p.mux.HandleFunc("POST /v1/get_snapshot", p.getSnapshot)
-	p.mux.HandleFunc("POST /v1/update_chunk", p.updateChunk)
+	p.mux.HandleFunc("POST /v1/update_chunk", p.forwardStream)
 	p.mux.HandleFunc("POST /v1/remove_chunk", p.removeChunk)
 	p.mux.HandleFunc("POST /v1/remove_file", p.removeFile)
 	p.mux.HandleFunc("POST /v1/chunk_count", p.chunkCount)
@@ -87,26 +86,6 @@ func (p *ShardProxy) addPassword(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (p *ShardProxy) upload(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[uploadReq](w, r)
-	if !ok {
-		return
-	}
-	info, err := p.sys.Upload(req.Client, req.Password, req.Filename, req.Data, privacy.Level(req.PL), UploadOptions{
-		Assurance:       raid.Level(req.Assurance),
-		NoParity:        req.NoParity,
-		MisleadFraction: req.MisleadFraction,
-		MisleadLines:    req.MisleadLines,
-		Replicas:        req.Replicas,
-		EncryptKey:      req.EncryptKey,
-	})
-	if err != nil {
-		proxyErr(w, err)
-		return
-	}
-	writeJSON(w, info)
-}
-
 func (p *ShardProxy) getChunk(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[chunkReq](w, r)
 	if !ok {
@@ -147,18 +126,6 @@ func (p *ShardProxy) getSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(data)
-}
-
-func (p *ShardProxy) updateChunk(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[chunkReq](w, r)
-	if !ok {
-		return
-	}
-	if err := p.sys.UpdateChunk(req.Client, req.Password, req.Filename, req.Serial, req.Data); err != nil {
-		proxyErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (p *ShardProxy) removeChunk(w http.ResponseWriter, r *http.Request) {
@@ -262,11 +229,14 @@ func (p *ShardProxy) locate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, loc)
 }
 
-// forwardStream relays a streaming request verbatim to the owning
-// shard: same path, query and auth headers, with both bodies streamed —
-// the proxy holds one transfer buffer, never the object. A mid-body
-// upstream failure aborts the downstream connection (chunked encoding's
-// implicit end marker is how truncation stays detectable end-to-end).
+// forwardStream relays a request whose routing keys are in its query —
+// the payload-carrying routes of write.go and the streamed read —
+// verbatim to the owning shard: same path, query, auth headers and
+// declared length, with both bodies streamed. The proxy holds one
+// transfer buffer, never the object, and parses no byte of it. A
+// mid-body upstream failure aborts the downstream connection (chunked
+// encoding's implicit end marker is how truncation stays detectable
+// end-to-end).
 func (p *ShardProxy) forwardStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	loc, err := p.sys.Locate(q.Get("client"), q.Get("filename"))
@@ -280,6 +250,7 @@ func (p *ShardProxy) forwardStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	req.ContentLength = r.ContentLength // so the shard sizes its buffer once
 	for _, h := range []string{headerPassword, headerEncryptKey, "Content-Type"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)

@@ -1,0 +1,308 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"mime"
+	"net/http"
+	"net/url"
+	"strconv"
+
+	"repro/internal/core"
+	"repro/internal/privacy"
+	"repro/internal/raid"
+)
+
+// This file is the wire form of the three payload-carrying routes: POST
+// /v1/upload, /v1/update_chunk and /v1/stream/upload. Their body is the
+// payload itself, raw application/octet-stream octets written from the
+// caller's slice or reader and read into the buffer the core works on —
+// never a JSON document, so no byte of a file is base64-coded, quoted or
+// copied by a codec on this hop. Everything else is parameters, one
+// codec for all three (postOctets writes it, parseWrite reads it):
+//
+//   - the routing keys client and filename, the route's own scalar (pl,
+//     or serial for an update) and the upload options ride in the query
+//     string, so a proxy routes without touching the body;
+//   - the password and the optional encryption key ride in base64 headers
+//     (X-Password, X-Encrypt-Key), so arbitrary bytes survive HTTP header
+//     rules and never land in access logs as query noise;
+//   - MisleadLines, which can outweigh the file, go ahead of the payload
+//     in the body as a preamble — each line a uvarint length and its
+//     bytes — whose total byte length the query declares (preamble=N):
+//     the server cuts it off the front, a proxy relays it unparsed.
+//
+// The two buffered routes cap preamble plus payload at maxBlobRead and
+// refuse a declared excess before reading a byte; the streamed route
+// bounds only the preamble, since its payload is never held whole.
+
+const (
+	headerPassword   = "X-Password"
+	headerEncryptKey = "X-Encrypt-Key"
+	octetStream      = "application/octet-stream"
+)
+
+func headerB64(r *http.Request, name string) ([]byte, error) {
+	v := r.Header.Get(name)
+	if v == "" {
+		return nil, nil
+	}
+	b, err := base64.StdEncoding.DecodeString(v)
+	if err != nil {
+		return nil, fmt.Errorf("bad %s header: %w", name, err)
+	}
+	return b, nil
+}
+
+// appendLines encodes the MisleadLines preamble; parseLines is its
+// inverse and returns lines that alias pre.
+func appendLines(dst []byte, lines [][]byte) []byte {
+	for _, l := range lines {
+		dst = binary.AppendUvarint(dst, uint64(len(l)))
+		dst = append(dst, l...)
+	}
+	return dst
+}
+
+func parseLines(pre []byte) ([][]byte, error) {
+	var lines [][]byte
+	for len(pre) > 0 {
+		n, w := binary.Uvarint(pre)
+		if w <= 0 || n > uint64(len(pre)-w) {
+			return nil, errors.New("malformed mislead-lines preamble")
+		}
+		lines = append(lines, pre[w:w+int(n)])
+		pre = pre[w+int(n):]
+	}
+	return lines, nil
+}
+
+// ---- Server side ----
+
+// writeParams is the parameter part of a payload-carrying request.
+type writeParams struct {
+	client, password, filename string
+	pl, serial                 int
+	preamble                   int64 // body bytes parseWrite consumed ahead of the payload
+	opts                       core.UploadOptions
+}
+
+// parseWrite decodes a payload-carrying request's parameters and reads
+// the preamble off r.Body, leaving the payload. required names the
+// scalar the route cannot do without ("pl" or "serial"). On failure it
+// has answered the request: 415 for a body that is not octets — a JSON
+// document from a client of the old wire form is refused by name, never
+// mis-parsed as a file — 413 for an over-cap preamble, 400 otherwise.
+func parseWrite(w http.ResponseWriter, r *http.Request, required string) (p writeParams, ok bool) {
+	fail := func(status int, format string, args ...any) (writeParams, bool) {
+		http.Error(w, fmt.Sprintf(format, args...), status)
+		return writeParams{}, false
+	}
+	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct != octetStream {
+		return fail(http.StatusUnsupportedMediaType,
+			"%s takes the payload as a raw %s body, parameters in the query and the %s header; got Content-Type %q",
+			r.URL.Path, octetStream, headerPassword, r.Header.Get("Content-Type"))
+	}
+	q := r.URL.Query()
+	p.client, p.filename = q.Get("client"), q.Get("filename")
+	p.opts.NoParity, _ = strconv.ParseBool(q.Get("noParity")) // "1" and "true" are yes
+	var assurance, preamble int
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{{"pl", &p.pl}, {"serial", &p.serial}, {"assurance", &assurance}, {"replicas", &p.opts.Replicas}, {"preamble", &preamble}} {
+		v := q.Get(f.name)
+		if v == "" && f.name != required {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return fail(http.StatusBadRequest, "bad %s: %v", f.name, err)
+		}
+		*f.dst = n
+	}
+	p.opts.Assurance = raid.Level(assurance)
+	if v := q.Get("misleadFraction"); v != "" {
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return fail(http.StatusBadRequest, "bad misleadFraction: %v", err)
+		}
+		p.opts.MisleadFraction = f
+	}
+	password, err := headerB64(r, headerPassword)
+	if err == nil {
+		p.opts.EncryptKey, err = headerB64(r, headerEncryptKey)
+	}
+	if err != nil {
+		return fail(http.StatusBadRequest, "%v", err)
+	}
+	p.password = string(password)
+	p.preamble = int64(preamble)
+	if preamble < 0 || (r.ContentLength >= 0 && p.preamble > r.ContentLength) {
+		return fail(http.StatusBadRequest, "bad preamble: %d bytes declared in a body of %d", preamble, r.ContentLength)
+	}
+	pre, err := readBody(r.Body, p.preamble, maxBlobRead)
+	if errors.Is(err, errOversizeBody) {
+		return fail(http.StatusRequestEntityTooLarge, "preamble too large")
+	}
+	if err == nil {
+		p.opts.MisleadLines, err = parseLines(pre)
+	}
+	if err != nil {
+		return fail(http.StatusBadRequest, "bad preamble: %v", err)
+	}
+	return p, true
+}
+
+// readWrite is parseWrite for the two buffered routes: it also reads the
+// whole payload into one exact-size buffer. Preamble and payload
+// together must fit maxBlobRead; a declared excess is refused unread.
+func readWrite(w http.ResponseWriter, r *http.Request, required string) (writeParams, []byte, bool) {
+	if r.ContentLength > maxBlobRead {
+		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+		return writeParams{}, nil, false
+	}
+	p, ok := parseWrite(w, r, required)
+	if !ok {
+		return p, nil, false
+	}
+	rest := r.ContentLength
+	if rest >= 0 {
+		rest -= p.preamble
+	}
+	data, err := readBody(r.Body, rest, maxBlobRead-p.preamble)
+	if errors.Is(err, errOversizeBody) {
+		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+		return p, nil, false
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return p, nil, false
+	}
+	return p, data, true
+}
+
+func (s *DistributorServer) upload(w http.ResponseWriter, r *http.Request) {
+	p, data, ok := readWrite(w, r, "pl")
+	if !ok {
+		return
+	}
+	info, err := s.d.Upload(p.client, p.password, p.filename, data, privacy.Level(p.pl), p.opts)
+	if err != nil {
+		http.Error(w, err.Error(), coreStatus(err))
+		return
+	}
+	writeJSON(w, info)
+}
+
+func (s *DistributorServer) updateChunk(w http.ResponseWriter, r *http.Request) {
+	p, data, ok := readWrite(w, r, "serial")
+	if !ok {
+		return
+	}
+	if err := s.d.UpdateChunk(p.client, p.password, p.filename, p.serial, data, p.opts); err != nil {
+		http.Error(w, err.Error(), coreStatus(err))
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// streamUpload is POST /v1/stream/upload: what follows the preamble
+// feeds core.UploadStream as it arrives, so neither side ever holds the
+// file and no whole-body cap applies.
+func (s *DistributorServer) streamUpload(w http.ResponseWriter, r *http.Request) {
+	p, ok := parseWrite(w, r, "pl")
+	if !ok {
+		return
+	}
+	info, err := s.d.UploadStream(p.client, p.password, p.filename, r.Body, privacy.Level(p.pl), p.opts)
+	if err != nil {
+		http.Error(w, err.Error(), coreStatus(err))
+		return
+	}
+	writeJSON(w, info)
+}
+
+// ---- Client side ----
+
+// prefixed is body with pre in front of it.
+func prefixed(pre []byte, body io.ReadCloser) io.ReadCloser {
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(bytes.NewReader(pre), body), body}
+}
+
+// postOctets sends one payload-carrying request: scalar names the
+// route's own parameter ("pl" or "serial"), payload is the body. Sent
+// once — like every mutation, never retried at this layer, since a
+// request that died on the wire may still have been applied.
+func (c *Client) postOctets(path, client, password, filename, scalar string, value int, opts UploadOptions, payload io.Reader) ([]byte, error) {
+	pre := appendLines(nil, opts.MisleadLines)
+	q := url.Values{
+		"client": {client}, "filename": {filename}, scalar: {strconv.Itoa(value)},
+		"assurance":       {strconv.Itoa(int(opts.Assurance))},
+		"noParity":        {strconv.FormatBool(opts.NoParity)},
+		"misleadFraction": {strconv.FormatFloat(opts.MisleadFraction, 'g', -1, 64)},
+		"replicas":        {strconv.Itoa(opts.Replicas)},
+		"preamble":        {strconv.Itoa(len(pre))},
+	}
+	req, err := http.NewRequest(http.MethodPost, c.base+path+"?"+q.Encode(), payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(pre) > 0 {
+		// A byte-slice payload arrives here rewindable and of known
+		// length (http.NewRequest sees to that); it stays both.
+		body, getBody := req.Body, req.GetBody
+		req.Body = prefixed(pre, body)
+		if getBody != nil {
+			req.ContentLength += int64(len(pre))
+			req.GetBody = func() (io.ReadCloser, error) {
+				b, err := getBody()
+				if err != nil {
+					return nil, err
+				}
+				return prefixed(pre, b), nil
+			}
+		}
+	}
+	req.Header.Set("Content-Type", octetStream)
+	req.Header.Set(headerPassword, base64.StdEncoding.EncodeToString([]byte(password)))
+	if len(opts.EncryptKey) > 0 {
+		req.Header.Set(headerEncryptKey, base64.StdEncoding.EncodeToString(opts.EncryptKey))
+	}
+	return c.do(path, req)
+}
+
+func fileInfo(payload []byte, err error) (core.FileInfo, error) {
+	var info core.FileInfo
+	if err == nil {
+		err = json.Unmarshal(payload, &info)
+	}
+	return info, err
+}
+
+// Upload ships a file to the distributor, the body written straight from
+// data.
+func (c *Client) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
+	return fileInfo(c.postOctets("/v1/upload", client, password, filename, "pl", int(pl), opts, bytes.NewReader(data)))
+}
+
+// UploadFrom streams a file to the distributor from r without buffering
+// it: the reader feeds the request body directly and the distributor
+// commits stripe-by-stripe with bounded memory at both ends.
+func (c *Client) UploadFrom(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
+	return fileInfo(c.postOctets("/v1/stream/upload", client, password, filename, "pl", int(pl), opts, r))
+}
+
+// UpdateChunk replaces a chunk's contents.
+func (c *Client) UpdateChunk(client, password, filename string, serial int, data []byte) error {
+	_, err := c.postOctets("/v1/update_chunk", client, password, filename, "serial", serial, UploadOptions{}, bytes.NewReader(data))
+	return err
+}

@@ -1,0 +1,317 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/privacy"
+	"repro/internal/provider"
+)
+
+// memDistributor is an in-memory distributor with account a/pw, for
+// tests that drive the server handler directly.
+func memDistributor(t testing.TB, providers int) *core.Distributor {
+	t.Helper()
+	fleet, err := provider.NewFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < providers; i++ {
+		mem, err := provider.New(provider.Info{Name: fmt.Sprintf("m%d", i), PL: privacy.High, CL: 1}, provider.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.Add(mem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := core.New(core.Config{Fleet: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterClient("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddPassword("a", "pw", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func csvRows(n int) []byte {
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d,real,%04d\n", i, i*3)
+	}
+	return b.Bytes()
+}
+
+// TestMisleadLinesTravelOnEveryWriteRoute: line decoys used to be dropped
+// without an error by UploadFrom (the stream route had no way to carry
+// them), leaving a file the caller believed defended with none. They now
+// ride the preamble on all three routes, through every face of the API —
+// a plain Client, the sharded System and a Client behind a ShardProxy,
+// which relays the preamble without parsing it.
+func TestMisleadLinesTravelOnEveryWriteRoute(t *testing.T) {
+	data := csvRows(2500) // several PL3 chunks
+	opts := UploadOptions{MisleadLines: [][]byte{[]byte("7,decoy,0000\n"), {}, []byte("no newline")}}
+
+	// The Chunk Table names no files, so each face gets a deployment of
+	// its own and every row in it belongs to the two uploads below.
+	tablesOf := func(dists []*core.Distributor) func() ([]core.ChunkRow, error) {
+		return func() ([]core.ChunkRow, error) {
+			var rows []core.ChunkRow
+			for _, d := range dists {
+				rows = append(rows, d.ChunkTable()...)
+			}
+			return rows, nil
+		}
+	}
+	single, _ := distributorFixture(t, 5)
+	sys, sysDists := shardFixture(t, 3, 4)
+	proxied, proxyDists := shardFixture(t, 3, 4)
+	proxy := httptest.NewServer(NewShardProxy(proxied))
+	t.Cleanup(proxy.Close)
+
+	for _, face := range []struct {
+		name string
+		api  API
+		rows func() ([]core.ChunkRow, error)
+	}{
+		{"Client", single, single.ChunkTable},
+		{"System", sys, tablesOf(sysDists)},
+		{"ShardProxy", NewClient(proxy.URL, proxy.Client()), tablesOf(proxyDists)},
+	} {
+		t.Run(face.name, func(t *testing.T) {
+			if err := face.api.RegisterClient("carol"); err != nil {
+				t.Fatal(err)
+			}
+			if err := face.api.AddPassword("carol", "pw", privacy.High); err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := face.api.UploadFrom("carol", "pw", "streamed", bytes.NewReader(data), privacy.High, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buffered, err := face.api.Upload("carol", "pw", "buffered", data, privacy.High, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := face.rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := streamed.Chunks + buffered.Chunks; len(rows) != want || streamed.Chunks < 2 {
+				t.Fatalf("%d chunk rows for %d+%d chunks", len(rows), streamed.Chunks, buffered.Chunks)
+			}
+			for _, r := range rows {
+				if r.MisleadCount == 0 {
+					t.Errorf("chunk %s stored without decoys", r.VirtualID)
+				}
+			}
+			for _, f := range []string{"streamed", "buffered"} {
+				got, err := face.api.GetFile("carol", "pw", f)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("%s does not round-trip byte-exact: %v", f, err)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteRoutesRefuseBadBodies drives the two buffered octet routes
+// through the handler, where a request can lie about itself: a declared
+// length over the cap is 413 with the body unread, an undeclared one is
+// cut at cap+1, a body that stops short of its declaration is 400, and a
+// JSON document — the old wire form — is 415 by name, never stored as a
+// file's bytes.
+func TestWriteRoutesRefuseBadBodies(t *testing.T) {
+	lowerBlobCap(t, 1<<10)
+	d := memDistributor(t, 5)
+	if _, err := d.Upload("a", "pw", "target", make([]byte, 100), privacy.Public, core.UploadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewDistributorServer(d)
+	for _, route := range []struct {
+		path string
+		ok   int
+	}{
+		{"/v1/upload?client=a&filename=new&pl=0", http.StatusOK},
+		{"/v1/update_chunk?client=a&filename=target&serial=0", http.StatusNoContent},
+	} {
+		post := func(body io.Reader, declared int64, contentType string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, route.path, body)
+			req.ContentLength = declared
+			req.Header.Set("Content-Type", contentType)
+			req.Header.Set(headerPassword, "cHc=") // "pw"
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			return rec
+		}
+		if rec := post(untouchable{t}, 1<<10+1, octetStream); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s declared oversize: status %d, want 413", route.path, rec.Code)
+		}
+		endless := &countingReader{r: zeroes{}}
+		if rec := post(endless, -1, octetStream); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s undeclared oversize: status %d, want 413", route.path, rec.Code)
+		}
+		if endless.n != 1<<10+1 {
+			t.Errorf("%s undeclared oversize: %d bytes buffered, want cap+1", route.path, endless.n)
+		}
+		if rec := post(bytes.NewReader(make([]byte, 10)), 100, octetStream); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s 10 bytes declared as 100: status %d, want 400", route.path, rec.Code)
+		}
+		rec := post(untouchable{t}, 40, "application/json")
+		if rec.Code != http.StatusUnsupportedMediaType || !strings.Contains(rec.Body.String(), octetStream) {
+			t.Errorf("%s JSON body: status %d %q, want 415 naming %s", route.path, rec.Code, rec.Body.String(), octetStream)
+		}
+		// A preamble that overruns the body it is declared in is refused too.
+		req := httptest.NewRequest(http.MethodPost, route.path+"&preamble=11", bytes.NewReader(make([]byte, 10)))
+		req.Header.Set("Content-Type", octetStream)
+		bad := httptest.NewRecorder()
+		srv.ServeHTTP(bad, req)
+		if bad.Code != http.StatusBadRequest {
+			t.Errorf("%s preamble past the body: status %d, want 400", route.path, bad.Code)
+		}
+		if _, err := d.GetFile("a", "pw", "new"); err == nil {
+			t.Fatalf("%s: a refused request stored a file", route.path)
+		}
+		// At the cap, declared or not, the write goes through whole.
+		for _, declared := range []int64{1 << 10, -1} {
+			if rec := post(bytes.NewReader(bytes.Repeat([]byte{7}, 1<<10)), declared, octetStream); rec.Code != route.ok {
+				t.Fatalf("%s at-cap body (declared %d): status %d %s", route.path, declared, rec.Code, rec.Body)
+			}
+			_ = d.RemoveFile("a", "pw", "new")
+		}
+	}
+}
+
+// TestJSONRequestsAreCapped: the JSON routes carry names and numbers
+// only, and say so — on the distributor and on the proxy, which decodes
+// with the same helper.
+func TestJSONRequestsAreCapped(t *testing.T) {
+	d := memDistributor(t, 4)
+	sys, _ := shardFixture(t, 2, 4)
+	for name, srv := range map[string]http.Handler{"distributor": NewDistributorServer(d), "proxy": NewShardProxy(sys)} {
+		post := func(body io.Reader, declared int64) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/v1/get_file", body)
+			req.ContentLength = declared
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			return rec
+		}
+		if rec := post(untouchable{t}, maxJSONRequest+1); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s declared oversize JSON: status %d, want 413", name, rec.Code)
+		}
+		huge := strings.NewReader(`{"client":"` + strings.Repeat("x", maxJSONRequest))
+		if rec := post(huge, -1); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s undeclared oversize JSON: status %d, want 413", name, rec.Code)
+		}
+		if rec := post(strings.NewReader(`{"client":`), -1); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s malformed JSON: status %d, want 400", name, rec.Code)
+		}
+	}
+}
+
+func TestPreambleCodec(t *testing.T) {
+	lines := [][]byte{[]byte("a,b\n"), {}, bytes.Repeat([]byte("x"), 300)}
+	pre := appendLines(nil, lines)
+	got, err := parseLines(pre)
+	if err != nil || len(got) != len(lines) {
+		t.Fatalf("round trip: %d lines, %v", len(got), err)
+	}
+	for i := range lines {
+		if !bytes.Equal(got[i], lines[i]) {
+			t.Errorf("line %d: %q", i, got[i])
+		}
+	}
+	for _, bad := range [][]byte{pre[:len(pre)-1], {0x05, 'a'}, bytes.Repeat([]byte{0xff}, 11)} {
+		if _, err := parseLines(bad); err == nil {
+			t.Errorf("malformed preamble %x accepted", bad)
+		}
+	}
+}
+
+// uploadOnce drives POST /v1/upload through the handler, as the server
+// sees it: no client, no socket.
+func uploadOnce(t testing.TB, srv http.Handler, name string, data []byte) {
+	q := url.Values{"client": {"a"}, "filename": {name}, "pl": {"0"}, "noParity": {"1"}}
+	req := httptest.NewRequest(http.MethodPost, "/v1/upload?"+q.Encode(), bytes.NewReader(data))
+	req.Header.Set("Content-Type", octetStream)
+	req.Header.Set(headerPassword, "cHc=")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: status %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestUploadHandlerAllocationBudget pins what the upload route itself
+// allocates on the server: the handler's bytes minus those of the same
+// core.Upload called directly, per uploaded byte. The body buffer is one
+// byte per byte; base64-in-JSON cost about five (decoder refills, the
+// unquoted copy, the base64 target), which is the regression this keeps
+// out.
+func TestUploadHandlerAllocationBudget(t *testing.T) {
+	d := memDistributor(t, 4)
+	srv := NewDistributorServer(d)
+	data := bytes.Repeat([]byte("0123456789abcdef"), 4<<20/16)
+	const runs = 6
+	allocated := func(upload func(name string)) float64 {
+		upload("warm") // fill the buffer pools
+		_ = d.RemoveFile("a", "pw", "warm")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			name := fmt.Sprint("f", i)
+			upload(name)
+			_ = d.RemoveFile("a", "pw", name)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*len(data))
+	}
+	viaCore := allocated(func(name string) {
+		if _, err := d.Upload("a", "pw", name, data, privacy.Public, core.UploadOptions{NoParity: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	viaHandler := allocated(func(name string) { uploadOnce(t, srv, name, data) })
+	if over := viaHandler - viaCore; over > 1.5 {
+		t.Errorf("upload handler allocates %.2f B per uploaded byte over core.Upload's %.2f, want <= 1.5", over, viaCore)
+	}
+}
+
+// BenchmarkClientUpload is the client→distributor hop end to end: a
+// Client over loopback HTTP into a DistributorServer on in-memory
+// providers, PL0, so the wire form is what dominates.
+func BenchmarkClientUpload(b *testing.B) {
+	for _, size := range []int{64 << 10, 4 << 20, 8 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			srv := httptest.NewServer(NewDistributorServer(memDistributor(b, 6)))
+			defer srv.Close()
+			c := NewClient(srv.URL, srv.Client())
+			data := bytes.Repeat([]byte("0123456789abcdef"), size/16)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Upload("a", "pw", "f", data, privacy.Public, UploadOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := c.RemoveFile("a", "pw", "f"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
