@@ -1,6 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + build + race tests + fuzz seed corpora
+#   make check            vet + routes-lint + build + race tests + fuzz seed corpora
+#   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
 #   FUZZTIME=30s make fuzz  longer fuzz budget
@@ -61,15 +62,26 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet routes-lint test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet build race fuzz
+check: vet routes-lint build race fuzz
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Each distributor operation is defined once, as a row of the route table
+# in internal/transport/routes.go. A /v1/ path in any other non-test file
+# of the package (outside comments) means an operation is being added in
+# a second place. provider_*.go speak the provider wire, a different
+# protocol, and are exempt.
+routes-lint:
+	@if grep -n '/v1/' $$(ls internal/transport/*.go | grep -v -e '_test\.go$$' -e '/routes\.go$$' -e '/provider_[a-z]*\.go$$') \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'routes-lint: distributor paths belong in internal/transport/routes.go'; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

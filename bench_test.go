@@ -21,7 +21,6 @@ import (
 	"repro/internal/mining"
 	"repro/internal/provider"
 	"repro/internal/raid"
-	"repro/internal/sim"
 )
 
 // BenchmarkTable4RegressionAttack regenerates Table IV: the full-data
@@ -547,18 +546,6 @@ func BenchmarkCostTradeoff(b *testing.B) {
 	}
 	r, _ := experiments.CostTradeoff(3, 128<<10, 1)
 	b.ReportMetric(r.Ratio, "cost-ratio")
-}
-
-// BenchmarkWorkloadSoak times a 200-operation multi-client soak with
-// outage injection — end-to-end system throughput under churn.
-func BenchmarkWorkloadSoak(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultWorkloadConfig()
-		cfg.Seed = int64(i + 1)
-		if _, err := sim.RunWorkload(cfg, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkScrub times a full integrity pass over a populated system.

@@ -82,10 +82,7 @@ func locateCmd(server, shards string, args []string) error {
 	if err != nil {
 		return err
 	}
-	loc, err := sys.Locate(args[0], args[1])
-	if err != nil {
-		return err
-	}
+	loc := sys.Locate(args[0], args[1])
 	fmt.Printf("file %s/%s\n", args[0], args[1])
 	fmt.Printf("  key    %016x\n", loc.Key)
 	fmt.Printf("  shard  %d of %d\n", loc.Shard, sys.Shards())

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -17,6 +18,12 @@ import (
 // cliFixture stands up a distributor server and returns a client plus a
 // temp directory for file arguments.
 func cliFixture(t *testing.T) (*transport.Client, string) {
+	t.Helper()
+	srv := cliServer(t)
+	return transport.NewClient(srv.URL, srv.Client()), t.TempDir()
+}
+
+func cliServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	fleet, err := provider.NewFleet()
 	if err != nil {
@@ -36,7 +43,7 @@ func cliFixture(t *testing.T) (*transport.Client, string) {
 	}
 	srv := httptest.NewServer(transport.NewDistributorServer(d))
 	t.Cleanup(srv.Close)
-	return transport.NewClient(srv.URL, srv.Client()), t.TempDir()
+	return srv
 }
 
 func TestCLIWorkflow(t *testing.T) {
@@ -146,6 +153,27 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := run(c, "decommission", []string{"NaN"}, 1, false, 0); err == nil {
 		t.Fatal("bad index accepted")
+	}
+}
+
+// TestCLIAgainstShardProxy: the operator commands work with -server
+// pointed at a shard proxy. health needs the merged metrics route, which
+// the proxy used to answer 404; tables is per-shard and must say so.
+func TestCLIAgainstShardProxy(t *testing.T) {
+	sys, err := transport.NewSystem([]string{cliServer(t).URL, cliServer(t).URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(transport.NewShardProxy(sys))
+	t.Cleanup(proxy.Close)
+	c := transport.NewClient(proxy.URL, proxy.Client())
+	for _, cmd := range []string{"health", "stats", "scrub"} {
+		if err := run(c, cmd, nil, 1, false, 0); err != nil {
+			t.Errorf("%s through the proxy: %v", cmd, err)
+		}
+	}
+	if err := run(c, "tables", nil, 1, false, 0); err == nil || !strings.Contains(err.Error(), "per-shard") {
+		t.Errorf("tables through the proxy: %v, want a refusal that says per-shard", err)
 	}
 }
 

@@ -426,10 +426,7 @@ func Run(cfg Config) (*Result, error) {
 	_, _, res.Scores.CoOwnershipF1 = attack.PairScore(groups, fileTruth)
 	res.Scores.TenantConfusion = attack.CrossLabelFraction(groups, tenantTruth)
 
-	res.Scores.ShardCorrelation, err = shardCorrelation(sys, files, cell.Shards)
-	if err != nil {
-		return nil, err
-	}
+	res.Scores.ShardCorrelation = shardCorrelation(sys, files, cell.Shards)
 	return &res, nil
 }
 
@@ -517,17 +514,14 @@ func excessAccuracy(r attack.PredictionResult) float64 {
 // correlates files by tenant concentrates *every* tenant's namespace,
 // while an unlucky hash draw spikes one tenant at a time. One shard
 // carries no information: 0.
-func shardCorrelation(sys *transport.System, files []file, shards int) (float64, error) {
+func shardCorrelation(sys *transport.System, files []file, shards int) float64 {
 	if shards <= 1 {
-		return 0, nil
+		return 0
 	}
 	byTenant := map[string]map[int]int{}
 	total := map[string]int{}
 	for _, f := range files {
-		loc, err := sys.Locate(f.tenant, f.name)
-		if err != nil {
-			return 0, err
-		}
+		loc := sys.Locate(f.tenant, f.name)
 		if byTenant[f.tenant] == nil {
 			byTenant[f.tenant] = map[int]int{}
 		}
@@ -546,7 +540,7 @@ func shardCorrelation(sys *transport.System, files []file, shards int) (float64,
 		uniform := 1.0 / float64(shards)
 		sum += clamp01((frac - uniform) / (1 - uniform))
 	}
-	return sum / float64(len(byTenant)), nil
+	return sum / float64(len(byTenant))
 }
 
 func clamp01(v float64) float64 {

@@ -185,39 +185,3 @@ func TestOutageDrillTotalOutage(t *testing.T) {
 		t.Fatalf("everything down, yet %d files readable", res.FilesReadable)
 	}
 }
-
-func TestWorkloadSoak(t *testing.T) {
-	cfg := DefaultWorkloadConfig()
-	rep, err := RunWorkload(cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Uploads == 0 || rep.Reads == 0 || rep.RangeReads == 0 || rep.Updates == 0 || rep.Removes == 0 {
-		t.Fatalf("workload lacks variety: %+v", rep)
-	}
-	if rep.OutagesInjected == 0 {
-		t.Fatalf("no outages injected: %+v", rep)
-	}
-	if rep.Verifications < 50 {
-		t.Fatalf("too few verifications: %+v", rep)
-	}
-}
-
-func TestWorkloadSeeds(t *testing.T) {
-	// Several seeds, smaller runs: shake out order-dependent bugs.
-	for seed := int64(2); seed <= 5; seed++ {
-		cfg := WorkloadConfig{Clients: 2, Operations: 80, OutageEveryN: 7, MaxFileBytes: 20 << 10, Seed: seed}
-		if _, err := RunWorkload(cfg, 7); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-func TestWorkloadValidation(t *testing.T) {
-	if _, err := RunWorkload(WorkloadConfig{}, 6); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := RunWorkload(DefaultWorkloadConfig(), 2); err == nil {
-		t.Fatal("tiny fleet accepted")
-	}
-}

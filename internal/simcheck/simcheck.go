@@ -74,7 +74,7 @@ type Config struct {
 	// oracle checkpoint must catch it (generation going backwards / the
 	// file set diverging from the model). Implies a durable run.
 	BugLoseLastCommit bool
-	// DarkProvider ports internal/sim's sustained-outage scenario:
+	// DarkProvider is the sustained-outage scenario:
 	// provider 0 stays up but fails every data-plane op for the whole
 	// run, so failover and circuit breaking carry the workload.
 	DarkProvider bool

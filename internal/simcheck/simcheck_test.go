@@ -227,8 +227,8 @@ func TestSimCheckCatchesDroppedRollbackDelete(t *testing.T) {
 	t.Logf("planted bug caught: %s", strings.SplitN(err.Error(), "\n", 2)[0])
 }
 
-// TestSimCheckDarkProvider ports internal/sim's sustained-outage
-// scenario onto the harness: provider 0 stays "up" but fails every
+// TestSimCheckDarkProvider is the sustained-outage scenario on the
+// harness: provider 0 stays "up" but fails every
 // data-plane op for the whole run. Failover and circuit breaking must
 // keep the workload healthy and every invariant intact.
 func TestSimCheckDarkProvider(t *testing.T) {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -228,7 +229,7 @@ func TestRemoteProviderGetOversizeAndLyingLengths(t *testing.T) {
 	}
 }
 
-func TestPostOnceOversizeAndLyingLengths(t *testing.T) {
+func TestOnceOversizeAndLyingLengths(t *testing.T) {
 	lowerRespCap(t, 4096)
 	for name, tc := range map[string]struct {
 		serve    http.HandlerFunc
@@ -239,9 +240,9 @@ func TestPostOnceOversizeAndLyingLengths(t *testing.T) {
 		"chunked oversize":  {chunkedBody(4097), true},
 	} {
 		srv := httptest.NewServer(tc.serve)
-		payload, err := quietClient(t, srv).postOnce("/v1/get_file", []byte("{}"))
+		payload, err := quietClient(t, srv).once(context.Background(), routeGetFile.route, []byte("{}"))
 		if err == nil || payload != nil {
-			t.Errorf("%s: postOnce = %d bytes, %v; want an error and no payload", name, len(payload), err)
+			t.Errorf("%s: once = %d bytes, %v; want an error and no payload", name, len(payload), err)
 		}
 		if got := errors.Is(err, ErrOversizeResponse); got != tc.oversize {
 			t.Errorf("%s: ErrOversizeResponse = %v, want %v (err: %v)", name, got, tc.oversize, err)
@@ -253,7 +254,7 @@ func TestPostOnceOversizeAndLyingLengths(t *testing.T) {
 	}
 	srv := httptest.NewServer(chunkedBody(4096))
 	t.Cleanup(srv.Close)
-	if payload, err := quietClient(t, srv).postOnce("/v1/get_file", []byte("{}")); err != nil || len(payload) != 4096 {
-		t.Fatalf("chunked at-cap postOnce = %d bytes, %v", len(payload), err)
+	if payload, err := quietClient(t, srv).once(context.Background(), routeGetFile.route, []byte("{}")); err != nil || len(payload) != 4096 {
+		t.Fatalf("chunked at-cap once = %d bytes, %v", len(payload), err)
 	}
 }

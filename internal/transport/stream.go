@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the read side of the streaming data plane; write.go has
-// the write side. GET /v1/stream/file moves raw octets over chunked
+// the write side. routeStreamFile moves raw octets over chunked
 // transfer encoding end-to-end — core.GetFileTo feeds the response
 // writer, so neither side ever materializes the file and the whole-body
 // caps (maxBlobBytes / maxRespRead) do not apply.
@@ -26,27 +26,24 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// streamFile is GET /v1/stream/file: the response body is the file.
+// streamFile is routeStreamFile's handler: the response body is the file.
 // Chunked transfer encoding carries an implicit end-of-stream marker, so
 // a failure after bytes have gone out aborts the connection instead of
 // letting a truncated prefix masquerade as a complete body — the client
 // observes a transport error, exactly like a mid-body network failure.
-func (s *DistributorServer) streamFile(w http.ResponseWriter, r *http.Request) {
+func (s *DistributorServer) streamFile(w http.ResponseWriter, r *http.Request) (any, error) {
 	q := r.URL.Query()
 	password, err := headerB64(r, headerPassword)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	cw := &countingWriter{w: w}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := s.d.GetFileTo(cw, q.Get("client"), string(password), q.Get("filename")); err != nil {
-		if cw.n == 0 {
-			http.Error(w, err.Error(), coreStatus(err))
-			return
-		}
+	w.Header().Set("Content-Type", octetStream)
+	_, err = s.d.GetFileTo(cw, q.Get("client"), string(password), q.Get("filename"))
+	if err != nil && cw.n > 0 {
 		panic(http.ErrAbortHandler)
 	}
+	return nil, err
 }
 
 // GetFileTo streams a whole file from the distributor into w. The body
@@ -58,22 +55,23 @@ func (s *DistributorServer) streamFile(w http.ResponseWriter, r *http.Request) {
 // duplicate.
 func (c *Client) GetFileTo(w io.Writer, client, password, filename string) (int64, error) {
 	q := url.Values{"client": {client}, "filename": {filename}}
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/stream/file?"+q.Encode(), nil)
+	rt := routeStreamFile
+	req, err := http.NewRequest(rt.method, c.base+rt.path+"?"+q.Encode(), nil)
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set(headerPassword, base64.StdEncoding.EncodeToString([]byte(password)))
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return 0, &netError{fmt.Errorf("transport: /v1/stream/file: %w", err)}
+		return 0, &netError{fmt.Errorf("transport: %s: %w", rt.path, err)}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, statusToCoreError(resp.StatusCode, string(errorText(resp, 4096)))
+		return 0, errorFrom(rt.path, resp, errorText(resp, 4096))
 	}
 	n, err := io.Copy(w, resp.Body)
 	if err != nil {
-		return n, &netError{fmt.Errorf("transport: /v1/stream/file: truncated after %d bytes: %w", n, err)}
+		return n, &netError{fmt.Errorf("transport: %s: truncated after %d bytes: %w", rt.path, n, err)}
 	}
 	return n, nil
 }

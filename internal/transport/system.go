@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -105,30 +106,26 @@ type Location struct {
 // Locate resolves the owning shard of a file without touching the
 // network — the routing decision every data op makes, exposed for
 // debugging (cloudctl locate).
-func (s *System) Locate(client, filename string) (Location, error) {
+func (s *System) Locate(client, filename string) Location {
 	key := dht.FileKey(client, filename)
 	name, err := s.ring.Successor(key)
 	if err != nil {
-		return Location{}, err
+		panic(err) // only an empty ring fails, and NewSystem refused one
 	}
 	i := s.index[name]
-	return Location{Key: key, Shard: i, ShardURL: s.urls[i]}, nil
+	return Location{Key: key, Shard: i, ShardURL: s.urls[i]}
 }
 
 // owner returns the client of the shard owning ⟨client, filename⟩.
-func (s *System) owner(client, filename string) (*Client, error) {
-	loc, err := s.Locate(client, filename)
-	if err != nil {
-		return nil, err
-	}
-	return s.shards[loc.Shard], nil
+func (s *System) owner(client, filename string) *Client {
+	return s.shards[s.Locate(client, filename).Shard]
 }
 
 // eachShard runs fn against every shard and joins the failures.
-func (s *System) eachShard(fn func(i int, c *Client) error) error {
+func (s *System) eachShard(fn func(c *Client) error) error {
 	var errs []error
 	for i, c := range s.shards {
-		if err := fn(i, c); err != nil {
+		if err := fn(c); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d (%s): %w", i, s.urls[i], err))
 		}
 	}
@@ -145,18 +142,14 @@ func (s *System) eachShard(fn func(i int, c *Client) error) error {
 // cross-shard gap). Real failures keep their "shard %d (url)" prefix so
 // the caller knows exactly which shard needs the retry.
 func (s *System) RegisterClient(name string) error {
-	return s.eachShard(func(_ int, c *Client) error {
-		return idempotent(c.RegisterClient(name))
-	})
+	return s.eachShard(func(c *Client) error { return idempotent(c.RegisterClient(name)) })
 }
 
 // AddPassword registers the ⟨password, PL⟩ pair on every shard, with
 // the same idempotent-repair contract as RegisterClient: shards that
 // already hold the password acknowledge instead of failing the fan-out.
 func (s *System) AddPassword(client, password string, pl privacy.Level) error {
-	return s.eachShard(func(_ int, c *Client) error {
-		return idempotent(c.AddPassword(client, password, pl))
-	})
+	return s.eachShard(func(c *Client) error { return idempotent(c.AddPassword(client, password, pl)) })
 }
 
 // idempotent maps "already exists" to success for namespace-wide
@@ -170,149 +163,145 @@ func idempotent(err error) error {
 
 // Upload ships a file to its owning shard.
 func (s *System) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return core.FileInfo{}, err
-	}
-	return c.Upload(client, password, filename, data, pl, opts)
+	return s.owner(client, filename).Upload(client, password, filename, data, pl, opts)
 }
 
 // UploadFrom streams a file to its owning shard.
 func (s *System) UploadFrom(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return core.FileInfo{}, err
-	}
-	return c.UploadFrom(client, password, filename, r, pl, opts)
+	return s.owner(client, filename).UploadFrom(client, password, filename, r, pl, opts)
 }
 
 // GetChunk retrieves one chunk from the owning shard.
 func (s *System) GetChunk(client, password, filename string, serial int) ([]byte, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return nil, err
-	}
-	return c.GetChunk(client, password, filename, serial)
+	return s.owner(client, filename).GetChunk(client, password, filename, serial)
 }
 
 // GetFile retrieves a whole file from the owning shard.
 func (s *System) GetFile(client, password, filename string) ([]byte, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return nil, err
-	}
-	return c.GetFile(client, password, filename)
+	return s.owner(client, filename).GetFile(client, password, filename)
 }
 
 // GetFileTo streams a whole file from the owning shard.
 func (s *System) GetFileTo(w io.Writer, client, password, filename string) (int64, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return 0, err
-	}
-	return c.GetFileTo(w, client, password, filename)
+	return s.owner(client, filename).GetFileTo(w, client, password, filename)
 }
 
 // GetSnapshot retrieves a chunk's snapshot from the owning shard.
 func (s *System) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return nil, err
-	}
-	return c.GetSnapshot(client, password, filename, serial)
+	return s.owner(client, filename).GetSnapshot(client, password, filename, serial)
 }
 
 // GetRange retrieves a byte range from the owning shard.
 func (s *System) GetRange(client, password, filename string, offset, length int) ([]byte, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return nil, err
-	}
-	return c.GetRange(client, password, filename, offset, length)
+	return s.owner(client, filename).GetRange(client, password, filename, offset, length)
 }
 
 // UpdateChunk rewrites one chunk on the owning shard.
 func (s *System) UpdateChunk(client, password, filename string, serial int, data []byte) error {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return err
-	}
-	return c.UpdateChunk(client, password, filename, serial, data)
+	return s.owner(client, filename).UpdateChunk(client, password, filename, serial, data)
 }
 
 // RemoveChunk deletes one chunk on the owning shard.
 func (s *System) RemoveChunk(client, password, filename string, serial int) error {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return err
-	}
-	return c.RemoveChunk(client, password, filename, serial)
+	return s.owner(client, filename).RemoveChunk(client, password, filename, serial)
 }
 
 // RemoveFile deletes a file on its owning shard.
 func (s *System) RemoveFile(client, password, filename string) error {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return err
-	}
-	return c.RemoveFile(client, password, filename)
+	return s.owner(client, filename).RemoveFile(client, password, filename)
 }
 
 // ChunkCount asks the owning shard how many chunks a file has.
 func (s *System) ChunkCount(client, password, filename string) (int, error) {
-	c, err := s.owner(client, filename)
-	if err != nil {
-		return 0, err
+	return s.owner(client, filename).ChunkCount(client, password, filename)
+}
+
+// mergeInto folds one shard's answer into the running total, field by
+// field: counters add, flags OR, rows concatenate in shard order, and a
+// string keeps the first shard's value. It is the one merge rule of the
+// merged routes; what a report needs beyond it (a max, a status) its
+// method sets afterwards.
+func mergeInto(total, part reflect.Value) {
+	switch total.Kind() {
+	case reflect.Struct:
+		for i := 0; i < total.NumField(); i++ {
+			mergeInto(total.Field(i), part.Field(i))
+		}
+	case reflect.Int, reflect.Int64:
+		total.SetInt(total.Int() + part.Int())
+	case reflect.Uint64:
+		total.SetUint(total.Uint() + part.Uint())
+	case reflect.Bool:
+		total.SetBool(total.Bool() || part.Bool())
+	case reflect.Slice:
+		total.Set(reflect.AppendSlice(total, part))
+	case reflect.String:
+		if total.Len() == 0 {
+			total.Set(part)
+		}
 	}
-	return c.ChunkCount(client, password, filename)
+}
+
+// merged asks every shard with get and folds the answers with mergeInto;
+// after, when set, sees each answer next to the total that now holds it.
+func merged[T any](s *System, get func(*Client) (T, error), after func(total *T, part T)) (T, error) {
+	var total T
+	err := s.eachShard(func(c *Client) error {
+		part, err := get(c)
+		if err != nil {
+			return err
+		}
+		mergeInto(reflect.ValueOf(&total).Elem(), reflect.ValueOf(part))
+		if after != nil {
+			after(&total, part)
+		}
+		return nil
+	})
+	return total, err
 }
 
 // Scrub runs a parity scrub on every shard and sums the reports.
 func (s *System) Scrub() (core.ScrubReport, error) {
-	var total core.ScrubReport
-	err := s.eachShard(func(_ int, c *Client) error {
-		rep, err := c.Scrub()
-		if err != nil {
-			return err
-		}
-		total.ChunksChecked += rep.ChunksChecked
-		total.Healthy += rep.Healthy
-		total.Repaired += rep.Repaired
-		total.Unrepairable += rep.Unrepairable
-		total.Skipped += rep.Skipped
-		total.ParityChecked += rep.ParityChecked
-		total.ParityRepaired += rep.ParityRepaired
-		total.ParityUnrepairable += rep.ParityUnrepairable
-		total.ParitySkipped += rep.ParitySkipped
-		return nil
-	})
-	return total, err
+	return merged(s, (*Client).Scrub, nil)
 }
 
-// Stats sums placement statistics across shards. PerProvider counts
+// Metrics sums the shards' operation counters.
+func (s *System) Metrics() (core.OpMetrics, error) {
+	return merged(s, (*Client).Metrics, nil)
+}
+
+// Stats sums placement statistics across shards, except Clients, which
+// is replicated state: the largest shard's count. PerProvider counts
 // concatenate in shard order: each shard owns its own provider fleet,
 // so the indices are per-shard, not a shared space.
 func (s *System) Stats() (core.Stats, error) {
-	var total core.Stats
-	err := s.eachShard(func(_ int, c *Client) error {
-		st, err := c.Stats()
-		if err != nil {
-			return err
-		}
-		total.Clients = max(total.Clients, st.Clients)
-		total.Files += st.Files
-		total.Chunks += st.Chunks
-		total.ParityShards += st.ParityShards
-		total.MirrorShards += st.MirrorShards
-		total.Snapshots += st.Snapshots
-		total.Stripes += st.Stripes
-		total.PerProvider = append(total.PerProvider, st.PerProvider...)
-		return nil
+	clients := 0
+	return merged(s, (*Client).Stats, func(total *core.Stats, part core.Stats) {
+		clients = max(clients, part.Clients)
+		total.Clients = clients
 	})
-	return total, err
+}
+
+// HealthReport merges every shard's health: overall status degrades if
+// any shard does (or is unreachable, which is all an error means here),
+// provider and replication rows concatenate in shard order, cache and
+// WAL counters add, and the checkpoint age is the stalest shard's.
+func (s *System) HealthReport() HealthReport {
+	status, age := "ok", int64(0)
+	out, err := merged(s, (*Client).HealthReport, func(_ *HealthReport, part HealthReport) {
+		if part.Status != "ok" {
+			status = "degraded"
+		}
+		age = max(age, part.WAL.LastCheckpointAgeMs)
+	})
+	if err != nil {
+		status = "degraded"
+	}
+	out.Status, out.WAL.LastCheckpointAgeMs = status, age
+	return out
 }
 
 // Health succeeds only when every shard is reachable and healthy.
 func (s *System) Health() error {
-	return s.eachShard(func(_ int, c *Client) error { return c.Health() })
+	return s.eachShard((*Client).Health)
 }

@@ -122,10 +122,7 @@ func TestSystemRegisterReportsFailingShardAndRepairsIdempotently(t *testing.T) {
 		if _, err := sys.Upload("ann", "pw", name, []byte("payload"), privacy.High, UploadOptions{}); err != nil {
 			t.Fatalf("upload %s after repair: %v", name, err)
 		}
-		loc, err := sys.Locate("ann", name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		loc := sys.Locate("ann", name)
 		placed[loc.Shard]++
 	}
 	if len(placed) < 2 {

@@ -2,11 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -76,10 +79,7 @@ func TestSystemRoutesFilesToOwningShard(t *testing.T) {
 		if _, err := sys.Upload("alice", "pw", name, data, privacy.High, UploadOptions{}); err != nil {
 			t.Fatalf("upload %s: %v", name, err)
 		}
-		loc, err := sys.Locate("alice", name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		loc := sys.Locate("alice", name)
 		owners[name] = loc.Shard
 	}
 	// The namespace must actually spread: with 24 files on 3 shards, an
@@ -146,14 +146,8 @@ func TestSystemLocateIsStable(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		name := fmt.Sprintf("f%d", i)
-		a, err := sysA.Locate("u", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sysB.Locate("u", name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := sysA.Locate("u", name)
+		b := sysB.Locate("u", name)
 		if a.ShardURL != b.ShardURL {
 			t.Fatalf("file %s: owner %s under one order, %s under another", name, a.ShardURL, b.ShardURL)
 		}
@@ -168,7 +162,14 @@ func TestSystemLocateIsStable(t *testing.T) {
 // streaming, stats, scrub, health — must work unchanged against a
 // sharded backend.
 func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
-	sys, _ := shardFixture(t, 3, 4)
+	// Two fixture shards plus one this test can take down at the end.
+	base, _ := shardFixture(t, 2, 4)
+	mortal := httptest.NewServer(NewDistributorServer(memDistributor(t, 4)))
+	t.Cleanup(mortal.Close)
+	sys, err := NewSystem(append(base.URLs(), mortal.URL), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	proxy := httptest.NewServer(NewShardProxy(sys))
 	t.Cleanup(proxy.Close)
 	cl := NewClient(proxy.URL, proxy.Client())
@@ -245,6 +246,23 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	if err := cl.Health(); err != nil {
 		t.Fatalf("health via proxy: %v", err)
 	}
+	// Metrics is a merged route like stats: the shards' counters add up.
+	m, err := cl.Metrics()
+	if err != nil || m.Uploads != 13 || m.StreamUploads != 1 {
+		t.Fatalf("metrics via proxy: uploads=%d stream=%d err=%v, want 13 and 1", m.Uploads, m.StreamUploads, err)
+	}
+	if rep, err := cl.HealthReport(); err != nil || len(rep.Providers) != 3*4 {
+		t.Fatalf("health report via proxy: %d provider rows, %v", len(rep.Providers), err)
+	}
+	// The per-shard routes say what they are and where to ask instead.
+	_, tablesErr := cl.ChunkTable()
+	_, decomErr := cl.Decommission(0)
+	for _, err := range []error{tablesErr, decomErr} {
+		if err == nil || !strings.Contains(err.Error(), "per-shard") || !strings.Contains(err.Error(), mortal.URL) {
+			t.Fatalf("per-shard route via proxy: %v, want a refusal naming the shard URLs", err)
+		}
+		onlySentinel(t, "per-shard route via proxy", err, nil)
+	}
 
 	// Errors keep their identity through two hops: client → proxy → shard.
 	if _, err := cl.GetFile("bob", "wrong", "px-00.bin"); err == nil || !strings.Contains(err.Error(), "denied") {
@@ -264,12 +282,77 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&loc); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Locate("bob", "px-00.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sys.Locate("bob", "px-00.bin")
 	if loc != want {
 		t.Fatalf("proxy locate %+v != system locate %+v", loc, want)
+	}
+
+	// The proxy only forwards: on every owner-routed row its answer is the
+	// owning shard's, byte for byte — to a request the shard refuses (wrong
+	// password, every row) and to one it serves (the read-only rows; a
+	// mutation cannot be applied twice alike). One request shape fits all
+	// rows: keys in the query and in a JSON body that the octet routes take
+	// as their payload.
+	exchange := func(rt *route, base, pw string) string {
+		q := url.Values{"client": {"bob"}, "filename": {"px-00.bin"}, "pl": {"3"}, "serial": {"0"}}
+		body := fmt.Sprintf(`{"client":"bob","password":%q,"filename":"px-00.bin","serial":0,"offset":3,"length":40}`, pw)
+		req, err := http.NewRequest(rt.method, base+rt.path+"?"+q.Encode(), strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", octetStream)
+		req.Header.Set(headerPassword, base64.StdEncoding.EncodeToString([]byte(pw)))
+		resp, err := proxy.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %q %q %q", resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get(headerErrorCode), got)
+	}
+	for _, rt := range routes {
+		if rt.class != ownerRouted {
+			continue
+		}
+		for _, pw := range []string{"wrong", "pw"} {
+			if pw == "pw" && !rt.retry && rt != routeStreamFile {
+				continue
+			}
+			direct, proxied := exchange(rt, want.ShardURL, pw), exchange(rt, proxy.URL, pw)
+			if direct != proxied || (pw == "wrong") != strings.HasPrefix(direct, `403 "text/plain; charset=utf-8" "auth"`) {
+				t.Errorf("%s with password %q:\n shard: %.200s\n proxy: %.200s", rt.path, pw, direct, proxied)
+			}
+		}
+	}
+
+	// A shard that is down is 502 for the files it owns — a transport
+	// failure at the client, not a verdict on the file — and nobody else's
+	// problem.
+	mortal.Close()
+	orphaned, served := 0, 0
+	for name, data := range files {
+		if name == "px-11.bin" {
+			continue // removed above
+		}
+		got, err := cl.GetFile("bob", "pw", name)
+		if sys.Locate("bob", name).ShardURL != mortal.URL {
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s lives on a healthy shard yet reads %v", name, err)
+			}
+			served++
+			continue
+		}
+		orphaned++
+		onlySentinel(t, "file on the dead shard", err, nil)
+		if err == nil || !strings.Contains(err.Error(), "status 502") {
+			t.Fatalf("%s lives on the dead shard: got %v, want the proxy's 502", name, err)
+		}
+	}
+	if orphaned == 0 || served == 0 {
+		t.Fatalf("%d files on the dead shard, %d elsewhere: the case needs both", orphaned, served)
 	}
 }
 

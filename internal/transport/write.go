@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +17,8 @@ import (
 	"repro/internal/raid"
 )
 
-// This file is the wire form of the three payload-carrying routes: POST
-// /v1/upload, /v1/update_chunk and /v1/stream/upload. Their body is the
+// This file is the wire form of the three payload-carrying routes
+// (routeUpload, routeUpdateChunk and routeStreamUpload). Their body is the
 // payload itself, raw application/octet-stream octets written from the
 // caller's slice or reader and read into the buffer the core works on —
 // never a JSON document, so no byte of a file is base64-coded, quoted or
@@ -94,14 +93,13 @@ type writeParams struct {
 
 // parseWrite decodes a payload-carrying request's parameters and reads
 // the preamble off r.Body, leaving the payload. required names the
-// scalar the route cannot do without ("pl" or "serial"). On failure it
-// has answered the request: 415 for a body that is not octets — a JSON
-// document from a client of the old wire form is refused by name, never
-// mis-parsed as a file — 413 for an over-cap preamble, 400 otherwise.
-func parseWrite(w http.ResponseWriter, r *http.Request, required string) (p writeParams, ok bool) {
-	fail := func(status int, format string, args ...any) (writeParams, bool) {
-		http.Error(w, fmt.Sprintf(format, args...), status)
-		return writeParams{}, false
+// scalar the route cannot do without ("pl" or "serial"). It refuses with
+// 415 a body that is not octets — a JSON document from a client of the
+// old wire form is refused by name, never mis-parsed as a file — with 413
+// an over-cap preamble, with 400 anything else.
+func parseWrite(r *http.Request, required string) (p writeParams, err error) {
+	fail := func(status int, format string, args ...any) (writeParams, error) {
+		return writeParams{}, &httpError{status, fmt.Sprintf(format, args...)}
 	}
 	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct != octetStream {
 		return fail(http.StatusUnsupportedMediaType,
@@ -156,20 +154,21 @@ func parseWrite(w http.ResponseWriter, r *http.Request, required string) (p writ
 	if err != nil {
 		return fail(http.StatusBadRequest, "bad preamble: %v", err)
 	}
-	return p, true
+	return p, nil
 }
+
+var errBodyTooLarge = &httpError{http.StatusRequestEntityTooLarge, "body too large"}
 
 // readWrite is parseWrite for the two buffered routes: it also reads the
 // whole payload into one exact-size buffer. Preamble and payload
 // together must fit maxBlobRead; a declared excess is refused unread.
-func readWrite(w http.ResponseWriter, r *http.Request, required string) (writeParams, []byte, bool) {
+func readWrite(r *http.Request, required string) (writeParams, []byte, error) {
 	if r.ContentLength > maxBlobRead {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return writeParams{}, nil, false
+		return writeParams{}, nil, errBodyTooLarge
 	}
-	p, ok := parseWrite(w, r, required)
-	if !ok {
-		return p, nil, false
+	p, err := parseWrite(r, required)
+	if err != nil {
+		return p, nil, err
 	}
 	rest := r.ContentLength
 	if rest >= 0 {
@@ -177,55 +176,39 @@ func readWrite(w http.ResponseWriter, r *http.Request, required string) (writePa
 	}
 	data, err := readBody(r.Body, rest, maxBlobRead-p.preamble)
 	if errors.Is(err, errOversizeBody) {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return p, nil, false
+		return p, nil, errBodyTooLarge
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return p, nil, false
+		return p, nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
-	return p, data, true
+	return p, data, nil
 }
 
-func (s *DistributorServer) upload(w http.ResponseWriter, r *http.Request) {
-	p, data, ok := readWrite(w, r, "pl")
-	if !ok {
-		return
-	}
-	info, err := s.d.Upload(p.client, p.password, p.filename, data, privacy.Level(p.pl), p.opts)
+func (s *DistributorServer) upload(_ http.ResponseWriter, r *http.Request) (any, error) {
+	p, data, err := readWrite(r, "pl")
 	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
+		return nil, err
 	}
-	writeJSON(w, info)
+	return s.d.Upload(p.client, p.password, p.filename, data, privacy.Level(p.pl), p.opts)
 }
 
-func (s *DistributorServer) updateChunk(w http.ResponseWriter, r *http.Request) {
-	p, data, ok := readWrite(w, r, "serial")
-	if !ok {
-		return
-	}
-	if err := s.d.UpdateChunk(p.client, p.password, p.filename, p.serial, data, p.opts); err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// streamUpload is POST /v1/stream/upload: what follows the preamble
-// feeds core.UploadStream as it arrives, so neither side ever holds the
-// file and no whole-body cap applies.
-func (s *DistributorServer) streamUpload(w http.ResponseWriter, r *http.Request) {
-	p, ok := parseWrite(w, r, "pl")
-	if !ok {
-		return
-	}
-	info, err := s.d.UploadStream(p.client, p.password, p.filename, r.Body, privacy.Level(p.pl), p.opts)
+func (s *DistributorServer) updateChunk(_ http.ResponseWriter, r *http.Request) (any, error) {
+	p, data, err := readWrite(r, "serial")
 	if err != nil {
-		http.Error(w, err.Error(), coreStatus(err))
-		return
+		return nil, err
 	}
-	writeJSON(w, info)
+	return nil, s.d.UpdateChunk(p.client, p.password, p.filename, p.serial, data, p.opts)
+}
+
+// streamUpload is the streamed put: what follows the preamble feeds
+// core.UploadStream as it arrives, so neither side ever holds the file
+// and no whole-body cap applies.
+func (s *DistributorServer) streamUpload(_ http.ResponseWriter, r *http.Request) (any, error) {
+	p, err := parseWrite(r, "pl")
+	if err != nil {
+		return nil, err
+	}
+	return s.d.UploadStream(p.client, p.password, p.filename, r.Body, privacy.Level(p.pl), p.opts)
 }
 
 // ---- Client side ----
@@ -240,9 +223,8 @@ func prefixed(pre []byte, body io.ReadCloser) io.ReadCloser {
 
 // postOctets sends one payload-carrying request: scalar names the
 // route's own parameter ("pl" or "serial"), payload is the body. Sent
-// once — like every mutation, never retried at this layer, since a
-// request that died on the wire may still have been applied.
-func (c *Client) postOctets(path, client, password, filename, scalar string, value int, opts UploadOptions, payload io.Reader) ([]byte, error) {
+// once, like every mutation.
+func (c *Client) postOctets(rt *route, client, password, filename, scalar string, value int, opts UploadOptions, payload io.Reader) ([]byte, error) {
 	pre := appendLines(nil, opts.MisleadLines)
 	q := url.Values{
 		"client": {client}, "filename": {filename}, scalar: {strconv.Itoa(value)},
@@ -252,7 +234,7 @@ func (c *Client) postOctets(path, client, password, filename, scalar string, val
 		"replicas":        {strconv.Itoa(opts.Replicas)},
 		"preamble":        {strconv.Itoa(len(pre))},
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path+"?"+q.Encode(), payload)
+	req, err := http.NewRequest(rt.method, c.base+rt.path+"?"+q.Encode(), payload)
 	if err != nil {
 		return nil, err
 	}
@@ -277,32 +259,24 @@ func (c *Client) postOctets(path, client, password, filename, scalar string, val
 	if len(opts.EncryptKey) > 0 {
 		req.Header.Set(headerEncryptKey, base64.StdEncoding.EncodeToString(opts.EncryptKey))
 	}
-	return c.do(path, req)
-}
-
-func fileInfo(payload []byte, err error) (core.FileInfo, error) {
-	var info core.FileInfo
-	if err == nil {
-		err = json.Unmarshal(payload, &info)
-	}
-	return info, err
+	return c.do(rt.path, req)
 }
 
 // Upload ships a file to the distributor, the body written straight from
 // data.
 func (c *Client) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	return fileInfo(c.postOctets("/v1/upload", client, password, filename, "pl", int(pl), opts, bytes.NewReader(data)))
+	return into[core.FileInfo](c.postOctets(routeUpload, client, password, filename, "pl", int(pl), opts, bytes.NewReader(data)))
 }
 
 // UploadFrom streams a file to the distributor from r without buffering
 // it: the reader feeds the request body directly and the distributor
 // commits stripe-by-stripe with bounded memory at both ends.
 func (c *Client) UploadFrom(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	return fileInfo(c.postOctets("/v1/stream/upload", client, password, filename, "pl", int(pl), opts, r))
+	return into[core.FileInfo](c.postOctets(routeStreamUpload, client, password, filename, "pl", int(pl), opts, r))
 }
 
 // UpdateChunk replaces a chunk's contents.
 func (c *Client) UpdateChunk(client, password, filename string, serial int, data []byte) error {
-	_, err := c.postOctets("/v1/update_chunk", client, password, filename, "serial", serial, UploadOptions{}, bytes.NewReader(data))
+	_, err := c.postOctets(routeUpdateChunk, client, password, filename, "serial", serial, UploadOptions{}, bytes.NewReader(data))
 	return err
 }

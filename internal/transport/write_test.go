@@ -289,6 +289,54 @@ func TestUploadHandlerAllocationBudget(t *testing.T) {
 	}
 }
 
+// discardResponse is a ResponseWriter that keeps nothing, so a handler's
+// own allocations are all a measurement sees.
+type discardResponse struct{ h http.Header }
+
+func (d discardResponse) Header() http.Header       { return d.h }
+func (discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (discardResponse) WriteHeader(int)             {}
+
+// TestProxiedReadAllocationBudget pins that the proxy relays a read
+// instead of holding it: an 8 MiB get_file served through ShardProxy may
+// allocate, on top of what the shard's own handler allocates for the same
+// request, a small multiple of the 32 KiB copy buffer. Decoding the
+// request, re-issuing it through a Client and re-encoding the reply cost
+// the object at least twice over.
+func TestProxiedReadAllocationBudget(t *testing.T) {
+	sys, dists := shardFixture(t, 1, 4)
+	shard, proxy := NewDistributorServer(dists[0]), NewShardProxy(sys)
+	if err := sys.RegisterClient("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddPassword("a", "pw", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("0123456789abcdef"), 8<<20/16)
+	if _, err := sys.Upload("a", "pw", "big", data, privacy.Public, UploadOptions{NoParity: true}); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	allocated := func(h http.Handler) uint64 {
+		get := func() {
+			req := httptest.NewRequest(http.MethodPost, routeGetFile.path, strings.NewReader(`{"client":"a","password":"pw","filename":"big"}`))
+			h.ServeHTTP(discardResponse{http.Header{}}, req)
+		}
+		get() // warm pools and connections
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	atShard, viaProxy := allocated(shard), allocated(proxy)
+	if over := int64(viaProxy) - int64(atShard); over > 8*32<<10 {
+		t.Errorf("proxying an 8 MiB read allocates %d KiB over the shard's own %d KiB, want <= 256 KiB", over>>10, atShard>>10)
+	}
+}
+
 // BenchmarkClientUpload is the client→distributor hop end to end: a
 // Client over loopback HTTP into a DistributorServer on in-memory
 // providers, PL0, so the wire form is what dominates.
