@@ -54,7 +54,7 @@ func benchDistributor(b *testing.B, n int, putLatency time.Duration) *Distributo
 
 // benchReadDistributor builds a zero-latency distributor holding one
 // uploaded file, for read-path benchmarks.
-func benchReadDistributor(b *testing.B, fileBytes int, mislead float64, cacheBytes int64) (*Distributor, []byte) {
+func benchReadDistributor(b testing.TB, fileBytes int, mislead float64, cacheBytes int64) (*Distributor, []byte) {
 	b.Helper()
 	f, err := provider.NewFleet()
 	if err != nil {
@@ -111,6 +111,26 @@ func BenchmarkGetFile(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestGetFileAllocationBudget pins BenchmarkGetFile's allocs/op. The
+// per-chunk fan-out it replaced cost 144 (plain) and 160 (mislead) for
+// this 16-chunk file — a ladder of closures, a flight and a stripped copy
+// per chunk; the primary-fetch step allocates per provider call instead
+// and strips into the file buffer, leaving the per-chunk allocations to
+// the plans (one sibling list each) and the in-memory providers' copies.
+func TestGetFileAllocationBudget(t *testing.T) {
+	for _, mislead := range []float64{0, 0.1} {
+		d, want := benchReadDistributor(t, 256<<10, mislead, 0)
+		allocs := testing.AllocsPerRun(20, func() {
+			if got, err := d.GetFile("alice", "root", "bench.bin"); err != nil || len(got) != len(want) {
+				t.Fatalf("GetFile = %d bytes, %v", len(got), err)
+			}
+		})
+		if allocs > 100 {
+			t.Errorf("GetFile of 16 chunks (mislead %v) allocates %.0f times, budget 100", mislead, allocs)
+		}
 	}
 }
 

@@ -254,14 +254,15 @@ func (d *Distributor) rehomePut(pl privacy.Level, firstProv int, firstVID string
 // stored. The deletes are raw — not routed through providerOp — so a
 // provider answering "not found" during cleanup does not count as a
 // success that would reset its breaker while the very put failure that
-// triggered the rollback is still the live signal.
+// triggered the rollback is still the live signal. They fan out like
+// every other bulk provider loop: an aborted PL3 upload has hundreds.
 func (d *Distributor) rollbackStored(stored []storedShard) {
-	for _, s := range stored {
-		if p, err := d.fleet.At(s.provIdx); err == nil {
-			_ = p.Delete(s.vid)
+	d.runParallel(len(stored), func(i int) {
+		if p, err := d.fleet.At(stored[i].provIdx); err == nil {
+			_ = p.Delete(stored[i].vid)
 			d.counters.rollbackDeletes.Add(1)
 		}
-	}
+	})
 }
 
 // fanOutEach runs jobs with bounded parallelism and returns every job's

@@ -42,7 +42,7 @@ type readRung struct {
 func (d *Distributor) readRungs(plan *fetchPlan) []readRung {
 	entry := &plan.entry
 	verified := func(payload []byte) (fetchResult, error) {
-		recovered, err := stripAndVerify(entry, payload)
+		recovered, err := stripAndVerify(entry, payload, nil)
 		if err != nil {
 			return fetchResult{}, err
 		}
@@ -114,13 +114,14 @@ func (d *Distributor) fetchSequential(rungs []readRung) (fetchResult, error) {
 	return fetchResult{}, lastErr
 }
 
-// hedgeDelay returns how long to let a just-launched rung on provIdx run
-// before racing the next rung against it: twice the provider's latency
-// EWMA — comfortably above a typical response, so a healthy provider is
-// almost never hedged — clamped to [hedgeAfter/8, hedgeAfter] so a
-// freshly started distributor (no samples, EWMA 0) or a pathological
-// average can neither hedge instantly nor never.
-func (d *Distributor) hedgeDelay(provIdx int) time.Duration {
+// hedgeDelay returns how long to let a just-launched read of blobs blobs
+// from provIdx run before racing the next rung against it: twice what the
+// provider's latency EWMA — a per-blob figure — predicts for that many,
+// comfortably above a typical response, so a healthy provider is almost
+// never hedged — clamped to [hedgeAfter/8, hedgeAfter] so a freshly
+// started distributor (no samples, EWMA 0) or a pathological average can
+// neither hedge instantly nor never.
+func (d *Distributor) hedgeDelay(provIdx, blobs int) time.Duration {
 	base := d.hedgeAfter
 	if provIdx < 0 {
 		return base
@@ -129,7 +130,7 @@ func (d *Distributor) hedgeDelay(provIdx int) time.Duration {
 	if ewma <= 0 {
 		return base
 	}
-	delay := 2 * ewma
+	delay := 2 * ewma * time.Duration(blobs)
 	if floor := base / 8; delay < floor {
 		delay = floor
 	}
@@ -147,8 +148,11 @@ func (d *Distributor) hedgeDelay(provIdx int) time.Duration {
 // are not cancelled — the provider interface has no context plumbing —
 // they run to completion in the background and their genuine outcomes
 // feed the health tracker exactly as if they had run alone, so losing a
-// race never looks like a provider failure.
-func (d *Distributor) fetchHedged(rungs []readRung) (fetchResult, error) {
+// race never looks like a provider failure. raced says the ladder's
+// first rung is itself a hedge — the primary-fetch step racing a late
+// multi-get (fetchPrimaries) — so the read counts as hedged from the
+// start and a win by any rung is a hedge win.
+func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, error) {
 	type rungResult struct {
 		idx int
 		res fetchResult
@@ -180,7 +184,7 @@ func (d *Distributor) fetchHedged(rungs []readRung) (fetchResult, error) {
 		}
 		timer, timerC = nil, nil
 		if launched < len(rungs) {
-			timer = time.NewTimer(d.hedgeDelay(rungs[launched-1].provIdx))
+			timer = time.NewTimer(d.hedgeDelay(rungs[launched-1].provIdx, 1))
 			timerC = timer.C
 		}
 	}
@@ -192,7 +196,11 @@ func (d *Distributor) fetchHedged(rungs []readRung) (fetchResult, error) {
 		}
 	}()
 
-	hedged := false
+	hedged := raced
+	if raced {
+		d.counters.hedgedReads.Add(1)
+		byHedge[0] = true
+	}
 	var reconErr, lastErr error
 	for done := 0; ; {
 		select {
@@ -242,13 +250,20 @@ func (d *Distributor) fetchHedged(rungs []readRung) (fetchResult, error) {
 // against. The fallback ladder is: primary provider → mirror replicas →
 // RAID reconstruction from the stripe, and every rung checksums its
 // answer before winning — corruption is rescued by falling through the
-// ladder, never served. With hedging enabled (Config.HedgeAfter > 0) the
-// rungs are raced after per-provider EWMA-derived delays; otherwise they
-// run strictly in order. It takes no locks.
+// ladder, never served. It takes no locks.
 func (d *Distributor) fetchVerifiedPlan(plan *fetchPlan) (fetchResult, error) {
-	rungs := d.readRungs(plan)
+	return d.climb(d.readRungs(plan))
+}
+
+// climb runs a ladder: with hedging enabled (Config.HedgeAfter > 0) the
+// rungs are raced after per-provider EWMA-derived delays; otherwise they
+// run strictly in order.
+func (d *Distributor) climb(rungs []readRung) (fetchResult, error) {
+	if len(rungs) == 0 {
+		return fetchResult{}, errRungFailed
+	}
 	if d.hedgeAfter <= 0 {
 		return d.fetchSequential(rungs)
 	}
-	return d.fetchHedged(rungs)
+	return d.fetchHedged(rungs, false)
 }

@@ -28,6 +28,11 @@ type OpMetrics struct {
 	HedgedReads      int64 // payload reads where a hedge rung was launched
 	HedgeWins        int64 // reads won by a hedge-launched rung
 	CoalescedReads   int64 // reads served by another reader's in-flight fetch
+	// BulkGets counts the provider calls made by the primary-fetch step of
+	// GetFile and GetRange, BulkBlobs the blobs those calls asked for:
+	// BulkBlobs ÷ BulkGets is how many chunk reads share a round trip.
+	BulkGets  int64
+	BulkBlobs int64
 	// CorruptionsDetected counts provider answers that had the right
 	// length but failed end-to-end verification — silent corruption the
 	// read ladder rescued (or at least refused to serve).
@@ -47,6 +52,7 @@ type opCounters struct {
 	primaryHits, mirrorHits, reconstructions, transientRetries   atomic.Int64
 	writeFailovers, rollbackDeletes                              atomic.Int64
 	hedgedReads, hedgeWins, corruptionsDetected                  atomic.Int64
+	bulkGets, bulkBlobs                                          atomic.Int64
 }
 
 // Metrics returns a snapshot of the distributor's operation counters.
@@ -72,6 +78,8 @@ func (d *Distributor) Metrics() OpMetrics {
 		HedgedReads:         d.counters.hedgedReads.Load(),
 		HedgeWins:           d.counters.hedgeWins.Load(),
 		CoalescedReads:      d.flights.coalesced.Load(),
+		BulkGets:            d.counters.bulkGets.Load(),
+		BulkBlobs:           d.counters.bulkBlobs.Load(),
 		CorruptionsDetected: d.counters.corruptionsDetected.Load(),
 		Cache:               d.cache.stats(),
 		WAL:                 d.walStats(),

@@ -7,31 +7,19 @@ import (
 	"repro/internal/raid"
 )
 
-// rangeSpan is one chunk overlapping a requested byte range: its fetch
-// plan, its position in the file, and — after the fetch phases — its
-// verified read result.
-type rangeSpan struct {
-	plan    fetchPlan
-	fileOff int // offset of this chunk within the file
-	origLen int
-	res     fetchResult
-	ok      bool
-}
-
 // GetRange serves an arbitrary byte range of a file by fetching only the
 // chunks that overlap it — the fragmentation-side win of the paper's
 // §VII-E comparison ("This approach exploits the benefit of parallel
 // query processing as various fragments can be accessed simultaneously"):
 // a point query touches one or two chunks instead of the whole object.
 //
-// The read is stripe-selective. Phase one fans the overlapping chunks
-// out over their primaries and mirrors only. Only if a chunk stays
+// The read is stripe-selective. Phase one reads the overlapping chunks
+// from their primaries (fetchPrimaries, the step GetFile starts with) and
+// what that missed from primaries and mirrors only. Only if a chunk stays
 // unreadable does phase two reconstruct — one stripe solve per affected
 // stripe, seeded with the members phase one already verified, so a span
 // never fetches shards of stripes it does not touch, and two missing
 // members of the same stripe cost one reconstruction instead of two.
-// Every fetched buffer is returned to the pool after the assembly copies
-// the requested window out.
 func (d *Distributor) GetRange(client, password, filename string, offset, length int) ([]byte, error) {
 	if offset < 0 || length < 0 {
 		return nil, fmt.Errorf("%w: range [%d, %d)", ErrConfig, offset, offset+length)
@@ -61,8 +49,8 @@ func (d *Distributor) GetRange(client, password, filename string, offset, length
 	// Chunk original length = PayloadLen - decoy count (mislead bytes are
 	// not part of the file). Fetch plans for the overlapping chunks are
 	// snapshotted under the lock; the provider I/O happens outside it.
-	var spans []rangeSpan
-	cum := 0
+	var plans []fetchPlan
+	fileOff, cum := 0, 0 // fileOff: where the first overlapping chunk starts
 	for serial, idx := range fe.ChunkIdx {
 		if idx < 0 {
 			d.mu.RUnlock()
@@ -70,7 +58,10 @@ func (d *Distributor) GetRange(client, password, filename string, offset, length
 		}
 		entry := &d.chunks[idx]
 		if cum+entry.DataLen > offset && cum < offset+length {
-			spans = append(spans, rangeSpan{plan: d.planFetch(entry), fileOff: cum, origLen: entry.DataLen})
+			if plans == nil {
+				fileOff = cum
+			}
+			plans = append(plans, d.planFetch(entry))
 		}
 		cum += entry.DataLen
 	}
@@ -80,16 +71,15 @@ func (d *Distributor) GetRange(client, password, filename string, offset, length
 	}
 	d.mu.RUnlock()
 
-	// Phase one: primaries and mirrors only, fanned out across all
-	// overlapping chunks. Failures are collected, not returned — a
-	// missing member is phase two's job.
-	d.runParallel(len(spans), func(i int) {
-		sp := &spans[i]
-		if res, err := d.fetchDirect(&sp.plan); err == nil {
-			sp.res = res
-			sp.ok = true
-		}
-	})
+	// Phase one: primaries, then primaries and mirrors for what those
+	// missed. Failures are collected, not returned — a missing member is
+	// phase two's job.
+	spans := make([]chunkRead, len(plans))
+	for i := range spans {
+		spans[i].plan = &plans[i]
+	}
+	missed := d.fetchPrimaries(spans, true)
+	d.runParallel(len(missed), func(k int) { _ = d.climbRest(missed[k], true) })
 
 	// Phase two: one shared stripe solve per stripe with unreadable
 	// members, seeded with the payloads phase one verified.
@@ -97,38 +87,19 @@ func (d *Distributor) GetRange(client, password, filename string, offset, length
 		return nil, err
 	}
 
+	// The spans are consecutive chunks, so each starts where the previous
+	// one ended. Their recovered bytes may be views of a multi-get's
+	// response buffer (chunkRead): the window is copied out and nothing
+	// is handed to a buffer pool.
 	out := make([]byte, 0, length)
 	for i := range spans {
-		sp := &spans[i]
-		lo := 0
-		if offset > sp.fileOff {
-			lo = offset - sp.fileOff
-		}
-		hi := sp.origLen
-		if offset+length < sp.fileOff+sp.origLen {
-			hi = offset + length - sp.fileOff
-		}
-		out = append(out, sp.res.recovered[lo:hi]...)
-	}
-	// The recovered buffers are uniquely owned by this request (provider
-	// gets return copies, strip/decrypt allocate, and range reads never
-	// populate the cache), so after the copy-out they go back to the pool.
-	for i := range spans {
-		bufpool.Put(spans[i].res.recovered)
+		recovered := spans[i].res.recovered
+		lo := max(offset-fileOff, 0)
+		hi := min(offset+length-fileOff, len(recovered))
+		out = append(out, recovered[lo:hi]...)
+		fileOff += len(recovered)
 	}
 	return out, nil
-}
-
-// fetchDirect walks a chunk's primary and mirror rungs only — no
-// reconstruction rung. The range path recovers unreadable members with
-// one shared stripe solve per group instead of a per-chunk rebuild.
-func (d *Distributor) fetchDirect(plan *fetchPlan) (fetchResult, error) {
-	rungs := d.readRungs(plan)
-	rungs = rungs[:len(rungs)-1] // drop the reconstruction rung
-	if d.hedgeAfter <= 0 {
-		return d.fetchSequential(rungs)
-	}
-	return d.fetchHedged(rungs)
 }
 
 // reconstructSpanStripes rebuilds every span chunk phase one could not
@@ -137,7 +108,7 @@ func (d *Distributor) fetchDirect(plan *fetchPlan) (fetchResult, error) {
 // surviving shards of that stripe (and only that stripe) are fetched
 // raw, and every missing member falls out of the same decode. Rebuilt
 // payloads are verified end-to-end before they count.
-func (d *Distributor) reconstructSpanStripes(spans []rangeSpan) error {
+func (d *Distributor) reconstructSpanStripes(spans []chunkRead) error {
 	groups := make(map[int][]int) // StripeID → span indices
 	var order []int
 	for i := range spans {
@@ -166,8 +137,8 @@ func (d *Distributor) reconstructSpanStripes(spans []rangeSpan) error {
 
 // solveSpanStripe reconstructs the unreadable members among one stripe's
 // spans (idxs index into spans; all share the stripe).
-func (d *Distributor) solveSpanStripe(spans []rangeSpan, idxs []int) error {
-	p0 := &spans[idxs[0]].plan
+func (d *Distributor) solveSpanStripe(spans []chunkRead, idxs []int) error {
+	p0 := spans[idxs[0]].plan
 	if p0.parityCount == 0 {
 		return fmt.Errorf("%w: provider down and no parity (raid level none)", ErrUnavailable)
 	}
@@ -179,7 +150,7 @@ func (d *Distributor) solveSpanStripe(spans []rangeSpan, idxs []int) error {
 		}
 	}()
 
-	spanBySlot := make(map[int]*rangeSpan, len(idxs))
+	spanBySlot := make(map[int]*chunkRead, len(idxs))
 	for _, i := range idxs {
 		sp := &spans[i]
 		if sp.plan.targetSlot < 0 {
@@ -230,7 +201,7 @@ func (d *Distributor) solveSpanStripe(spans []rangeSpan, idxs []int) error {
 		}
 		payload := make([]byte, sp.plan.entry.PayloadLen)
 		copy(payload, rebuilt)
-		recovered, err := stripAndVerify(&sp.plan.entry, payload)
+		recovered, err := stripAndVerify(&sp.plan.entry, payload, nil)
 		if err != nil {
 			return fmt.Errorf("%w: reconstruction yields corrupt payload: %v", ErrUnavailable, err)
 		}

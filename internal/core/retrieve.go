@@ -53,7 +53,8 @@ func (d *Distributor) GetChunk(client, password, filename string, serial int) ([
 // GetFile serves a whole file — the paper's get_file(client name,
 // password, filename). Chunks are fetched with bounded parallelism
 // ("This approach exploits the benefit of parallel query processing as
-// various fragments can be accessed simultaneously").
+// various fragments can be accessed simultaneously"), the chunks of one
+// provider sharing round trips (fetchPrimaries).
 func (d *Distributor) GetFile(client, password, filename string) ([]byte, error) {
 	d.mu.RLock()
 	c, _, err := d.auth(client, password)
@@ -74,7 +75,7 @@ func (d *Distributor) GetFile(client, password, filename string) ([]byte, error)
 	// the provider I/O outside it. Chunks resident in the cache skip
 	// planning entirely: their recovered bytes are copied out here (the
 	// cache is generation-keyed, so fe.Gen under this lock pins a
-	// consistent view) and the fan-out below only places them.
+	// consistent view) and the assembly below only places them.
 	fid, fileGen := fe.FID, fe.Gen
 	plans := make([]fetchPlan, len(fe.ChunkIdx))
 	var cached [][]byte
@@ -97,9 +98,9 @@ func (d *Distributor) GetFile(client, password, filename string) ([]byte, error)
 	d.mu.RUnlock()
 
 	// The whole file is assembled into one buffer sized from the chunk
-	// entries' data lengths; each fetch job recovers its chunk directly
-	// into its segment (offset = prefix sum of the preceding chunks), so
-	// no per-chunk result slices or final concatenation exist.
+	// entries' data lengths; every chunk is recovered directly into its
+	// segment (offset = prefix sum of the preceding chunks), so no
+	// per-chunk result slices or final concatenation exist.
 	offs := make([]int, len(plans)+1)
 	for serial := range plans {
 		n := plans[serial].entry.DataLen
@@ -109,35 +110,43 @@ func (d *Distributor) GetFile(client, password, filename string) ([]byte, error)
 		offs[serial+1] = offs[serial] + n
 	}
 	buf := make([]byte, offs[len(plans)])
-	err = d.fanOutN(len(plans), func(serial int) error {
+	reads := make([]chunkRead, 0, len(plans))
+	for serial := range plans {
 		seg := buf[offs[serial]:offs[serial]:offs[serial+1]]
 		if cached != nil && cached[serial] != nil {
 			copy(seg[:cap(seg)], cached[serial])
-			return nil
+			continue
 		}
-		plan := &plans[serial]
-		key := cacheKey{fid: fid, serial: serial, gen: fileGen}
+		reads = append(reads, chunkRead{plan: &plans[serial], dst: seg})
+	}
+	// Primaries first, a provider call per group of chunks; then only what
+	// that missed climbs the per-chunk ladder, where concurrent misses on
+	// the same chunk generation coalesce into one fetch.
+	missed := d.fetchPrimaries(reads, false)
+	if d.cache != nil {
+		for i := range reads {
+			if r := &reads[i]; r.ok {
+				d.cache.put(cacheKey{fid: fid, serial: r.plan.entry.Serial, gen: fileGen}, r.res.recovered)
+			}
+		}
+	}
+	err = d.fanOutN(len(missed), func(k int) error {
+		r := missed[k]
+		key := cacheKey{fid: fid, serial: r.plan.entry.Serial, gen: fileGen}
 		// The leader copies the verified recovery into its segment of the
-		// shared buffer; coalesced readers get the same slice back. For
-		// plain chunks the recovered bytes alias the provider payload (no
-		// decoys to strip), so this is one copy either way.
-		data, sharedRes, err := d.flights.do(key, func() ([]byte, error) {
-			res, err := d.fetchVerifiedPlan(plan)
-			if err != nil {
+		// shared buffer; coalesced readers get a private copy back and do
+		// the same.
+		data, shared, err := d.flights.do(key, func() ([]byte, error) {
+			if err := d.climbRest(r, false); err != nil {
 				return nil, err
 			}
-			copy(seg[:cap(seg)], res.recovered)
-			out := buf[offs[serial]:offs[serial+1]]
-			d.cache.put(key, out)
-			return out, nil
+			d.cache.put(key, r.res.recovered)
+			return r.res.recovered, nil
 		})
-		if err != nil {
-			return err
+		if err == nil && shared {
+			r.place(fetchResult{recovered: data})
 		}
-		if sharedRes {
-			copy(seg[:cap(seg)], data)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -274,31 +283,38 @@ func (d *Distributor) fetchChunkPlan(plan *fetchPlan) ([]byte, error) {
 
 // stripAndVerify recovers a chunk's original bytes from its stored
 // payload — decrypting (for encrypted files) or stripping misleading
-// bytes — and checks the result against the chunk's checksum.
-func stripAndVerify(entry *chunkEntry, payload []byte) ([]byte, error) {
-	if entry.EncKey == nil && entry.Mislead.Count() == 0 {
-		// No decoys and no ciphertext: the payload IS the original, so
-		// verify in place and alias it instead of copying.
-		if sha256.Sum256(payload) != entry.Sum {
-			return nil, fmt.Errorf("%w: checksum mismatch for %s/%s#%d", ErrUnavailable, entry.Client, entry.Filename, entry.Serial)
-		}
-		return payload, nil
-	}
-	var data []byte
+// bytes — and checks the result against the chunk's checksum. dst, when
+// not nil, is where the caller wants them: a zero-length slice with
+// capacity for exactly the chunk (a segment of a whole-file buffer),
+// which decoys are stripped straight into. Bytes that verify are the
+// chunk's DataLen long, so they always fit; bytes that do not may have
+// left garbage in dst's spare capacity and are not returned. With a nil
+// dst the result is freshly allocated or, for a plain chunk, the payload
+// itself.
+func stripAndVerify(entry *chunkEntry, payload, dst []byte) ([]byte, error) {
+	data, placed := payload, false
 	var err error
-	if entry.EncKey != nil {
-		data, err = cryptofrag.Decrypt(entry.EncKey, payload)
-		if err != nil {
+	switch {
+	case entry.EncKey != nil:
+		if data, err = cryptofrag.Decrypt(entry.EncKey, payload); err != nil {
 			return nil, fmt.Errorf("%w: decrypting chunk: %v", ErrUnavailable, err)
 		}
-	} else {
-		data, err = mislead.Strip(payload, entry.Mislead)
+	case entry.Mislead.Count() > 0:
+		if dst == nil {
+			data, err = mislead.Strip(payload, entry.Mislead)
+		} else {
+			data, err = mislead.StripTo(dst, payload, entry.Mislead)
+			placed = true
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: stripping misleading bytes: %w", err)
 		}
 	}
 	if sha256.Sum256(data) != entry.Sum {
 		return nil, fmt.Errorf("%w: checksum mismatch for %s/%s#%d", ErrUnavailable, entry.Client, entry.Filename, entry.Serial)
+	}
+	if dst != nil && !placed {
+		data = append(dst, data...)
 	}
 	return data, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/privacy"
 	"repro/internal/provider"
@@ -109,8 +110,10 @@ func TestUploadRollbackAtEveryShardPosition(t *testing.T) {
 				if _, err := d.ChunkCount("alice", "root", "f"); !errors.Is(err, ErrNoSuchFile) {
 					t.Fatalf("file exists after failed upload: %v", err)
 				}
-				if k > 1 && d.Metrics().RollbackDeletes == 0 {
-					t.Fatal("rollback of stored shards recorded no deletes")
+				// A ship round runs every put to its end, so all but the failed
+				// one were stored, and each is deleted exactly once.
+				if n := d.Metrics().RollbackDeletes; n != int64(tc.puts-1) {
+					t.Fatalf("rollback recorded %d deletes, want %d", n, tc.puts-1)
 				}
 				// The fault was transient operator error, not state damage:
 				// the same upload must work once the hook clears.
@@ -124,6 +127,92 @@ func TestUploadRollbackAtEveryShardPosition(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRollbackFansOut aborts a many-stripe defended upload late, at the
+// default parallelism: the hundreds of blobs already stored are deleted
+// through the same bounded fan-out as every other bulk provider loop
+// (serially this was one round trip after another), every one of them
+// exactly once, and the counter says so.
+func TestRollbackFansOut(t *testing.T) {
+	f, err := provider.NewFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := make([]*provider.Hooked, 6)
+	var mu sync.Mutex
+	stored, deleted := map[string]bool{}, map[string]int{}
+	inFlight, peak := 0, 0
+	for i := range hooked {
+		mem, err := provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: 1}, provider.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hooked[i] = provider.NewHooked(mem)
+		hooked[i].SetBeforeDelete(func(key string) error {
+			mu.Lock()
+			deleted[key]++
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			time.Sleep(100 * time.Microsecond) // long enough for deletes to overlap
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			return nil
+		})
+		if err := f.Add(hooked[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := New(Config{Fleet: f}) // Parallelism 4, the default
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterClient("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	// 64 chunks at PL3 over RAID-6 on six providers: 16 stripes, 96 puts,
+	// nowhere to fail over to. The 90th put fails for good.
+	n := 0
+	for _, h := range hooked {
+		h.SetBeforePut(func(_ int, key string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if n++; n == 90 {
+				return provider.ErrOutage
+			}
+			stored[key] = true
+			return nil
+		})
+	}
+	data := payload(64*chunkSizeFor(t, privacy.High), 600)
+	opts := UploadOptions{MisleadFraction: 0.25, Assurance: raid.RAID6}
+	if _, err := d.Upload("alice", "root", "f", data, privacy.High, opts); err == nil {
+		t.Fatal("upload should fail when failover is impossible")
+	}
+	for i, h := range hooked {
+		if h.Len() != 0 {
+			t.Fatalf("provider %d holds %d orphaned blobs after rollback", i, h.Len())
+		}
+	}
+	if len(stored) < 80 {
+		t.Fatalf("only %d blobs were stored before the abort; the rollback is not a bulk one", len(stored))
+	}
+	for key := range stored {
+		if deleted[key] != 1 {
+			t.Fatalf("stored blob %s was deleted %d times", key, deleted[key])
+		}
+	}
+	if got := d.Metrics().RollbackDeletes; got != int64(len(stored)) || len(deleted) != len(stored) {
+		t.Fatalf("RollbackDeletes = %d and %d keys deleted, want %d each", got, len(deleted), len(stored))
+	}
+	if peak < 2 {
+		t.Fatalf("at most %d delete in flight at a time: the rollback ran serially", peak)
 	}
 }
 

@@ -251,6 +251,6 @@ func (d *Distributor) scrubStripeParity(it *stripeScrubItem, rep *ScrubReport) {
 // payloadMatches verifies a stored payload against the chunk's checksum
 // (after stripping misleading bytes).
 func (d *Distributor) payloadMatches(entry *chunkEntry, payload []byte) bool {
-	data, err := stripAndVerify(entry, payload)
+	data, err := stripAndVerify(entry, payload, nil)
 	return err == nil && data != nil
 }

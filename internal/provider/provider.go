@@ -32,6 +32,26 @@ type Store interface {
 	Info() Info
 }
 
+// GetMany reads several keys from p: in one call when p offers a GetMany
+// of its own (transport.RemoteProvider does, one round trip for all of
+// them), with one Get per key otherwise — which is also what a batch of
+// one is, so a single read stays the single-key call it always was.
+// blobs and errs are index-aligned with keys. The blobs may share one
+// backing buffer: keep none of them past the use of the others without
+// copying, and hand none to a buffer pool.
+func GetMany(p Store, keys []string) (blobs [][]byte, errs []error) {
+	if m, ok := p.(interface {
+		GetMany(keys []string) ([][]byte, []error)
+	}); ok && len(keys) > 1 {
+		return m.GetMany(keys)
+	}
+	blobs, errs = make([][]byte, len(keys)), make([]error, len(keys))
+	for i, key := range keys {
+		blobs[i], errs[i] = p.Get(key)
+	}
+	return blobs, errs
+}
+
 // Info is the static description of a provider: one row of the paper's
 // Cloud Provider Table, minus the live chunk list the distributor keeps.
 type Info struct {

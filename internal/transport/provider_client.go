@@ -238,15 +238,22 @@ func providerError(resp *http.Response) error {
 }
 
 func statusToProviderError(resp *http.Response) error {
-	msg := errorText(resp, 512)
-	switch resp.StatusCode {
+	return providerErrorOf(resp.StatusCode, errorText(resp, 512))
+}
+
+// providerErrorOf is providerStatus's inverse: the provider error a
+// status and its message text stand for, whether they arrived as a
+// response of their own or as one item of a multi-get reply.
+func providerErrorOf(status int, msg []byte) error {
+	msg = bytes.TrimSpace(msg)
+	switch status {
 	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", provider.ErrNotFound, bytes.TrimSpace(msg))
+		return fmt.Errorf("%w: %s", provider.ErrNotFound, msg)
 	case http.StatusServiceUnavailable:
-		return fmt.Errorf("%w: %s", provider.ErrOutage, bytes.TrimSpace(msg))
+		return fmt.Errorf("%w: %s", provider.ErrOutage, msg)
 	case http.StatusBadGateway:
-		return fmt.Errorf("%w: %s", provider.ErrInjected, bytes.TrimSpace(msg))
+		return fmt.Errorf("%w: %s", provider.ErrInjected, msg)
 	default:
-		return fmt.Errorf("transport: provider status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		return fmt.Errorf("transport: provider status %d: %s", status, msg)
 	}
 }

@@ -1,0 +1,370 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/privacy"
+	"repro/internal/provider"
+)
+
+// multiGetFrames builds a reply body out of (status, bytes) pairs.
+func multiGetFrames(items ...any) []byte {
+	var reply []byte
+	for i := 0; i < len(items); i += 2 {
+		data := []byte(items[i+1].(string))
+		reply = binary.AppendUvarint(reply, uint64(items[i].(int)))
+		reply = binary.AppendUvarint(reply, uint64(len(data)))
+		reply = append(reply, data...)
+	}
+	return reply
+}
+
+// TestRemoteProviderGetMany: one round trip, every key answered as a
+// single Get would have answered it — blob for blob and error for error,
+// text included — and a server-side hook sees one get per key.
+func TestRemoteProviderGetMany(t *testing.T) {
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := provider.NewHooked(mem)
+	var mu sync.Mutex // the server's goroutines write, the test reads
+	var seen []string
+	requests := 0
+	hooked.SetBeforeGet(func(key string) error {
+		mu.Lock()
+		seen = append(seen, key)
+		mu.Unlock()
+		switch key {
+		case "dark":
+			return fmt.Errorf("%w: N", provider.ErrOutage)
+		case "flaky":
+			return fmt.Errorf("%w: N", provider.ErrInjected)
+		case "broken":
+			return errors.New("disk on fire")
+		}
+		return nil
+	})
+	server := NewProviderServer(hooked)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests++
+		mu.Unlock()
+		server.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	remote, err := DialProvider(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte{9}, 10<<10)
+	for key, blob := range map[string][]byte{"a": []byte("alpha"), "empty": {}, "big": big} {
+		if err := mem.Put(key, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	keys := []string{"a", "missing", "big", "dark", "empty", "flaky", "broken", "odd/key with space"}
+	blobs, errs := remote.GetMany(keys)
+	mu.Lock()
+	if requests != 2 { // the dial's info request, and this
+		t.Fatalf("GetMany of %d keys made %d requests, want 1", len(keys), requests-1)
+	}
+	if strings.Join(seen, ",") != strings.Join(keys, ",") {
+		t.Fatalf("the provider saw gets %q, want one per key in order %q", seen, keys)
+	}
+	mu.Unlock()
+	if len(blobs) != len(keys) || len(errs) != len(keys) {
+		t.Fatalf("%d blobs and %d errors for %d keys", len(blobs), len(errs), len(keys))
+	}
+	for i, key := range keys {
+		single, singleErr := remote.Get(key)
+		if !bytes.Equal(blobs[i], single) || (errs[i] == nil) != (singleErr == nil) {
+			t.Errorf("%q: GetMany = %d bytes, %v; Get = %d bytes, %v", key, len(blobs[i]), errs[i], len(single), singleErr)
+			continue
+		}
+		if singleErr == nil {
+			continue
+		}
+		if errs[i].Error() != singleErr.Error() {
+			t.Errorf("%q: GetMany says %q, Get says %q", key, errs[i], singleErr)
+		}
+		for _, sentinel := range []error{provider.ErrNotFound, provider.ErrOutage, provider.ErrInjected} {
+			if errors.Is(errs[i], sentinel) != errors.Is(singleErr, sentinel) {
+				t.Errorf("%q: GetMany error %v and Get error %v disagree on %v", key, errs[i], singleErr, sentinel)
+			}
+		}
+	}
+	if !errors.Is(errs[1], provider.ErrNotFound) || !errors.Is(errs[3], provider.ErrOutage) || !errors.Is(errs[5], provider.ErrInjected) {
+		t.Fatalf("per-item sentinels: %v / %v / %v", errs[1], errs[3], errs[5])
+	}
+	// The blobs are views of one buffer, clipped so that appending to one
+	// cannot run into the next.
+	if cap(blobs[0]) != len(blobs[0]) || cap(blobs[2]) != len(blobs[2]) {
+		t.Fatalf("blob capacities %d/%d exceed their lengths %d/%d", cap(blobs[0]), cap(blobs[2]), len(blobs[0]), len(blobs[2]))
+	}
+	if none, noErrs := remote.GetMany(nil); len(none) != 0 || len(noErrs) != 0 {
+		t.Fatalf("GetMany of no keys = %d blobs, %d errors", len(none), len(noErrs))
+	}
+}
+
+// TestProviderGetManyHelper: the helper takes the one-call path only when
+// the provider offers it and there is more than one key to ask for; a
+// wrapper that embeds the interface (provider.Hooked, a timing shim) hides
+// it and gets the loop.
+func TestProviderGetManyHelper(t *testing.T) {
+	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
+	for _, key := range []string{"a", "b"} {
+		if err := mem.Put(key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requests := map[string]int{}
+	remote.client = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		requests[r.Method+" "+r.URL.Path]++
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	check := func(p provider.Store, keys []string, want map[string]int) {
+		t.Helper()
+		clear(requests)
+		blobs, errs := provider.GetMany(p, keys)
+		for i, key := range keys {
+			if errs[i] != nil || string(blobs[i]) != key {
+				t.Fatalf("GetMany(%q)[%d] = %q, %v", keys, i, blobs[i], errs[i])
+			}
+		}
+		if fmt.Sprint(requests) != fmt.Sprint(want) {
+			t.Fatalf("GetMany(%q) made requests %v, want %v", keys, requests, want)
+		}
+	}
+	check(remote, []string{"a", "b"}, map[string]int{"POST " + multiGetPath: 1})
+	check(remote, []string{"a"}, map[string]int{"GET /v1/chunks/a": 1})
+	check(provider.NewHooked(remote), []string{"a", "b"}, map[string]int{"GET /v1/chunks/a": 1, "GET /v1/chunks/b": 1})
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestRemoteProviderGetManyFailureShapes mirrors the single Get's body
+// rules for the multi-get reply: a declared length over the cap is
+// refused unread, a reply that ends early — on the wire or inside a frame
+// — is io.ErrUnexpectedEOF and never a short blob, and a reply whose item
+// count is not the key count fails whole. Whatever fails the call is
+// every key's error.
+func TestRemoteProviderGetManyFailureShapes(t *testing.T) {
+	lowerBlobCap(t, 1<<10)
+	octets := func(body []byte) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			_, _ = w.Write(body)
+		}
+	}
+	cutFrame := multiGetFrames(200, "whole", 200, "cut short")
+	for name, tc := range map[string]struct {
+		serve   http.HandlerFunc
+		wantErr string
+		is      error
+	}{
+		"declared oversize": {lyingBody(1<<50, 0), "exceeds", ErrOversizeResponse},
+		"chunked oversize":  {chunkedBody(1<<10 + 1), "exceeds", ErrOversizeResponse},
+		"short body":        {lyingBody(100, 10), "unexpected EOF", io.ErrUnexpectedEOF},
+		"ends mid-frame":    {octets(cutFrame[:len(cutFrame)-3]), "item 1", io.ErrUnexpectedEOF},
+		"ends mid-header":   {octets(append(multiGetFrames(200, "whole"), 0xC8)), "item 1", io.ErrUnexpectedEOF},
+		"too few items":     {octets(multiGetFrames(200, "only one")), "1 items, 2 keys", nil},
+		"too many items":    {octets(multiGetFrames(200, "a", 200, "b", 200, "c")), "more than the 2 items", nil},
+		"length overflow":   {octets(append([]byte{0xC8, 0x01}, bytes.Repeat([]byte{0xFF}, 11)...)), "malformed length", nil},
+		"refused":           {func(w http.ResponseWriter, _ *http.Request) { http.Error(w, "no", http.StatusRequestEntityTooLarge) }, "provider status 413", nil},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, infoDTO{Name: "L", PL: 3, CL: 1})
+		})
+		mux.HandleFunc("POST "+multiGetPath, tc.serve)
+		srv := httptest.NewServer(mux)
+		remote, err := DialProvider(srv.URL, srv.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, errs := remote.GetMany([]string{"k1", "k2"})
+		for i := range errs {
+			if errs[i] == nil || blobs[i] != nil || !strings.Contains(errs[i].Error(), tc.wantErr) {
+				t.Errorf("%s: key %d = %d bytes, %v; want no blob and an error mentioning %q", name, i, len(blobs[i]), errs[i], tc.wantErr)
+			}
+			if tc.is != nil && !errors.Is(errs[i], tc.is) {
+				t.Errorf("%s: key %d error %v is not %v", name, i, errs[i], tc.is)
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestGetChunksRouteRefusals drives the server side of the route through
+// its handler, so the request can lie about itself: a key list declared
+// over the request cap is 413 unread, one that is not a JSON array of
+// strings is 400, and a reply that would pass the blob cap is 413 instead
+// of built.
+func TestGetChunksRouteRefusals(t *testing.T) {
+	lowerBlobCap(t, 4<<10)
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put("k", make([]byte, 3<<10)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewProviderServer(mem)
+	post := func(body io.Reader, declared int64) int {
+		req := httptest.NewRequest(http.MethodPost, multiGetPath, body)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post(untouchable{t}, maxJSONRequest+1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared oversize key list: status %d, want 413", code)
+	}
+	if code := post(strings.NewReader(`{"keys":1}`), -1); code != http.StatusBadRequest {
+		t.Errorf("a key list that is not an array: status %d, want 400", code)
+	}
+	if code := post(strings.NewReader(`["k"]`), -1); code != http.StatusOK {
+		t.Errorf("one 3 KiB blob under a 4 KiB cap: status %d, want 200", code)
+	}
+	before := mem.Usage().Gets
+	if code := post(strings.NewReader(`["k","k","k","k"]`), -1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a 12 KiB reply under a 4 KiB cap: status %d, want 413", code)
+	}
+	if n := mem.Usage().Gets - before; n != 2 {
+		t.Errorf("the refused reply fetched %d blobs, want to stop at the second", n)
+	}
+}
+
+// TestRemoteProviderGetManyRetriesNetworkErrors: a multi-get is a read,
+// so a call that dies below HTTP is resent like a single Get; a served
+// error is not.
+func TestRemoteProviderGetManyRetriesNetworkErrors(t *testing.T) {
+	mem, err := provider.New(provider.Info{Name: "flk", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewProviderServer(mem))
+	t.Cleanup(srv.Close)
+	flaky := newFlakyTransport(srv.Client().Transport)
+	remote, err := DialProvider(srv.URL, &http.Client{Transport: flaky, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slept []time.Duration
+	remote.retry.sleep = func(d time.Duration) { slept = append(slept, d) }
+	if err := mem.Put("a", []byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+
+	flaky.failNext(multiGetPath, netRetries-1)
+	blobs, errs := remote.GetMany([]string{"a", "gone"})
+	if errs[0] != nil || string(blobs[0]) != "alpha" || !errors.Is(errs[1], provider.ErrNotFound) {
+		t.Fatalf("GetMany across %d dropped connections = %q/%v, %v", netRetries-1, blobs[0], errs[0], errs[1])
+	}
+	if n := flaky.attempts(multiGetPath); n != netRetries || len(slept) != netRetries-1 {
+		t.Fatalf("%d attempts and %d backoff sleeps, want %d and %d", n, len(slept), netRetries, netRetries-1)
+	}
+	flaky.failNext(multiGetPath, netRetries)
+	if _, errs = remote.GetMany([]string{"a", "gone"}); !errors.Is(errs[0], provider.ErrOutage) || !errors.Is(errs[1], provider.ErrOutage) {
+		t.Fatalf("GetMany with the retry budget exhausted = %v, %v; want ErrOutage for every key", errs[0], errs[1])
+	}
+}
+
+// FuzzMultiGetReply: hostile reply bytes never panic the parser, and
+// whatever it accepts is consistent — every blob a view inside the reply,
+// no longer than the reply, one slot per key, error or blob but not both.
+func FuzzMultiGetReply(f *testing.F) {
+	f.Add(multiGetFrames(200, "alpha", 404, "provider: key not found: N/k", 200, ""), 3)
+	f.Add(multiGetFrames(200, "alpha"), 2)
+	f.Add([]byte{0xC8, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 1)
+	f.Add([]byte{0xC8, 0x01, 0x05, 'a', 'b'}, 1)
+	f.Add([]byte{}, 0)
+	f.Fuzz(func(t *testing.T, reply []byte, keys int) {
+		if keys < 0 || keys > 64 {
+			return
+		}
+		blobs, errs := make([][]byte, keys), make([]error, keys)
+		if err := parseMultiGetReply(reply, blobs, errs); err != nil {
+			return
+		}
+		total := 0
+		for i := range blobs {
+			if (blobs[i] != nil) == (errs[i] != nil) {
+				t.Fatalf("item %d: blob %v and error %v, want exactly one", i, blobs[i] != nil, errs[i])
+			}
+			if cap(blobs[i]) != len(blobs[i]) {
+				t.Fatalf("item %d: capacity %d past its length %d", i, cap(blobs[i]), len(blobs[i]))
+			}
+			total += len(blobs[i])
+		}
+		if total > len(reply) {
+			t.Fatalf("%d blob bytes out of a %d-byte reply", total, len(reply))
+		}
+	})
+}
+
+// clientGetFileRig is the distributor→client hop of a whole-object read
+// and nothing else: an 8 MiB reply answered through the route table, and
+// the Client that reads it.
+func clientGetFileRig(tb testing.TB) (c *Client, size int) {
+	object := bytes.Repeat([]byte("0123456789abcdef"), 8<<20/16)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		routeGetFile.answer(w, object, nil)
+	}))
+	tb.Cleanup(srv.Close)
+	return NewClient(srv.URL, srv.Client()), len(object)
+}
+
+// BenchmarkClientGetFile: declared, the reply body is allocated once; B/op
+// over 1.1 × the object means the reader is growing and recopying again.
+func BenchmarkClientGetFile(b *testing.B) {
+	c, size := clientGetFileRig(b)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := c.GetFile("a", "pw", "f"); err != nil || len(got) != size {
+			b.Fatalf("GetFile = %d bytes, %v", len(got), err)
+		}
+	}
+}
+
+// TestClientGetFileAllocationBudget is the benchmark's bound as a test.
+func TestClientGetFileAllocationBudget(t *testing.T) {
+	c, size := clientGetFileRig(t)
+	get := func() {
+		if got, err := c.GetFile("a", "pw", "f"); err != nil || len(got) != size {
+			t.Fatalf("GetFile = %d bytes, %v", len(got), err)
+		}
+	}
+	get() // warm the connection
+	// The least of a few reads: whatever else the process allocates
+	// meanwhile can only add.
+	least := ^uint64(0)
+	for i := 0; i < 4; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		get()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(size) * 11 / 10; least > limit {
+		t.Fatalf("reading an %d-byte reply allocates %d bytes, want <= %d (1.1 x the object)", size, least, limit)
+	}
+}

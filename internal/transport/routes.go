@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -233,8 +234,13 @@ func (rt *route) answer(w http.ResponseWriter, v any, err error) {
 	case rt.reply == replyJSON:
 		writeJSON(w, v)
 	case rt.reply == replyOctets:
+		// The length is declared so that the client allocates a whole-object
+		// reply once (readBody); undeclared, net/http chunks it and the
+		// reader regrows and recopies its way up.
+		body := v.([]byte)
 		w.Header().Set("Content-Type", octetStream)
-		_, _ = w.Write(v.([]byte))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body)
 	} // replyStream: the handler has written it
 
 }
