@@ -2,6 +2,7 @@
 #
 #   make check            vet + routes-lint + build + race tests + fuzz seed corpora
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
+#   make loc              non-test Go code lines per package and in total
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
 #   FUZZTIME=30s make fuzz  longer fuzz budget
@@ -62,7 +63,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet routes-lint test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet routes-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
 check: vet routes-lint build race fuzz
 
@@ -82,6 +83,19 @@ routes-lint:
 		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'routes-lint: distributor paths belong in internal/transport/routes.go'; exit 1; \
 	fi
+
+# Non-test Go lines that are neither blank nor comment-only, per package
+# and in total — the figure "net-negative" is measured in. A report, not
+# a gate: run it at two commits and compare.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \
+		FNR == 1 { block = 0 } \
+		{ line = $$0; sub(/^[ \t]+/, "", line) } \
+		block { if (index(line, "*/")) block = 0; next } \
+		line == "" || line ~ /^\/\// { next } \
+		line ~ /^\/\*/ { block = !index(line, "*/"); next } \
+		{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); n[dir]++; total++ } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
 
 test:
 	$(GO) test ./...

@@ -19,15 +19,16 @@ const (
 	bulkGetBytes = 1 << 20
 )
 
-// chunkRead is one chunk of a whole-file or range read on its way
-// through the primary-fetch step: the plan going in, the verified result
-// coming out. dst, when set, is where the recovered bytes belong (see
+// chunkRead is one located chunk of a read snapshot (openRead) on its way
+// through the read: the plan going in, the verified result coming out —
+// already there (ok, no payload, entry only in the plan) when the cache
+// had the chunk. dst, when set, is where the recovered bytes belong (see
 // stripAndVerify). A payload delivered by a multi-get is a view of that
 // call's response buffer, shared with its neighbours: it lives as long
 // as the request, goes to no buffer pool, and anything kept longer (the
 // chunk cache) is a copy.
 type chunkRead struct {
-	plan *fetchPlan
+	plan fetchPlan
 	dst  []byte
 	res  fetchResult
 	ok   bool
@@ -45,15 +46,18 @@ type bulkCall struct {
 	bytes int
 }
 
-// planBulkCalls groups reads by primary provider into calls within the
-// caps, in one pass: a read joins its provider's open call or, when that
-// is full, opens the next. Calls are therefore ordered by the first read
-// they carry — file order, which interleaves the providers — and the
-// grouping is a pure function of the plans.
+// planBulkCalls groups the unsettled reads by primary provider into calls
+// within the caps, in one pass: a read joins its provider's open call or,
+// when that is full, opens the next. Calls are therefore ordered by the
+// first read they carry — file order, which interleaves the providers —
+// and the grouping is a pure function of the plans.
 func (d *Distributor) planBulkCalls(reads []chunkRead) []bulkCall {
 	var calls []bulkCall
 	open := make([]int, d.fleet.Len()) // provider → its open call + 1
 	for i := range reads {
+		if reads[i].ok {
+			continue
+		}
 		e := &reads[i].plan.entry
 		k := open[e.CPIndex] - 1
 		if k < 0 || len(calls[k].reads) == bulkGetBlobs || calls[k].bytes+e.PayloadLen > bulkGetBytes {
@@ -67,19 +71,80 @@ func (d *Distributor) planBulkCalls(reads []chunkRead) []bulkCall {
 	return calls
 }
 
-// fetchPrimaries is the first step of every multi-chunk read (GetFile,
-// GetRange): it asks each chunk's primary provider for it, one provider
-// call per group of chunks instead of one per chunk, and verifies every
-// blob that comes back (length, then strip/decrypt + checksum, straight
-// into its destination). What it could not deliver — a failed call, a
-// missing, short or corrupt blob — it leaves !ok and returns, for the
-// caller to send up the per-chunk ladder (climbRest), whose retries,
-// mirrors and reconstruction are unchanged. direct says the caller's
-// ladder has no reconstruction rung (GetRange solves stripes itself), so
-// a late call is raced by mirrors only.
-func (d *Distributor) fetchPrimaries(reads []chunkRead, direct bool) (missed []*chunkRead) {
+// readChunks is the multi-chunk read step, the fetch of GetFile and
+// GetRange alike: it settles every chunk of the snapshot, recovered bytes
+// in the read's dst when it has one. Cache hits are already settled. The
+// rest are asked of their primaries, a provider call per group of chunks
+// (fetchPrimaries); what verifies fills the cache. Only what that missed
+// climbs the rest of its ladder — mirrors, then reconstruction — through
+// d.flights, so concurrent misses on one chunk generation coalesce into
+// one fetch: the leader places the verified recovery and fills the cache,
+// coalesced readers place the private copy they get back.
+//
+// The reads settled when the primary step finishes seed the stripe solves
+// of the ones that missed (solveStripe's known): with one provider dark a
+// whole-file read has every surviving data member of each degraded stripe
+// in hand and fetches parity only. The price: two unreadable members of
+// one stripe are two solves, not a shared one.
+func (d *Distributor) readChunks(s *readSnap) error {
+	reads := s.reads
+	for i := range reads {
+		if r := &reads[i]; r.ok {
+			r.place(r.res)
+		}
+	}
+	missed := d.fetchPrimaries(reads)
+	if d.cache != nil {
+		for i := range reads {
+			if r := &reads[i]; r.ok && r.res.payload != nil {
+				d.cache.put(s.key(r), r.res.recovered)
+			}
+		}
+	}
+	if len(missed) == 0 {
+		return nil
+	}
+	// An empty payload seeds nothing: nil is the mark of a wrong blob.
+	known := make(map[string][]byte, len(reads))
+	for i := range reads {
+		if r := &reads[i]; r.ok && len(r.res.payload) > 0 {
+			known[r.plan.entry.VirtualID] = r.res.payload
+		} else if r.primaryWrong {
+			known[r.plan.entry.VirtualID] = nil
+		}
+	}
+	return d.fanOutN(len(missed), func(k int) error {
+		r := missed[k]
+		key := s.key(r)
+		data, shared, err := d.flights.do(key, func() ([]byte, error) {
+			rungs := d.readRungs(&r.plan, known)
+			if r.primaryWrong {
+				rungs = rungs[1:]
+			}
+			res, err := d.climb(rungs)
+			if err != nil {
+				return nil, err
+			}
+			r.place(res)
+			d.cache.put(key, r.res.recovered)
+			return r.res.recovered, nil
+		})
+		if err == nil && shared {
+			r.place(fetchResult{recovered: data})
+		}
+		return err
+	})
+}
+
+// fetchPrimaries asks each unsettled chunk's primary provider for it, one
+// provider call per group of chunks instead of one per chunk, and
+// verifies every blob that comes back (length, then strip/decrypt +
+// checksum, straight into its destination). What it could not deliver —
+// a failed call, a missing, short or corrupt blob — it leaves !ok and
+// returns.
+func (d *Distributor) fetchPrimaries(reads []chunkRead) (missed []*chunkRead) {
 	calls := d.planBulkCalls(reads)
-	d.runParallel(len(calls), func(k int) { d.bulkGet(reads, &calls[k], direct) })
+	d.runParallel(len(calls), func(k int) { d.bulkGet(reads, &calls[k]) })
 	for i := range reads {
 		if !reads[i].ok {
 			missed = append(missed, &reads[i])
@@ -103,12 +168,14 @@ type bulkAnswer struct {
 //
 // With hedging on, a call that has not answered after the provider's
 // hedge delay for that many blobs is raced chunk by chunk by the rest of
-// the ladder (mirrors, then reconstruction). The race is run from here,
-// so only this goroutine ever writes a read: the first verified result
-// per chunk wins, and once the call does answer, the chunks not yet
-// rescued are served from it. Like any losing rung the late call runs to
-// completion and its genuine outcome reaches the health tracker.
-func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall, direct bool) {
+// the ladder (mirrors, then reconstruction — with nothing known: the
+// other calls of the step are still writing their reads). The race is run
+// from here, so only this goroutine ever writes a read: the first
+// verified result per chunk wins, and once the call does answer, the
+// chunks not yet rescued are served from it. Like any losing rung the
+// late call runs to completion and its genuine outcome reaches the health
+// tracker.
+func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 	p, err := d.fleet.At(c.prov)
 	if err != nil {
 		return
@@ -174,47 +241,16 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall, direct bool) {
 	}
 	for j := range keys {
 		r := &reads[c.reads[j]]
-		rungs := d.restOfLadder(r, true, direct)
-		if len(rungs) == 0 {
-			// Nothing to race this chunk with: wait the call out.
-			settle(<-done, j)
-			return
-		}
 		select {
 		case a := <-done:
 			settle(a, j)
 			return
 		default:
 		}
-		if res, err := d.fetchHedged(rungs, true); err == nil {
+		if res, err := d.fetchHedged(d.readRungs(&r.plan, nil)[1:], true); err == nil {
 			r.place(res)
 		}
 	}
-}
-
-// restOfLadder is the read's per-chunk ladder without the rungs that are
-// not worth (or not the caller's to) climb: the primary when it is being
-// raced or has already answered wrongly, reconstruction when the caller
-// is direct.
-func (d *Distributor) restOfLadder(r *chunkRead, skipPrimary, direct bool) []readRung {
-	rungs := d.readRungs(r.plan)
-	if skipPrimary {
-		rungs = rungs[1:]
-	}
-	if direct {
-		rungs = rungs[:len(rungs)-1]
-	}
-	return rungs
-}
-
-// climbRest sends a read the primary-fetch step could not deliver up the
-// rest of its ladder.
-func (d *Distributor) climbRest(r *chunkRead, direct bool) error {
-	res, err := d.climb(d.restOfLadder(r, r.primaryWrong, direct))
-	if err == nil {
-		r.place(res)
-	}
-	return err
 }
 
 // place records a ladder result as the read's, moving the recovered

@@ -185,10 +185,37 @@ func TestBulkReadFaultFree(t *testing.T) {
 	})
 }
 
+// wantDegradedGets is what each provider is asked for by a read of every
+// chunk with provider dark out: its own chunks, plus its parity shards of
+// the stripes that have a member on the dark provider — the surviving
+// data members of those stripes are in the read's hands already.
+func (rig *bulkRig) wantDegradedGets(dark int) (want []int64, total int64) {
+	want = make([]int64, len(rig.hooked))
+	for _, st := range rig.d.StateView().Stripes {
+		degraded := false
+		for _, m := range st.Members {
+			want[m.ProvIdx]++
+			degraded = degraded || m.ProvIdx == dark
+		}
+		for _, p := range st.Parity {
+			if degraded {
+				want[p.ProvIdx]++
+			}
+		}
+	}
+	for i, n := range want {
+		if i != dark {
+			total += n
+		}
+	}
+	return want, total
+}
+
 // TestBulkReadDarkProvider: with one provider dark, only its chunks are
 // reconstructed; every other chunk still arrives in its provider's
 // multi-gets, and the survivors are asked for nothing beyond their own
-// chunks and the stripe shards those reconstructions need.
+// chunks and the parity shards of the degraded stripes — the same
+// through GetFile and through a full-width GetRange.
 func TestBulkReadDarkProvider(t *testing.T) {
 	bothWays(t, func(t *testing.T, remote bool) {
 		rig := newBulkRig(t, 6, remote, core.Config{})
@@ -198,30 +225,48 @@ func TestBulkReadDarkProvider(t *testing.T) {
 		rig.hooked[dark].SetPartitioned(true)
 		calls, blobs := wantCalls(by)
 		lost := int64(len(by[dark]))
+		want, total := rig.wantDegradedGets(dark)
+		// RAID-6: two parity shards per lost chunk, not its five siblings.
+		if total != blobs-lost+2*lost {
+			t.Fatalf("test arithmetic: %d survivor gets expected, want %d − %d + 2·%d", total, blobs, lost, lost)
+		}
 
-		got, err := rig.d.GetFile("alice", "root", "f")
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("GetFile with provider %d dark: err=%v, equal=%v", dark, err, bytes.Equal(got, data))
-		}
-		m := rig.d.Metrics()
-		if m.BulkGets != calls || m.BulkBlobs != blobs {
-			t.Errorf("bulk gets/blobs = %d/%d, want %d/%d", m.BulkGets, m.BulkBlobs, calls, blobs)
-		}
-		if m.Reconstructions != lost || m.PrimaryHits != blobs-lost {
-			t.Errorf("reconstructions=%d primary=%d, want %d/%d", m.Reconstructions, m.PrimaryHits, lost, blobs-lost)
-		}
-		// RAID-6 over six providers: a stripe is 4 data + 2 parity shards,
-		// one per provider, so each reconstruction reads one shard from
-		// each of the five survivors.
-		for i, vids := range by {
-			if i == dark {
-				continue
+		for _, path := range []struct {
+			name string
+			read func() ([]byte, error)
+		}{
+			{"GetFile", func() ([]byte, error) { return rig.d.GetFile("alice", "root", "f") }},
+			{"GetRange", func() ([]byte, error) { return rig.d.GetRange("alice", "root", "f", 0, len(data)) }},
+		} {
+			name := path.name
+			rig.resetCounts()
+			before := rig.d.Metrics()
+			got, err := path.read()
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s with provider %d dark: err=%v, equal=%v", name, dark, err, bytes.Equal(got, data))
 			}
-			if n, want := rig.gets[i].Load(), int64(len(vids))+lost; n != want {
-				t.Errorf("survivor %d was asked for %d keys, want %d of its own + %d stripe shards", i, n, len(vids), lost)
+			m := rig.d.Metrics()
+			if gets, blobsAsked := m.BulkGets-before.BulkGets, m.BulkBlobs-before.BulkBlobs; gets != calls || blobsAsked != blobs {
+				t.Errorf("%s: bulk gets/blobs = %d/%d, want %d/%d", name, gets, blobsAsked, calls, blobs)
 			}
-			if remote && rig.multiReq[i].Load() != int64((len(vids)+31)/32) {
-				t.Errorf("survivor %d saw %d multi-gets, want %d", i, rig.multiReq[i].Load(), (len(vids)+31)/32)
+			if rec, prim := m.Reconstructions-before.Reconstructions, m.PrimaryHits-before.PrimaryHits; rec != lost || prim != blobs-lost {
+				t.Errorf("%s: reconstructions=%d primary=%d, want %d/%d", name, rec, prim, lost, blobs-lost)
+			}
+			var asked int64
+			for i, vids := range by {
+				if i == dark {
+					continue
+				}
+				asked += rig.gets[i].Load()
+				if n := rig.gets[i].Load(); n != want[i] {
+					t.Errorf("%s: survivor %d was asked for %d keys, want %d of its own + %d parity shards", name, i, n, len(vids), want[i]-int64(len(vids)))
+				}
+				if remote && rig.multiReq[i].Load() != int64((len(vids)+31)/32) {
+					t.Errorf("%s: survivor %d saw %d multi-gets, want %d", name, i, rig.multiReq[i].Load(), (len(vids)+31)/32)
+				}
+			}
+			if asked != total {
+				t.Errorf("%s: %d provider gets, want %d", name, asked, total)
 			}
 		}
 	})
@@ -263,7 +308,7 @@ func TestBulkReadCorruptAndTruncatedBlob(t *testing.T) {
 			t.Errorf("the two bad blobs were fetched %d times, want once each", n)
 		}
 
-		// The same two through a range read: phase two's stripe solve.
+		// The same two through a range read: the same step, the same solve.
 		rangeGot, err := rig.d.GetRange("alice", "root", "f", 0, len(data))
 		if err != nil || !bytes.Equal(rangeGot, data) {
 			t.Fatalf("GetRange: err=%v, equal=%v", err, bytes.Equal(rangeGot, data))
@@ -277,7 +322,8 @@ func TestBulkReadCorruptAndTruncatedBlob(t *testing.T) {
 // TestBulkReadStalledProvider is TestHedgeMirrorRescue's contract for
 // whole files: a provider that stalls without failing must not hold the
 // read hostage. Its late call is raced chunk by chunk by the rest of the
-// ladder, and when it finally answers, that genuine success — not a
+// ladder — for a range read too, which without mirrors used to wait the
+// call out — and when it finally answers, that genuine success — not a
 // failure — is what its health record sees.
 func TestBulkReadStalledProvider(t *testing.T) {
 	for _, replicas := range []int{0, 1} {
@@ -312,6 +358,28 @@ func TestBulkReadStalledProvider(t *testing.T) {
 			}
 			if replicas > 0 && m.Reconstructions != 0 {
 				t.Errorf("reconstructions=%d with a mirror of every chunk", m.Reconstructions)
+			}
+
+			ranged := make(chan error, 1)
+			go func() {
+				got, err := rig.d.GetRange("alice", "root", "f", 0, len(data))
+				if err == nil && !bytes.Equal(got, data) {
+					err = fmt.Errorf("wrong bytes")
+				}
+				ranged <- err
+			}()
+			select {
+			case err := <-ranged:
+				if err != nil {
+					t.Fatalf("GetRange with provider %d stalled: %v", slow, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("GetRange waits out provider %d's stalled call", slow)
+			}
+			m = rig.d.Metrics()
+			if m.HedgedReads != 2*stalled || m.HedgeWins != 2*stalled || m.MirrorHits+m.Reconstructions != 2*stalled {
+				t.Errorf("after the range read: hedged=%d wins=%d mirror=%d reconstructions=%d, want %d rescues",
+					m.HedgedReads, m.HedgeWins, m.MirrorHits, m.Reconstructions, 2*stalled)
 			}
 
 			unstall()
@@ -429,9 +497,13 @@ func TestMultiGetBodyIsNeverKept(t *testing.T) {
 	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
 		t.Fatal(err)
 	}
+	// Two files of the same bytes, one per read path: either read fills
+	// the cache, and a read served from it would travel in no body.
 	data := randomBytes(512<<10, 18) // PL2: 32 plain chunks of 16 KiB
-	if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"f", "g"} {
+		if _, err := d.Upload("alice", "root", name, data, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Whatever the pool hands out after a read must not be a piece of a
@@ -449,11 +521,11 @@ func TestMultiGetBodyIsNeverKept(t *testing.T) {
 		return false
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	ranged, err := d.GetRange("alice", "root", "f", 0, len(data))
+	ranged, err := d.GetRange("alice", "root", "g", 0, len(data)) // either fills the cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := d.GetFile("alice", "root", "f") // fills the cache
+	whole, err := d.GetFile("alice", "root", "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,8 +558,77 @@ func TestMultiGetBodyIsNeverKept(t *testing.T) {
 	if err != nil || !bytes.Equal(cached, data) {
 		t.Fatalf("cached read after the bodies were overwritten: err=%v, equal=%v", err, bytes.Equal(cached, data))
 	}
+	cachedRange, err := d.GetRange("alice", "root", "g", 0, len(data))
+	if err != nil || !bytes.Equal(cachedRange, data) {
+		t.Fatalf("cached range read after the bodies were overwritten: err=%v, equal=%v", err, bytes.Equal(cachedRange, data))
+	}
 	if d.Metrics().BulkGets != gets {
-		t.Fatal("the second GetFile went to the providers: the cache was not filled")
+		t.Fatal("a second read went to the providers: the cache was not filled")
+	}
+}
+
+// TestGetRangeUsesCacheAndFlights: a range read is the same read step as
+// a whole-file one, so it fills and is served from the chunk cache, and
+// concurrent range misses on one chunk generation share one ladder climb.
+func TestGetRangeUsesCacheAndFlights(t *testing.T) {
+	rig := newBulkRig(t, 6, false, core.Config{CacheBytes: 8 << 20})
+	data := rig.defendedUpload(t, 256<<10)
+	primary := -1 // of serial 0, the file's first 8 KiB
+	for _, b := range rig.d.StateView().Blobs {
+		if b.Kind == core.BlobChunk && b.Serial == 0 {
+			primary = b.ProvIdx
+		}
+	}
+	rig.hooked[primary].SetPartitioned(true)
+
+	// Chunk 0's primary is dark, so every reader misses the primary step
+	// and takes the ladder; the leader stalls fetching parity until all
+	// the others have joined its flight.
+	const readers = 6
+	release := make(chan struct{})
+	for i, h := range rig.hooked {
+		if i != primary {
+			i := i
+			h.SetBeforeGet(func(string) error { rig.gets[i].Add(1); <-release; return nil })
+		}
+	}
+	results, errs := make([][]byte, readers), make([]error, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = rig.d.GetRange("alice", "root", "f", 100, 5000)
+		}(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rig.d.Metrics().CoalescedReads != readers-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("coalesced = %d, want %d", rig.d.Metrics().CoalescedReads, readers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil || !bytes.Equal(results[i], data[100:5100]) {
+			t.Fatalf("reader %d: err=%v, equal=%v", i, errs[i], bytes.Equal(results[i], data[100:5100]))
+		}
+	}
+	if m := rig.d.Metrics(); m.Reconstructions != 1 {
+		t.Errorf("%d reconstructions for %d coalesced readers, want 1", m.Reconstructions, readers)
+	}
+
+	// The chunk is cached now: any window of it costs no provider get.
+	rig.resetCounts()
+	got, err := rig.d.GetRange("alice", "root", "f", 4000, 4000)
+	if err != nil || !bytes.Equal(got, data[4000:8000]) {
+		t.Fatalf("repeated range read: err=%v, equal=%v", err, bytes.Equal(got, data[4000:8000]))
+	}
+	for i := range rig.gets {
+		if n := rig.gets[i].Load(); n != 0 {
+			t.Errorf("repeated range read asked provider %d for %d keys", i, n)
+		}
 	}
 }
 

@@ -38,12 +38,14 @@ type Config struct {
 	// Parallelism bounds concurrent provider operations per request
 	// (default 4).
 	Parallelism int
-	// StreamWindow bounds how many stripes a streaming transfer
-	// (UploadStream / GetFileTo) may hold in flight at once (default 4).
-	// Peak distributor memory for a streaming request is O(window ×
-	// stripe size), independent of file size. 1 yields strict lockstep
-	// (plan→ship→plan→ship), which deterministic harnesses rely on;
-	// negative is rejected.
+	// StreamWindow bounds what a streaming transfer may hold in memory at
+	// once (default 4): UploadStream counts stripes (planned or shipping),
+	// GetFileTo counts chunks (being fetched, or fetched and not yet
+	// written). Peak distributor memory for a streaming request is
+	// O(window × stripe size) up, O(window × chunk size) down, independent
+	// of file size. 1 yields strict lockstep (plan→ship→plan→ship; one
+	// fetch at a time), which deterministic harnesses rely on; negative is
+	// rejected.
 	StreamWindow int
 	// MisleadSeed makes decoy injection reproducible.
 	MisleadSeed int64
@@ -335,6 +337,24 @@ func (d *Distributor) authorize(client, password string, need privacy.Level) (*c
 		return nil, fmt.Errorf("%w: password unlocks %v, chunk requires %v", ErrAuth, pl, need)
 	}
 	return c, nil
+}
+
+// authFile authenticates and resolves (client, filename), enforcing the
+// same rule against the file's privacy level — which is every one of its
+// chunks' — with the password hashed once. Callers hold d.mu.
+func (d *Distributor) authFile(client, password, filename string) (*clientEntry, *fileEntry, error) {
+	c, pl, err := d.auth(client, password)
+	if err != nil {
+		return nil, nil, err
+	}
+	fe, ok := c.Files[filename]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
+	}
+	if pl < fe.PL {
+		return nil, nil, fmt.Errorf("%w: password unlocks %v, chunk requires %v", ErrAuth, pl, fe.PL)
+	}
+	return c, fe, nil
 }
 
 // Providers returns the fleet (for inspection in examples and tests).

@@ -38,8 +38,10 @@ type readRung struct {
 // one that failed outright: the ladder falls through to the next copy
 // instead of serving corrupt bytes. The reconstruction rung is always
 // present — without parity it fails immediately with the descriptive
-// error the ladder reports when everything else missed too.
-func (d *Distributor) readRungs(plan *fetchPlan) []readRung {
+// error the ladder reports when everything else missed too. known is
+// what the caller has already settled of the chunk's stripe
+// (solveStripe); nil for a read that stands alone.
+func (d *Distributor) readRungs(plan *fetchPlan, known map[string][]byte) []readRung {
 	entry := &plan.entry
 	verified := func(payload []byte) (fetchResult, error) {
 		recovered, err := stripAndVerify(entry, payload, nil)
@@ -72,7 +74,7 @@ func (d *Distributor) readRungs(plan *fetchPlan) []readRung {
 			fetch: source(m.CPIndex, m.VirtualID)})
 	}
 	rungs = append(rungs, readRung{kind: rungReconstruct, provIdx: -1, fetch: func() (fetchResult, error) {
-		payload, err := d.reconstructPlan(plan)
+		payload, err := d.solveStripe(plan, known)
 		if err != nil {
 			return fetchResult{}, err
 		}
@@ -149,9 +151,9 @@ func (d *Distributor) hedgeDelay(provIdx, blobs int) time.Duration {
 // they run to completion in the background and their genuine outcomes
 // feed the health tracker exactly as if they had run alone, so losing a
 // race never looks like a provider failure. raced says the ladder's
-// first rung is itself a hedge — the primary-fetch step racing a late
-// multi-get (fetchPrimaries) — so the read counts as hedged from the
-// start and a win by any rung is a hedge win.
+// first rung is itself a hedge — the read step racing a late multi-get
+// (bulkGet) — so the read counts as hedged from the start and a win by
+// any rung is a hedge win.
 func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, error) {
 	type rungResult struct {
 		idx int
@@ -201,7 +203,7 @@ func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, er
 		d.counters.hedgedReads.Add(1)
 		byHedge[0] = true
 	}
-	var reconErr, lastErr error
+	var reconErr error
 	for done := 0; ; {
 		select {
 		case <-timerC:
@@ -223,16 +225,11 @@ func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, er
 			if rungs[res.idx].kind == rungReconstruct {
 				reconErr = res.err
 			}
-			lastErr = res.err
 			done++
 			if done == len(rungs) {
-				// Every rung failed. Full ladders ran reconstruction, whose
-				// error is the most descriptive; truncated ladders (the
-				// range path's direct fetches) fall back to the last rung's.
-				if reconErr != nil {
-					return fetchResult{}, reconErr
-				}
-				return fetchResult{}, lastErr
+				// Every rung failed; every ladder ends in reconstruction,
+				// whose error is the most descriptive.
+				return fetchResult{}, reconErr
 			}
 			if done == launched {
 				// Nothing left in flight: escalate immediately rather
@@ -252,16 +249,13 @@ func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, er
 // answer before winning — corruption is rescued by falling through the
 // ladder, never served. It takes no locks.
 func (d *Distributor) fetchVerifiedPlan(plan *fetchPlan) (fetchResult, error) {
-	return d.climb(d.readRungs(plan))
+	return d.climb(d.readRungs(plan, nil))
 }
 
 // climb runs a ladder: with hedging enabled (Config.HedgeAfter > 0) the
 // rungs are raced after per-provider EWMA-derived delays; otherwise they
 // run strictly in order.
 func (d *Distributor) climb(rungs []readRung) (fetchResult, error) {
-	if len(rungs) == 0 {
-		return fetchResult{}, errRungFailed
-	}
 	if d.hedgeAfter <= 0 {
 		return d.fetchSequential(rungs)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,6 +77,18 @@ func TestGetRangeValidation(t *testing.T) {
 	}
 	if _, err := d.GetRange("alice", "root", "f", 9_999, 100); !errors.Is(err, ErrRange) {
 		t.Fatalf("overflow range: %v", err)
+	}
+	// offset+length must not be computed in int: the first of these used
+	// to wrap negative and return zero bytes with a nil error, the second
+	// panicked sizing the output buffer.
+	if got, err := d.GetRange("alice", "root", "f", math.MaxInt, 1); !errors.Is(err, ErrRange) {
+		t.Fatalf("offset MaxInt: %d bytes, %v", len(got), err)
+	}
+	if got, err := d.GetRange("alice", "root", "f", 10, math.MaxInt); !errors.Is(err, ErrRange) {
+		t.Fatalf("length MaxInt: %d bytes, %v", len(got), err)
+	}
+	if got, err := d.GetRange("alice", "root", "f", 10_000, 0); err != nil || len(got) != 0 {
+		t.Fatalf("empty range at the end: %d bytes, %v", len(got), err)
 	}
 	if _, err := d.GetRange("alice", "root", "nope", 0, 1); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("missing file: %v", err)

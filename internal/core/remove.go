@@ -21,17 +21,8 @@ import (
 func (d *Distributor) RemoveFile(client, password, filename string) error {
 	// ---- Plan ----
 	d.mu.Lock()
-	c, _, err := d.auth(client, password)
+	c, fe, err := d.authFile(client, password, filename)
 	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	fe, ok := c.Files[filename]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
-	}
-	if _, err := d.authorize(client, password, fe.PL); err != nil {
 		d.mu.Unlock()
 		return err
 	}

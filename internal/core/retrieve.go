@@ -11,190 +11,222 @@ import (
 	"repro/internal/raid"
 )
 
+// Every read is snapshot → fetch → sink. openRead takes the snapshot: the
+// one place a read authenticates, walks the tables and consults the
+// cache. The multi-chunk read step (readChunks, bulkfetch.go) or a
+// single-chunk ladder (fetchVerifiedPlan) fetches what the snapshot did
+// not already settle. GetChunk, GetFile, GetRange and GetFileTo differ
+// only in which chunks they ask the snapshot for and where the recovered
+// bytes go.
+
+// readSpan says which chunks of a file a read is after: one serial, or
+// the chunks overlapping the byte window [offset, offset+length) of the
+// file — length < 0 meaning every chunk, 0 none.
+type readSpan struct {
+	one                    bool
+	serial, offset, length int
+}
+
+var wholeFile = readSpan{length: -1}
+
+// readSnap is what a read decided under d.mu: which file generation it
+// pinned and the chunks it located, in serial order, each either settled
+// from the chunk cache or carrying the plan to fetch it. Everything after
+// the snapshot runs without the lock.
+type readSnap struct {
+	fid, gen uint64
+	chunks   int         // serials in the file, removed ones included
+	fileOff  int         // file offset of reads[0]'s first byte
+	reads    []chunkRead // the located chunks
+}
+
+func (s *readSnap) key(r *chunkRead) cacheKey {
+	return cacheKey{fid: s.fid, serial: r.plan.entry.Serial, gen: s.gen}
+}
+
+// openRead is the first step of every read (and of ChunkCount): under one
+// d.mu.RLock hold it authenticates, resolves the file, enforces the
+// privilege rule, refuses a file with a removed serial (unless exactly
+// one other serial is wanted), locates the wanted chunks and, for each,
+// either copies its recovered bytes out of the cache — generation-keyed,
+// so fe.Gen under this lock pins a consistent view — or snapshots its
+// fetch plan. A window is checked against the file's size before anything
+// is planned or allocated for it.
+func (d *Distributor) openRead(client, password, filename string, want readSpan) (*readSnap, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	_, fe, err := d.authFile(client, password, filename)
+	if err != nil {
+		return nil, err
+	}
+	s := &readSnap{fid: fe.FID, gen: fe.Gen, chunks: len(fe.ChunkIdx)}
+	if want.one {
+		entry, err := d.chunkOf(fe, want.serial)
+		if err != nil {
+			return nil, err
+		}
+		s.reads = []chunkRead{d.snapChunk(s, entry)}
+		return s, nil
+	}
+	if want.length == 0 {
+		return s, nil
+	}
+	size := 0
+	for serial := range fe.ChunkIdx {
+		entry, err := d.chunkOf(fe, serial)
+		if err != nil {
+			return nil, err
+		}
+		size += entry.DataLen
+	}
+	if want.length > size-want.offset {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d of a file of %d bytes", ErrRange, want.length, want.offset, size)
+	}
+	if want.length < 0 {
+		s.reads = make([]chunkRead, 0, len(fe.ChunkIdx))
+	}
+	cum := 0 // file offset of the chunk at hand
+	for _, idx := range fe.ChunkIdx {
+		entry := &d.chunks[idx]
+		if want.length < 0 || (cum+entry.DataLen > want.offset && cum-want.offset < want.length) {
+			if len(s.reads) == 0 {
+				s.fileOff = cum
+			}
+			s.reads = append(s.reads, d.snapChunk(s, entry))
+		}
+		cum += entry.DataLen
+	}
+	return s, nil
+}
+
+// chunkOf resolves a serial of fe to its live chunk entry. Callers hold
+// d.mu.
+func (d *Distributor) chunkOf(fe *fileEntry, serial int) (*chunkEntry, error) {
+	if serial < 0 || serial >= len(fe.ChunkIdx) {
+		return nil, fmt.Errorf("%w: serial %d of %s (file has %d chunks)", ErrNoSuchChunk, serial, fe.Filename, len(fe.ChunkIdx))
+	}
+	idx := fe.ChunkIdx[serial]
+	if idx < 0 {
+		return nil, fmt.Errorf("%w: serial %d was removed", ErrNoSuchChunk, serial)
+	}
+	return &d.chunks[idx], nil
+}
+
+// snapChunk is one located chunk of a snapshot: settled if the cache has
+// it (planning skipped; the entry copy carries its lengths and drops the
+// Mirrors slice it would share with the table), a fetch plan otherwise.
+func (d *Distributor) snapChunk(s *readSnap, entry *chunkEntry) chunkRead {
+	data, hit := d.cache.get(cacheKey{fid: s.fid, serial: entry.Serial, gen: s.gen})
+	if !hit {
+		return chunkRead{plan: d.planFetch(entry)}
+	}
+	r := chunkRead{res: fetchResult{recovered: data}, ok: true}
+	r.plan.entry = *entry
+	r.plan.entry.Mirrors = nil
+	return r
+}
+
+// lookupChunk authenticates and resolves (client, filename, serial) for
+// the write paths, which hold d.mu exclusively and mutate the entry.
+func (d *Distributor) lookupChunk(client, password, filename string, serial int) (*chunkEntry, error) {
+	_, fe, err := d.authFile(client, password, filename)
+	if err != nil {
+		return nil, err
+	}
+	return d.chunkOf(fe, serial)
+}
+
 // GetChunk serves one chunk to a client holding a sufficiently privileged
 // password — the paper's get_chunk(client name, password, filename,
 // sl no.). If the chunk's provider is unreachable the distributor
 // transparently reconstructs the chunk from the stripe's surviving shards.
 func (d *Distributor) GetChunk(client, password, filename string, serial int) ([]byte, error) {
-	d.mu.RLock()
-	entry, err := d.lookupChunk(client, password, filename, serial)
+	s, err := d.openRead(client, password, filename, readSpan{one: true, serial: serial})
 	if err != nil {
-		d.mu.RUnlock()
 		return nil, err
 	}
 	d.counters.chunkReads.Add(1)
-	fe := d.clients[client].Files[filename]
-	key := cacheKey{fid: fe.FID, serial: serial, gen: fe.Gen}
-	if data, ok := d.cache.get(key); ok {
-		d.mu.RUnlock()
-		return data, nil
+	r := &s.reads[0]
+	if r.ok {
+		return r.res.recovered, nil
 	}
-	plan := d.planFetch(entry)
-	d.mu.RUnlock()
-	// The provider round-trips happen outside d.mu so one slow or dark
-	// provider cannot stall every other client request; concurrent misses
-	// on the same chunk generation coalesce into one fetch.
+	// Concurrent misses on the same chunk generation coalesce into one
+	// fetch. A reader that raced a commit inserts under the generation it
+	// planned against; if that generation is already superseded the entry
+	// is unreachable (no future reader computes the old key) and ages out.
+	key := s.key(r)
 	data, shared, err := d.flights.do(key, func() ([]byte, error) {
-		return d.fetchChunkPlan(&plan)
+		return d.fetchChunkPlan(&r.plan)
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && !shared {
+		d.cache.put(key, data)
 	}
-	if shared {
-		return data, nil
-	}
-	// A reader that raced a commit inserts under the generation it planned
-	// against; if that generation is already superseded the entry is
-	// unreachable (no future reader computes the old key) and ages out.
-	d.cache.put(key, data)
-	return data, nil
+	return data, err
 }
 
 // GetFile serves a whole file — the paper's get_file(client name,
-// password, filename). Chunks are fetched with bounded parallelism
-// ("This approach exploits the benefit of parallel query processing as
-// various fragments can be accessed simultaneously"), the chunks of one
-// provider sharing round trips (fetchPrimaries).
+// password, filename): every chunk, recovered by the read step directly
+// into its segment of one buffer sized from the chunk entries' data
+// lengths, so no per-chunk result slices or final concatenation exist.
 func (d *Distributor) GetFile(client, password, filename string) ([]byte, error) {
-	d.mu.RLock()
-	c, _, err := d.auth(client, password)
+	s, err := d.openRead(client, password, filename, wholeFile)
 	if err != nil {
-		d.mu.RUnlock()
 		return nil, err
 	}
-	fe, ok := c.Files[filename]
-	if !ok {
-		d.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
+	size := 0
+	for i := range s.reads {
+		size += s.reads[i].plan.entry.DataLen
 	}
-	if _, err := d.authorize(client, password, fe.PL); err != nil {
-		d.mu.RUnlock()
-		return nil, err
+	buf := make([]byte, size)
+	off := 0
+	for i := range s.reads {
+		end := off + s.reads[i].plan.entry.DataLen
+		s.reads[i].dst = buf[off:off:end]
+		off = end
 	}
-	// Snapshot every chunk's fetch plan under the read lock, then do all
-	// the provider I/O outside it. Chunks resident in the cache skip
-	// planning entirely: their recovered bytes are copied out here (the
-	// cache is generation-keyed, so fe.Gen under this lock pins a
-	// consistent view) and the assembly below only places them.
-	fid, fileGen := fe.FID, fe.Gen
-	plans := make([]fetchPlan, len(fe.ChunkIdx))
-	var cached [][]byte
-	if d.cache != nil {
-		cached = make([][]byte, len(fe.ChunkIdx))
-	}
-	for serial, idx := range fe.ChunkIdx {
-		if idx < 0 {
-			d.mu.RUnlock()
-			return nil, fmt.Errorf("%w: serial %d was removed", ErrNoSuchChunk, serial)
-		}
-		if cached != nil {
-			if data, ok := d.cache.get(cacheKey{fid: fid, serial: serial, gen: fileGen}); ok {
-				cached[serial] = data
-				continue
-			}
-		}
-		plans[serial] = d.planFetch(&d.chunks[idx])
-	}
-	d.mu.RUnlock()
-
-	// The whole file is assembled into one buffer sized from the chunk
-	// entries' data lengths; every chunk is recovered directly into its
-	// segment (offset = prefix sum of the preceding chunks), so no
-	// per-chunk result slices or final concatenation exist.
-	offs := make([]int, len(plans)+1)
-	for serial := range plans {
-		n := plans[serial].entry.DataLen
-		if cached != nil && cached[serial] != nil {
-			n = len(cached[serial]) // cache stores recovered bytes, len == DataLen
-		}
-		offs[serial+1] = offs[serial] + n
-	}
-	buf := make([]byte, offs[len(plans)])
-	reads := make([]chunkRead, 0, len(plans))
-	for serial := range plans {
-		seg := buf[offs[serial]:offs[serial]:offs[serial+1]]
-		if cached != nil && cached[serial] != nil {
-			copy(seg[:cap(seg)], cached[serial])
-			continue
-		}
-		reads = append(reads, chunkRead{plan: &plans[serial], dst: seg})
-	}
-	// Primaries first, a provider call per group of chunks; then only what
-	// that missed climbs the per-chunk ladder, where concurrent misses on
-	// the same chunk generation coalesce into one fetch.
-	missed := d.fetchPrimaries(reads, false)
-	if d.cache != nil {
-		for i := range reads {
-			if r := &reads[i]; r.ok {
-				d.cache.put(cacheKey{fid: fid, serial: r.plan.entry.Serial, gen: fileGen}, r.res.recovered)
-			}
-		}
-	}
-	err = d.fanOutN(len(missed), func(k int) error {
-		r := missed[k]
-		key := cacheKey{fid: fid, serial: r.plan.entry.Serial, gen: fileGen}
-		// The leader copies the verified recovery into its segment of the
-		// shared buffer; coalesced readers get a private copy back and do
-		// the same.
-		data, shared, err := d.flights.do(key, func() ([]byte, error) {
-			if err := d.climbRest(r, false); err != nil {
-				return nil, err
-			}
-			d.cache.put(key, r.res.recovered)
-			return r.res.recovered, nil
-		})
-		if err == nil && shared {
-			r.place(fetchResult{recovered: data})
-		}
-		return err
-	})
-	if err != nil {
+	if err := d.readChunks(s); err != nil {
 		return nil, err
 	}
 	d.counters.fileReads.Add(1)
 	return buf, nil
 }
 
+// GetRange serves an arbitrary byte range of a file by reading only the
+// chunks that overlap it — the fragmentation-side win of the paper's
+// §VII-E comparison: a point query touches one or two chunks instead of
+// the whole object, and a degraded one only the stripes of those chunks.
+// The recovered chunks may be views of a multi-get's response buffer
+// (chunkRead): the window is copied out of them.
+func (d *Distributor) GetRange(client, password, filename string, offset, length int) ([]byte, error) {
+	if offset < 0 || length < 0 {
+		return nil, fmt.Errorf("%w: range of %d bytes at offset %d", ErrConfig, length, offset)
+	}
+	s, err := d.openRead(client, password, filename, readSpan{offset: offset, length: length})
+	if err != nil {
+		return nil, err
+	}
+	d.counters.rangeReads.Add(1)
+	if err := d.readChunks(s); err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, length)
+	skip := offset - s.fileOff // the window starts inside the first chunk
+	for i := range s.reads {
+		part := s.reads[i].res.recovered[skip:]
+		out = append(out, part[:min(len(part), length-len(out))]...)
+		skip = 0
+	}
+	return out, nil
+}
+
 // ChunkCount reports how many chunks a file has (what the distributor
 // "notifies" the client of).
 func (d *Distributor) ChunkCount(client, password, filename string) (int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	c, _, err := d.auth(client, password)
+	s, err := d.openRead(client, password, filename, readSpan{})
 	if err != nil {
 		return 0, err
 	}
-	fe, ok := c.Files[filename]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
-	}
-	return len(fe.ChunkIdx), nil
-}
-
-// lookupChunk authenticates and resolves (client, filename, serial) to a
-// chunk entry, enforcing password privilege against the chunk's privacy
-// level. Callers hold d.mu (read or write mode — the lookup only reads).
-func (d *Distributor) lookupChunk(client, password, filename string, serial int) (*chunkEntry, error) {
-	c, _, err := d.auth(client, password)
-	if err != nil {
-		return nil, err
-	}
-	fe, ok := c.Files[filename]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
-	}
-	if serial < 0 || serial >= len(fe.ChunkIdx) {
-		return nil, fmt.Errorf("%w: serial %d of %s (file has %d chunks)", ErrNoSuchChunk, serial, filename, len(fe.ChunkIdx))
-	}
-	idx := fe.ChunkIdx[serial]
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: serial %d was removed", ErrNoSuchChunk, serial)
-	}
-	entry := &d.chunks[idx]
-	if _, err := d.authorize(client, password, entry.PL); err != nil {
-		return nil, err
-	}
-	return entry, nil
+	return s.chunks, nil
 }
 
 // fetchPlan is an immutable snapshot of everything needed to serve one
@@ -336,11 +368,17 @@ func (d *Distributor) tryGet(provIdx int, vid string, wantLen int) ([]byte, bool
 	return payload, true
 }
 
-// reconstructPlan rebuilds one chunk from the surviving members of its
-// stripe, as snapshotted in the plan. It takes no locks. The surviving
-// shards are pooled scratch released before returning; the rebuilt
-// payload is copied out so no pooled buffer ever escapes the read path.
-func (d *Distributor) reconstructPlan(plan *fetchPlan) ([]byte, error) {
+// solveStripe rebuilds one chunk's stored payload from the other shards
+// of its stripe, as snapshotted in the plan — the one stripe decode of the
+// read side. known holds the shards the caller has already settled, by
+// virtual id: a stored payload that verified is used as it is, a nil
+// entry marks a blob known to be wrong (fetching it again would feed the
+// same bytes to the decoder); every other shard is fetched. A nil map is
+// a solve with nothing known. It takes no locks. The shards are pooled
+// scratch, zero-padded to the stripe's shard length so parity math lines
+// up, and released before returning; the rebuilt payload is copied out so
+// no pooled buffer ever escapes the read path.
+func (d *Distributor) solveStripe(plan *fetchPlan, known map[string][]byte) ([]byte, error) {
 	if plan.level.ParityShards() == 0 {
 		return nil, fmt.Errorf("%w: provider down and no parity (raid level none)", ErrUnavailable)
 	}
@@ -355,12 +393,19 @@ func (d *Distributor) reconstructPlan(plan *fetchPlan) ([]byte, error) {
 		}
 	}()
 	for _, ref := range plan.siblings {
-		payload, err := d.rawShard(ref.provIdx, ref.vid, plan.shardLen, ref.payloadLen)
-		if err != nil {
-			continue // surviving-shard fetch failed; leave nil for decoder
+		payload, ok := known[ref.vid]
+		if ok {
+			ok = payload != nil
+		} else {
+			payload, ok = d.tryGet(ref.provIdx, ref.vid, ref.payloadLen)
 		}
-		shards[ref.slot] = payload
-		pooled = append(pooled, payload)
+		if !ok {
+			continue // leave the slot empty for the decoder
+		}
+		shard := bufpool.Get(plan.shardLen)
+		clear(shard[copy(shard, payload):])
+		shards[ref.slot] = shard
+		pooled = append(pooled, shard)
 	}
 	stripe := &raid.Stripe{Level: plan.level, Shards: shards, DataShards: plan.dataShards}
 	if err := stripe.Reconstruct(); err != nil {
@@ -372,27 +417,5 @@ func (d *Distributor) reconstructPlan(plan *fetchPlan) ([]byte, error) {
 	}
 	out := make([]byte, plan.entry.PayloadLen)
 	copy(out, rebuilt)
-	return out, nil
-}
-
-// rawShard fetches one shard with transient retry and zero-pads it (in a
-// pooled buffer the caller releases) to the stripe's shard length so
-// parity math lines up.
-func (d *Distributor) rawShard(provIdx int, vid string, shardLen, payloadLen int) ([]byte, error) {
-	var payload []byte
-	err := d.providerOp(provIdx, func(p provider.Provider) error {
-		var e error
-		payload, e = p.Get(vid)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) != payloadLen {
-		return nil, fmt.Errorf("%w: shard length %d, want %d", ErrUnavailable, len(payload), payloadLen)
-	}
-	out := bufpool.Get(shardLen)
-	n := copy(out, payload)
-	clear(out[n:])
 	return out, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the streaming data plane: UploadStream and GetFileTo move
-// a file through the distributor stripe-by-stripe behind an io.Reader /
-// io.Writer, holding at most Config.StreamWindow stripes of payload in
+// a file through the distributor behind an io.Reader / io.Writer, holding
+// at most Config.StreamWindow stripes (up) or chunks (down) of payload in
 // memory at once. The byte-slice entry points (Upload, GetFile) remain
 // the whole-buffer fast path for small objects; these are the large-blob
 // path where materializing the file would evict the chunk cache and
@@ -180,51 +180,23 @@ func (d *Distributor) UploadStream(client, password, filename string, r io.Reade
 // GetFileTo streams a whole file into w in chunk order while up to
 // Config.StreamWindow later chunks are fetched (and hedged) in the
 // background — GetFile's read resilience with O(window) memory instead
-// of a whole-file buffer. Chunks already resident in the generation-
+// of a whole-file buffer. It is the one multi-chunk sink that does not
+// run the batched read step: a barrier per batch measured slower than
+// this stream of single-chunk ladder reads at every batch size that
+// keeps the memory bound (EXPERIMENTS.md, PR 17). Chunks already resident in the generation-
 // keyed cache are served from it, but streamed reads never populate the
 // cache: a GiB-scale pass through an LRU sized for point reads would
 // only evict every hot chunk. Returns the bytes written; on error the
 // count reports how much of the prefix reached w before the failure.
 func (d *Distributor) GetFileTo(w io.Writer, client, password, filename string) (int64, error) {
-	d.mu.RLock()
-	c, _, err := d.auth(client, password)
+	// One snapshot of the whole file, like GetFile: the plans pin a single
+	// file generation, so a concurrent update can never tear the stream.
+	// Plans are metadata-sized (a few hundred bytes per chunk) — the
+	// window bounds payload memory.
+	s, err := d.openRead(client, password, filename, wholeFile)
 	if err != nil {
-		d.mu.RUnlock()
 		return 0, err
 	}
-	fe, ok := c.Files[filename]
-	if !ok {
-		d.mu.RUnlock()
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
-	}
-	if _, err := d.authorize(client, password, fe.PL); err != nil {
-		d.mu.RUnlock()
-		return 0, err
-	}
-	// Snapshot every chunk's fetch plan under one RLock hold, like
-	// GetFile: the plans pin a single file generation, so a concurrent
-	// update can never tear the stream. Plans are metadata-sized (a few
-	// hundred bytes per chunk) — the window bounds payload memory.
-	fid, fileGen := fe.FID, fe.Gen
-	plans := make([]fetchPlan, len(fe.ChunkIdx))
-	var cached [][]byte
-	if d.cache != nil {
-		cached = make([][]byte, len(fe.ChunkIdx))
-	}
-	for serial, idx := range fe.ChunkIdx {
-		if idx < 0 {
-			d.mu.RUnlock()
-			return 0, fmt.Errorf("%w: serial %d was removed", ErrNoSuchChunk, serial)
-		}
-		if cached != nil {
-			if data, ok := d.cache.get(cacheKey{fid: fid, serial: serial, gen: fileGen}); ok {
-				cached[serial] = data
-				continue
-			}
-		}
-		plans[serial] = d.planFetch(&d.chunks[idx])
-	}
-	d.mu.RUnlock()
 
 	// Bounded lookahead: keep fetching ahead of the writer until
 	// in-flight fetches plus buffered out-of-order chunks reach the
@@ -236,25 +208,21 @@ func (d *Distributor) GetFileTo(w io.Writer, client, password, filename string) 
 		data   []byte
 		err    error
 	}
-	n := len(plans)
+	n := len(s.reads)
 	window := d.streamWindow
 	results := make(chan item, window)
 	pending := make(map[int][]byte, window)
 	launched, inFlight, next := 0, 0, 0
 	var written int64
 	launch := func() {
-		s := launched
+		it, r := item{serial: launched}, &s.reads[launched]
 		launched++
 		inFlight++
-		if cached != nil && cached[s] != nil {
-			data := cached[s]
-			go func() { results <- item{serial: s, data: data} }()
-			return
-		}
-		plan := &plans[s]
 		go func() {
-			data, err := d.fetchChunkPlan(plan)
-			results <- item{serial: s, data: data, err: err}
+			if it.data = r.res.recovered; !r.ok {
+				it.data, it.err = d.fetchChunkPlan(&r.plan)
+			}
+			results <- it
 		}()
 	}
 	for next < n {

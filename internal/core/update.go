@@ -349,23 +349,19 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 // chunks that had no injection at snapshot time — the distributor rejects
 // the request otherwise.
 func (d *Distributor) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
-	d.mu.RLock()
-	entry, err := d.lookupChunk(client, password, filename, serial)
+	s, err := d.openRead(client, password, filename, readSpan{one: true, serial: serial})
 	if err != nil {
-		d.mu.RUnlock()
 		return nil, err
 	}
+	entry := &s.reads[0].plan.entry
 	if entry.SnapVID == "" || entry.SPIndex < 0 {
-		d.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s#%d", ErrNoSnapshot, filename, serial)
 	}
-	spIdx, snapVID := entry.SPIndex, entry.SnapVID
-	d.mu.RUnlock()
 	// Fetch outside the lock; the outcome still feeds health accounting.
 	var payload []byte
-	err = d.providerOp(spIdx, func(p provider.Provider) error {
+	err = d.providerOp(entry.SPIndex, func(p provider.Provider) error {
 		var e error
-		payload, e = p.Get(snapVID)
+		payload, e = p.Get(entry.SnapVID)
 		return e
 	})
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/provider"
 	"repro/internal/raid"
-	"repro/internal/sim"
 )
 
 // ChunkSizePoint is one row of the chunk-size ablation (§VII-C "Reducing
@@ -198,7 +197,7 @@ type RaidPoint struct {
 func AblationRAID(width int, p float64, down, nProviders int, seed int64) ([]RaidPoint, error) {
 	var out []RaidPoint
 	for _, lvl := range []raid.Level{raid.None, raid.RAID5, raid.RAID6} {
-		avail, err := sim.StripeSurvival(width, lvl, p)
+		avail, err := StripeSurvival(width, lvl, p)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +228,7 @@ func AblationRAID(width int, p float64, down, nProviders int, seed int64) ([]Rai
 			}
 			files = append(files, name)
 		}
-		drill, err := sim.OutageDrill(d, fleet, "c", "pw", files, down, rng)
+		drill, err := OutageDrill(d, fleet, "c", "pw", files, down, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,12 @@
-// Package sim quantifies the availability half of the paper's pitch: "the
+package experiments
+
+// This file quantifies the availability half of the paper's pitch: "the
 // proposed system ensures greater availability of data". It models
 // provider outages (the EC2 April-2011 incident the paper opens with) as
 // independent failures and measures, analytically and by Monte Carlo,
 // whether striped data survives — per RAID level, stripe width and
 // failure probability — plus end-to-end outage drills against a live
 // distributor.
-package sim
 
 import (
 	"fmt"
@@ -22,13 +23,13 @@ import (
 // with probability p, remains fully readable (lost shards ≤ parity).
 func StripeSurvival(dataShards int, level raid.Level, p float64) (float64, error) {
 	if dataShards < 1 {
-		return 0, fmt.Errorf("sim: dataShards %d", dataShards)
+		return 0, fmt.Errorf("experiments: dataShards %d", dataShards)
 	}
 	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("sim: failure probability %v outside [0,1]", p)
+		return 0, fmt.Errorf("experiments: failure probability %v outside [0,1]", p)
 	}
 	if !level.Valid() {
-		return 0, fmt.Errorf("sim: invalid raid level %v", level)
+		return 0, fmt.Errorf("experiments: invalid raid level %v", level)
 	}
 	n := dataShards + level.ParityShards()
 	tolerate := level.ParityShards()
@@ -55,7 +56,7 @@ func binom(n, k int) float64 {
 // failures later.
 func MonteCarloSurvival(dataShards int, level raid.Level, p float64, trials int, rng *rand.Rand) (float64, error) {
 	if trials < 1 {
-		return 0, fmt.Errorf("sim: trials %d", trials)
+		return 0, fmt.Errorf("experiments: trials %d", trials)
 	}
 	if _, err := StripeSurvival(dataShards, level, p); err != nil {
 		return 0, err
@@ -93,7 +94,7 @@ type OutageDrillResult struct {
 // path rather than the analytic model.
 func OutageDrill(d *core.Distributor, fleet *provider.Fleet, client, password string, files []string, down int, rng *rand.Rand) (OutageDrillResult, error) {
 	if down < 0 || down > fleet.Len() {
-		return OutageDrillResult{}, fmt.Errorf("sim: down=%d of %d providers", down, fleet.Len())
+		return OutageDrillResult{}, fmt.Errorf("experiments: down=%d of %d providers", down, fleet.Len())
 	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(2))

@@ -1,4 +1,4 @@
-package sim
+package experiments
 
 import (
 	"fmt"

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -356,6 +359,24 @@ func TestGetRangeAndAdminOverHTTP(t *testing.T) {
 	}
 	if _, err := client.GetRange("bob", "pw", "f", 89_999, 100); !errors.Is(err, core.ErrRange) {
 		t.Fatalf("overflow range: %v", err)
+	}
+	// offset and length arrive unvalidated from the JSON body; a sum that
+	// overflows int is a range error, not a panic in the handler.
+	for _, body := range []string{
+		fmt.Sprintf(`{"client":"bob","password":"pw","filename":"f","offset":10,"length":%d}`, math.MaxInt),
+		fmt.Sprintf(`{"client":"bob","password":"pw","filename":"f","offset":%d,"length":1}`, math.MaxInt),
+	} {
+		resp, err := client.http.Post(client.base+routeGetRange.path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if code := resp.Header.Get("X-Error-Code"); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || code != "range" {
+			t.Fatalf("%s: status %d, X-Error-Code %q, want 416 and range", body, resp.StatusCode, code)
+		}
+	}
+	if got, err := client.GetRange("bob", "pw", "f", 0, 16); err != nil || !bytes.Equal(got, data[:16]) {
+		t.Fatalf("the server stopped serving after the overflowing ranges: %v", err)
 	}
 
 	// Corrupt a stored blob on a backing provider; scrub repairs it.
