@@ -335,11 +335,15 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %-9s %10s %10s %8s %6s %8s %9s\n",
-			"PROVIDER", "STATE", "SUCCESSES", "FAILURES", "CONSEC", "OPENS", "WINDOW", "EWMA(ms)")
+		fmt.Printf("%-12s %-9s %-5s %10s %10s %8s %6s %8s %9s\n",
+			"PROVIDER", "STATE", "LIVE", "SUCCESSES", "FAILURES", "CONSEC", "OPENS", "WINDOW", "EWMA(ms)")
 		for _, p := range provs {
-			fmt.Printf("%-12s %-9s %10d %10d %8d %6d %7.0f%% %9.2f\n",
-				p.Provider, p.State, p.Successes, p.Failures,
+			live := "up"
+			if p.Down {
+				live = "down"
+			}
+			fmt.Printf("%-12s %-9s %-5s %10d %10d %8d %6d %7.0f%% %9.2f\n",
+				p.Provider, p.State, live, p.Successes, p.Failures,
 				p.ConsecutiveFailures, p.Opens, 100*p.WindowFailureRatio, p.LatencyEWMAMs)
 		}
 		fmt.Printf("\nfailovers=%d rollback-deletes=%d circuit-opens=%d probe-successes=%d\n",

@@ -105,7 +105,8 @@ type Distributor struct {
 	clients   map[string]*clientEntry
 	chunks    []chunkEntry
 	stripes   []stripeEntry
-	provCount []int // committed chunks+parity on each fleet index
+	provCount []int               // committed chunks+parity on each fleet index
+	provCL    []privacy.CostLevel // each fleet index's cost level, fixed at New
 
 	// Write-path staging state. Mutations run in plan → ship → commit
 	// phases: provider I/O happens without d.mu, so the shards a request
@@ -241,10 +242,14 @@ func New(cfg Config) (*Distributor, error) {
 		health:       health.NewTracker(cfg.Fleet.Len(), cfg.Health),
 		clients:      make(map[string]*clientEntry),
 		provCount:    make([]int, cfg.Fleet.Len()),
+		provCL:       make([]privacy.CostLevel, cfg.Fleet.Len()),
 		provPending:  make([]int, cfg.Fleet.Len()),
 		inflight:     make(map[string]int),
 		reserved:     make(map[string]bool),
 		cache:        newChunkCache(cfg.CacheBytes),
+	}
+	for i, p := range cfg.Fleet.All() {
+		d.provCL[i] = p.Info().CL
 	}
 	if cfg.WALDir != "" {
 		if err := d.recoverWAL(cfg); err != nil {

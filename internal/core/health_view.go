@@ -5,8 +5,12 @@ import "time"
 // ProviderHealth is one provider's externally visible health snapshot,
 // JSON-ready for the distributor's health endpoint and CLI.
 type ProviderHealth struct {
-	Provider            string  `json:"provider"`
-	State               string  `json:"state"` // closed | open | half-open
+	Provider string `json:"provider"`
+	State    string `json:"state"` // closed | open | half-open
+	// Down is the provider's last known liveness (Provider.Down) — with
+	// State, what placement filters on: a provider that is down, or whose
+	// circuit does not admit placements, is given no new shards.
+	Down                bool    `json:"down"`
 	Successes           int64   `json:"successes"`
 	Failures            int64   `json:"failures"`
 	ConsecutiveFailures int     `json:"consecutive_failures"`
@@ -19,17 +23,18 @@ type ProviderHealth struct {
 	LatencyEWMAMs float64 `json:"latency_ewma_ms"`
 }
 
-// Health reports every provider's circuit-breaker state and accumulated
-// success/failure counts, indexed by fleet position. It does not take
-// d.mu — the tracker has its own synchronization — so it stays readable
-// even while a slow operation holds the distributor lock.
+// Health reports every provider's circuit-breaker state, last known
+// liveness and accumulated success/failure counts, indexed by fleet
+// position. It does not take d.mu — the tracker has its own
+// synchronization — so it stays readable even while a slow operation
+// holds the distributor lock.
 func (d *Distributor) Health() []ProviderHealth {
 	snap := d.health.Snapshot()
 	out := make([]ProviderHealth, len(snap))
 	for i, s := range snap {
-		name := ""
+		name, down := "", false
 		if p, err := d.fleet.At(i); err == nil {
-			name = p.Info().Name
+			name, down = p.Info().Name, p.Down()
 		}
 		ratio := 0.0
 		if s.WindowSamples > 0 {
@@ -38,6 +43,7 @@ func (d *Distributor) Health() []ProviderHealth {
 		out[i] = ProviderHealth{
 			Provider:            name,
 			State:               s.State.String(),
+			Down:                down,
 			Successes:           s.Successes,
 			Failures:            s.Failures,
 			ConsecutiveFailures: s.ConsecutiveFailures,

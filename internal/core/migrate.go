@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/privacy"
+	"repro/internal/provider"
 	"repro/internal/raid"
 )
 
@@ -580,7 +581,7 @@ func (d *Distributor) AuditOrphans(gc bool) (AuditReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		if p.Down() {
+		if provider.Probe(p) { // no lock held: a fresh answer may be waited for
 			continue // unreachable; audit again after recovery
 		}
 		for _, key := range p.Keys() {

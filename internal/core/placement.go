@@ -15,13 +15,22 @@ func (d *Distributor) loadLocked(idx int) int {
 	return d.provCount[idx] + d.provPending[idx]
 }
 
+// preferLocked is the paper's ranking among eligible providers: lower
+// cost level wins ("in case of equal privacy level, the one with a lower
+// cost level is given preference"), with the current load as a balancing
+// tiebreaker. Callers hold d.mu.
+func (d *Distributor) preferLocked(a, b int) bool {
+	if d.provCL[a] != d.provCL[b] {
+		return d.provCL[a] < d.provCL[b]
+	}
+	return d.loadLocked(a) < d.loadLocked(b)
+}
+
 // placeShards chooses n distinct providers for one stripe's shards. The
 // policy is the paper's: only providers with privacy level ≥ pl are
 // eligible ("A chunk is given to a provider having equal or higher
-// privacy level compared to the privacy level of the chunk"); among
-// eligible providers, lower cost level wins ("in case of equal privacy
-// level, the one with a lower cost level is given preference"), with the
-// current load as a balancing tiebreaker. Callers hold d.mu.
+// privacy level compared to the privacy level of the chunk"), ranked by
+// preferLocked. Callers hold d.mu.
 func (d *Distributor) placeShards(pl privacy.Level, n int) ([]int, error) {
 	eligible := d.healthyEligible(pl)
 	if len(eligible) < n {
@@ -29,12 +38,7 @@ func (d *Distributor) placeShards(pl privacy.Level, n int) ([]int, error) {
 			ErrPlacement, n, pl, len(eligible))
 	}
 	sort.SliceStable(eligible, func(a, b int) bool {
-		ia, _ := d.fleet.At(eligible[a])
-		ib, _ := d.fleet.At(eligible[b])
-		if ia.Info().CL != ib.Info().CL {
-			return ia.Info().CL < ib.Info().CL
-		}
-		return d.loadLocked(eligible[a]) < d.loadLocked(eligible[b])
+		return d.preferLocked(eligible[a], eligible[b])
 	})
 	return eligible[:n], nil
 }
@@ -44,17 +48,7 @@ func (d *Distributor) placeShards(pl privacy.Level, n int) ([]int, error) {
 func (d *Distributor) placeParityExcluding(pl privacy.Level, exclude map[int]bool) (int, error) {
 	best := -1
 	for _, idx := range d.healthyEligible(pl) {
-		if exclude[idx] {
-			continue
-		}
-		if best == -1 {
-			best = idx
-			continue
-		}
-		pi, _ := d.fleet.At(idx)
-		pb, _ := d.fleet.At(best)
-		if pi.Info().CL < pb.Info().CL ||
-			(pi.Info().CL == pb.Info().CL && d.loadLocked(idx) < d.loadLocked(best)) {
+		if !exclude[idx] && (best == -1 || d.preferLocked(idx, best)) {
 			best = idx
 		}
 	}
@@ -67,20 +61,9 @@ func (d *Distributor) placeParityExcluding(pl privacy.Level, exclude map[int]boo
 // pickSnapshotProvider chooses a provider for a chunk's pre-modification
 // snapshot, distinct from the chunk's current provider. Callers hold d.mu.
 func (d *Distributor) pickSnapshotProvider(pl privacy.Level, exclude int) (int, error) {
-	eligible := d.healthyEligible(pl)
-	var best = -1
-	for _, idx := range eligible {
-		if idx == exclude {
-			continue
-		}
-		if best == -1 {
-			best = idx
-			continue
-		}
-		pi, _ := d.fleet.At(idx)
-		pb, _ := d.fleet.At(best)
-		if pi.Info().CL < pb.Info().CL ||
-			(pi.Info().CL == pb.Info().CL && d.loadLocked(idx) < d.loadLocked(best)) {
+	best := -1
+	for _, idx := range d.healthyEligible(pl) {
+		if idx != exclude && (best == -1 || d.preferLocked(idx, best)) {
 			best = idx
 		}
 	}
@@ -93,7 +76,9 @@ func (d *Distributor) pickSnapshotProvider(pl privacy.Level, exclude int) (int, 
 // healthyEligible filters the fleet's PL-eligible providers down to the
 // ones whose circuit breaker admits new placements: a provider that has
 // been silently failing is skipped even though it still reports itself
-// up. Callers hold d.mu.
+// up. Both filters read memory only — Provider.Down's contract and the
+// tracker's own state — so no placement waits on a provider. Callers
+// hold d.mu.
 func (d *Distributor) healthyEligible(pl privacy.Level) []int {
 	eligible := d.fleet.Eligible(pl)
 	out := eligible[:0]

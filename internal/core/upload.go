@@ -187,13 +187,15 @@ func (j *stripeJob) releaseBuffers() {
 // placeStripe stages one stripe of an upload: one hold of d.mu that does
 // everything touching distributor state — the stripe's block of AES-CTR
 // nonces, placement, virtual ids and ticket staging — and nothing that
-// touches a payload byte. The hold is O(shards) however large the chunks
-// are, so readers interleave with a long write instead of convoying
-// behind it. datas are the stripe's raw chunk buffers (ownership moves
-// into the returned job, also on error), sums their SHA-256 and
-// baseSerial numbers the first chunk. The shards come back staged but
-// without payloads; fillStripe supplies those, which is safe because a
-// job reaches a ship worker only after both.
+// touches a payload byte or asks a provider anything (placement reads
+// each provider's last known liveness and breaker state from memory).
+// The hold is O(shards) however large the chunks are, so readers
+// interleave with a long write instead of convoying behind it. datas are
+// the stripe's raw chunk buffers (ownership moves into the returned job,
+// also on error), sums their SHA-256 and baseSerial numbers the first
+// chunk. The shards come back staged but without payloads; fillStripe
+// supplies those, which is safe because a job reaches a ship worker only
+// after both.
 func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte, baseSerial int) (*stripeJob, error) {
 	parity := u.level.ParityShards()
 	job := &stripeJob{
@@ -234,7 +236,10 @@ func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte,
 		}
 		// Mirrors: extra full copies on providers distinct from the
 		// chunk's own and from each other.
-		exclude := map[int]bool{provIdx: true}
+		var exclude map[int]bool
+		if u.opts.Replicas > 0 {
+			exclude = map[int]bool{provIdx: true}
+		}
 		for r := 0; r < u.opts.Replicas; r++ {
 			mIdx, err := d.placeParityExcluding(u.pl, exclude)
 			if err != nil {

@@ -13,7 +13,13 @@ import (
 // attack simulations.
 type Provider interface {
 	Store
-	// Down reports whether the provider is currently unreachable.
+	// Down reports whether the provider was unreachable when last heard
+	// from. It answers from memory: no I/O, no waiting. The distributor
+	// calls it for every provider of every placement while holding its
+	// table lock exclusively, so an implementation that asks the provider
+	// stalls every reader and writer for as long as the provider takes to
+	// answer. An implementation with something to ask keeps the state
+	// itself and offers a Probe (see the Probe function).
 	Down() bool
 	// SetOutage toggles simulated unavailability.
 	SetOutage(down bool)
@@ -26,6 +32,18 @@ type Provider interface {
 	Dump() map[string][]byte
 	// Usage returns billing counters.
 	Usage() Usage
+}
+
+// Probe asks p for a fresh liveness answer and may block while it does,
+// so it is for callers holding no lock: p's own Probe when it has one
+// (transport.RemoteProvider does: one health round trip under a short
+// deadline), else Down, which for an in-process provider is already the
+// truth.
+func Probe(p Provider) (down bool) {
+	if pr, ok := p.(interface{ Probe() bool }); ok {
+		return pr.Probe()
+	}
+	return p.Down()
 }
 
 // Fleet is an ordered collection of providers the distributor places
@@ -86,8 +104,8 @@ func (f *Fleet) All() []Provider {
 }
 
 // Eligible returns fleet indices of providers whose privacy level is ≥ pl
-// and that are currently up, in fleet order — the candidates the placement
-// policy ranks.
+// and that are up as far as Down knows, in fleet order — the candidates
+// the placement policy ranks.
 func (f *Fleet) Eligible(pl privacy.Level) []int {
 	var out []int
 	for i, p := range f.providers {

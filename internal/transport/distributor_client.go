@@ -225,12 +225,12 @@ func (c *Client) HealthReport() (HealthReport, error) {
 	return into[HealthReport](c.send(routeHealth, nil))
 }
 
-// Health probes the distributor; a degraded status (any circuit not
-// closed) is still a healthy endpoint, so only transport failures and
-// an empty status are errors. The probe is one attempt under its own
-// short deadline instead of the client's transfer-sized timeout:
-// liveness polling must answer quickly even when the distributor is
-// wedged mid-transfer.
+// Health probes the distributor; a degraded status (a provider down or
+// a circuit not closed) is still a healthy endpoint, so only transport
+// failures and an empty status are errors. The probe is one attempt
+// under its own short deadline instead of the client's transfer-sized
+// timeout: liveness polling must answer quickly even when the
+// distributor is wedged mid-transfer.
 func (c *Client) Health() error {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()

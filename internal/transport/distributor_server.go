@@ -35,8 +35,9 @@ func (s *DistributorServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// HealthReport is the GET /v1/health body: overall status, the
-// per-provider circuit-breaker view, the chunk-cache counters
+// HealthReport is the GET /v1/health body: overall status (degraded when
+// any provider is down or its circuit not closed), the per-provider
+// circuit-breaker and liveness view, the chunk-cache counters
 // (hits/misses/evictions/bytes; capacity 0 means caching is disabled),
 // the durability view (records appended, fsyncs, replay count and
 // last-checkpoint age; enabled=false means in-memory metadata), and —
@@ -62,7 +63,7 @@ func (s *DistributorServer) health(http.ResponseWriter, *http.Request) (any, err
 	provs := s.d.Health()
 	status := "ok"
 	for _, p := range provs {
-		if p.State != "closed" {
+		if p.State != "closed" || p.Down {
 			status = "degraded"
 			break
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/privacy"
@@ -19,6 +20,8 @@ import (
 // transfer http.Client, whose 10s timeout is sized for multi-megabyte
 // payloads; a liveness check that waits that long on a stalled provider
 // is itself the outage, so each probe carries its own short deadline.
+// It is also the shortest interval between the background probes a down
+// provider's Down() calls start.
 const probeTimeout = time.Second
 
 // maxBlobRead bounds a chunk body on the provider hop, in both
@@ -35,6 +38,14 @@ type RemoteProvider struct {
 	client *http.Client
 	info   provider.Info
 	retry  *retrier
+
+	// down is the last known liveness, which is all Down() reads. Every
+	// data-plane call writes it with its own outcome (withNetRetry), as do
+	// a successful SetOutage and every Probe; a dial that succeeded starts
+	// it up.
+	down atomic.Bool
+	// lastKick is when (UnixNano) Down() last started a background probe.
+	lastKick atomic.Int64
 }
 
 var _ provider.Provider = (*RemoteProvider)(nil)
@@ -78,9 +89,14 @@ func (rp *RemoteProvider) chunkURL(key string) string {
 // here. Server-status errors are returned without retry: the provider
 // answered, and the distributor's own transient-retry and circuit
 // breaker handle those.
+//
+// Every attempt's outcome is also the provider's liveness as last known:
+// no response, or a 503, reads ErrOutage and means down; any other
+// response, an error status included, means the provider is answering.
 func (rp *RemoteProvider) withNetRetry(op func() (netFail bool, err error)) error {
 	for attempt := 0; ; attempt++ {
 		netFail, err := op()
+		rp.down.Store(errors.Is(err, provider.ErrOutage))
 		if err == nil || !netFail || attempt >= netRetries-1 {
 			return err
 		}
@@ -151,9 +167,34 @@ func (rp *RemoteProvider) Delete(key string) error {
 	})
 }
 
-// Down probes the health endpoint; any failure — including the probe
-// deadline expiring against a stalled provider — counts as down.
+// Down reports the provider's last known liveness from memory, without
+// a round trip: placement calls it for every provider under the
+// distributor's table lock. While that state is down it starts a
+// background Probe, at most one per probeTimeout, so a provider nothing
+// is being sent to is found again once it answers; a healthy provider
+// costs no goroutine and no request.
 func (rp *RemoteProvider) Down() bool {
+	if !rp.down.Load() {
+		return false
+	}
+	now := time.Now().UnixNano()
+	if last := rp.lastKick.Load(); now-last >= int64(probeTimeout) && rp.lastKick.CompareAndSwap(last, now) {
+		go rp.Probe() // returns within probeTimeout
+	}
+	return true
+}
+
+// Probe asks the health endpoint for a fresh answer, waits at most
+// probeTimeout for it, records it as the last known state and returns it
+// (true = down). Any failure — including the deadline expiring against a
+// stalled provider — counts as down.
+func (rp *RemoteProvider) Probe() bool {
+	down := rp.probe()
+	rp.down.Store(down)
+	return down
+}
+
+func (rp *RemoteProvider) probe() bool {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rp.base+"/v1/health", nil)
@@ -169,12 +210,17 @@ func (rp *RemoteProvider) Down() bool {
 }
 
 // SetOutage toggles the remote failure-injection switch; errors are
-// swallowed (the control plane is best-effort in simulations).
+// swallowed (the control plane is best-effort in simulations). A switch
+// the provider acknowledged is also its last known liveness.
 func (rp *RemoteProvider) SetOutage(down bool) {
 	body, _ := json.Marshal(map[string]bool{"down": down})
 	resp, err := rp.client.Post(rp.base+"/v1/outage", "application/json", bytes.NewReader(body))
-	if err == nil {
-		drain(resp)
+	if err != nil {
+		return
+	}
+	drain(resp)
+	if resp.StatusCode == http.StatusNoContent {
+		rp.down.Store(down)
 	}
 }
 

@@ -100,6 +100,15 @@ func (rp *RemoteProvider) GetMany(keys []string) ([][]byte, []error) {
 		for i := range keys {
 			blobs[i], errs[i] = nil, err
 		}
+		return blobs, errs
+	}
+	// The reply itself was a 200; a provider in an outage says so per
+	// key, with the 503 a single GET would have drawn.
+	for _, e := range errs {
+		if errors.Is(e, provider.ErrOutage) {
+			rp.down.Store(true)
+			break
+		}
 	}
 	return blobs, errs
 }

@@ -84,9 +84,10 @@ func TestDrainPreservesKeepAlive(t *testing.T) {
 	}
 }
 
-// TestDownProbeDeadline pins the probe's own deadline: against a stalled
-// provider the health check must answer "down" in about a second, not
-// after the 10s blob-transfer timeout it used to inherit.
+// TestDownProbeDeadline pins the probe's own deadline and who pays it:
+// against a stalled provider Probe answers "down" in about a second, not
+// after the 10s blob-transfer timeout it used to inherit, and Down —
+// which placement calls under the table lock — never waits at all.
 func TestDownProbeDeadline(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
@@ -103,10 +104,20 @@ func TestDownProbeDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if !remote.Down() {
-		t.Fatal("stalled provider reported as up")
+	if remote.Down() {
+		t.Fatal("a provider that answered the dial reads down before anything failed")
+	}
+	if elapsed := time.Since(start); elapsed > probeTimeout/10 {
+		t.Fatalf("Down() took %v: it must answer from memory", elapsed)
+	}
+	start = time.Now()
+	if !remote.Probe() {
+		t.Fatal("stalled provider probed as up")
 	}
 	if elapsed := time.Since(start); elapsed < probeTimeout/2 || elapsed > 5*probeTimeout {
 		t.Fatalf("probe took %v, want about %v", elapsed, probeTimeout)
+	}
+	if !remote.Down() {
+		t.Fatal("Down() did not keep the probe's answer")
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
@@ -86,6 +88,11 @@ func TestRemoteProviderKeySpecialChars(t *testing.T) {
 	}
 }
 
+// TestRemoteProviderOutagePropagates: Down() is the last thing the
+// provider was heard to say. The outage switch says it directly; an
+// outage the client was not told about is learnt from the first
+// data-plane call that draws a 503, and unlearnt from the first that
+// does not.
 func TestRemoteProviderOutagePropagates(t *testing.T) {
 	mem, remote := newProviderPair(t, provider.Info{Name: "O", PL: privacy.High, CL: 0})
 	_ = mem.Put("k", []byte("v"))
@@ -97,30 +104,89 @@ func TestRemoteProviderOutagePropagates(t *testing.T) {
 		t.Fatal("SetOutage did not reach the server")
 	}
 	if !remote.Down() {
-		t.Fatal("Down() false during outage")
+		t.Fatal("Down() false after SetOutage(true)")
 	}
 	if _, err := remote.Get("k"); !errors.Is(err, provider.ErrOutage) {
 		t.Fatalf("Get during outage = %v, want ErrOutage", err)
 	}
 	remote.SetOutage(false)
+	if remote.Down() {
+		t.Fatal("Down() true after SetOutage(false)")
+	}
 	if _, err := remote.Get("k"); err != nil {
 		t.Fatalf("Get after recovery: %v", err)
 	}
+
+	mem.SetOutage(true) // behind the client's back
+	if remote.Down() {
+		t.Fatal("Down() learnt of an outage nothing has reported yet: it asked the provider")
+	}
+	if _, errs := remote.GetMany([]string{"k", "k"}); !errors.Is(errs[0], provider.ErrOutage) {
+		t.Fatalf("GetMany during outage = %v, want ErrOutage", errs[0])
+	}
+	if !remote.Down() {
+		t.Fatal("Down() false after a multi-get answered 503 per key")
+	}
+	if _, err := remote.Get("missing"); !errors.Is(err, provider.ErrOutage) {
+		t.Fatalf("Get during outage = %v, want ErrOutage", err)
+	}
+	if !remote.Down() {
+		t.Fatal("Down() false after a 503")
+	}
+	mem.SetOutage(false)
+	if _, err := remote.Get("missing"); !errors.Is(err, provider.ErrNotFound) {
+		t.Fatalf("Get of a missing key = %v, want ErrNotFound", err)
+	}
+	if remote.Down() {
+		t.Fatal("Down() true after the provider answered (a 404 is an answer)")
+	}
 }
 
+// TestRemoteProviderUnreachableIsDown: a provider that dies silently is
+// down from the first call it fails to answer — not before, nothing asks
+// it — and once it is back, calling Down() is enough to find that out:
+// each call may start one background probe per probeTimeout, and no
+// data-plane traffic is needed.
 func TestRemoteProviderUnreachableIsDown(t *testing.T) {
 	mem, _ := provider.New(provider.Info{Name: "gone", PL: privacy.Low, CL: 0}, provider.Options{})
-	srv := httptest.NewServer(NewProviderServer(mem))
+	gate := newProviderGate(NewProviderServer(mem))
+	srv := httptest.NewServer(gate)
 	remote, err := DialProvider(srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := srv.Listener.Addr().String()
 	srv.Close()
-	if !remote.Down() {
-		t.Fatal("unreachable provider reports up")
+	if remote.Down() {
+		t.Fatal("killed provider reads down before any call to it failed")
 	}
 	if err := remote.Put("k", []byte("v")); !errors.Is(err, provider.ErrOutage) {
 		t.Fatalf("Put to dead server = %v, want ErrOutage", err)
+	}
+	if !remote.Down() {
+		t.Fatal("unreachable provider reports up after a failed Put")
+	}
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot listen on %s again: %v", addr, err)
+	}
+	back := httptest.NewUnstartedServer(gate)
+	back.Listener.Close()
+	back.Listener = ln
+	back.Start()
+	t.Cleanup(back.Close)
+	deadline := time.Now().Add(5 * probeTimeout)
+	for remote.Down() {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted provider still down after %v of Down() calls", 5*probeTimeout)
+		}
+		time.Sleep(probeTimeout / 20)
+	}
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if gate.seen["GET /v1/health"] == 0 || gate.seen["PUT /v1/chunks/"] != 0 || gate.seen["GET /v1/chunks/"] != 0 {
+		t.Fatalf("provider came back on %v, want health probes only", gate.seen)
 	}
 }
 

@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
 	"repro/internal/provider"
+	"repro/internal/raid"
 )
 
 // memDistributor is an in-memory distributor with account a/pw, for
@@ -356,6 +358,43 @@ func BenchmarkClientUpload(b *testing.B) {
 				}
 				b.StopTimer()
 				if err := c.RemoveFile("a", "pw", "f"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkUploadLoopbackFleet is the distributor→provider hop end to
+// end: a put into a distributor whose six providers are RemoteProviders
+// on loopback HTTP, as deployed. Every other upload benchmark runs over
+// in-process providers, where asking a provider anything is free — which
+// is how a health round trip per provider per stripe, under the table
+// lock, went unmeasured. The small case is all placement and round
+// trips; the defended one is the paper's highly-sensitive path.
+func BenchmarkUploadLoopbackFleet(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		size int
+		pl   privacy.Level
+		opts core.UploadOptions
+	}{
+		{"4KiB-PL2", 4 << 10, privacy.Moderate, core.UploadOptions{}},
+		{"4MiB-PL3-RAID6-mislead", 4 << 20, privacy.High, core.UploadOptions{Assurance: raid.RAID6, MisleadFraction: 0.25}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := newLoopbackFleet(b, 6, 10*time.Second, core.Config{})
+			data := patterned(bc.size)
+			b.SetBytes(int64(bc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.dist.Upload("a", "pw", "f", data, bc.pl, bc.opts); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := f.dist.RemoveFile("a", "pw", "f"); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
