@@ -1,7 +1,8 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + routes-lint + build + race tests + fuzz seed corpora
+#   make check            vet + routes-lint + tables-lint + build + race tests + fuzz seed corpora
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
+#   make tables-lint      the distributor's tables are written in core/apply.go only
 #   make loc              non-test Go code lines per package and in total
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
@@ -63,9 +64,9 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet routes-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet routes-lint tables-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet routes-lint build race fuzz
+check: vet routes-lint tables-lint build race fuzz
 
 build:
 	$(GO) build ./...
@@ -82,6 +83,24 @@ routes-lint:
 	@if grep -n '/v1/' $$(ls internal/transport/*.go | grep -v -e '_test\.go$$' -e '/routes\.go$$' -e '/provider_[a-z]*\.go$$') \
 		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'routes-lint: distributor paths belong in internal/transport/routes.go'; exit 1; \
+	fi
+
+# The distributor's tables have one writer, internal/core/apply.go: a
+# commit, a replicated record and a recovery all change them by applying
+# the same record there. So in the package's non-test files
+# logAppendLocked has exactly one caller (commitLocked), and no other file
+# assigns a provider count, a table row or a whole table — a second
+# writer fails here instead of in review.
+tables-lint:
+	@n=$$(grep -h 'logAppendLocked(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
+	if [ "$$n" != 1 ]; then \
+		echo "tables-lint: logAppendLocked( has $$n callers in internal/core, want 1 (commitLocked)"; exit 1; \
+	fi
+	@if grep -n -E 'd\.(provCount|clients|chunks|stripes)(\[[^]]*\][A-Za-z0-9_.]*)? *(=[^=]|\+=|-=|\+\+|--)' \
+		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/apply\.go$$') \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'tables-lint: the tables are written in internal/core/apply.go only'; exit 1; \
 	fi
 
 # Non-test Go lines that are neither blank nor comment-only, per package

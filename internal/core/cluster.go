@@ -1,8 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,86 +9,52 @@ import (
 	"repro/internal/privacy"
 )
 
-// metadataSnapshot is the full replicated state of a distributor:
+// ExportMetadata serializes the distributor's full committed state —
 // everything a secondary needs to serve retrievals (Fig. 2's extended
 // architecture) plus the commit generation and allocator watermarks, so
 // an imported snapshot leaves the replica able to take over as primary
-// without re-issuing identifiers the exporter already used.
-type metadataSnapshot struct {
-	Clients   map[string]*clientEntry
-	Chunks    []chunkEntry
-	Stripes   []stripeEntry
-	ProvCount []int
-	Gen       uint64
-	FIDSeq    uint64
-	EncNonce  uint64
-	VIDCtr    uint64
-}
-
-// ExportMetadata serializes the distributor's tables for replication to
-// secondary distributors. Because mutations stage off-table and only
-// touch the live tables in their commit phase (under d.mu), the snapshot
-// always reflects a consistent committed state: no half-shipped upload's
-// rows, pending provider counts or reservations ever leak into it.
+// without re-issuing identifiers the exporter already used. Because
+// mutations stage off-table and only touch the live tables in their
+// commit (under d.mu), the snapshot always reflects a consistent
+// committed state: no half-shipped upload's rows, pending provider counts
+// or reservations ever leak into it.
 func (d *Distributor) ExportMetadata() ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.exportMetadataLocked()
+	return d.exportMetadataLocked(), nil
 }
 
 // exportMetadataLocked is ExportMetadata under a caller-held read lock,
 // so a Cluster can pin the replication sequence number to the exact
-// state it serializes.
-func (d *Distributor) exportMetadataLocked() ([]byte, error) {
-	snap := metadataSnapshot{
-		Clients:   d.clients,
-		Chunks:    d.chunks,
-		Stripes:   d.stripes,
-		ProvCount: d.provCount,
-		Gen:       d.gen,
-		FIDSeq:    d.fidSeq,
-		EncNonce:  d.encNonce,
-	}
-	if prf, ok := d.vids.(*prfAllocator); ok {
-		snap.VIDCtr = prf.ctr
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("core: export metadata: %w", err)
-	}
-	return buf.Bytes(), nil
+// state it serializes. The payload is the fleet size, so an importer over
+// a different fleet can refuse it, then the same encoding of the same
+// state a WAL checkpoint holds.
+func (d *Distributor) exportMetadataLocked() []byte {
+	return append(binary.AppendUvarint(nil, uint64(d.fleet.Len())), encodeWALState(d.stateLocked())...)
 }
 
 // ImportMetadata replaces the distributor's tables with a snapshot
-// exported by another distributor over the same fleet. The generation
-// is taken from the snapshot and the allocator watermarks only ever
-// advance — a replica must never re-issue a nonce or id its primary
-// already consumed.
+// exported by another distributor over the same fleet, the way a
+// recovery installs a checkpoint: generation from the snapshot, allocator
+// watermarks only ever advancing, provider counts recomputed from the
+// tables.
 func (d *Distributor) ImportMetadata(data []byte) error {
-	var snap metadataSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("core: import metadata: %w", err)
+	fleetLen, n := binary.Uvarint(data)
+	if n <= 0 {
+		return fmt.Errorf("core: import metadata: truncated snapshot")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(snap.ProvCount) != d.fleet.Len() {
-		return fmt.Errorf("%w: snapshot covers %d providers, fleet has %d", ErrConfig, len(snap.ProvCount), d.fleet.Len())
+	if fleetLen != uint64(d.fleet.Len()) {
+		return fmt.Errorf("%w: snapshot covers %d providers, fleet has %d", ErrConfig, fleetLen, d.fleet.Len())
 	}
-	if snap.Clients == nil {
-		snap.Clients = map[string]*clientEntry{}
+	var st walState
+	if err := decodeWALState(data[n:], &st); err != nil {
+		return fmt.Errorf("core: import metadata: %w", err)
 	}
-	d.clients = snap.Clients
-	d.chunks = snap.Chunks
-	d.stripes = snap.Stripes
-	d.provCount = snap.ProvCount
-	d.gen = snap.Gen
-	if snap.FIDSeq > d.fidSeq {
-		d.fidSeq = snap.FIDSeq
+	if err := d.installCountedState(&st); err != nil {
+		return fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	if snap.EncNonce > d.encNonce {
-		d.encNonce = snap.EncNonce
-	}
-	d.restoreVIDCtr(snap.VIDCtr)
 	// A durable secondary must checkpoint immediately: its log records
 	// predate the imported tables and no longer replay against them.
 	if d.wal != nil && !d.closed {
@@ -290,10 +255,7 @@ func (c *Cluster) syncSecondary(i int) error {
 // snapshotSync ships one full metadata snapshot to secondary i and
 // fast-forwards its cursor to the sequence the snapshot covers.
 func (c *Cluster) snapshotSync(i int) error {
-	raw, upTo, err := c.exportPrimaryWithSeq()
-	if err != nil {
-		return err
-	}
+	raw, upTo := c.exportPrimaryWithSeq()
 	if err := c.dists[i].ImportMetadata(raw); err != nil {
 		return err
 	}
@@ -310,15 +272,14 @@ func (c *Cluster) snapshotSync(i int) error {
 // cluster log under the primary's write lock, so holding its read lock
 // pins head to exactly the serialized state — no record can land in
 // between and be skipped by the fast-forwarded cursor.
-func (c *Cluster) exportPrimaryWithSeq() ([]byte, uint64, error) {
+func (c *Cluster) exportPrimaryWithSeq() ([]byte, uint64) {
 	p := c.dists[0]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	c.mu.Lock()
 	upTo := c.head
 	c.mu.Unlock()
-	raw, err := p.exportMetadataLocked()
-	return raw, upTo, err
+	return p.exportMetadataLocked(), upTo
 }
 
 // trimLocked drops log entries every reachable secondary has applied

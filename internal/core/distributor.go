@@ -270,15 +270,7 @@ func (d *Distributor) RegisterClient(name string) error {
 	if _, ok := d.clients[name]; ok {
 		return fmt.Errorf("%w: client %q already registered", ErrExists, name)
 	}
-	if err := d.logAppendLocked(&walRecord{Op: "register", Client: name, Gen: d.gen}); err != nil {
-		return err
-	}
-	d.clients[name] = &clientEntry{
-		Name:      name,
-		Passwords: make(map[string]privacy.Level),
-		Files:     make(map[string]*fileEntry),
-	}
-	return nil
+	return d.commitLocked(&walRecord{Op: "register", Client: name, Gen: d.gen}, nil)
 }
 
 // hashPassword derives the stored credential: the distributor keeps only
@@ -309,11 +301,7 @@ func (d *Distributor) AddPassword(client, password string, pl privacy.Level) err
 	if _, dup := c.Passwords[h]; dup {
 		return fmt.Errorf("%w: password already registered", ErrExists)
 	}
-	if err := d.logAppendLocked(&walRecord{Op: "passwd", Client: client, PassHash: h, PassPL: pl, Gen: d.gen}); err != nil {
-		return err
-	}
-	c.Passwords[h] = pl
-	return nil
+	return d.commitLocked(&walRecord{Op: "passwd", Client: client, PassHash: h, PassPL: pl, Gen: d.gen}, nil)
 }
 
 // auth resolves a (client, password) pair to the client entry and the

@@ -11,11 +11,12 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is the distributor's durability layer: every commit path
-// appends one typed record to the write-ahead log BEFORE its mutation
-// becomes visible, periodic checkpoints snapshot the full tables, and
-// New replays snapshot+tail so a restarted distributor serves exactly
-// the state the last acknowledged commit left behind.
+// This file is the distributor's durability layer: every commit appends
+// one typed record to the write-ahead log BEFORE its mutation becomes
+// visible (commitLocked, apply.go), periodic checkpoints snapshot the full
+// tables, and New replays snapshot+tail — through the same applyWALRecord
+// the commits ran — so a restarted distributor serves exactly the state
+// the last acknowledged commit left behind.
 
 // walRecord is one logical commit, serialized into a WAL frame by the
 // binary codec in walcodec.go. Exactly one Op is set per record; the
@@ -59,7 +60,7 @@ type walRecord struct {
 	Members  []int
 	ShardLen int
 
-	// moves (decommission relocations).
+	// moves (decommission relocations): the shardSlot and what it now holds.
 	TableIdx int // chunk index, or stripe index for move_parity
 	SubIdx   int // mirror index / parity index
 	NewProv  int
@@ -100,39 +101,6 @@ const defaultSnapshotEvery = 4096
 // Crashed); the owning mutation aborts cleanly.
 var errClosed = errors.New("core: distributor closed")
 
-// logAppendLocked fills rec's allocator watermarks, appends it to the
-// WAL (honoring the sync policy) and hands the encoded record to the
-// commit hook, which is how a Cluster feeds incremental replication. A
-// nil WAL with no hook (plain in-memory distributor) is a no-op.
-// Callers hold d.mu and MUST abort their commit — leaving the tables
-// untouched and rolling back shipped blobs — when this fails: a
-// mutation that is not durable must not become visible. The hook runs
-// only after a successful append, so every record it sees is exactly a
-// committed mutation.
-func (d *Distributor) logAppendLocked(rec *walRecord) error {
-	if d.wal == nil && d.commitHook == nil {
-		return nil
-	}
-	if d.closed {
-		return errClosed
-	}
-	rec.FIDSeq = d.fidSeq
-	rec.EncNonce = d.encNonce
-	if prf, ok := d.vids.(*prfAllocator); ok {
-		rec.VIDCtr = prf.ctr
-	}
-	raw := encodeWALRecord(rec)
-	if d.wal != nil {
-		if err := d.wal.Append(raw); err != nil {
-			return fmt.Errorf("core: wal append: %w", err)
-		}
-	}
-	if d.commitHook != nil {
-		d.commitHook(raw)
-	}
-	return nil
-}
-
 // setCommitHook registers fn to receive every committed mutation's
 // encoded WAL record. fn runs under d.mu immediately after the record
 // is appended (or, on an in-memory distributor, where the append would
@@ -163,18 +131,7 @@ func (d *Distributor) maybeCheckpointLocked() {
 // checkpointLocked snapshots the committed tables into the WAL and
 // rotates the log. Callers hold d.mu.
 func (d *Distributor) checkpointLocked() error {
-	st := walState{
-		Clients:  d.clients,
-		Chunks:   d.chunks,
-		Stripes:  d.stripes,
-		Gen:      d.gen,
-		FIDSeq:   d.fidSeq,
-		EncNonce: d.encNonce,
-	}
-	if prf, ok := d.vids.(*prfAllocator); ok {
-		st.VIDCtr = prf.ctr
-	}
-	if err := d.wal.Checkpoint(encodeWALState(&st)); err != nil {
+	if err := d.wal.Checkpoint(encodeWALState(d.stateLocked())); err != nil {
 		return fmt.Errorf("core: wal checkpoint: %w", err)
 	}
 	return nil
@@ -245,341 +202,6 @@ func (d *Distributor) recoverWAL(cfg Config) error {
 	return nil
 }
 
-// installState replaces the tables with a decoded checkpoint.
-func (d *Distributor) installState(st *walState) {
-	if st.Clients == nil {
-		st.Clients = map[string]*clientEntry{}
-	}
-	d.clients = st.Clients
-	d.chunks = st.Chunks
-	// A checkpoint written before tombstones were stripped carries removed
-	// rows in full, encryption keys included; drop that on the way in.
-	for i := range d.chunks {
-		if d.chunks[i].CPIndex < 0 {
-			d.chunks[i].tombstone()
-		}
-	}
-	d.stripes = st.Stripes
-	d.gen = st.Gen
-	d.fidSeq = st.FIDSeq
-	d.encNonce = st.EncNonce
-	d.restoreVIDCtr(st.VIDCtr)
-}
-
-// restoreVIDCtr advances the PRF allocator to at least ctr. Custom
-// allocators (scripted, test fakes) carry no counter to restore.
-func (d *Distributor) restoreVIDCtr(ctr uint64) {
-	if prf, ok := d.vids.(*prfAllocator); ok && ctr > prf.ctr {
-		prf.ctr = ctr
-	}
-}
-
-// applyWALRecord replays one commit against the tables. It validates
-// every reference — replay is the one place a corrupt-but-CRC-valid or
-// out-of-order record could silently poison the tables, so a mismatch is
-// an error, not a best-effort patch. Mutates clients/chunks/stripes, the
-// watermarks, and the per-provider counts (incrementally, so a follower
-// applying a replication stream never pays an O(table) recompute);
-// recovery still recomputes the counts wholesale afterwards, which is
-// what makes the bump helpers safe to no-op when no fleet is attached.
-// The cache starts empty in a fresh process and is generation-keyed, so
-// stale entries on a follower miss naturally.
-func (d *Distributor) applyWALRecord(rec *walRecord) error {
-	switch rec.Op {
-	case "register":
-		if _, ok := d.clients[rec.Client]; ok {
-			return fmt.Errorf("client %q already exists", rec.Client)
-		}
-		d.clients[rec.Client] = &clientEntry{
-			Name:      rec.Client,
-			Passwords: make(map[string]privacy.Level),
-			Files:     make(map[string]*fileEntry),
-		}
-
-	case "passwd":
-		c, ok := d.clients[rec.Client]
-		if !ok {
-			return fmt.Errorf("client %q not registered", rec.Client)
-		}
-		c.Passwords[rec.PassHash] = rec.PassPL
-
-	case "upload":
-		c, ok := d.clients[rec.Client]
-		if !ok {
-			return fmt.Errorf("client %q not registered", rec.Client)
-		}
-		if rec.ChunksBase != len(d.chunks) || rec.StripesBase != len(d.stripes) {
-			return fmt.Errorf("upload of %q rebased at chunk %d / stripe %d but tables hold %d / %d",
-				rec.Filename, rec.ChunksBase, rec.StripesBase, len(d.chunks), len(d.stripes))
-		}
-		if _, dup := c.Files[rec.Filename]; dup {
-			return fmt.Errorf("file %q already exists", rec.Filename)
-		}
-		d.chunks = append(d.chunks, rec.Chunks...)
-		d.stripes = append(d.stripes, rec.Stripes...)
-		for i := range rec.Chunks {
-			d.bumpChunkProvLocked(&rec.Chunks[i], 1)
-		}
-		for i := range rec.Stripes {
-			d.bumpParityProvLocked(rec.Stripes[i].Parity, 1)
-		}
-		c.Files[rec.Filename] = &fileEntry{
-			Filename: rec.Filename,
-			PL:       rec.PL,
-			FID:      rec.FID,
-			Raid:     rec.Raid,
-			ChunkIdx: rec.ChunkIdx,
-			Gen:      rec.FileGen,
-		}
-		c.Count += len(rec.ChunkIdx)
-		c.Gen = rec.ClientGen
-
-	case "update":
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		idx, err := d.replayChunkIdx(fe, rec.Serial)
-		if err != nil {
-			return err
-		}
-		if rec.StripeID < 0 || rec.StripeID >= len(d.stripes) {
-			return fmt.Errorf("stripe %d out of range", rec.StripeID)
-		}
-		st := &d.stripes[rec.StripeID]
-		d.bumpChunkProvLocked(&d.chunks[idx], -1)
-		d.bumpParityProvLocked(st.Parity, -1)
-		d.chunks[idx] = rec.Chunk
-		d.bumpChunkProvLocked(&rec.Chunk, 1)
-		st.Parity = rec.Parity
-		d.bumpParityProvLocked(rec.Parity, 1)
-		if rec.ShardLen > 0 {
-			st.ShardLen = rec.ShardLen
-		}
-		fe.Gen = rec.FileGen
-
-	case "remove_file":
-		c := d.clients[rec.Client]
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		remaining := 0
-		seenStripe := map[int]bool{}
-		for _, idx := range fe.ChunkIdx {
-			if idx < 0 {
-				continue
-			}
-			if idx >= len(d.chunks) {
-				return fmt.Errorf("chunk %d out of range", idx)
-			}
-			remaining++
-			e := &d.chunks[idx]
-			d.bumpChunkProvLocked(e, -1)
-			if !seenStripe[e.StripeID] {
-				seenStripe[e.StripeID] = true
-				st := &d.stripes[e.StripeID]
-				d.bumpParityProvLocked(st.Parity, -1)
-				st.Parity = nil
-				st.Members = nil
-			}
-			e.tombstone()
-		}
-		c.Count -= remaining
-		delete(c.Files, rec.Filename)
-		c.Gen = rec.ClientGen
-
-	case "remove_chunk":
-		c := d.clients[rec.Client]
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		idx, err := d.replayChunkIdx(fe, rec.Serial)
-		if err != nil {
-			return err
-		}
-		if rec.StripeID < 0 || rec.StripeID >= len(d.stripes) {
-			return fmt.Errorf("stripe %d out of range", rec.StripeID)
-		}
-		st := &d.stripes[rec.StripeID]
-		d.bumpParityProvLocked(st.Parity, -1)
-		st.Members = rec.Members
-		st.ShardLen = rec.ShardLen
-		st.Parity = rec.Parity
-		d.bumpParityProvLocked(rec.Parity, 1)
-		e := &d.chunks[idx]
-		d.bumpChunkProvLocked(e, -1)
-		e.tombstone()
-		fe.ChunkIdx[rec.Serial] = -1
-		c.Count--
-		fe.Gen = rec.FileGen
-
-	case "move_chunk":
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		if rec.TableIdx < 0 || rec.TableIdx >= len(d.chunks) {
-			return fmt.Errorf("chunk %d out of range", rec.TableIdx)
-		}
-		e := &d.chunks[rec.TableIdx]
-		if e.CPIndex >= 0 {
-			d.bumpProvLocked(e.CPIndex, -1)
-			d.bumpProvLocked(rec.NewProv, 1)
-		}
-		e.CPIndex = rec.NewProv
-		e.VirtualID = rec.NewVID
-		fe.Gen = rec.FileGen
-
-	case "move_mirror":
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		if rec.TableIdx < 0 || rec.TableIdx >= len(d.chunks) {
-			return fmt.Errorf("chunk %d out of range", rec.TableIdx)
-		}
-		e := &d.chunks[rec.TableIdx]
-		if rec.SubIdx < 0 || rec.SubIdx >= len(e.Mirrors) {
-			return fmt.Errorf("mirror %d of chunk %d out of range", rec.SubIdx, rec.TableIdx)
-		}
-		if e.CPIndex >= 0 {
-			d.bumpProvLocked(e.Mirrors[rec.SubIdx].CPIndex, -1)
-			d.bumpProvLocked(rec.NewProv, 1)
-		}
-		e.Mirrors[rec.SubIdx] = mirrorRef{VirtualID: rec.NewVID, CPIndex: rec.NewProv}
-		fe.Gen = rec.FileGen
-
-	case "move_snapshot":
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		if rec.TableIdx < 0 || rec.TableIdx >= len(d.chunks) {
-			return fmt.Errorf("chunk %d out of range", rec.TableIdx)
-		}
-		e := &d.chunks[rec.TableIdx]
-		if e.CPIndex >= 0 {
-			if e.SnapVID != "" {
-				d.bumpProvLocked(e.SPIndex, -1)
-			}
-			if rec.NewVID != "" {
-				d.bumpProvLocked(rec.NewProv, 1)
-			}
-		}
-		e.SPIndex = rec.NewProv
-		e.SnapVID = rec.NewVID
-		fe.Gen = rec.FileGen
-
-	case "drop_snapshot":
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		if rec.TableIdx < 0 || rec.TableIdx >= len(d.chunks) {
-			return fmt.Errorf("chunk %d out of range", rec.TableIdx)
-		}
-		e := &d.chunks[rec.TableIdx]
-		if e.CPIndex >= 0 && e.SnapVID != "" {
-			d.bumpProvLocked(e.SPIndex, -1)
-		}
-		e.SPIndex = -1
-		e.SnapVID = ""
-		fe.Gen = rec.FileGen
-
-	case "move_parity":
-		fe, err := d.replayFile(rec)
-		if err != nil {
-			return err
-		}
-		if rec.TableIdx < 0 || rec.TableIdx >= len(d.stripes) {
-			return fmt.Errorf("stripe %d out of range", rec.TableIdx)
-		}
-		st := &d.stripes[rec.TableIdx]
-		if rec.SubIdx < 0 || rec.SubIdx >= len(st.Parity) {
-			return fmt.Errorf("parity %d of stripe %d out of range", rec.SubIdx, rec.TableIdx)
-		}
-		d.bumpProvLocked(st.Parity[rec.SubIdx].CPIndex, -1)
-		d.bumpProvLocked(rec.NewProv, 1)
-		st.Parity[rec.SubIdx] = parityShard{VirtualID: rec.NewVID, CPIndex: rec.NewProv}
-		fe.Gen = rec.FileGen
-
-	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
-	}
-
-	d.gen = rec.Gen
-	if rec.FIDSeq > d.fidSeq {
-		d.fidSeq = rec.FIDSeq
-	}
-	if rec.EncNonce > d.encNonce {
-		d.encNonce = rec.EncNonce
-	}
-	d.restoreVIDCtr(rec.VIDCtr)
-	return nil
-}
-
-// replayFile resolves the client+filename a record targets.
-func (d *Distributor) replayFile(rec *walRecord) (*fileEntry, error) {
-	c, ok := d.clients[rec.Client]
-	if !ok {
-		return nil, fmt.Errorf("client %q not registered", rec.Client)
-	}
-	fe, ok := c.Files[rec.Filename]
-	if !ok {
-		return nil, fmt.Errorf("file %q not found for client %q", rec.Filename, rec.Client)
-	}
-	return fe, nil
-}
-
-// replayChunkIdx resolves a file's serial to a live chunk-table index.
-func (d *Distributor) replayChunkIdx(fe *fileEntry, serial int) (int, error) {
-	if serial < 0 || serial >= len(fe.ChunkIdx) {
-		return 0, fmt.Errorf("serial %d out of range for %q", serial, fe.Filename)
-	}
-	idx := fe.ChunkIdx[serial]
-	if idx < 0 || idx >= len(d.chunks) {
-		return 0, fmt.Errorf("serial %d of %q resolves to chunk %d, table holds %d", serial, fe.Filename, idx, len(d.chunks))
-	}
-	return idx, nil
-}
-
-// bumpProvLocked adjusts the committed per-provider count by delta.
-// Recovery replay recomputes the counts wholesale after the tail is
-// applied, and the offline validator (ValidateWALDir) carries no fleet
-// at all, so a nil slice or out-of-range index is silently ignored here;
-// recomputeProvCountLocked remains the authoritative shape check.
-func (d *Distributor) bumpProvLocked(idx, delta int) {
-	if idx >= 0 && idx < len(d.provCount) {
-		d.provCount[idx] += delta
-	}
-}
-
-// bumpChunkProvLocked adjusts provider counts for every placement a
-// live chunk entry holds: primary, mirrors and snapshot. Dead entries
-// (CPIndex < 0) carry no counted placements, matching the rules in
-// recomputeProvCountLocked.
-func (d *Distributor) bumpChunkProvLocked(e *chunkEntry, delta int) {
-	if e.CPIndex < 0 {
-		return
-	}
-	d.bumpProvLocked(e.CPIndex, delta)
-	for _, m := range e.Mirrors {
-		d.bumpProvLocked(m.CPIndex, delta)
-	}
-	if e.SnapVID != "" {
-		d.bumpProvLocked(e.SPIndex, delta)
-	}
-}
-
-// bumpParityProvLocked adjusts provider counts for a parity shard list.
-func (d *Distributor) bumpParityProvLocked(ps []parityShard, delta int) {
-	for _, p := range ps {
-		d.bumpProvLocked(p.CPIndex, delta)
-	}
-}
-
 // Generation returns the distributor's commit generation: it advances on
 // every committed mutation and is what replication lag is measured in.
 func (d *Distributor) Generation() uint64 {
@@ -622,52 +244,6 @@ func (d *Distributor) ApplyReplicated(raw []byte) (uint64, error) {
 	}
 	d.maybeCheckpointLocked()
 	return d.gen, nil
-}
-
-// recomputeProvCountLocked rebuilds the committed per-provider counts
-// from the tables. Doubles as the fleet-shape check: a WAL directory
-// recorded against a different fleet places shards outside this one, and
-// that must fail loudly at startup instead of panicking on first read.
-func (d *Distributor) recomputeProvCountLocked() error {
-	n := d.fleet.Len()
-	counts := make([]int, n)
-	tally := func(what string, provIdx int) error {
-		if provIdx >= n {
-			return fmt.Errorf("core: wal recovery: %s placed on provider %d but the fleet has %d — wrong fleet for this WAL directory", what, provIdx, n)
-		}
-		if provIdx >= 0 {
-			counts[provIdx]++
-		}
-		return nil
-	}
-	for i := range d.chunks {
-		c := &d.chunks[i]
-		if err := tally(fmt.Sprintf("chunk %s#%d", c.Filename, c.Serial), c.CPIndex); err != nil {
-			return err
-		}
-		if c.CPIndex < 0 {
-			continue
-		}
-		for _, m := range c.Mirrors {
-			if err := tally(fmt.Sprintf("mirror of %s#%d", c.Filename, c.Serial), m.CPIndex); err != nil {
-				return err
-			}
-		}
-		if c.SnapVID != "" {
-			if err := tally(fmt.Sprintf("snapshot of %s#%d", c.Filename, c.Serial), c.SPIndex); err != nil {
-				return err
-			}
-		}
-	}
-	for si := range d.stripes {
-		for _, ps := range d.stripes[si].Parity {
-			if err := tally(fmt.Sprintf("parity of stripe %d", si), ps.CPIndex); err != nil {
-				return err
-			}
-		}
-	}
-	d.provCount = counts
-	return nil
 }
 
 // Close gracefully shuts the distributor down: waits (bounded by ctx)

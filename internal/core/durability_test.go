@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,89 +12,201 @@ import (
 	"time"
 
 	"repro/internal/privacy"
+	"repro/internal/provider"
 	"repro/internal/raid"
 	"repro/internal/wal"
 )
 
-// runWALWorkload drives a representative mutation mix through d: it
-// touches every record type the log can carry except the decommission
-// moves (covered by TestWALReplayAfterDecommission).
+// walStep is one mutation of a seeded workload.
+type walStep struct {
+	name string
+	do   func(d *Distributor) error
+}
+
+// walWorkload is a representative mutation mix: it touches every record
+// type the log can carry except the decommission moves (those follow in
+// TestWALReplayEquivalence and TestWALReplayAfterDecommission).
+var walWorkload = []walStep{
+	{"register alice", func(d *Distributor) error { return d.RegisterClient("alice") }},
+	{"passwd alice root", func(d *Distributor) error { return d.AddPassword("alice", "root", privacy.High) }},
+	{"passwd alice guest", func(d *Distributor) error { return d.AddPassword("alice", "guest", privacy.Public) }},
+	{"register bob", func(d *Distributor) error { return d.RegisterClient("bob") }},
+	{"passwd bob", func(d *Distributor) error { return d.AddPassword("bob", "pw", privacy.Moderate) }},
+	{"upload f1", func(d *Distributor) error {
+		_, err := d.Upload("alice", "root", "f1", payload(40_000, 1), privacy.Moderate, UploadOptions{Assurance: raid.RAID6, Replicas: 1})
+		return err
+	}},
+	{"upload f2", func(d *Distributor) error {
+		_, err := d.Upload("alice", "root", "f2", payload(25_000, 2), privacy.High, UploadOptions{Assurance: raid.RAID5})
+		return err
+	}},
+	{"upload g1", func(d *Distributor) error {
+		_, err := d.Upload("bob", "pw", "g1", payload(12_000, 3), privacy.Public, UploadOptions{})
+		return err
+	}},
+	{"update f1#1", func(d *Distributor) error {
+		return d.UpdateChunk("alice", "root", "f1", 1, payload(9_000, 4), UploadOptions{})
+	}},
+	{"remove chunk f1#0", func(d *Distributor) error { return d.RemoveChunk("alice", "root", "f1", 0) }},
+	{"remove file f2", func(d *Distributor) error { return d.RemoveFile("alice", "root", "f2") }},
+}
+
 func runWALWorkload(t *testing.T, d *Distributor) {
 	t.Helper()
-	if err := d.RegisterClient("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddPassword("alice", "guest", privacy.Public); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterClient("bob"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddPassword("bob", "pw", privacy.Moderate); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Upload("alice", "root", "f1", payload(40_000, 1), privacy.Moderate, UploadOptions{Assurance: raid.RAID6, Replicas: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Upload("alice", "root", "f2", payload(25_000, 2), privacy.High, UploadOptions{Assurance: raid.RAID5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Upload("bob", "pw", "g1", payload(12_000, 3), privacy.Public, UploadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.UpdateChunk("alice", "root", "f1", 1, payload(9_000, 4), UploadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveChunk("alice", "root", "f1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveFile("alice", "root", "f2"); err != nil {
-		t.Fatal(err)
+	for _, s := range walWorkload {
+		if err := s.do(d); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
 	}
 }
 
+// provCountExact fails unless d's incrementally maintained provider
+// counts equal a recount of its tables from scratch.
+func provCountExact(t *testing.T, who string, d *Distributor) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	have := append([]int(nil), d.provCount...)
+	if err := d.recomputeProvCountLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(have, d.provCount) {
+		t.Fatalf("%s: provider counts %v, a recount of the tables gives %v", who, have, d.provCount)
+	}
+}
+
+// TestWALReplayEquivalence holds the one state transition to its three
+// users: after every single op of the mix — the workload above, then a
+// streamed upload and two decommissions, one moving a snapshot and one
+// finding its snapshot unreadable — the primary that committed the op, a
+// follower fed the commit records and a fresh recovery of the primary's
+// log have the same StateView and the same provider counts, and those
+// counts are what a recount of the tables from scratch gives.
 func TestWALReplayEquivalence(t *testing.T) {
-	fleet := testFleet(t, 8)
+	fleet, hooked := hookedFleet(t, 8)
 	dir := t.TempDir()
-	d, err := New(Config{Fleet: fleet, Secret: []byte("s"), WALDir: dir, WALSync: wal.SyncAlways})
+	cfg := Config{Fleet: fleet, Secret: []byte("s"), WALDir: dir, WALSync: wal.SyncAlways}
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWALWorkload(t, d)
-	want := d.StateView()
+	follower, err := New(Config{Fleet: fleet, Secret: []byte("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records [][]byte
+	d.setCommitHook(func(raw []byte) { records = append(records, raw) })
+
+	// snapshotOf names the provider and id of f1#1's snapshot blob.
+	snapshotOf := func() (int, string) {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		e := &d.chunks[d.clients["alice"].Files["f1"].ChunkIdx[1]]
+		return e.SPIndex, e.SnapVID
+	}
+	steps := append(append([]walStep(nil), walWorkload...),
+		walStep{"stream upload g2", func(d *Distributor) error {
+			_, err := d.UploadStream("bob", "pw", "g2", bytes.NewReader(payload(70_000, 5)), privacy.Public, UploadOptions{})
+			return err
+		}},
+		walStep{"decommission, snapshot present", func(d *Distributor) error {
+			sp, _ := snapshotOf()
+			rep, err := d.Decommission(sp)
+			if err == nil && rep.SnapshotsMoved != 1 {
+				err = fmt.Errorf("snapshot not moved: %+v", rep)
+			}
+			return err
+		}},
+		walStep{"decommission, snapshot unreadable", func(d *Distributor) error {
+			sp, vid := snapshotOf()
+			hooked[sp].SetBeforeGet(func(key string) error {
+				if key == vid {
+					return provider.ErrOutage
+				}
+				return nil
+			})
+			rep, err := d.Decommission(sp)
+			if sp2, _ := snapshotOf(); err == nil && (sp2 != -1 || rep.SnapshotsMoved != 0) {
+				err = fmt.Errorf("snapshot not dropped: now on %d, %+v", sp2, rep)
+			}
+			return err
+		}},
+	)
+
+	applied := 0
+	for _, s := range steps {
+		if err := s.do(d); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for ; applied < len(records); applied++ {
+			if _, err := follower.ApplyReplicated(records[applied]); err != nil {
+				t.Fatalf("%s: follower: %v", s.name, err)
+			}
+		}
+		recovered, err := New(Config{Fleet: fleet, Secret: []byte("s"), WALDir: copyDir(t, dir)})
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", s.name, err)
+		}
+		want := d.StateView()
+		for who, other := range map[string]*Distributor{"follower": follower, "recovery": recovered} {
+			if got := other.StateView(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: %s state differs from the primary's\nprimary: %+v\n%s: %+v", s.name, who, want, who, got)
+			}
+			if !reflect.DeepEqual(d.Stats().PerProvider, other.Stats().PerProvider) {
+				t.Fatalf("%s: %s provider counts %v, primary %v", s.name, who, other.Stats().PerProvider, d.Stats().PerProvider)
+			}
+			provCountExact(t, s.name+": "+who, other)
+		}
+		provCountExact(t, s.name+": primary", d)
+		if err := recovered.Crash(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A recovered distributor keeps serving — the surviving file reads
+	// back byte-identical through the normal path — and keeps accepting
+	// mutations.
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-
-	d2, err := New(Config{Fleet: fleet, Secret: []byte("s"), WALDir: dir, WALSync: wal.SyncAlways})
+	d2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	got := d2.StateView()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("recovered state differs from pre-crash state\npre:  %+v\npost: %+v", want, got)
-	}
-	st := d2.Metrics().WAL
-	if !st.Enabled || st.Replayed == 0 {
+	if st := d2.Metrics().WAL; !st.Enabled || st.Replayed == 0 {
 		t.Fatalf("expected replayed records after a crash, got %+v", st)
 	}
-	// The recovered distributor keeps serving: the surviving file reads
-	// back byte-identical through the normal path.
-	wantData := payload(12_000, 3)
 	gotData, err := d2.GetFile("bob", "pw", "g1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(gotData) != string(wantData) {
+	if !bytes.Equal(gotData, payload(12_000, 3)) {
 		t.Fatal("recovered distributor served wrong bytes")
 	}
-	// And keeps accepting mutations.
-	if _, err := d2.Upload("bob", "pw", "g2", payload(5_000, 5), privacy.Public, UploadOptions{}); err != nil {
+	if _, err := d2.Upload("bob", "pw", "g3", payload(5_000, 5), privacy.Public, UploadOptions{}); err != nil {
 		t.Fatalf("post-recovery upload: %v", err)
 	}
+}
+
+// copyDir copies a WAL directory as a crash at this instant would leave
+// it, so a recovery can run beside the distributor that owns the original.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 func TestWALReplayAfterDecommission(t *testing.T) {

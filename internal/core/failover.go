@@ -44,7 +44,9 @@ type storedShard struct {
 // so concurrent planners balance load against them) and the staged
 // virtual ids (registered in d.inflight so the orphan audit never
 // collects a blob that is shipped but not yet committed). A ticket ends
-// in exactly one of commitTicketLocked or releaseTicketLocked.
+// in releaseTicketLocked — from commitLocked once the commit record has
+// applied (the tables reference and count the blobs from then on), or
+// from the abort path.
 type writeTicket struct {
 	delta []int
 	vids  []string
@@ -73,9 +75,12 @@ func (d *Distributor) unstageProviderLocked(t *writeTicket, provIdx int) {
 }
 
 // releaseTicketLocked withdraws the ticket's pending load and inflight
-// registrations without touching committed counts — the abort path.
-// Callers hold d.mu.
+// registrations; committed counts are not its business. Releasing a nil
+// or already released ticket does nothing. Callers hold d.mu.
 func (d *Distributor) releaseTicketLocked(t *writeTicket) {
+	if t == nil {
+		return
+	}
 	for i, n := range t.delta {
 		d.provPending[i] -= n
 	}
@@ -86,15 +91,6 @@ func (d *Distributor) releaseTicketLocked(t *writeTicket) {
 	}
 	t.delta = nil
 	t.vids = nil
-}
-
-// commitTicketLocked folds the staged shard deltas into the committed
-// provider counts and releases the ticket. Callers hold d.mu.
-func (d *Distributor) commitTicketLocked(t *writeTicket) {
-	for i, n := range t.delta {
-		d.provCount[i] += n
-	}
-	d.releaseTicketLocked(t)
 }
 
 // releaseTicket is releaseTicketLocked for callers outside the lock.
@@ -251,17 +247,13 @@ func (d *Distributor) rehomePut(pl privacy.Level, firstProv int, firstVID string
 }
 
 // rollbackStored best-effort deletes every blob a failed write already
-// stored. The deletes are raw — not routed through providerOp — so a
-// provider answering "not found" during cleanup does not count as a
-// success that would reset its breaker while the very put failure that
-// triggered the rollback is still the live signal. They fan out like
-// every other bulk provider loop: an aborted PL3 upload has hundreds.
+// stored (discardBlob: raw deletes, the put failure that triggered the
+// rollback stays the live health signal). They fan out like every other
+// bulk provider loop: an aborted PL3 upload has hundreds.
 func (d *Distributor) rollbackStored(stored []storedShard) {
 	d.runParallel(len(stored), func(i int) {
-		if p, err := d.fleet.At(stored[i].provIdx); err == nil {
-			_ = p.Delete(stored[i].vid)
-			d.counters.rollbackDeletes.Add(1)
-		}
+		d.discardBlob(stored[i])
+		d.counters.rollbackDeletes.Add(1)
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/privacy"
 	"repro/internal/provider"
-	"repro/internal/raid"
 )
 
 // DecommissionReport summarizes a provider evacuation.
@@ -32,11 +31,11 @@ const decommissionPasses = 5
 // load-based placement sees its count at zero, callers should also mark
 // it down via SetOutage to exclude it from future placement.
 //
-// Each shard moves through its own plan → copy → commit cycle: the fetch
-// plan and target are chosen under d.mu, the provider round-trips run
-// without it, and the commit re-checks the owning file's generation — a
-// shard mutated concurrently is skipped (its copy dropped) and picked up
-// again by the next sweep.
+// Each shard moves through its own plan → copy → commit cycle (moveShard):
+// the source and target are chosen under d.mu, the provider round-trips
+// run without it, and the commit re-checks the owning file's generation —
+// a shard mutated concurrently is skipped (its copy dropped) and picked
+// up again by the next sweep.
 func (d *Distributor) Decommission(provIdx int) (DecommissionReport, error) {
 	d.mu.Lock()
 	old, err := d.fleet.At(provIdx)
@@ -60,10 +59,17 @@ func (d *Distributor) Decommission(provIdx int) (DecommissionReport, error) {
 }
 
 // evacuatePass sweeps the tables once, moving every shard currently on
-// provIdx. It returns how many shards it touched (moved or skipped on
-// conflict) so the caller knows whether another sweep is needed.
+// provIdx: per chunk row its primary, mirrors and snapshot, then every
+// stripe's parity. It returns how many shards it touched (moved or
+// skipped on conflict) so the caller knows whether another sweep is
+// needed.
 func (d *Distributor) evacuatePass(provIdx int, rep *DecommissionReport) (int, error) {
 	dirty := 0
+	move := func(s shardSlot) error {
+		n, err := d.moveShard(s, provIdx, rep)
+		dirty += n
+		return err
+	}
 	for i := 0; ; i++ {
 		d.mu.Lock()
 		if i >= len(d.chunks) {
@@ -72,21 +78,15 @@ func (d *Distributor) evacuatePass(provIdx int, rep *DecommissionReport) (int, e
 		}
 		mirrors := len(d.chunks[i].Mirrors)
 		d.mu.Unlock()
-		n, err := d.moveChunk(i, provIdx, rep)
-		dirty += n
-		if err != nil {
+		if err := move(shardSlot{kind: BlobChunk, idx: i}); err != nil {
 			return dirty, err
 		}
 		for mi := 0; mi < mirrors; mi++ {
-			n, err := d.moveMirror(i, mi, provIdx, rep)
-			dirty += n
-			if err != nil {
+			if err := move(shardSlot{kind: BlobMirror, idx: i, sub: mi}); err != nil {
 				return dirty, err
 			}
 		}
-		n, err = d.moveSnapshot(i, provIdx, rep)
-		dirty += n
-		if err != nil {
+		if err := move(shardSlot{kind: BlobSnapshot, idx: i}); err != nil {
 			return dirty, err
 		}
 	}
@@ -99,9 +99,7 @@ func (d *Distributor) evacuatePass(provIdx int, rep *DecommissionReport) (int, e
 		parity := len(d.stripes[si].Parity)
 		d.mu.Unlock()
 		for pi := 0; pi < parity; pi++ {
-			n, err := d.moveParity(si, pi, provIdx, rep)
-			dirty += n
-			if err != nil {
+			if err := move(shardSlot{kind: BlobParity, idx: si, sub: pi}); err != nil {
 				return dirty, err
 			}
 		}
@@ -109,373 +107,177 @@ func (d *Distributor) evacuatePass(provIdx int, rep *DecommissionReport) (int, e
 	return dirty, nil
 }
 
-// dropCopied best-effort deletes a relocation copy whose commit lost the
-// generation race — unless the committed row ended up referencing exactly
-// that (provider, vid) pair, in which case the copy IS the live blob.
-func (d *Distributor) dropCopied(provIdx int, vid string, live bool) {
-	if live {
-		return
-	}
-	if p, err := d.fleet.At(provIdx); err == nil {
-		_ = p.Delete(vid)
+// discardBlob best-effort deletes a blob no table row references. The
+// delete is raw — not routed through providerOp — so a provider answering
+// "not found" during cleanup does not count as a success that would reset
+// its breaker while the failure that caused the cleanup is the live
+// signal.
+func (d *Distributor) discardBlob(at storedShard) {
+	if p, err := d.fleet.At(at.provIdx); err == nil {
+		_ = p.Delete(at.vid)
 	}
 }
 
-// moveChunk relocates the primary copy of chunk i off provIdx. Returns 1
-// if it moved (or conflicted and must be re-checked), 0 if the chunk was
-// not on provIdx.
-func (d *Distributor) moveChunk(i, provIdx int, rep *DecommissionReport) (int, error) {
-	// Plan.
+// moved counts one relocated shard of the given kind.
+func (r *DecommissionReport) moved(kind BlobKind) {
+	switch kind {
+	case BlobChunk:
+		r.ChunksMoved++
+	case BlobMirror:
+		r.MirrorsMoved++
+	case BlobSnapshot:
+		r.SnapshotsMoved++
+	case BlobParity:
+		r.ParityMoved++
+	}
+}
+
+// moveShard relocates the shard in slot s off provIdx. Returns 1 if it
+// moved (or conflicted and must be re-checked), 0 if the slot holds
+// nothing on provIdx.
+//
+// Plan (under d.mu): read the slot, note the generation of the file that
+// owns it, decide where the payload will come from — the read ladder for
+// a chunk or mirror, the blob itself for a snapshot, a re-encode over the
+// members for parity (cheaper than reading, and correct even if the
+// departing provider is already dark) — and stage a target that keeps the
+// placement invariants. Copy (no lock): the first put keeps the shard's
+// virtual id (a pure move); failover hops re-key like any other write.
+// Commit (under d.mu): if the file moved on or the slot no longer holds
+// what was copied, drop the copy; otherwise one move_<kind> record
+// repoints the slot.
+func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionReport) (int, error) {
+	// ---- Plan ----
 	d.mu.Lock()
-	if i >= len(d.chunks) || d.chunks[i].CPIndex != provIdx {
+	prov, vidNow, err := d.cell(s)
+	if err != nil || *prov != provIdx || *vidNow == "" {
 		d.mu.Unlock()
 		return 0, nil
 	}
-	e := &d.chunks[i]
-	fe := d.clients[e.Client].Files[e.Filename]
-	gen := fe.Gen
-	vid := e.VirtualID
-	pl := e.PL
-	plan := d.planFetch(e)
-	newIdx, exclude, err := d.relocationTarget(e, provIdx)
-	if err != nil {
-		d.mu.Unlock()
-		return 0, err
+	vid := *vidNow
+	var owner *chunkEntry // the row whose file owns the slot
+	var fetch func() ([]byte, error)
+	var newIdx int
+	var exclude map[int]bool
+	var pooled [][]byte
+	defer func() { releaseBuffers(pooled) }()
+	switch s.kind {
+	case BlobChunk, BlobMirror:
+		owner = &d.chunks[s.idx]
+		plan := d.planFetch(owner)
+		fetch = func() ([]byte, error) { return d.fetchPayloadPlan(&plan) }
+		newIdx, exclude, err = d.relocationTarget(owner, provIdx)
+	case BlobSnapshot:
+		owner = &d.chunks[s.idx]
+		sp, _ := d.fleet.At(provIdx) // Decommission checked provIdx
+		fetch = func() ([]byte, error) { return sp.Get(vid) }
+		exclude = map[int]bool{provIdx: true, owner.CPIndex: true}
+		newIdx, err = d.placeParityExcluding(owner.PL, exclude)
+	case BlobParity:
+		st := &d.stripes[s.idx]
+		if len(st.Members) == 0 {
+			d.mu.Unlock()
+			return 0, nil
+		}
+		owner = &d.chunks[st.Members[0]]
+		members, level, shardLen := d.planMembersLocked(st, -1), st.Level, st.ShardLen
+		fetch = func() ([]byte, error) {
+			payloads, err := d.fetchMembers(members)
+			if err != nil {
+				return nil, err
+			}
+			parity, err := d.encodeParity(level, payloads, shardLen, &pooled)
+			if err != nil {
+				return nil, err
+			}
+			return parity[s.sub], nil
+		}
+		exclude = memberProviders(members)
+		exclude[provIdx] = true
+		for pj, ps := range st.Parity {
+			if pj != s.sub {
+				exclude[ps.CPIndex] = true
+			}
+		}
+		newIdx, err = d.placeParityExcluding(owner.PL, exclude)
 	}
-	t := d.newTicketLocked()
-	d.stageLocked(t, newIdx, vid)
+	// A snapshot has no second source: when the departing provider cannot
+	// produce it the reference is dropped, target or no target, so its
+	// placement verdict waits for the read.
+	placeErr := err
+	if placeErr != nil && s.kind != BlobSnapshot {
+		d.mu.Unlock()
+		return 0, placeErr
+	}
+	client, filename, pl := owner.Client, owner.Filename, owner.PL
+	fe := d.clients[client].Files[filename]
+	gen := fe.Gen
+	var t *writeTicket
+	if placeErr == nil {
+		t = d.newTicketLocked()
+		d.stageLocked(t, newIdx, vid)
+	}
 	d.mu.Unlock()
 
-	// Copy. The first put keeps the chunk's virtual id (a pure move);
-	// failover hops re-key like any other write.
-	payload, err := d.fetchPayloadPlan(&plan)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: decommission: chunk %s/%s#%d unreadable: %w",
-			plan.entry.Client, plan.entry.Filename, plan.entry.Serial, err)
-	}
-	newProv, newVID, err := d.rehomePut(pl, newIdx, vid, payload, exclude, t)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: decommission: rehoming chunk: %w", err)
-	}
-
-	// Commit.
-	d.mu.Lock()
-	feNow, ok := d.clients[plan.entry.Client].Files[plan.entry.Filename]
-	if !ok || feNow != fe || feNow.Gen != gen ||
-		d.chunks[i].VirtualID != vid || d.chunks[i].CPIndex != provIdx {
-		live := i < len(d.chunks) && d.chunks[i].VirtualID == newVID && d.chunks[i].CPIndex == newProv
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, live)
-		return 1, nil
-	}
+	// ---- Copy ----
 	rec := &walRecord{
-		Op: "move_chunk", Client: plan.entry.Client, Filename: plan.entry.Filename,
-		TableIdx: i, NewProv: newProv, NewVID: newVID,
-		FileGen: gen + 1, Gen: d.gen + 1,
+		Op: "move_" + string(s.kind), Client: client, Filename: filename,
+		TableIdx: s.idx, SubIdx: s.sub, FileGen: gen + 1,
 	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, false)
-		return 0, fmt.Errorf("core: decommission: %w", err)
-	}
-	d.commitTicketLocked(t)
-	d.provCount[provIdx]--
-	d.chunks[i].CPIndex = newProv
-	d.chunks[i].VirtualID = newVID
-	feNow.Gen++
-	d.gen++
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	_ = d.deleteJob(provIdx, vid)()
-	rep.ChunksMoved++
-	return 1, nil
-}
-
-// moveMirror relocates mirror mi of chunk i off provIdx.
-func (d *Distributor) moveMirror(i, mi, provIdx int, rep *DecommissionReport) (int, error) {
-	d.mu.Lock()
-	if i >= len(d.chunks) || d.chunks[i].CPIndex < 0 ||
-		mi >= len(d.chunks[i].Mirrors) || d.chunks[i].Mirrors[mi].CPIndex != provIdx {
-		d.mu.Unlock()
-		return 0, nil
-	}
-	e := &d.chunks[i]
-	fe := d.clients[e.Client].Files[e.Filename]
-	gen := fe.Gen
-	vid := e.Mirrors[mi].VirtualID
-	pl := e.PL
-	plan := d.planFetch(e)
-	newIdx, exclude, err := d.relocationTarget(e, provIdx)
-	if err != nil {
-		d.mu.Unlock()
-		return 0, err
-	}
-	t := d.newTicketLocked()
-	d.stageLocked(t, newIdx, vid)
-	d.mu.Unlock()
-
-	payload, err := d.fetchPayloadPlan(&plan)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: decommission: mirror source unreadable: %w", err)
-	}
-	newProv, newVID, err := d.rehomePut(pl, newIdx, vid, payload, exclude, t)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: decommission: rehoming mirror: %w", err)
-	}
-
-	d.mu.Lock()
-	feNow, ok := d.clients[plan.entry.Client].Files[plan.entry.Filename]
-	if !ok || feNow != fe || feNow.Gen != gen ||
-		mi >= len(d.chunks[i].Mirrors) ||
-		d.chunks[i].Mirrors[mi].VirtualID != vid || d.chunks[i].Mirrors[mi].CPIndex != provIdx {
-		live := i < len(d.chunks) && mi < len(d.chunks[i].Mirrors) &&
-			d.chunks[i].Mirrors[mi].VirtualID == newVID && d.chunks[i].Mirrors[mi].CPIndex == newProv
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, live)
-		return 1, nil
-	}
-	rec := &walRecord{
-		Op: "move_mirror", Client: plan.entry.Client, Filename: plan.entry.Filename,
-		TableIdx: i, SubIdx: mi, NewProv: newProv, NewVID: newVID,
-		FileGen: gen + 1, Gen: d.gen + 1,
-	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, false)
-		return 0, fmt.Errorf("core: decommission: %w", err)
-	}
-	d.commitTicketLocked(t)
-	d.provCount[provIdx]--
-	d.chunks[i].Mirrors[mi] = mirrorRef{VirtualID: newVID, CPIndex: newProv}
-	feNow.Gen++
-	d.gen++
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	_ = d.deleteJob(provIdx, vid)()
-	rep.MirrorsMoved++
-	return 1, nil
-}
-
-// moveSnapshot relocates chunk i's snapshot off provIdx. A snapshot that
-// only exists on the departing provider and is unreadable is dropped
-// rather than failing the whole evacuation.
-func (d *Distributor) moveSnapshot(i, provIdx int, rep *DecommissionReport) (int, error) {
-	d.mu.Lock()
-	if i >= len(d.chunks) || d.chunks[i].SPIndex != provIdx || d.chunks[i].SnapVID == "" {
-		d.mu.Unlock()
-		return 0, nil
-	}
-	e := &d.chunks[i]
-	fe := d.clients[e.Client].Files[e.Filename]
-	gen := fe.Gen
-	client, filename := e.Client, e.Filename
-	vid := e.SnapVID
-	pl := e.PL
-	cpIdx := e.CPIndex
-	d.mu.Unlock()
-
-	sp, err := d.fleet.At(provIdx)
-	if err != nil {
-		return 0, err
-	}
-	snap, err := sp.Get(vid)
-	if err != nil {
+	payload, err := fetch()
+	switch {
+	case err != nil && s.kind == BlobSnapshot:
 		// Unreadable pre-state: drop the snapshot under the same
 		// generation rule as a move.
-		d.mu.Lock()
-		feNow, ok := d.clients[client].Files[filename]
-		if !ok || feNow != fe || feNow.Gen != gen ||
-			d.chunks[i].SnapVID != vid || d.chunks[i].SPIndex != provIdx {
-			d.mu.Unlock()
-			return 1, nil
+		rec.Op = "drop_snapshot"
+	case err != nil:
+		d.releaseTicket(t)
+		return 0, fmt.Errorf("core: decommission: %s of %s/%s unreadable: %w", s.kind, client, filename, err)
+	case placeErr != nil:
+		return 0, placeErr
+	default:
+		rec.NewProv, rec.NewVID, err = d.rehomePut(pl, newIdx, vid, payload, exclude, t)
+		if err != nil {
+			d.releaseTicket(t)
+			return 0, fmt.Errorf("core: decommission: rehoming %s: %w", s.kind, err)
 		}
-		rec := &walRecord{
-			Op: "drop_snapshot", Client: client, Filename: filename,
-			TableIdx: i, FileGen: gen + 1, Gen: d.gen + 1,
-		}
-		if err := d.logAppendLocked(rec); err != nil {
-			d.mu.Unlock()
-			return 0, fmt.Errorf("core: decommission: %w", err)
-		}
-		d.chunks[i].SPIndex = -1
-		d.chunks[i].SnapVID = ""
-		d.provCount[provIdx]--
-		feNow.Gen++
-		d.gen++
-		d.maybeCheckpointLocked()
+	}
+	dst := storedShard{rec.NewProv, rec.NewVID}
+	copied := dst.vid != ""
+
+	// ---- Commit ----
+	d.mu.Lock()
+	feNow, ok := d.clients[client].Files[filename]
+	prov, vidNow, err = d.cell(s)
+	if !ok || feNow != fe || feNow.Gen != gen || err != nil || *prov != provIdx || *vidNow != vid {
+		// Lost the race: the copy goes — unless the slot ended up
+		// referencing exactly it, in which case the copy IS the live blob.
+		live := err == nil && *prov == dst.provIdx && *vidNow == dst.vid
+		d.releaseTicketLocked(t)
 		d.mu.Unlock()
+		if copied && !live {
+			d.discardBlob(dst)
+		}
+		return 1, nil
+	}
+	rec.Gen = d.gen + 1
+	err = d.commitLocked(rec, t)
+	d.mu.Unlock()
+	if err != nil {
+		if copied {
+			d.discardBlob(dst)
+		}
+		return 0, fmt.Errorf("core: decommission: %w", err)
+	}
+	if !copied {
 		// The read failure may be transient while the blob still exists;
 		// without a best-effort delete the dropped reference leaks an
 		// orphan no audit can attribute.
-		_ = sp.Delete(vid)
+		d.discardBlob(storedShard{provIdx, vid})
 		return 1, nil
 	}
-
-	d.mu.Lock()
-	exclude := map[int]bool{provIdx: true, cpIdx: true}
-	newIdx, err := d.placeParityExcluding(pl, exclude)
-	if err != nil {
-		d.mu.Unlock()
-		return 0, err
-	}
-	t := d.newTicketLocked()
-	d.stageLocked(t, newIdx, vid)
-	d.mu.Unlock()
-
-	newProv, newVID, err := d.rehomePut(pl, newIdx, vid, snap, exclude, t)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: decommission: rehoming snapshot: %w", err)
-	}
-
-	d.mu.Lock()
-	feNow, ok := d.clients[client].Files[filename]
-	if !ok || feNow != fe || feNow.Gen != gen ||
-		d.chunks[i].SnapVID != vid || d.chunks[i].SPIndex != provIdx {
-		live := i < len(d.chunks) && d.chunks[i].SnapVID == newVID && d.chunks[i].SPIndex == newProv
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, live)
-		return 1, nil
-	}
-	rec := &walRecord{
-		Op: "move_snapshot", Client: client, Filename: filename,
-		TableIdx: i, NewProv: newProv, NewVID: newVID,
-		FileGen: gen + 1, Gen: d.gen + 1,
-	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, false)
-		return 0, fmt.Errorf("core: decommission: %w", err)
-	}
-	d.commitTicketLocked(t)
-	d.provCount[provIdx]--
-	d.chunks[i].SPIndex = newProv
-	d.chunks[i].SnapVID = newVID
-	feNow.Gen++
-	d.gen++
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
 	_ = d.deleteJob(provIdx, vid)()
-	rep.SnapshotsMoved++
-	return 1, nil
-}
-
-// moveParity relocates parity shard pi of stripe si off provIdx,
-// recomputing its contents from the members (cheaper than reading, and
-// correct even if the departing provider is already dark).
-func (d *Distributor) moveParity(si, pi, provIdx int, rep *DecommissionReport) (int, error) {
-	d.mu.Lock()
-	if si >= len(d.stripes) {
-		d.mu.Unlock()
-		return 0, nil
-	}
-	st := &d.stripes[si]
-	if pi >= len(st.Parity) || st.Parity[pi].CPIndex != provIdx || len(st.Members) == 0 {
-		d.mu.Unlock()
-		return 0, nil
-	}
-	owner := &d.chunks[st.Members[0]]
-	fe := d.clients[owner.Client].Files[owner.Filename]
-	gen := fe.Gen
-	client, filename := owner.Client, owner.Filename
-	vid := st.Parity[pi].VirtualID
-	pl := d.stripePL(st)
-	level := st.Level
-	shardLen := st.ShardLen
-	nData := len(st.Members)
-	plans := make([]fetchPlan, nData)
-	exclude := map[int]bool{provIdx: true}
-	for mi, ci := range st.Members {
-		plans[mi] = d.planFetch(&d.chunks[ci])
-		exclude[d.chunks[ci].CPIndex] = true
-	}
-	for pj := range st.Parity {
-		if pj != pi && st.Parity[pj].CPIndex != provIdx {
-			exclude[st.Parity[pj].CPIndex] = true
-		}
-	}
-	newIdx, err := d.placeParityExcluding(pl, exclude)
-	if err != nil {
-		d.mu.Unlock()
-		return 0, err
-	}
-	t := d.newTicketLocked()
-	d.stageLocked(t, newIdx, vid)
-	d.mu.Unlock()
-
-	padded := make([][]byte, nData)
-	jobs := make([]func() error, nData)
-	for mi := range plans {
-		mi := mi
-		jobs[mi] = func() error {
-			payload, err := d.fetchPayloadPlan(&plans[mi])
-			if err != nil {
-				return fmt.Errorf("core: re-encode: reading member %d: %w", mi, err)
-			}
-			pad := make([]byte, shardLen)
-			copy(pad, payload)
-			padded[mi] = pad
-			return nil
-		}
-	}
-	if err := d.fanOut(jobs); err != nil {
-		d.releaseTicket(t)
-		return 0, err
-	}
-	stripe, err := raid.Encode(level, padded)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: re-encode: %w", err)
-	}
-	newProv, newVID, err := d.rehomePut(pl, newIdx, vid, stripe.Shards[nData+pi], exclude, t)
-	if err != nil {
-		d.releaseTicket(t)
-		return 0, fmt.Errorf("core: decommission: rehoming parity: %w", err)
-	}
-
-	d.mu.Lock()
-	feNow, ok := d.clients[client].Files[filename]
-	stale := !ok || feNow != fe || feNow.Gen != gen ||
-		si >= len(d.stripes) || pi >= len(d.stripes[si].Parity) ||
-		d.stripes[si].Parity[pi].VirtualID != vid || d.stripes[si].Parity[pi].CPIndex != provIdx
-	if stale {
-		live := si < len(d.stripes) && pi < len(d.stripes[si].Parity) &&
-			d.stripes[si].Parity[pi].VirtualID == newVID && d.stripes[si].Parity[pi].CPIndex == newProv
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, live)
-		return 1, nil
-	}
-	rec := &walRecord{
-		Op: "move_parity", Client: client, Filename: filename,
-		TableIdx: si, SubIdx: pi, NewProv: newProv, NewVID: newVID,
-		FileGen: gen + 1, Gen: d.gen + 1,
-	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		d.dropCopied(newProv, newVID, false)
-		return 0, fmt.Errorf("core: decommission: %w", err)
-	}
-	d.commitTicketLocked(t)
-	d.provCount[provIdx]--
-	d.stripes[si].Parity[pi] = parityShard{VirtualID: newVID, CPIndex: newProv}
-	feNow.Gen++
-	d.gen++
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	_ = d.deleteJob(provIdx, vid)()
-	rep.ParityMoved++
+	rep.moved(s.kind)
 	return 1, nil
 }
 
@@ -532,17 +334,7 @@ type AuditReport struct {
 func (d *Distributor) referencedLocked() map[string]bool {
 	referenced := make(map[string]bool)
 	for i := range d.chunks {
-		c := &d.chunks[i]
-		if c.CPIndex < 0 {
-			continue
-		}
-		referenced[c.VirtualID] = true
-		for _, m := range c.Mirrors {
-			referenced[m.VirtualID] = true
-		}
-		if c.SnapVID != "" {
-			referenced[c.SnapVID] = true
-		}
+		d.chunks[i].eachBlob(func(_ BlobKind, at storedShard) { referenced[at.vid] = true })
 	}
 	for _, st := range d.stripes {
 		for _, ps := range st.Parity {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/provider"
-	"repro/internal/raid"
 )
 
 // RemoveFile deletes a file: every data chunk and parity shard is removed
@@ -17,7 +16,8 @@ import (
 // tables untouched ("remove incomplete" — the blobs still referenced are
 // still served, the already-deleted ones surface as unavailable until
 // the remove is retried). Commit (under d.mu): re-check the file's
-// generation and drop the rows and counts atomically.
+// generation and commit one remove_file record that drops the rows and
+// counts atomically.
 func (d *Distributor) RemoveFile(client, password, filename string) error {
 	// ---- Plan ----
 	d.mu.Lock()
@@ -34,29 +34,16 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 			continue
 		}
 		entry := &d.chunks[idx]
-		dels = append(dels, storedShard{entry.CPIndex, entry.VirtualID})
-		for _, m := range entry.Mirrors {
-			dels = append(dels, storedShard{m.CPIndex, m.VirtualID})
-		}
-		if entry.SnapVID != "" && entry.SPIndex >= 0 {
-			dels = append(dels, storedShard{entry.SPIndex, entry.SnapVID})
-		}
+		dels = blobsOf(dels, entry)
 		if !seenStripe[entry.StripeID] {
 			seenStripe[entry.StripeID] = true
-			st := &d.stripes[entry.StripeID]
-			for _, ps := range st.Parity {
-				dels = append(dels, storedShard{ps.CPIndex, ps.VirtualID})
-			}
+			dels = parityBlobs(dels, d.stripes[entry.StripeID].Parity)
 		}
 	}
 	d.mu.Unlock()
 
 	// ---- Ship ----
-	jobs := make([]func() error, len(dels))
-	for i, s := range dels {
-		jobs[i] = d.deleteJob(s.provIdx, s.vid)
-	}
-	if err := d.fanOut(jobs); err != nil {
+	if err := d.deleteBlobs(dels); err != nil {
 		return fmt.Errorf("core: remove incomplete: %w", err)
 	}
 
@@ -72,48 +59,18 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 	}
 	rec := &walRecord{
 		Op: "remove_file", Client: client, Filename: filename,
-		FileGen: fe.Gen + 1, ClientGen: c.Gen + 1, Gen: d.gen + 1,
+		FileGen: fileGen + 1, ClientGen: c.Gen + 1, Gen: d.gen + 1,
 	}
-	if err := d.logAppendLocked(rec); err != nil {
+	if err := d.commitLocked(rec, nil); err != nil {
 		// Tables untouched: same "remove incomplete" semantics as a failed
 		// delete — the already-deleted blobs surface as unavailable until
 		// the remove is retried.
 		return fmt.Errorf("core: remove incomplete: %w", err)
 	}
-	remaining := 0
-	for _, idx := range fe.ChunkIdx {
-		if idx < 0 {
-			continue
-		}
-		remaining++
-		entry := &d.chunks[idx]
-		d.provCount[entry.CPIndex]--
-		for _, m := range entry.Mirrors {
-			d.provCount[m.CPIndex]--
-		}
-		if entry.SnapVID != "" && entry.SPIndex >= 0 {
-			d.provCount[entry.SPIndex]--
-		}
-		entry.tombstone()
-	}
-	for sid := range seenStripe {
-		st := &d.stripes[sid]
-		for _, ps := range st.Parity {
-			d.provCount[ps.CPIndex]--
-		}
-		st.Parity = nil
-		st.Members = nil
-	}
-	c.Count -= remaining
-	delete(c.Files, filename)
 	for serial := range fe.ChunkIdx {
 		d.cache.remove(cacheKey{fid: fe.FID, serial: serial, gen: fileGen})
 	}
-	fe.Gen++
-	c.Gen++
-	d.gen++
 	d.counters.removes.Add(1)
-	d.maybeCheckpointLocked()
 	return nil
 }
 
@@ -125,8 +82,9 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 // survivors while the full stripe is still consistent, and stage fresh
 // virtual ids for the replacement parity. Ship (no lock): fetch the
 // survivors, write the new parity, then delete the chunk's blobs and the
-// stale parity. Commit (under d.mu): generation check, then tombstone
-// the row and swap the stripe's membership and parity atomically.
+// stale parity. Commit (under d.mu): generation check, then one
+// remove_chunk record tombstones the row and swaps the stripe's membership
+// and parity atomically.
 func (d *Distributor) RemoveChunk(client, password, filename string, serial int) error {
 	// ---- Plan ----
 	d.mu.Lock()
@@ -135,54 +93,22 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 		d.mu.Unlock()
 		return err
 	}
-	c := d.clients[client]
-	fe := c.Files[filename]
+	fe := d.clients[client].Files[filename]
 	fileGen := fe.Gen
+	entryIdx := fe.ChunkIdx[serial]
 	pl := entry.PL
-	st := &d.stripes[entry.StripeID]
 	stripeID := entry.StripeID
+	st := &d.stripes[stripeID]
 	level := st.Level
-	oldParity := append([]parityShard(nil), st.Parity...)
-
-	type survivor struct {
-		chunkIdx int
-		plan     fetchPlan
-		provIdx  int
-		name     string
-		serial   int
-	}
-	var survivors []survivor
-	for _, cidx := range st.Members {
-		m := &d.chunks[cidx]
-		if m.VirtualID == entry.VirtualID {
-			continue
-		}
-		survivors = append(survivors, survivor{
-			chunkIdx: cidx, plan: d.planFetch(m), provIdx: m.CPIndex,
-			name: m.Filename, serial: m.Serial,
-		})
-	}
-
-	dels := []storedShard{{entry.CPIndex, entry.VirtualID}}
-	for _, m := range entry.Mirrors {
-		dels = append(dels, storedShard{m.CPIndex, m.VirtualID})
-	}
-	if entry.SnapVID != "" && entry.SPIndex >= 0 {
-		dels = append(dels, storedShard{entry.SPIndex, entry.SnapVID})
-	}
-	for _, ps := range oldParity {
-		dels = append(dels, storedShard{ps.CPIndex, ps.VirtualID})
-	}
+	survivors := d.planMembersLocked(st, entryIdx)
+	dels := parityBlobs(blobsOf(nil, entry), st.Parity)
 
 	// Stage replacement parity on freshly placed providers.
 	t := d.newTicketLocked()
 	reencode := len(survivors) > 0 && level.ParityShards() > 0
 	var newParity []parityShard
 	if reencode {
-		exclude := map[int]bool{}
-		for _, s := range survivors {
-			exclude[s.provIdx] = true
-		}
+		exclude := memberProviders(survivors)
 		for pi := 0; pi < level.ParityShards(); pi++ {
 			provIdx, err := d.placeParityExcluding(pl, exclude)
 			if err != nil {
@@ -199,6 +125,8 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	d.mu.Unlock()
 
 	// ---- Ship ----
+	var pooled [][]byte
+	defer func() { releaseBuffers(pooled) }()
 	var stored []storedShard
 	abort := func(err error) error {
 		d.rollbackStored(stored)
@@ -206,119 +134,61 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 		return err
 	}
 
-	// Gather surviving member payloads (reconstructing any unreachable
+	// Re-encode over the surviving members (reconstructing any unreachable
 	// one) while the full stripe still exists on the providers.
 	shardLen := 1
-	sibPayloads := make([][]byte, len(survivors))
 	if reencode {
-		jobs := make([]func() error, len(survivors))
-		for i := range survivors {
-			i := i
-			jobs[i] = func() error {
-				data, err := d.fetchPayloadPlan(&survivors[i].plan)
-				if err != nil {
-					return fmt.Errorf("core: cannot preserve stripe member %s#%d during removal: %w", survivors[i].name, survivors[i].serial, err)
-				}
-				sibPayloads[i] = data
-				return nil
-			}
-		}
-		if err := d.fanOut(jobs); err != nil {
+		payloads, err := d.fetchMembers(survivors)
+		if err != nil {
 			return abort(err)
 		}
-		for _, p := range sibPayloads {
-			if len(p) > shardLen {
-				shardLen = len(p)
-			}
-		}
-		padded := make([][]byte, len(sibPayloads))
-		for i, p := range sibPayloads {
-			pad := make([]byte, shardLen)
-			copy(pad, p)
-			padded[i] = pad
-		}
-		stripe, err := raid.Encode(level, padded)
+		shardLen = stripeShardLen(payloads)
+		parityBufs, err := d.encodeParity(level, payloads, shardLen, &pooled)
 		if err != nil {
-			return abort(fmt.Errorf("core: re-encoding stripe after removal: %w", err))
+			return abort(err)
 		}
-		for pi := range newParity {
-			pex := map[int]bool{}
-			for _, s := range survivors {
-				pex[s.provIdx] = true
-			}
-			for pj := range newParity {
-				if pj != pi {
-					pex[newParity[pj].CPIndex] = true
-				}
-			}
-			pProv, pVID, err := d.rehomePut(pl, newParity[pi].CPIndex, newParity[pi].VirtualID, stripe.Shards[len(survivors)+pi], pex, t)
-			if err != nil {
-				return abort(fmt.Errorf("core: writing re-encoded parity: %w", err))
-			}
-			newParity[pi] = parityShard{VirtualID: pVID, CPIndex: pProv}
-			stored = append(stored, storedShard{pProv, pVID})
+		if err := d.shipParity(pl, newParity, parityBufs, memberProviders(survivors), t, &stored); err != nil {
+			return abort(err)
 		}
 	}
 
 	// Delete the chunk, its mirrors, its snapshot, and stale parity.
-	jobs := make([]func() error, len(dels))
-	for i, s := range dels {
-		jobs[i] = d.deleteJob(s.provIdx, s.vid)
-	}
-	if err := d.fanOut(jobs); err != nil {
+	if err := d.deleteBlobs(dels); err != nil {
 		return abort(fmt.Errorf("core: remove incomplete: %w", err))
 	}
 
 	// ---- Commit ----
 	d.mu.Lock()
-	feNow, ok := c.Files[filename]
+	feNow, ok := d.clients[client].Files[filename]
 	if !ok || feNow != fe || feNow.Gen != fileGen {
 		d.releaseTicketLocked(t)
 		d.mu.Unlock()
 		d.rollbackStored(stored)
 		return fmt.Errorf("%w: %s#%d changed during removal", ErrConflict, filename, serial)
 	}
-	newMembers := make([]int, 0, len(survivors))
-	for _, s := range survivors {
-		newMembers = append(newMembers, s.chunkIdx)
+	newMembers := make([]int, len(survivors))
+	for i := range survivors {
+		newMembers[i] = survivors[i].chunkIdx
 	}
 	rec := &walRecord{
 		Op: "remove_chunk", Client: client, Filename: filename, Serial: serial,
 		StripeID: stripeID, Members: newMembers, ShardLen: shardLen, Parity: newParity,
-		FileGen: fe.Gen + 1, Gen: d.gen + 1,
+		FileGen: fileGen + 1, Gen: d.gen + 1,
 	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
+	if err := d.commitLocked(rec, t); err != nil {
 		d.mu.Unlock()
 		d.rollbackStored(stored)
 		return fmt.Errorf("core: remove incomplete: %w", err)
 	}
-	e := &d.chunks[fe.ChunkIdx[serial]]
-	d.provCount[e.CPIndex]--
-	for _, m := range e.Mirrors {
-		d.provCount[m.CPIndex]--
-	}
-	if e.SnapVID != "" && e.SPIndex >= 0 {
-		d.provCount[e.SPIndex]--
-	}
-	for _, ps := range oldParity {
-		d.provCount[ps.CPIndex]--
-	}
-	d.commitTicketLocked(t)
-	stNow := &d.stripes[stripeID]
-	stNow.Members = newMembers
-	stNow.ShardLen = shardLen
-	stNow.Parity = newParity
-	e.tombstone()
-	fe.ChunkIdx[serial] = -1
-	c.Count--
 	d.cache.remove(cacheKey{fid: fe.FID, serial: serial, gen: fileGen})
-	fe.Gen++
-	d.gen++
 	d.counters.removes.Add(1)
-	d.maybeCheckpointLocked()
 	d.mu.Unlock()
 	return nil
+}
+
+// deleteBlobs fans the deletion of dels out; all are attempted.
+func (d *Distributor) deleteBlobs(dels []storedShard) error {
+	return d.fanOutN(len(dels), func(i int) error { return d.deleteJob(dels[i].provIdx, dels[i].vid)() })
 }
 
 // deleteJob builds a fan-out job removing one key from one provider;

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/privacy"
@@ -131,6 +132,13 @@ func TestClusterProvCountConvergence(t *testing.T) {
 	if rs := c.ReplicationStats(); rs.SnapshotSyncs != 0 {
 		t.Fatalf("expected pure incremental replication, got %+v", rs)
 	}
+	// Both members ran the same transitions: same state, and counts that
+	// are what a recount of the tables gives.
+	if p, s := c.dists[0].StateView(), c.dists[1].StateView(); !reflect.DeepEqual(p, s) {
+		t.Fatalf("state diverged\nprimary   %+v\nsecondary %+v", p, s)
+	}
+	provCountExact(t, "primary", c.dists[0])
+	provCountExact(t, "secondary", c.dists[1])
 }
 
 // TestClusterLagSurfacing is the staleness fix: a down secondary's lag

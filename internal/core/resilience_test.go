@@ -293,6 +293,82 @@ func TestDecommissionDarkProviderUsesRAID(t *testing.T) {
 	}
 }
 
+// TestMoveShardConflict races a relocation against its owning file, for
+// each kind of slot a decommission moves: just before the copy lands on
+// its target the hook either moves the file's generation on (the move is
+// stale: the copy must go and the shard be reported dirty), also points
+// the slot at the copy (the copy IS the live blob now and must stay), or
+// closes the log (the commit's append fails: copy dropped, an error).
+// Every outcome leaves the slot unmoved by moveShard and no ticket open.
+func TestMoveShardConflict(t *testing.T) {
+	for _, kind := range []BlobKind{BlobChunk, BlobMirror, BlobSnapshot, BlobParity} {
+		for _, outcome := range []string{"stale", "live", "append fails"} {
+			t.Run(string(kind)+"/"+outcome, func(t *testing.T) {
+				d, hooked := hookedDistributor(t, 8)
+				d.setCommitHook(func([]byte) {}) // a log to close
+				if _, err := d.Upload("alice", "root", "f", payload(80_000, 76), privacy.Moderate, UploadOptions{Replicas: 1}); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.UpdateChunk("alice", "root", "f", 0, []byte("v2"), UploadOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				fe := d.clients["alice"].Files["f"]
+				s := shardSlot{kind: kind, idx: fe.ChunkIdx[0]}
+				if kind == BlobParity {
+					s.idx = d.chunks[fe.ChunkIdx[0]].StripeID
+				}
+				prov, vid, err := d.cell(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				from, fromVID := *prov, *vid
+
+				var dst storedShard
+				for i, h := range hooked {
+					h.SetBeforePut(func(_ int, key string) error {
+						clearPutHooks(hooked)
+						dst = storedShard{i, key}
+						d.mu.Lock()
+						defer d.mu.Unlock()
+						switch outcome {
+						case "append fails":
+							d.closed = true
+							return nil
+						case "live":
+							*prov, *vid = dst.provIdx, dst.vid
+						}
+						fe.Gen++
+						return nil
+					})
+				}
+				var rep DecommissionReport
+				dirty, err := d.moveShard(s, from, &rep)
+
+				kept := false
+				for _, key := range hooked[dst.provIdx].Keys() {
+					kept = kept || key == dst.vid
+				}
+				wantDirty, wantErr, wantKept := 1, error(nil), outcome == "live"
+				if outcome == "append fails" {
+					wantDirty, wantErr = 0, errClosed
+				}
+				if dirty != wantDirty || !errors.Is(err, wantErr) || kept != wantKept {
+					t.Fatalf("dirty=%d err=%v copy kept=%v, want %d, %v, %v", dirty, err, kept, wantDirty, wantErr, wantKept)
+				}
+				if outcome != "live" && (*prov != from || *vid != fromVID) {
+					t.Fatalf("slot moved to (%d, %s) by a move that did not commit", *prov, *vid)
+				}
+				if rep != (DecommissionReport{}) {
+					t.Fatalf("a move that did not commit was reported: %+v", rep)
+				}
+				if !d.StateView().Quiescent {
+					t.Fatal("ticket left open")
+				}
+			})
+		}
+	}
+}
+
 func TestDecommissionBadIndex(t *testing.T) {
 	d := testDistributor(t, 3)
 	if _, err := d.Decommission(9); err == nil {

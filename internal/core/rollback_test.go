@@ -13,11 +13,10 @@ import (
 	"repro/internal/raid"
 )
 
-// hookedDistributor builds a distributor over n Hooked providers with
-// identical cost levels (so placement is purely load-balancing and every
-// provider gets selected deterministically) and serialized provider I/O
-// (so put ordinals are the staged shard order).
-func hookedDistributor(t *testing.T, n int) (*Distributor, []*provider.Hooked) {
+// hookedFleet builds n Hooked in-memory providers with identical cost
+// levels, so placement is purely load-balancing and every provider gets
+// selected deterministically.
+func hookedFleet(t *testing.T, n int) (*provider.Fleet, []*provider.Hooked) {
 	t.Helper()
 	f, err := provider.NewFleet()
 	if err != nil {
@@ -36,6 +35,14 @@ func hookedDistributor(t *testing.T, n int) (*Distributor, []*provider.Hooked) {
 			t.Fatal(err)
 		}
 	}
+	return f, hooked
+}
+
+// hookedDistributor builds a distributor over a hookedFleet with
+// serialized provider I/O (so put ordinals are the staged shard order).
+func hookedDistributor(t *testing.T, n int) (*Distributor, []*provider.Hooked) {
+	t.Helper()
+	f, hooked := hookedFleet(t, n)
 	d, err := New(Config{Fleet: f, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"repro/internal/bufpool"
+
 	"repro/internal/provider"
 	"repro/internal/raid"
 )
@@ -132,14 +132,14 @@ func (d *Distributor) Scrub() (ScrubReport, error) {
 // stripeScrubItem is one parity-carrying stripe snapshotted for the
 // scrub's second phase.
 type stripeScrubItem struct {
-	level       raid.Level
-	shardLen    int
-	parity      []parityShard
-	memberPlans []fetchPlan
-	fe          *fileEntry
-	gen         uint64
-	client      string
-	filename    string
+	level    raid.Level
+	shardLen int
+	parity   []parityShard
+	members  []stripeMember
+	fe       *fileEntry
+	gen      uint64
+	client   string
+	filename string
 }
 
 // scrubParity is Scrub's second phase: recompute every stripe's parity
@@ -161,19 +161,16 @@ func (d *Distributor) scrubParity(rep *ScrubReport) {
 			continue
 		}
 		fe := d.clients[owner.Client].Files[owner.Filename]
-		it := stripeScrubItem{
+		items = append(items, stripeScrubItem{
 			level:    st.Level,
 			shardLen: st.ShardLen,
 			parity:   append([]parityShard(nil), st.Parity...),
+			members:  d.planMembersLocked(st, -1),
 			fe:       fe,
 			gen:      fe.Gen,
 			client:   owner.Client,
 			filename: owner.Filename,
-		}
-		for _, ci := range st.Members {
-			it.memberPlans = append(it.memberPlans, d.planFetch(&d.chunks[ci]))
-		}
-		items = append(items, it)
+		})
 	}
 	d.mu.RUnlock()
 
@@ -189,33 +186,22 @@ func (d *Distributor) scrubStripeParity(it *stripeScrubItem, rep *ScrubReport) {
 	rep.ParityChecked += len(it.parity)
 
 	var scratch [][]byte
-	defer func() {
-		for _, b := range scratch {
-			bufpool.Put(b)
-		}
-	}()
+	defer func() { releaseBuffers(scratch) }()
 
 	// Parity is computed over the zero-padded stored payloads, so the
 	// members must be readable (any healthy source) to know the truth.
-	padded := make([][]byte, len(it.memberPlans))
-	for mi := range it.memberPlans {
-		payload, err := d.fetchPayloadPlan(&it.memberPlans[mi])
-		if err != nil {
+	// Read one at a time, stopping at the first that is not: a scrub is
+	// background work and should not fan out or read on for nothing.
+	payloads := make([][]byte, len(it.members))
+	for mi := range it.members {
+		var err error
+		if payloads[mi], err = d.fetchPayloadPlan(&it.members[mi].plan); err != nil {
 			rep.ParityUnrepairable += len(it.parity)
 			return
 		}
-		pad := bufpool.Get(it.shardLen)
-		n := copy(pad, payload)
-		clear(pad[n:])
-		padded[mi] = pad
-		scratch = append(scratch, pad)
 	}
-	expected := make([][]byte, it.level.ParityShards())
-	for i := range expected {
-		expected[i] = bufpool.Get(it.shardLen)
-		scratch = append(scratch, expected[i])
-	}
-	if err := raid.ParityInto(it.level, padded, expected); err != nil {
+	expected, err := d.encodeParity(it.level, payloads, it.shardLen, &scratch)
+	if err != nil {
 		rep.ParityUnrepairable += len(it.parity)
 		return
 	}

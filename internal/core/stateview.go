@@ -125,25 +125,16 @@ func (d *Distributor) StateView() StateView {
 
 	for i := range d.chunks {
 		e := &d.chunks[i]
-		if e.CPIndex < 0 {
-			continue // removed
-		}
-		v.Blobs = append(v.Blobs, BlobView{
-			Kind: BlobChunk, VID: e.VirtualID, ProvIdx: e.CPIndex, PL: e.PL,
-			Client: e.Client, Filename: e.Filename, Serial: e.Serial, PayloadLen: e.PayloadLen,
-		})
-		for _, m := range e.Mirrors {
-			v.Blobs = append(v.Blobs, BlobView{
-				Kind: BlobMirror, VID: m.VirtualID, ProvIdx: m.CPIndex, PL: e.PL,
+		e.eachBlob(func(kind BlobKind, at storedShard) {
+			bv := BlobView{
+				Kind: kind, VID: at.vid, ProvIdx: at.provIdx, PL: e.PL,
 				Client: e.Client, Filename: e.Filename, Serial: e.Serial, PayloadLen: e.PayloadLen,
-			})
-		}
-		if e.SnapVID != "" && e.SPIndex >= 0 {
-			v.Blobs = append(v.Blobs, BlobView{
-				Kind: BlobSnapshot, VID: e.SnapVID, ProvIdx: e.SPIndex, PL: e.PL,
-				Client: e.Client, Filename: e.Filename, Serial: e.Serial,
-			})
-		}
+			}
+			if kind == BlobSnapshot {
+				bv.PayloadLen = 0 // an opaque pre-update payload, length untracked
+			}
+			v.Blobs = append(v.Blobs, bv)
+		})
 	}
 	for si := range d.stripes {
 		st := &d.stripes[si]

@@ -70,16 +70,10 @@ func (d *Distributor) ProviderTable() []ProviderRow {
 		info := p.Info()
 		rows[i] = ProviderRow{Name: info.Name, PL: info.PL, CL: info.CL, Count: d.provCount[i]}
 	}
-	for _, c := range d.chunks {
-		if c.CPIndex >= 0 {
-			rows[c.CPIndex].VIDs = append(rows[c.CPIndex].VIDs, c.VirtualID)
-		}
-		for _, m := range c.Mirrors {
-			rows[m.CPIndex].VIDs = append(rows[m.CPIndex].VIDs, m.VirtualID)
-		}
-		if c.SPIndex >= 0 && c.SnapVID != "" {
-			rows[c.SPIndex].VIDs = append(rows[c.SPIndex].VIDs, c.SnapVID)
-		}
+	for i := range d.chunks {
+		d.chunks[i].eachBlob(func(_ BlobKind, at storedShard) {
+			rows[at.provIdx].VIDs = append(rows[at.provIdx].VIDs, at.vid)
+		})
 	}
 	for _, st := range d.stripes {
 		for _, ps := range st.Parity {
@@ -245,14 +239,15 @@ func (d *Distributor) Stats() Stats {
 		s.Files += len(c.Files)
 		s.Chunks += c.Count
 	}
-	for _, c := range d.chunks {
-		if c.CPIndex < 0 {
-			continue
-		}
-		s.MirrorShards += len(c.Mirrors)
-		if c.SPIndex >= 0 && c.SnapVID != "" {
-			s.Snapshots++
-		}
+	for i := range d.chunks {
+		d.chunks[i].eachBlob(func(kind BlobKind, _ storedShard) {
+			switch kind {
+			case BlobMirror:
+				s.MirrorShards++
+			case BlobSnapshot:
+				s.Snapshots++
+			}
+		})
 	}
 	for _, st := range d.stripes {
 		if len(st.Members) > 0 || len(st.Parity) > 0 {

@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"repro/internal/bufpool"
 	"repro/internal/provider"
-	"repro/internal/raid"
 )
 
 // UpdateChunk replaces one chunk's contents. Before the modification the
@@ -27,8 +25,9 @@ import (
 // the tables untouched: the chunk row, provider counts and the previous
 // snapshot all keep serving. Commit (under
 // d.mu): re-check the file's generation — a concurrent mutation means
-// ErrConflict and a rollback of the new blobs — then swap every row
-// field at once and retire the superseded blobs.
+// ErrConflict and a rollback of the new blobs — then commit one update
+// record that swaps every row field at once, and retire the superseded
+// blobs.
 func (d *Distributor) UpdateChunk(client, password, filename string, serial int, newData []byte, opts UploadOptions) error {
 	if opts.MisleadFraction < 0 || opts.MisleadFraction >= 1 {
 		return fmt.Errorf("%w: mislead fraction %v outside [0,1)", ErrConfig, opts.MisleadFraction)
@@ -71,25 +70,9 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// with the members. Reading them after the post-state write would let
 	// an unreachable sibling be "reconstructed" through stale parity.
 	pre := d.planFetch(entry)
-	type sibling struct {
-		chunkIdx int
-		plan     fetchPlan
-		provIdx  int
-		name     string
-		serial   int
-	}
-	var sibs []sibling
+	var sibs []stripeMember
 	if level.ParityShards() > 0 {
-		for _, cidx := range members {
-			m := &d.chunks[cidx]
-			if m.VirtualID == entry.VirtualID {
-				continue
-			}
-			sibs = append(sibs, sibling{
-				chunkIdx: cidx, plan: d.planFetch(m), provIdx: m.CPIndex,
-				name: m.Filename, serial: m.Serial,
-			})
-		}
+		sibs = d.planMembersLocked(st, entryIdx)
 	}
 
 	// Stage fresh virtual ids for every blob of the new generation. The
@@ -123,11 +106,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// further down. Providers copy on Put, so everything drawn is dead
 	// once this call returns.
 	var pooled [][]byte
-	defer func() {
-		for _, b := range pooled {
-			bufpool.Put(b)
-		}
-	}()
+	defer func() { releaseBuffers(pooled) }()
 	var stored []storedShard
 	abort := func(err error) error {
 		d.rollbackStored(stored)
@@ -146,20 +125,8 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	if err != nil {
 		return abort(fmt.Errorf("core: reading pre-state: %w", err))
 	}
-	sibPayloads := make([][]byte, len(sibs))
-	sibJobs := make([]func() error, len(sibs))
-	for i := range sibs {
-		i := i
-		sibJobs[i] = func() error {
-			data, err := d.fetchPayloadPlan(&sibs[i].plan)
-			if err != nil {
-				return fmt.Errorf("core: reading stripe sibling %s#%d before update: %w", sibs[i].name, sibs[i].serial, err)
-			}
-			sibPayloads[i] = data
-			return nil
-		}
-	}
-	if err := d.fanOut(sibJobs); err != nil {
+	sibPayloads, err := d.fetchMembers(sibs)
+	if err != nil {
 		return abort(err)
 	}
 
@@ -173,10 +140,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 
 	// Post-state, excluding every provider holding a sibling, parity
 	// shard or mirror of this chunk.
-	exclude := make(map[int]bool)
-	for _, s := range sibs {
-		exclude[s.provIdx] = true
-	}
+	exclude := memberProviders(sibs)
 	for _, ps := range oldParity {
 		exclude[ps.CPIndex] = true
 	}
@@ -208,78 +172,39 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// Re-encode parity from the prefetched siblings plus the new payload —
 	// never re-reading members through a now-inconsistent stripe.
 	shardLen := 0
-	if level.ParityShards() > 0 && len(members) > 0 {
-		shardLen = 1
+	if level.ParityShards() > 0 {
 		payloads := make([][]byte, len(members))
+		sib := 0
 		for i, cidx := range members {
-			pv := payload
-			if cidx != entryIdx {
-				for j, s := range sibs {
-					if s.chunkIdx == cidx {
-						pv = sibPayloads[j]
-						break
-					}
-				}
-			}
-			payloads[i] = pv
-			if len(pv) > shardLen {
-				shardLen = len(pv)
-			}
-		}
-		// Zero-padded copies for short shards plus the parity outputs are
-		// pooled scratch too.
-		padded := make([][]byte, len(payloads))
-		for i, p := range payloads {
-			if len(p) == shardLen {
-				padded[i] = p
+			if cidx == entryIdx {
+				payloads[i] = payload
 				continue
 			}
-			pad := bufpool.Get(shardLen)
-			n := copy(pad, p)
-			clear(pad[n:])
-			padded[i] = pad
-			pooled = append(pooled, pad)
+			payloads[i] = sibPayloads[sib]
+			sib++
 		}
-		parityBufs := make([][]byte, len(newParity))
-		for pi := range parityBufs {
-			parityBufs[pi] = bufpool.Get(shardLen)
-			pooled = append(pooled, parityBufs[pi])
+		shardLen = stripeShardLen(payloads)
+		parityBufs, err := d.encodeParity(level, payloads, shardLen, &pooled)
+		if err != nil {
+			return abort(err)
 		}
-		if err := raid.ParityInto(level, padded, parityBufs); err != nil {
-			return abort(fmt.Errorf("core: re-encode: %w", err))
-		}
-		d.byteWork("parity")
-		for pi := range newParity {
-			pex := map[int]bool{postProv: true}
-			for _, s := range sibs {
-				pex[s.provIdx] = true
-			}
-			for pj := range newParity {
-				if pj != pi {
-					pex[newParity[pj].CPIndex] = true
-				}
-			}
-			pProv, pVID, err := d.rehomePut(pl, newParity[pi].CPIndex, newParity[pi].VirtualID, parityBufs[pi], pex, t)
-			if err != nil {
-				return abort(fmt.Errorf("core: rewriting parity: %w", err))
-			}
-			newParity[pi] = parityShard{VirtualID: pVID, CPIndex: pProv}
-			stored = append(stored, storedShard{pProv, pVID})
+		dataProvs := memberProviders(sibs)
+		dataProvs[postProv] = true
+		if err := d.shipParity(pl, newParity, parityBufs, dataProvs, t, &stored); err != nil {
+			return abort(err)
 		}
 	}
 
 	// ---- Commit: swap the row atomically, or detect a lost race ----
 	d.mu.Lock()
-	c := d.clients[client]
-	feNow, ok := c.Files[filename]
+	feNow, ok := d.clients[client].Files[filename]
 	if !ok || feNow != fe || feNow.Gen != fileGen {
 		d.releaseTicketLocked(t)
 		d.mu.Unlock()
 		d.rollbackStored(stored)
 		return fmt.Errorf("%w: %s#%d changed during update", ErrConflict, filename, serial)
 	}
-	e := &d.chunks[entryIdx]
-	newEntry := *e
+	newEntry := d.chunks[entryIdx]
 	newEntry.VirtualID = postVID
 	newEntry.CPIndex = postProv
 	newEntry.SPIndex = spIdx
@@ -292,53 +217,37 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	rec := &walRecord{
 		Op: "update", Client: client, Filename: filename, Serial: serial,
 		StripeID: stripeID, Chunk: newEntry, Parity: newParity, ShardLen: shardLen,
-		FileGen: fe.Gen + 1, Gen: d.gen + 1,
+		FileGen: fileGen + 1, Gen: d.gen + 1,
 	}
-	if err := d.logAppendLocked(rec); err != nil {
-		d.releaseTicketLocked(t)
+	if err := d.commitLocked(rec, t); err != nil {
 		d.mu.Unlock()
 		d.rollbackStored(stored)
 		return fmt.Errorf("core: update aborted: %w", err)
 	}
-	retired := []storedShard{{old.CPIndex, old.VirtualID}}
-	d.provCount[old.CPIndex]--
-	for _, m := range old.Mirrors {
-		retired = append(retired, storedShard{m.CPIndex, m.VirtualID})
-		d.provCount[m.CPIndex]--
-	}
-	for _, ps := range oldParity {
-		retired = append(retired, storedShard{ps.CPIndex, ps.VirtualID})
-		d.provCount[ps.CPIndex]--
-	}
-	if old.SnapVID != "" && old.SPIndex >= 0 {
-		retired = append(retired, storedShard{old.SPIndex, old.SnapVID})
-		d.provCount[old.SPIndex]--
-	}
-	d.commitTicketLocked(t)
-	*e = newEntry
-	stNow := &d.stripes[stripeID]
-	stNow.Parity = newParity
-	if shardLen > 0 {
-		stNow.ShardLen = shardLen
-	}
-	fe.Gen++
-	d.gen++
 	// Drop the superseded generation's cached bytes eagerly. The key uses
 	// fileGen (the generation this update planned against — the one
 	// readers of the old bytes inserted under); entries under even older
 	// generations are already unreachable and age out.
 	d.cache.remove(cacheKey{fid: fe.FID, serial: serial, gen: fileGen})
 	d.counters.updates.Add(1)
-	d.maybeCheckpointLocked()
 	d.mu.Unlock()
 
-	// Retire the superseded generation, best-effort: every blob is
-	// unreferenced by the committed tables, so a failed delete is later
-	// detectable as a VID orphan.
-	for _, s := range retired {
-		if p, e := d.fleet.At(s.provIdx); e == nil {
-			_ = p.Delete(s.vid)
+	// The superseded generation: primary, mirrors and parity, then the
+	// snapshot before this one.
+	var retired, oldSnap []storedShard
+	old.eachBlob(func(kind BlobKind, at storedShard) {
+		if kind == BlobSnapshot {
+			oldSnap = append(oldSnap, at)
+		} else {
+			retired = append(retired, at)
 		}
+	})
+	retired = append(parityBlobs(retired, oldParity), oldSnap...)
+
+	// Retire it best-effort: every blob is unreferenced by the committed
+	// tables, so a failed delete is later detectable as a VID orphan.
+	for _, s := range retired {
+		d.discardBlob(s)
 	}
 	return nil
 }

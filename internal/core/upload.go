@@ -178,9 +178,7 @@ type stripeJob struct {
 }
 
 func (j *stripeJob) releaseBuffers() {
-	for _, b := range j.pooled {
-		bufpool.Put(b)
-	}
+	releaseBuffers(j.pooled)
 	j.pooled = nil
 }
 
@@ -284,9 +282,7 @@ func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte,
 // map inserts — evict the kernels' working set, which costs a 4 MiB
 // defended put about 7 ms.
 func (d *Distributor) fillStripe(u *uploadCtx, job *stripeJob) error {
-	parity := u.level.ParityShards()
 	payloads := make([][]byte, len(job.datas))
-	shardLen := 0
 	for i, data := range job.datas {
 		payload, inj, err := preparePayload(data, u.encKey, u.opts, job.nonce+uint64(i), u.decoys, &job.pooled)
 		if err != nil {
@@ -295,19 +291,13 @@ func (d *Distributor) fillStripe(u *uploadCtx, job *stripeJob) error {
 		payloads[i] = payload
 		job.chunks[i].Mislead = inj
 		job.chunks[i].PayloadLen = len(payload)
-		if len(payload) > shardLen {
-			shardLen = len(payload)
-		}
 	}
 	d.byteWork("prepare")
-	if shardLen == 0 {
-		shardLen = 1 // parity over empty chunks still needs one byte
-	}
+	shardLen := stripeShardLen(payloads)
 	job.stripe[0].ShardLen = shardLen
-	parityBufs := make([][]byte, parity)
-	for pi := range parityBufs {
-		parityBufs[pi] = bufpool.Get(shardLen)
-		job.pooled = append(job.pooled, parityBufs[pi])
+	parityBufs, err := d.encodeParity(u.level, payloads, shardLen, &job.pooled)
+	if err != nil {
+		return err
 	}
 	for si := range job.shards {
 		s := &job.shards[si]
@@ -316,26 +306,6 @@ func (d *Distributor) fillStripe(u *uploadCtx, job *stripeJob) error {
 		} else {
 			s.payload = payloads[s.chunkPos]
 		}
-	}
-	if parity > 0 {
-		// Parity math needs equal-length shards; only payloads shorter
-		// than the stripe's longest get a pooled, zero-padded copy.
-		padded := make([][]byte, len(payloads))
-		for gi, p := range payloads {
-			if len(p) == shardLen {
-				padded[gi] = p
-				continue
-			}
-			pad := bufpool.Get(shardLen)
-			n := copy(pad, p)
-			clear(pad[n:])
-			padded[gi] = pad
-			job.pooled = append(job.pooled, pad)
-		}
-		if err := raid.ParityInto(u.level, padded, parityBufs); err != nil {
-			return err
-		}
-		d.byteWork("parity")
 	}
 	return nil
 }
@@ -366,10 +336,9 @@ func assembleStripes(jobs []*stripeJob, nChunks int) (newChunks []chunkEntry, ne
 }
 
 // commitUploadLocked is the commit every upload ends in: rebase the
-// staged rows onto the live tables, log, publish. The commit record must
-// be on the log before the rows become visible; when the append fails
-// nothing was touched and the caller aborts like a failed ship. Callers
-// hold d.mu.
+// staged rows onto the live tables and commit them as one upload record.
+// When the commit fails nothing was touched and the caller aborts like a
+// failed ship. Callers hold d.mu.
 func (d *Distributor) commitUploadLocked(u *uploadCtx, newChunks []chunkEntry, newStripes []stripeEntry, chunkIdx []int) error {
 	base := len(d.chunks)
 	sbase := len(d.stripes)
@@ -385,28 +354,18 @@ func (d *Distributor) commitUploadLocked(u *uploadCtx, newChunks []chunkEntry, n
 	for serial := range chunkIdx {
 		chunkIdx[serial] += base
 	}
-	c := d.clients[u.client]
-	fe := &fileEntry{Filename: u.filename, PL: u.pl, FID: u.fid, Raid: u.level, ChunkIdx: chunkIdx}
 	rec := &walRecord{
 		Op: "upload", Client: u.client, Filename: u.filename,
-		FID: fe.FID, PL: u.pl, Raid: u.level,
+		FID: u.fid, PL: u.pl, Raid: u.level,
 		ChunksBase: base, StripesBase: sbase,
 		Chunks: newChunks, Stripes: newStripes, ChunkIdx: chunkIdx,
-		FileGen: fe.Gen, ClientGen: c.Gen + 1, Gen: d.gen + 1,
+		ClientGen: d.clients[u.client].Gen + 1, Gen: d.gen + 1,
 	}
-	if err := d.logAppendLocked(rec); err != nil {
+	if err := d.commitLocked(rec, u.ticket); err != nil {
 		return err
 	}
-	d.chunks = append(d.chunks, newChunks...)
-	d.stripes = append(d.stripes, newStripes...)
-	d.commitTicketLocked(u.ticket)
 	delete(d.reserved, u.resKey)
-	c.Files[u.filename] = fe
-	c.Count += len(newChunks)
-	c.Gen++
-	d.gen++
 	d.counters.uploads.Add(1)
-	d.maybeCheckpointLocked()
 	return nil
 }
 
@@ -423,8 +382,8 @@ func (d *Distributor) commitUploadLocked(u *uploadCtx, newChunks []chunkEntry, n
 // then fillStripe per stripe, the byte work, unlocked. Ship (no lock):
 // every shard goes out with bounded fan-out and per-shard failover; one
 // slow provider delays only this upload, not other clients. Commit
-// (under d.mu): staged rows are rebased onto the live tables and the
-// provider counts folded in atomically — or, on a failed ship, the
+// (under d.mu): staged rows are rebased onto the live tables and applied
+// as one upload record — or, on a failed ship, the
 // staging is withdrawn and stored blobs rolled back, leaving no trace.
 func (d *Distributor) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
 	u, err := d.openUpload(client, password, filename, pl, opts)

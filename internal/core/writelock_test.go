@@ -24,8 +24,9 @@ func csvPayload(rows int) []byte {
 }
 
 // TestByteWorkRunsUnlocked pins the lock discipline of the three write
-// entry points: wherever payload bytes are split, hashed, encrypted,
-// inflated with decoys or folded into parity, d.mu is free. The hook is
+// entry points and of every path that re-encodes a stripe: wherever
+// payload bytes are split, hashed, encrypted, inflated with decoys or
+// folded into parity, d.mu is free. The hook is
 // called from those places; a TryLock that fails there means some byte
 // work moved back under the lock.
 func TestByteWorkRunsUnlocked(t *testing.T) {
@@ -85,6 +86,25 @@ func TestByteWorkRunsUnlocked(t *testing.T) {
 					t.Fatalf("%s does not round-trip: %v", f, err)
 				}
 			}
+
+			// The maintenance paths re-encode parity through the same
+			// helper: removing a chunk (over the survivors), evacuating a
+			// provider that holds a parity shard, and the scrub's parity
+			// phase.
+			if err := d.RemoveChunk("alice", "root", "streamed", 2); err != nil {
+				t.Fatal(err)
+			}
+			expect("RemoveChunk", "parity")
+
+			if _, err := d.Decommission(d.stripes[0].Parity[0].CPIndex); err != nil {
+				t.Fatal(err)
+			}
+			expect("Decommission", "parity")
+
+			if rep, err := d.Scrub(); err != nil || rep.ParityChecked == 0 {
+				t.Fatalf("scrub: %+v, %v", rep, err)
+			}
+			expect("Scrub", "parity")
 		})
 	}
 }

@@ -60,20 +60,6 @@ func FromEncoded(enc []byte) (Injection, error) {
 	return Injection{count: count, gaps: append([]byte(nil), enc...)}, nil
 }
 
-// MarshalBinary and UnmarshalBinary are Encoded and FromEncoded for
-// encoding/gob, which carries the distributor's full-metadata snapshot
-// between cluster members and cannot see unexported fields.
-func (inj Injection) MarshalBinary() ([]byte, error) { return inj.gaps, nil }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (inj *Injection) UnmarshalBinary(enc []byte) error {
-	decoded, err := FromEncoded(enc)
-	if err == nil {
-		*inj = decoded
-	}
-	return err
-}
-
 // FromPositions builds an Injection from absolute decoy positions, which
 // must be non-negative and strictly increasing.
 func FromPositions(positions []int) (Injection, error) {
