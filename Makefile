@@ -1,6 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + routes-lint + tables-lint + build + race tests + fuzz seed corpora
+#   make check            vet + fmt-check + routes-lint + tables-lint + build + race tests + fuzz seed corpora
+#   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
 #   make tables-lint      the distributor's tables are written in core/apply.go only
 #   make loc              non-test Go code lines per package and in total
@@ -64,15 +65,24 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet routes-lint tables-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet routes-lint tables-lint build race fuzz
+check: vet fmt-check routes-lint tables-lint build race fuzz
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt's output is the tree's only accepted formatting; nothing else in
+# check or CI looks at it (staticcheck does not). .bench_build/ is the
+# benchmark's build cache, module sources included, not ours to format.
+fmt-check:
+	@files=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$files" ]; then \
+		echo 'fmt-check: gofmt would rewrite (run make fmt):'; echo "$$files"; exit 1; \
+	fi
 
 # Each distributor operation is defined once, as a row of the route table
 # in internal/transport/routes.go. A /v1/ path in any other non-test file

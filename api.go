@@ -118,9 +118,9 @@ type SystemConfig struct {
 	Secret []byte
 	// MisleadSeed makes decoy injection reproducible.
 	MisleadSeed int64
-	// StreamWindow bounds how many stripes a streaming transfer
-	// (UploadFrom / GetFileTo) holds in flight; zero selects the
-	// distributor default (4).
+	// StreamWindow bounds how many stripes an upload (Upload and
+	// UploadFrom alike) and how many chunks a GetFileTo hold in flight;
+	// zero selects the distributor default (4).
 	StreamWindow int
 }
 
@@ -180,9 +180,9 @@ func (s *System) Upload(client, password, filename string, data []byte, pl Priva
 	return s.dist.Upload(client, password, filename, data, pl, opts)
 }
 
-// UploadFrom is Upload behind an io.Reader: the file is chunked,
-// striped and shipped as bytes arrive, holding at most
-// SystemConfig.StreamWindow stripes in memory — the entry point for
+// UploadFrom is Upload behind an io.Reader: the same pipeline — chunked,
+// striped and shipped as bytes arrive, at most SystemConfig.StreamWindow
+// stripes in memory — without the caller's slice; the entry point for
 // objects too large to materialize.
 func (s *System) UploadFrom(client, password, filename string, r io.Reader, pl PrivacyLevel, opts UploadOptions) (FileInfo, error) {
 	return s.dist.UploadStream(client, password, filename, r, pl, opts)

@@ -36,16 +36,17 @@ type Config struct {
 	// Secret keys the default PRF allocator.
 	Secret []byte
 	// Parallelism bounds concurrent provider operations per request
-	// (default 4).
+	// (default 4): an upload's puts in flight, whatever its window. 1
+	// issues them in stripe order.
 	Parallelism int
-	// StreamWindow bounds what a streaming transfer may hold in memory at
-	// once (default 4): UploadStream counts stripes (planned or shipping),
-	// GetFileTo counts chunks (being fetched, or fetched and not yet
-	// written). Peak distributor memory for a streaming request is
-	// O(window × stripe size) up, O(window × chunk size) down, independent
-	// of file size. 1 yields strict lockstep (plan→ship→plan→ship; one
-	// fetch at a time), which deterministic harnesses rely on; negative is
-	// rejected.
+	// StreamWindow bounds what a transfer may hold in memory at once
+	// (default 4): every upload, Upload and UploadStream alike, counts
+	// stripes (planned or shipping), GetFileTo counts chunks (being
+	// fetched, or fetched and not yet written). Peak distributor memory
+	// for the request is O(window × stripe size) up, O(window × chunk
+	// size) down, independent of file size. 1 yields strict lockstep
+	// (plan→ship→plan→ship; one fetch at a time), which deterministic
+	// harnesses rely on; negative is rejected.
 	StreamWindow int
 	// MisleadSeed makes decoy injection reproducible.
 	MisleadSeed int64

@@ -17,20 +17,18 @@ const (
 	shardParity
 )
 
-// stagedShard is one provider blob of an in-flight upload, carrying back
-// references into the staged tables (positions, not pointers — the
-// staging loop appends, which reallocates) so a failover can re-home the
-// shard and patch the metadata that will be committed.
+// stagedShard is one provider blob of a stripe an upload has planned,
+// carrying back references into the stripe's staged rows (positions, not
+// pointers — the staging loop appends, which reallocates) so a failover
+// can re-home the shard and patch the metadata that will be committed.
 type stagedShard struct {
 	kind      shardKind
-	chunkPos  int // index into newChunks (data and mirror shards), -1 otherwise
+	chunkPos  int // index into the job's chunks (data and mirror shards), -1 otherwise
 	mirrorPos int // index into that chunk's Mirrors (mirror shards), -1 otherwise
-	stripePos int // index into newStripes
-	parityPos int // index into that stripe's Parity (parity shards), -1 otherwise
+	parityPos int // index into the stripe's Parity (parity shards), -1 otherwise
 	provIdx   int
 	vid       string
 	payload   []byte
-	failed    map[int]bool // providers that already failed this shard
 }
 
 // storedShard locates a blob that reached a provider, for rollback.
@@ -100,11 +98,11 @@ func (d *Distributor) releaseTicket(t *writeTicket) {
 	d.mu.Unlock()
 }
 
-// relatedProviders collects the providers that shard i must not share:
-// the other data/parity shards of its stripe (distinct-provider RAID
-// constraint), and — for data and mirror shards — the other copies of
-// the same chunk. Mirrors of *other* chunks in the stripe are not
-// excluded, matching the staging policy.
+// relatedProviders collects the providers that shard i of one stripe
+// must not share: the stripe's other data and parity shards (the
+// distinct-provider RAID constraint), and — for data and mirror shards —
+// the other copies of the same chunk. Mirrors of *other* chunks in the
+// stripe are not excluded, matching the staging policy.
 func relatedProviders(shards []stagedShard, i int) map[int]bool {
 	s := &shards[i]
 	ex := make(map[int]bool)
@@ -113,135 +111,77 @@ func relatedProviders(shards []stagedShard, i int) map[int]bool {
 			continue
 		}
 		t := &shards[j]
-		sameStripe := t.stripePos == s.stripePos &&
-			s.kind != shardMirror && t.kind != shardMirror
+		stripeMates := s.kind != shardMirror && t.kind != shardMirror
 		sameChunk := s.chunkPos >= 0 && t.chunkPos == s.chunkPos &&
 			(s.kind == shardMirror || t.kind == shardMirror)
-		if sameStripe || sameChunk {
+		if stripeMates || sameChunk {
 			ex[t.provIdx] = true
 		}
 	}
 	return ex
 }
 
-// shipStaged sends every staged shard to its provider with bounded
-// fan-out, failing individual shards over to the next healthy eligible
-// provider (fresh virtual id, staged tables and ticket patched) when a
-// put exhausts its transient retries or hits an open circuit. Only when
-// a shard runs out of eligible providers does the whole write fail. It
-// always returns the blobs that reached a provider — on error too — so
-// the caller can roll them back (and, for streaming uploads, fold them
-// into a rollback list spanning many shipStaged calls) and leave no
-// orphans. Runs WITHOUT d.mu: the provider round-trips are the slow
-// part of every upload, and holding the lock here would serialize all
-// clients behind one slow provider. Only the failover placement
-// decisions re-acquire the lock briefly (the VID allocator and the
-// pending-load accounting live under it). newChunks and newStripes are
-// private to the calling request until its commit, so patching them
-// here is race-free.
-func (d *Distributor) shipStaged(pl privacy.Level, shards []stagedShard, newChunks []chunkEntry, newStripes []stripeEntry, t *writeTicket) ([]storedShard, error) {
-	var stored []storedShard
-	pending := make([]int, len(shards))
-	for i := range pending {
-		pending[i] = i
+// restage moves one blob staged on t off provider from: a fresh placement
+// outside exclude and failed, a fresh virtual id, and the ticket's
+// staging moved with it — one short hold of d.mu, the only lock a write
+// failover takes (placement and the VID allocator live under it). On
+// error the ticket no longer counts the blob.
+func (d *Distributor) restage(pl privacy.Level, from int, exclude, failed map[int]bool, t *writeTicket) (int, string, error) {
+	ex := make(map[int]bool, len(exclude)+len(failed))
+	for k := range exclude {
+		ex[k] = true
 	}
-	for len(pending) > 0 {
-		jobs := make([]func() error, len(pending))
-		for k, si := range pending {
-			s := &shards[si]
-			provIdx, vid, payload := s.provIdx, s.vid, s.payload
-			jobs[k] = func() error { return d.gatedPut(provIdx, vid, payload) }
-		}
-		errs := d.fanOutEach(jobs)
-		// Record every success of this round before handling any failure:
-		// a failover-exhausted rollback must cover shards that landed
-		// after the failed one in the same round.
-		for k, si := range pending {
-			if errs[k] == nil {
-				stored = append(stored, storedShard{shards[si].provIdx, shards[si].vid})
-			}
-		}
-		var next []int
-		for k, si := range pending {
-			s := &shards[si]
-			if errs[k] == nil {
-				continue
-			}
-			// Re-home the shard: never back onto a provider that already
-			// failed it, never onto a provider holding a related shard.
-			if s.failed == nil {
-				s.failed = make(map[int]bool)
-			}
-			s.failed[s.provIdx] = true
-			exclude := relatedProviders(shards, si)
-			for p := range s.failed {
-				exclude[p] = true
-			}
-			d.mu.Lock()
-			d.unstageProviderLocked(t, s.provIdx)
-			newProv, perr := d.placeParityExcluding(pl, exclude)
-			if perr != nil {
-				d.mu.Unlock()
-				return stored, fmt.Errorf("shard failover exhausted: %w (last put error: %v)", perr, errs[k])
-			}
-			s.provIdx = newProv
-			s.vid = d.vids.Next()
-			d.stageLocked(t, newProv, s.vid)
-			d.mu.Unlock()
-			switch s.kind {
-			case shardData:
-				newChunks[s.chunkPos].CPIndex = newProv
-				newChunks[s.chunkPos].VirtualID = s.vid
-			case shardMirror:
-				newChunks[s.chunkPos].Mirrors[s.mirrorPos] = mirrorRef{VirtualID: s.vid, CPIndex: newProv}
-			case shardParity:
-				newStripes[s.stripePos].Parity[s.parityPos] = parityShard{VirtualID: s.vid, CPIndex: newProv}
-			}
-			d.counters.writeFailovers.Add(1)
-			next = append(next, si)
-		}
-		pending = next
+	for k := range failed {
+		ex[k] = true
 	}
-	return stored, nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.unstageProviderLocked(t, from)
+	prov, err := d.placeParityExcluding(pl, ex)
+	if err != nil {
+		return 0, "", err
+	}
+	vid := d.vids.Next()
+	d.stageLocked(t, prov, vid)
+	return prov, vid, nil
 }
 
-// rehomePut writes payload to provider firstProv under firstVID through
-// the circuit-breaker gate, failing over to freshly placed providers
-// (fresh virtual id each hop) when a put exhausts its retries or the
-// circuit is open. exclude lists providers the blob must never land on
-// — stripe mates, its own mirrors — beyond the ones that already failed
-// it. Returns the provider and virtual id that finally stored the blob;
-// the caller patches tables and stale copies at commit. Runs WITHOUT
-// d.mu — only the failover placement re-acquires it. The blob must
-// already be staged on t at (firstProv, firstVID); every hop moves the
-// staging with it, so on error the ticket no longer counts this blob.
-func (d *Distributor) rehomePut(pl privacy.Level, firstProv int, firstVID string, payload []byte, exclude map[int]bool, t *writeTicket) (int, string, error) {
-	prov, vid := firstProv, firstVID
-	failed := make(map[int]bool)
+// rehomeFunc answers where a blob goes after provider from failed it:
+// never onto a provider in failed, the ones that already failed this blob.
+type rehomeFunc func(from int, failed map[int]bool) (prov int, vid string, err error)
+
+// awayFrom is the rehomeFunc of a blob whose exclusions — stripe mates,
+// its own mirrors — stay put while it ships: restage outside exclude.
+func (d *Distributor) awayFrom(pl privacy.Level, exclude map[int]bool, t *writeTicket) rehomeFunc {
+	return func(from int, failed map[int]bool) (int, string, error) {
+		return d.restage(pl, from, exclude, failed, t)
+	}
+}
+
+// rehomePut is the write-failover loop, the only one: it puts payload on
+// provider prov under vid through the circuit-breaker gate, and when a
+// put exhausts its transient retries or the circuit is open asks rehome
+// for the blob's next home and tries there. Only when rehome has nowhere
+// left does the write fail. Returns the provider and virtual id that
+// finally stored the blob; the caller patches tables and stale copies at
+// commit. Runs WITHOUT d.mu: the provider round trips are the slow part
+// of every write, and holding the lock here would serialize all clients
+// behind one slow provider.
+func (d *Distributor) rehomePut(prov int, vid string, payload []byte, rehome rehomeFunc) (int, string, error) {
+	var failed map[int]bool // allocated by the first failure: most puts have none
 	for {
 		err := d.gatedPut(prov, vid, payload)
 		if err == nil {
 			return prov, vid, nil
 		}
+		if failed == nil {
+			failed = make(map[int]bool)
+		}
 		failed[prov] = true
-		ex := make(map[int]bool, len(exclude)+len(failed))
-		for k := range exclude {
-			ex[k] = true
-		}
-		for k := range failed {
-			ex[k] = true
-		}
-		d.mu.Lock()
-		d.unstageProviderLocked(t, prov)
-		newProv, perr := d.placeParityExcluding(pl, ex)
-		if perr != nil {
-			d.mu.Unlock()
+		var perr error
+		if prov, vid, perr = rehome(prov, failed); perr != nil {
 			return 0, "", fmt.Errorf("write failover exhausted: %w (last put error: %v)", perr, err)
 		}
-		vid = d.vids.Next()
-		d.stageLocked(t, newProv, vid)
-		d.mu.Unlock()
-		prov = newProv
 		d.counters.writeFailovers.Add(1)
 	}
 }
@@ -255,16 +195,6 @@ func (d *Distributor) rollbackStored(stored []storedShard) {
 		d.discardBlob(stored[i])
 		d.counters.rollbackDeletes.Add(1)
 	})
-}
-
-// fanOutEach runs jobs with bounded parallelism and returns every job's
-// error, index-aligned, so the caller can fail over just the shards that
-// failed. With Parallelism 1 the semaphore serializes jobs in submission
-// order, which deterministic fault-injection tests rely on.
-func (d *Distributor) fanOutEach(jobs []func() error) []error {
-	errs := make([]error, len(jobs))
-	d.runParallel(len(jobs), func(i int) { errs[i] = jobs[i]() })
-	return errs
 }
 
 // runParallel invokes fn(0..n-1) with bounded parallelism through a

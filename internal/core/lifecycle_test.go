@@ -139,47 +139,73 @@ func TestRemoveAllChunksOneByOne(t *testing.T) {
 	}
 }
 
+// TestUpdateChunkWithSnapshot: an update keeps the pre-state on a
+// snapshot provider and GetSnapshot returns it as the client wrote it —
+// opened with the file's key when the file is encrypted. A pre-state that
+// carries decoys cannot be stripped once its positions are gone from the
+// row, so none is kept and the read says so rather than return laced bytes.
 func TestUpdateChunkWithSnapshot(t *testing.T) {
-	d := testDistributor(t, 6)
-	data := payload(50_000, 35)
-	if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, UploadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// No snapshot before any modification.
-	if _, err := d.GetSnapshot("alice", "root", "f", 0); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("premature snapshot: %v", err)
-	}
-	size, _ := privacy.DefaultChunkSizes().Size(privacy.Moderate)
-	oldChunk := data[:size]
-	newChunk := payload(size, 36)
-	if err := d.UpdateChunk("alice", "root", "f", 0, newChunk, UploadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Post-state served normally.
-	got, err := d.GetChunk("alice", "root", "f", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, newChunk) {
-		t.Fatal("post-state mismatch")
-	}
-	// Pre-state preserved on the snapshot provider.
-	snap, err := d.GetSnapshot("alice", "root", "f", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap, oldChunk) {
-		t.Fatal("snapshot is not the pre-state")
-	}
-	// Snapshot lives on a different provider than the chunk.
-	d.mu.Lock()
-	entry := d.chunks[0]
-	d.mu.Unlock()
-	if entry.SPIndex == entry.CPIndex {
-		t.Fatal("snapshot on the same provider as the chunk")
-	}
-	if entry.SPIndex < 0 || entry.SnapVID == "" {
-		t.Fatalf("snapshot bookkeeping missing: %+v", entry)
+	for _, tc := range []struct {
+		name     string
+		opts     UploadOptions
+		snapshot bool
+	}{
+		{"plain", UploadOptions{}, true},
+		{"encrypted", UploadOptions{EncryptKey: encKey}, true},
+		{"decoys", UploadOptions{MisleadFraction: 0.25}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := testDistributor(t, 6)
+			data := payload(50_000, 35)
+			if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			// No snapshot before any modification.
+			if _, err := d.GetSnapshot("alice", "root", "f", 0); !errors.Is(err, ErrNoSnapshot) {
+				t.Fatalf("premature snapshot: %v", err)
+			}
+			size, _ := privacy.DefaultChunkSizes().Size(privacy.Moderate)
+			oldChunk := data[:size]
+			newChunk := payload(size, 36)
+			if err := d.UpdateChunk("alice", "root", "f", 0, newChunk, UploadOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			// Post-state served normally.
+			got, err := d.GetChunk("alice", "root", "f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, newChunk) {
+				t.Fatal("post-state mismatch")
+			}
+			d.mu.Lock()
+			entry := d.chunks[0]
+			d.mu.Unlock()
+			snap, err := d.GetSnapshot("alice", "root", "f", 0)
+			if !tc.snapshot {
+				if !errors.Is(err, ErrNoSnapshot) {
+					t.Fatalf("snapshot of a pre-state with decoys: %d bytes, %v; want ErrNoSnapshot", len(snap), err)
+				}
+				if entry.SPIndex != -1 || entry.SnapVID != "" || d.Stats().Snapshots != 0 {
+					t.Fatalf("a snapshot blob nobody can read was kept: %+v", entry)
+				}
+				return
+			}
+			// Pre-state preserved on the snapshot provider.
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snap, oldChunk) {
+				t.Fatalf("snapshot is not the pre-state (%d bytes back for a %d-byte chunk)", len(snap), len(oldChunk))
+			}
+			// Snapshot lives on a different provider than the chunk.
+			if entry.SPIndex == entry.CPIndex {
+				t.Fatal("snapshot on the same provider as the chunk")
+			}
+			if entry.SPIndex < 0 || entry.SnapVID == "" {
+				t.Fatalf("snapshot bookkeeping missing: %+v", entry)
+			}
+		})
 	}
 }
 

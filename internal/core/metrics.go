@@ -8,8 +8,9 @@ import "sync/atomic"
 type OpMetrics struct {
 	Uploads   int64
 	FileReads int64
-	// StreamUploads / StreamReads count the transfers that went through
-	// the streaming pipeline (UploadStream / GetFileTo); they are also
+	// StreamUploads counts the uploads that arrived behind an io.Reader
+	// (UploadStream) rather than as a byte slice — the entry point, not a
+	// pipeline: there is one. StreamReads counts GetFileTo. Both are also
 	// included in Uploads / FileReads.
 	StreamUploads    int64
 	StreamReads      int64

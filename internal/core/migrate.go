@@ -236,7 +236,7 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 	case placeErr != nil:
 		return 0, placeErr
 	default:
-		rec.NewProv, rec.NewVID, err = d.rehomePut(pl, newIdx, vid, payload, exclude, t)
+		rec.NewProv, rec.NewVID, err = d.rehomePut(newIdx, vid, payload, d.awayFrom(pl, exclude, t))
 		if err != nil {
 			d.releaseTicket(t)
 			return 0, fmt.Errorf("core: decommission: rehoming %s: %w", s.kind, err)

@@ -127,7 +127,7 @@ func (d *Distributor) shipParity(pl privacy.Level, parity []parityShard, bufs []
 				exclude[parity[pj].CPIndex] = true
 			}
 		}
-		prov, vid, err := d.rehomePut(pl, parity[pi].CPIndex, parity[pi].VirtualID, bufs[pi], exclude, t)
+		prov, vid, err := d.rehomePut(parity[pi].CPIndex, parity[pi].VirtualID, bufs[pi], d.awayFrom(pl, exclude, t))
 		if err != nil {
 			return fmt.Errorf("core: writing re-encoded parity: %w", err)
 		}

@@ -80,11 +80,90 @@ func clearPutHooks(hooked []*provider.Hooked) {
 	}
 }
 
+// uploadEntries are the two entry points of the one upload pipeline; the
+// rollback tests take them as a table column.
+var uploadEntries = []struct {
+	name string
+	do   func(d *Distributor, filename string, data []byte, pl privacy.Level, opts UploadOptions) error
+}{
+	{"Upload", func(d *Distributor, filename string, data []byte, pl privacy.Level, opts UploadOptions) error {
+		_, err := d.Upload("alice", "root", filename, data, pl, opts)
+		return err
+	}},
+	{"UploadStream", func(d *Distributor, filename string, data []byte, pl privacy.Level, opts UploadOptions) error {
+		_, err := d.UploadStream("alice", "root", filename, bytes.NewReader(data), pl, opts)
+		return err
+	}},
+}
+
+// blobLedger watches a hooked fleet's puts and deletes: how many puts
+// were issued, which keys were stored, how often each key was deleted and
+// how many deletes overlapped.
+type blobLedger struct {
+	mu             sync.Mutex
+	puts           int
+	stored         map[string]bool
+	deleted        map[string]int
+	inFlight, peak int
+}
+
+// watchFleet hooks every provider of the fleet into a fresh ledger. The
+// failAt-th put across the fleet fails with ErrOutage (not retried as
+// transient; 0 fails none), and every delete takes deleteDelay.
+func watchFleet(hooked []*provider.Hooked, failAt int, deleteDelay time.Duration) *blobLedger {
+	l := &blobLedger{stored: map[string]bool{}, deleted: map[string]int{}}
+	for _, h := range hooked {
+		h.SetBeforePut(func(_ int, key string) error {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			if l.puts++; l.puts == failAt {
+				return provider.ErrOutage
+			}
+			l.stored[key] = true
+			return nil
+		})
+		h.SetBeforeDelete(func(key string) error {
+			l.mu.Lock()
+			l.deleted[key]++
+			l.inFlight++
+			l.peak = max(l.peak, l.inFlight)
+			l.mu.Unlock()
+			time.Sleep(deleteDelay)
+			l.mu.Lock()
+			l.inFlight--
+			l.mu.Unlock()
+			return nil
+		})
+	}
+	return l
+}
+
+// assertRolledBack checks what a failed upload must leave: no blob on any
+// provider, every blob that was stored deleted exactly once and nothing
+// else deleted, and the counter agreeing.
+func (l *blobLedger) assertRolledBack(t *testing.T, d *Distributor, hooked []*provider.Hooked) {
+	t.Helper()
+	for i, h := range hooked {
+		if h.Len() != 0 {
+			t.Fatalf("provider %d holds %d orphaned blobs after rollback", i, h.Len())
+		}
+	}
+	for key := range l.stored {
+		if l.deleted[key] != 1 {
+			t.Fatalf("stored blob %s was deleted %d times", key, l.deleted[key])
+		}
+	}
+	if got := d.Metrics().RollbackDeletes; got != int64(len(l.stored)) || len(l.deleted) != len(l.stored) {
+		t.Fatalf("RollbackDeletes = %d and %d keys deleted, want %d each", got, len(l.deleted), len(l.stored))
+	}
+}
+
 // TestUploadRollbackAtEveryShardPosition fails the upload's k-th provider
-// put for every shard position of a one-stripe file, on a fleet exactly
-// as wide as the stripe so failover has nowhere to go. The upload must
-// fail cleanly: no blobs left on any provider, no table rows, and the
-// same file uploadable once the fault clears.
+// put for every shard position of a one-stripe file, through both entry
+// points, on a fleet exactly as wide as the stripe so failover has nowhere
+// to go. The upload must fail cleanly: no blobs left on any provider, no
+// table rows, no put issued once it has failed, and the same file
+// uploadable once the fault clears.
 func TestUploadRollbackAtEveryShardPosition(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -96,84 +175,118 @@ func TestUploadRollbackAtEveryShardPosition(t *testing.T) {
 		{"raid6", 6, 6, UploadOptions{Assurance: raid.RAID6}},
 	}
 	for _, tc := range cases {
-		for k := 1; k <= tc.puts; k++ {
-			t.Run(fmt.Sprintf("%s_put%d", tc.name, k), func(t *testing.T) {
-				d, hooked := hookedDistributor(t, tc.providers)
-				// Exactly one full stripe: width (4) data chunks.
-				data := payload(4*chunkSizeFor(t, privacy.Moderate), int64(100+k))
-				failNthFleetPut(hooked, k)
-				if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, tc.opts); err == nil {
-					t.Fatal("upload should fail when failover is impossible")
-				}
-				for i, h := range hooked {
-					if h.Len() != 0 {
-						t.Fatalf("provider %d holds %d orphaned blobs after rollback", i, h.Len())
+		for _, entry := range uploadEntries {
+			for k := 1; k <= tc.puts; k++ {
+				t.Run(fmt.Sprintf("%s_%s_put%d", tc.name, entry.name, k), func(t *testing.T) {
+					d, hooked := hookedDistributor(t, tc.providers)
+					// Exactly one full stripe: width (4) data chunks.
+					data := payload(4*chunkSizeFor(t, privacy.Moderate), int64(100+k))
+					ledger := watchFleet(hooked, k, 0)
+					if err := entry.do(d, "f", data, privacy.Moderate, tc.opts); err == nil {
+						t.Fatal("upload should fail when failover is impossible")
 					}
-				}
-				st := d.Stats()
-				if st.Chunks != 0 || st.ParityShards != 0 || st.Stripes != 0 || st.Files != 0 {
-					t.Fatalf("tables not rolled back: %+v", st)
-				}
-				if _, err := d.ChunkCount("alice", "root", "f"); !errors.Is(err, ErrNoSuchFile) {
-					t.Fatalf("file exists after failed upload: %v", err)
-				}
-				// A ship round runs every put to its end, so all but the failed
-				// one were stored, and each is deleted exactly once.
-				if n := d.Metrics().RollbackDeletes; n != int64(tc.puts-1) {
-					t.Fatalf("rollback recorded %d deletes, want %d", n, tc.puts-1)
-				}
-				// The fault was transient operator error, not state damage:
-				// the same upload must work once the hook clears.
-				clearPutHooks(hooked)
-				if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, tc.opts); err != nil {
-					t.Fatalf("upload after fault cleared: %v", err)
-				}
-				got, err := d.GetFile("alice", "root", "f")
-				if err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("round trip after recovery: %v", err)
-				}
-			})
+					ledger.assertRolledBack(t, d, hooked)
+					// One put worker (Parallelism 1): the k-th put is the last
+					// one issued, and the k-1 before it are what was stored.
+					if ledger.puts != k || len(ledger.stored) != k-1 {
+						t.Fatalf("%d puts issued and %d blobs stored after put %d failed the upload", ledger.puts, len(ledger.stored), k)
+					}
+					st := d.Stats()
+					if st.Chunks != 0 || st.ParityShards != 0 || st.Stripes != 0 || st.Files != 0 {
+						t.Fatalf("tables not rolled back: %+v", st)
+					}
+					if _, err := d.ChunkCount("alice", "root", "f"); !errors.Is(err, ErrNoSuchFile) {
+						t.Fatalf("file exists after failed upload: %v", err)
+					}
+					// The fault was transient operator error, not state damage:
+					// the same upload must work once the hook clears.
+					clearPutHooks(hooked)
+					if err := entry.do(d, "f", data, privacy.Moderate, tc.opts); err != nil {
+						t.Fatalf("upload after fault cleared: %v", err)
+					}
+					got, err := d.GetFile("alice", "root", "f")
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("round trip after recovery: %v", err)
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestRollbackFansOut aborts a many-stripe defended upload late, at the
-// default parallelism: the hundreds of blobs already stored are deleted
-// through the same bounded fan-out as every other bulk provider loop
-// (serially this was one round trip after another), every one of them
-// exactly once, and the counter says so.
+// TestRollbackFansOut aborts a many-stripe defended upload midway, at the
+// default parallelism and window, through both entry points: the blobs
+// already stored are deleted through the same bounded fan-out as every
+// other bulk provider loop (serially this was one round trip after
+// another), every one of them exactly once, and the upload stops where it
+// failed — puts already on the wire finish, the stripes behind them are
+// never put.
 func TestRollbackFansOut(t *testing.T) {
+	for _, entry := range uploadEntries {
+		t.Run(entry.name, func(t *testing.T) {
+			f, hooked := hookedFleet(t, 6)
+			d, err := New(Config{Fleet: f}) // Parallelism 4 and StreamWindow 4, the defaults
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RegisterClient("alice"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddPassword("alice", "root", privacy.High); err != nil {
+				t.Fatal(err)
+			}
+			// 128 chunks at PL3 over RAID-6 on six providers: 32 stripes, 192
+			// puts, nowhere to fail over to. The 90th put fails for good;
+			// deletes are slow enough to overlap.
+			const failAt, shardsPerStripe, window = 90, 6, 4
+			ledger := watchFleet(hooked, failAt, 100*time.Microsecond)
+			data := payload(128*chunkSizeFor(t, privacy.High), 600)
+			opts := UploadOptions{MisleadFraction: 0.25, Assurance: raid.RAID6}
+			if err := entry.do(d, "f", data, privacy.High, opts); err == nil {
+				t.Fatal("upload should fail when failover is impossible")
+			}
+			ledger.assertRolledBack(t, d, hooked)
+			if len(ledger.stored) < 80 {
+				t.Fatalf("only %d blobs were stored before the abort; the rollback is not a bulk one", len(ledger.stored))
+			}
+			if ledger.peak < 2 {
+				t.Fatalf("at most %d delete in flight at a time: the rollback ran serially", ledger.peak)
+			}
+			// Workers check for failure before every put, so in practice a
+			// handful of puts follow the failing one; a window of stripes is
+			// the bound that cannot flake, and it is far from the 192 a
+			// pipeline that ran every put to its end would issue.
+			if ledger.puts > failAt+window*shardsPerStripe {
+				t.Fatalf("%d puts issued although put %d failed the upload", ledger.puts, failAt)
+			}
+		})
+	}
+}
+
+// TestConcurrentFailoversOfOneStripeLandApart fails two shards of the same
+// stripe at the same moment, at Parallelism 4. Both failovers want the
+// same spare — the one cheap provider not yet in the stripe — and the
+// stripe's failover lock must send the second elsewhere: every shard of
+// the stripe on a provider of its own, and nothing staged left behind.
+func TestConcurrentFailoversOfOneStripeLandApart(t *testing.T) {
+	// Cost levels: five cheap providers take the stripe, then one spare
+	// placement prefers over the other two whatever their load.
 	f, err := provider.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := make([]*provider.Hooked, 6)
-	var mu sync.Mutex
-	stored, deleted := map[string]bool{}, map[string]int{}
-	inFlight, peak := 0, 0
-	for i := range hooked {
-		mem, err := provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: 1}, provider.Options{})
+	var hooked []*provider.Hooked
+	for i, cl := range []privacy.CostLevel{0, 0, 0, 0, 0, 1, 2, 2} {
+		mem, err := provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: cl}, provider.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hooked[i] = provider.NewHooked(mem)
-		hooked[i].SetBeforeDelete(func(key string) error {
-			mu.Lock()
-			deleted[key]++
-			inFlight++
-			peak = max(peak, inFlight)
-			mu.Unlock()
-			time.Sleep(100 * time.Microsecond) // long enough for deletes to overlap
-			mu.Lock()
-			inFlight--
-			mu.Unlock()
-			return nil
-		})
+		hooked = append(hooked, provider.NewHooked(mem))
 		if err := f.Add(hooked[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d, err := New(Config{Fleet: f}) // Parallelism 4, the default
+	d, err := New(Config{Fleet: f, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,43 +296,61 @@ func TestRollbackFansOut(t *testing.T) {
 	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
 		t.Fatal(err)
 	}
-	// 64 chunks at PL3 over RAID-6 on six providers: 16 stripes, 96 puts,
-	// nowhere to fail over to. The 90th put fails for good.
-	n := 0
+	// The first two puts to arrive wait for each other, then both fail.
+	var mu sync.Mutex
+	arrived, both := 0, make(chan struct{})
 	for _, h := range hooked {
-		h.SetBeforePut(func(_ int, key string) error {
+		h.SetBeforePut(func(int, string) error {
 			mu.Lock()
-			defer mu.Unlock()
-			if n++; n == 90 {
-				return provider.ErrOutage
+			arrived++
+			n := arrived
+			mu.Unlock()
+			if n > 2 {
+				return nil
 			}
-			stored[key] = true
-			return nil
+			if n == 2 {
+				close(both)
+			}
+			<-both
+			return provider.ErrOutage
 		})
 	}
-	data := payload(64*chunkSizeFor(t, privacy.High), 600)
-	opts := UploadOptions{MisleadFraction: 0.25, Assurance: raid.RAID6}
-	if _, err := d.Upload("alice", "root", "f", data, privacy.High, opts); err == nil {
-		t.Fatal("upload should fail when failover is impossible")
+	data := payload(4*chunkSizeFor(t, privacy.Moderate), 700) // one full stripe, RAID-5: five shards
+	if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, UploadOptions{}); err != nil {
+		t.Fatalf("upload with three spares for two failed shards: %v", err)
 	}
+	if n := d.Metrics().WriteFailovers; n != 2 {
+		t.Fatalf("%d write failovers, want 2", n)
+	}
+	d.mu.RLock()
+	homes := map[int]bool{}
+	for _, ce := range d.chunks {
+		homes[ce.CPIndex] = true
+	}
+	for _, ps := range d.stripes[0].Parity {
+		homes[ps.CPIndex] = true
+	}
+	pending, inflight := append([]int(nil), d.provPending...), len(d.inflight)
+	d.mu.RUnlock()
+	if len(homes) != 5 || !homes[5] {
+		t.Fatalf("the stripe's five shards live on providers %v: want five distinct ones, the cheap spare among them", homes)
+	}
+	for i, n := range pending {
+		if n != 0 {
+			t.Fatalf("provPending[%d] = %d after the commit", i, n)
+		}
+	}
+	if inflight != 0 {
+		t.Fatalf("%d virtual ids still registered in flight after the commit", inflight)
+	}
+	st := d.Stats()
 	for i, h := range hooked {
-		if h.Len() != 0 {
-			t.Fatalf("provider %d holds %d orphaned blobs after rollback", i, h.Len())
+		if h.Len() != st.PerProvider[i] {
+			t.Fatalf("provider %d holds %d keys, table says %d", i, h.Len(), st.PerProvider[i])
 		}
 	}
-	if len(stored) < 80 {
-		t.Fatalf("only %d blobs were stored before the abort; the rollback is not a bulk one", len(stored))
-	}
-	for key := range stored {
-		if deleted[key] != 1 {
-			t.Fatalf("stored blob %s was deleted %d times", key, deleted[key])
-		}
-	}
-	if got := d.Metrics().RollbackDeletes; got != int64(len(stored)) || len(deleted) != len(stored) {
-		t.Fatalf("RollbackDeletes = %d and %d keys deleted, want %d each", got, len(deleted), len(stored))
-	}
-	if peak < 2 {
-		t.Fatalf("at most %d delete in flight at a time: the rollback ran serially", peak)
+	if got, err := d.GetFile("alice", "root", "f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("readback: %v", err)
 	}
 }
 

@@ -1,22 +1,11 @@
 package core
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/bufpool"
-	"repro/internal/privacy"
 )
-
-// This file is the streaming data plane: UploadStream and GetFileTo move
-// a file through the distributor behind an io.Reader / io.Writer, holding
-// at most Config.StreamWindow stripes (up) or chunks (down) of payload in
-// memory at once. The byte-slice entry points (Upload, GetFile) remain
-// the whole-buffer fast path for small objects; these are the large-blob
-// path where materializing the file would evict the chunk cache and
-// starve the bufpool.
 
 // readStripe reads up to width chunks of chunkSize bytes from r into
 // pooled buffers. It returns io.EOF when the stream is exhausted; the
@@ -46,135 +35,6 @@ func readStripe(r io.Reader, chunkSize, width int, first bool) ([][]byte, int, e
 		}
 	}
 	return datas, total, nil
-}
-
-// UploadStream is Upload behind an io.Reader: it chunks, misleads (or
-// encrypts), stripes and ships the file stripe-by-stripe as bytes
-// arrive, holding at most Config.StreamWindow stripes of payload in
-// flight — peak distributor memory for the request is O(window × stripe
-// size) regardless of file size. The plan→ship→commit protocol is
-// Upload's, function for function: openUpload, then placeStripe and
-// fillStripe per stripe on one write ticket with the filename reserved
-// for the whole transfer, commitUploadLocked putting the WAL record down
-// before anything becomes visible, and abortUpload on any failure (read
-// error, placement, provider exhaustion, log append) rolling back every
-// blob already stored — a crashed or aborted stream leaves no orphans
-// and no partial file.
-func (d *Distributor) UploadStream(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
-	chunkSize, err := d.policy.Size(pl)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	u, err := d.openUpload(client, password, filename, pl, opts)
-	if err != nil {
-		return FileInfo{}, err
-	}
-
-	// ---- Pipeline: plan stripes as bytes arrive, ship them on worker
-	// goroutines. The semaphore slot taken before reading a stripe is
-	// released only after that stripe ships, so at most window stripes of
-	// pooled buffers exist at once; window 1 degenerates to strict
-	// lockstep (plan→ship→plan→ship), which deterministic harnesses use.
-	window := d.streamWindow
-	sem := make(chan struct{}, window)
-	jobCh := make(chan *stripeJob)
-	var (
-		mu      sync.Mutex
-		stored  []storedShard
-		shipErr error
-		wg      sync.WaitGroup
-	)
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return shipErr != nil
-	}
-	for i := 0; i < window; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range jobCh {
-				if !failed() {
-					st, err := d.shipStaged(pl, job.shards, job.chunks, job.stripe[:], u.ticket)
-					mu.Lock()
-					stored = append(stored, st...)
-					if err != nil && shipErr == nil {
-						shipErr = err
-					}
-					mu.Unlock()
-				}
-				job.releaseBuffers()
-				<-sem
-			}
-		}()
-	}
-
-	var jobs []*stripeJob
-	var planErr error
-	total := 0
-	serial := 0
-	for eof := false; !eof; {
-		sem <- struct{}{}
-		if failed() {
-			<-sem
-			break
-		}
-		datas, n, rerr := readStripe(r, chunkSize, u.width, serial == 0)
-		total += n
-		if rerr == io.EOF {
-			eof = true
-		} else if rerr != nil {
-			for _, b := range datas {
-				bufpool.Put(b)
-			}
-			planErr = fmt.Errorf("reading stream: %w", rerr)
-			<-sem
-			break
-		}
-		if len(datas) == 0 {
-			<-sem
-			break
-		}
-		sums := make([][32]byte, len(datas))
-		for i, data := range datas {
-			sums[i] = sha256.Sum256(data)
-		}
-		d.byteWork("split")
-		job, perr := d.placeStripe(u, datas, sums, serial)
-		if perr == nil {
-			perr = d.fillStripe(u, job)
-		}
-		if perr != nil {
-			job.releaseBuffers()
-			planErr = perr
-			<-sem
-			break
-		}
-		serial += len(datas)
-		jobs = append(jobs, job)
-		jobCh <- job
-	}
-	close(jobCh)
-	wg.Wait()
-
-	// ---- Commit: the per-stripe rows in stream order, exactly Upload's
-	// commit. shipErr is read without its mutex: the workers are done.
-	err = planErr
-	if err == nil {
-		err = shipErr
-	}
-	if err == nil {
-		newChunks, newStripes, chunkIdx := assembleStripes(jobs, serial)
-		d.mu.Lock()
-		err = d.commitUploadLocked(u, newChunks, newStripes, chunkIdx)
-		d.mu.Unlock()
-	}
-	if err != nil {
-		d.abortUpload(u, stored)
-		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
-	}
-	d.counters.streamUploads.Add(1)
-	return FileInfo{Filename: filename, PL: pl, Chunks: serial, Raid: u.level, Bytes: total}, nil
 }
 
 // GetFileTo streams a whole file into w in chunk order while up to

@@ -752,24 +752,43 @@ func heapGrowth(fn func()) uint64 {
 	return peak.Load() - baseline
 }
 
-// streamMemoryCheck pushes fileBytes through UploadStream and GetFileTo
-// on a disk-backed fleet and asserts both directions stay under budget —
-// window-bounded, not file-bounded.
-func streamMemoryCheck(t *testing.T, fileBytes int64, chunkSize, window int, budget uint64) {
+// streamMemoryCheck pushes fileBytes through an upload — UploadStream, or
+// when buffered the byte-slice Upload, whose caller-owned slice is in the
+// baseline — and GetFileTo on a disk-backed fleet and asserts both
+// directions stay under budget: window-bounded, not file-bounded.
+func streamMemoryCheck(t *testing.T, fileBytes int64, chunkSize, window int, budget uint64, buffered bool) {
 	t.Helper()
 	// A tighter GC target makes HeapAlloc track live memory instead of
 	// GOGC-paced garbage, so the bound measures the pipeline, not pacing.
-	defer debug.SetGCPercent(debug.SetGCPercent(50))
+	// The pacer lets garbage grow to that share of the live heap, which in
+	// the buffered case includes the caller's slice: tighter still there.
+	gcPercent := 50
+	if buffered {
+		gcPercent = 10
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(gcPercent))
 	d := diskDistributor(t, 6, window, chunkSize)
 
+	var data []byte
+	if buffered {
+		data = make([]byte, fileBytes)
+		if _, err := io.ReadFull(&patternReader{size: fileBytes}, data); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var info FileInfo
 	upGrowth := heapGrowth(func() {
 		var err error
-		info, err = d.UploadStream("alice", "guest", "big.bin", &patternReader{size: fileBytes}, privacy.Public, UploadOptions{})
+		if buffered {
+			info, err = d.Upload("alice", "guest", "big.bin", data, privacy.Public, UploadOptions{})
+		} else {
+			info, err = d.UploadStream("alice", "guest", "big.bin", &patternReader{size: fileBytes}, privacy.Public, UploadOptions{})
+		}
 		if err != nil {
-			t.Fatalf("UploadStream: %v", err)
+			t.Fatalf("upload: %v", err)
 		}
 	})
+	data = nil
 	if int64(info.Bytes) != fileBytes {
 		t.Fatalf("uploaded %d of %d bytes", info.Bytes, fileBytes)
 	}
@@ -804,7 +823,10 @@ func TestStreamBoundedMemorySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("disk-backed memory check skipped in -short")
 	}
-	streamMemoryCheck(t, 32<<20, 64<<10, 2, 16<<20)
+	t.Run("UploadStream", func(t *testing.T) { streamMemoryCheck(t, 32<<20, 64<<10, 2, 16<<20, false) })
+	// The byte-slice entry point is the same pipeline: its scratch is a
+	// window of stripes too, not a second copy of the file plus parity.
+	t.Run("Upload", func(t *testing.T) { streamMemoryCheck(t, 32<<20, 64<<10, 2, 16<<20, true) })
 }
 
 // TestStreamBoundedMemoryLarge is the `make memcheck` gate: 256 MiB — a
@@ -814,5 +836,5 @@ func TestStreamBoundedMemoryLarge(t *testing.T) {
 	if os.Getenv("MEMCHECK") == "" {
 		t.Skip("set MEMCHECK=1 (make memcheck) to run the 256 MiB sweep")
 	}
-	streamMemoryCheck(t, 256<<20, 256<<10, 2, 48<<20)
+	streamMemoryCheck(t, 256<<20, 256<<10, 2, 48<<20, false)
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"repro/internal/cryptofrag"
+	"repro/internal/mislead"
 	"repro/internal/provider"
 )
 
@@ -28,6 +30,15 @@ import (
 // ErrConflict and a rollback of the new blobs — then commit one update
 // record that swaps every row field at once, and retire the superseded
 // blobs.
+//
+// An update never strips a chunk's defence. opts that ask for no decoys
+// leave a chunk that carries some defended at its own overhead (decoy
+// bytes per data byte, at most 1) with fresh byte decoys from this
+// write's stream. The row keeps decoy positions, not where they came
+// from, so that holds for a chunk uploaded with MisleadLines too: the
+// distributor does not keep a client's decoy records, and a caller who
+// wants lines in the new generation passes them again. A pre-state that
+// carries decoys gets no snapshot — see GetSnapshot.
 func (d *Distributor) UpdateChunk(client, password, filename string, serial int, newData []byte, opts UploadOptions) error {
 	if opts.MisleadFraction < 0 || opts.MisleadFraction >= 1 {
 		return fmt.Errorf("%w: mislead fraction %v outside [0,1)", ErrConfig, opts.MisleadFraction)
@@ -58,6 +69,10 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// Snapshot the row being replaced and its stripe geometry.
 	old := *entry
 	old.Mirrors = append([]mirrorRef(nil), entry.Mirrors...)
+	// Asked for no decoys, a defended chunk keeps its own rate of them.
+	if opts.MisleadFraction == 0 && len(opts.MisleadLines) == 0 {
+		opts.MisleadFraction = min(mislead.Overhead(old.DataLen, old.Mislead), 1)
+	}
 	st := &d.stripes[entry.StripeID]
 	stripeID := entry.StripeID
 	level := st.Level
@@ -79,14 +94,16 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// post-state gets a new id even when it stays on the same provider:
 	// the old blob must survive untouched until commit.
 	t := d.newTicketLocked()
-	spIdx, err := d.pickSnapshotProvider(pl, old.CPIndex)
-	if err != nil {
-		d.releaseTicketLocked(t)
-		d.mu.Unlock()
-		return err
+	spIdx, snapVID := -1, ""
+	if old.Mislead.Count() == 0 {
+		if spIdx, err = d.pickSnapshotProvider(pl, old.CPIndex); err != nil {
+			d.releaseTicketLocked(t)
+			d.mu.Unlock()
+			return err
+		}
+		snapVID = d.vids.Next()
+		d.stageLocked(t, spIdx, snapVID)
 	}
-	snapVID := d.vids.Next()
-	d.stageLocked(t, spIdx, snapVID)
 	postVID := d.vids.Next()
 	d.stageLocked(t, old.CPIndex, postVID)
 	newMirrors := make([]mirrorRef, len(old.Mirrors))
@@ -121,10 +138,6 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	sum := sha256.Sum256(newData)
 	d.byteWork("prepare")
 
-	oldPayload, err := d.fetchPayloadPlan(&pre)
-	if err != nil {
-		return abort(fmt.Errorf("core: reading pre-state: %w", err))
-	}
 	sibPayloads, err := d.fetchMembers(sibs)
 	if err != nil {
 		return abort(err)
@@ -132,11 +145,17 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 
 	// Snapshot first: the pre-state must be durable somewhere new before
 	// anything else is worth writing.
-	spIdx, snapVID, err = d.rehomePut(pl, spIdx, snapVID, oldPayload, map[int]bool{old.CPIndex: true}, t)
-	if err != nil {
-		return abort(fmt.Errorf("core: writing snapshot: %w", err))
+	if snapVID != "" {
+		oldPayload, err := d.fetchPayloadPlan(&pre)
+		if err != nil {
+			return abort(fmt.Errorf("core: reading pre-state: %w", err))
+		}
+		spIdx, snapVID, err = d.rehomePut(spIdx, snapVID, oldPayload, d.awayFrom(pl, map[int]bool{old.CPIndex: true}, t))
+		if err != nil {
+			return abort(fmt.Errorf("core: writing snapshot: %w", err))
+		}
+		stored = append(stored, storedShard{spIdx, snapVID})
 	}
-	stored = append(stored, storedShard{spIdx, snapVID})
 
 	// Post-state, excluding every provider holding a sibling, parity
 	// shard or mirror of this chunk.
@@ -147,7 +166,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	for _, m := range old.Mirrors {
 		exclude[m.CPIndex] = true
 	}
-	postProv, postVIDFinal, err := d.rehomePut(pl, old.CPIndex, postVID, payload, exclude, t)
+	postProv, postVIDFinal, err := d.rehomePut(old.CPIndex, postVID, payload, d.awayFrom(pl, exclude, t))
 	if err != nil {
 		return abort(fmt.Errorf("core: writing post-state: %w", err))
 	}
@@ -161,7 +180,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 				mex[newMirrors[mj].CPIndex] = true
 			}
 		}
-		mProv, mVID, err := d.rehomePut(pl, newMirrors[mi].CPIndex, newMirrors[mi].VirtualID, payload, mex, t)
+		mProv, mVID, err := d.rehomePut(newMirrors[mi].CPIndex, newMirrors[mi].VirtualID, payload, d.awayFrom(pl, mex, t))
 		if err != nil {
 			return abort(fmt.Errorf("core: writing post-state mirror: %w", err))
 		}
@@ -255,8 +274,10 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 // GetSnapshot returns a chunk's pre-modification contents. Misleading
 // bytes of the snapshot generation cannot be stripped (the paper's Chunk
 // Table keeps only the current M set), so snapshots are only offered for
-// chunks that had no injection at snapshot time — the distributor rejects
-// the request otherwise.
+// chunks that had no injection at snapshot time: UpdateChunk keeps no
+// copy of a pre-state that carries decoys, and the request is answered
+// ErrNoSnapshot. An encrypted file's snapshot is sealed under the file's
+// key like every generation of the chunk, and is opened with it here.
 func (d *Distributor) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
 	s, err := d.openRead(client, password, filename, readSpan{one: true, serial: serial})
 	if err != nil {
@@ -275,6 +296,9 @@ func (d *Distributor) GetSnapshot(client, password, filename string, serial int)
 	})
 	if err != nil {
 		return nil, err
+	}
+	if entry.EncKey != nil {
+		return cryptofrag.Decrypt(entry.EncKey, payload)
 	}
 	return payload, nil
 }

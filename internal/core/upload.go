@@ -1,22 +1,25 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bufpool"
-	"repro/internal/chunker"
 	"repro/internal/cryptofrag"
 	"repro/internal/mislead"
 	"repro/internal/privacy"
 	"repro/internal/raid"
 )
 
-// validateUpload checks the argument surface shared by Upload and
-// UploadStream and resolves the effective RAID level. It reads only
-// immutable configuration, so it takes no lock.
+// validateUpload checks an upload's argument surface and resolves the
+// effective RAID level. It reads only immutable configuration, so it
+// takes no lock.
 func (d *Distributor) validateUpload(filename string, pl privacy.Level, opts UploadOptions) (raid.Level, error) {
 	if filename == "" {
 		return 0, fmt.Errorf("%w: empty filename", ErrConfig)
@@ -96,8 +99,7 @@ func (d *Distributor) decoyRNG(opts UploadOptions, fid uint64, serial int, gen u
 	return rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(sum[:]))))
 }
 
-// uploadCtx is what one Upload or UploadStream carries from its open
-// hold to its commit.
+// uploadCtx is what one upload carries from its open hold to its commit.
 type uploadCtx struct {
 	client, filename string
 	resKey           string // the filename reservation in d.reserved
@@ -105,6 +107,7 @@ type uploadCtx struct {
 	level            raid.Level
 	opts             UploadOptions
 	encKey           []byte
+	chunkSize        int
 	width            int // data shards per stripe
 	fid              uint64
 	ticket           *writeTicket
@@ -120,9 +123,13 @@ func (d *Distributor) openUpload(client, password, filename string, pl privacy.L
 	if err != nil {
 		return nil, err
 	}
+	chunkSize, err := d.policy.Size(pl)
+	if err != nil {
+		return nil, err
+	}
 	u := &uploadCtx{
 		client: client, filename: filename, resKey: client + "\x00" + filename,
-		pl: pl, level: level, opts: opts,
+		pl: pl, level: level, opts: opts, chunkSize: chunkSize,
 	}
 	if len(opts.EncryptKey) > 0 {
 		u.encKey = append([]byte(nil), opts.EncryptKey...)
@@ -165,9 +172,9 @@ func (d *Distributor) abortUpload(u *uploadCtx, stored []storedShard) {
 
 // stripeJob is one planned stripe of an upload: the staged shards plus
 // the metadata rows they patch on failover. Positions inside a job are
-// job-relative — chunkPos indexes job.chunks and stripePos is always 0 —
-// because a stripe is planned before the distributor knows how many
-// stripes precede it; assembleStripes puts them in file order.
+// job-relative — chunkPos indexes job.chunks — because a stripe is
+// planned before the distributor knows how many stripes precede it;
+// assembleStripes puts them in file order.
 type stripeJob struct {
 	shards []stagedShard
 	chunks []chunkEntry
@@ -175,11 +182,21 @@ type stripeJob struct {
 	datas  [][]byte // the stripe's raw chunks, what fillStripe works from
 	nonce  uint64   // chunk i encrypts under nonce+i
 	pooled [][]byte // buffers released to bufpool once the job ships
+
+	// The stripe's shards ship on different put workers. mu makes a
+	// failover's "read the mates' providers, place, record the new
+	// provider" one step, so two shards failing at once can never re-home
+	// onto the same provider; unshipped counts down to the worker that
+	// releases the stripe.
+	mu        sync.Mutex
+	unshipped atomic.Int32
 }
 
+// releaseBuffers returns the stripe's scratch to bufpool and drops every
+// reference into it: what stays is the rows, which is all a commit needs.
 func (j *stripeJob) releaseBuffers() {
 	releaseBuffers(j.pooled)
-	j.pooled = nil
+	j.pooled, j.datas, j.shards = nil, nil, nil
 }
 
 // placeStripe stages one stripe of an upload: one hold of d.mu that does
@@ -192,7 +209,7 @@ func (j *stripeJob) releaseBuffers() {
 // the stripe's raw chunk buffers (ownership moves into the returned job,
 // also on error), sums their SHA-256 and baseSerial numbers the first
 // chunk. The shards come back staged but without payloads; fillStripe
-// supplies those, which is safe because a job reaches a ship worker only
+// supplies those, which is safe because a shard reaches a put worker only
 // after both.
 func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte, baseSerial int) (*stripeJob, error) {
 	parity := u.level.ParityShards()
@@ -247,16 +264,14 @@ func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte,
 			mvid := d.vids.Next()
 			ce.Mirrors = append(ce.Mirrors, mirrorRef{VirtualID: mvid, CPIndex: mIdx})
 			job.shards = append(job.shards, stagedShard{
-				kind: shardMirror, chunkPos: gi, mirrorPos: r,
-				stripePos: 0, parityPos: -1,
+				kind: shardMirror, chunkPos: gi, mirrorPos: r, parityPos: -1,
 				provIdx: mIdx, vid: mvid,
 			})
 			d.stageLocked(u.ticket, mIdx, mvid)
 		}
 		st.Members = append(st.Members, gi)
 		job.shards = append(job.shards, stagedShard{
-			kind: shardData, chunkPos: gi, mirrorPos: -1,
-			stripePos: 0, parityPos: -1,
+			kind: shardData, chunkPos: gi, mirrorPos: -1, parityPos: -1,
 			provIdx: provIdx, vid: vid,
 		})
 		d.stageLocked(u.ticket, provIdx, vid)
@@ -266,21 +281,18 @@ func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte,
 		provIdx := placement[len(datas)+pi]
 		st.Parity = append(st.Parity, parityShard{VirtualID: vid, CPIndex: provIdx})
 		job.shards = append(job.shards, stagedShard{
-			kind: shardParity, chunkPos: -1, mirrorPos: -1,
-			stripePos: 0, parityPos: pi,
+			kind: shardParity, chunkPos: -1, mirrorPos: -1, parityPos: pi,
 			provIdx: provIdx, vid: vid,
 		})
 		d.stageLocked(u.ticket, provIdx, vid)
 	}
+	job.unshipped.Store(int32(len(job.shards)))
 	return job, nil
 }
 
 // fillStripe does a placed stripe's byte work, with no lock held:
 // encryption or decoy injection per chunk, then padding and parity, on
-// job-local buffers. Upload places every stripe before it fills the
-// first: alternating would have each placement hold — sorting, HMACs,
-// map inserts — evict the kernels' working set, which costs a 4 MiB
-// defended put about 7 ms.
+// job-local buffers.
 func (d *Distributor) fillStripe(u *uploadCtx, job *stripeJob) error {
 	payloads := make([][]byte, len(job.datas))
 	for i, data := range job.datas {
@@ -370,84 +382,196 @@ func (d *Distributor) commitUploadLocked(u *uploadCtx, newChunks []chunkEntry, n
 }
 
 // Upload receives a file from a client, fragments it according to the
-// file's privacy level, optionally injects misleading bytes, stripes the
-// chunks with RAID parity and scatters everything over the provider
-// fleet. It returns the chunk count the client later uses to request
-// chunks by (filename, serial).
-//
-// The write runs in three phases, and d.mu is held only for metadata.
-// Plan: openUpload's short hold, then chunk split + SHA-256 with no lock,
-// then placeStripe per stripe — a short hold that places shards and
-// allocates virtual ids into staged rows that reference nothing live —
-// then fillStripe per stripe, the byte work, unlocked. Ship (no lock):
-// every shard goes out with bounded fan-out and per-shard failover; one
-// slow provider delays only this upload, not other clients. Commit
-// (under d.mu): staged rows are rebased onto the live tables and applied
-// as one upload record — or, on a failed ship, the
-// staging is withdrawn and stored blobs rolled back, leaving no trace.
+// file's privacy level, optionally injects misleading bytes (or
+// encrypts), stripes the chunks with RAID parity and scatters everything
+// over the provider fleet. It returns the chunk count the client later
+// uses to request chunks by (filename, serial). It is UploadStream over
+// the caller's slice.
 func (d *Distributor) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
+	return d.upload(client, password, filename, bytes.NewReader(data), pl, opts)
+}
+
+// UploadStream is Upload behind an io.Reader, for objects the caller
+// does not hold (or want) in memory: the file is chunked, striped and
+// shipped as its bytes arrive.
+func (d *Distributor) UploadStream(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
+	info, err := d.upload(client, password, filename, r, pl, opts)
+	if err == nil {
+		d.counters.streamUploads.Add(1)
+	}
+	return info, err
+}
+
+// planStripe takes the upload's next stripe off r and plans it: read,
+// SHA-256, placeStripe, fillStripe. The job is nil when there is nothing
+// to ship — the stream ended on a stripe boundary (io.EOF), or a read,
+// placement or byte-work error, with the stripe's buffers already back in
+// the pool. io.EOF beside a job marks the file's last stripe.
+func (d *Distributor) planStripe(u *uploadCtx, r io.Reader, serial int) (*stripeJob, int, error) {
+	datas, n, rerr := readStripe(r, u.chunkSize, u.width, serial == 0)
+	if (rerr != nil && rerr != io.EOF) || len(datas) == 0 {
+		releaseBuffers(datas)
+		if rerr != io.EOF {
+			rerr = fmt.Errorf("reading stream: %w", rerr)
+		}
+		return nil, 0, rerr
+	}
+	sums := make([][32]byte, len(datas))
+	for i, data := range datas {
+		sums[i] = sha256.Sum256(data)
+	}
+	d.byteWork("split")
+	job, err := d.placeStripe(u, datas, sums, serial)
+	if err == nil {
+		err = d.fillStripe(u, job)
+	}
+	if err != nil {
+		job.releaseBuffers()
+		return nil, 0, err
+	}
+	return job, n, rerr
+}
+
+// shipShard puts shard i of job on its provider through rehomePut. A
+// failover re-places the shard away from its stripe mates as they stand
+// at that moment and records its new provider, both under job.mu, so the
+// mates' own failovers see it; the job's rows — private to the upload
+// until its commit, and each field patched by its own shard alone — get
+// wherever the shard finally landed.
+func (d *Distributor) shipShard(u *uploadCtx, job *stripeJob, i int) (storedShard, error) {
+	s := &job.shards[i]
+	prov, vid, err := d.rehomePut(s.provIdx, s.vid, s.payload, func(from int, failed map[int]bool) (int, string, error) {
+		job.mu.Lock()
+		defer job.mu.Unlock()
+		prov, vid, err := d.restage(u.pl, from, relatedProviders(job.shards, i), failed, u.ticket)
+		if err == nil {
+			s.provIdx, s.vid = prov, vid
+		}
+		return prov, vid, err
+	})
+	if err != nil {
+		return storedShard{}, err
+	}
+	switch s.kind {
+	case shardData:
+		job.chunks[s.chunkPos].CPIndex, job.chunks[s.chunkPos].VirtualID = prov, vid
+	case shardMirror:
+		job.chunks[s.chunkPos].Mirrors[s.mirrorPos] = mirrorRef{VirtualID: vid, CPIndex: prov}
+	case shardParity:
+		job.stripe[0].Parity[s.parityPos] = parityShard{VirtualID: vid, CPIndex: prov}
+	}
+	return storedShard{prov, vid}, nil
+}
+
+// upload is the write pipeline, the only one. d.mu is held for metadata
+// alone: openUpload's short hold, one placeStripe hold per stripe, and
+// the commit.
+//
+// The producer (the caller's goroutine) takes one of Config.StreamWindow
+// slots, reads a stripe of chunks from r, hashes it, places it and fills
+// it (the byte work, unlocked), then feeds the stripe's shards one by
+// one to a flat pool of Config.Parallelism put workers shared by every
+// stripe in flight. A worker ships its shard with per-shard failover;
+// whoever lands a stripe's last shard returns its pooled buffers and its
+// slot. So the window bounds the stripes — the payload memory — in
+// flight, whatever the file's size, and the parallelism bounds this
+// upload's puts in flight, whatever the window: one slow provider delays
+// only this upload, and a reader beside it competes with at most
+// Parallelism puts. Window 1 is strict lockstep (place, ship, place,
+// ship) and parallelism 1 issues the puts in stripe order, which
+// deterministic harnesses use.
+//
+// Once anything fails — the reader, a placement, a shard out of
+// providers — no further stripe is read and no further put issued (puts
+// already on the wire run to their end), and the one abort path
+// withdraws the staging and reservation and rolls back every blob that
+// was stored: a failed upload leaves no orphan blobs and no partial
+// file. Otherwise the staged rows are rebased onto the live tables and
+// applied as one upload record, logged before anything becomes visible.
+func (d *Distributor) upload(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
 	u, err := d.openUpload(client, password, filename, pl, opts)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	// Every pooled buffer this upload draws (chunk splits, inflated
-	// payloads, stripe padding, parity) is dead once the function returns:
-	// providers copy payloads on Put and the committed tables hold only
-	// metadata, so the deferred release cannot race anything live.
-	var jobs []*stripeJob
-	defer func() {
-		for _, job := range jobs {
-			job.releaseBuffers()
-		}
-	}()
 
-	chunks, err := chunker.Split(data, pl, d.policy)
-	if err != nil {
-		d.abortUpload(u, nil)
-		return FileInfo{}, err
+	type shardRef struct {
+		job *stripeJob
+		i   int
 	}
-	d.byteWork("split")
-	for start := 0; start < len(chunks); start += u.width {
-		group := chunks[start:min(start+u.width, len(chunks))]
-		datas := make([][]byte, len(group))
-		sums := make([][32]byte, len(group))
-		for i, ch := range group {
-			datas[i], sums[i] = ch.Data, ch.Sum
-		}
-		job, err := d.placeStripe(u, datas, sums, start)
-		jobs = append(jobs, job)
-		if err != nil {
-			d.abortUpload(u, nil)
-			return FileInfo{}, err
-		}
-	}
-	for _, job := range jobs {
-		if err := d.fillStripe(u, job); err != nil {
-			d.abortUpload(u, nil)
-			return FileInfo{}, err
+	window := make(chan struct{}, d.streamWindow)
+	// Sized to the sends the window admits — its stripes' shards — so the
+	// producer moves on to planning the next stripe instead of waiting
+	// for a put worker to take each shard from its hand.
+	shardCh := make(chan shardRef, d.streamWindow*(u.width*(1+opts.Replicas)+u.level.ParityShards()))
+	var (
+		mu      sync.Mutex
+		stored  []storedShard
+		failure error // the first one; set, it stops the producer and the workers
+		wg      sync.WaitGroup
+	)
+	fail := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failure == nil {
+			failure = err
 		}
 	}
-
-	// Ship all stripes in one bounded fan-out, so the shards are numbered
-	// against the file's rows rather than their stripe's. shipStaged fails
-	// individual shards over to other healthy providers; if a shard runs
-	// out of providers, everything already stored is rolled back here, so
-	// a failed upload leaves no orphan blobs.
-	newChunks, newStripes, chunkIdx := assembleStripes(jobs, len(chunks))
-	shards := make([]stagedShard, 0, len(jobs)*len(jobs[0].shards))
-	cbase := 0
-	for si, job := range jobs {
-		for _, s := range job.shards {
-			if s.chunkPos >= 0 {
-				s.chunkPos += cbase
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return failure != nil
+	}
+	for w := 0; w < d.parallelism; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ref := range shardCh {
+				if !failed() {
+					if at, err := d.shipShard(u, ref.job, ref.i); err != nil {
+						fail(err)
+					} else {
+						mu.Lock()
+						stored = append(stored, at)
+						mu.Unlock()
+					}
+				}
+				if ref.job.unshipped.Add(-1) == 0 {
+					ref.job.releaseBuffers()
+					<-window
+				}
 			}
-			s.stripePos = si
-			shards = append(shards, s)
-		}
-		cbase += len(job.chunks)
+		}()
 	}
-	stored, err := d.shipStaged(pl, shards, newChunks, newStripes, u.ticket)
+
+	var jobs []*stripeJob
+	total, serial := 0, 0
+	for eof := false; !eof; {
+		window <- struct{}{}
+		if failed() {
+			<-window
+			break
+		}
+		job, n, err := d.planStripe(u, r, serial)
+		if eof = err == io.EOF; err != nil && !eof {
+			fail(err)
+		}
+		if job == nil {
+			<-window
+			break
+		}
+		total += n
+		serial += len(job.chunks)
+		jobs = append(jobs, job)
+		for i := range job.shards {
+			shardCh <- shardRef{job, i}
+		}
+	}
+	close(shardCh)
+	wg.Wait()
+
+	err = failure // read without its mutex: the workers are done
 	if err == nil {
+		newChunks, newStripes, chunkIdx := assembleStripes(jobs, serial)
 		d.mu.Lock()
 		err = d.commitUploadLocked(u, newChunks, newStripes, chunkIdx)
 		d.mu.Unlock()
@@ -456,5 +580,5 @@ func (d *Distributor) Upload(client, password, filename string, data []byte, pl 
 		d.abortUpload(u, stored)
 		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
 	}
-	return FileInfo{Filename: filename, PL: pl, Chunks: len(chunks), Raid: u.level, Bytes: len(data)}, nil
+	return FileInfo{Filename: filename, PL: pl, Chunks: serial, Raid: u.level, Bytes: total}, nil
 }

@@ -259,8 +259,8 @@ func Run(cfg Config) (Result, error) {
 		return core.New(core.Config{
 			Fleet:        fleet,
 			StripeWidth:  3,
-			Parallelism:  1, // sequential provider I/O: determinism anchor
-			StreamWindow: 1, // lockstep streaming: same determinism anchor
+			Parallelism:  1, // sequential provider I/O, an upload's puts in stripe order: determinism anchor
+			StreamWindow: 1, // lockstep uploads (a stripe is placed once the last has shipped): same anchor
 			Secret:       []byte("simcheck-prf-secret"),
 			MisleadSeed:  cfg.Seed,
 			CacheBytes:   cfg.CacheBytes,

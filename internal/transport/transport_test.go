@@ -359,6 +359,43 @@ func TestEndToEndLifecycleOverHTTP(t *testing.T) {
 	}
 }
 
+// TestUpdateKeepsDecoysOverHTTP: Client.UpdateChunk carries no upload
+// options, so the distributor must keep a defended chunk defended on its
+// own — the blob on the provider stays longer than the plaintext, at the
+// chunk's rate, and the chunk still reads back exactly.
+func TestUpdateKeepsDecoysOverHTTP(t *testing.T) {
+	client, mems := distributorFixture(t, 5)
+	_ = client.RegisterClient("bob")
+	_ = client.AddPassword("bob", "pw", privacy.High)
+	blobLens := func() map[int]bool {
+		lens := map[int]bool{}
+		for _, m := range mems {
+			for _, b := range m.Dump() {
+				lens[len(b)] = true
+			}
+		}
+		return lens
+	}
+	data := patterned(16 << 10) // one PL2 chunk; no parity, so it is the file's only blob
+	opts := UploadOptions{MisleadFraction: 0.25, NoParity: true}
+	if _, err := client.Upload("bob", "pw", "f", data, privacy.Moderate, opts); err != nil {
+		t.Fatal(err)
+	}
+	if lens := blobLens(); len(lens) != 1 || !lens[len(data)+len(data)/4] {
+		t.Fatalf("uploaded blobs have lengths %v for %d bytes of data at fraction 0.25", lens, len(data))
+	}
+	update := patterned(800)
+	if err := client.UpdateChunk("bob", "pw", "f", 0, update); err != nil {
+		t.Fatal(err)
+	}
+	if lens := blobLens(); lens[len(update)] || !lens[len(update)+len(update)/4] {
+		t.Fatalf("after the update the fleet holds blobs of lengths %v for %d bytes of data: the chunk lost its decoys", lens, len(update))
+	}
+	if got, err := client.GetChunk("bob", "pw", "f", 0); err != nil || !bytes.Equal(got, update) {
+		t.Fatalf("updated chunk reads back %d bytes, %v", len(got), err)
+	}
+}
+
 func TestEndToEndRAIDRecoveryOverHTTP(t *testing.T) {
 	client, mems := distributorFixture(t, 6)
 	_ = client.RegisterClient("bob")
