@@ -1,9 +1,10 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + fmt-check + routes-lint + tables-lint + build + race tests + fuzz seed corpora
+#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + build + race tests + fuzz seed corpora
 #   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
 #   make tables-lint      the distributor's tables are written in core/apply.go only
+#   make placement-lint   which providers a blob avoids is decided in core/placement.go only
 #   make loc              non-test Go code lines per package and in total
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
@@ -65,9 +66,9 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet fmt-check routes-lint tables-lint build race fuzz
+check: vet fmt-check routes-lint tables-lint placement-lint build race fuzz
 
 build:
 	$(GO) build ./...
@@ -111,6 +112,24 @@ tables-lint:
 		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/apply\.go$$') \
 		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'tables-lint: the tables are written in internal/core/apply.go only'; exit 1; \
+	fi
+
+# The dispersal policy has one home, internal/core/placement.go: avoid
+# computes the providers a blob may not share and homeLocked is the one
+# single-blob placer, for first placements, failovers and relocations
+# alike. So no other non-test file of the package (outside comments)
+# calls avoid or ranks providers itself, and rehomePut, the
+# write-failover loop, has one caller, shipShard — a second exclusion set
+# or ship path fails here instead of in review.
+placement-lint:
+	@if grep -n -E '\b(avoid|preferLocked|healthyEligible)\(' $$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/placement\.go$$') \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'placement-lint: exclusion sets and provider ranking belong in internal/core/placement.go'; exit 1; \
+	fi
+	@n=$$(grep -h 'rehomePut(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
+	if [ "$$n" != 1 ]; then \
+		echo "placement-lint: rehomePut( has $$n callers in internal/core, want 1 (shipShard)"; exit 1; \
 	fi
 
 # Non-test Go lines that are neither blank nor comment-only, per package

@@ -165,34 +165,41 @@ func parityBlobs(dst []storedShard, ps []parityShard) []storedShard {
 	return dst
 }
 
-// shardSlot names one (provider, virtual id) cell of the tables: a
+// shardSlot names one (provider, virtual id) cell of a stripe's rows: a
 // chunk's primary copy, one of its mirrors, its snapshot, or one parity
-// shard of a stripe. It is what a relocation addresses, live and on the
-// log (move_<kind> records carry idx and sub as TableIdx and SubIdx).
+// shard of a stripe. It is what every write addresses its blobs by — an
+// upload, update or re-encode in its private rows (stripeRows), a
+// relocation in the live tables and on the log (move_<kind> records carry
+// idx and sub as TableIdx and SubIdx).
 type shardSlot struct {
 	kind BlobKind
 	idx  int // chunk-table index; stripe index for BlobParity
 	sub  int // mirror or parity position; 0 otherwise
 }
 
-// cell resolves s to the table cell it names, for reading (a relocation
+// cell resolves s over the live tables, for reading (a relocation
 // checking what the slot holds) and — in applyMove only — for writing.
-// An index outside the tables or a removed chunk row is an error.
 func (d *Distributor) cell(s shardSlot) (prov *int, vid *string, err error) {
+	return cell(d.chunks, d.stripes, s)
+}
+
+// cell resolves s to the cell it names in a pair of rows. An index
+// outside the rows or a removed chunk row is an error.
+func cell(chunks []chunkEntry, stripes []stripeEntry, s shardSlot) (prov *int, vid *string, err error) {
 	if s.kind == BlobParity {
-		if s.idx < 0 || s.idx >= len(d.stripes) {
+		if s.idx < 0 || s.idx >= len(stripes) {
 			return nil, nil, fmt.Errorf("stripe %d out of range", s.idx)
 		}
-		ps := d.stripes[s.idx].Parity
+		ps := stripes[s.idx].Parity
 		if s.sub < 0 || s.sub >= len(ps) {
 			return nil, nil, fmt.Errorf("parity %d of stripe %d out of range", s.sub, s.idx)
 		}
 		return &ps[s.sub].CPIndex, &ps[s.sub].VirtualID, nil
 	}
-	if s.idx < 0 || s.idx >= len(d.chunks) {
+	if s.idx < 0 || s.idx >= len(chunks) {
 		return nil, nil, fmt.Errorf("chunk %d out of range", s.idx)
 	}
-	e := &d.chunks[s.idx]
+	e := &chunks[s.idx]
 	if e.CPIndex < 0 {
 		return nil, nil, fmt.Errorf("chunk %d was removed", s.idx)
 	}

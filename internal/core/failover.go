@@ -8,27 +8,38 @@ import (
 	"repro/internal/privacy"
 )
 
-// shardKind distinguishes the three blob types an upload stages.
-type shardKind int
-
-const (
-	shardData shardKind = iota
-	shardMirror
-	shardParity
-)
-
-// stagedShard is one provider blob of a stripe an upload has planned,
-// carrying back references into the stripe's staged rows (positions, not
-// pointers — the staging loop appends, which reallocates) so a failover
-// can re-home the shard and patch the metadata that will be committed.
+// stagedShard is one provider blob a write has planned: the slot of its
+// stripe's rows it fills, and the bytes it carries. Where it is staged
+// is the slot's cell — shipShard reads it there and a failover patches
+// it there.
 type stagedShard struct {
-	kind      shardKind
-	chunkPos  int // index into the job's chunks (data and mirror shards), -1 otherwise
-	mirrorPos int // index into that chunk's Mirrors (mirror shards), -1 otherwise
-	parityPos int // index into the stripe's Parity (parity shards), -1 otherwise
-	provIdx   int
-	vid       string
-	payload   []byte
+	slot    shardSlot
+	payload []byte
+}
+
+// stripeRows is one stripe and the chunk rows of its members, private to
+// the write that ships into them: an upload's staged rows, or the copy
+// an update, a chunk removal or a relocation takes of a live stripe
+// (stripeRowsLocked). Slots resolve over it as over the live tables —
+// chunk slots index chunks, parity slots name stripe 0 — and a blob's
+// exclusions are read off it as they stand (avoid). Its blobs are placed
+// for pl and staged on ticket.
+type stripeRows struct {
+	pl      privacy.Level
+	ticket  *writeTicket
+	chunks  []chunkEntry
+	stripes [1]stripeEntry
+
+	// The stripe's blobs may ship on different goroutines (an upload's
+	// put pool). mu makes a failover's "read the mates' providers, place,
+	// record the new provider" one step, so two blobs of the stripe
+	// failing at once can never re-home onto the same provider.
+	mu sync.Mutex
+}
+
+// cell resolves slot s over the rows.
+func (r *stripeRows) cell(s shardSlot) (prov *int, vid *string, err error) {
+	return cell(r.chunks, r.stripes[:], s)
 }
 
 // storedShard locates a blob that reached a provider, for rollback.
@@ -98,88 +109,81 @@ func (d *Distributor) releaseTicket(t *writeTicket) {
 	d.mu.Unlock()
 }
 
-// relatedProviders collects the providers that shard i of one stripe
-// must not share: the stripe's other data and parity shards (the
-// distinct-provider RAID constraint), and — for data and mirror shards —
-// the other copies of the same chunk. Mirrors of *other* chunks in the
-// stripe are not excluded, matching the staging policy.
-func relatedProviders(shards []stagedShard, i int) map[int]bool {
-	s := &shards[i]
-	ex := make(map[int]bool)
-	for j := range shards {
-		if j == i {
-			continue
-		}
-		t := &shards[j]
-		stripeMates := s.kind != shardMirror && t.kind != shardMirror
-		sameChunk := s.chunkPos >= 0 && t.chunkPos == s.chunkPos &&
-			(s.kind == shardMirror || t.kind == shardMirror)
-		if stripeMates || sameChunk {
-			ex[t.provIdx] = true
-		}
-	}
-	return ex
-}
-
-// restage moves one blob staged on t off provider from: a fresh placement
-// outside exclude and failed, a fresh virtual id, and the ticket's
-// staging moved with it — one short hold of d.mu, the only lock a write
+// restage moves the blob in slot s of rows off the provider that just
+// failed it: unstaged there, a fresh virtual id, and a new home outside
+// avoid and failed (homeLocked) — under rows.mu, so the stripe's other
+// blobs see it, and one short hold of d.mu, the only lock a write
 // failover takes (placement and the VID allocator live under it). On
 // error the ticket no longer counts the blob.
-func (d *Distributor) restage(pl privacy.Level, from int, exclude, failed map[int]bool, t *writeTicket) (int, string, error) {
-	ex := make(map[int]bool, len(exclude)+len(failed))
-	for k := range exclude {
-		ex[k] = true
-	}
-	for k := range failed {
-		ex[k] = true
-	}
+func (d *Distributor) restage(rows *stripeRows, s shardSlot, failed map[int]bool) (int, string, error) {
+	rows.mu.Lock()
+	defer rows.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.unstageProviderLocked(t, from)
-	prov, err := d.placeParityExcluding(pl, ex)
+	prov, vid, err := rows.cell(s)
 	if err != nil {
 		return 0, "", err
 	}
-	vid := d.vids.Next()
-	d.stageLocked(t, prov, vid)
-	return prov, vid, nil
+	d.unstageProviderLocked(rows.ticket, *prov)
+	*vid = d.vids.Next()
+	if err := d.homeLocked(rows, s, failed); err != nil {
+		return 0, "", err
+	}
+	return *prov, *vid, nil
 }
 
-// rehomeFunc answers where a blob goes after provider from failed it:
-// never onto a provider in failed, the ones that already failed this blob.
-type rehomeFunc func(from int, failed map[int]bool) (prov int, vid string, err error)
-
-// awayFrom is the rehomeFunc of a blob whose exclusions — stripe mates,
-// its own mirrors — stay put while it ships: restage outside exclude.
-func (d *Distributor) awayFrom(pl privacy.Level, exclude map[int]bool, t *writeTicket) rehomeFunc {
-	return func(from int, failed map[int]bool) (int, string, error) {
-		return d.restage(pl, from, exclude, failed, t)
+// shipShard puts one staged blob where its slot's cell says, through
+// rehomePut: the one ship step of every write. A failover restages it
+// against the rows as they stand, so on success the cell holds wherever
+// the blob landed. failed seeds the providers it may never land on (a
+// relocation's departing provider); nil for none.
+func (d *Distributor) shipShard(rows *stripeRows, s stagedShard, failed map[int]bool) (storedShard, error) {
+	// Only this ship writes the blob's own cell, so reading it needs no lock.
+	prov, vid, err := rows.cell(s.slot)
+	if err != nil {
+		return storedShard{}, err
 	}
+	at := storedShard{*prov, *vid}
+	at.provIdx, at.vid, err = d.rehomePut(at.provIdx, at.vid, s.payload, failed, func(failed map[int]bool) (int, string, error) {
+		return d.restage(rows, s.slot, failed)
+	})
+	return at, err
+}
+
+// shipEach ships shards one after another, in order, appending every
+// blob stored to *stored for the caller's rollback.
+func (d *Distributor) shipEach(rows *stripeRows, shards []stagedShard, stored *[]storedShard) error {
+	for _, s := range shards {
+		at, err := d.shipShard(rows, s, nil)
+		if err != nil {
+			return fmt.Errorf("core: writing %s: %w", s.slot.kind, err)
+		}
+		*stored = append(*stored, at)
+	}
+	return nil
 }
 
 // rehomePut is the write-failover loop, the only one: it puts payload on
 // provider prov under vid through the circuit-breaker gate, and when a
 // put exhausts its transient retries or the circuit is open asks rehome
-// for the blob's next home and tries there. Only when rehome has nowhere
-// left does the write fail. Returns the provider and virtual id that
-// finally stored the blob; the caller patches tables and stale copies at
-// commit. Runs WITHOUT d.mu: the provider round trips are the slow part
-// of every write, and holding the lock here would serialize all clients
-// behind one slow provider.
-func (d *Distributor) rehomePut(prov int, vid string, payload []byte, rehome rehomeFunc) (int, string, error) {
-	var failed map[int]bool // allocated by the first failure: most puts have none
+// for the blob's next home — never a provider in failed, the ones that
+// already failed this blob — and tries there. Only when rehome has
+// nowhere left does the write fail. Returns the provider and virtual id
+// that finally stored the blob. Runs WITHOUT d.mu: the provider round
+// trips are the slow part of every write, and holding the lock here
+// would serialize all clients behind one slow provider.
+func (d *Distributor) rehomePut(prov int, vid string, payload []byte, failed map[int]bool, rehome func(failed map[int]bool) (int, string, error)) (int, string, error) {
 	for {
 		err := d.gatedPut(prov, vid, payload)
 		if err == nil {
 			return prov, vid, nil
 		}
 		if failed == nil {
-			failed = make(map[int]bool)
+			failed = make(map[int]bool) // allocated by the first failure: most puts have none
 		}
 		failed[prov] = true
 		var perr error
-		if prov, vid, perr = rehome(prov, failed); perr != nil {
+		if prov, vid, perr = rehome(failed); perr != nil {
 			return 0, "", fmt.Errorf("write failover exhausted: %w (last put error: %v)", perr, err)
 		}
 		d.counters.writeFailovers.Add(1)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/privacy"
 	"repro/internal/provider"
@@ -140,9 +142,11 @@ func (r *DecommissionReport) moved(kind BlobKind) {
 // owns it, decide where the payload will come from — the read ladder for
 // a chunk or mirror, the blob itself for a snapshot, a re-encode over the
 // members for parity (cheaper than reading, and correct even if the
-// departing provider is already dark) — and stage a target that keeps the
-// placement invariants. Copy (no lock): the first put keeps the shard's
-// virtual id (a pure move); failover hops re-key like any other write.
+// departing provider is already dark) — and home the slot, in a private
+// copy of its stripe's rows, away from the departing provider and from
+// what avoid says. Copy (no lock): shipShard, the departing provider
+// counting as one that failed the blob; the first put keeps the shard's
+// virtual id (a pure move), failover hops re-key like any other write.
 // Commit (under d.mu): if the file moved on or the slot no longer holds
 // what was copied, drop the copy; otherwise one move_<kind> record
 // repoints the slot.
@@ -155,31 +159,29 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 		return 0, nil
 	}
 	vid := *vidNow
-	var owner *chunkEntry // the row whose file owns the slot
+	at := s // the slot in the move's private copy of its stripe's rows
+	var st *stripeEntry
+	if s.kind == BlobParity {
+		st, at.idx = &d.stripes[s.idx], 0
+	} else {
+		st = &d.stripes[d.chunks[s.idx].StripeID]
+		at.idx = slices.Index(st.Members, s.idx)
+	}
+	if len(st.Members) == 0 {
+		d.mu.Unlock()
+		return 0, nil
+	}
 	var fetch func() ([]byte, error)
-	var newIdx int
-	var exclude map[int]bool
 	var pooled [][]byte
 	defer func() { releaseBuffers(pooled) }()
 	switch s.kind {
 	case BlobChunk, BlobMirror:
-		owner = &d.chunks[s.idx]
-		plan := d.planFetch(owner)
+		plan := d.planFetch(&d.chunks[s.idx])
 		fetch = func() ([]byte, error) { return d.fetchPayloadPlan(&plan) }
-		newIdx, exclude, err = d.relocationTarget(owner, provIdx)
 	case BlobSnapshot:
-		owner = &d.chunks[s.idx]
 		sp, _ := d.fleet.At(provIdx) // Decommission checked provIdx
 		fetch = func() ([]byte, error) { return sp.Get(vid) }
-		exclude = map[int]bool{provIdx: true, owner.CPIndex: true}
-		newIdx, err = d.placeParityExcluding(owner.PL, exclude)
 	case BlobParity:
-		st := &d.stripes[s.idx]
-		if len(st.Members) == 0 {
-			d.mu.Unlock()
-			return 0, nil
-		}
-		owner = &d.chunks[st.Members[0]]
 		members, level, shardLen := d.planMembersLocked(st, -1), st.Level, st.ShardLen
 		fetch = func() ([]byte, error) {
 			payloads, err := d.fetchMembers(members)
@@ -192,31 +194,30 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 			}
 			return parity[s.sub], nil
 		}
-		exclude = memberProviders(members)
-		exclude[provIdx] = true
-		for pj, ps := range st.Parity {
-			if pj != s.sub {
-				exclude[ps.CPIndex] = true
-			}
-		}
-		newIdx, err = d.placeParityExcluding(owner.PL, exclude)
+	}
+	// Every member of a stripe belongs to one file, at one PL.
+	owner := &d.chunks[st.Members[0]]
+	client, filename := owner.Client, owner.Filename
+	t := d.newTicketLocked()
+	rows := d.stripeRowsLocked(st, -1, owner.PL, t)
+	departing := map[int]bool{provIdx: true}
+	placeErr := d.homeLocked(rows, at, departing)
+	if errors.Is(placeErr, ErrPlacement) && s.kind == BlobChunk {
+		// A fleet too small to keep a chunk off its stripe mates: relax to a
+		// stripe of one, which still keeps it off its own mirrors.
+		rows.stripes[0] = stripeEntry{Members: []int{at.idx}}
+		placeErr = d.homeLocked(rows, at, departing)
 	}
 	// A snapshot has no second source: when the departing provider cannot
 	// produce it the reference is dropped, target or no target, so its
 	// placement verdict waits for the read.
-	placeErr := err
 	if placeErr != nil && s.kind != BlobSnapshot {
+		d.releaseTicketLocked(t)
 		d.mu.Unlock()
 		return 0, placeErr
 	}
-	client, filename, pl := owner.Client, owner.Filename, owner.PL
 	fe := d.clients[client].Files[filename]
 	gen := fe.Gen
-	var t *writeTicket
-	if placeErr == nil {
-		t = d.newTicketLocked()
-		d.stageLocked(t, newIdx, vid)
-	}
 	d.mu.Unlock()
 
 	// ---- Copy ----
@@ -225,6 +226,7 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 		TableIdx: s.idx, SubIdx: s.sub, FileGen: gen + 1,
 	}
 	payload, err := fetch()
+	var dst storedShard
 	switch {
 	case err != nil && s.kind == BlobSnapshot:
 		// Unreadable pre-state: drop the snapshot under the same
@@ -234,15 +236,15 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 		d.releaseTicket(t)
 		return 0, fmt.Errorf("core: decommission: %s of %s/%s unreadable: %w", s.kind, client, filename, err)
 	case placeErr != nil:
+		d.releaseTicket(t)
 		return 0, placeErr
 	default:
-		rec.NewProv, rec.NewVID, err = d.rehomePut(newIdx, vid, payload, d.awayFrom(pl, exclude, t))
-		if err != nil {
+		if dst, err = d.shipShard(rows, stagedShard{slot: at, payload: payload}, departing); err != nil {
 			d.releaseTicket(t)
 			return 0, fmt.Errorf("core: decommission: rehoming %s: %w", s.kind, err)
 		}
 	}
-	dst := storedShard{rec.NewProv, rec.NewVID}
+	rec.NewProv, rec.NewVID = dst.provIdx, dst.vid
 	copied := dst.vid != ""
 
 	// ---- Commit ----
@@ -279,34 +281,6 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 	_ = d.deleteJob(provIdx, vid)()
 	rep.moved(s.kind)
 	return 1, nil
-}
-
-// relocationTarget picks a new home for a chunk off oldIdx, avoiding its
-// stripe-mates and mirrors so the placement invariants survive. It also
-// returns the exclusion set actually in force, so a failover away from
-// the chosen target respects the same constraints.
-func (d *Distributor) relocationTarget(entry *chunkEntry, oldIdx int) (int, map[int]bool, error) {
-	exclude := map[int]bool{oldIdx: true}
-	st := &d.stripes[entry.StripeID]
-	for _, ci := range st.Members {
-		if d.chunks[ci].CPIndex >= 0 {
-			exclude[d.chunks[ci].CPIndex] = true
-		}
-	}
-	for _, ps := range st.Parity {
-		exclude[ps.CPIndex] = true
-	}
-	for _, m := range entry.Mirrors {
-		exclude[m.CPIndex] = true
-	}
-	idx, err := d.placeParityExcluding(entry.PL, exclude)
-	if err != nil {
-		// Relax: allow sharing with mirrors/parity if the fleet is small,
-		// but never the departing provider itself.
-		exclude = map[int]bool{oldIdx: true}
-		idx, err = d.placeParityExcluding(entry.PL, exclude)
-	}
-	return idx, exclude, err
 }
 
 // stripePL returns the privacy level of a stripe's members (uniform per

@@ -43,34 +43,80 @@ func (d *Distributor) placeShards(pl privacy.Level, n int) ([]int, error) {
 	return eligible[:n], nil
 }
 
-// placeParityExcluding picks one healthy eligible provider not in the
-// exclusion set, preferring lower cost then lower load. Callers hold d.mu.
-func (d *Distributor) placeParityExcluding(pl privacy.Level, exclude map[int]bool) (int, error) {
-	best := -1
-	for _, idx := range d.healthyEligible(pl) {
-		if !exclude[idx] && (best == -1 || d.preferLocked(idx, best)) {
-			best = idx
+// avoid is the dispersal policy, the only one: the providers the blob in
+// slot s may not share, read off its stripe's rows as they stand —
+// chunks the chunk rows s and st.Members index, st the stripe s's chunk
+// is a member of (for parity, the stripe s names).
+//
+//   - a data chunk avoids the other members, the parity and its own mirrors;
+//   - a mirror avoids its chunk's primary and the chunk's other mirrors;
+//   - parity avoids the members and the other parity shards;
+//   - a snapshot avoids its chunk's primary.
+//
+// So a stripe's data and parity sit on distinct providers (RAID survives
+// a provider loss), and so do a chunk's copies (a mirror protects
+// something); mirrors of different chunks may meet anything.
+func avoid(chunks []chunkEntry, st *stripeEntry, s shardSlot) map[int]bool {
+	ex := make(map[int]bool)
+	switch s.kind {
+	case BlobChunk:
+		for _, ci := range st.Members {
+			if ci != s.idx {
+				ex[chunks[ci].CPIndex] = true
+			}
 		}
+		for _, ps := range st.Parity {
+			ex[ps.CPIndex] = true
+		}
+		for _, m := range chunks[s.idx].Mirrors {
+			ex[m.CPIndex] = true
+		}
+	case BlobMirror:
+		ex[chunks[s.idx].CPIndex] = true
+		for mi, m := range chunks[s.idx].Mirrors {
+			if mi != s.sub {
+				ex[m.CPIndex] = true
+			}
+		}
+	case BlobParity:
+		for _, ci := range st.Members {
+			ex[chunks[ci].CPIndex] = true
+		}
+		for pi, ps := range st.Parity {
+			if pi != s.sub {
+				ex[ps.CPIndex] = true
+			}
+		}
+	case BlobSnapshot:
+		ex[chunks[s.idx].CPIndex] = true
 	}
-	if best == -1 {
-		return 0, fmt.Errorf("%w: no provider for re-encoded parity", ErrPlacement)
-	}
-	return best, nil
+	return ex
 }
 
-// pickSnapshotProvider chooses a provider for a chunk's pre-modification
-// snapshot, distinct from the chunk's current provider. Callers hold d.mu.
-func (d *Distributor) pickSnapshotProvider(pl privacy.Level, exclude int) (int, error) {
+// homeLocked places the blob in slot s of rows, the one single-blob
+// placer: the preferred healthy provider eligible for rows.pl outside
+// avoid and failed, staged on rows.ticket under the virtual id the cell
+// already holds, and the cell pointed at it. A first placement, a
+// failover (restage) and a relocation all come here. Callers hold d.mu,
+// and rows.mu once the rows are shipping.
+func (d *Distributor) homeLocked(rows *stripeRows, s shardSlot, failed map[int]bool) error {
+	prov, vid, err := rows.cell(s)
+	if err != nil {
+		return err
+	}
+	ex := avoid(rows.chunks, &rows.stripes[0], s)
 	best := -1
-	for _, idx := range d.healthyEligible(pl) {
-		if idx != exclude && (best == -1 || d.preferLocked(idx, best)) {
+	for _, idx := range d.healthyEligible(rows.pl) {
+		if !ex[idx] && !failed[idx] && (best == -1 || d.preferLocked(idx, best)) {
 			best = idx
 		}
 	}
 	if best == -1 {
-		return 0, fmt.Errorf("%w: no snapshot provider with PL>=%v distinct from current", ErrPlacement, pl)
+		return fmt.Errorf("%w: no provider with PL>=%v left for a %s blob", ErrPlacement, rows.pl, s.kind)
 	}
-	return best, nil
+	*prov = best
+	d.stageLocked(rows.ticket, best, *vid)
+	return nil
 }
 
 // healthyEligible filters the fleet's PL-eligible providers down to the

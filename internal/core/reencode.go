@@ -10,7 +10,7 @@ import (
 
 // The steps of a stripe re-encode, shared by everything that recomputes
 // parity: snapshot the members under d.mu, read them without it, pad and
-// encode on pooled buffers, ship the new parity with failover.
+// encode on pooled buffers, ship the new parity through shipShard.
 
 // stripeMember is one data member of a stripe snapshotted for a
 // re-encode: its chunk-table index and a fetch plan taken while the
@@ -34,14 +34,27 @@ func (d *Distributor) planMembersLocked(st *stripeEntry, skip int) []stripeMembe
 	return ms
 }
 
-// memberProviders is the set of providers holding ms — where a shard of
-// the same stripe must not land.
-func memberProviders(ms []stripeMember) map[int]bool {
-	provs := make(map[int]bool, len(ms)+3)
-	for i := range ms {
-		provs[ms[i].plan.entry.CPIndex] = true
+// stripeRowsLocked takes a write's private copy of live stripe st, the
+// rows its slots are shipped over: the member rows in shard order,
+// renumbered 0..n-1 and leaving out chunk-table index skip (-1 keeps them
+// all), and the parity. Mirrors and parity are copied, so the write
+// patches its cells without touching the tables; pl and t are what its
+// blobs are placed for and staged on. Callers hold d.mu.
+func (d *Distributor) stripeRowsLocked(st *stripeEntry, skip int, pl privacy.Level, t *writeTicket) *stripeRows {
+	r := &stripeRows{pl: pl, ticket: t}
+	r.stripes[0] = stripeEntry{Level: st.Level, ShardLen: st.ShardLen, Parity: make([]parityShard, len(st.Parity))}
+	copy(r.stripes[0].Parity, st.Parity)
+	for _, cidx := range st.Members {
+		if cidx == skip {
+			continue
+		}
+		c := d.chunks[cidx]
+		c.Mirrors = make([]mirrorRef, len(c.Mirrors))
+		copy(c.Mirrors, d.chunks[cidx].Mirrors)
+		r.stripes[0].Members = append(r.stripes[0].Members, len(r.chunks))
+		r.chunks = append(r.chunks, c)
 	}
-	return provs
+	return r
 }
 
 // fetchMembers reads every member's verified stored payload through the
@@ -109,30 +122,4 @@ func releaseBuffers(pooled [][]byte) {
 	for _, b := range pooled {
 		bufpool.Put(b)
 	}
-}
-
-// shipParity writes a stripe's re-encoded parity: bufs[i] goes to the
-// home staged for parity[i] on t, failing over — never onto dataProvs,
-// the providers of the stripe's data shards, nor onto another parity
-// shard's — and parity[i] is patched to where it landed. Every blob
-// stored is appended to *stored for the caller's rollback.
-func (d *Distributor) shipParity(pl privacy.Level, parity []parityShard, bufs [][]byte, dataProvs map[int]bool, t *writeTicket, stored *[]storedShard) error {
-	for pi := range parity {
-		exclude := make(map[int]bool, len(dataProvs)+len(parity))
-		for p := range dataProvs {
-			exclude[p] = true
-		}
-		for pj := range parity {
-			if pj != pi {
-				exclude[parity[pj].CPIndex] = true
-			}
-		}
-		prov, vid, err := d.rehomePut(parity[pi].CPIndex, parity[pi].VirtualID, bufs[pi], d.awayFrom(pl, exclude, t))
-		if err != nil {
-			return fmt.Errorf("core: writing re-encoded parity: %w", err)
-		}
-		parity[pi] = parityShard{VirtualID: vid, CPIndex: prov}
-		*stored = append(*stored, storedShard{prov, vid})
-	}
-	return nil
 }

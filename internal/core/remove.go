@@ -103,23 +103,22 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	survivors := d.planMembersLocked(st, entryIdx)
 	dels := parityBlobs(blobsOf(nil, entry), st.Parity)
 
-	// Stage replacement parity on freshly placed providers.
+	// Stage replacement parity on freshly placed providers, in the
+	// stripe's rows as they will stand: the survivors and the new parity.
 	t := d.newTicketLocked()
-	reencode := len(survivors) > 0 && level.ParityShards() > 0
-	var newParity []parityShard
-	if reencode {
-		exclude := memberProviders(survivors)
+	rows := d.stripeRowsLocked(st, entryIdx, pl, t)
+	rows.stripes[0].Parity = nil
+	var shards []stagedShard
+	if len(survivors) > 0 {
 		for pi := 0; pi < level.ParityShards(); pi++ {
-			provIdx, err := d.placeParityExcluding(pl, exclude)
-			if err != nil {
+			rows.stripes[0].Parity = append(rows.stripes[0].Parity, parityShard{VirtualID: d.vids.Next(), CPIndex: -1})
+			s := shardSlot{kind: BlobParity, sub: pi}
+			if err := d.homeLocked(rows, s, nil); err != nil {
 				d.releaseTicketLocked(t)
 				d.mu.Unlock()
 				return err
 			}
-			exclude[provIdx] = true
-			vid := d.vids.Next()
-			newParity = append(newParity, parityShard{VirtualID: vid, CPIndex: provIdx})
-			d.stageLocked(t, provIdx, vid)
+			shards = append(shards, stagedShard{slot: s})
 		}
 	}
 	d.mu.Unlock()
@@ -137,7 +136,7 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	// Re-encode over the surviving members (reconstructing any unreachable
 	// one) while the full stripe still exists on the providers.
 	shardLen := 1
-	if reencode {
+	if len(shards) > 0 {
 		payloads, err := d.fetchMembers(survivors)
 		if err != nil {
 			return abort(err)
@@ -147,7 +146,10 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 		if err != nil {
 			return abort(err)
 		}
-		if err := d.shipParity(pl, newParity, parityBufs, memberProviders(survivors), t, &stored); err != nil {
+		for i := range shards {
+			shards[i].payload = parityBufs[i]
+		}
+		if err := d.shipEach(rows, shards, &stored); err != nil {
 			return abort(err)
 		}
 	}
@@ -172,7 +174,7 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	}
 	rec := &walRecord{
 		Op: "remove_chunk", Client: client, Filename: filename, Serial: serial,
-		StripeID: stripeID, Members: newMembers, ShardLen: shardLen, Parity: newParity,
+		StripeID: stripeID, Members: newMembers, ShardLen: shardLen, Parity: rows.stripes[0].Parity,
 		FileGen: fileGen + 1, Gen: d.gen + 1,
 	}
 	if err := d.commitLocked(rec, t); err != nil {

@@ -369,6 +369,38 @@ func TestMoveShardConflict(t *testing.T) {
 	}
 }
 
+// TestDecommissionKeepsCopiesApart evacuates each provider in turn from a
+// fleet too small to keep every moved chunk off its stripe mates: the
+// relax may drop that half of the rule, never the other — no two copies
+// (primary or mirrors) of a chunk may end up on one provider, where the
+// mirror would protect nothing.
+func TestDecommissionKeepsCopiesApart(t *testing.T) {
+	for victim := 0; victim < 6; victim++ {
+		t.Run(fmt.Sprint(victim), func(t *testing.T) {
+			d := testDistributor(t, 6)
+			data := payload(4*chunkSizeFor(t, privacy.High), 78)
+			if _, err := d.Upload("alice", "root", "f", data, privacy.High, UploadOptions{Replicas: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Decommission(victim); err != nil {
+				t.Fatal(err)
+			}
+			for _, ce := range d.chunks {
+				homes := map[int]bool{ce.CPIndex: true}
+				for _, m := range ce.Mirrors {
+					if homes[m.CPIndex] {
+						t.Fatalf("chunk %d: two copies on provider %d (primary %d, mirrors %v)", ce.Serial, m.CPIndex, ce.CPIndex, ce.Mirrors)
+					}
+					homes[m.CPIndex] = true
+				}
+			}
+			if got, err := d.GetFile("alice", "root", "f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("readback: %v", err)
+			}
+		})
+	}
+}
+
 func TestDecommissionBadIndex(t *testing.T) {
 	d := testDistributor(t, 3)
 	if _, err := d.Decommission(9); err == nil {

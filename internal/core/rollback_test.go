@@ -263,94 +263,208 @@ func TestRollbackFansOut(t *testing.T) {
 	}
 }
 
-// TestConcurrentFailoversOfOneStripeLandApart fails two shards of the same
-// stripe at the same moment, at Parallelism 4. Both failovers want the
-// same spare — the one cheap provider not yet in the stripe — and the
-// stripe's failover lock must send the second elsewhere: every shard of
-// the stripe on a provider of its own, and nothing staged left behind.
+// TestConcurrentFailoversOfOneStripeLandApart forces put failures on
+// every entry point that ships a blob and checks where the failovers
+// land: every committed blob on a provider avoid allows, tables and
+// providers agreeing, every chunk reading back, nothing staged left
+// behind. The Upload row fails two shards of the same stripe at the same
+// moment, at Parallelism 4: both want the same spare — the one cheap
+// provider not yet in the stripe — and the stripe's failover lock must
+// send the second elsewhere. The other rows fail the first put of one
+// blob of an UpdateChunk, a RemoveChunk re-encode or a relocation.
 func TestConcurrentFailoversOfOneStripeLandApart(t *testing.T) {
-	// Cost levels: five cheap providers take the stripe, then one spare
-	// placement prefers over the other two whatever their load.
-	f, err := provider.NewFleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hooked []*provider.Hooked
-	for i, cl := range []privacy.CostLevel{0, 0, 0, 0, 0, 1, 2, 2} {
-		mem, err := provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: cl}, provider.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hooked = append(hooked, provider.NewHooked(mem))
-		if err := f.Add(hooked[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := New(Config{Fleet: f, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterClient("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
-		t.Fatal(err)
-	}
-	// The first two puts to arrive wait for each other, then both fail.
-	var mu sync.Mutex
-	arrived, both := 0, make(chan struct{})
-	for _, h := range hooked {
-		h.SetBeforePut(func(int, string) error {
-			mu.Lock()
-			arrived++
-			n := arrived
-			mu.Unlock()
-			if n > 2 {
-				return nil
-			}
-			if n == 2 {
-				close(both)
-			}
-			<-both
-			return provider.ErrOutage
-		})
-	}
 	data := payload(4*chunkSizeFor(t, privacy.Moderate), 700) // one full stripe, RAID-5: five shards
-	if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, UploadOptions{}); err != nil {
-		t.Fatalf("upload with three spares for two failed shards: %v", err)
+	upload := func(d *Distributor, opts UploadOptions) error {
+		_, err := d.Upload("alice", "root", "f", data, privacy.Moderate, opts)
+		return err
 	}
-	if n := d.Metrics().WriteFailovers; n != 2 {
-		t.Fatalf("%d write failovers, want 2", n)
+	// A mirrored stripe whose chunk 0 has been updated once, so every kind
+	// of slot exists.
+	mirrored := func(d *Distributor) error {
+		if err := upload(d, UploadOptions{Replicas: 1}); err != nil {
+			return err
+		}
+		return d.UpdateChunk("alice", "root", "f", 0, []byte("v2"), UploadOptions{})
 	}
-	d.mu.RLock()
-	homes := map[int]bool{}
-	for _, ce := range d.chunks {
-		homes[ce.CPIndex] = true
+	// update's puts go snapshot, post-state, mirror, parity.
+	update := func(d *Distributor, want [][]byte) error {
+		want[0] = []byte("v3")
+		return d.UpdateChunk("alice", "root", "f", 0, want[0], UploadOptions{})
 	}
-	for _, ps := range d.stripes[0].Parity {
-		homes[ps.CPIndex] = true
-	}
-	pending, inflight := append([]int(nil), d.provPending...), len(d.inflight)
-	d.mu.RUnlock()
-	if len(homes) != 5 || !homes[5] {
-		t.Fatalf("the stripe's five shards live on providers %v: want five distinct ones, the cheap spare among them", homes)
-	}
-	for i, n := range pending {
-		if n != 0 {
-			t.Fatalf("provPending[%d] = %d after the commit", i, n)
+	move := func(kind BlobKind) func(*Distributor, [][]byte) error {
+		return func(d *Distributor, _ [][]byte) error {
+			s := shardSlot{kind: kind}
+			if kind == BlobParity {
+				s.idx = d.chunks[0].StripeID
+			}
+			prov, _, err := d.cell(s)
+			if err != nil {
+				return err
+			}
+			from := *prov
+			var rep DecommissionReport
+			if n, err := d.moveShard(s, from, &rep); n != 1 || err != nil {
+				return fmt.Errorf("moveShard = %d, %v", n, err)
+			}
+			if *prov == from {
+				return fmt.Errorf("%s still on provider %d", kind, from)
+			}
+			return nil
 		}
 	}
-	if inflight != 0 {
-		t.Fatalf("%d virtual ids still registered in flight after the commit", inflight)
-	}
-	st := d.Stats()
-	for i, h := range hooked {
-		if h.Len() != st.PerProvider[i] {
-			t.Fatalf("provider %d holds %d keys, table says %d", i, h.Len(), st.PerProvider[i])
-		}
-	}
-	if got, err := d.GetFile("alice", "root", "f"); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("readback: %v", err)
+	for _, tc := range []struct {
+		name   string
+		setup  func(*Distributor) error
+		failAt int // the put of act that fails; 0: the Upload row's two at once
+		act    func(d *Distributor, want [][]byte) error
+	}{
+		{"Upload", nil, 0, func(d *Distributor, _ [][]byte) error { return upload(d, UploadOptions{}) }},
+		{"UpdateChunk/post-state", mirrored, 2, update},
+		{"UpdateChunk/mirror", mirrored, 3, update},
+		{"UpdateChunk/parity", mirrored, 4, update},
+		{"RemoveChunk/parity", mirrored, 1, func(d *Distributor, want [][]byte) error {
+			want[1] = nil
+			return d.RemoveChunk("alice", "root", "f", 1)
+		}},
+		{"moveShard/chunk", mirrored, 1, move(BlobChunk)},
+		{"moveShard/mirror", mirrored, 1, move(BlobMirror)},
+		{"moveShard/snapshot", mirrored, 1, move(BlobSnapshot)},
+		{"moveShard/parity", mirrored, 1, move(BlobParity)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Cost levels: five cheap providers take the stripe, then one
+			// spare placement prefers over the other two whatever their load.
+			f, err := provider.NewFleet()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hooked []*provider.Hooked
+			for i, cl := range []privacy.CostLevel{0, 0, 0, 0, 0, 1, 2, 2} {
+				mem, err := provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: cl}, provider.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hooked = append(hooked, provider.NewHooked(mem))
+				if err := f.Add(hooked[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, err := New(Config{Fleet: f, Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RegisterClient("alice"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddPassword("alice", "root", privacy.High); err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]byte, 4)
+			for i := range want {
+				want[i] = data[i*len(data)/4 : (i+1)*len(data)/4]
+			}
+			if tc.setup != nil {
+				if err := tc.setup(d); err != nil {
+					t.Fatal(err)
+				}
+				want[0] = []byte("v2")
+			}
+
+			var mu sync.Mutex
+			arrived, both := 0, make(chan struct{})
+			failovers := 1
+			if tc.failAt == 0 {
+				// The first two puts to arrive wait for each other, then both fail.
+				failovers = 2
+				for _, h := range hooked {
+					h.SetBeforePut(func(int, string) error {
+						mu.Lock()
+						arrived++
+						n := arrived
+						mu.Unlock()
+						if n > 2 {
+							return nil
+						}
+						if n == 2 {
+							close(both)
+						}
+						<-both
+						return provider.ErrOutage
+					})
+				}
+			} else {
+				failNthFleetPut(hooked, tc.failAt)
+			}
+			if err := tc.act(d, want); err != nil {
+				t.Fatalf("%s with spares for the failed blob: %v", tc.name, err)
+			}
+			clearPutHooks(hooked)
+			if n := d.Metrics().WriteFailovers; n != int64(failovers) {
+				t.Fatalf("%d write failovers, want %d", n, failovers)
+			}
+
+			d.mu.RLock()
+			if tc.failAt == 0 {
+				homes := map[int]bool{}
+				for _, ce := range d.chunks {
+					homes[ce.CPIndex] = true
+				}
+				for _, ps := range d.stripes[0].Parity {
+					homes[ps.CPIndex] = true
+				}
+				if len(homes) != 5 || !homes[5] {
+					t.Errorf("the stripe's five shards live on providers %v: want five distinct ones, the cheap spare among them", homes)
+				}
+			}
+			var slots []shardSlot
+			for ci, ce := range d.chunks {
+				if ce.CPIndex < 0 {
+					continue
+				}
+				slots = append(slots, shardSlot{kind: BlobChunk, idx: ci})
+				for mi := range ce.Mirrors {
+					slots = append(slots, shardSlot{kind: BlobMirror, idx: ci, sub: mi})
+				}
+				if ce.SnapVID != "" {
+					slots = append(slots, shardSlot{kind: BlobSnapshot, idx: ci})
+				}
+			}
+			for pi := range d.stripes[0].Parity {
+				slots = append(slots, shardSlot{kind: BlobParity, sub: pi})
+			}
+			for _, s := range slots {
+				prov, _, _ := d.cell(s)
+				if avoid(d.chunks, &d.stripes[0], s)[*prov] {
+					t.Errorf("%+v landed on provider %d, which avoid excludes", s, *prov)
+				}
+			}
+			pending, inflight := append([]int(nil), d.provPending...), len(d.inflight)
+			d.mu.RUnlock()
+			for i, n := range pending {
+				if n != 0 {
+					t.Fatalf("provPending[%d] = %d after the commit", i, n)
+				}
+			}
+			if inflight != 0 {
+				t.Fatalf("%d virtual ids still registered in flight after the commit", inflight)
+			}
+			st := d.Stats()
+			for i, h := range hooked {
+				if h.Len() != st.PerProvider[i] {
+					t.Fatalf("provider %d holds %d keys, table says %d", i, h.Len(), st.PerProvider[i])
+				}
+			}
+			for serial, w := range want {
+				got, err := d.GetChunk("alice", "root", "f", serial)
+				if w == nil {
+					if !errors.Is(err, ErrNoSuchChunk) {
+						t.Fatalf("removed chunk %d reads: %v", serial, err)
+					}
+				} else if err != nil || !bytes.Equal(got, w) {
+					t.Fatalf("readback of chunk %d: %v", serial, err)
+				}
+			}
+		})
 	}
 }
 

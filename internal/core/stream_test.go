@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -364,6 +365,11 @@ func TestUploadStreamShipFailureRollsBack(t *testing.T) {
 	_, err := d.UploadStream("alice", "root", "roll.bin", bytes.NewReader(data), privacy.High, UploadOptions{})
 	if err == nil {
 		t.Fatal("upload succeeded despite exhausted failover")
+	}
+	// One put worker: put 8 is the second stripe's third data shard, and
+	// the placement error names that blob and its level.
+	if !errors.Is(err, ErrPlacement) || !strings.Contains(err.Error(), "PL>=PL3(high) left for a chunk blob") {
+		t.Fatalf("exhausted failover error = %v, want ErrPlacement naming the chunk blob and PL3", err)
 	}
 	if m := d.Metrics(); m.RollbackDeletes == 0 {
 		t.Fatal("no rollback deletes recorded")

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"repro/internal/cryptofrag"
 	"repro/internal/mislead"
@@ -17,13 +18,14 @@ import (
 //
 // The write runs in three phases. Plan (under d.mu): validate, reserve
 // the nonce, snapshot fetch plans for the pre-state and every stripe
-// sibling, and stage fresh virtual ids for every blob the update will
-// produce — snapshot, post-state, mirrors and parity all get new ids, so
-// nothing stored for the old generation is overwritten or deleted until
-// the new generation is fully durable. Ship (no lock): build the new
-// payload (encrypted, or with fresh decoys from this write's own
-// stream), read the pre-state and siblings, then write every new blob
-// with failover, re-encoding parity on the way. Any failure aborts with
+// sibling, and stage every blob the update will produce as a slot of a
+// private copy of the stripe's rows — snapshot, post-state, mirrors and
+// parity all get new ids, so nothing stored for the old generation is
+// overwritten or deleted until the new generation is fully durable. Ship
+// (no lock): build the new payload (encrypted, or with fresh decoys from
+// this write's own stream), read the pre-state and siblings, re-encode
+// parity, then write every new blob through shipShard, snapshot first,
+// which patches the rows wherever a failover lands. Any failure aborts with
 // the tables untouched: the chunk row, provider counts and the previous
 // snapshot all keep serving. Commit (under
 // d.mu): re-check the file's generation — a concurrent mutation means
@@ -76,7 +78,6 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	st := &d.stripes[entry.StripeID]
 	stripeID := entry.StripeID
 	level := st.Level
-	members := append([]int(nil), st.Members...)
 	oldParity := append([]parityShard(nil), st.Parity...)
 	pl := entry.PL
 
@@ -90,31 +91,39 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 		sibs = d.planMembersLocked(st, entryIdx)
 	}
 
-	// Stage fresh virtual ids for every blob of the new generation. The
-	// post-state gets a new id even when it stays on the same provider:
+	// The new generation is the stripe's rows with this chunk's blobs and
+	// the parity rewritten: a snapshot placed away from the chunk, then
+	// fresh virtual ids for the post-state, mirrors and parity where they
+	// are — even a blob that stays on its provider gets a new id, because
 	// the old blob must survive untouched until commit.
 	t := d.newTicketLocked()
-	spIdx, snapVID := -1, ""
+	rows := d.stripeRowsLocked(st, -1, pl, t)
+	self := slices.Index(st.Members, entryIdx)
+	row := &rows.chunks[self]
+	row.SPIndex, row.SnapVID = -1, ""
+	var shards []stagedShard
 	if old.Mislead.Count() == 0 {
-		if spIdx, err = d.pickSnapshotProvider(pl, old.CPIndex); err != nil {
+		row.SnapVID = d.vids.Next()
+		snap := shardSlot{kind: BlobSnapshot, idx: self}
+		if err := d.homeLocked(rows, snap, nil); err != nil {
 			d.releaseTicketLocked(t)
 			d.mu.Unlock()
 			return err
 		}
-		snapVID = d.vids.Next()
-		d.stageLocked(t, spIdx, snapVID)
+		shards = append(shards, stagedShard{slot: snap})
 	}
-	postVID := d.vids.Next()
-	d.stageLocked(t, old.CPIndex, postVID)
-	newMirrors := make([]mirrorRef, len(old.Mirrors))
-	for i, m := range old.Mirrors {
-		newMirrors[i] = mirrorRef{VirtualID: d.vids.Next(), CPIndex: m.CPIndex}
-		d.stageLocked(t, m.CPIndex, newMirrors[i].VirtualID)
+	renew := len(shards)
+	shards = append(shards, stagedShard{slot: shardSlot{kind: BlobChunk, idx: self}})
+	for mi := range row.Mirrors {
+		shards = append(shards, stagedShard{slot: shardSlot{kind: BlobMirror, idx: self, sub: mi}})
 	}
-	newParity := make([]parityShard, len(oldParity))
-	for i, ps := range oldParity {
-		newParity[i] = parityShard{VirtualID: d.vids.Next(), CPIndex: ps.CPIndex}
-		d.stageLocked(t, ps.CPIndex, newParity[i].VirtualID)
+	for pi := range oldParity {
+		shards = append(shards, stagedShard{slot: shardSlot{kind: BlobParity, sub: pi}})
+	}
+	for _, s := range shards[renew:] {
+		prov, vid, _ := rows.cell(s.slot)
+		*vid = d.vids.Next()
+		d.stageLocked(t, *prov, *vid)
 	}
 	d.mu.Unlock()
 
@@ -143,75 +152,34 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 		return abort(err)
 	}
 
-	// Snapshot first: the pre-state must be durable somewhere new before
-	// anything else is worth writing.
-	if snapVID != "" {
-		oldPayload, err := d.fetchPayloadPlan(&pre)
-		if err != nil {
-			return abort(fmt.Errorf("core: reading pre-state: %w", err))
-		}
-		spIdx, snapVID, err = d.rehomePut(spIdx, snapVID, oldPayload, d.awayFrom(pl, map[int]bool{old.CPIndex: true}, t))
-		if err != nil {
-			return abort(fmt.Errorf("core: writing snapshot: %w", err))
-		}
-		stored = append(stored, storedShard{spIdx, snapVID})
-	}
-
-	// Post-state, excluding every provider holding a sibling, parity
-	// shard or mirror of this chunk.
-	exclude := memberProviders(sibs)
-	for _, ps := range oldParity {
-		exclude[ps.CPIndex] = true
-	}
-	for _, m := range old.Mirrors {
-		exclude[m.CPIndex] = true
-	}
-	postProv, postVIDFinal, err := d.rehomePut(old.CPIndex, postVID, payload, d.awayFrom(pl, exclude, t))
-	if err != nil {
-		return abort(fmt.Errorf("core: writing post-state: %w", err))
-	}
-	postVID = postVIDFinal
-	stored = append(stored, storedShard{postProv, postVID})
-
-	for mi := range newMirrors {
-		mex := map[int]bool{postProv: true}
-		for mj := range newMirrors {
-			if mj != mi {
-				mex[newMirrors[mj].CPIndex] = true
-			}
-		}
-		mProv, mVID, err := d.rehomePut(newMirrors[mi].CPIndex, newMirrors[mi].VirtualID, payload, d.awayFrom(pl, mex, t))
-		if err != nil {
-			return abort(fmt.Errorf("core: writing post-state mirror: %w", err))
-		}
-		newMirrors[mi] = mirrorRef{VirtualID: mVID, CPIndex: mProv}
-		stored = append(stored, storedShard{mProv, mVID})
-	}
-
 	// Re-encode parity from the prefetched siblings plus the new payload —
 	// never re-reading members through a now-inconsistent stripe.
 	shardLen := 0
+	var parityBufs [][]byte
 	if level.ParityShards() > 0 {
-		payloads := make([][]byte, len(members))
-		sib := 0
-		for i, cidx := range members {
-			if cidx == entryIdx {
-				payloads[i] = payload
-				continue
-			}
-			payloads[i] = sibPayloads[sib]
-			sib++
-		}
+		payloads := slices.Insert(sibPayloads, self, payload)
 		shardLen = stripeShardLen(payloads)
-		parityBufs, err := d.encodeParity(level, payloads, shardLen, &pooled)
-		if err != nil {
+		if parityBufs, err = d.encodeParity(level, payloads, shardLen, &pooled); err != nil {
 			return abort(err)
 		}
-		dataProvs := memberProviders(sibs)
-		dataProvs[postProv] = true
-		if err := d.shipParity(pl, newParity, parityBufs, dataProvs, t, &stored); err != nil {
-			return abort(err)
+	}
+	for i := range shards {
+		switch s := &shards[i]; s.slot.kind {
+		case BlobSnapshot:
+			if s.payload, err = d.fetchPayloadPlan(&pre); err != nil {
+				return abort(fmt.Errorf("core: reading pre-state: %w", err))
+			}
+		case BlobParity:
+			s.payload = parityBufs[s.slot.sub]
+		default:
+			s.payload = payload
 		}
+	}
+
+	// Snapshot first: the pre-state must be durable somewhere new before
+	// anything else is worth writing.
+	if err := d.shipEach(rows, shards, &stored); err != nil {
+		return abort(err)
 	}
 
 	// ---- Commit: swap the row atomically, or detect a lost race ----
@@ -223,19 +191,14 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 		d.rollbackStored(stored)
 		return fmt.Errorf("%w: %s#%d changed during update", ErrConflict, filename, serial)
 	}
-	newEntry := d.chunks[entryIdx]
-	newEntry.VirtualID = postVID
-	newEntry.CPIndex = postProv
-	newEntry.SPIndex = spIdx
-	newEntry.SnapVID = snapVID
-	newEntry.Mirrors = newMirrors
+	newEntry := *row
 	newEntry.Mislead = inj
 	newEntry.PayloadLen = len(payload)
 	newEntry.DataLen = len(newData)
 	newEntry.Sum = sum
 	rec := &walRecord{
 		Op: "update", Client: client, Filename: filename, Serial: serial,
-		StripeID: stripeID, Chunk: newEntry, Parity: newParity, ShardLen: shardLen,
+		StripeID: stripeID, Chunk: newEntry, Parity: rows.stripes[0].Parity, ShardLen: shardLen,
 		FileGen: fileGen + 1, Gen: d.gen + 1,
 	}
 	if err := d.commitLocked(rec, t); err != nil {

@@ -170,25 +170,21 @@ func (d *Distributor) abortUpload(u *uploadCtx, stored []storedShard) {
 	d.rollbackStored(stored)
 }
 
-// stripeJob is one planned stripe of an upload: the staged shards plus
-// the metadata rows they patch on failover. Positions inside a job are
-// job-relative — chunkPos indexes job.chunks — because a stripe is
-// planned before the distributor knows how many stripes precede it;
+// stripeJob is one planned stripe of an upload: its rows — private to
+// the upload until its commit — and the staged shards that fill their
+// slots. Positions inside a job are job-relative (chunk slots index the
+// job's chunks, its stripe is stripe 0) because a stripe is planned
+// before the distributor knows how many stripes precede it;
 // assembleStripes puts them in file order.
 type stripeJob struct {
+	stripeRows
 	shards []stagedShard
-	chunks []chunkEntry
-	stripe [1]stripeEntry
 	datas  [][]byte // the stripe's raw chunks, what fillStripe works from
 	nonce  uint64   // chunk i encrypts under nonce+i
 	pooled [][]byte // buffers released to bufpool once the job ships
 
-	// The stripe's shards ship on different put workers. mu makes a
-	// failover's "read the mates' providers, place, record the new
-	// provider" one step, so two shards failing at once can never re-home
-	// onto the same provider; unshipped counts down to the worker that
-	// releases the stripe.
-	mu        sync.Mutex
+	// The stripe's shards ship on different put workers; unshipped counts
+	// down to the worker that releases the stripe.
 	unshipped atomic.Int32
 }
 
@@ -214,13 +210,13 @@ func (j *stripeJob) releaseBuffers() {
 func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte, baseSerial int) (*stripeJob, error) {
 	parity := u.level.ParityShards()
 	job := &stripeJob{
-		shards: make([]stagedShard, 0, len(datas)*(1+u.opts.Replicas)+parity),
-		chunks: make([]chunkEntry, len(datas)),
-		datas:  datas,
+		stripeRows: stripeRows{pl: u.pl, ticket: u.ticket, chunks: make([]chunkEntry, len(datas))},
+		shards:     make([]stagedShard, 0, len(datas)*(1+u.opts.Replicas)+parity),
+		datas:      datas,
 		// a hint: the chunks, an inflated or padded copy of each, the parity
 		pooled: append(make([][]byte, 0, 2*len(datas)+parity), datas...),
 	}
-	st := &job.stripe[0]
+	st := &job.stripes[0]
 	st.Level = u.level
 	st.Members = make([]int, 0, len(datas))
 
@@ -229,6 +225,8 @@ func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte,
 	if u.encKey != nil {
 		job.nonce = d.reserveNoncesLocked(len(datas))
 	}
+	// The stripe's data and parity on distinct providers, in one pick;
+	// each mirror homed away from its chunk's other copies.
 	placement, err := d.placeShards(u.pl, len(datas)+parity)
 	if err != nil {
 		return job, err
@@ -249,41 +247,23 @@ func (d *Distributor) placeStripe(u *uploadCtx, datas [][]byte, sums [][32]byte,
 			Sum:       sums[gi],
 			EncKey:    u.encKey,
 		}
-		// Mirrors: extra full copies on providers distinct from the
-		// chunk's own and from each other.
-		var exclude map[int]bool
-		if u.opts.Replicas > 0 {
-			exclude = map[int]bool{provIdx: true}
-		}
 		for r := 0; r < u.opts.Replicas; r++ {
-			mIdx, err := d.placeParityExcluding(u.pl, exclude)
-			if err != nil {
+			ce.Mirrors = append(ce.Mirrors, mirrorRef{VirtualID: d.vids.Next(), CPIndex: -1})
+			s := shardSlot{kind: BlobMirror, idx: gi, sub: r}
+			if err := d.homeLocked(&job.stripeRows, s, nil); err != nil {
 				return job, fmt.Errorf("placing replica %d of chunk %d: %w", r+1, ce.Serial, err)
 			}
-			exclude[mIdx] = true
-			mvid := d.vids.Next()
-			ce.Mirrors = append(ce.Mirrors, mirrorRef{VirtualID: mvid, CPIndex: mIdx})
-			job.shards = append(job.shards, stagedShard{
-				kind: shardMirror, chunkPos: gi, mirrorPos: r, parityPos: -1,
-				provIdx: mIdx, vid: mvid,
-			})
-			d.stageLocked(u.ticket, mIdx, mvid)
+			job.shards = append(job.shards, stagedShard{slot: s})
 		}
 		st.Members = append(st.Members, gi)
-		job.shards = append(job.shards, stagedShard{
-			kind: shardData, chunkPos: gi, mirrorPos: -1, parityPos: -1,
-			provIdx: provIdx, vid: vid,
-		})
+		job.shards = append(job.shards, stagedShard{slot: shardSlot{kind: BlobChunk, idx: gi}})
 		d.stageLocked(u.ticket, provIdx, vid)
 	}
 	for pi := 0; pi < parity; pi++ {
 		vid := d.vids.Next()
 		provIdx := placement[len(datas)+pi]
 		st.Parity = append(st.Parity, parityShard{VirtualID: vid, CPIndex: provIdx})
-		job.shards = append(job.shards, stagedShard{
-			kind: shardParity, chunkPos: -1, mirrorPos: -1, parityPos: pi,
-			provIdx: provIdx, vid: vid,
-		})
+		job.shards = append(job.shards, stagedShard{slot: shardSlot{kind: BlobParity, sub: pi}})
 		d.stageLocked(u.ticket, provIdx, vid)
 	}
 	job.unshipped.Store(int32(len(job.shards)))
@@ -306,17 +286,17 @@ func (d *Distributor) fillStripe(u *uploadCtx, job *stripeJob) error {
 	}
 	d.byteWork("prepare")
 	shardLen := stripeShardLen(payloads)
-	job.stripe[0].ShardLen = shardLen
+	job.stripes[0].ShardLen = shardLen
 	parityBufs, err := d.encodeParity(u.level, payloads, shardLen, &job.pooled)
 	if err != nil {
 		return err
 	}
 	for si := range job.shards {
 		s := &job.shards[si]
-		if s.kind == shardParity {
-			s.payload = parityBufs[s.parityPos]
+		if s.slot.kind == BlobParity {
+			s.payload = parityBufs[s.slot.sub]
 		} else {
-			s.payload = payloads[s.chunkPos]
+			s.payload = payloads[s.slot.idx]
 		}
 	}
 	return nil
@@ -332,7 +312,7 @@ func assembleStripes(jobs []*stripeJob, nChunks int) (newChunks []chunkEntry, ne
 	chunkIdx = make([]int, nChunks)
 	for si, job := range jobs {
 		cbase := len(newChunks)
-		st := job.stripe[0]
+		st := job.stripes[0]
 		st.ID = si
 		for j := range st.Members {
 			st.Members[j] += cbase
@@ -432,37 +412,6 @@ func (d *Distributor) planStripe(u *uploadCtx, r io.Reader, serial int) (*stripe
 	return job, n, rerr
 }
 
-// shipShard puts shard i of job on its provider through rehomePut. A
-// failover re-places the shard away from its stripe mates as they stand
-// at that moment and records its new provider, both under job.mu, so the
-// mates' own failovers see it; the job's rows — private to the upload
-// until its commit, and each field patched by its own shard alone — get
-// wherever the shard finally landed.
-func (d *Distributor) shipShard(u *uploadCtx, job *stripeJob, i int) (storedShard, error) {
-	s := &job.shards[i]
-	prov, vid, err := d.rehomePut(s.provIdx, s.vid, s.payload, func(from int, failed map[int]bool) (int, string, error) {
-		job.mu.Lock()
-		defer job.mu.Unlock()
-		prov, vid, err := d.restage(u.pl, from, relatedProviders(job.shards, i), failed, u.ticket)
-		if err == nil {
-			s.provIdx, s.vid = prov, vid
-		}
-		return prov, vid, err
-	})
-	if err != nil {
-		return storedShard{}, err
-	}
-	switch s.kind {
-	case shardData:
-		job.chunks[s.chunkPos].CPIndex, job.chunks[s.chunkPos].VirtualID = prov, vid
-	case shardMirror:
-		job.chunks[s.chunkPos].Mirrors[s.mirrorPos] = mirrorRef{VirtualID: vid, CPIndex: prov}
-	case shardParity:
-		job.stripe[0].Parity[s.parityPos] = parityShard{VirtualID: vid, CPIndex: prov}
-	}
-	return storedShard{prov, vid}, nil
-}
-
 // upload is the write pipeline, the only one. d.mu is held for metadata
 // alone: openUpload's short hold, one placeStripe hold per stripe, and
 // the commit.
@@ -527,7 +476,7 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 			defer wg.Done()
 			for ref := range shardCh {
 				if !failed() {
-					if at, err := d.shipShard(u, ref.job, ref.i); err != nil {
+					if at, err := d.shipShard(&ref.job.stripeRows, ref.job.shards[ref.i], nil); err != nil {
 						fail(err)
 					} else {
 						mu.Lock()

@@ -23,7 +23,8 @@ type chunkLoc struct {
 // durability invariants against the model:
 //
 //  1. every committed file is fully readable, byte-for-byte;
-//  2. no blob sits on a provider whose PL is below the blob's;
+//  2. no blob sits on a provider whose PL is below the blob's, and no
+//     two copies of one chunk (primary, mirrors) sit on one provider;
 //  3. generation counters are monotonic and stripes are internally
 //     consistent (parity recomputed from raw member bytes matches the
 //     stored parity — cross-generation mixing cannot pass this);
@@ -116,11 +117,26 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 	}
 
 	// Invariant 2 + presence: every committed blob exists on its
-	// provider, at its recorded length, on a provider whose PL covers it.
+	// provider, at its recorded length, on a provider whose PL covers it;
+	// and no two copies (primary, mirrors) of one chunk share a provider.
+	type copyKey struct {
+		client, filename string
+		serial, prov     int
+	}
+	copies := make(map[copyKey]bool)
 	for _, b := range view.Blobs {
 		if b.ProvIdx < 0 || b.ProvIdx >= len(r.provPL) {
 			return r.violation(opIdx, "placement",
 				fmt.Sprintf("blob %s on out-of-range provider %d", b.VID, b.ProvIdx))
+		}
+		if b.Kind == core.BlobChunk || b.Kind == core.BlobMirror {
+			k := copyKey{b.Client, b.Filename, b.Serial, b.ProvIdx}
+			if copies[k] {
+				return r.violation(opIdx, "anti-affinity",
+					fmt.Sprintf("two copies of %s/%s#%d on sp%02d (%s blob %s is one)",
+						b.Client, b.Filename, b.Serial, b.ProvIdx, b.Kind, b.VID))
+			}
+			copies[k] = true
 		}
 		if r.provPL[b.ProvIdx] < b.PL {
 			return r.violation(opIdx, "placement",
