@@ -1,10 +1,11 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + build + race tests + fuzz seed corpora
+#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + build + race tests + fuzz seed corpora
 #   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
 #   make tables-lint      the distributor's tables are written in core/apply.go only
 #   make placement-lint   which providers a blob avoids is decided in core/placement.go only
+#   make snapshot-lint    a live stripe is copied by core's stripeRowsLocked only
 #   make loc              non-test Go code lines per package and in total
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
@@ -66,9 +67,9 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet fmt-check routes-lint tables-lint placement-lint build race fuzz
+check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint build race fuzz
 
 build:
 	$(GO) build ./...
@@ -130,6 +131,20 @@ placement-lint:
 		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
 	if [ "$$n" != 1 ]; then \
 		echo "placement-lint: rehomePut( has $$n callers in internal/core, want 1 (shipShard)"; exit 1; \
+	fi
+
+# A stripe has one model outside the tables, internal/core's stripeRows,
+# and one function copies a live stripe into it, stripeRowsLocked in
+# reencode.go: reads, re-encodes, relocations and the scrub all work over
+# that copy. Building or copying a []mirrorRef is the telltale sign of a
+# second, private copy of a row, so outside reencode.go, upload.go (a new
+# stripe's rows) and walcodec.go (decoding) no non-test file of the
+# package does it (outside comments).
+snapshot-lint:
+	@if grep -n -E 'make\(\[\]mirrorRef|\[\]mirrorRef *[({]|Clone\([^)]*Mirrors' $$(ls internal/core/*.go \
+		| grep -v -e '_test\.go$$' -e '/reencode\.go$$' -e '/upload\.go$$' -e '/walcodec\.go$$') \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'snapshot-lint: a live stripe is copied by stripeRowsLocked (internal/core/reencode.go) only'; exit 1; \
 	fi
 
 # Non-test Go lines that are neither blank nor comment-only, per package

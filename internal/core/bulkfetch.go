@@ -20,15 +20,16 @@ const (
 )
 
 // chunkRead is one located chunk of a read snapshot (openRead) on its way
-// through the read: the plan going in, the verified result coming out —
-// already there (ok, no payload, entry only in the plan) when the cache
-// had the chunk. dst, when set, is where the recovered bytes belong (see
+// through the read: its row in its stripe's rows going in, the verified
+// result coming out — already there (ok, no payload) when the cache had
+// the chunk. dst, when set, is where the recovered bytes belong (see
 // stripAndVerify). A payload delivered by a multi-get is a view of that
 // call's response buffer, shared with its neighbours: it lives as long
 // as the request, goes to no buffer pool, and anything kept longer (the
 // chunk cache) is a copy.
 type chunkRead struct {
-	plan fetchPlan
+	rows *stripeRows // the chunk's stripe, shared by its chunks in the snapshot
+	at   int         // the chunk's row in rows
 	dst  []byte
 	res  fetchResult
 	ok   bool
@@ -37,6 +38,9 @@ type chunkRead struct {
 	// the ladder starts one rung up.
 	primaryWrong bool
 }
+
+// entry is the chunk's row.
+func (r *chunkRead) entry() *chunkEntry { return &r.rows.chunks[r.at] }
 
 // bulkCall is one provider call of the step: which provider, and which
 // reads (indices into the step's slice) it carries.
@@ -50,7 +54,7 @@ type bulkCall struct {
 // within the caps, in one pass: a read joins its provider's open call or,
 // when that is full, opens the next. Calls are therefore ordered by the
 // first read they carry — file order, which interleaves the providers —
-// and the grouping is a pure function of the plans.
+// and the grouping is a pure function of the snapshot.
 func (d *Distributor) planBulkCalls(reads []chunkRead) []bulkCall {
 	var calls []bulkCall
 	open := make([]int, d.fleet.Len()) // provider → its open call + 1
@@ -58,7 +62,7 @@ func (d *Distributor) planBulkCalls(reads []chunkRead) []bulkCall {
 		if reads[i].ok {
 			continue
 		}
-		e := &reads[i].plan.entry
+		e := reads[i].entry()
 		k := open[e.CPIndex] - 1
 		if k < 0 || len(calls[k].reads) == bulkGetBlobs || calls[k].bytes+e.PayloadLen > bulkGetBytes {
 			k = len(calls)
@@ -108,20 +112,20 @@ func (d *Distributor) readChunks(s *readSnap) error {
 	known := make(map[string][]byte, len(reads))
 	for i := range reads {
 		if r := &reads[i]; r.ok && len(r.res.payload) > 0 {
-			known[r.plan.entry.VirtualID] = r.res.payload
+			known[r.entry().VirtualID] = r.res.payload
 		} else if r.primaryWrong {
-			known[r.plan.entry.VirtualID] = nil
+			known[r.entry().VirtualID] = nil
 		}
 	}
 	return d.fanOutN(len(missed), func(k int) error {
 		r := missed[k]
 		key := s.key(r)
 		data, shared, err := d.flights.do(key, func() ([]byte, error) {
-			rungs := d.readRungs(&r.plan, known)
+			rungs := d.readRungs(r.rows, r.at, known)
 			if r.primaryWrong {
 				rungs = rungs[1:]
 			}
-			res, err := d.climb(rungs)
+			res, err := d.fetchHedged(rungs, false)
 			if err != nil {
 				return nil, err
 			}
@@ -182,7 +186,7 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 	}
 	keys := make([]string, len(c.reads))
 	for j, i := range c.reads {
-		keys[j] = reads[i].plan.entry.VirtualID
+		keys[j] = reads[i].entry().VirtualID
 	}
 	d.counters.bulkGets.Add(1)
 	d.counters.bulkBlobs.Add(int64(len(keys)))
@@ -209,11 +213,11 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 			if a.errs[j] != nil {
 				continue
 			}
-			if len(a.blobs[j]) != r.plan.entry.PayloadLen {
+			if len(a.blobs[j]) != r.entry().PayloadLen {
 				r.primaryWrong = true
 				continue
 			}
-			recovered, err := stripAndVerify(&r.plan.entry, a.blobs[j], r.dst)
+			recovered, err := stripAndVerify(r.entry(), a.blobs[j], r.dst)
 			if err != nil {
 				// Right length, wrong bytes: silent corruption.
 				d.counters.corruptionsDetected.Add(1)
@@ -247,7 +251,7 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 			return
 		default:
 		}
-		if res, err := d.fetchHedged(d.readRungs(&r.plan, nil)[1:], true); err == nil {
+		if res, err := d.fetchHedged(d.readRungs(r.rows, r.at, nil)[1:], true); err == nil {
 			r.place(res)
 		}
 	}

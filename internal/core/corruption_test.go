@@ -98,3 +98,29 @@ func TestGetRangeCorruptionRescuedByMirror(t *testing.T) {
 		t.Fatal("MirrorHits = 0, want > 0 (rescue must come from the replica)")
 	}
 }
+
+// TestUnlistedChunkServedByItsCopiesOnly: a chunk its stripe does not
+// list is served by its primary, then its mirrors, and never
+// reconstructed — the stripe has no slot for it to be solved into.
+func TestUnlistedChunkServedByItsCopiesOnly(t *testing.T) {
+	d, hooked := hookedDistributor(t, 6)
+	data := payload(40_000, 54)
+	if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, UploadOptions{Assurance: raid.RAID5, Replicas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	c := d.chunks[d.clients["alice"].Files["f"].ChunkIdx[0]]
+	st := &d.stripes[c.StripeID]
+	st.Members = st.Members[1:] // serial 0 is the stripe's first member
+	d.mu.Unlock()
+	size, _ := privacy.DefaultChunkSizes().Size(privacy.Moderate)
+
+	corruptServedBytes(hooked[c.CPIndex])
+	if got, err := d.GetChunk("alice", "root", "f", 0); err != nil || !bytes.Equal(got, data[:size]) {
+		t.Fatalf("unlisted chunk with a corrupt primary: %v, want its mirror's bytes", err)
+	}
+	corruptServedBytes(hooked[c.Mirrors[0].CPIndex])
+	if _, err := d.GetChunk("alice", "root", "f", 0); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("unlisted chunk with every copy corrupt = %v, want ErrUnavailable", err)
+	}
+}

@@ -351,6 +351,15 @@ func (d *Distributor) authFile(client, password, filename string) (*clientEntry,
 	return c, fe, nil
 }
 
+// fileChangedLocked is the generation re-check every mutation and repair
+// commits behind: whether the file planned against — entry fe at
+// generation gen — has since been removed, replaced or mutated. Callers
+// hold d.mu.
+func (d *Distributor) fileChangedLocked(client, filename string, fe *fileEntry, gen uint64) bool {
+	feNow, ok := d.clients[client].Files[filename]
+	return !ok || feNow != fe || feNow.Gen != gen
+}
+
 // Providers returns the fleet (for inspection in examples and tests).
 func (d *Distributor) Providers() *provider.Fleet { return d.fleet }
 

@@ -24,15 +24,15 @@ var errRungFailed = errors.New("core: read rung failed")
 
 // readRung is one source in the payload read ladder: where the bytes
 // live and how to fetch them. fetch takes no locks and is safe to run
-// concurrently with the other rungs of the same plan.
+// concurrently with the other rungs of the same ladder.
 type readRung struct {
 	kind    rungKind
 	provIdx int // provider racing this rung; -1 for reconstruction
 	fetch   func() (fetchResult, error)
 }
 
-// readRungs builds the ladder for a plan: primary, then each mirror,
-// then degraded RAID reconstruction. Every rung verifies its payload
+// readRungs builds the ladder for row at of rows: primary, then each
+// mirror, then degraded RAID reconstruction. Every rung verifies its payload
 // end-to-end (strip/decrypt + checksum) before declaring success, so a
 // provider returning plausible-length garbage is indistinguishable from
 // one that failed outright: the ladder falls through to the next copy
@@ -41,8 +41,8 @@ type readRung struct {
 // error the ladder reports when everything else missed too. known is
 // what the caller has already settled of the chunk's stripe
 // (solveStripe); nil for a read that stands alone.
-func (d *Distributor) readRungs(plan *fetchPlan, known map[string][]byte) []readRung {
-	entry := &plan.entry
+func (d *Distributor) readRungs(rows *stripeRows, at int, known map[string][]byte) []readRung {
+	entry := &rows.chunks[at]
 	verified := func(payload []byte) (fetchResult, error) {
 		recovered, err := stripAndVerify(entry, payload, nil)
 		if err != nil {
@@ -74,7 +74,7 @@ func (d *Distributor) readRungs(plan *fetchPlan, known map[string][]byte) []read
 			fetch: source(m.CPIndex, m.VirtualID)})
 	}
 	rungs = append(rungs, readRung{kind: rungReconstruct, provIdx: -1, fetch: func() (fetchResult, error) {
-		payload, err := d.solveStripe(plan, known)
+		payload, err := d.solveStripe(rows, at, known)
 		if err != nil {
 			return fetchResult{}, err
 		}
@@ -87,8 +87,8 @@ func (d *Distributor) readRungs(plan *fetchPlan, known map[string][]byte) []read
 	return rungs
 }
 
-// recordRungWin attributes a served payload to its source, preserving
-// the primary/mirror/reconstruction counters of the sequential ladder.
+// recordRungWin attributes a served payload to its source: the
+// primary/mirror/reconstruction counters.
 func (d *Distributor) recordRungWin(kind rungKind) {
 	switch kind {
 	case rungPrimary:
@@ -98,22 +98,6 @@ func (d *Distributor) recordRungWin(kind rungKind) {
 	case rungReconstruct:
 		d.counters.reconstructions.Add(1)
 	}
-}
-
-// fetchSequential walks the ladder one rung at a time — the read path
-// when hedging is disabled. The reconstruction rung runs last, so on
-// total failure its error (the most descriptive) is what callers see.
-func (d *Distributor) fetchSequential(rungs []readRung) (fetchResult, error) {
-	var lastErr error
-	for i := range rungs {
-		res, err := rungs[i].fetch()
-		if err == nil {
-			d.recordRungWin(rungs[i].kind)
-			return res, nil
-		}
-		lastErr = err
-	}
-	return fetchResult{}, lastErr
 }
 
 // hedgeDelay returns how long to let a just-launched read of blobs blobs
@@ -142,10 +126,12 @@ func (d *Distributor) hedgeDelay(provIdx, blobs int) time.Duration {
 	return delay
 }
 
-// fetchHedged races the ladder: rung 0 launches immediately, and each
-// further rung launches either when its predecessor's hedge delay
-// expires (the predecessor is slow but may still answer) or the moment
-// every launched rung has failed (nothing left to wait for). The first
+// fetchHedged runs a ladder, the only runner: rung 0 launches
+// immediately, and each further rung launches either when its
+// predecessor's hedge delay expires (the predecessor is slow but may
+// still answer) or the moment every launched rung has failed (nothing
+// left to wait for). With hedging off (Config.HedgeAfter <= 0) no delay
+// is armed, so the rungs run strictly one after another. The first
 // successful payload wins; later arrivals are discarded. Losing rungs
 // are not cancelled — the provider interface has no context plumbing —
 // they run to completion in the background and their genuine outcomes
@@ -185,7 +171,7 @@ func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, er
 			timer.Stop()
 		}
 		timer, timerC = nil, nil
-		if launched < len(rungs) {
+		if launched < len(rungs) && d.hedgeAfter > 0 {
 			timer = time.NewTimer(d.hedgeDelay(rungs[launched-1].provIdx, 1))
 			timerC = timer.C
 		}
@@ -242,22 +228,12 @@ func (d *Distributor) fetchHedged(rungs []readRung, raced bool) (fetchResult, er
 	}
 }
 
-// fetchVerifiedPlan returns one verified chunk read: the stored payload
-// (post-mislead bytes) plus the recovered original bytes it verified
-// against. The fallback ladder is: primary provider → mirror replicas →
-// RAID reconstruction from the stripe, and every rung checksums its
-// answer before winning — corruption is rescued by falling through the
-// ladder, never served. It takes no locks.
-func (d *Distributor) fetchVerifiedPlan(plan *fetchPlan) (fetchResult, error) {
-	return d.climb(d.readRungs(plan, nil))
-}
-
-// climb runs a ladder: with hedging enabled (Config.HedgeAfter > 0) the
-// rungs are raced after per-provider EWMA-derived delays; otherwise they
-// run strictly in order.
-func (d *Distributor) climb(rungs []readRung) (fetchResult, error) {
-	if d.hedgeAfter <= 0 {
-		return d.fetchSequential(rungs)
-	}
-	return d.fetchHedged(rungs, false)
+// readMember returns one verified read of row at of rows: the stored
+// payload (post-mislead bytes) plus the recovered original bytes it
+// verified against. The fallback ladder is: primary provider → mirror
+// replicas → RAID reconstruction from the stripe, and every rung
+// checksums its answer before winning — corruption is rescued by falling
+// through the ladder, never served. It takes no locks.
+func (d *Distributor) readMember(rows *stripeRows, at int) (fetchResult, error) {
+	return d.fetchHedged(d.readRungs(rows, at, nil), false)
 }

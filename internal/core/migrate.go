@@ -139,14 +139,16 @@ func (r *DecommissionReport) moved(kind BlobKind) {
 // nothing on provIdx.
 //
 // Plan (under d.mu): read the slot, note the generation of the file that
-// owns it, decide where the payload will come from — the read ladder for
-// a chunk or mirror, the blob itself for a snapshot, a re-encode over the
-// members for parity (cheaper than reading, and correct even if the
-// departing provider is already dark) — and home the slot, in a private
-// copy of its stripe's rows, away from the departing provider and from
-// what avoid says. Copy (no lock): shipShard, the departing provider
-// counting as one that failed the blob; the first put keeps the shard's
-// virtual id (a pure move), failover hops re-key like any other write.
+// owns it, and take two copies of its stripe's rows: the stripe as it
+// stands, which the payload is read through, and the one the move ships
+// into. The payload comes from the read ladder for a chunk or mirror, the
+// blob itself for a snapshot, a re-encode over the members for parity
+// (cheaper than reading, and correct even if the departing provider is
+// already dark). The slot is homed in the second copy, away from the
+// departing provider and from what avoid says. Copy (no lock): shipShard,
+// the departing provider counting as one that failed the blob; the first
+// put keeps the shard's virtual id (a pure move), failover hops re-key
+// like any other write.
 // Commit (under d.mu): if the file moved on or the slot no longer holds
 // what was copied, drop the copy; otherwise one move_<kind> record
 // repoints the slot.
@@ -171,33 +173,35 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 		d.mu.Unlock()
 		return 0, nil
 	}
+	// Every member of a stripe belongs to one file, at one PL.
+	owner := &d.chunks[st.Members[0]]
+	client, filename := owner.Client, owner.Filename
+	pre := d.stripeRowsLocked(st, -1, owner.PL, nil)
 	var fetch func() ([]byte, error)
 	var pooled [][]byte
 	defer func() { releaseBuffers(pooled) }()
 	switch s.kind {
 	case BlobChunk, BlobMirror:
-		plan := d.planFetch(&d.chunks[s.idx])
-		fetch = func() ([]byte, error) { return d.fetchPayloadPlan(&plan) }
+		fetch = func() ([]byte, error) {
+			res, err := d.readMember(pre, at.idx)
+			return res.payload, err
+		}
 	case BlobSnapshot:
 		sp, _ := d.fleet.At(provIdx) // Decommission checked provIdx
 		fetch = func() ([]byte, error) { return sp.Get(vid) }
 	case BlobParity:
-		members, level, shardLen := d.planMembersLocked(st, -1), st.Level, st.ShardLen
 		fetch = func() ([]byte, error) {
-			payloads, err := d.fetchMembers(members)
+			payloads, err := d.fetchMembers(pre, -1)
 			if err != nil {
 				return nil, err
 			}
-			parity, err := d.encodeParity(level, payloads, shardLen, &pooled)
+			parity, err := d.encodeParity(pre.stripes[0].Level, payloads, pre.stripes[0].ShardLen, &pooled)
 			if err != nil {
 				return nil, err
 			}
 			return parity[s.sub], nil
 		}
 	}
-	// Every member of a stripe belongs to one file, at one PL.
-	owner := &d.chunks[st.Members[0]]
-	client, filename := owner.Client, owner.Filename
 	t := d.newTicketLocked()
 	rows := d.stripeRowsLocked(st, -1, owner.PL, t)
 	departing := map[int]bool{provIdx: true}
@@ -249,9 +253,8 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 
 	// ---- Commit ----
 	d.mu.Lock()
-	feNow, ok := d.clients[client].Files[filename]
 	prov, vidNow, err = d.cell(s)
-	if !ok || feNow != fe || feNow.Gen != gen || err != nil || *prov != provIdx || *vidNow != vid {
+	if d.fileChangedLocked(client, filename, fe, gen) || err != nil || *prov != provIdx || *vidNow != vid {
 		// Lost the race: the copy goes — unless the slot ended up
 		// referencing exactly it, in which case the copy IS the live blob.
 		live := err == nil && *prov == dst.provIdx && *vidNow == dst.vid

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 	"repro/internal/privacy"
@@ -9,64 +10,55 @@ import (
 )
 
 // The steps of a stripe re-encode, shared by everything that recomputes
-// parity: snapshot the members under d.mu, read them without it, pad and
-// encode on pooled buffers, ship the new parity through shipShard.
+// parity: copy the stripe's rows under d.mu, read the members through the
+// copy without it, pad and encode on pooled buffers, ship the new parity
+// through shipShard.
 
-// stripeMember is one data member of a stripe snapshotted for a
-// re-encode: its chunk-table index and a fetch plan taken while the
-// stripe's parity was still consistent with it (the plan's entry copy
-// carries the member's provider and identity).
-type stripeMember struct {
-	chunkIdx int
-	plan     fetchPlan
-}
-
-// planMembersLocked snapshots st's members in shard order, leaving out
-// chunk-table index skip (-1 keeps them all). Callers hold d.mu, in
-// either mode.
-func (d *Distributor) planMembersLocked(st *stripeEntry, skip int) []stripeMember {
-	ms := make([]stripeMember, 0, len(st.Members))
-	for _, cidx := range st.Members {
-		if cidx != skip {
-			ms = append(ms, stripeMember{chunkIdx: cidx, plan: d.planFetch(&d.chunks[cidx])})
-		}
-	}
-	return ms
-}
-
-// stripeRowsLocked takes a write's private copy of live stripe st, the
-// rows its slots are shipped over: the member rows in shard order,
+// stripeRowsLocked takes a private copy of live stripe st, the one copy
+// of a stripe anything takes under d.mu: the member rows in shard order,
 // renumbered 0..n-1 and leaving out chunk-table index skip (-1 keeps them
-// all), and the parity. Mirrors and parity are copied, so the write
-// patches its cells without touching the tables; pl and t are what its
-// blobs are placed for and staged on. Callers hold d.mu.
+// all), and the parity. A read's snapshot of a stripe is one (openRead,
+// Scrub), shared by the reads of all its chunks; a re-encode or a
+// relocation reads the members through a pristine one and ships into a
+// second, whose cells it patches — mirrors and parity are copied, so
+// nothing touches the tables. pl and t are what a write's blobs are placed
+// for and staged on (zero for a read). Callers hold d.mu, in either mode.
 func (d *Distributor) stripeRowsLocked(st *stripeEntry, skip int, pl privacy.Level, t *writeTicket) *stripeRows {
-	r := &stripeRows{pl: pl, ticket: t}
-	r.stripes[0] = stripeEntry{Level: st.Level, ShardLen: st.ShardLen, Parity: make([]parityShard, len(st.Parity))}
+	r := &stripeRows{pl: pl, ticket: t, chunks: make([]chunkEntry, 0, len(st.Members))}
+	r.stripes[0] = stripeEntry{Level: st.Level, ShardLen: st.ShardLen, Members: make([]int, 0, len(st.Members)),
+		Parity: make([]parityShard, len(st.Parity))}
 	copy(r.stripes[0].Parity, st.Parity)
 	for _, cidx := range st.Members {
-		if cidx == skip {
-			continue
+		if cidx != skip {
+			r.stripes[0].Members = append(r.stripes[0].Members, d.copyRowLocked(r, cidx))
 		}
-		c := d.chunks[cidx]
-		c.Mirrors = make([]mirrorRef, len(c.Mirrors))
-		copy(c.Mirrors, d.chunks[cidx].Mirrors)
-		r.stripes[0].Members = append(r.stripes[0].Members, len(r.chunks))
-		r.chunks = append(r.chunks, c)
 	}
 	return r
 }
 
-// fetchMembers reads every member's verified stored payload through the
+// copyRowLocked appends a copy of chunk row cidx, mirrors included, to
+// r's chunks and returns its index there. Callers hold d.mu.
+func (d *Distributor) copyRowLocked(r *stripeRows, cidx int) int {
+	c := d.chunks[cidx]
+	c.Mirrors = make([]mirrorRef, len(c.Mirrors))
+	copy(c.Mirrors, d.chunks[cidx].Mirrors)
+	r.chunks = append(r.chunks, c)
+	return len(r.chunks) - 1
+}
+
+// fetchMembers reads the verified stored payload of every member of rows'
+// stripe but row skip (-1 reads them all), in shard order, through the
 // read ladder, with bounded fan-out and no lock held.
-func (d *Distributor) fetchMembers(ms []stripeMember) ([][]byte, error) {
-	payloads := make([][]byte, len(ms))
-	err := d.fanOutN(len(ms), func(i int) error {
-		var err error
-		if payloads[i], err = d.fetchPayloadPlan(&ms[i].plan); err != nil {
-			e := &ms[i].plan.entry
+func (d *Distributor) fetchMembers(rows *stripeRows, skip int) ([][]byte, error) {
+	ats := slices.DeleteFunc(slices.Clone(rows.stripes[0].Members), func(at int) bool { return at == skip })
+	payloads := make([][]byte, len(ats))
+	err := d.fanOutN(len(ats), func(i int) error {
+		res, err := d.readMember(rows, ats[i])
+		if err != nil {
+			e := &rows.chunks[ats[i]]
 			return fmt.Errorf("core: re-encode: stripe member %s#%d unreadable: %w", e.Filename, e.Serial, err)
 		}
+		payloads[i] = res.payload
 		return nil
 	})
 	return payloads, err

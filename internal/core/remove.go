@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/provider"
 )
@@ -50,11 +51,10 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 	// ---- Commit ----
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	feNow, ok := c.Files[filename]
-	if !ok {
+	if _, ok := c.Files[filename]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchFile, filename)
 	}
-	if feNow != fe || feNow.Gen != fileGen {
+	if d.fileChangedLocked(client, filename, fe, fileGen) {
 		return fmt.Errorf("%w: %s changed during removal", ErrConflict, filename)
 	}
 	rec := &walRecord{
@@ -78,13 +78,14 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 // password, filename, sl no.). The chunk's stripe parity is re-encoded
 // over the surviving members so RAID recovery keeps working for them.
 //
-// Plan (under d.mu): resolve the chunk, snapshot fetch plans for the
-// survivors while the full stripe is still consistent, and stage fresh
-// virtual ids for the replacement parity. Ship (no lock): fetch the
-// survivors, write the new parity, then delete the chunk's blobs and the
-// stale parity. Commit (under d.mu): generation check, then one
-// remove_chunk record tombstones the row and swaps the stripe's membership
-// and parity atomically.
+// Plan (under d.mu): resolve the chunk and take two copies of its
+// stripe's rows — the stripe as it stands, which the survivors are read
+// through while the full stripe is still consistent, and the survivors
+// alone, in which the replacement parity is staged under fresh virtual
+// ids. Ship (no lock): fetch the survivors, write the new parity, then
+// delete the chunk's blobs and the stale parity. Commit (under d.mu):
+// generation check, then one remove_chunk record tombstones the row and
+// swaps the stripe's membership and parity atomically.
 func (d *Distributor) RemoveChunk(client, password, filename string, serial int) error {
 	// ---- Plan ----
 	d.mu.Lock()
@@ -100,7 +101,9 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	stripeID := entry.StripeID
 	st := &d.stripes[stripeID]
 	level := st.Level
-	survivors := d.planMembersLocked(st, entryIdx)
+	self := slices.Index(st.Members, entryIdx)
+	pre := d.stripeRowsLocked(st, -1, pl, nil)
+	survivors := slices.DeleteFunc(slices.Clone(st.Members), func(cidx int) bool { return cidx == entryIdx })
 	dels := parityBlobs(blobsOf(nil, entry), st.Parity)
 
 	// Stage replacement parity on freshly placed providers, in the
@@ -137,7 +140,7 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	// one) while the full stripe still exists on the providers.
 	shardLen := 1
 	if len(shards) > 0 {
-		payloads, err := d.fetchMembers(survivors)
+		payloads, err := d.fetchMembers(pre, self)
 		if err != nil {
 			return abort(err)
 		}
@@ -161,20 +164,15 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 
 	// ---- Commit ----
 	d.mu.Lock()
-	feNow, ok := d.clients[client].Files[filename]
-	if !ok || feNow != fe || feNow.Gen != fileGen {
+	if d.fileChangedLocked(client, filename, fe, fileGen) {
 		d.releaseTicketLocked(t)
 		d.mu.Unlock()
 		d.rollbackStored(stored)
 		return fmt.Errorf("%w: %s#%d changed during removal", ErrConflict, filename, serial)
 	}
-	newMembers := make([]int, len(survivors))
-	for i := range survivors {
-		newMembers[i] = survivors[i].chunkIdx
-	}
 	rec := &walRecord{
 		Op: "remove_chunk", Client: client, Filename: filename, Serial: serial,
-		StripeID: stripeID, Members: newMembers, ShardLen: shardLen, Parity: rows.stripes[0].Parity,
+		StripeID: stripeID, Members: survivors, ShardLen: shardLen, Parity: rows.stripes[0].Parity,
 		FileGen: fileGen + 1, Gen: d.gen + 1,
 	}
 	if err := d.commitLocked(rec, t); err != nil {

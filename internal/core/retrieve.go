@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 	"repro/internal/cryptofrag"
@@ -14,10 +15,9 @@ import (
 // Every read is snapshot → fetch → sink. openRead takes the snapshot: the
 // one place a read authenticates, walks the tables and consults the
 // cache. The multi-chunk read step (readChunks, bulkfetch.go) or a
-// single-chunk ladder (fetchVerifiedPlan) fetches what the snapshot did
-// not already settle. GetChunk, GetFile, GetRange and GetFileTo differ
-// only in which chunks they ask the snapshot for and where the recovered
-// bytes go.
+// single-chunk ladder (readMember) fetches what the snapshot did not
+// already settle. GetChunk, GetFile, GetRange and GetFileTo differ only in
+// which chunks they ask the snapshot for and where the recovered bytes go.
 
 // readSpan says which chunks of a file a read is after: one serial, or
 // the chunks overlapping the byte window [offset, offset+length) of the
@@ -30,9 +30,9 @@ type readSpan struct {
 var wholeFile = readSpan{length: -1}
 
 // readSnap is what a read decided under d.mu: which file generation it
-// pinned and the chunks it located, in serial order, each either settled
-// from the chunk cache or carrying the plan to fetch it. Everything after
-// the snapshot runs without the lock.
+// pinned and the chunks it located, in serial order, each a row of its
+// stripe's rows and, when the chunk cache had it, already settled.
+// Everything after the snapshot runs without the lock.
 type readSnap struct {
 	fid, gen uint64
 	chunks   int         // serials in the file, removed ones included
@@ -41,17 +41,21 @@ type readSnap struct {
 }
 
 func (s *readSnap) key(r *chunkRead) cacheKey {
-	return cacheKey{fid: s.fid, serial: r.plan.entry.Serial, gen: s.gen}
+	return cacheKey{fid: s.fid, serial: r.entry().Serial, gen: s.gen}
 }
 
 // openRead is the first step of every read (and of ChunkCount): under one
 // d.mu.RLock hold it authenticates, resolves the file, enforces the
 // privilege rule, refuses a file with a removed serial (unless exactly
 // one other serial is wanted), locates the wanted chunks and, for each,
-// either copies its recovered bytes out of the cache — generation-keyed,
-// so fe.Gen under this lock pins a consistent view — or snapshots its
-// fetch plan. A window is checked against the file's size before anything
-// is planned or allocated for it.
+// copies its recovered bytes out of the cache — generation-keyed, so
+// fe.Gen under this lock pins a consistent view — if the cache has them.
+// The rows a located chunk is read through are its stripe's, copied once
+// per stripe (stripeRowsLocked) and shared by every chunk of it — a
+// stripe's chunks are consecutive serials. A chunk its stripe does not
+// list gets a row of its own after the members, which the stripe solve
+// refuses. A window is checked against the file's size before anything
+// is copied or allocated for it.
 func (d *Distributor) openRead(client, password, filename string, want readSpan) (*readSnap, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -60,12 +64,26 @@ func (d *Distributor) openRead(client, password, filename string, want readSpan)
 		return nil, err
 	}
 	s := &readSnap{fid: fe.FID, gen: fe.Gen, chunks: len(fe.ChunkIdx)}
+	var st *stripeEntry // the stripe rows was copied from
+	var rows *stripeRows
+	locate := func(idx int) chunkRead {
+		entry := &d.chunks[idx]
+		if st != &d.stripes[entry.StripeID] {
+			st = &d.stripes[entry.StripeID]
+			rows = d.stripeRowsLocked(st, -1, 0, nil)
+		}
+		r := chunkRead{rows: rows, at: slices.Index(st.Members, idx)}
+		if r.at == -1 {
+			r.at = d.copyRowLocked(rows, idx)
+		}
+		r.res.recovered, r.ok = d.cache.get(cacheKey{fid: s.fid, serial: entry.Serial, gen: s.gen})
+		return r
+	}
 	if want.one {
-		entry, err := d.chunkOf(fe, want.serial)
-		if err != nil {
+		if _, err := d.chunkOf(fe, want.serial); err != nil {
 			return nil, err
 		}
-		s.reads = []chunkRead{d.snapChunk(s, entry)}
+		s.reads = []chunkRead{locate(fe.ChunkIdx[want.serial])}
 		return s, nil
 	}
 	if want.length == 0 {
@@ -92,7 +110,7 @@ func (d *Distributor) openRead(client, password, filename string, want readSpan)
 			if len(s.reads) == 0 {
 				s.fileOff = cum
 			}
-			s.reads = append(s.reads, d.snapChunk(s, entry))
+			s.reads = append(s.reads, locate(idx))
 		}
 		cum += entry.DataLen
 	}
@@ -110,20 +128,6 @@ func (d *Distributor) chunkOf(fe *fileEntry, serial int) (*chunkEntry, error) {
 		return nil, fmt.Errorf("%w: serial %d was removed", ErrNoSuchChunk, serial)
 	}
 	return &d.chunks[idx], nil
-}
-
-// snapChunk is one located chunk of a snapshot: settled if the cache has
-// it (planning skipped; the entry copy carries its lengths and drops the
-// Mirrors slice it would share with the table), a fetch plan otherwise.
-func (d *Distributor) snapChunk(s *readSnap, entry *chunkEntry) chunkRead {
-	data, hit := d.cache.get(cacheKey{fid: s.fid, serial: entry.Serial, gen: s.gen})
-	if !hit {
-		return chunkRead{plan: d.planFetch(entry)}
-	}
-	r := chunkRead{res: fetchResult{recovered: data}, ok: true}
-	r.plan.entry = *entry
-	r.plan.entry.Mirrors = nil
-	return r
 }
 
 // lookupChunk authenticates and resolves (client, filename, serial) for
@@ -156,7 +160,8 @@ func (d *Distributor) GetChunk(client, password, filename string, serial int) ([
 	// is unreachable (no future reader computes the old key) and ages out.
 	key := s.key(r)
 	data, shared, err := d.flights.do(key, func() ([]byte, error) {
-		return d.fetchChunkPlan(&r.plan)
+		res, err := d.readMember(r.rows, r.at)
+		return res.recovered, err
 	})
 	if err == nil && !shared {
 		d.cache.put(key, data)
@@ -175,12 +180,12 @@ func (d *Distributor) GetFile(client, password, filename string) ([]byte, error)
 	}
 	size := 0
 	for i := range s.reads {
-		size += s.reads[i].plan.entry.DataLen
+		size += s.reads[i].entry().DataLen
 	}
 	buf := make([]byte, size)
 	off := 0
 	for i := range s.reads {
-		end := off + s.reads[i].plan.entry.DataLen
+		end := off + s.reads[i].entry().DataLen
 		s.reads[i].dst = buf[off:off:end]
 		off = end
 	}
@@ -229,57 +234,6 @@ func (d *Distributor) ChunkCount(client, password, filename string) (int, error)
 	return s.chunks, nil
 }
 
-// fetchPlan is an immutable snapshot of everything needed to serve one
-// chunk read — the chunk entry plus its stripe geometry — taken under
-// d.mu so the provider round-trips can happen without the lock.
-type fetchPlan struct {
-	entry       chunkEntry // deep enough copy: Mirrors slice is cloned
-	level       raid.Level
-	shardLen    int
-	dataShards  int
-	parityCount int
-	targetSlot  int        // this chunk's slot in the stripe, -1 if unknown
-	siblings    []shardRef // surviving members and parity, slot-addressed
-}
-
-// shardRef locates one stripe shard for reconstruction.
-type shardRef struct {
-	slot       int
-	provIdx    int
-	vid        string
-	payloadLen int
-}
-
-// planFetch snapshots entry and its stripe — a pure read, so RLock-held
-// callers (the retrieval paths) and exclusive-lock callers (scrub,
-// migration) both qualify. Callers hold d.mu in either mode.
-func (d *Distributor) planFetch(entry *chunkEntry) fetchPlan {
-	plan := fetchPlan{entry: *entry, targetSlot: -1}
-	plan.entry.Mirrors = append([]mirrorRef(nil), entry.Mirrors...)
-	st := &d.stripes[entry.StripeID]
-	plan.level = st.Level
-	plan.shardLen = st.ShardLen
-	plan.dataShards = len(st.Members)
-	plan.parityCount = len(st.Parity)
-	plan.siblings = make([]shardRef, 0, len(st.Members)+len(st.Parity))
-	for i, cidx := range st.Members {
-		m := &d.chunks[cidx]
-		if m.VirtualID == entry.VirtualID {
-			plan.targetSlot = i
-			continue
-		}
-		plan.siblings = append(plan.siblings, shardRef{
-			slot: i, provIdx: m.CPIndex, vid: m.VirtualID, payloadLen: m.PayloadLen,
-		})
-	}
-	for i, ps := range st.Parity {
-		plan.siblings = append(plan.siblings, shardRef{
-			slot: plan.dataShards + i, provIdx: ps.CPIndex, vid: ps.VirtualID, payloadLen: st.ShardLen,
-		})
-	}
-	return plan
-}
-
 // fetchResult is one verified chunk read: the stored payload as it sits
 // on the provider (mislead bytes in, or ciphertext) plus the recovered
 // original bytes that payload verified against. Read paths serve
@@ -288,29 +242,6 @@ func (d *Distributor) planFetch(entry *chunkEntry) fetchPlan {
 type fetchResult struct {
 	payload   []byte
 	recovered []byte
-}
-
-// fetchPayloadPlan returns just the verified stored payload — the
-// convenience used by maintenance paths (parity re-encode, blob moves,
-// snapshots) that re-place the payload as-is and only need the proof
-// that it matches the chunk's checksum end-to-end.
-func (d *Distributor) fetchPayloadPlan(plan *fetchPlan) ([]byte, error) {
-	res, err := d.fetchVerifiedPlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return res.payload, nil
-}
-
-// fetchChunkPlan retrieves a chunk's original bytes from a plan:
-// provider get (or RAID reconstruction), mislead stripping, checksum
-// verification. It takes no locks.
-func (d *Distributor) fetchChunkPlan(plan *fetchPlan) ([]byte, error) {
-	res, err := d.fetchVerifiedPlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	return res.recovered, nil
 }
 
 // stripAndVerify recovers a chunk's original bytes from its stored
@@ -368,8 +299,8 @@ func (d *Distributor) tryGet(provIdx int, vid string, wantLen int) ([]byte, bool
 	return payload, true
 }
 
-// solveStripe rebuilds one chunk's stored payload from the other shards
-// of its stripe, as snapshotted in the plan — the one stripe decode of the
+// solveStripe rebuilds the stored payload of row at from the other shards
+// of its stripe, as the rows have them — the one stripe decode of the
 // read side. known holds the shards the caller has already settled, by
 // virtual id: a stored payload that verified is used as it is, a nil
 // entry marks a blob known to be wrong (fetching it again would feed the
@@ -378,44 +309,52 @@ func (d *Distributor) tryGet(provIdx int, vid string, wantLen int) ([]byte, bool
 // scratch, zero-padded to the stripe's shard length so parity math lines
 // up, and released before returning; the rebuilt payload is copied out so
 // no pooled buffer ever escapes the read path.
-func (d *Distributor) solveStripe(plan *fetchPlan, known map[string][]byte) ([]byte, error) {
-	if plan.level.ParityShards() == 0 {
+func (d *Distributor) solveStripe(rows *stripeRows, at int, known map[string][]byte) ([]byte, error) {
+	st := &rows.stripes[0]
+	if st.Level.ParityShards() == 0 {
 		return nil, fmt.Errorf("%w: provider down and no parity (raid level none)", ErrUnavailable)
 	}
-	if plan.targetSlot == -1 {
+	target := slices.Index(st.Members, at)
+	if target == -1 {
 		return nil, fmt.Errorf("%w: chunk not a member of its stripe", ErrUnavailable)
 	}
-	shards := make([][]byte, plan.dataShards+plan.parityCount)
+	shards := make([][]byte, len(st.Members)+len(st.Parity))
 	var pooled [][]byte
-	defer func() {
-		for _, b := range pooled {
-			bufpool.Put(b)
-		}
-	}()
-	for _, ref := range plan.siblings {
-		payload, ok := known[ref.vid]
+	defer func() { releaseBuffers(pooled) }()
+	// fill puts shard i, the n-byte blob vid on provider prov, in place.
+	fill := func(i, prov int, vid string, n int) {
+		payload, ok := known[vid]
 		if ok {
 			ok = payload != nil
 		} else {
-			payload, ok = d.tryGet(ref.provIdx, ref.vid, ref.payloadLen)
+			payload, ok = d.tryGet(prov, vid, n)
 		}
 		if !ok {
-			continue // leave the slot empty for the decoder
+			return // leave the slot empty for the decoder
 		}
-		shard := bufpool.Get(plan.shardLen)
+		shard := bufpool.Get(st.ShardLen)
 		clear(shard[copy(shard, payload):])
-		shards[ref.slot] = shard
+		shards[i] = shard
 		pooled = append(pooled, shard)
 	}
-	stripe := &raid.Stripe{Level: plan.level, Shards: shards, DataShards: plan.dataShards}
+	for i, ci := range st.Members {
+		if i != target {
+			m := &rows.chunks[ci]
+			fill(i, m.CPIndex, m.VirtualID, m.PayloadLen)
+		}
+	}
+	for i, ps := range st.Parity {
+		fill(len(st.Members)+i, ps.CPIndex, ps.VirtualID, st.ShardLen)
+	}
+	stripe := &raid.Stripe{Level: st.Level, Shards: shards, DataShards: len(st.Members)}
 	if err := stripe.Reconstruct(); err != nil {
 		return nil, fmt.Errorf("%w: reconstruction failed: %v", ErrUnavailable, err)
 	}
-	rebuilt := stripe.Shards[plan.targetSlot]
-	if len(rebuilt) < plan.entry.PayloadLen {
+	rebuilt, n := stripe.Shards[target], rows.chunks[at].PayloadLen
+	if len(rebuilt) < n {
 		return nil, fmt.Errorf("%w: rebuilt shard shorter than payload", ErrUnavailable)
 	}
-	out := make([]byte, plan.entry.PayloadLen)
+	out := make([]byte, n)
 	copy(out, rebuilt)
 	return out, nil
 }

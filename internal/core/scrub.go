@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"repro/internal/provider"
-	"repro/internal/raid"
 )
 
 // ScrubReport summarizes an integrity pass.
@@ -13,109 +12,160 @@ type ScrubReport struct {
 	Healthy       int
 	Repaired      int
 	Unrepairable  int
-	// Skipped counts chunks that mutated concurrently between the scan
-	// and the repair; the next scrub sees their final state.
+	// Skipped counts damaged chunks whose file mutated concurrently
+	// between the scan and the repair; the next scrub sees their final
+	// state.
 	Skipped int
-	// ParityChecked/ParityRepaired/ParityUnrepairable cover the second
-	// phase: every stripe's parity shards recomputed from its members and
-	// compared byte-for-byte against what the providers hold. Without
-	// this phase a rotted parity blob stays latent until the exact
-	// provider failure it was bought to survive.
+	// ParityChecked/ParityRepaired/ParityUnrepairable cover parity: every
+	// stripe's parity shards recomputed from its members and compared
+	// byte-for-byte against what the providers hold. Without this check a
+	// rotted parity blob stays latent until the exact provider failure it
+	// was bought to survive.
 	ParityChecked      int
 	ParityRepaired     int
 	ParityUnrepairable int
 	// ParitySkipped counts parity repairs withheld because the stripe
-	// mutated concurrently — the parity phase's counterpart of Skipped,
-	// kept separate so the two phases' counts never alias.
+	// mutated concurrently — the parity counterpart of Skipped, kept
+	// separate so the chunk and parity counts never alias.
 	ParitySkipped int
 }
 
-// Scrub verifies every stored chunk against its checksum and rewrites any
-// missing, truncated or corrupted shard from its mirrors or RAID peers —
-// the background maintenance a production deployment of the paper's
-// architecture would run against silent provider corruption.
+// Scrub verifies every stored chunk against its checksum and every parity
+// shard against its stripe, and rewrites any missing, truncated or
+// corrupted blob — the background maintenance a production deployment of
+// the paper's architecture would run against silent provider corruption.
 //
-// The chunk table is snapshotted under d.mu; all verification and repair
-// I/O runs without the lock so a scrub never stalls client traffic.
-// Before rewriting a damaged chunk the owning file's generation is
-// re-checked: a chunk mutated since the scan belongs to a newer write,
-// and repairing its old blobs would only resurrect retired data.
+// It is one pass per stripe (scrubStripe) over one copy of the stripe's
+// rows, taken in a short d.mu read hold of its own; all verification and
+// repair I/O runs without the lock, so a scrub never stalls client
+// traffic.
 func (d *Distributor) Scrub() (ScrubReport, error) {
-	d.mu.RLock()
-	type item struct {
-		plan fetchPlan
-		fe   *fileEntry
-		gen  uint64
-	}
-	items := make([]item, 0, len(d.chunks))
-	for i := range d.chunks {
-		entry := &d.chunks[i]
-		if entry.CPIndex < 0 {
-			continue // removed
-		}
-		fe := d.clients[entry.Client].Files[entry.Filename]
-		items = append(items, item{plan: d.planFetch(entry), fe: fe, gen: fe.Gen})
-	}
-	d.mu.RUnlock()
-
 	var rep ScrubReport
-	for k := range items {
-		it := &items[k]
-		entry := &it.plan.entry
-		rep.ChunksChecked++
-
-		healthy := false
-		if payload, ok := d.tryGet(entry.CPIndex, entry.VirtualID, entry.PayloadLen); ok {
-			if d.payloadMatches(entry, payload) {
-				healthy = true
-			}
-		}
-		if healthy {
-			// Also verify mirrors; refresh any stale copy.
-			stale := false
-			for _, m := range entry.Mirrors {
-				payload, ok := d.tryGet(m.CPIndex, m.VirtualID, entry.PayloadLen)
-				if !ok || !d.payloadMatches(entry, payload) {
-					stale = true
-				}
-			}
-			if !stale {
-				rep.Healthy++
-				continue
-			}
-		}
-
-		// Rebuild the canonical payload from any healthy source — the
-		// read ladder only returns verified bytes.
-		payload, err := d.fetchPayloadPlan(&it.plan)
-		if err != nil {
-			rep.Unrepairable++
-			continue
-		}
-
+	for si := 0; ; si++ {
 		d.mu.RLock()
-		feNow, ok := d.clients[entry.Client].Files[entry.Filename]
-		changed := !ok || feNow != it.fe || feNow.Gen != it.gen
-		d.mu.RUnlock()
-		if changed {
-			rep.Skipped++
+		if si >= len(d.stripes) {
+			d.mu.RUnlock()
+			return rep, nil
+		}
+		st := &d.stripes[si]
+		if len(st.Members) == 0 { // a removed file's
+			d.mu.RUnlock()
 			continue
 		}
+		rows := d.stripeRowsLocked(st, -1, 0, nil)
+		owner := &rows.chunks[0]
+		fe := d.clients[owner.Client].Files[owner.Filename]
+		gen := fe.Gen
+		d.mu.RUnlock()
+		d.scrubStripe(rows, fe, gen, &rep)
+	}
+}
 
-		// Rewrite primary and mirrors. Repair traffic is recorded but not
-		// gated: a scrub is exactly the kind of background write that
-		// should keep probing a struggling provider.
-		repaired := true
-		if e := d.providerOp(entry.CPIndex, func(p provider.Provider) error {
-			return p.Put(entry.VirtualID, payload)
-		}); e != nil {
-			repaired = false
+// scrubStripe checks and repairs one stripe, one get per stored blob:
+// every member's primary and mirrors through the read ladder's own rungs,
+// then the parity. A member's payload is its first copy that verifies;
+// for a member none of whose copies does, the ladder's reconstruction
+// rung, seeded with everything already in hand, so it fetches nothing
+// again. The parity is re-encoded from those payloads and compared byte
+// for byte. Only the blobs that failed are rewritten — in place, under
+// their own ids, with a raw put and no record: the tables do not change.
+// Before any failure is counted or any blob rewritten, the file's
+// generation is re-checked: a concurrent write retires the blobs this
+// pass read, so they would only look damaged, and rewriting them would
+// resurrect retired data — a file that moved on counts its damage as
+// skipped. The padded payloads and the recomputed parity are pooled
+// scratch released before returning.
+func (d *Distributor) scrubStripe(rows *stripeRows, fe *fileEntry, gen uint64, rep *ScrubReport) {
+	st := &rows.stripes[0]
+	type member struct {
+		payload []byte
+		ok      bool          // payload verified
+		bad     []storedShard // the copies that did not, rewritten from payload
+	}
+	ms := make([]member, len(st.Members))
+	known := make(map[string][]byte, len(ms)+len(st.Parity))
+	for i, at := range st.Members {
+		e, m := &rows.chunks[at], &ms[i]
+		rungs := d.readRungs(rows, at, known)
+		for k, rung := range rungs[:len(rungs)-1] {
+			res, err := rung.fetch()
+			switch {
+			case err == nil && !m.ok:
+				m.payload, m.ok = res.payload, true
+			case err != nil && k == 0:
+				m.bad = append(m.bad, storedShard{e.CPIndex, e.VirtualID})
+			case err != nil:
+				m.bad = append(m.bad, storedShard{e.Mirrors[k-1].CPIndex, e.Mirrors[k-1].VirtualID})
+			}
 		}
-		for _, m := range entry.Mirrors {
-			m := m
-			if e := d.providerOp(m.CPIndex, func(p provider.Provider) error {
-				return p.Put(m.VirtualID, payload)
-			}); e != nil {
+		// A solve uses a verified payload as the member's shard and leaves
+		// out a member known to be wrong; an empty payload seeds nothing,
+		// nil being that mark.
+		if !m.ok || len(m.payload) > 0 {
+			known[e.VirtualID] = m.payload
+		}
+	}
+	stored := make([][]byte, len(st.Parity))
+	for pi, ps := range st.Parity {
+		stored[pi], _ = d.tryGet(ps.CPIndex, ps.VirtualID, st.ShardLen)
+		known[ps.VirtualID] = stored[pi] // nil when it did not come back whole
+	}
+	sick, lost, payloads := 0, false, make([][]byte, len(ms))
+	for i := range ms {
+		m := &ms[i]
+		if !m.ok {
+			rungs := d.readRungs(rows, st.Members[i], known)
+			if res, err := rungs[len(rungs)-1].fetch(); err == nil {
+				m.payload, m.ok = res.payload, true
+			}
+		}
+		if len(m.bad) > 0 {
+			sick++
+		}
+		lost = lost || !m.ok
+		payloads[i] = m.payload
+	}
+
+	// The parity the stripe should hold; nil when a member is lost and
+	// there is no truth to compare against.
+	var expected, scratch [][]byte
+	defer func() { releaseBuffers(scratch) }()
+	if !lost {
+		expected, _ = d.encodeParity(st.Level, payloads, st.ShardLen, &scratch)
+	}
+	var badParity []int
+	for pi := range st.Parity {
+		if expected == nil || !bytes.Equal(stored[pi], expected[pi]) {
+			badParity = append(badParity, pi)
+		}
+	}
+	rep.ChunksChecked += len(ms)
+	rep.Healthy += len(ms) - sick
+	rep.ParityChecked += len(st.Parity)
+	if sick == 0 && len(badParity) == 0 {
+		return
+	}
+
+	d.mu.RLock()
+	changed := d.fileChangedLocked(rows.chunks[0].Client, rows.chunks[0].Filename, fe, gen)
+	d.mu.RUnlock()
+	if changed {
+		rep.Skipped += sick
+		rep.ParitySkipped += len(badParity)
+		return
+	}
+	// Repair traffic is recorded but not gated: a scrub is exactly the kind
+	// of background write that should keep probing a struggling provider.
+	put := func(at storedShard, payload []byte) bool {
+		return d.providerOp(at.provIdx, func(p provider.Provider) error { return p.Put(at.vid, payload) }) == nil
+	}
+	for _, m := range ms {
+		if len(m.bad) == 0 {
+			continue
+		}
+		repaired := m.ok
+		for _, at := range m.bad {
+			if m.ok && !put(at, m.payload) {
 				repaired = false
 			}
 		}
@@ -125,118 +175,12 @@ func (d *Distributor) Scrub() (ScrubReport, error) {
 			rep.Unrepairable++
 		}
 	}
-	d.scrubParity(&rep)
-	return rep, nil
-}
-
-// stripeScrubItem is one parity-carrying stripe snapshotted for the
-// scrub's second phase.
-type stripeScrubItem struct {
-	level    raid.Level
-	shardLen int
-	parity   []parityShard
-	members  []stripeMember
-	fe       *fileEntry
-	gen      uint64
-	client   string
-	filename string
-}
-
-// scrubParity is Scrub's second phase: recompute every stripe's parity
-// from its (verified) member payloads and rewrite any parity blob that
-// is missing, truncated or holds different bytes. The same generation
-// re-check as chunk repair applies — a stripe mutated since the snapshot
-// belongs to a newer write and is left to the next scrub (counted in
-// ParitySkipped).
-func (d *Distributor) scrubParity(rep *ScrubReport) {
-	d.mu.RLock()
-	items := make([]stripeScrubItem, 0, len(d.stripes))
-	for si := range d.stripes {
-		st := &d.stripes[si]
-		if len(st.Parity) == 0 || len(st.Members) == 0 {
-			continue
-		}
-		owner := &d.chunks[st.Members[0]]
-		if owner.CPIndex < 0 {
-			continue
-		}
-		fe := d.clients[owner.Client].Files[owner.Filename]
-		items = append(items, stripeScrubItem{
-			level:    st.Level,
-			shardLen: st.ShardLen,
-			parity:   append([]parityShard(nil), st.Parity...),
-			members:  d.planMembersLocked(st, -1),
-			fe:       fe,
-			gen:      fe.Gen,
-			client:   owner.Client,
-			filename: owner.Filename,
-		})
-	}
-	d.mu.RUnlock()
-
-	for k := range items {
-		d.scrubStripeParity(&items[k], rep)
-	}
-}
-
-// scrubStripeParity verifies and repairs one stripe's parity shards. The
-// padded member copies and recomputed parity live in pooled scratch
-// released before returning.
-func (d *Distributor) scrubStripeParity(it *stripeScrubItem, rep *ScrubReport) {
-	rep.ParityChecked += len(it.parity)
-
-	var scratch [][]byte
-	defer func() { releaseBuffers(scratch) }()
-
-	// Parity is computed over the zero-padded stored payloads, so the
-	// members must be readable (any healthy source) to know the truth.
-	// Read one at a time, stopping at the first that is not: a scrub is
-	// background work and should not fan out or read on for nothing.
-	payloads := make([][]byte, len(it.members))
-	for mi := range it.members {
-		var err error
-		if payloads[mi], err = d.fetchPayloadPlan(&it.members[mi].plan); err != nil {
-			rep.ParityUnrepairable += len(it.parity)
-			return
-		}
-	}
-	expected, err := d.encodeParity(it.level, payloads, it.shardLen, &scratch)
-	if err != nil {
-		rep.ParityUnrepairable += len(it.parity)
-		return
-	}
-
-	for pi, ps := range it.parity {
-		if pi >= len(expected) {
-			break
-		}
-		got, ok := d.tryGet(ps.CPIndex, ps.VirtualID, it.shardLen)
-		if ok && bytes.Equal(got, expected[pi]) {
-			continue // healthy
-		}
-		d.mu.RLock()
-		feNow, ok := d.clients[it.client].Files[it.filename]
-		changed := !ok || feNow != it.fe || feNow.Gen != it.gen
-		d.mu.RUnlock()
-		if changed {
-			rep.ParitySkipped++
-			continue
-		}
-		ps := ps
-		pi := pi
-		if e := d.providerOp(ps.CPIndex, func(p provider.Provider) error {
-			return p.Put(ps.VirtualID, expected[pi])
-		}); e != nil {
-			rep.ParityUnrepairable++
-		} else {
+	for _, pi := range badParity {
+		ps := st.Parity[pi]
+		if expected != nil && put(storedShard{ps.CPIndex, ps.VirtualID}, expected[pi]) {
 			rep.ParityRepaired++
+		} else {
+			rep.ParityUnrepairable++
 		}
 	}
-}
-
-// payloadMatches verifies a stored payload against the chunk's checksum
-// (after stripping misleading bytes).
-func (d *Distributor) payloadMatches(entry *chunkEntry, payload []byte) bool {
-	data, err := stripAndVerify(entry, payload, nil)
-	return err == nil && data != nil
 }

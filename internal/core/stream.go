@@ -49,10 +49,10 @@ func readStripe(r io.Reader, chunkSize, width int, first bool) ([][]byte, int, e
 // only evict every hot chunk. Returns the bytes written; on error the
 // count reports how much of the prefix reached w before the failure.
 func (d *Distributor) GetFileTo(w io.Writer, client, password, filename string) (int64, error) {
-	// One snapshot of the whole file, like GetFile: the plans pin a single
+	// One snapshot of the whole file, like GetFile: its rows pin a single
 	// file generation, so a concurrent update can never tear the stream.
-	// Plans are metadata-sized (a few hundred bytes per chunk) — the
-	// window bounds payload memory.
+	// Rows are metadata-sized (a few hundred bytes per chunk) — the window
+	// bounds payload memory.
 	s, err := d.openRead(client, password, filename, wholeFile)
 	if err != nil {
 		return 0, err
@@ -80,7 +80,9 @@ func (d *Distributor) GetFileTo(w io.Writer, client, password, filename string) 
 		inFlight++
 		go func() {
 			if it.data = r.res.recovered; !r.ok {
-				it.data, it.err = d.fetchChunkPlan(&r.plan)
+				var res fetchResult
+				res, it.err = d.readMember(r.rows, r.at)
+				it.data = res.recovered
 			}
 			results <- it
 		}()

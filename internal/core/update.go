@@ -17,21 +17,21 @@ import (
 // The stripe's parity is re-encoded over the new contents.
 //
 // The write runs in three phases. Plan (under d.mu): validate, reserve
-// the nonce, snapshot fetch plans for the pre-state and every stripe
-// sibling, and stage every blob the update will produce as a slot of a
-// private copy of the stripe's rows — snapshot, post-state, mirrors and
-// parity all get new ids, so nothing stored for the old generation is
-// overwritten or deleted until the new generation is fully durable. Ship
-// (no lock): build the new payload (encrypted, or with fresh decoys from
-// this write's own stream), read the pre-state and siblings, re-encode
-// parity, then write every new blob through shipShard, snapshot first,
-// which patches the rows wherever a failover lands. Any failure aborts with
-// the tables untouched: the chunk row, provider counts and the previous
-// snapshot all keep serving. Commit (under
-// d.mu): re-check the file's generation — a concurrent mutation means
-// ErrConflict and a rollback of the new blobs — then commit one update
-// record that swaps every row field at once, and retire the superseded
-// blobs.
+// the nonce, and take two copies of the stripe's rows — the stripe as it
+// stands, which the pre-state and the siblings are read through, and the
+// new generation, in which every blob the update will produce is staged
+// as a slot: snapshot, post-state, mirrors and parity all get new ids, so
+// nothing stored for the old generation is overwritten or deleted until
+// the new generation is fully durable. Ship (no lock): build the new
+// payload (encrypted, or with fresh decoys from this write's own stream),
+// read the pre-state and siblings, re-encode parity, then write every new
+// blob through shipShard, snapshot first, which patches the new rows
+// wherever a failover lands. Any failure aborts with the tables
+// untouched: the chunk row, provider counts and the previous snapshot all
+// keep serving. Commit (under d.mu): re-check the file's generation — a
+// concurrent mutation means ErrConflict and a rollback of the new blobs —
+// then commit one update record that swaps every row field at once, and
+// retire the superseded blobs.
 //
 // An update never strips a chunk's defence. opts that ask for no decoys
 // leave a chunk that carries some defended at its own overhead (decoy
@@ -55,7 +55,6 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	}
 	fe := d.clients[client].Files[filename]
 	fileGen := fe.Gen
-	entryIdx := fe.ChunkIdx[serial]
 
 	// Encrypted files stay encrypted; otherwise a fresh mislead injection
 	// if requested.
@@ -68,27 +67,19 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 		nonce = d.reserveNoncesLocked(1)
 	}
 
-	// Snapshot the row being replaced and its stripe geometry.
-	old := *entry
-	old.Mirrors = append([]mirrorRef(nil), entry.Mirrors...)
+	// pre is the stripe as it stands: the row being replaced, and every
+	// sibling, read through it while parity is still consistent with the
+	// members — read after the post-state write, an unreachable sibling
+	// would be "reconstructed" through stale parity.
+	st := &d.stripes[entry.StripeID]
+	stripeID := entry.StripeID
+	self := slices.Index(st.Members, fe.ChunkIdx[serial])
+	pl := entry.PL
+	pre := d.stripeRowsLocked(st, -1, pl, nil)
+	old, level := &pre.chunks[self], st.Level
 	// Asked for no decoys, a defended chunk keeps its own rate of them.
 	if opts.MisleadFraction == 0 && len(opts.MisleadLines) == 0 {
 		opts.MisleadFraction = min(mislead.Overhead(old.DataLen, old.Mislead), 1)
-	}
-	st := &d.stripes[entry.StripeID]
-	stripeID := entry.StripeID
-	level := st.Level
-	oldParity := append([]parityShard(nil), st.Parity...)
-	pl := entry.PL
-
-	// Fetch plans: the pre-state, and — when the stripe carries parity —
-	// every sibling member, planned NOW while parity is still consistent
-	// with the members. Reading them after the post-state write would let
-	// an unreachable sibling be "reconstructed" through stale parity.
-	pre := d.planFetch(entry)
-	var sibs []stripeMember
-	if level.ParityShards() > 0 {
-		sibs = d.planMembersLocked(st, entryIdx)
 	}
 
 	// The new generation is the stripe's rows with this chunk's blobs and
@@ -98,7 +89,6 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// the old blob must survive untouched until commit.
 	t := d.newTicketLocked()
 	rows := d.stripeRowsLocked(st, -1, pl, t)
-	self := slices.Index(st.Members, entryIdx)
 	row := &rows.chunks[self]
 	row.SPIndex, row.SnapVID = -1, ""
 	var shards []stagedShard
@@ -117,7 +107,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	for mi := range row.Mirrors {
 		shards = append(shards, stagedShard{slot: shardSlot{kind: BlobMirror, idx: self, sub: mi}})
 	}
-	for pi := range oldParity {
+	for pi := range rows.stripes[0].Parity {
 		shards = append(shards, stagedShard{slot: shardSlot{kind: BlobParity, sub: pi}})
 	}
 	for _, s := range shards[renew:] {
@@ -147,16 +137,15 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	sum := sha256.Sum256(newData)
 	d.byteWork("prepare")
 
-	sibPayloads, err := d.fetchMembers(sibs)
-	if err != nil {
-		return abort(err)
-	}
-
-	// Re-encode parity from the prefetched siblings plus the new payload —
-	// never re-reading members through a now-inconsistent stripe.
+	// Re-encode parity from the siblings plus the new payload — never
+	// re-reading members through a now-inconsistent stripe.
 	shardLen := 0
 	var parityBufs [][]byte
 	if level.ParityShards() > 0 {
+		sibPayloads, err := d.fetchMembers(pre, self)
+		if err != nil {
+			return abort(err)
+		}
 		payloads := slices.Insert(sibPayloads, self, payload)
 		shardLen = stripeShardLen(payloads)
 		if parityBufs, err = d.encodeParity(level, payloads, shardLen, &pooled); err != nil {
@@ -166,9 +155,11 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	for i := range shards {
 		switch s := &shards[i]; s.slot.kind {
 		case BlobSnapshot:
-			if s.payload, err = d.fetchPayloadPlan(&pre); err != nil {
+			res, err := d.readMember(pre, self)
+			if err != nil {
 				return abort(fmt.Errorf("core: reading pre-state: %w", err))
 			}
+			s.payload = res.payload
 		case BlobParity:
 			s.payload = parityBufs[s.slot.sub]
 		default:
@@ -184,8 +175,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 
 	// ---- Commit: swap the row atomically, or detect a lost race ----
 	d.mu.Lock()
-	feNow, ok := d.clients[client].Files[filename]
-	if !ok || feNow != fe || feNow.Gen != fileGen {
+	if d.fileChangedLocked(client, filename, fe, fileGen) {
 		d.releaseTicketLocked(t)
 		d.mu.Unlock()
 		d.rollbackStored(stored)
@@ -224,7 +214,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 			retired = append(retired, at)
 		}
 	})
-	retired = append(parityBlobs(retired, oldParity), oldSnap...)
+	retired = append(parityBlobs(retired, pre.stripes[0].Parity), oldSnap...)
 
 	// Retire it best-effort: every blob is unreferenced by the committed
 	// tables, so a failed delete is later detectable as a VID orphan.
@@ -246,7 +236,7 @@ func (d *Distributor) GetSnapshot(client, password, filename string, serial int)
 	if err != nil {
 		return nil, err
 	}
-	entry := &s.reads[0].plan.entry
+	entry := s.reads[0].entry()
 	if entry.SnapVID == "" || entry.SPIndex < 0 {
 		return nil, fmt.Errorf("%w: %s#%d", ErrNoSnapshot, filename, serial)
 	}

@@ -443,7 +443,7 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 		return FileInfo{}, err
 	}
 
-	type shardRef struct {
+	type queued struct {
 		job *stripeJob
 		i   int
 	}
@@ -451,7 +451,7 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 	// Sized to the sends the window admits — its stripes' shards — so the
 	// producer moves on to planning the next stripe instead of waiting
 	// for a put worker to take each shard from its hand.
-	shardCh := make(chan shardRef, d.streamWindow*(u.width*(1+opts.Replicas)+u.level.ParityShards()))
+	shardCh := make(chan queued, d.streamWindow*(u.width*(1+opts.Replicas)+u.level.ParityShards()))
 	var (
 		mu      sync.Mutex
 		stored  []storedShard
@@ -512,7 +512,7 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 		serial += len(job.chunks)
 		jobs = append(jobs, job)
 		for i := range job.shards {
-			shardCh <- shardRef{job, i}
+			shardCh <- queued{job, i}
 		}
 	}
 	close(shardCh)
