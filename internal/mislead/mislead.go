@@ -117,9 +117,16 @@ func (inj Injection) Validate(inflatedLen int) error {
 // walk is the one decoder of the gap list: it checks what Validate
 // promises and, when inflated is given (a nil payload has nothing to
 // copy either way), appends the kept bytes between the decoys to dst as
-// it goes — each gap is a run of kept bytes, copied
-// with one bulk append, followed by one skipped decoy. Checking inside
-// the copying pass keeps StripTo to a single walk.
+// it goes — each gap is a run of kept bytes followed by one skipped
+// decoy. Checking inside the copying pass keeps StripTo to a single walk.
+//
+// At a 0.25 decoy rate a run averages four bytes, where a memmove call
+// costs more in size dispatch than in copying. So a run of up to 16
+// bytes is one fixed 16-byte store into dst's spare capacity, after
+// which dst grows by the run alone; the excess is overwritten by the
+// runs that follow. The store never reaches past cap(dst) — the caller's
+// neighbouring bytes may be another goroutine's segment — nor reads past
+// the end of inflated; runs within 16 bytes of either end are appended.
 func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error) {
 	if inj.count < 0 || inj.count > len(inj.gaps) {
 		return nil, fmt.Errorf("mislead: %d positions claimed by %d encoded bytes", inj.count, len(inj.gaps))
@@ -141,7 +148,12 @@ func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error)
 		}
 		decoy := from + int(gap)
 		if inflated != nil {
-			dst = append(dst, inflated[from:decoy]...)
+			if n := len(dst); gap <= 16 && n+16 <= cap(dst) && from+16 <= len(inflated) {
+				*(*[16]byte)(dst[n : n+16]) = *(*[16]byte)(inflated[from:])
+				dst = dst[:n+int(gap)]
+			} else {
+				dst = append(dst, inflated[from:decoy]...)
+			}
 		}
 		from = decoy + 1
 	}
@@ -285,7 +297,9 @@ func Strip(inflated []byte, inj Injection) ([]byte, error) {
 // a caller-owned buffer (e.g. one segment of a preallocated whole-file
 // buffer), so bulk reads recover chunks in place without intermediate
 // allocations. Returns the extended slice; if dst lacks capacity the
-// usual append reallocation applies.
+// usual append reallocation applies. dst must not overlap inflated: runs
+// are moved 16 bytes at a time, so a store may overwrite spare capacity
+// up to cap(dst) beyond the bytes returned — never past it.
 //
 // The gap list is walked directly and once (see walk). On error dst's
 // spare capacity may already hold a partial copy; its length is as given.

@@ -2,6 +2,8 @@ package mislead
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -193,6 +195,77 @@ func TestStripNoDecoys(t *testing.T) {
 	}
 }
 
+const canary = 0xa5
+
+// untouched reports whether b still holds only canary bytes.
+func untouched(b []byte) bool {
+	for _, c := range b {
+		if c != canary {
+			return false
+		}
+	}
+	return true
+}
+
+// StripTo stores ahead of the bytes it returns, and GetFile hands each
+// chunk a segment buf[off:off:end] of one file buffer whose neighbours
+// other goroutines are stripping into. Every shape is stripped into a
+// segment of a canary-filled buffer sized to the kept bytes exactly,
+// then with 15 bytes of slack — one short of a whole store — and the
+// bytes past the segment must still be canary.
+func TestStripToStaysInsideDst(t *testing.T) {
+	type shape struct {
+		name     string
+		inflated []byte
+		inj      Injection
+	}
+	rng := rand.New(rand.NewSource(7))
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	var shapes []shape
+	for _, gap := range []int{0, 15, 16, 17, 127, 128, 300} {
+		// Three runs of gap bytes, each ending in a decoy, then a tail of gap bytes.
+		positions := []int{gap, 2*gap + 1, 3*gap + 2}
+		shapes = append(shapes, shape{fmt.Sprintf("gap %d", gap), payload(4*gap + 3), mustPositions(t, positions...)})
+	}
+	all := make([]int, 40)
+	for i := range all {
+		all[i] = i
+	}
+	injected, inj, err := Inject(payload(8<<10), 0.25, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes = append(shapes,
+		shape{"decoy first", payload(40), mustPositions(t, 0)},
+		shape{"decoy last", payload(40), mustPositions(t, 39)},
+		shape{"all decoys", payload(40), mustPositions(t, all...)},
+		shape{"no decoys", payload(40), Injection{}},
+		shape{"injected 8 KiB at 0.25", injected, inj},
+	)
+
+	for _, s := range shapes {
+		want, err := Strip(s.inflated, s.inj)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for _, slack := range []int{0, 15} {
+			end := len(want) + slack
+			buf := bytes.Repeat([]byte{canary}, end+16)
+			got, err := StripTo(buf[:0:end], s.inflated, s.inj)
+			if err != nil || !bytes.Equal(got, want) || !bytes.Equal(buf[:len(want)], want) {
+				t.Errorf("%s, slack %d: segment differs from Strip (err %v)", s.name, slack, err)
+			}
+			if !untouched(buf[end:]) {
+				t.Errorf("%s, slack %d: bytes past the segment overwritten", s.name, slack)
+			}
+		}
+	}
+}
+
 func TestDecoyBytesComeFromPayloadDistribution(t *testing.T) {
 	// A payload of only 'A' bytes must yield only 'A' decoys.
 	data := bytes.Repeat([]byte{'A'}, 1000)
@@ -255,6 +328,37 @@ func TestSameSeedSameBytes(t *testing.T) {
 	}
 }
 
+// The inflated bytes and gap list for fixed seeds, pinned across builds:
+// the output is a pure function of the *rand.Rand, and simcheck trace
+// hashes and WAL images rest on that, so no change to InjectTo may move
+// a single stored byte or gap.
+func TestInjectGolden(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		frac float64
+		want string
+	}{
+		{8 << 10, 0.05, "43efd95841fa9ec91ac2fe126c9e8e44ac3514845dae1620d64d85cb358a34c7"},
+		{8 << 10, 0.25, "06656aadfb17541944d626aa7c95f7d2c9f2fdc1353d3bb1c250d8df871d8e84"},
+		{64 << 10, 0.05, "207363c3a9e48666011f56f5f3b98ed073c2fb9af9cec51394d0729dd473c47b"},
+		{64 << 10, 0.25, "7dc43ed76490989a18e2b68f3ff39fb1e951fd7761aa3131b21424369aeaa851"},
+		{64 << 10, 0.02, "8d2e06c8225cd86639e3f2eb161c14e456f6f5d2f92c31446d1fa179a73742d5"}, // holds gaps of 127, 128 and 129: both sides of the one-byte uvarint
+	} {
+		data := make([]byte, c.size)
+		rand.New(rand.NewSource(1)).Read(data)
+		inflated, inj, err := Inject(data, c.frac, rand.New(rand.NewSource(42)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		h.Write(inflated)
+		h.Write(inj.Encoded())
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%d KiB at %.2f: sha256(inflated, gaps) = %s, want %s", c.size>>10, c.frac, got, c.want)
+		}
+	}
+}
+
 // Every slot of the inflated payload is equally likely to hold a decoy.
 // 20 000 draws of 12 decoys in 60 slots: each slot expects 4 000 hits,
 // standard deviation √(20000·0.2·0.8) ≈ 57; ±6σ keeps the test quiet
@@ -300,6 +404,12 @@ func TestInjectAllocationBudget(t *testing.T) {
 		}
 		if got, limit := cap(out)+cap(inj.gaps), len(out)*3/2; got > limit {
 			t.Errorf("fraction %v: Inject holds %d bytes for a %d-byte payload, want <= %d", frac, got, len(out), limit)
+		}
+		// The bulk read path strips every chunk straight into its segment
+		// of the file buffer, without allocating.
+		dst := make([]byte, 0, len(data))
+		if allocs := testing.AllocsPerRun(200, func() { benchOut, _ = StripTo(dst, out, inj) }); allocs != 0 {
+			t.Errorf("fraction %v: %v allocs per StripTo into a sufficient dst, want 0", frac, allocs)
 		}
 	}
 }
@@ -480,6 +590,30 @@ func BenchmarkStripTo(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			benchOut, _ = StripTo(dst[:0], inflated, inj)
+		}
+	})
+	// The shape GetFile strips: a 4 MiB PL3 object's 512 chunks, each its
+	// own payload, into segments of one file buffer. The cases above replay
+	// one chunk that stays in cache and understate the read path's cost.
+	b.Run("file4MiB/f0.25", func(b *testing.B) {
+		const chunk, chunks = 8 << 10, 512
+		rng := rand.New(rand.NewSource(1))
+		inflated := make([][]byte, chunks)
+		injs := make([]Injection, chunks)
+		for c := range inflated {
+			data := make([]byte, chunk)
+			rng.Read(data)
+			inflated[c], injs[c], _ = Inject(data, 0.25, rng)
+		}
+		file := make([]byte, chunk*chunks)
+		b.SetBytes(int64(len(file)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for c := range inflated {
+				off := c * chunk
+				benchOut, _ = StripTo(file[off:off:off+chunk], inflated[c], injs[c])
+			}
 		}
 	})
 }
