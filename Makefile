@@ -1,11 +1,12 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + build + race tests + fuzz seed corpora
+#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + delete-lint + build + race tests + fuzz seed corpora
 #   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
 #   make tables-lint      the distributor's tables are written in core/apply.go only
 #   make placement-lint   which providers a blob avoids is decided in core/placement.go only
 #   make snapshot-lint    a live stripe is copied by core's stripeRowsLocked only
+#   make delete-lint      a provider blob is deleted by core's delete step (deleteBlobs) only
 #   make loc              non-test Go code lines per package and in total
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
@@ -67,9 +68,9 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint build race fuzz
+check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint build race fuzz
 
 build:
 	$(GO) build ./...
@@ -145,6 +146,23 @@ snapshot-lint:
 		| grep -v -e '_test\.go$$' -e '/reencode\.go$$' -e '/upload\.go$$' -e '/walcodec\.go$$') \
 		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'snapshot-lint: a live stripe is copied by stripeRowsLocked (internal/core/reencode.go) only'; exit 1; \
+	fi
+
+# Every blob the distributor discards leaves through one delete step,
+# deleteBlobs in internal/core/remove.go: it groups a provider's keys into
+# batched calls and takes one health sample per call. So no non-test file
+# of the package (outside comments) calls a provider's Delete, and
+# DeleteMany has exactly one caller, the step's bulkDelete — a second
+# delete path fails here instead of in review.
+delete-lint:
+	@if grep -n -E '\.Delete\(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'delete-lint: provider blobs are deleted by deleteBlobs (internal/core/remove.go) only'; exit 1; \
+	fi
+	@n=$$(grep -h 'DeleteMany(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
+	if [ "$$n" != 1 ]; then \
+		echo "delete-lint: DeleteMany( has $$n callers in internal/core, want 1 (bulkDelete)"; exit 1; \
 	fi
 
 # Non-test Go lines that are neither blank nor comment-only, per package

@@ -350,7 +350,8 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 			m.WriteFailovers, m.RollbackDeletes, m.CircuitOpens, m.ProbeSuccesses)
 		fmt.Printf("hedged-reads=%d hedge-wins=%d coalesced-reads=%d corruptions-detected=%d\n",
 			m.HedgedReads, m.HedgeWins, m.CoalescedReads, m.CorruptionsDetected)
-		fmt.Printf("bulk-gets=%d bulk-blobs=%d\n", m.BulkGets, m.BulkBlobs)
+		fmt.Printf("bulk-gets=%d bulk-blobs=%d bulk-deletes=%d bulk-delete-blobs=%d\n",
+			m.BulkGets, m.BulkBlobs, m.BulkDeletes, m.BulkDeleteBlobs)
 		if m.WAL.Enabled {
 			fmt.Printf("wal: records=%d fsyncs=%d checkpoints=%d tail=%d replayed=%d orphans-swept=%d\n",
 				m.WAL.Records, m.WAL.Fsyncs, m.WAL.Checkpoints, m.WAL.SinceCheckpoint,

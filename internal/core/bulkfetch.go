@@ -13,7 +13,9 @@ import (
 // purpose: measured flat from 8 to 128 blobs per call, while fan-outs of
 // 128 outstanding chunk reads queue past the hedge floor and start hedge
 // storms (EXPERIMENTS.md, PR 16). Small calls at the existing
-// Parallelism keep the per-call wait near a single get's.
+// Parallelism keep the per-call wait near a single get's. A call of the
+// delete step (deleteBlobs) carries at most as many keys, so a provider
+// is told no larger a group by a remove than by a read.
 const (
 	bulkGetBlobs = 32
 	bulkGetBytes = 1 << 20
@@ -42,35 +44,38 @@ type chunkRead struct {
 // entry is the chunk's row.
 func (r *chunkRead) entry() *chunkEntry { return &r.rows.chunks[r.at] }
 
-// bulkCall is one provider call of the step: which provider, and which
-// reads (indices into the step's slice) it carries.
+// bulkCall is one provider call of a batched step — the primary fetch or
+// the delete step: which provider, and which items (indices into the
+// step's slice) it carries.
 type bulkCall struct {
 	prov  int
-	reads []int
+	items []int
 	bytes int
 }
 
-// planBulkCalls groups the unsettled reads by primary provider into calls
-// within the caps, in one pass: a read joins its provider's open call or,
-// when that is full, opens the next. Calls are therefore ordered by the
-// first read they carry — file order, which interleaves the providers —
-// and the grouping is a pure function of the snapshot.
-func (d *Distributor) planBulkCalls(reads []chunkRead) []bulkCall {
+// planBulkCalls groups items 0..n-1 by provider into calls within the
+// caps, in one pass: at names an item's provider (negative: the item
+// needs no call) and its stored length, and the item joins its
+// provider's open call or, when that is full, opens the next. Calls are
+// therefore ordered by the first item they carry — file order, which
+// interleaves the providers — and the grouping is a pure function of the
+// items.
+func (d *Distributor) planBulkCalls(n int, at func(i int) (prov, size int)) []bulkCall {
 	var calls []bulkCall
 	open := make([]int, d.fleet.Len()) // provider → its open call + 1
-	for i := range reads {
-		if reads[i].ok {
+	for i := 0; i < n; i++ {
+		prov, size := at(i)
+		if prov < 0 {
 			continue
 		}
-		e := reads[i].entry()
-		k := open[e.CPIndex] - 1
-		if k < 0 || len(calls[k].reads) == bulkGetBlobs || calls[k].bytes+e.PayloadLen > bulkGetBytes {
+		k := open[prov] - 1
+		if k < 0 || len(calls[k].items) == bulkGetBlobs || calls[k].bytes+size > bulkGetBytes {
 			k = len(calls)
-			calls = append(calls, bulkCall{prov: e.CPIndex, reads: make([]int, 0, min(bulkGetBlobs, len(reads)-i))})
-			open[e.CPIndex] = k + 1
+			calls = append(calls, bulkCall{prov: prov, items: make([]int, 0, min(bulkGetBlobs, n-i))})
+			open[prov] = k + 1
 		}
-		calls[k].reads = append(calls[k].reads, i)
-		calls[k].bytes += e.PayloadLen
+		calls[k].items = append(calls[k].items, i)
+		calls[k].bytes += size
 	}
 	return calls
 }
@@ -147,7 +152,13 @@ func (d *Distributor) readChunks(s *readSnap) error {
 // a failed call, a missing, short or corrupt blob — it leaves !ok and
 // returns.
 func (d *Distributor) fetchPrimaries(reads []chunkRead) (missed []*chunkRead) {
-	calls := d.planBulkCalls(reads)
+	calls := d.planBulkCalls(len(reads), func(i int) (int, int) {
+		if reads[i].ok {
+			return -1, 0
+		}
+		e := reads[i].entry()
+		return e.CPIndex, e.PayloadLen
+	})
 	d.runParallel(len(calls), func(k int) { d.bulkGet(reads, &calls[k]) })
 	for i := range reads {
 		if !reads[i].ok {
@@ -184,8 +195,8 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 	if err != nil {
 		return
 	}
-	keys := make([]string, len(c.reads))
-	for j, i := range c.reads {
+	keys := make([]string, len(c.items))
+	for j, i := range c.items {
 		keys[j] = reads[i].entry().VirtualID
 	}
 	d.counters.bulkGets.Add(1)
@@ -206,10 +217,10 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 		}
 		return bulkAnswer{blobs, errs}
 	}
-	// settle verifies the call's answers for reads c.reads[from:].
+	// settle verifies the call's answers for reads c.items[from:].
 	settle := func(a bulkAnswer, from int) {
 		for j := from; j < len(keys); j++ {
-			r := &reads[c.reads[j]]
+			r := &reads[c.items[j]]
 			if a.errs[j] != nil {
 				continue
 			}
@@ -244,7 +255,7 @@ func (d *Distributor) bulkGet(reads []chunkRead, c *bulkCall) {
 	case <-timer.C:
 	}
 	for j := range keys {
-		r := &reads[c.reads[j]]
+		r := &reads[c.items[j]]
 		select {
 		case a := <-done:
 			settle(a, j)

@@ -275,19 +275,21 @@ func TestBulkReadDarkProvider(t *testing.T) {
 // TestBulkReadCorruptAndTruncatedBlob: one blob with a flipped byte and
 // one cut short inside multi-gets — exactly those two chunks take the
 // ladder (which does not ask the primary for the same bad blob again),
-// and the flipped one counts as a detected corruption.
+// and the flipped one counts as a detected corruption. The flipped byte
+// is one the chunk keeps, not a decoy the strip would drop unseen.
 func TestBulkReadCorruptAndTruncatedBlob(t *testing.T) {
 	bothWays(t, func(t *testing.T, remote bool) {
 		rig := newBulkRig(t, 6, remote, core.Config{})
 		data := rig.defendedUpload(t, 1<<20)
 		by := rig.chunksByProvider()
 		corrupt, truncated := by[1][3], by[1][7]
+		kept := rig.d.KeptByte(corrupt)
 		var badGets atomic.Int64
 		rig.hooked[1].SetTransformGet(func(key string, blob []byte) []byte {
 			switch key {
 			case corrupt:
 				badGets.Add(1)
-				blob[len(blob)/2] ^= 0x40
+				blob[kept] ^= 0x40
 			case truncated:
 				badGets.Add(1)
 				blob = blob[:len(blob)-1]
@@ -658,4 +660,28 @@ func BenchmarkGetFileDefended(b *testing.B) {
 	b.ReportMetric(float64(reqs)/float64(b.N), "provider-reqs/op")
 	b.ReportMetric(float64(m.HedgedReads)/float64(b.N), "hedged/op")
 	b.ReportMetric(float64(m.Reconstructions)/float64(b.N), "reconstructions/op")
+}
+
+// BenchmarkRemoveFileDefended removes what BenchmarkGetFileDefended
+// reads, over the same six HTTP providers. provider-reqs/op is what the
+// delete step exists to lower: one request per blob (768) before it, one
+// per 32 of a provider's blobs (24) after.
+func BenchmarkRemoveFileDefended(b *testing.B) {
+	rig := newBulkRig(b, 6, true, core.Config{})
+	var reqs int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rig.defendedUpload(b, 4<<20)
+		b.StartTimer()
+		if err := rig.d.RemoveFile("alice", "root", "f"); err != nil {
+			b.Fatalf("RemoveFile: %v", err)
+		}
+		b.StopTimer()
+		for j := range rig.multiReq {
+			reqs += rig.multiReq[j].Load() + rig.otherReq[j].Load()
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(reqs)/float64(b.N), "provider-reqs/op")
 }

@@ -416,23 +416,22 @@ func (d *Distributor) gatedPut(provIdx int, vid string, payload []byte) error {
 	})
 }
 
-// fanOut runs jobs with bounded parallelism. All jobs run to completion;
-// the distinct failures (several providers often report the same outage
-// string) are joined so a multi-provider failure is diagnosable from one
-// message instead of whichever error won the race.
-func (d *Distributor) fanOut(jobs []func() error) error {
-	return d.fanOutN(len(jobs), func(i int) error { return jobs[i]() })
-}
-
-// fanOutN is fanOut over indices 0..n-1 — the allocation-light form the
-// bulk read path uses: one shared closure instead of a job slice with a
-// closure per chunk.
+// fanOutN runs fn(0..n-1) with bounded parallelism. All jobs run to
+// completion; the distinct failures are joined (joinDistinct) so a
+// multi-provider failure is diagnosable from one message instead of
+// whichever error won the race.
 func (d *Distributor) fanOutN(n int, fn func(int) error) error {
 	if n == 0 {
 		return nil
 	}
 	errs := make([]error, n)
 	d.runParallel(n, func(i int) { errs[i] = fn(i) })
+	return joinDistinct(errs)
+}
+
+// joinDistinct joins the distinct failures among errs — several providers
+// often report the same outage string — or is nil when there are none.
+func joinDistinct(errs []error) error {
 	var distinct []error
 	var seen map[string]bool
 	for _, err := range errs {

@@ -191,14 +191,12 @@ func (d *Distributor) rehomePut(prov int, vid string, payload []byte, failed map
 }
 
 // rollbackStored best-effort deletes every blob a failed write already
-// stored (discardBlob: raw deletes, the put failure that triggered the
-// rollback stays the live health signal). They fan out like every other
-// bulk provider loop: an aborted PL3 upload has hundreds.
+// stored, through the delete step like every other discard: an aborted
+// PL3 upload has hundreds, a few calls per provider. RollbackDeletes
+// counts the blobs, not the calls.
 func (d *Distributor) rollbackStored(stored []storedShard) {
-	d.runParallel(len(stored), func(i int) {
-		d.discardBlob(stored[i])
-		d.counters.rollbackDeletes.Add(1)
-	})
+	d.deleteBlobs(stored)
+	d.counters.rollbackDeletes.Add(int64(len(stored)))
 }
 
 // runParallel invokes fn(0..n-1) with bounded parallelism through a

@@ -34,6 +34,11 @@ type OpMetrics struct {
 	// BulkBlobs ÷ BulkGets is how many chunk reads share a round trip.
 	BulkGets  int64
 	BulkBlobs int64
+	// BulkDeletes counts the provider calls made by the delete step — every
+	// remove, retire, rollback and collection — and BulkDeleteBlobs the
+	// blobs those calls deleted: the same ratio for deletes.
+	BulkDeletes     int64
+	BulkDeleteBlobs int64
 	// CorruptionsDetected counts provider answers that had the right
 	// length but failed end-to-end verification — silent corruption the
 	// read ladder rescued (or at least refused to serve).
@@ -53,7 +58,7 @@ type opCounters struct {
 	primaryHits, mirrorHits, reconstructions, transientRetries   atomic.Int64
 	writeFailovers, rollbackDeletes                              atomic.Int64
 	hedgedReads, hedgeWins, corruptionsDetected                  atomic.Int64
-	bulkGets, bulkBlobs                                          atomic.Int64
+	bulkGets, bulkBlobs, bulkDeletes, bulkDeleteBlobs            atomic.Int64
 }
 
 // Metrics returns a snapshot of the distributor's operation counters.
@@ -81,6 +86,8 @@ func (d *Distributor) Metrics() OpMetrics {
 		CoalescedReads:      d.flights.coalesced.Load(),
 		BulkGets:            d.counters.bulkGets.Load(),
 		BulkBlobs:           d.counters.bulkBlobs.Load(),
+		BulkDeletes:         d.counters.bulkDeletes.Load(),
+		BulkDeleteBlobs:     d.counters.bulkDeleteBlobs.Load(),
 		CorruptionsDetected: d.counters.corruptionsDetected.Load(),
 		Cache:               d.cache.stats(),
 		WAL:                 d.walStats(),

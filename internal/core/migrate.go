@@ -109,17 +109,6 @@ func (d *Distributor) evacuatePass(provIdx int, rep *DecommissionReport) (int, e
 	return dirty, nil
 }
 
-// discardBlob best-effort deletes a blob no table row references. The
-// delete is raw — not routed through providerOp — so a provider answering
-// "not found" during cleanup does not count as a success that would reset
-// its breaker while the failure that caused the cleanup is the live
-// signal.
-func (d *Distributor) discardBlob(at storedShard) {
-	if p, err := d.fleet.At(at.provIdx); err == nil {
-		_ = p.Delete(at.vid)
-	}
-}
-
 // moved counts one relocated shard of the given kind.
 func (r *DecommissionReport) moved(kind BlobKind) {
 	switch kind {
@@ -261,7 +250,7 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 		d.releaseTicketLocked(t)
 		d.mu.Unlock()
 		if copied && !live {
-			d.discardBlob(dst)
+			d.deleteBlobs([]storedShard{dst})
 		}
 		return 1, nil
 	}
@@ -270,19 +259,17 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 	d.mu.Unlock()
 	if err != nil {
 		if copied {
-			d.discardBlob(dst)
+			d.deleteBlobs([]storedShard{dst})
 		}
 		return 0, fmt.Errorf("core: decommission: %w", err)
 	}
-	if !copied {
-		// The read failure may be transient while the blob still exists;
-		// without a best-effort delete the dropped reference leaks an
-		// orphan no audit can attribute.
-		d.discardBlob(storedShard{provIdx, vid})
-		return 1, nil
+	// The source goes. A snapshot dropped unread goes too: the read failure
+	// may be transient while the blob still exists, and the dropped
+	// reference would leak an orphan no audit can attribute.
+	d.deleteBlobs([]storedShard{{provIdx, vid}})
+	if copied {
+		rep.moved(s.kind)
 	}
-	_ = d.deleteJob(provIdx, vid)()
-	rep.moved(s.kind)
 	return 1, nil
 }
 
@@ -376,13 +363,15 @@ func (d *Distributor) AuditOrphans(gc bool) (AuditReport, error) {
 	}
 	d.mu.Unlock()
 
-	for _, cd := range confirmed {
+	dels := make([]storedShard, len(confirmed))
+	for i, cd := range confirmed {
 		rep.Orphans[cd.name] = append(rep.Orphans[cd.name], cd.key)
-		if gc {
-			if p, err := d.fleet.At(cd.provIdx); err == nil {
-				if err := p.Delete(cd.key); err == nil {
-					rep.Deleted++
-				}
+		dels[i] = storedShard{cd.provIdx, cd.key}
+	}
+	if gc {
+		for _, err := range d.deleteBlobs(dels) {
+			if err == nil {
+				rep.Deleted++
 			}
 		}
 	}

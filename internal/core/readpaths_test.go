@@ -89,21 +89,25 @@ func TestReadPathsAgree(t *testing.T) {
 		// when set, names the paths that are not affected.
 		wantErr error
 		except  func(path string) bool
+		// corrupts: the reads must detect a corruption.
+		corrupts bool
 	}{
 		{name: "healthy"},
 		{name: "one provider dark", arrange: func(rig *bulkRig) {
 			prov, _ := primaryOf(rig, 2)
 			rig.hooked[prov].SetPartitioned(true)
 		}},
-		{name: "one corrupt and one truncated blob", arrange: func(rig *bulkRig) {
-			// Serials 1 and 6 are members of different stripes.
+		{name: "one corrupt and one truncated blob", corrupts: true, arrange: func(rig *bulkRig) {
+			// Serials 1 and 6 are members of different stripes. The flipped
+			// byte is one serial 1 keeps, so every option set corrupts it.
 			_, corrupt := primaryOf(rig, 1)
 			_, truncated := primaryOf(rig, 6)
+			kept := rig.d.KeptByte(corrupt)
 			for _, h := range rig.hooked {
 				h.SetTransformGet(func(key string, blob []byte) []byte {
 					switch key {
 					case corrupt:
-						blob[len(blob)/2] ^= 0x40
+						blob[kept] ^= 0x40
 					case truncated:
 						blob = blob[:len(blob)-1]
 					}
@@ -176,6 +180,9 @@ func TestReadPathsAgree(t *testing.T) {
 							if err != nil || !bytes.Equal(got, p.want(data)) {
 								t.Errorf("%s: err=%v, %d bytes, equal=%v", p.name, err, len(got), bytes.Equal(got, p.want(data)))
 							}
+						}
+						if n := rig.d.Metrics().CorruptionsDetected; cond.corrupts && n == 0 {
+							t.Error("no read detected the flipped byte")
 						}
 					})
 				}

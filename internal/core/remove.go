@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/provider"
 )
@@ -44,7 +45,7 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 	d.mu.Unlock()
 
 	// ---- Ship ----
-	if err := d.deleteBlobs(dels); err != nil {
+	if err := joinDistinct(d.deleteBlobs(dels)); err != nil {
 		return fmt.Errorf("core: remove incomplete: %w", err)
 	}
 
@@ -158,7 +159,7 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	}
 
 	// Delete the chunk, its mirrors, its snapshot, and stale parity.
-	if err := d.deleteBlobs(dels); err != nil {
+	if err := joinDistinct(d.deleteBlobs(dels)); err != nil {
 		return abort(fmt.Errorf("core: remove incomplete: %w", err))
 	}
 
@@ -186,23 +187,55 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	return nil
 }
 
-// deleteBlobs fans the deletion of dels out; all are attempted.
-func (d *Distributor) deleteBlobs(dels []storedShard) error {
-	return d.fanOutN(len(dels), func(i int) error { return d.deleteJob(dels[i].provIdx, dels[i].vid)() })
+// deleteBlobs is the delete step, the one way the distributor removes
+// blobs from providers: a removed file's or chunk's, an update's
+// superseded generation, a failed write's rollback, a relocation's
+// source and its lost copies, the orphan audit's collection. It groups
+// dels by provider into calls of at most bulkGetBlobs keys
+// (planBulkCalls, the read step's planner) and runs them Parallelism
+// wide. errs is index-aligned with dels; a key its provider no longer has
+// counts as deleted, so every remove can be retried.
+func (d *Distributor) deleteBlobs(dels []storedShard) (errs []error) {
+	errs = make([]error, len(dels))
+	calls := d.planBulkCalls(len(dels), func(i int) (int, int) { return dels[i].provIdx, 0 })
+	d.runParallel(len(calls), func(k int) { d.bulkDelete(dels, &calls[k], errs) })
+	return errs
 }
 
-// deleteJob builds a fan-out job removing one key from one provider;
-// missing keys are tolerated so removals are idempotent. The outcome
-// feeds health accounting (a not-found reply counts as a success there
-// too — the provider answered).
-func (d *Distributor) deleteJob(provIdx int, vid string) func() error {
-	return func() error {
-		err := d.providerOp(provIdx, func(p provider.Provider) error {
-			return p.Delete(vid)
-		})
-		if err != nil && !errors.Is(err, provider.ErrNotFound) {
-			return err
+// bulkDelete makes one call of the delete step and records each key's
+// outcome in errs. Keys that fail with the providers' transient fault are
+// sent again, as withTransientRetry resends a single operation. Like
+// bulkGet's, the call is one health sample — a success if the provider
+// answered for any key — and, answered, one latency sample of elapsed ÷
+// keys.
+func (d *Distributor) bulkDelete(dels []storedShard, c *bulkCall, errs []error) {
+	p, _ := d.fleet.At(c.prov) // every stored blob's provider is in the fleet
+	d.counters.bulkDeletes.Add(1)
+	d.counters.bulkDeleteBlobs.Add(int64(len(c.items)))
+	start := time.Now()
+	keys := make([]string, 0, len(c.items))
+	for attempt, pending := 1, c.items; len(pending) > 0; attempt++ {
+		keys = keys[:0]
+		for _, i := range pending {
+			keys = append(keys, dels[i].vid)
 		}
-		return nil
+		var again []int
+		for j, err := range provider.DeleteMany(p, keys) {
+			i := pending[j]
+			switch {
+			case errors.Is(err, provider.ErrNotFound):
+				err = nil
+			case errors.Is(err, provider.ErrInjected) && attempt < transientRetries:
+				again = append(again, i)
+			}
+			errs[i] = err
+		}
+		d.counters.transientRetries.Add(int64(len(again)))
+		pending = again
+	}
+	answered := slices.ContainsFunc(c.items, func(i int) bool { return errs[i] == nil })
+	d.health.Record(c.prov, answered)
+	if answered {
+		d.health.RecordLatency(c.prov, time.Since(start)/time.Duration(len(c.items)))
 	}
 }

@@ -204,23 +204,11 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	d.counters.updates.Add(1)
 	d.mu.Unlock()
 
-	// The superseded generation: primary, mirrors and parity, then the
-	// snapshot before this one.
-	var retired, oldSnap []storedShard
-	old.eachBlob(func(kind BlobKind, at storedShard) {
-		if kind == BlobSnapshot {
-			oldSnap = append(oldSnap, at)
-		} else {
-			retired = append(retired, at)
-		}
-	})
-	retired = append(parityBlobs(retired, pre.stripes[0].Parity), oldSnap...)
-
-	// Retire it best-effort: every blob is unreferenced by the committed
-	// tables, so a failed delete is later detectable as a VID orphan.
-	for _, s := range retired {
-		d.discardBlob(s)
-	}
+	// Retire the superseded generation — primary, mirrors, the snapshot
+	// before this one, parity — best-effort: every blob is unreferenced by
+	// the committed tables, so a failed delete is later detectable as a VID
+	// orphan.
+	d.deleteBlobs(parityBlobs(blobsOf(nil, old), pre.stripes[0].Parity))
 	return nil
 }
 

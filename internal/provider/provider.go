@@ -52,6 +52,23 @@ func GetMany(p Store, keys []string) (blobs [][]byte, errs []error) {
 	return blobs, errs
 }
 
+// DeleteMany removes several keys from p, the way GetMany reads them: in
+// one call when p offers a DeleteMany of its own and there is more than
+// one key, with one Delete per key otherwise. errs is index-aligned with
+// keys.
+func DeleteMany(p Store, keys []string) (errs []error) {
+	if m, ok := p.(interface {
+		DeleteMany(keys []string) []error
+	}); ok && len(keys) > 1 {
+		return m.DeleteMany(keys)
+	}
+	errs = make([]error, len(keys))
+	for i, key := range keys {
+		errs[i] = p.Delete(key)
+	}
+	return errs
+}
+
 // Info is the static description of a provider: one row of the paper's
 // Cloud Provider Table, minus the live chunk list the distributor keeps.
 type Info struct {

@@ -54,11 +54,13 @@ func (g *providerGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // loopbackFleet is the deployment's real provider hop inside a test: n
-// in-memory PL3 providers, each behind its own gated httptest server, and
-// a distributor (account a/pw) over RemoteProviders dialled to them.
+// in-memory PL3 providers, each hooked and behind its own gated httptest
+// server, and a distributor (account a/pw) over RemoteProviders dialled
+// to them.
 type loopbackFleet struct {
 	dist    *core.Distributor
 	mems    []*provider.MemProvider
+	hooked  []*provider.Hooked // what each server serves: mems[i], hooked
 	remotes []*RemoteProvider
 	srvs    []*httptest.Server
 	gates   []*providerGate
@@ -81,7 +83,8 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 		if err != nil {
 			tb.Fatal(err)
 		}
-		gate := newProviderGate(NewProviderServer(mem))
+		hooked := provider.NewHooked(mem)
+		gate := newProviderGate(NewProviderServer(hooked))
 		srv := httptest.NewServer(gate)
 		tb.Cleanup(srv.Close)
 		tb.Cleanup(func() { close(gate.release) }) // runs before srv.Close, which waits for handlers
@@ -92,7 +95,7 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 		if err := fleet.Add(remote); err != nil {
 			tb.Fatal(err)
 		}
-		f.mems, f.remotes = append(f.mems, mem), append(f.remotes, remote)
+		f.mems, f.hooked, f.remotes = append(f.mems, mem), append(f.hooked, hooked), append(f.remotes, remote)
 		f.srvs, f.gates = append(f.srvs, srv), append(f.gates, gate)
 	}
 	cfg.Fleet = fleet

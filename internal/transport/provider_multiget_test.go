@@ -164,6 +164,26 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // count is not the key count fails whole. Whatever fails the call is
 // every key's error.
 func TestRemoteProviderGetManyFailureShapes(t *testing.T) {
+	testBatchFailureShapes(t, multiGetPath, func(remote *RemoteProvider, keys []string) []error {
+		blobs, errs := remote.GetMany(keys)
+		for i := range blobs {
+			if blobs[i] != nil {
+				t.Errorf("key %d: %d bytes out of a failed call", i, len(blobs[i]))
+			}
+		}
+		return errs
+	})
+}
+
+// TestRemoteProviderDeleteManyFailureShapes: the multi-delete reply is
+// parsed by the same frame codec and fails the same way.
+func TestRemoteProviderDeleteManyFailureShapes(t *testing.T) {
+	testBatchFailureShapes(t, multiDeletePath, (*RemoteProvider).DeleteMany)
+}
+
+// testBatchFailureShapes answers the batch route path with each broken
+// reply and checks that call fails every key with the expected error.
+func testBatchFailureShapes(t *testing.T, path string, call func(remote *RemoteProvider, keys []string) []error) {
 	lowerBlobCap(t, 1<<10)
 	octets := func(body []byte) http.HandlerFunc {
 		return func(w http.ResponseWriter, _ *http.Request) {
@@ -191,19 +211,18 @@ func TestRemoteProviderGetManyFailureShapes(t *testing.T) {
 		mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
 			writeJSON(w, infoDTO{Name: "L", PL: 3, CL: 1})
 		})
-		mux.HandleFunc("POST "+multiGetPath, tc.serve)
+		mux.HandleFunc("POST "+path, tc.serve)
 		srv := httptest.NewServer(mux)
 		remote, err := DialProvider(srv.URL, srv.Client())
 		if err != nil {
 			t.Fatal(err)
 		}
-		blobs, errs := remote.GetMany([]string{"k1", "k2"})
-		for i := range errs {
-			if errs[i] == nil || blobs[i] != nil || !strings.Contains(errs[i].Error(), tc.wantErr) {
-				t.Errorf("%s: key %d = %d bytes, %v; want no blob and an error mentioning %q", name, i, len(blobs[i]), errs[i], tc.wantErr)
+		for i, err := range call(remote, []string{"k1", "k2"}) {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: key %d = %v; want an error mentioning %q", name, i, err, tc.wantErr)
 			}
-			if tc.is != nil && !errors.Is(errs[i], tc.is) {
-				t.Errorf("%s: key %d error %v is not %v", name, i, errs[i], tc.is)
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("%s: key %d error %v is not %v", name, i, err, tc.is)
 			}
 		}
 		srv.Close()
@@ -285,21 +304,212 @@ func TestRemoteProviderGetManyRetriesNetworkErrors(t *testing.T) {
 	}
 }
 
-// FuzzMultiGetReply: hostile reply bytes never panic the parser, and
-// whatever it accepts is consistent — every blob a view inside the reply,
-// no longer than the reply, one slot per key, error or blob but not both.
+// TestRemoteProviderDeleteMany: one round trip, every key answered as a
+// single Delete would have answered it — sentinel and text alike — a
+// server-side hook sees one delete per key in order, and a 503 frame
+// marks the provider down as a 503 reply would.
+func TestRemoteProviderDeleteMany(t *testing.T) {
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := provider.NewHooked(mem)
+	var mu sync.Mutex // the server's goroutines write, the test reads
+	var seen []string
+	requests := 0
+	hooked.SetBeforeDelete(func(key string) error {
+		mu.Lock()
+		seen = append(seen, key)
+		mu.Unlock()
+		switch key {
+		case "dark":
+			return fmt.Errorf("%w: N", provider.ErrOutage)
+		case "flaky":
+			return fmt.Errorf("%w: N", provider.ErrInjected)
+		case "broken":
+			return errors.New("disk on fire")
+		}
+		return nil
+	})
+	server := NewProviderServer(hooked)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests++
+		mu.Unlock()
+		server.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	remote, err := DialProvider(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "odd/key with space"} {
+		if err := mem.Put(key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	keys := []string{"a", "missing", "dark", "flaky", "broken", "odd/key with space"}
+	errs := remote.DeleteMany(keys)
+	mu.Lock()
+	if requests != 2 { // the dial's info request, and this
+		t.Fatalf("DeleteMany of %d keys made %d requests, want 1", len(keys), requests-1)
+	}
+	if strings.Join(seen, ",") != strings.Join(keys, ",") {
+		t.Fatalf("the provider saw deletes %q, want one per key in order %q", seen, keys)
+	}
+	mu.Unlock()
+	if !remote.down.Load() {
+		t.Fatal("a 503 frame left the provider up")
+	}
+	if len(errs) != len(keys) {
+		t.Fatalf("%d errors for %d keys", len(errs), len(keys))
+	}
+	if errs[0] != nil || errs[5] != nil || mem.Len() != 0 {
+		t.Fatalf("deleting stored keys: %v / %v, %d keys left", errs[0], errs[5], mem.Len())
+	}
+	for i, key := range keys[1:5] {
+		single := remote.Delete(key)
+		if errs[i+1] == nil || single == nil || errs[i+1].Error() != single.Error() {
+			t.Errorf("%q: DeleteMany says %v, Delete says %v", key, errs[i+1], single)
+			continue
+		}
+		for _, sentinel := range []error{provider.ErrNotFound, provider.ErrOutage, provider.ErrInjected} {
+			if errors.Is(errs[i+1], sentinel) != errors.Is(single, sentinel) {
+				t.Errorf("%q: DeleteMany error %v and Delete error %v disagree on %v", key, errs[i+1], single, sentinel)
+			}
+		}
+	}
+	if !errors.Is(errs[1], provider.ErrNotFound) || !errors.Is(errs[2], provider.ErrOutage) || !errors.Is(errs[3], provider.ErrInjected) {
+		t.Fatalf("per-item sentinels: %v / %v / %v", errs[1], errs[2], errs[3])
+	}
+	if errs := remote.DeleteMany([]string{"a", "missing"}); remote.down.Load() || !errors.Is(errs[0], provider.ErrNotFound) {
+		t.Fatalf("a reply without a 503 frame: down=%v, %v", remote.down.Load(), errs)
+	}
+}
+
+// TestProviderDeleteManyHelper: like provider.GetMany, the helper takes
+// the one-call path only when the provider offers it and there is more
+// than one key; a single delete stays the plain DELETE, and a wrapper
+// that hides the method gets the loop.
+func TestProviderDeleteManyHelper(t *testing.T) {
+	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
+	requests := map[string]int{}
+	remote.client = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		requests[r.Method+" "+r.URL.Path]++
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	check := func(p provider.Store, keys []string, want map[string]int) {
+		t.Helper()
+		for _, key := range keys {
+			if err := mem.Put(key, []byte(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clear(requests)
+		for i, err := range provider.DeleteMany(p, keys) {
+			if err != nil {
+				t.Fatalf("DeleteMany(%q)[%d] = %v", keys, i, err)
+			}
+		}
+		if mem.Len() != 0 || fmt.Sprint(requests) != fmt.Sprint(want) {
+			t.Fatalf("DeleteMany(%q) left %d keys and made requests %v, want none and %v", keys, mem.Len(), requests, want)
+		}
+	}
+	check(remote, []string{"a", "b"}, map[string]int{"POST " + multiDeletePath: 1})
+	check(remote, []string{"a"}, map[string]int{"DELETE /v1/chunks/a": 1})
+	check(provider.NewHooked(remote), []string{"a", "b"}, map[string]int{"DELETE /v1/chunks/a": 1, "DELETE /v1/chunks/b": 1})
+}
+
+// TestDeleteChunksRouteRefusals: a key list declared over the request cap
+// is 413 unread, and one that is not a JSON array of strings is 400 with
+// nothing deleted.
+func TestDeleteChunksRouteRefusals(t *testing.T) {
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewProviderServer(mem)
+	post := func(body io.Reader, declared int64) int {
+		req := httptest.NewRequest(http.MethodPost, multiDeletePath, body)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post(untouchable{t}, maxJSONRequest+1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared oversize key list: status %d, want 413", code)
+	}
+	for _, body := range []string{`{"keys":["k"]}`, `["k",1]`, `["k"`} {
+		if code := post(strings.NewReader(body), -1); code != http.StatusBadRequest {
+			t.Errorf("key list %s: status %d, want 400", body, code)
+		}
+	}
+	if mem.Len() != 1 {
+		t.Fatal("a refused multi-delete deleted a key")
+	}
+	if code := post(strings.NewReader(`["k"]`), -1); code != http.StatusOK || mem.Len() != 0 {
+		t.Errorf("a well-formed multi-delete: status %d, %d keys left", code, mem.Len())
+	}
+}
+
+// TestRemoteProviderDeleteManyRetriesNetworkErrors: a delete is
+// idempotent, so a multi-delete that dies below HTTP is resent like a
+// single Delete; once the retry budget is spent every key is an outage.
+func TestRemoteProviderDeleteManyRetriesNetworkErrors(t *testing.T) {
+	mem, err := provider.New(provider.Info{Name: "flk", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewProviderServer(mem))
+	t.Cleanup(srv.Close)
+	flaky := newFlakyTransport(srv.Client().Transport)
+	remote, err := DialProvider(srv.URL, &http.Client{Transport: flaky, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slept []time.Duration
+	remote.retry.sleep = func(d time.Duration) { slept = append(slept, d) }
+	if err := mem.Put("a", []byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+
+	flaky.failNext(multiDeletePath, netRetries-1)
+	if errs := remote.DeleteMany([]string{"a", "gone"}); errs[0] != nil || !errors.Is(errs[1], provider.ErrNotFound) || mem.Len() != 0 {
+		t.Fatalf("DeleteMany across %d dropped connections = %v, %d keys left", netRetries-1, errs, mem.Len())
+	}
+	if n := flaky.attempts(multiDeletePath); n != netRetries || len(slept) != netRetries-1 {
+		t.Fatalf("%d attempts and %d backoff sleeps, want %d and %d", n, len(slept), netRetries, netRetries-1)
+	}
+	flaky.failNext(multiDeletePath, netRetries)
+	if errs := remote.DeleteMany([]string{"a", "gone"}); !errors.Is(errs[0], provider.ErrOutage) || !errors.Is(errs[1], provider.ErrOutage) {
+		t.Fatalf("DeleteMany with the retry budget exhausted = %v; want ErrOutage for every key", errs)
+	}
+}
+
+// FuzzMultiGetReply: hostile reply bytes never panic the parser both
+// batch routes share, and whatever it accepts is consistent — every blob
+// a view inside the reply, no longer than the reply, one slot per key,
+// error or blob but not both. A multi-delete's reply is the same frames
+// with empty 200 bodies.
 func FuzzMultiGetReply(f *testing.F) {
 	f.Add(multiGetFrames(200, "alpha", 404, "provider: key not found: N/k", 200, ""), 3)
 	f.Add(multiGetFrames(200, "alpha"), 2)
 	f.Add([]byte{0xC8, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 1)
 	f.Add([]byte{0xC8, 0x01, 0x05, 'a', 'b'}, 1)
 	f.Add([]byte{}, 0)
+	f.Add(multiGetFrames(200, "", 200, "", 503, "provider: outage: N"), 3)
+	f.Add(multiGetFrames(200, "", 200, ""), 3)
+	f.Add(append(multiGetFrames(200, ""), 0xC8, 0x01), 2)
 	f.Fuzz(func(t *testing.T, reply []byte, keys int) {
 		if keys < 0 || keys > 64 {
 			return
 		}
 		blobs, errs := make([][]byte, keys), make([]error, keys)
-		if err := parseMultiGetReply(reply, blobs, errs); err != nil {
+		if err := parseFrames(reply, blobs, errs); err != nil {
 			return
 		}
 		total := 0

@@ -5,9 +5,10 @@
 // used PCs ... as Cloud Data Distributor").
 //
 // The provider API mirrors the SOAP/REST-style S3 interface the paper
-// cites: put/get/delete keyed by virtual id, a multi-get of several ids in
-// one round trip (provider_multiget.go), plus introspection and
-// failure-injection endpoints used by the evaluation harness.
+// cites: put/get/delete keyed by virtual id, a multi-get and a
+// multi-delete of several ids in one round trip each (provider_batch.go),
+// plus introspection and failure-injection endpoints used by the
+// evaluation harness.
 package transport
 
 import (
@@ -37,6 +38,7 @@ func NewProviderServer(p provider.Provider) *ProviderServer {
 	s.mux.HandleFunc("GET /v1/chunks/{key}", s.getChunk)
 	s.mux.HandleFunc("DELETE /v1/chunks/{key}", s.deleteChunk)
 	s.mux.HandleFunc("POST "+multiGetPath, s.getChunks)
+	s.mux.HandleFunc("POST "+multiDeletePath, s.deleteChunks)
 	s.mux.HandleFunc("GET /v1/info", s.info)
 	s.mux.HandleFunc("GET /v1/keys", s.keys)
 	s.mux.HandleFunc("GET /v1/dump", s.dump)
