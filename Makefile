@@ -1,12 +1,13 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + delete-lint + build + race tests + fuzz seed corpora
+#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + delete-lint + replication-lint + build + race tests + fuzz seed corpora
 #   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
 #   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
 #   make tables-lint      the distributor's tables are written in core/apply.go only
 #   make placement-lint   which providers a blob avoids is decided in core/placement.go only
 #   make snapshot-lint    a live stripe is copied by core's stripeRowsLocked only
 #   make delete-lint      a provider blob is deleted by core's delete step (deleteBlobs) only
+#   make replication-lint followers apply the primary's own WAL records, through core's Follow only
 #   make loc              non-test Go code lines per package and in total
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
@@ -68,9 +69,9 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
-check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint build race fuzz
+check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint build race fuzz
 
 build:
 	$(GO) build ./...
@@ -163,6 +164,26 @@ delete-lint:
 		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
 	if [ "$$n" != 1 ]; then \
 		echo "delete-lint: DeleteMany( has $$n callers in internal/core, want 1 (bulkDelete)"; exit 1; \
+	fi
+
+# Replication has one log, the primary's WAL, and one pull function,
+# internal/core's Follow: a follower reads the primary's records with
+# wal.Log.Since and applies each with applyReplicated. So in the package's
+# non-test files applyReplicated has exactly one caller (Follow), nothing
+# names a commit hook (a second, pushed copy of the records), and no
+# non-test file anywhere names core.Cluster, the in-memory log this
+# replaced — a second replication path fails here instead of in review.
+replication-lint:
+	@n=$$(grep -h 'applyReplicated(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
+	if [ "$$n" != 1 ]; then \
+		echo "replication-lint: applyReplicated( has $$n callers in internal/core, want 1 (Follow)"; exit 1; \
+	fi
+	@if grep -n 'commitHook' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+		echo 'replication-lint: followers read the primary'"'"'s WAL (Follow); no commit hook feeds them'; exit 1; \
+	fi
+	@if grep -rn --include='*.go' -E 'core\.Cluster([^A-Za-z0-9_]|$$)' . | grep -v -e '_test\.go:' -e '^\./\.bench_build/'; then \
+		echo 'replication-lint: core.Cluster is gone; a follower runs core.Distributor.Follow'; exit 1; \
 	fi
 
 # Non-test Go lines that are neither blank nor comment-only, per package

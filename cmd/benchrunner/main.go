@@ -97,7 +97,7 @@ func run(id string, verbose bool) error {
 		fmt.Printf("  upload via primary:            %v\n", r.UploadOK)
 		fmt.Printf("  retrieval via primary:         %v\n", r.PrimaryRetrievalOK)
 		fmt.Printf("  retrieval with primary down:   %v (served by secondary)\n", r.FailoverRetrievalOK)
-		fmt.Printf("  upload refused while primary down: %v\n", r.UploadBlockedOK)
+		fmt.Printf("  upload refused by a secondary: %v\n", r.UploadBlockedOK)
 	case "fig4", "fig5", "fig6":
 		cfg := dataset.DefaultGPSConfig()
 		r, err := experiments.GPSFigures(cfg, 500)

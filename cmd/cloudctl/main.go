@@ -65,8 +65,7 @@ func main() {
 }
 
 // locateCmd resolves which shard owns ⟨client, filename⟩ using the same
-// consistent-hash router the data path uses, then asks that shard for
-// its replica set (primary + followers) if it runs replicated.
+// consistent-hash router the data path uses.
 func locateCmd(server, shards string, args []string) error {
 	need(args, 2, "[-shards url1,url2,...] locate <client> <filename>")
 	urls := []string{server}
@@ -87,23 +86,6 @@ func locateCmd(server, shards string, args []string) error {
 	fmt.Printf("  key    %016x\n", loc.Key)
 	fmt.Printf("  shard  %d of %d\n", loc.Shard, sys.Shards())
 	fmt.Printf("  owner  %s\n", loc.ShardURL)
-	rep, err := sys.Shard(loc.Shard).HealthReport()
-	if err != nil {
-		return fmt.Errorf("owner unreachable: %w", err)
-	}
-	if len(rep.Replication) == 0 {
-		fmt.Println("  replicas: none (shard runs unreplicated)")
-		return nil
-	}
-	fmt.Println("  replicas:")
-	for _, r := range rep.Replication {
-		state := "up"
-		if r.Down {
-			state = "down"
-		}
-		fmt.Printf("    %-9s member %d  %-4s gen=%d applied=%d lag=%d\n",
-			r.Role, r.Index, state, r.Generation, r.AppliedSeq, r.LagRecords)
-	}
 	return nil
 }
 
@@ -357,19 +339,6 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 				m.WAL.Records, m.WAL.Fsyncs, m.WAL.Checkpoints, m.WAL.SinceCheckpoint,
 				m.WAL.Replayed, m.WAL.RecoveryOrphans)
 		}
-		if rep, err := c.HealthReport(); err == nil && len(rep.Replication) > 0 {
-			fmt.Printf("\nreplication (%s):\n", rep.Status)
-			fmt.Printf("%-10s %7s %-5s %12s %12s %8s %9s\n",
-				"ROLE", "MEMBER", "STATE", "GENERATION", "APPLIED", "LAG", "NEEDSNAP")
-			for _, r := range rep.Replication {
-				state := "up"
-				if r.Down {
-					state = "down"
-				}
-				fmt.Printf("%-10s %7d %-5s %12d %12d %8d %9v\n",
-					r.Role, r.Index, state, r.Generation, r.AppliedSeq, r.LagRecords, r.NeedSnapshot)
-			}
-		}
 		return nil
 	case "wal-info":
 		need(args, 1, "wal-info <wal-dir>")
@@ -447,8 +416,8 @@ commands:
   decommission <provider-index>
   tables
   stats
-  health               (providers, op metrics, replication lag if clustered)
-  locate <client> <filename>   (with -shards: owning shard + replica set)
+  health               (providers, op metrics, wal)
+  locate <client> <filename>   (with -shards: owning shard)
   wal-info <wal-dir>   (offline: inventory, codec versions + replay-validate a WAL directory)`)
 	os.Exit(2)
 }

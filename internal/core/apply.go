@@ -14,16 +14,20 @@ import (
 // so the three can never drift apart. `make tables-lint` holds the line.
 
 // commitLocked is how every live mutation ends: the record goes on the
-// log (and to the replication hook), then the same applyWALRecord a
-// follower and a recovery run edits the tables, then the ticket's staging
-// is withdrawn — its blobs are table-referenced and counted now — and a
-// due checkpoint is taken. The caller holds d.mu and has already checked
-// the generations it planned against; everything live-only (reservations,
-// cache eviction, op counters, retiring superseded blobs) stays with it.
-// t may be nil; it is released on every path. On an append failure the
-// tables are untouched and the caller rolls its blobs back.
+// log, then the same applyWALRecord a follower and a recovery run edits
+// the tables, then the ticket's staging is withdrawn — its blobs are
+// table-referenced and counted now — and a due checkpoint is taken. The
+// caller holds d.mu and has already checked the generations it planned
+// against; everything live-only (reservations, cache eviction, op
+// counters, retiring superseded blobs) stays with it.
+// t may be nil; it is released on every path. On an append failure — or
+// on a follower, which answers ErrUnavailable — the tables are untouched
+// and the caller rolls its blobs back.
 func (d *Distributor) commitLocked(rec *walRecord, t *writeTicket) error {
-	err := d.logAppendLocked(rec)
+	err := errFollower
+	if !d.following {
+		err = d.logAppendLocked(rec)
+	}
 	if err == nil {
 		if err = d.applyWALRecord(rec); err != nil {
 			// A record that is on the log but does not apply is a bug in
@@ -41,14 +45,12 @@ func (d *Distributor) commitLocked(rec *walRecord, t *writeTicket) error {
 	return err
 }
 
-// logAppendLocked fills rec's allocator watermarks, appends it to the
-// WAL (honoring the sync policy) and hands the encoded record to the
-// commit hook, which is how a Cluster feeds incremental replication. A
-// nil WAL with no hook (plain in-memory distributor) is a no-op. The
-// hook runs only after a successful append, so every record it sees is
-// exactly a committed mutation. commitLocked is its only caller.
+// logAppendLocked fills rec's allocator watermarks and appends it to the
+// WAL, honoring the sync policy; the WAL is also what followers read. A
+// nil WAL (plain in-memory distributor) is a no-op. commitLocked is its
+// only caller.
 func (d *Distributor) logAppendLocked(rec *walRecord) error {
-	if d.wal == nil && d.commitHook == nil {
+	if d.wal == nil {
 		return nil
 	}
 	if d.closed {
@@ -59,14 +61,8 @@ func (d *Distributor) logAppendLocked(rec *walRecord) error {
 	if prf, ok := d.vids.(*prfAllocator); ok {
 		rec.VIDCtr = prf.ctr
 	}
-	raw := encodeWALRecord(rec)
-	if d.wal != nil {
-		if err := d.wal.Append(raw); err != nil {
-			return fmt.Errorf("core: wal append: %w", err)
-		}
-	}
-	if d.commitHook != nil {
-		d.commitHook(raw)
+	if err := d.wal.Append(encodeWALRecord(rec)); err != nil {
+		return fmt.Errorf("core: wal append: %w", err)
 	}
 	return nil
 }
@@ -218,7 +214,7 @@ func cell(chunks []chunkEntry, stripes []stripeEntry, s shardSlot) (prov *int, v
 }
 
 // applyWALRecord is the state transition of one commit: what a primary's
-// commitLocked, a follower's ApplyReplicated and a recovery's replay all
+// commitLocked, a follower's applyReplicated and a recovery's replay all
 // run. It validates every reference before its first write — this is
 // the one place a corrupt-but-CRC-valid or out-of-order record could
 // silently poison the tables, so a mismatch is an error that leaves them

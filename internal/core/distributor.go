@@ -148,10 +148,13 @@ type Distributor struct {
 	recoveryOrphans      int64
 	walCheckpointErrs    atomic.Int64
 
-	// commitHook, when set (via setCommitHook), observes every committed
-	// mutation's encoded WAL record under d.mu — the replication feed a
-	// Cluster taps. Nil outside cluster membership.
-	commitHook func(raw []byte)
+	// Following (follow.go). following (under mu) is set by the first
+	// Follow and refuses writes of d's own from then on; followLSN (under
+	// mu) is the primary's log position d has applied up to. followMu
+	// runs one Follow at a time.
+	followMu  sync.Mutex
+	following bool
+	followLSN uint64
 
 	// byteWorkHook, when a test sets it, is called by every write-path
 	// stage that works on payload bytes (split, prepare, parity), from

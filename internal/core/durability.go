@@ -101,17 +101,6 @@ const defaultSnapshotEvery = 4096
 // Crashed); the owning mutation aborts cleanly.
 var errClosed = errors.New("core: distributor closed")
 
-// setCommitHook registers fn to receive every committed mutation's
-// encoded WAL record. fn runs under d.mu immediately after the record
-// is appended (or, on an in-memory distributor, where the append would
-// have been), so it must be cheap, must not block, and must not call
-// back into the distributor. Install before concurrent use.
-func (d *Distributor) setCommitHook(fn func(raw []byte)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.commitHook = fn
-}
-
 // maybeCheckpointLocked checkpoints when the log tail has grown past the
 // configured cadence. A checkpoint failure is not fatal to the mutation
 // that triggered it — the records are already durable, the tail just
@@ -208,42 +197,6 @@ func (d *Distributor) Generation() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.gen
-}
-
-// ApplyReplicated applies one encoded commit record shipped from a
-// primary distributor onto this follower: the same log-before-mutate
-// discipline as a local commit (a durable follower appends the raw
-// record to its own WAL first), then the same validated replay path the
-// recovery code uses. The record's generation watermark must not run
-// behind the follower's — that is the conflict check that catches a
-// stream applied out of order or against a diverged replica; structural
-// validation inside the replay catches everything subtler, and either
-// failure tells the caller to fall back to a full snapshot. Returns the
-// follower's generation after the record applies.
-func (d *Distributor) ApplyReplicated(raw []byte) (uint64, error) {
-	var rec walRecord
-	if err := decodeWALRecord(raw, &rec); err != nil {
-		return 0, fmt.Errorf("core: decoding replicated record: %w", err)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0, errClosed
-	}
-	if rec.Gen < d.gen {
-		return 0, fmt.Errorf("%w: replicated %s record at generation %d behind follower generation %d",
-			ErrConflict, rec.Op, rec.Gen, d.gen)
-	}
-	if d.wal != nil {
-		if err := d.wal.Append(raw); err != nil {
-			return 0, fmt.Errorf("core: follower wal append: %w", err)
-		}
-	}
-	if err := d.applyWALRecord(&rec); err != nil {
-		return 0, fmt.Errorf("core: applying replicated %s record: %w", rec.Op, err)
-	}
-	d.maybeCheckpointLocked()
-	return d.gen, nil
 }
 
 // Close gracefully shuts the distributor down: waits (bounded by ctx)

@@ -94,8 +94,6 @@ func TestWALReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var records [][]byte
-	d.setCommitHook(func(raw []byte) { records = append(records, raw) })
 
 	// snapshotOf names the provider and id of f1#1's snapshot blob.
 	snapshotOf := func() (int, string) {
@@ -133,15 +131,12 @@ func TestWALReplayEquivalence(t *testing.T) {
 		}},
 	)
 
-	applied := 0
 	for _, s := range steps {
 		if err := s.do(d); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		for ; applied < len(records); applied++ {
-			if _, err := follower.ApplyReplicated(records[applied]); err != nil {
-				t.Fatalf("%s: follower: %v", s.name, err)
-			}
+		if rep, err := follower.Follow(d); err != nil || rep.Resynced {
+			t.Fatalf("%s: follower: %+v, %v", s.name, rep, err)
 		}
 		recovered, err := New(Config{Fleet: fleet, Secret: []byte("s"), WALDir: copyDir(t, dir)})
 		if err != nil {
@@ -599,14 +594,10 @@ func TestTombstonesKeepNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(primary, follower)
-	if err != nil {
+	if err := primary.RegisterClient("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterClient("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddPassword("alice", "root", privacy.High); err != nil {
+	if err := primary.AddPassword("alice", "root", privacy.High); err != nil {
 		t.Fatal(err)
 	}
 	key := []byte("0123456789abcdef0123456789abcdef")
@@ -615,7 +606,7 @@ func TestTombstonesKeepNothing(t *testing.T) {
 		"sealed":   {EncryptKey: key, Replicas: 1},
 		"survivor": {MisleadFraction: 0.1},
 	} {
-		if _, err := c.Upload("alice", "root", name, payload(40_000, 3), privacy.High, opts); err != nil {
+		if _, err := primary.Upload("alice", "root", name, payload(40_000, 3), privacy.High, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,11 +625,8 @@ func TestTombstonesKeepNothing(t *testing.T) {
 	if err := primary.RemoveFile("alice", "root", "sealed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if rs := c.ReplicationStats(); rs.SnapshotSyncs != 0 {
-		t.Fatalf("follower fell back to a snapshot; the record-apply path went untested: %+v", rs)
+	if rep, err := follower.Follow(primary); err != nil || rep.Resynced {
+		t.Fatalf("follower fell back to a snapshot; the record-apply path went untested: %+v, %v", rep, err)
 	}
 	live := primary.chunks
 	if err := primary.Crash(); err != nil {

@@ -320,6 +320,12 @@ func (d *Distributor) referencedLocked() map[string]bool {
 // so a write that commits mid-scan cannot lose blobs to the collector.
 func (d *Distributor) AuditOrphans(gc bool) (AuditReport, error) {
 	d.mu.Lock()
+	if gc && d.following {
+		// A follower's tables trail its primary's: what it does not
+		// reference yet may be the primary's newest blobs.
+		d.mu.Unlock()
+		return AuditReport{}, errFollower
+	}
 	referenced := d.referencedLocked()
 	genAtScan := d.gen
 	n := d.fleet.Len()

@@ -24,6 +24,9 @@ func (d *Distributor) RemoveFile(client, password, filename string) error {
 	// ---- Plan ----
 	d.mu.Lock()
 	c, fe, err := d.authFile(client, password, filename)
+	if err == nil && d.following {
+		err = errFollower // refused before its deletes, not at the commit after them
+	}
 	if err != nil {
 		d.mu.Unlock()
 		return err
@@ -91,6 +94,9 @@ func (d *Distributor) RemoveChunk(client, password, filename string, serial int)
 	// ---- Plan ----
 	d.mu.Lock()
 	entry, err := d.lookupChunk(client, password, filename, serial)
+	if err == nil && d.following {
+		err = errFollower // refused before its deletes, not at the commit after them
+	}
 	if err != nil {
 		d.mu.Unlock()
 		return err

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/privacy"
 	"repro/internal/provider"
+	"repro/internal/wal"
 )
 
 func TestReplicasValidation(t *testing.T) {
@@ -305,7 +306,11 @@ func TestMoveShardConflict(t *testing.T) {
 		for _, outcome := range []string{"stale", "live", "append fails"} {
 			t.Run(string(kind)+"/"+outcome, func(t *testing.T) {
 				d, hooked := hookedDistributor(t, 8)
-				d.setCommitHook(func([]byte) {}) // a log to close
+				log, _, err := wal.Open(t.TempDir(), wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.wal = log // a log to close
 				if _, err := d.Upload("alice", "root", "f", payload(80_000, 76), privacy.Moderate, UploadOptions{Replicas: 1}); err != nil {
 					t.Fatal(err)
 				}

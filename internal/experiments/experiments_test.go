@@ -191,7 +191,7 @@ func TestMultiDistributorDrill(t *testing.T) {
 		t.Fatal("secondary failed to serve retrieval during primary outage")
 	}
 	if !r.UploadBlockedOK {
-		t.Fatal("upload succeeded with primary down")
+		t.Fatal("a secondary accepted an upload")
 	}
 }
 

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"time"
 
@@ -135,51 +137,67 @@ type MultiDistributorResult struct {
 	UploadOK            bool
 	PrimaryRetrievalOK  bool
 	FailoverRetrievalOK bool
-	UploadBlockedOK     bool // uploads correctly refused while primary down
+	UploadBlockedOK     bool // a secondary refuses uploads: only the primary writes
 }
 
 // MultiDistributor runs the Fig. 2 drill with nDistributors over
-// nProviders.
+// nProviders: a primary whose WAL lives in a temporary directory, and
+// secondaries that follow it.
 func MultiDistributor(nDistributors, nProviders int, seed int64) (*MultiDistributorResult, error) {
 	fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
 	if err != nil {
 		return nil, err
 	}
-	dists := make([]*core.Distributor, nDistributors)
-	for i := range dists {
-		d, err := core.New(core.Config{Fleet: fleet, Secret: []byte{byte(i + 1)}})
-		if err != nil {
-			return nil, err
-		}
-		dists[i] = d
-	}
-	cluster, err := core.NewCluster(dists...)
+	walDir, err := os.MkdirTemp("", "multidistributor-wal-")
 	if err != nil {
 		return nil, err
 	}
-	if err := cluster.RegisterClient("client"); err != nil {
+	defer os.RemoveAll(walDir)
+	dists := make([]*core.Distributor, nDistributors)
+	for i := range dists {
+		cfg := core.Config{Fleet: fleet, Secret: []byte{byte(i + 1)}}
+		if i == 0 {
+			cfg.WALDir = walDir
+		}
+		if dists[i], err = core.New(cfg); err != nil {
+			return nil, err
+		}
+	}
+	primary, secondaries := dists[0], dists[1:]
+	defer primary.Crash() // closes the log before its directory goes
+	if err := primary.RegisterClient("client"); err != nil {
 		return nil, err
 	}
-	if err := cluster.AddPassword("client", "pw", privacy.High); err != nil {
+	if err := primary.AddPassword("client", "pw", privacy.High); err != nil {
 		return nil, err
 	}
 	data := dataset.RandomBytes(60_000, rand.New(rand.NewSource(seed)))
 	res := &MultiDistributorResult{Distributors: nDistributors}
-	if _, err := cluster.Upload("client", "pw", "f", data, privacy.Moderate, core.UploadOptions{}); err != nil {
+	if _, err := primary.Upload("client", "pw", "f", data, privacy.Moderate, core.UploadOptions{}); err != nil {
 		return nil, err
 	}
 	res.UploadOK = true
-	back, err := cluster.GetFile("client", "pw", "f")
+	for _, s := range secondaries {
+		if _, err := s.Follow(primary); err != nil {
+			return nil, err
+		}
+	}
+	back, err := primary.GetFile("client", "pw", "f")
 	res.PrimaryRetrievalOK = err == nil && bytes.Equal(back, data)
 
-	if err := cluster.SetDown(0, true); err != nil {
+	if err := primary.Crash(); err != nil {
 		return nil, err
 	}
-	back, err = cluster.GetFile("client", "pw", "f")
-	res.FailoverRetrievalOK = err == nil && bytes.Equal(back, data)
-	_, err = cluster.Upload("client", "pw", "g", data, privacy.Low, core.UploadOptions{})
-	res.UploadBlockedOK = err != nil
-	_ = cluster.SetDown(0, false)
+	res.FailoverRetrievalOK = len(secondaries) > 0
+	for _, s := range secondaries {
+		back, err = s.GetFile("client", "pw", "f")
+		res.FailoverRetrievalOK = res.FailoverRetrievalOK && err == nil && bytes.Equal(back, data)
+	}
+	res.UploadBlockedOK = len(secondaries) > 0
+	for _, s := range secondaries {
+		_, err = s.Upload("client", "pw", "g", data, privacy.Low, core.UploadOptions{})
+		res.UploadBlockedOK = res.UploadBlockedOK && errors.Is(err, core.ErrUnavailable)
+	}
 	return res, nil
 }
 

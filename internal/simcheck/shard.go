@@ -18,15 +18,15 @@ import (
 )
 
 // ShardConfig parameterizes one multi-distributor simulation: a
-// consistent-hash namespace over several shards, each shard a
-// primary+followers replication cluster over its own provider fleet.
+// consistent-hash namespace over several shards, each shard a durable
+// primary and followers of its WAL over its own provider fleet.
 // The run is a pure function of this struct — same config, same trace
 // hash — like the single-distributor harness.
 type ShardConfig struct {
 	Seed int64
 	// Ops is the number of workload operations (default 240).
 	Ops int
-	// Shards is the number of distributor clusters (default 3).
+	// Shards is the number of namespace shards (default 3).
 	Shards int
 	// ProvidersPerShard sizes each shard's private fleet (default 6).
 	ProvidersPerShard int
@@ -50,7 +50,7 @@ type ShardConfig struct {
 	PrimaryOutageRate float64
 	// CrashRate is the per-op chance that one shard's primary
 	// crash-restarts (power-loss semantics, recovery from its WAL) and
-	// rejoins its cluster.
+	// its followers follow the recovered primary.
 	CrashRate float64
 	// WindowOps is the length of an outage window in ops (default 8).
 	WindowOps int
@@ -94,21 +94,25 @@ type ShardResult struct {
 	PrimaryOutages  int
 	Restarts        int
 
-	RecordsReplicated uint64 // summed across shards
-	SnapshotSyncs     uint64
+	RecordsReplicated uint64 // records followers applied, summed across shards
+	SnapshotSyncs     uint64 // follows that fell back to a full snapshot
 }
 
 // shard is one namespace partition's moving parts.
 type shard struct {
 	name      string
-	cluster   *core.Cluster
 	members   []*core.Distributor // [0] primary, rest followers
+	down      []bool              // members an open outage window holds down
 	walDir    string
 	rebuild   func() (*core.Distributor, error)
 	lastGen   uint64 // primary generation at the previous checkpoint
 	downUntil int    // op index an open outage window ends at (0 = none)
 	downIdx   int    // which member the open window holds down
 }
+
+// errPrimaryDown is what a mutation routed to a shard whose primary is
+// down answers: the followers serve reads, and refuse writes.
+var errPrimaryDown = fmt.Errorf("%w: primary distributor down", core.ErrUnavailable)
 
 // shardRunner drives one sharded simulation.
 type shardRunner struct {
@@ -218,7 +222,7 @@ func RunSharded(cfg ShardConfig) (ShardResult, error) {
 		members := make([]*core.Distributor, 1+cfg.Followers)
 		// Only the primary is durable; followers hold replicated state in
 		// memory and re-seed from a snapshot if they ever fall off the
-		// retained log — exactly the production follower contract.
+		// primary's log — exactly the production follower contract.
 		members[0], err = buildMember(byte(s+1), walDir)
 		if err != nil {
 			return r.res, err
@@ -229,11 +233,7 @@ func RunSharded(cfg ShardConfig) (ShardResult, error) {
 				return r.res, err
 			}
 		}
-		cluster, err := core.NewCluster(members...)
-		if err != nil {
-			return r.res, err
-		}
-		sh := &shard{name: names[s], cluster: cluster, members: members, walDir: walDir}
+		sh := &shard{name: names[s], members: members, down: make([]bool, len(members)), walDir: walDir}
 		shardIdx := s
 		sh.rebuild = func() (*core.Distributor, error) {
 			return buildMember(byte(shardIdx+1), walDir)
@@ -241,12 +241,15 @@ func RunSharded(cfg ShardConfig) (ShardResult, error) {
 		r.shards = append(r.shards, sh)
 
 		for _, c := range r.clients {
-			if err := cluster.RegisterClient(c); err != nil {
+			if err := members[0].RegisterClient(c); err != nil {
 				return r.res, err
 			}
-			if err := cluster.AddPassword(c, password, privacy.High); err != nil {
+			if err := members[0].AddPassword(c, password, privacy.High); err != nil {
 				return r.res, err
 			}
+		}
+		if err := r.follow(sh); err != nil {
+			return r.res, err
 		}
 	}
 
@@ -278,12 +281,57 @@ func RunSharded(cfg ShardConfig) (ShardResult, error) {
 }
 
 func (r *shardRunner) finish() {
-	for _, sh := range r.shards {
-		st := sh.cluster.ReplicationStats()
-		r.res.RecordsReplicated += st.RecordsReplicated
-		r.res.SnapshotSyncs += st.SnapshotSyncs
-	}
 	r.res.TraceHash = r.tr.hashHex()
+}
+
+// follow brings every up follower of sh level with its primary and
+// tallies what that took.
+func (r *shardRunner) follow(sh *shard) error {
+	for f := 1; f < len(sh.members); f++ {
+		if sh.down[f] {
+			continue // partitioned: it catches up when its window heals
+		}
+		rep, err := sh.members[f].Follow(sh.members[0])
+		if err != nil {
+			return fmt.Errorf("follower %d: %w", f, err)
+		}
+		r.res.RecordsReplicated += uint64(rep.Records)
+		if rep.Resynced {
+			r.res.SnapshotSyncs++
+		}
+	}
+	return nil
+}
+
+// heal closes the outage window on member i of sh. A healed follower
+// catches up before it serves again, so it never answers from stale
+// tables.
+func (r *shardRunner) heal(sh *shard, i int) error {
+	sh.down[i] = false
+	return r.follow(sh)
+}
+
+// mutate runs a write on sh's primary and brings the followers level. A
+// down primary answers errPrimaryDown without running it.
+func (r *shardRunner) mutate(sh *shard, write func(*core.Distributor) (core.FileInfo, error)) (core.FileInfo, error) {
+	if sh.down[0] {
+		return core.FileInfo{}, errPrimaryDown
+	}
+	fi, err := write(sh.members[0])
+	if err != nil {
+		return fi, err
+	}
+	return fi, r.follow(sh)
+}
+
+// firstUp returns the first member of sh not held down, primary first.
+func firstUp(sh *shard) *core.Distributor {
+	for i, d := range sh.members {
+		if !sh.down[i] {
+			return d
+		}
+	}
+	return nil
 }
 
 // owner routes a file key to its shard — the same hash the transport
@@ -302,12 +350,12 @@ func (r *shardRunner) owner(client, name string) (int, *shard) {
 }
 
 // windows closes expired outage windows and rolls for new faults.
-// Heals are synchronous: SetDown(false) catches a lagging follower up
-// before it may serve reads again, so any error here is a violation.
+// Heals are synchronous: a healing follower catches up before it may
+// serve reads again, so any error here is a violation.
 func (r *shardRunner) windows(i int) *Violation {
 	for s, sh := range r.shards {
 		if sh.downUntil > 0 && i >= sh.downUntil {
-			if err := sh.cluster.SetDown(sh.downIdx, false); err != nil {
+			if err := r.heal(sh, sh.downIdx); err != nil {
 				return r.violation(i, "heal-catchup",
 					fmt.Sprintf("shard %d member %d heal: %v", s, sh.downIdx, err))
 			}
@@ -326,9 +374,7 @@ func (r *shardRunner) windows(i int) *Violation {
 			return nil // window already open on this shard
 		}
 		f := 1 + r.rng.Intn(len(sh.members)-1)
-		if err := sh.cluster.SetDown(f, true); err != nil {
-			return r.violation(i, "fault-inject", fmt.Sprintf("shard %d follower down: %v", s, err))
-		}
+		sh.down[f] = true
 		sh.downUntil, sh.downIdx = i+1+r.rng.Intn(r.cfg.WindowOps), f
 		r.res.FollowerOutages++
 		r.tr.addf("op=%d shard=%d partition follower=%d until=%d", i, s, f, sh.downUntil)
@@ -336,9 +382,7 @@ func (r *shardRunner) windows(i int) *Violation {
 		if sh.downUntil > 0 {
 			return nil
 		}
-		if err := sh.cluster.SetDown(0, true); err != nil {
-			return r.violation(i, "fault-inject", fmt.Sprintf("shard %d primary down: %v", s, err))
-		}
+		sh.down[0] = true
 		sh.downUntil, sh.downIdx = i+1+r.rng.Intn(r.cfg.WindowOps), 0
 		r.res.PrimaryOutages++
 		r.tr.addf("op=%d shard=%d primary-down until=%d", i, s, sh.downUntil)
@@ -349,13 +393,13 @@ func (r *shardRunner) windows(i int) *Violation {
 }
 
 // crashRestart power-cycles a shard's primary: no drain, recovery from
-// the WAL, then the cluster is rebuilt around the recovered primary and
-// resynced. Any open window on the shard heals first so the rebuilt
-// cluster starts from a known membership state.
+// the WAL, then the followers follow the recovered primary from where
+// they were. Any open window on the shard heals first so the restarted
+// shard starts from a known membership state.
 func (r *shardRunner) crashRestart(i, s int) *Violation {
 	sh := r.shards[s]
 	if sh.downUntil > 0 {
-		if err := sh.cluster.SetDown(sh.downIdx, false); err != nil {
+		if err := r.heal(sh, sh.downIdx); err != nil {
 			return r.violation(i, "heal-catchup",
 				fmt.Sprintf("shard %d member %d pre-crash heal: %v", s, sh.downIdx, err))
 		}
@@ -374,13 +418,8 @@ func (r *shardRunner) crashRestart(i, s int) *Violation {
 			fmt.Sprintf("shard %d recovered at gen %d, below pre-crash gen %d", s, got, genBefore))
 	}
 	sh.members[0] = prim
-	cluster, err := core.NewCluster(sh.members...)
-	if err != nil {
-		return r.violation(i, "recovery", fmt.Sprintf("shard %d cluster rebuild: %v", s, err))
-	}
-	sh.cluster = cluster
-	if err := cluster.Sync(); err != nil {
-		return r.violation(i, "recovery", fmt.Sprintf("shard %d post-crash sync: %v", s, err))
+	if err := r.follow(sh); err != nil {
+		return r.violation(i, "recovery", fmt.Sprintf("shard %d post-crash follow: %v", s, err))
 	}
 	r.res.Restarts++
 	r.tr.addf("op=%d shard=%d crash-restart gen=%d", i, s, prim.Generation())
@@ -422,7 +461,9 @@ func (r *shardRunner) opUpload(i int) {
 	}
 	s, sh := r.owner(client, name)
 	r.res.Uploads++
-	fi, err := sh.cluster.Upload(client, password, name, data, pl, opts)
+	fi, err := r.mutate(sh, func(p *core.Distributor) (core.FileInfo, error) {
+		return p.Upload(client, password, name, data, pl, opts)
+	})
 	r.tr.addf("op=%d upload shard=%d c=%s f=%s pl=%d size=%d -> %s",
 		i, s, client, name, pl, len(data), errClass(err))
 	if err == nil {
@@ -433,13 +474,14 @@ func (r *shardRunner) opUpload(i int) {
 	}
 }
 
-// opRead reads a file through its owning cluster. With no provider
-// faults in this harness a read must always succeed — even mid-window,
-// when a down primary leaves only followers — and must be byte-exact.
+// opRead reads a file through its owning shard's first up member. With
+// no provider faults in this harness a read must always succeed — even
+// mid-window, when a down primary leaves only followers — and must be
+// byte-exact.
 func (r *shardRunner) opRead(i int, live []*modelFile) *Violation {
 	f := live[r.rng.Intn(len(live))]
 	s, sh := r.owner(f.client, f.name)
-	got, err := sh.cluster.GetFile(f.client, password, f.name)
+	got, err := firstUp(sh).GetFile(f.client, password, f.name)
 	r.tr.addf("op=%d getfile shard=%d c=%s f=%s -> %s", i, s, f.client, f.name, errClass(err))
 	r.res.Reads++
 	if err != nil {
@@ -474,10 +516,9 @@ func (r *shardRunner) opUpdate(i int, live []*modelFile) {
 		r.tr.addf("op=%d update shard=%d c=%s f=%s -> unavailable", i, s, f.client, f.name)
 		return
 	}
-	err = sh.members[0].UpdateChunk(f.client, password, f.name, serial, data, core.UploadOptions{})
-	if err == nil {
-		err = sh.cluster.Sync()
-	}
+	_, err = r.mutate(sh, func(p *core.Distributor) (core.FileInfo, error) {
+		return core.FileInfo{}, p.UpdateChunk(f.client, password, f.name, serial, data, core.UploadOptions{})
+	})
 	r.tr.addf("op=%d update shard=%d c=%s f=%s serial=%d size=%d -> %s",
 		i, s, f.client, f.name, serial, len(data), errClass(err))
 	if err == nil {
@@ -495,33 +536,33 @@ func (r *shardRunner) opRemove(i int, live []*modelFile) {
 		r.tr.addf("op=%d remove shard=%d c=%s f=%s -> unavailable", i, s, f.client, f.name)
 		return
 	}
-	err := sh.members[0].RemoveFile(f.client, password, f.name)
-	if err == nil {
-		err = sh.cluster.Sync()
-	}
+	_, err := r.mutate(sh, func(p *core.Distributor) (core.FileInfo, error) {
+		return core.FileInfo{}, p.RemoveFile(f.client, password, f.name)
+	})
 	r.tr.addf("op=%d remove shard=%d c=%s f=%s -> %s", i, s, f.client, f.name, errClass(err))
 	if err == nil {
 		r.m.drop(f.client, f.name)
 	}
 }
 
-// checkpoint quiesces every fault window, syncs every shard, and checks
-// the per-shard oracle invariants: zero lag with equal generations,
-// follower state identical to the primary, byte-exact reads through
-// the cluster AND directly off a follower, generation monotonicity,
-// and namespace isolation (a file lives on its owning shard only).
+// checkpoint quiesces every fault window, brings every follower level,
+// and checks the per-shard oracle invariants: every follower at the
+// primary's log end with an equal generation, follower state identical
+// to the primary, byte-exact reads through the shard AND directly off a
+// follower, generation monotonicity, and namespace isolation (a file
+// lives on its owning shard only).
 func (r *shardRunner) checkpoint(i int) *Violation {
 	r.res.Checkpoints++
 	r.tr.addf("op=%d checkpoint", i)
 	for s, sh := range r.shards {
 		if sh.downUntil > 0 {
-			if err := sh.cluster.SetDown(sh.downIdx, false); err != nil {
+			if err := r.heal(sh, sh.downIdx); err != nil {
 				return r.violation(i, "heal-catchup",
 					fmt.Sprintf("shard %d member %d checkpoint heal: %v", s, sh.downIdx, err))
 			}
 			sh.downUntil = 0
 		}
-		if err := sh.cluster.Sync(); err != nil {
+		if err := r.follow(sh); err != nil {
 			return r.violation(i, "replication-sync", fmt.Sprintf("shard %d: %v", s, err))
 		}
 		primGen := sh.members[0].Generation()
@@ -530,10 +571,13 @@ func (r *shardRunner) checkpoint(i int) *Violation {
 				fmt.Sprintf("shard %d primary gen %d below last checkpoint's %d", s, primGen, sh.lastGen))
 		}
 		sh.lastGen = primGen
-		for _, lag := range sh.cluster.Lag() {
-			if lag.Down || lag.LagRecords != 0 || lag.NeedSnapshot || lag.Generation != primGen {
+		next := sh.members[0].WALHealth().NextLSN
+		for f := 1; f < len(sh.members); f++ {
+			rep, err := sh.members[f].Follow(sh.members[0])
+			if err != nil || rep.Records != 0 || rep.Resynced || rep.LSN != next || sh.members[f].Generation() != primGen {
 				return r.violation(i, "replication-lag",
-					fmt.Sprintf("shard %d member %d not converged after sync: %+v", s, lag.Index, lag))
+					fmt.Sprintf("shard %d member %d not converged (primary gen %d, log end %d): gen %d, %+v, %v",
+						s, f, primGen, next, sh.members[f].Generation(), rep, err))
 			}
 		}
 		primStats := sh.members[0].Stats()
@@ -548,7 +592,7 @@ func (r *shardRunner) checkpoint(i int) *Violation {
 	for _, f := range r.m.live() {
 		s, sh := r.owner(f.client, f.name)
 		want := f.bytes()
-		got, err := sh.cluster.GetFile(f.client, password, f.name)
+		got, err := firstUp(sh).GetFile(f.client, password, f.name)
 		if err != nil || !bytes.Equal(got, want) {
 			return r.violation(i, "shard-readability",
 				fmt.Sprintf("checkpoint read of %s/%s on shard %d: err=%v bytes=%d want=%d",

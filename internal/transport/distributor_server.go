@@ -13,9 +13,6 @@ import (
 type DistributorServer struct {
 	d   *core.Distributor
 	mux *http.ServeMux
-	// lagSource, when set, contributes the replication section of
-	// /v1/health (see SetLagSource).
-	lagSource func() []core.ReplicaLag
 }
 
 // NewDistributorServer wraps a distributor.
@@ -40,23 +37,12 @@ func (s *DistributorServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // circuit-breaker and liveness view, the chunk-cache counters
 // (hits/misses/evictions/bytes; capacity 0 means caching is disabled),
 // the durability view (records appended, fsyncs, replay count and
-// last-checkpoint age; enabled=false means in-memory metadata), and —
-// when this distributor fronts a replicated cluster — each member's
-// replication position, so a lagging or down secondary is visible
-// instead of silently serving stale generations.
+// last-checkpoint age; enabled=false means in-memory metadata).
 type HealthReport struct {
-	Status      string                `json:"status"`
-	Providers   []core.ProviderHealth `json:"providers"`
-	Cache       core.CacheStats       `json:"cache"`
-	WAL         core.WALHealth        `json:"wal"`
-	Replication []core.ReplicaLag     `json:"replication,omitempty"`
-}
-
-// SetLagSource wires a replication-lag reporter (typically
-// core.Cluster.Lag) into /v1/health. Call before serving; a nil fn
-// removes the section.
-func (s *DistributorServer) SetLagSource(fn func() []core.ReplicaLag) {
-	s.lagSource = fn
+	Status    string                `json:"status"`
+	Providers []core.ProviderHealth `json:"providers"`
+	Cache     core.CacheStats       `json:"cache"`
+	WAL       core.WALHealth        `json:"wal"`
 }
 
 func (s *DistributorServer) health(http.ResponseWriter, *http.Request) (any, error) {
@@ -68,14 +54,5 @@ func (s *DistributorServer) health(http.ResponseWriter, *http.Request) (any, err
 			break
 		}
 	}
-	rep := HealthReport{Status: status, Providers: provs, Cache: s.d.CacheHealth(), WAL: s.d.WALHealth()}
-	if s.lagSource != nil {
-		rep.Replication = s.lagSource()
-		for _, m := range rep.Replication {
-			if m.Down || m.LagRecords > 0 {
-				rep.Status = "degraded"
-			}
-		}
-	}
-	return rep, nil
+	return HealthReport{Status: status, Providers: provs, Cache: s.d.CacheHealth(), WAL: s.d.WALHealth()}, nil
 }

@@ -355,100 +355,3 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 		t.Fatalf("%d files on the dead shard, %d elsewhere: the case needs both", orphaned, served)
 	}
 }
-
-// TestHealthReportsReplicationLag wires a replicated cluster's lag feed
-// into the health endpoint and checks that a down, lagging secondary
-// flips status to degraded and shows its record deficit on the wire.
-func TestHealthReportsReplicationLag(t *testing.T) {
-	fleet, err := provider.NewFleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		mem, err := provider.New(provider.Info{
-			Name: fmt.Sprintf("h%d", i), PL: privacy.High, CL: 1,
-		}, provider.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fleet.Add(mem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var dists []*core.Distributor
-	for i := 0; i < 2; i++ {
-		d, err := core.New(core.Config{Fleet: fleet, Secret: []byte{byte(i + 1)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dists = append(dists, d)
-	}
-	cluster, err := core.NewCluster(dists...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ds := NewDistributorServer(dists[0])
-	ds.SetLagSource(cluster.Lag)
-	srv := httptest.NewServer(ds)
-	t.Cleanup(srv.Close)
-	cl := NewClient(srv.URL, srv.Client())
-
-	if err := cluster.RegisterClient("eve"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.HealthReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != "ok" {
-		t.Fatalf("healthy cluster reported %q", rep.Status)
-	}
-	if len(rep.Replication) != 2 {
-		t.Fatalf("want 2 replication rows, got %d", len(rep.Replication))
-	}
-
-	// Down the secondary and write: lag becomes visible and degrading.
-	if err := cluster.SetDown(1, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.AddPassword("eve", "pw", privacy.High); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = cl.HealthReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != "degraded" {
-		t.Fatalf("lagging cluster reported %q, want degraded", rep.Status)
-	}
-	var sec *core.ReplicaLag
-	for i := range rep.Replication {
-		if rep.Replication[i].Role == "secondary" {
-			sec = &rep.Replication[i]
-		}
-	}
-	if sec == nil {
-		t.Fatal("no secondary row in health report")
-	}
-	if !sec.Down || sec.LagRecords == 0 {
-		t.Fatalf("secondary row %+v: want down with positive lag", *sec)
-	}
-
-	// Heal: SetDown(false) catches the secondary up; health recovers.
-	if err := cluster.SetDown(1, false); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = cl.HealthReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != "ok" {
-		t.Fatalf("healed cluster reported %q", rep.Status)
-	}
-	for _, r := range rep.Replication {
-		if r.LagRecords != 0 || r.Down {
-			t.Fatalf("healed row still lagging: %+v", r)
-		}
-	}
-}

@@ -9,6 +9,13 @@
 // Recovery therefore loads the newest snapshot and replays exactly one
 // segment tail.
 //
+// Tailing. Since serves the records from a position on to a reader that
+// follows the log. Once a log has been tailed, a checkpoint keeps the one
+// segment it supersedes, complete, until the next checkpoint, so a reader
+// up to one checkpoint behind reads on instead of starting over from a
+// snapshot. Recovery skips that segment like any other the snapshot
+// covers.
+//
 // Frame format. Each record is [len uint32 LE][crc32c uint32 LE][payload];
 // the CRC (Castagnoli) covers the payload only. A record cut short by a
 // crash is a torn tail: legal at the end of the last segment, truncated
@@ -99,6 +106,14 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt")
 	// ErrClosed is returned by operations on a closed log.
 	ErrClosed = errors.New("wal: closed")
+	// ErrTrimmed answers Since for a position the log no longer holds:
+	// the segment that held it was purged by a checkpoint. The reader
+	// starts over from a full-state snapshot.
+	ErrTrimmed = errors.New("wal: position trimmed")
+	// ErrAhead answers Since for a position past the last appended record:
+	// the reader applied records this log does not have (a crash under a
+	// lossy sync policy lost them), so it starts over from a snapshot too.
+	ErrAhead = errors.New("wal: position ahead of the log")
 )
 
 const (
@@ -169,6 +184,7 @@ type Log struct {
 	synced  int64 // bytes known durable (advanced only by real fsyncs)
 	dirty   bool
 	closed  bool
+	tailed  bool // Since has been called: checkpoints keep one superseded segment
 
 	appended    atomic.Int64
 	fsyncs      atomic.Int64
@@ -384,6 +400,38 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// Since returns the records appended from lsn on, in order: what a reader
+// that holds everything below lsn needs next. It writes the staged frames
+// through to the file first, so every acknowledged record is there, then
+// reads the segments outside the append lock, so a reader never stalls an
+// Append. A position older than the oldest segment on disk, or in one a
+// checkpoint purges while it is read, answers ErrTrimmed; a position past
+// the last appended record answers ErrAhead. The first call marks the log
+// tailed (see the package comment).
+func (l *Log) Since(lsn uint64) ([][]byte, error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil, ErrClosed
+	}
+	next := l.nextLSN
+	if lsn > next {
+		l.mu.Unlock()
+		return nil, fmt.Errorf("%w: lsn %d, the log ends at %d", ErrAhead, lsn, next)
+	}
+	l.tailed = true
+	err := l.flushBufLocked()
+	l.mu.Unlock()
+	if err != nil || lsn == next {
+		return nil, err
+	}
+	segs, err := scanFiles(l.dir, "wal-", ".log")
+	if err != nil {
+		return nil, err
+	}
+	return readSince(segs, lsn, next)
+}
+
 // Checkpoint makes state durable as a snapshot covering every record
 // appended so far, rotates the log to a fresh segment and purges the
 // files the snapshot supersedes. The snapshot lands via tmp+rename with
@@ -413,9 +461,15 @@ func (l *Log) Checkpoint(state []byte) error {
 	syncDir(l.dir)
 
 	// Rotate: the old segment's records — including any still staged in
-	// the append buffer — are all covered by the snapshot, so the staged
-	// frames are dropped rather than written to a file about to be
-	// purged.
+	// the append buffer — are all covered by the snapshot. An untailed log
+	// drops the staged frames rather than write them to a file about to be
+	// purged. A tailed one writes them through and keeps that file for its
+	// readers; should the write fail, a reader finds the gap and resyncs.
+	keep := lsn
+	if l.tailed {
+		_ = l.flushBufLocked() // best-effort, as above
+		keep = l.segBase
+	}
 	l.buf = l.buf[:0]
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: checkpoint: closing old segment: %w", err)
@@ -424,7 +478,7 @@ func (l *Log) Checkpoint(state []byte) error {
 	if err := l.newSegmentLocked(); err != nil {
 		return err
 	}
-	l.purgeLocked(lsn)
+	l.purgeLocked(keep, lsn)
 	l.checkpoints.Add(1)
 	l.lastCkpt.Store(time.Now().UnixNano())
 	return nil
@@ -458,13 +512,14 @@ func (l *Log) newSegmentLocked() error {
 	return nil
 }
 
-// purgeLocked removes segments and snapshots superseded by the durable
-// checkpoint at lsn. Best-effort: a leftover file only wastes space and
-// is skipped (not replayed) by the next recovery.
-func (l *Log) purgeLocked(lsn uint64) {
+// purgeLocked removes the segments based below segsBelow and the
+// snapshots superseded by the durable checkpoint at lsn. Best-effort: a
+// leftover file only wastes space and is skipped (not replayed) by the
+// next recovery.
+func (l *Log) purgeLocked(segsBelow, lsn uint64) {
 	segs, _ := scanFiles(l.dir, "wal-", ".log")
 	for _, s := range segs {
-		if s.base < lsn {
+		if s.base < segsBelow {
 			os.Remove(s.path)
 		}
 	}
@@ -708,6 +763,37 @@ func recoverDir(dir string) (Recovered, string, int64, error) {
 		}
 	}
 	return rec, live[len(live)-1].path, tornAt, nil
+}
+
+// readSince collects the records [lsn, next) from the chain of segments
+// that holds them. A segment gone from disk (a checkpoint purged it after
+// the listing) or a gap in the chain means the log no longer holds the
+// position. The last listed segment may end in a frame an Append is still
+// writing; it lies past next and is not read.
+func readSince(segs []dirFile, lsn, next uint64) ([][]byte, error) {
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].base > lsn }) - 1
+	if i < 0 {
+		return nil, fmt.Errorf("%w: lsn %d precedes the oldest segment", ErrTrimmed, lsn)
+	}
+	out := make([][]byte, 0, next-lsn)
+	for at := lsn; at < next; i++ {
+		if i == len(segs) || segs[i].base > at {
+			return nil, fmt.Errorf("%w: no segment holds lsn %d", ErrTrimmed, at)
+		}
+		_, records, _, err := replaySegment(segs[i].path, i == len(segs)-1)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("%w: %v", ErrTrimmed, err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if skip := at - segs[i].base; skip < uint64(len(records)) {
+			records = records[skip:min(uint64(len(records)), next-segs[i].base)]
+			out = append(out, records...)
+			at += uint64(len(records))
+		}
+	}
+	return out, nil
 }
 
 // ReadAll performs the recovery scan read-only: nothing is truncated or

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -348,6 +349,9 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	if err := l.Checkpoint([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Checkpoint after Close: %v", err)
 	}
+	if _, err := l.Since(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Since after Close: %v", err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
@@ -378,5 +382,261 @@ func TestInspectTornTailReadOnly(t *testing.T) {
 	after, _ := os.Stat(seg)
 	if before.Size() != after.Size() {
 		t.Fatal("Inspect mutated the segment")
+	}
+}
+
+// dirNames lists dir's file names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+func appendAll(t *testing.T, l *Log, ps [][]byte) {
+	t.Helper()
+	for _, p := range ps {
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func wantRecords(t *testing.T, what string, got, want [][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: record %d is %q, want %q", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSinceAcrossCheckpointKeepsStagedFrames: under SyncGrouped the
+// frames appended since the last flush sit in the append buffer when a
+// checkpoint rotates the log. A tailed log writes them into the segment
+// it keeps, so a reader behind the checkpoint still reads them.
+func TestSinceAcrossCheckpointKeepsStagedFrames(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Policy: SyncGrouped, GroupInterval: time.Hour})
+	defer l.Close()
+	ps := payloads(5)
+	appendAll(t, l, ps[:1])
+	got, err := l.Since(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, "Since(0)", got, ps[:1])
+	appendAll(t, l, ps[1:4]) // staged: the flusher's hour never comes
+	if err := l.Checkpoint([]byte("state-at-4")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, ps[4:])
+	got, err = l.Since(1)
+	if err != nil {
+		t.Fatalf("Since(1) across the checkpoint: %v", err)
+	}
+	wantRecords(t, "Since(1)", got, ps[1:])
+}
+
+// TestCheckpointFilesTailedAndNot: a log nobody tails leaves exactly the
+// snapshot and the fresh segment, as before tailing existed; a tailed
+// one also keeps the one segment the checkpoint superseded, until the
+// next checkpoint.
+func TestCheckpointFilesTailedAndNot(t *testing.T) {
+	for _, tailed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tailed=%v", tailed), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
+			defer l.Close()
+			appendAll(t, l, payloads(10))
+			if tailed {
+				if _, err := l.Since(10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Checkpoint([]byte("state-at-10")); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, payloads(3))
+			want := []string{"snap-000000000000000a.ckpt", "wal-000000000000000a.log"}
+			if tailed {
+				want = []string{"snap-000000000000000a.ckpt", "wal-0000000000000000.log", "wal-000000000000000a.log"}
+			}
+			if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+				t.Fatalf("files after a checkpoint: %v, want %v", got, want)
+			}
+			if err := l.Checkpoint([]byte("state-at-13")); err != nil {
+				t.Fatal(err)
+			}
+			want = []string{"snap-000000000000000d.ckpt", "wal-000000000000000d.log"}
+			if tailed {
+				want = []string{"snap-000000000000000d.ckpt", "wal-000000000000000a.log", "wal-000000000000000d.log"}
+			}
+			if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+				t.Fatalf("files after a second checkpoint: %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestSinceTrimmed: a position older than every segment on disk answers
+// ErrTrimmed — purged by an untailed checkpoint, or by a tailed log's
+// second one — and so does a segment purged between the listing and
+// its read.
+func TestSinceTrimmed(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Policy: SyncAlways})
+	defer l.Close()
+	ps := payloads(12)
+	appendAll(t, l, ps[:4])
+	if err := l.Checkpoint([]byte("state-at-4")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Since(3); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("Since(3) after an untailed checkpoint: %v", err)
+	}
+	appendAll(t, l, ps[4:8])
+	if err := l.Checkpoint([]byte("state-at-8")); err != nil { // tailed now: keeps [4, 8)
+		t.Fatal(err)
+	}
+	appendAll(t, l, ps[8:])
+	got, err := l.Since(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, "Since(5)", got, ps[5:])
+
+	segs, err := scanFiles(dir, "wal-", ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(segs[0].path); err != nil { // a checkpoint purges it mid-read
+		t.Fatal(err)
+	}
+	if _, err := readSince(segs, 5, 12); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("segment purged while read: %v", err)
+	}
+	if _, err := l.Since(5); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("Since(5) once its segment is gone: %v", err)
+	}
+	got, err = l.Since(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, "Since(8)", got, ps[8:])
+}
+
+// TestSinceAhead: the log's end answers no records; past it is refused.
+func TestSinceAhead(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Policy: SyncOff})
+	defer l.Close()
+	appendAll(t, l, payloads(3))
+	if got, err := l.Since(3); err != nil || len(got) != 0 {
+		t.Fatalf("Since(end) = %d records, %v", len(got), err)
+	}
+	if _, err := l.Since(4); !errors.Is(err, ErrAhead) {
+		t.Fatalf("Since past the end: %v", err)
+	}
+}
+
+// TestKeptSegmentRecovers: Open and ReadAll skip the superseded segment a
+// tailed log keeps, and recover exactly what a log nobody tailed does.
+func TestKeptSegmentRecovers(t *testing.T) {
+	run := func(tailed bool) (Recovered, Recovered) {
+		dir := t.TempDir()
+		l, _ := mustOpen(t, dir, Options{Policy: SyncGrouped, GroupInterval: time.Hour})
+		if tailed {
+			if _, err := l.Since(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendAll(t, l, payloads(6))
+		if err := l.Checkpoint([]byte("state-at-6")); err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, payloads(2))
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(dirNames(t, dir)); tailed != (n == 3) {
+			t.Fatalf("tailed=%v left %d files", tailed, n)
+		}
+		ra, err := ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, rec := mustOpen(t, dir, Options{Policy: SyncAlways})
+		l2.Close()
+		return ra, rec
+	}
+	plainRA, plainOpen := run(false)
+	keptRA, keptOpen := run(true)
+	for what, got := range map[string]Recovered{"ReadAll": keptRA, "Open": keptOpen, "plain Open": plainOpen} {
+		if !reflect.DeepEqual(got, plainRA) {
+			t.Fatalf("%s recovered %+v, want %+v", what, got, plainRA)
+		}
+	}
+	if string(plainRA.Snapshot) != "state-at-6" || plainRA.SnapshotLSN != 6 || len(plainRA.Records) != 2 {
+		t.Fatalf("recovered %+v", plainRA)
+	}
+}
+
+// TestSinceConcurrentWithAppends tails a log from one goroutine while
+// another appends and checkpoints: every record Since returns is the one
+// appended at that position, and a reader that falls two checkpoints
+// behind is told so (ErrTrimmed) rather than handed a gap.
+func TestSinceConcurrentWithAppends(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Policy: SyncGrouped, GroupInterval: time.Millisecond})
+	defer l.Close()
+	const total = 600
+	want := payloads(total)
+	done := make(chan error, 1)
+	go func() {
+		for i, p := range want {
+			if err := l.Append(p); err != nil {
+				done <- err
+				return
+			}
+			if i%25 == 24 {
+				if err := l.Checkpoint([]byte("state")); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	var pos uint64
+	for writing := true; writing || pos < total; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		recs, err := l.Since(pos)
+		if errors.Is(err, ErrTrimmed) {
+			pos = l.Stats().SegmentBase // a position the log surely holds
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range recs {
+			if !bytes.Equal(r, want[pos+uint64(j)]) {
+				t.Fatalf("record at lsn %d is %q, want %q", pos+uint64(j), r, want[pos+uint64(j)])
+			}
+		}
+		pos += uint64(len(recs))
 	}
 }
