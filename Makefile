@@ -18,7 +18,7 @@
 #   make simcheck         tier-2: deterministic fault-schedule simulation
 #   SIMCHECK_SEEDS=64 SIMCHECK_OPS=600 make simcheck  bigger sweep
 #   make walcheck         crash-restart recovery sweep (WAL durability)
-#   make shardcheck       sharded-namespace fault sweep (partitions, failover)
+#   make shardcheck       the same sweep over a sharded namespace with WAL followers
 #   make minecheck        adversary-in-the-loop mining campaigns + gate
 #   MINECHECK_SEEDS=64 make minecheck  bigger sweep
 #   make minebench        full 128-cell privacy-vs-performance frontier
@@ -290,10 +290,11 @@ walcheck:
 walcheck-race:
 	$(GO) test -race ./internal/simcheck -count=1 -short -run 'TestSimCheckCrashRestart|TestSimCheckCatchesLostCommit'
 
-# Sharded-namespace fault sweep: seeded schedules of inter-distributor
-# partitions, primary outages and crash-restarts across a consistent-hash
-# sharded namespace, with per-shard oracle invariants checked at every
-# checkpoint. Failures print a repro:
+# Sharded-namespace fault sweep: the same simulator over 3-4 shards
+# behind the production ring, each a primary and a WAL follower, under
+# follower partitions, primary outages and primary crash-restarts. Every
+# checkpoint runs the full oracle per shard plus the replication and
+# isolation checks. Failures print a repro:
 #   go test ./internal/simcheck -run 'TestSimCheckSharded' -seed=N -ops=M
 shardcheck:
 	$(GO) test ./internal/simcheck -count=1 -run 'TestSimCheckSharded' -seeds=$(SIMCHECK_SEEDS) -ops=$(SIMCHECK_OPS)

@@ -8,7 +8,6 @@
 package cryptofrag
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -162,7 +161,3 @@ func FragmentedQueryCost(objSize, chunkSize, qStart, qLen int) (QueryCost, error
 
 // Zero reports whether a cost is empty.
 func (q QueryCost) Zero() bool { return q == QueryCost{} }
-
-// EqualPayload compares decrypted output to an expected plaintext in
-// constant time (convenience for tests).
-func EqualPayload(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -99,13 +99,6 @@ func (h *Hooked) SetPartitioned(v bool) {
 	h.partitioned = v
 }
 
-// Partitioned reports whether the silent partition is active.
-func (h *Hooked) Partitioned() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.partitioned
-}
-
 // Puts returns how many Put calls reached this provider (aborted or not).
 func (h *Hooked) Puts() int {
 	h.mu.Lock()

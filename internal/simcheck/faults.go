@@ -23,6 +23,20 @@ type FaultCounts struct {
 	SilentDrops  int
 }
 
+// add folds another shard's tallies into c.
+func (c *FaultCounts) add(o FaultCounts) {
+	c.PutFaults += o.PutFaults
+	c.GetFaults += o.GetFaults
+	c.DeleteFaults += o.DeleteFaults
+	c.Corruptions += o.Corruptions
+	c.Delays += o.Delays
+	c.Blackouts += o.Blackouts
+	c.Partitions += o.Partitions
+	c.Outages += o.Outages
+	c.Crashes += o.Crashes
+	c.SilentDrops += o.SilentDrops
+}
+
 // injector drives the seeded fault schedule through provider.Hooked's
 // hook surface. Hooks are installed once and consult the injector's
 // state, so suspending faults for a checkpoint is a single flag flip —

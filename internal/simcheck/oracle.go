@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"time"
 
@@ -19,8 +20,9 @@ type chunkLoc struct {
 	stripeIdx int // index into view.Stripes, -1 when unstriped
 }
 
-// checkpoint drives the distributor to a quiescent point and checks the
-// durability invariants against the model:
+// checkpoint runs the oracle over every shard: it drives each to a
+// quiescent point and checks the durability invariants against the
+// shard's model:
 //
 //  1. every committed file is fully readable, byte-for-byte;
 //  2. no blob sits on a provider whose PL is below the blob's, and no
@@ -31,23 +33,41 @@ type chunkLoc struct {
 //  4. the only provider-resident keys outside the tables are deletes
 //     the injector made fail — rollback leaves no unexplained orphans;
 //  5. losing any f providers (f = the stripe's parity tolerance) still
-//     reconstructs every expected-readable chunk.
+//     reconstructs every expected-readable chunk;
+//  6. every follower holds the primary's log end and tables and serves
+//     every file on its own, and a file is known to its owner only.
 //
-// Faults are suspended for the duration; windows keep expiring by op
-// count so a blackout can span a checkpoint without wedging it.
+// A shard's open topology window heals and its faults are suspended for
+// the duration; provider windows keep expiring by op count so a blackout
+// can span a checkpoint without wedging it.
 func (r *runner) checkpoint(opIdx int) *Violation {
-	r.inj.suspend()
-	defer r.inj.resume()
 	r.res.Checkpoints++
+	for _, sh := range r.shards {
+		if v := r.checkShard(opIdx, sh); v != nil {
+			return v
+		}
+	}
+	return nil
+}
+
+func (r *runner) checkShard(opIdx int, sh *shard) *Violation {
+	if sh.down >= 0 {
+		if v := r.heal(opIdx, sh); v != nil {
+			return v
+		}
+	}
+	sh.inj.suspend()
+	defer sh.inj.resume()
+	d := sh.members[0]
 	// Let every breaker cooldown elapse so probes can close circuits.
 	r.tick(20 * time.Millisecond)
 
 	// Re-drive interrupted removes to convergence: a failed RemoveFile
 	// may have left the file live, half-deleted, or fully removed.
-	for _, f := range r.m.limboFiles() {
+	for _, f := range sh.m.limboFiles() {
 		var err error
 		for attempt := 0; attempt < 4; attempt++ {
-			err = r.d.RemoveFile(f.client, password, f.name)
+			err = d.RemoveFile(f.client, password, f.name)
 			if err == nil || errors.Is(err, core.ErrNoSuchFile) {
 				err = nil
 				break
@@ -58,13 +78,13 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 				fmt.Sprintf("RemoveFile %s/%s cannot complete on a healthy fleet: %v", f.client, f.name, err))
 		}
 		r.tr.addf("check op=%d limbo-remove c=%s f=%s done", opIdx, f.client, f.name)
-		r.m.drop(f.client, f.name)
+		sh.m.drop(f.client, f.name)
 	}
 
 	// Scrub on a healthy fleet must repair everything outstanding: the
 	// at-rest rot injected after the previous checkpoint stayed within
 	// each stripe's parity budget, so nothing may be unrepairable.
-	srep, err := r.d.Scrub()
+	srep, err := d.Scrub()
 	if err != nil {
 		return r.violation(opIdx, "scrub", fmt.Sprintf("Scrub on healthy fleet: %v", err))
 	}
@@ -77,20 +97,20 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 				srep.Unrepairable, srep.ParityUnrepairable))
 	}
 
-	view := r.d.StateView()
+	view := d.StateView()
 	if !view.Quiescent {
 		return r.violation(opIdx, "quiescence",
 			"StateView reports open write tickets on an idle distributor (leaked ticket or reservation)")
 	}
 
 	// Invariant 3a: generation counters never move backwards.
-	if view.Gen < r.m.lastDistGen {
+	if view.Gen < sh.m.lastDistGen {
 		return r.violation(opIdx, "generation-monotonic",
-			fmt.Sprintf("distributor generation went backwards: %d -> %d", r.m.lastDistGen, view.Gen))
+			fmt.Sprintf("distributor generation went backwards: %d -> %d", sh.m.lastDistGen, view.Gen))
 	}
 	newGens := make(map[uint64]uint64, len(view.Files))
 	for _, fv := range view.Files {
-		if last, ok := r.m.lastGen[fv.FID]; ok && fv.Gen < last {
+		if last, ok := sh.m.lastGen[fv.FID]; ok && fv.Gen < last {
 			return r.violation(opIdx, "generation-monotonic",
 				fmt.Sprintf("file %s/%s (fid %d) generation went backwards: %d -> %d",
 					fv.Client, fv.Filename, fv.FID, last, fv.Gen))
@@ -99,7 +119,7 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 	}
 
 	// The table's file set must equal the model's, chunk-for-chunk.
-	files := r.m.live()
+	files := sh.m.live()
 	if len(view.Files) != len(files) {
 		return r.violation(opIdx, "file-set",
 			fmt.Sprintf("tables hold %d files, model holds %d", len(view.Files), len(files)))
@@ -143,7 +163,7 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 				fmt.Sprintf("%s blob %s (PL %d) of %s/%s placed on sp%02d (PL %d)",
 					b.Kind, b.VID, b.PL, b.Client, b.Filename, b.ProvIdx, r.provPL[b.ProvIdx]))
 		}
-		p, err := r.fleet.At(b.ProvIdx)
+		p, err := sh.fleet.At(b.ProvIdx)
 		if err != nil {
 			return r.violation(opIdx, "placement", fmt.Sprintf("provider %d: %v", b.ProvIdx, err))
 		}
@@ -162,7 +182,7 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 	// Invariant 3b: recompute every stripe's parity from the raw member
 	// bytes the providers hold right now. Members and parity from
 	// different generations cannot XOR out clean.
-	if v := r.checkStripes(opIdx, &view); v != nil {
+	if v := r.checkStripes(opIdx, sh, &view); v != nil {
 		return v
 	}
 
@@ -170,7 +190,7 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 	// path (cache, mislead stripping, mirrors, reconstruction).
 	for _, f := range files {
 		want := f.bytes()
-		got, err := r.d.GetFile(f.client, password, f.name)
+		got, err := d.GetFile(f.client, password, f.name)
 		if err != nil {
 			return r.violation(opIdx, "readability",
 				fmt.Sprintf("GetFile %s/%s on healthy fleet: %v", f.client, f.name, err))
@@ -187,7 +207,7 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 				max = 2048
 			}
 			n := 1 + r.rng.Intn(max)
-			rgot, err := r.d.GetRange(f.client, password, f.name, off, n)
+			rgot, err := d.GetRange(f.client, password, f.name, off, n)
 			if err != nil || !bytes.Equal(rgot, want[off:off+n]) {
 				return r.violation(opIdx, "readability",
 					fmt.Sprintf("GetRange %s/%s [%d,%d) on healthy fleet: err=%v", f.client, f.name, off, off+n, err))
@@ -197,7 +217,7 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 
 	// Invariant 4: audit first, GC second. Every orphan must be a delete
 	// the injector failed; anything else is a rollback/bookkeeping bug.
-	audit, err := r.d.AuditOrphans(false)
+	audit, err := d.AuditOrphans(false)
 	if err != nil {
 		return r.violation(opIdx, "orphans", fmt.Sprintf("AuditOrphans: %v", err))
 	}
@@ -212,21 +232,21 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 		sort.Strings(keys)
 		for _, key := range keys {
 			orphanCount++
-			if !r.inj.allowedOrphan(key) {
+			if !sh.inj.allowedOrphan(key) {
 				return r.violation(opIdx, "orphans",
 					fmt.Sprintf("blob %s on %s is referenced by nothing and does not come from a failed delete; history: %v",
-						key, name, r.inj.keyHistory(key)))
+						key, name, sh.inj.keyHistory(key)))
 			}
 		}
 	}
 	if orphanCount > 0 {
-		gcRep, err := r.d.AuditOrphans(true)
+		gcRep, err := d.AuditOrphans(true)
 		if err != nil {
 			return r.violation(opIdx, "orphans", fmt.Sprintf("AuditOrphans(gc): %v", err))
 		}
 		r.res.OrphansCollected += gcRep.Deleted
 		r.tr.addf("check op=%d orphans=%d collected=%d", opIdx, orphanCount, gcRep.Deleted)
-		clean, err := r.d.AuditOrphans(false)
+		clean, err := d.AuditOrphans(false)
 		if err != nil {
 			return r.violation(opIdx, "orphans", fmt.Sprintf("AuditOrphans recheck: %v", err))
 		}
@@ -242,25 +262,30 @@ func (r *runner) checkpoint(opIdx int) *Violation {
 	// chunk whose redundancy should survive that loss must still read
 	// back exactly.
 	for f := 1; f <= 2; f++ {
-		if v := r.drill(opIdx, &view, files, f); v != nil {
+		if v := r.drill(opIdx, sh, &view, files, f); v != nil {
 			return v
 		}
 	}
 
-	// Arm the next window: inject at-rest rot within parity budgets.
-	if opIdx+1 < r.cfg.Ops {
-		r.injectRot(opIdx, &view)
+	// Invariant 6: followers match the primary, files their owner.
+	if v := r.checkReplicas(opIdx, sh, files); v != nil {
+		return v
 	}
 
-	r.m.lastGen = newGens
-	r.m.lastDistGen = view.Gen
+	// Arm the next window: inject at-rest rot within parity budgets.
+	if opIdx+1 < r.cfg.Ops {
+		r.injectRot(opIdx, sh, &view)
+	}
+
+	sh.m.lastGen = newGens
+	sh.m.lastDistGen = view.Gen
 	r.tr.addf("check op=%d ok files=%d blobs=%d stripes=%d", opIdx, len(files), len(view.Blobs), len(view.Stripes))
 	return nil
 }
 
 // checkStripes recomputes parity from raw provider bytes for every
 // stripe and compares against the stored parity blobs.
-func (r *runner) checkStripes(opIdx int, view *core.StateView) *Violation {
+func (r *runner) checkStripes(opIdx int, sh *shard, view *core.StateView) *Violation {
 	for si, st := range view.Stripes {
 		if len(st.Members) == 0 || len(st.Parity) == 0 {
 			continue
@@ -271,7 +296,7 @@ func (r *runner) checkStripes(opIdx int, view *core.StateView) *Violation {
 		}
 		data := make([][]byte, len(st.Members))
 		for mi, mb := range st.Members {
-			p, err := r.fleet.At(mb.ProvIdx)
+			p, err := sh.fleet.At(mb.ProvIdx)
 			if err != nil {
 				return r.violation(opIdx, "stripe-consistency", fmt.Sprintf("stripe %d member provider: %v", si, err))
 			}
@@ -292,7 +317,7 @@ func (r *runner) checkStripes(opIdx int, view *core.StateView) *Violation {
 			return r.violation(opIdx, "stripe-consistency", fmt.Sprintf("stripe %d recompute: %v", si, err))
 		}
 		for pi, pb := range st.Parity {
-			p, err := r.fleet.At(pb.ProvIdx)
+			p, err := sh.fleet.At(pb.ProvIdx)
 			if err != nil {
 				return r.violation(opIdx, "stripe-consistency", fmt.Sprintf("stripe %d parity provider: %v", si, err))
 			}
@@ -305,6 +330,50 @@ func (r *runner) checkStripes(opIdx int, view *core.StateView) *Violation {
 				return r.violation(opIdx, "stripe-consistency",
 					fmt.Sprintf("stripe %d (%v, %s/%s) parity shard %d does not match parity recomputed from raw members — cross-generation mixing or stale parity",
 						si, st.Level, pb.Client, pb.Filename, pi))
+			}
+		}
+	}
+	return nil
+}
+
+// checkReplicas holds sh's followers to its primary and its files to
+// their owner: after a sync every follower is at the primary's log end
+// with deep-equal tables and reads every file byte-exact on its own, and
+// no other shard knows a file sh owns.
+func (r *runner) checkReplicas(opIdx int, sh *shard, files []*modelFile) *Violation {
+	if v := r.sync(opIdx, sh); v != nil {
+		return v
+	}
+	prim := sh.members[0]
+	next, view := prim.WALHealth().NextLSN, prim.StateView()
+	for f, d := range sh.members[1:] {
+		rep, err := d.Follow(prim)
+		if err != nil || rep.Records != 0 || rep.Resynced || rep.LSN != next {
+			return r.violation(opIdx, "replication-lag",
+				fmt.Sprintf("%s follower %d not at the primary's log end %d after a sync: %+v, %v", sh.name, f+1, next, rep, err))
+		}
+		if fview := d.StateView(); !reflect.DeepEqual(fview, view) {
+			return r.violation(opIdx, "replica-divergence",
+				fmt.Sprintf("%s follower %d tables differ from the primary's (gen %d vs %d, %d vs %d blobs)",
+					sh.name, f+1, fview.Gen, view.Gen, len(fview.Blobs), len(view.Blobs)))
+		}
+		for _, mf := range files {
+			got, err := d.GetFile(mf.client, password, mf.name)
+			if err != nil || !bytes.Equal(got, mf.bytes()) {
+				return r.violation(opIdx, "follower-read",
+					fmt.Sprintf("%s follower %d read of %s/%s: err=%v bytes=%d want=%d",
+						sh.name, f+1, mf.client, mf.name, err, len(got), len(mf.bytes())))
+			}
+		}
+	}
+	if len(r.shards) == 1 {
+		return nil
+	}
+	for _, mf := range files {
+		for _, other := range r.shards {
+			if _, err := other.members[0].ChunkCount(mf.client, password, mf.name); (err == nil) != (other == sh) {
+				return r.violation(opIdx, "shard-isolation",
+					fmt.Sprintf("%s/%s, owned by %s, on %s: ChunkCount err=%v", mf.client, mf.name, sh.name, other.name, err))
 			}
 		}
 	}
@@ -353,13 +422,13 @@ func chunkIndex(view *core.StateView) map[string]*chunkLoc {
 // the committed placement promises: a chunk must survive if its primary
 // or any mirror is up, or if its stripe lost no more shards than its
 // parity tolerance. Reads that succeed must match the model either way.
-func (r *runner) drill(opIdx int, view *core.StateView, files []*modelFile, f int) *Violation {
-	if len(files) == 0 || f >= len(r.hooked) {
+func (r *runner) drill(opIdx int, sh *shard, view *core.StateView, files []*modelFile, f int) *Violation {
+	if len(files) == 0 || f >= len(sh.hooked) {
 		return nil
 	}
 	down := make(map[int]bool, f)
 	for len(down) < f {
-		down[r.rng.Intn(len(r.hooked))] = true
+		down[r.rng.Intn(len(sh.hooked))] = true
 	}
 	downList := make([]int, 0, f)
 	for p := range down {
@@ -370,11 +439,11 @@ func (r *runner) drill(opIdx int, view *core.StateView, files []*modelFile, f in
 
 	idx := chunkIndex(view)
 	for _, p := range downList {
-		r.hooked[p].SetPartitioned(true)
+		sh.hooked[p].SetPartitioned(true)
 	}
 	defer func() {
 		for _, p := range downList {
-			r.hooked[p].SetPartitioned(false)
+			sh.hooked[p].SetPartitioned(false)
 		}
 		// Heal the breakers the drill tripped before the window resumes.
 		r.tick(20 * time.Millisecond)
@@ -412,7 +481,7 @@ func (r *runner) drill(opIdx int, view *core.StateView, files []*modelFile, f in
 				break
 			}
 		}
-		got, err := r.d.GetFile(mf.client, password, mf.name)
+		got, err := sh.members[0].GetFile(mf.client, password, mf.name)
 		r.res.DrillReads++
 		if err == nil && !bytes.Equal(got, mf.bytes()) {
 			return r.violation(opIdx, "f-loss",
@@ -431,7 +500,7 @@ func (r *runner) drill(opIdx int, view *core.StateView, files []*modelFile, f in
 // so scrub can always repair: at most one rot per stripe (members and
 // parity share the budget), and unstriped chunks are rotted only when
 // a mirror can restore them.
-func (r *runner) injectRot(opIdx int, view *core.StateView) {
+func (r *runner) injectRot(opIdx int, sh *shard, view *core.StateView) {
 	if r.cfg.RotPerCheckpoint <= 0 || len(view.Blobs) == 0 {
 		return
 	}
@@ -485,7 +554,7 @@ func (r *runner) injectRot(opIdx int, view *core.StateView) {
 				continue // nothing could restore it
 			}
 		}
-		p, err := r.fleet.At(b.ProvIdx)
+		p, err := sh.fleet.At(b.ProvIdx)
 		if err != nil {
 			continue
 		}

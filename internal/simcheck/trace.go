@@ -1,10 +1,13 @@
 // Package simcheck is a deterministic simulation harness for the
 // distributor: a seeded fault schedule (per-op failures, delays,
 // corrupted bytes, partitions, crash-mid-write, full-fleet blackouts)
-// interleaved with a randomized workload over a real core.Distributor
-// and an in-memory reference model. At every quiescent checkpoint a
-// model-based oracle checks the distributor's durability invariants;
-// any violation carries a one-line `go test` repro with the seed.
+// interleaved with a randomized workload over real core.Distributors
+// and an in-memory reference model. A run is one or more namespace
+// shards behind the production ring, each a primary and its WAL
+// followers; the single-distributor run is one shard with no followers.
+// At every quiescent checkpoint a model-based oracle checks each shard's
+// durability invariants; any violation carries a one-line `go test`
+// repro with the seed.
 //
 // The whole run is a pure function of Config: providers are in-memory,
 // parallelism is 1, hedging is off, and the circuit-breaker clock is

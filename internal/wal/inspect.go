@@ -92,20 +92,6 @@ func countSegment(path string, isLast bool) (base uint64, records int, tornAt in
 	return b, len(recs), torn, nil
 }
 
-// LastSnapshotTime returns the newest snapshot's mtime, the zero time
-// when the directory holds none.
-func LastSnapshotTime(dir string) (time.Time, error) {
-	snaps, err := scanFiles(dir, "snap-", ".ckpt")
-	if err != nil || len(snaps) == 0 {
-		return time.Time{}, err
-	}
-	fi, err := os.Stat(snaps[len(snaps)-1].path)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("wal: %w", err)
-	}
-	return fi.ModTime(), nil
-}
-
 // WriteRawSegment writes payloads as a well-formed segment file based at
 // base — a test and fuzz-corpus helper, exported so harnesses outside
 // the package can fabricate directories.
