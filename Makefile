@@ -2,7 +2,7 @@
 #
 #   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + delete-lint + replication-lint + build + race tests + fuzz seed corpora
 #   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
-#   make routes-lint      distributor /v1/ paths appear in transport/routes.go only
+#   make routes-lint      distributor /v1/ paths appear in transport/routes.go only; one upload handler
 #   make tables-lint      the distributor's tables are written in core/apply.go only
 #   make placement-lint   which providers a blob avoids is decided in core/placement.go only
 #   make snapshot-lint    a live stripe is copied by core's stripeRowsLocked only
@@ -92,11 +92,24 @@ fmt-check:
 # in internal/transport/routes.go. A /v1/ path in any other non-test file
 # of the package (outside comments) means an operation is being added in
 # a second place. provider_*.go speak the provider wire, a different
-# protocol, and are exempt.
+# protocol, and are exempt. Uploads have one route as well: in the
+# package's non-test files core's UploadStream has exactly one caller, the
+# upload handler, and nothing calls core's buffered Upload (the package
+# names the distributor d wherever it holds one) — a second upload
+# handler, buffered or streamed, fails here instead of in review.
 routes-lint:
 	@if grep -n '/v1/' $$(ls internal/transport/*.go | grep -v -e '_test\.go$$' -e '/routes\.go$$' -e '/provider_[a-z]*\.go$$') \
 		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'routes-lint: distributor paths belong in internal/transport/routes.go'; exit 1; \
+	fi
+	@n=$$(grep -h 'UploadStream(' $$(ls internal/transport/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
+	if [ "$$n" != 1 ]; then \
+		echo "routes-lint: UploadStream( has $$n callers in internal/transport, want 1 (the upload handler)"; exit 1; \
+	fi
+	@if grep -n -E '\bd\.Upload\(' $$(ls internal/transport/*.go | grep -v '_test\.go$$') \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'routes-lint: the upload route streams (core.UploadStream); nothing in internal/transport calls core.Upload'; exit 1; \
 	fi
 
 # The distributor's tables have one writer, internal/core/apply.go: a

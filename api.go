@@ -38,7 +38,6 @@ package privcloud
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
@@ -119,15 +118,19 @@ type SystemConfig struct {
 	// MisleadSeed makes decoy injection reproducible.
 	MisleadSeed int64
 	// StreamWindow bounds how many stripes an upload (Upload and
-	// UploadFrom alike) and how many chunks a GetFileTo hold in flight;
+	// UploadStream alike) and how many chunks a GetFileTo hold in flight;
 	// zero selects the distributor default (4).
 	StreamWindow int
 }
 
 // System bundles a distributor with its provider fleet — the whole paper
-// architecture in one process.
+// architecture in one process. The distributor is embedded, so System is
+// the embedding API: Upload, UploadStream, GetFile, GetFileTo, GetRange,
+// UpdateChunk, Scrub, Metrics and every other core.Distributor method are
+// called on it directly. The methods below are the ones that name a
+// provider.
 type System struct {
-	dist  *core.Distributor
+	*core.Distributor
 	fleet *provider.Fleet
 }
 
@@ -164,101 +167,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{dist: dist, fleet: fleet}, nil
+	return &System{Distributor: dist, fleet: fleet}, nil
 }
-
-// RegisterClient creates a client account.
-func (s *System) RegisterClient(name string) error { return s.dist.RegisterClient(name) }
-
-// AddPassword associates a ⟨password, PL⟩ pair with a client.
-func (s *System) AddPassword(client, password string, pl PrivacyLevel) error {
-	return s.dist.AddPassword(client, password, pl)
-}
-
-// Upload categorizes, fragments and distributes a file.
-func (s *System) Upload(client, password, filename string, data []byte, pl PrivacyLevel, opts UploadOptions) (FileInfo, error) {
-	return s.dist.Upload(client, password, filename, data, pl, opts)
-}
-
-// UploadFrom is Upload behind an io.Reader: the same pipeline — chunked,
-// striped and shipped as bytes arrive, at most SystemConfig.StreamWindow
-// stripes in memory — without the caller's slice; the entry point for
-// objects too large to materialize.
-func (s *System) UploadFrom(client, password, filename string, r io.Reader, pl PrivacyLevel, opts UploadOptions) (FileInfo, error) {
-	return s.dist.UploadStream(client, password, filename, r, pl, opts)
-}
-
-// GetFile retrieves and reassembles a file.
-func (s *System) GetFile(client, password, filename string) ([]byte, error) {
-	return s.dist.GetFile(client, password, filename)
-}
-
-// GetFileTo streams a whole file into w in order with bounded lookahead,
-// never buffering more than the stream window. It returns the bytes
-// written; on error the count reports the delivered prefix.
-func (s *System) GetFileTo(w io.Writer, client, password, filename string) (int64, error) {
-	return s.dist.GetFileTo(w, client, password, filename)
-}
-
-// GetChunk retrieves one chunk by serial number.
-func (s *System) GetChunk(client, password, filename string, serial int) ([]byte, error) {
-	return s.dist.GetChunk(client, password, filename, serial)
-}
-
-// GetSnapshot retrieves a chunk's pre-modification state.
-func (s *System) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
-	return s.dist.GetSnapshot(client, password, filename, serial)
-}
-
-// UpdateChunk replaces one chunk, snapshotting the previous state.
-func (s *System) UpdateChunk(client, password, filename string, serial int, data []byte) error {
-	return s.dist.UpdateChunk(client, password, filename, serial, data, UploadOptions{})
-}
-
-// RemoveChunk deletes one chunk.
-func (s *System) RemoveChunk(client, password, filename string, serial int) error {
-	return s.dist.RemoveChunk(client, password, filename, serial)
-}
-
-// RemoveFile deletes a file and all of its shards.
-func (s *System) RemoveFile(client, password, filename string) error {
-	return s.dist.RemoveFile(client, password, filename)
-}
-
-// GetRange retrieves an arbitrary byte range, touching only the chunks
-// that overlap it.
-func (s *System) GetRange(client, password, filename string, offset, length int) ([]byte, error) {
-	return s.dist.GetRange(client, password, filename, offset, length)
-}
-
-// Scrub verifies every stored chunk and repairs corrupted or missing
-// shards from mirrors or RAID parity.
-func (s *System) Scrub() (core.ScrubReport, error) { return s.dist.Scrub() }
-
-// AuditOrphans finds (and with gc=true removes) provider-resident objects
-// the distributor's tables no longer reference.
-func (s *System) AuditOrphans(gc bool) (core.AuditReport, error) { return s.dist.AuditOrphans(gc) }
-
-// ChunkCount reports a file's chunk count.
-func (s *System) ChunkCount(client, password, filename string) (int, error) {
-	return s.dist.ChunkCount(client, password, filename)
-}
-
-// Stats returns placement statistics.
-func (s *System) Stats() Stats { return s.dist.Stats() }
-
-// Metrics returns the distributor's operation counters (reads, recovery
-// events, retries).
-func (s *System) Metrics() core.OpMetrics { return s.dist.Metrics() }
-
-// Health reports each provider's circuit-breaker state and accumulated
-// success/failure counts, as observed by the distributor's own
-// operations.
-func (s *System) Health() []core.ProviderHealth { return s.dist.Health() }
-
-// Distributor exposes the underlying distributor for advanced use
-// (tables, metadata replication, HTTP serving).
-func (s *System) Distributor() *core.Distributor { return s.dist }
 
 // Fleet exposes the provider fleet for failure injection, billing and
 // attack simulation.
@@ -282,7 +192,7 @@ func (s *System) DecommissionProvider(name string) (core.DecommissionReport, err
 	if err != nil {
 		return core.DecommissionReport{}, err
 	}
-	rep, err := s.dist.Decommission(idx)
+	rep, err := s.Decommission(idx)
 	if err != nil {
 		return rep, err
 	}

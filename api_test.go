@@ -95,7 +95,7 @@ func TestSystemLifecycle(t *testing.T) {
 	if _, err := sys.Upload("acme", "s3cret", "f", orig, Low, UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.UpdateChunk("acme", "s3cret", "f", 0, []byte("version two")); err != nil {
+	if err := sys.UpdateChunk("acme", "s3cret", "f", 0, []byte("version two"), UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := sys.GetSnapshot("acme", "s3cret", "f", 0)
@@ -148,7 +148,7 @@ func TestSystemConfigValidation(t *testing.T) {
 
 func TestSystemAccessors(t *testing.T) {
 	sys := demoSystem(t)
-	if sys.Distributor() == nil || sys.Fleet() == nil {
+	if sys.Distributor == nil || sys.Fleet() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if sys.Fleet().Len() != 6 {
@@ -179,7 +179,7 @@ func TestSystemStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 120_000)
 	rng.Read(data)
-	info, err := sys.UploadFrom("acme", "s3cret", "big.dat", bytes.NewReader(data), High, UploadOptions{})
+	info, err := sys.UploadStream("acme", "s3cret", "big.dat", bytes.NewReader(data), High, UploadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSystemStreaming(t *testing.T) {
 	if m.StreamUploads != 1 || m.StreamReads != 1 {
 		t.Fatalf("stream counters: %+v", m)
 	}
-	if _, err := sys.UploadFrom("acme", "s3cret", "big.dat", bytes.NewReader(data), High, UploadOptions{}); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate UploadFrom: %v", err)
+	if _, err := sys.UploadStream("acme", "s3cret", "big.dat", bytes.NewReader(data), High, UploadOptions{}); !errors.Is(err, ErrExists) {
+		t.Fatalf("duplicate UploadStream: %v", err)
 	}
 }

@@ -7,6 +7,7 @@
 //	cloudctl -server http://localhost:9000 register bob
 //	cloudctl -server http://localhost:9000 passwd bob x9pr 1
 //	cloudctl -server http://localhost:9000 upload bob x9pr file1 ./local.csv 1
+//	tar c dir | cloudctl -server http://localhost:9000 upload bob x9pr backup.tar - 1
 //	cloudctl -server http://localhost:9000 get bob x9pr file1 ./out.csv
 //	cloudctl -server http://localhost:9000 get-chunk bob x9pr file1 0
 //	cloudctl -server http://localhost:9000 tables
@@ -53,7 +54,7 @@ func main() {
 		return
 	}
 	var hc *http.Client
-	if cmd == "put" || cmd == "cat" {
+	if cmd == "upload" || cmd == "cat" {
 		// Streaming transfers run as long as the object is large; the
 		// default 30-second client timeout would sever them mid-body.
 		hc = &http.Client{}
@@ -102,34 +103,10 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 		}
 		return c.AddPassword(args[0], args[1], privacy.Level(lvl))
 	case "upload":
-		need(args, 4, "upload <client> <password> <filename> <localpath> [pl]")
-		if len(args) >= 5 {
-			lvl, err := strconv.Atoi(args[4])
-			if err != nil {
-				return fmt.Errorf("pl: %w", err)
-			}
-			pl = lvl
-		}
-		data, err := os.ReadFile(args[3])
-		if err != nil {
-			return err
-		}
-		opts := transport.UploadOptions{MisleadFraction: mislead}
-		if raid6 {
-			opts.Assurance = raid.RAID6
-		}
-		info, err := c.Upload(args[0], args[1], args[2], data, privacy.Level(pl), opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("uploaded %s: %d bytes -> %d chunks at %v, %v assurance\n",
-			info.Filename, info.Bytes, info.Chunks, info.PL, info.Raid)
-		return nil
-	case "put":
-		// The streaming twin of upload: the local file (or stdin with "-")
-		// feeds the wire directly, so neither this process nor the
-		// distributor ever holds the whole object.
-		need(args, 4, "put <client> <password> <filename> <localpath|-> [pl]")
+		// The local file (or stdin with "-") feeds the wire directly, so
+		// neither this process nor the distributor ever holds the whole
+		// object.
+		need(args, 4, "upload <client> <password> <filename> <localpath|-> [pl]")
 		if len(args) >= 5 {
 			lvl, err := strconv.Atoi(args[4])
 			if err != nil {
@@ -154,12 +131,12 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 		if err != nil {
 			return err
 		}
-		fmt.Printf("streamed %s: %d bytes -> %d chunks at %v, %v assurance\n",
+		fmt.Printf("uploaded %s: %d bytes -> %d chunks at %v, %v assurance\n",
 			info.Filename, info.Bytes, info.Chunks, info.PL, info.Raid)
 		return nil
 	case "cat":
-		// The streaming twin of get: bytes land on stdout (or a file) as
-		// they arrive, with bounded memory at every hop.
+		// The streaming counterpart of get: bytes land on stdout (or a
+		// file) as they arrive, with bounded memory at every hop.
 		need(args, 3, "cat <client> <password> <filename> [outpath|-]")
 		var w io.Writer = os.Stdout
 		toFile := len(args) >= 4 && args[3] != "-"
@@ -401,10 +378,9 @@ func usage() {
 commands:
   register <client>
   passwd <client> <password> <pl>
-  upload <client> <password> <filename> <localpath> [pl]
+  upload <client> <password> <filename> <localpath|-> [pl]   (streaming; "-" reads stdin)
   get <client> <password> <filename> <outpath>
-  put <client> <password> <filename> <localpath|-> [pl]   (streaming; "-" reads stdin)
-  cat <client> <password> <filename> [outpath|-]          (streaming; default stdout)
+  cat <client> <password> <filename> [outpath|-]             (streaming; default stdout)
   get-chunk <client> <password> <filename> <serial>
   snapshot <client> <password> <filename> <serial>
   update-chunk <client> <password> <filename> <serial> <localpath>

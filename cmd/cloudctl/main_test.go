@@ -199,6 +199,8 @@ func TestCLIRaid6AndMislead(t *testing.T) {
 	}
 }
 
+// TestCLIStreamingPutCat: upload streams a local file or stdin, cat
+// streams a file back out.
 func TestCLIStreamingPutCat(t *testing.T) {
 	c, dir := cliFixture(t)
 	_ = run(c, "register", []string{"bob"}, 1, false, 0)
@@ -208,31 +210,41 @@ func TestCLIStreamingPutCat(t *testing.T) {
 	if err := os.WriteFile(src, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "put", []string{"bob", "pw", "fs", src, "2"}, 1, false, 0); err != nil {
-		t.Fatalf("put: %v", err)
+	if err := run(c, "upload", []string{"bob", "pw", "fs", src, "2"}, 1, false, 0); err != nil {
+		t.Fatalf("upload: %v", err)
 	}
-	dst := filepath.Join(dir, "out.dat")
-	if err := run(c, "cat", []string{"bob", "pw", "fs", dst}, 1, false, 0); err != nil {
-		t.Fatalf("cat: %v", err)
-	}
-	back, err := os.ReadFile(dst)
+	stdin, err := os.Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back, content) {
-		t.Fatal("put/cat round trip mismatch")
+	defer stdin.Close()
+	saved := os.Stdin
+	os.Stdin = stdin
+	err = run(c, "upload", []string{"bob", "pw", "piped", "-", "2"}, 1, false, 0)
+	os.Stdin = saved
+	if err != nil {
+		t.Fatalf("upload from stdin: %v", err)
 	}
-	// The buffered commands interoperate with the streamed object.
-	if err := run(c, "get", []string{"bob", "pw", "fs", dst}, 1, false, 0); err != nil {
-		t.Fatalf("get after put: %v", err)
+	for _, name := range []string{"fs", "piped"} {
+		dst := filepath.Join(dir, name+".out")
+		if err := run(c, "cat", []string{"bob", "pw", name, dst}, 1, false, 0); err != nil {
+			t.Fatalf("cat %s: %v", name, err)
+		}
+		if back, err := os.ReadFile(dst); err != nil || !bytes.Equal(back, content) {
+			t.Fatalf("upload/cat round trip of %s mismatch: %v", name, err)
+		}
+		// The buffered get reads the streamed object too.
+		if err := run(c, "get", []string{"bob", "pw", name, dst}, 1, false, 0); err != nil {
+			t.Fatalf("get %s: %v", name, err)
+		}
+		if back, _ := os.ReadFile(dst); !bytes.Equal(back, content) {
+			t.Fatalf("get of %s mismatch", name)
+		}
 	}
-	if back, _ = os.ReadFile(dst); !bytes.Equal(back, content) {
-		t.Fatal("get after put mismatch")
+	if err := run(c, "upload", []string{"bob", "pw", "fs", src}, 1, false, 0); err == nil {
+		t.Fatal("duplicate upload succeeded")
 	}
-	if err := run(c, "put", []string{"bob", "pw", "fs", src}, 1, false, 0); err == nil {
-		t.Fatal("duplicate put succeeded")
-	}
-	if err := run(c, "cat", []string{"bob", "pw", "missing", dst}, 1, false, 0); err == nil {
+	if err := run(c, "cat", []string{"bob", "pw", "missing", filepath.Join(dir, "x")}, 1, false, 0); err == nil {
 		t.Fatal("cat of missing file succeeded")
 	}
 }

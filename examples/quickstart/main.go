@@ -70,7 +70,7 @@ func main() {
 	must(sys.SetProviderOutage("Google", false))
 
 	// The paper's three tables.
-	d := sys.Distributor()
+	d := sys.Distributor
 	fmt.Println("\nTable I — Cloud Provider Table")
 	fmt.Print(core.FormatProviderTable(d.ProviderTable()))
 	fmt.Println("\nTable II — Client Table")

@@ -191,14 +191,6 @@ func (d *Distributor) recoverWAL(cfg Config) error {
 	return nil
 }
 
-// Generation returns the distributor's commit generation: it advances on
-// every committed mutation and is what replication lag is measured in.
-func (d *Distributor) Generation() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.gen
-}
-
 // Close gracefully shuts the distributor down: waits (bounded by ctx)
 // for in-flight tickets to settle, writes a final checkpoint and closes
 // the WAL. Further mutations fail with a closed error. Safe to call on

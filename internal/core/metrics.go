@@ -10,8 +10,10 @@ type OpMetrics struct {
 	FileReads int64
 	// StreamUploads counts the uploads that arrived behind an io.Reader
 	// (UploadStream) rather than as a byte slice — the entry point, not a
-	// pipeline: there is one. StreamReads counts GetFileTo. Both are also
-	// included in Uploads / FileReads.
+	// pipeline: there is one. Every upload over the wire is one, since
+	// the upload route feeds the request body to UploadStream.
+	// StreamReads counts GetFileTo. Both are also included in Uploads /
+	// FileReads.
 	StreamUploads    int64
 	StreamReads      int64
 	ChunkReads       int64

@@ -176,8 +176,8 @@ func TestClusterLagSurfacing(t *testing.T) {
 	for i := 0; i < 3; i++ { // the log checkpoints at record 4
 		upload(fmt.Sprintf("missed-%d", i), int64(6+i))
 	}
-	if behind.Generation() >= primary.Generation() {
-		t.Fatalf("lagging follower generation %d not behind primary %d", behind.Generation(), primary.Generation())
+	if lag, lead := behind.StateView().Gen, primary.StateView().Gen; lag >= lead {
+		t.Fatalf("lagging follower generation %d not behind primary %d", lag, lead)
 	}
 	rep := follow(t, behind, primary)
 	if rep.Resynced || rep.Records != 3 || rep.LSN != mark.LSN+3 {

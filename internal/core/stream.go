@@ -12,19 +12,28 @@ import (
 // final call may carry both data (a short last chunk) and io.EOF. first
 // preserves the chunker.Split convention that an empty file still
 // yields one empty chunk.
+//
+// Only r's own io.EOF ends the stream. io.ReadFull cannot serve here: it
+// reports a short last chunk and a source that broke off alike, as
+// io.ErrUnexpectedEOF, and that is also what net/http returns for a body
+// cut short of its Content-Length or its terminating chunk. Any error
+// but io.EOF fails the read, and with it the upload.
 func readStripe(r io.Reader, chunkSize, width int, first bool) ([][]byte, int, error) {
 	var datas [][]byte
 	total := 0
 	for len(datas) < width {
 		buf := bufpool.Get(chunkSize)
-		n, err := io.ReadFull(r, buf)
+		n, err := 0, error(nil)
+		for m := 0; n < len(buf) && err == nil; n += m {
+			m, err = r.Read(buf[n:])
+		}
 		if n > 0 {
 			datas = append(datas, buf[:n])
 			total += n
 		} else {
 			bufpool.Put(buf)
 		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if err == io.EOF {
 			if first && len(datas) == 0 {
 				datas = append(datas, nil) // empty stream: one empty chunk
 			}

@@ -378,29 +378,38 @@ func TestUploadStreamShipFailureRollsBack(t *testing.T) {
 	streamAborted(t, d, hooked, "roll.bin", data)
 }
 
-// brokenReader yields size good bytes, then an I/O error.
+// brokenReader yields data, then err.
 type brokenReader struct {
 	data []byte
 	off  int
+	err  error
 }
 
 func (r *brokenReader) Read(p []byte) (int, error) {
 	if r.off >= len(r.data) {
-		return 0, errors.New("disk on fire")
+		return 0, r.err
 	}
 	n := copy(p, r.data[r.off:])
 	r.off += n
 	return n, nil
 }
 
+// TestUploadStreamReadErrorRollsBack: a reader that fails mid-chunk
+// aborts the upload. io.ErrUnexpectedEOF is how net/http reports a body
+// cut short of its Content-Length or its terminating chunk, so it must
+// fail the upload like any other error, never end the file early.
 func TestUploadStreamReadErrorRollsBack(t *testing.T) {
-	d, hooked := hookedStreamDistributor(t, 5, func(c *Config) { c.StreamWindow = 2 })
-	data := payload(8*512, 13)
-	_, err := d.UploadStream("alice", "root", "cut.bin", &brokenReader{data: data[:3*512]}, privacy.High, UploadOptions{})
-	if err == nil {
-		t.Fatal("upload succeeded despite reader failure")
+	for _, cut := range []error{errors.New("disk on fire"), io.ErrUnexpectedEOF} {
+		t.Run(cut.Error(), func(t *testing.T) {
+			d, hooked := hookedStreamDistributor(t, 5, func(c *Config) { c.StreamWindow = 2 })
+			data := payload(8*512, 13)
+			_, err := d.UploadStream("alice", "root", "cut.bin", &brokenReader{data: data[:3*512+100], err: cut}, privacy.High, UploadOptions{})
+			if !errors.Is(err, cut) {
+				t.Fatalf("upload over a stream that broke off: %v, want %v", err, cut)
+			}
+			streamAborted(t, d, hooked, "cut.bin", data)
+		})
 	}
-	streamAborted(t, d, hooked, "cut.bin", data)
 }
 
 // failingWriter accepts limit bytes then refuses.

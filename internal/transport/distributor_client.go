@@ -246,10 +246,3 @@ func (c *Client) ProviderHealth() ([]core.ProviderHealth, error) {
 	out, err := c.HealthReport()
 	return out.Providers, err
 }
-
-// CacheHealth fetches the distributor's chunk-cache counters; a zero
-// Capacity means caching is disabled.
-func (c *Client) CacheHealth() (core.CacheStats, error) {
-	out, err := c.HealthReport()
-	return out.Cache, err
-}

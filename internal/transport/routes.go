@@ -154,11 +154,10 @@ var (
 	routeAddPassword = def("POST /v1/passwords", everyShard, noKeys, replyNone, once, func(d *core.Distributor, q passwordReq) (any, error) {
 		return nil, d.AddPassword(q.Client, q.Password, privacy.Level(q.PL))
 	})
-	routeUpload       = raw("POST /v1/upload", ownerRouted, keysInQuery, replyJSON, once, (*DistributorServer).upload)
-	routeUpdateChunk  = raw("POST /v1/update_chunk", ownerRouted, keysInQuery, replyNone, once, (*DistributorServer).updateChunk)
-	routeStreamUpload = raw("POST /v1/stream/upload", ownerRouted, keysInQuery, replyJSON, once, (*DistributorServer).streamUpload)
-	routeStreamFile   = raw("GET /v1/stream/file", ownerRouted, keysInQuery, replyStream, once, (*DistributorServer).streamFile)
-	routeGetFile      = def("POST /v1/get_file", ownerRouted, keysInBody, replyOctets, replay, func(d *core.Distributor, q fileReq) (any, error) {
+	routeUpload      = raw("POST /v1/upload", ownerRouted, keysInQuery, replyJSON, once, (*DistributorServer).upload)
+	routeUpdateChunk = raw("POST /v1/update_chunk", ownerRouted, keysInQuery, replyNone, once, (*DistributorServer).updateChunk)
+	routeStreamFile  = raw("GET /v1/stream/file", ownerRouted, keysInQuery, replyStream, once, (*DistributorServer).streamFile)
+	routeGetFile     = def("POST /v1/get_file", ownerRouted, keysInBody, replyOctets, replay, func(d *core.Distributor, q fileReq) (any, error) {
 		return d.GetFile(q.Client, q.Password, q.Filename)
 	})
 	routeGetChunk = def("POST /v1/get_chunk", ownerRouted, keysInBody, replyOctets, replay, func(d *core.Distributor, q chunkReq) (any, error) {

@@ -134,7 +134,7 @@ func (p *ShardProxy) forward(rt *route, w http.ResponseWriter, r *http.Request) 
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	req.ContentLength = length // so the shard sizes its buffer once
+	req.ContentLength = length // a declared length stays declared, so net/http holds the shard to it
 	for _, h := range []string{headerPassword, headerEncryptKey, "Content-Type"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)

@@ -246,10 +246,11 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	if err := cl.Health(); err != nil {
 		t.Fatalf("health via proxy: %v", err)
 	}
-	// Metrics is a merged route like stats: the shards' counters add up.
+	// Metrics is a merged route like stats: the shards' counters add up,
+	// and every upload over the wire is a streamed one.
 	m, err := cl.Metrics()
-	if err != nil || m.Uploads != 13 || m.StreamUploads != 1 {
-		t.Fatalf("metrics via proxy: uploads=%d stream=%d err=%v, want 13 and 1", m.Uploads, m.StreamUploads, err)
+	if err != nil || m.Uploads != 13 || m.StreamUploads != 13 {
+		t.Fatalf("metrics via proxy: uploads=%d stream=%d err=%v, want 13 and 13", m.Uploads, m.StreamUploads, err)
 	}
 	if rep, err := cl.HealthReport(); err != nil || len(rep.Providers) != 3*4 {
 		t.Fatalf("health report via proxy: %d provider rows, %v", len(rep.Providers), err)

@@ -17,13 +17,13 @@ import (
 	"repro/internal/raid"
 )
 
-// This file is the wire form of the three payload-carrying routes
-// (routeUpload, routeUpdateChunk and routeStreamUpload). Their body is the
-// payload itself, raw application/octet-stream octets written from the
-// caller's slice or reader and read into the buffer the core works on —
-// never a JSON document, so no byte of a file is base64-coded, quoted or
-// copied by a codec on this hop. Everything else is parameters, one
-// codec for all three (postOctets writes it, parseWrite reads it):
+// This file is the wire form of the two payload-carrying routes
+// (routeUpload and routeUpdateChunk). Their body is the payload itself,
+// raw application/octet-stream octets written from the caller's slice or
+// reader — never a JSON document, so no byte of a file is base64-coded,
+// quoted or copied by a codec on this hop. Everything else is
+// parameters, one codec for both (postOctets writes it, parseWrite reads
+// it):
 //
 //   - the routing keys client and filename, the route's own scalar (pl,
 //     or serial for an update) and the upload options ride in the query
@@ -36,9 +36,10 @@ import (
 //     bytes — whose total byte length the query declares (preamble=N):
 //     the server cuts it off the front, a proxy relays it unparsed.
 //
-// The two buffered routes cap preamble plus payload at maxBlobRead and
-// refuse a declared excess before reading a byte; the streamed route
-// bounds only the preamble, since its payload is never held whole.
+// An upload's payload feeds core.UploadStream as it arrives, so only its
+// preamble is bounded. An update's payload is one chunk, read whole:
+// preamble and chunk together are capped at maxBlobRead, and a declared
+// excess is refused before a byte is read.
 
 const (
 	headerPassword   = "X-Password"
@@ -157,18 +158,47 @@ func parseWrite(r *http.Request, required string) (p writeParams, err error) {
 	return p, nil
 }
 
-var errBodyTooLarge = &httpError{http.StatusRequestEntityTooLarge, "body too large"}
-
-// readWrite is parseWrite for the two buffered routes: it also reads the
-// whole payload into one exact-size buffer. Preamble and payload
-// together must fit maxBlobRead; a declared excess is refused unread.
-func readWrite(r *http.Request, required string) (writeParams, []byte, error) {
-	if r.ContentLength > maxBlobRead {
-		return writeParams{}, nil, errBodyTooLarge
-	}
-	p, err := parseWrite(r, required)
+// upload is the one upload route: what follows the preamble feeds
+// core.UploadStream as it arrives, so neither side ever holds the file
+// and no whole-body cap applies. A body cut short of its declared length
+// or its terminating chunk fails the read, the upload rolls back, and
+// the answer is 400: the request was malformed, not the distributor.
+func (s *DistributorServer) upload(_ http.ResponseWriter, r *http.Request) (any, error) {
+	p, err := parseWrite(r, "pl")
 	if err != nil {
-		return p, nil, err
+		return nil, err
+	}
+	body := &bodyReader{r: r.Body}
+	info, err := s.d.UploadStream(p.client, p.password, p.filename, body, privacy.Level(p.pl), p.opts)
+	if err != nil && body.err != nil {
+		return nil, &httpError{http.StatusBadRequest, err.Error()}
+	}
+	return info, err
+}
+
+// bodyReader remembers whether reading the request body failed.
+type bodyReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
+}
+
+// updateChunk reads the new chunk into one exact-size buffer.
+func (s *DistributorServer) updateChunk(_ http.ResponseWriter, r *http.Request) (any, error) {
+	tooLarge := &httpError{http.StatusRequestEntityTooLarge, "body too large"}
+	if r.ContentLength > maxBlobRead {
+		return nil, tooLarge
+	}
+	p, err := parseWrite(r, "serial")
+	if err != nil {
+		return nil, err
 	}
 	rest := r.ContentLength
 	if rest >= 0 {
@@ -176,39 +206,12 @@ func readWrite(r *http.Request, required string) (writeParams, []byte, error) {
 	}
 	data, err := readBody(r.Body, rest, maxBlobRead-p.preamble)
 	if errors.Is(err, errOversizeBody) {
-		return p, nil, errBodyTooLarge
+		return nil, tooLarge
 	}
 	if err != nil {
-		return p, nil, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	return p, data, nil
-}
-
-func (s *DistributorServer) upload(_ http.ResponseWriter, r *http.Request) (any, error) {
-	p, data, err := readWrite(r, "pl")
-	if err != nil {
-		return nil, err
-	}
-	return s.d.Upload(p.client, p.password, p.filename, data, privacy.Level(p.pl), p.opts)
-}
-
-func (s *DistributorServer) updateChunk(_ http.ResponseWriter, r *http.Request) (any, error) {
-	p, data, err := readWrite(r, "serial")
-	if err != nil {
-		return nil, err
+		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	return nil, s.d.UpdateChunk(p.client, p.password, p.filename, p.serial, data, p.opts)
-}
-
-// streamUpload is the streamed put: what follows the preamble feeds
-// core.UploadStream as it arrives, so neither side ever holds the file
-// and no whole-body cap applies.
-func (s *DistributorServer) streamUpload(_ http.ResponseWriter, r *http.Request) (any, error) {
-	p, err := parseWrite(r, "pl")
-	if err != nil {
-		return nil, err
-	}
-	return s.d.UploadStream(p.client, p.password, p.filename, r.Body, privacy.Level(p.pl), p.opts)
 }
 
 // ---- Client side ----
@@ -263,16 +266,18 @@ func (c *Client) postOctets(rt *route, client, password, filename, scalar string
 }
 
 // Upload ships a file to the distributor, the body written straight from
-// data.
+// data with its length declared.
 func (c *Client) Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	return into[core.FileInfo](c.postOctets(routeUpload, client, password, filename, "pl", int(pl), opts, bytes.NewReader(data)))
+	return c.UploadFrom(client, password, filename, bytes.NewReader(data), pl, opts)
 }
 
 // UploadFrom streams a file to the distributor from r without buffering
-// it: the reader feeds the request body directly and the distributor
-// commits stripe-by-stripe with bounded memory at both ends.
+// it: the reader feeds the request body directly (chunked, unless r is a
+// bytes.Reader, bytes.Buffer or strings.Reader, whose length net/http
+// declares) and the distributor commits stripe-by-stripe with bounded
+// memory at both ends.
 func (c *Client) UploadFrom(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (core.FileInfo, error) {
-	return into[core.FileInfo](c.postOctets(routeStreamUpload, client, password, filename, "pl", int(pl), opts, r))
+	return into[core.FileInfo](c.postOctets(routeUpload, client, password, filename, "pl", int(pl), opts, r))
 }
 
 // UpdateChunk replaces a chunk's contents.
