@@ -9,6 +9,7 @@
 #   make delete-lint      a provider blob is deleted by core's delete step (deleteBlobs) only
 #   make replication-lint followers apply the primary's own WAL records, through core's Follow only
 #   make loc              non-test Go code lines per package and in total
+#   make reach            non-test internal/ functions that no binary links (report only)
 #   make test             plain test run
 #   make fuzz             short randomized fuzzing of the codec layers
 #   FUZZTIME=30s make fuzz  longer fuzz budget
@@ -69,7 +70,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
 
 check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint build race fuzz
 
@@ -211,6 +212,45 @@ loc:
 		line ~ /^\/\*/ { block = !index(line, "*/"); next } \
 		{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); n[dir]++; total++ } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+
+# Non-test functions of internal/ that no binary links. Every main package
+# (cmd/*, examples/*, benchmark) is built with inlining off, so a function
+# reached only through an inlined call still shows up in the binary, and
+# go tool nm lists each binary's text symbols; a declared function found in
+# none of them runs only under its own tests. A report, not a gate: test
+# harnesses, reference implementations a test compares against and core
+# methods exported through privcloud.System appear too, and keeping them is
+# a judgement for review. It builds every binary, so make check leaves it out.
+reach:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mod=$$($(GO) list -m) && \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/bin" "$$p" || exit 1; \
+		$(GO) tool nm "$$tmp/bin" >> "$$tmp/nm" || exit 1; \
+	done && \
+	find ./internal -name '*.go' ! -name '*_test.go' | sort | xargs awk -v mod="$$mod" ' \
+		function unshape(s,  out, d, i, c) { \
+			for (i = 1; i <= length(s); i++) { \
+				c = substr(s, i, 1); \
+				if (c == "[") d++; else if (c == "]") d--; else if (!d) out = out c \
+			} \
+			return out \
+		} \
+		FILENAME == nm { if ($$2 == "T" || $$2 == "t") { s = $$0; sub(/^ *[0-9a-f]+ [Tt] /, "", s); linked[unshape(s)] } next } \
+		FNR == 1 { pkg = FILENAME; sub(/^\.\//, "", pkg); sub(/\/[^\/]*$$/, "", pkg) } \
+		/^func / { \
+			s = substr($$0, 6); recv = ""; \
+			if (s ~ /^\(/) { \
+				recv = s; sub(/\).*/, "", recv); n = split(substr(recv, 2), w, " "); recv = unshape(w[n]); \
+				sub(/^\([^)]*\) */, "", s); \
+				recv = (recv ~ /^\*/) ? "(" recv ")." : recv "." \
+			} \
+			name = s; sub(/[^A-Za-z0-9_].*/, "", name); \
+			if (recv == "" && name == "init") next; \
+			sym = mod "/" pkg "." recv name; \
+			if (!(sym in linked)) { printf "%s:%d\t%s\n", FILENAME, FNR, sym; unlinked++ } \
+		} \
+		END { printf "reach: %d non-test internal/ functions linked into no binary (report only)\n", unlinked }' \
+		nm="$$tmp/nm" "$$tmp/nm"
 
 test:
 	$(GO) test ./...

@@ -29,8 +29,8 @@
 //
 // The internal packages implement every substrate the paper's evaluation
 // needs — simulated S3-like providers, an HTTP transport, the attacker's
-// mining toolkit (regression, hierarchical clustering, k-means, Apriori,
-// k-NN), workload generators, an encryption baseline, a Chord-style
+// mining toolkit (regression, hierarchical clustering, Apriori, k-NN,
+// naive Bayes), workload generators, an encryption baseline, a Chord-style
 // client-side variant, and availability/cost models. See DESIGN.md for
 // the system inventory and EXPERIMENTS.md for the paper-vs-measured
 // record.

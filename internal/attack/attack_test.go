@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -484,24 +483,5 @@ func TestHealthPredictionAttackEmpty(t *testing.T) {
 	res := HealthPredictionAttack(nil, recs[:10])
 	if res.FitErr == nil {
 		t.Fatal("empty attack should fail")
-	}
-}
-
-func TestHealthRuleLeak(t *testing.T) {
-	recs, _ := dataset.GenerateHealthRecords(dataset.DefaultHealthConfig())
-	blobs := []Blob{{Provider: "p", Key: "k", Data: dataset.HealthCSV(recs)}}
-	rules, rows, err := HealthRuleLeak(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != len(recs) {
-		t.Fatalf("rows = %d", rows)
-	}
-	// The leaked rules must mention a vital sign and a risk class.
-	if !strings.Contains(rules, "=> high") && !strings.Contains(rules, "=> low") {
-		t.Fatalf("rules leak nothing:\n%s", rules)
-	}
-	if _, _, err := HealthRuleLeak(nil); err == nil {
-		t.Fatal("empty leak should fail")
 	}
 }

@@ -87,24 +87,3 @@ func HealthKNNAttack(blobs []Blob, holdout []dataset.HealthRecord, k int) Predic
 	res.Accuracy = acc
 	return res
 }
-
-// HealthRuleLeak trains a decision tree on whatever patient rows the
-// attacker recovered and returns the leaked decision rules in plain
-// language — the most damaging form of the prediction attack, since the
-// thresholds themselves ("glucose > 114 ⇒ high risk") are the secret.
-func HealthRuleLeak(blobs []Blob) (rules string, rows int, err error) {
-	var recs []dataset.HealthRecord
-	for _, b := range blobs {
-		rs, _ := dataset.ParseHealthCSV(b.Data)
-		recs = append(recs, rs...)
-	}
-	if len(recs) == 0 {
-		return "", 0, fmt.Errorf("attack: no patient rows recovered: %w", mining.ErrTooFewSamples)
-	}
-	x, y := dataset.HealthFeatures(recs)
-	tree, err := mining.TrainDecisionTree(x, y, mining.TreeConfig{MaxDepth: 3})
-	if err != nil {
-		return "", len(recs), err
-	}
-	return tree.Rules([]string{"age", "bmi", "bloodsys", "glucose"}), len(recs), nil
-}

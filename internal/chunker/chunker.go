@@ -122,17 +122,3 @@ func Reassemble(chunks []Chunk) ([]byte, error) {
 	}
 	return out.Bytes(), nil
 }
-
-// CountChunks predicts how many chunks Split will produce — the number the
-// distributor notifies the client of ("The total number of chunks for each
-// file is notified to the client").
-func CountChunks(fileSize int, level privacy.Level, policy privacy.ChunkSizePolicy) (int, error) {
-	size, err := policy.Size(level)
-	if err != nil {
-		return 0, err
-	}
-	if fileSize <= 0 {
-		return 1, nil
-	}
-	return (fileSize + size - 1) / size, nil
-}

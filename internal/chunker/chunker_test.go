@@ -159,28 +159,6 @@ func sum256(b []byte) [32]byte {
 	return c[0].Sum
 }
 
-func TestCountChunks(t *testing.T) {
-	policy := privacy.DefaultChunkSizes()
-	n, err := CountChunks(100<<10, privacy.Public, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks, _ := Split(make([]byte, 100<<10), privacy.Public, policy)
-	if n != len(chunks) {
-		t.Fatalf("CountChunks = %d, actual = %d", n, len(chunks))
-	}
-	n, _ = CountChunks(0, privacy.Public, policy)
-	if n != 1 {
-		t.Fatalf("empty file count = %d, want 1", n)
-	}
-}
-
-func TestCountChunksBadPolicy(t *testing.T) {
-	if _, err := CountChunks(10, privacy.Public, privacy.ChunkSizePolicy{SizeByLevel: map[privacy.Level]int{}}); err == nil {
-		t.Fatal("empty policy should error")
-	}
-}
-
 // Property: Split → Reassemble is the identity for arbitrary payloads and
 // chunk sizes.
 func TestSplitReassembleRoundTripProperty(t *testing.T) {

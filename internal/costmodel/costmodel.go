@@ -63,15 +63,6 @@ func costLevelDollars(cl int) float64 {
 	}
 }
 
-// ParityOverhead returns the storage blow-up factor of a stripe
-// configuration: (data+parity)/data.
-func ParityOverhead(dataShards, parityShards int) (float64, error) {
-	if dataShards < 1 || parityShards < 0 {
-		return 0, fmt.Errorf("costmodel: %d data, %d parity shards", dataShards, parityShards)
-	}
-	return float64(dataShards+parityShards) / float64(dataShards), nil
-}
-
 // Comparison pits the distributed placement against the single-provider
 // baseline for the same logical bytes.
 type Comparison struct {

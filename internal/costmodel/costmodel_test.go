@@ -63,24 +63,6 @@ func TestSingleProviderCost(t *testing.T) {
 	}
 }
 
-func TestParityOverhead(t *testing.T) {
-	if got, err := ParityOverhead(4, 1); err != nil || math.Abs(got-1.25) > 1e-12 {
-		t.Fatalf("4+1 = %v, %v", got, err)
-	}
-	if got, _ := ParityOverhead(4, 2); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("4+2 = %v", got)
-	}
-	if got, _ := ParityOverhead(3, 0); got != 1 {
-		t.Fatalf("no parity = %v", got)
-	}
-	if _, err := ParityOverhead(0, 1); err == nil {
-		t.Fatal("0 data shards accepted")
-	}
-	if _, err := ParityOverhead(1, -1); err == nil {
-		t.Fatal("negative parity accepted")
-	}
-}
-
 func TestCompareDistributedVsSingle(t *testing.T) {
 	// The paper's trade-off: scattering over cheap providers can beat a
 	// premium single provider even with RAID-5 parity overhead.

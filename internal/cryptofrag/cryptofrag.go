@@ -2,9 +2,8 @@
 // paper compares against in §VII-E ("Encryption vs Fragmentation"): the
 // client encrypts data before storing it in the cloud, and every query
 // must fetch and decrypt before it can be answered. The package provides
-// AES-CTR whole-file encryption, the paper's "partial encryption"
-// (encrypt a sensitive portion, fragment the rest), and a query-cost
-// harness the benchmarks use to reproduce the paper's overhead argument.
+// AES-CTR whole-file encryption and a query-cost harness the benchmarks
+// use to reproduce the paper's overhead argument.
 package cryptofrag
 
 import (
@@ -77,40 +76,6 @@ func deriveIV(key []byte, nonce uint64) []byte {
 	}
 	h.Write(buf[:])
 	return h.Sum(nil)[:ivSize]
-}
-
-// PartialEncryption is the paper's complement strategy: "Clients can also
-// use partial encryption along with fragmentation, that involves
-// partitioning data and encrypting a portion of it." Sensitive holds the
-// encrypted portion; Plain the rest (to be fragmented normally).
-type PartialEncryption struct {
-	Sensitive []byte // ciphertext of the sensitive prefix
-	Plain     []byte // untouched remainder
-	splitAt   int
-}
-
-// PartialEncrypt encrypts the first splitAt bytes and leaves the rest for
-// fragmentation.
-func PartialEncrypt(key, data []byte, splitAt int, nonce uint64) (*PartialEncryption, error) {
-	if splitAt < 0 || splitAt > len(data) {
-		return nil, fmt.Errorf("cryptofrag: split %d outside [0,%d]", splitAt, len(data))
-	}
-	ct, err := Encrypt(key, data[:splitAt], nonce)
-	if err != nil {
-		return nil, err
-	}
-	plain := make([]byte, len(data)-splitAt)
-	copy(plain, data[splitAt:])
-	return &PartialEncryption{Sensitive: ct, Plain: plain, splitAt: splitAt}, nil
-}
-
-// Recombine decrypts the sensitive portion and reassembles the original.
-func (p *PartialEncryption) Recombine(key []byte) ([]byte, error) {
-	head, err := Decrypt(key, p.Sensitive)
-	if err != nil {
-		return nil, err
-	}
-	return append(head, p.Plain...), nil
 }
 
 // QueryCost quantifies the paper's overhead argument. For the encrypted

@@ -70,47 +70,6 @@ func TestNoncesProduceDistinctCiphertexts(t *testing.T) {
 	}
 }
 
-func TestPartialEncrypt(t *testing.T) {
-	data := []byte("SECRETHEADERpublic body that can be fragmented plainly")
-	pe, err := PartialEncrypt(testKey, data, 12, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(pe.Sensitive, []byte("SECRETHEADER")) {
-		t.Fatal("sensitive portion not encrypted")
-	}
-	if !bytes.Equal(pe.Plain, data[12:]) {
-		t.Fatal("plain portion altered")
-	}
-	got, err := pe.Recombine(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("recombine mismatch")
-	}
-}
-
-func TestPartialEncryptBounds(t *testing.T) {
-	if _, err := PartialEncrypt(testKey, []byte("abc"), -1, 0); err == nil {
-		t.Fatal("negative split accepted")
-	}
-	if _, err := PartialEncrypt(testKey, []byte("abc"), 4, 0); err == nil {
-		t.Fatal("oversized split accepted")
-	}
-	// Degenerate splits still round-trip.
-	for _, at := range []int{0, 3} {
-		pe, err := PartialEncrypt(testKey, []byte("abc"), at, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pe.Recombine(testKey)
-		if err != nil || !bytes.Equal(got, []byte("abc")) {
-			t.Fatalf("split %d: %q, %v", at, got, err)
-		}
-	}
-}
-
 func TestEncryptedQueryCostIsWholeObject(t *testing.T) {
 	c := EncryptedQueryCost(1_000_000, 10)
 	if c.BytesTransferred < 1_000_000 || c.BytesDecrypted != 1_000_000 {

@@ -122,18 +122,3 @@ func OutageDrill(d *core.Distributor, fleet *provider.Fleet, client, password st
 	}
 	return res, nil
 }
-
-// AvailabilityCurve sweeps the per-provider failure probability and
-// returns (p, survival) pairs for a stripe configuration — the series the
-// RAID ablation bench prints.
-func AvailabilityCurve(dataShards int, level raid.Level, ps []float64) ([][2]float64, error) {
-	out := make([][2]float64, 0, len(ps))
-	for _, p := range ps {
-		s, err := StripeSurvival(dataShards, level, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, [2]float64{p, s})
-	}
-	return out, nil
-}

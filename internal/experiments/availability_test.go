@@ -93,25 +93,6 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestAvailabilityCurveMonotone(t *testing.T) {
-	ps := []float64{0, 0.1, 0.2, 0.3, 0.5, 0.9}
-	curve, err := AvailabilityCurve(4, raid.RAID6, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != len(ps) {
-		t.Fatalf("curve points = %d", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i][1] > curve[i-1][1]+1e-12 {
-			t.Fatalf("survival not monotone decreasing: %v", curve)
-		}
-	}
-	if _, err := AvailabilityCurve(4, raid.RAID6, []float64{2}); err == nil {
-		t.Fatal("bad p accepted")
-	}
-}
-
 func drillFixture(t *testing.T) (*core.Distributor, *provider.Fleet, []string) {
 	t.Helper()
 	fleet, err := provider.NewFleet()

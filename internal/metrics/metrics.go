@@ -1,10 +1,9 @@
 // Package metrics provides the evaluation statistics the benchmarks use to
 // quantify mining success and clustering agreement: Rand / adjusted Rand
-// index, cluster-migration counts, cophenetic correlation, and basic error
-// measures. These turn the paper's visual "entities moved between
-// clusters" argument (Figs. 4–6) into numbers. It also provides the
-// HDR-style latency histogram (histogram.go) the load harness uses for
-// percentile reporting.
+// index, cluster-migration counts and Pearson correlation. These turn the
+// paper's visual "entities moved between clusters" argument (Figs. 4–6)
+// into numbers. It also provides the HDR-style latency histogram
+// (histogram.go) the load harness uses for percentile reporting.
 package metrics
 
 import (
@@ -124,7 +123,8 @@ func MigratedItems(a, b []int) (int, error) {
 }
 
 // Pearson computes the Pearson correlation coefficient of two equal-length
-// series; used for cophenetic correlation between dendrograms.
+// series; experiments/gps.go correlates two dendrograms' cophenetic
+// distances with it.
 func Pearson(x, y []float64) (float64, error) {
 	if len(x) != len(y) {
 		return 0, fmt.Errorf("%w: %d vs %d", ErrMismatch, len(x), len(y))
@@ -151,69 +151,4 @@ func Pearson(x, y []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// CopheneticCorrelation compares two full cophenetic distance matrices
-// (same item set) by correlating their upper triangles. Near 1 means the
-// dendrograms encode the same structure; fragmentation drives it down.
-func CopheneticCorrelation(a, b [][]float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d items", ErrMismatch, len(a), len(b))
-	}
-	var xs, ys []float64
-	for i := range a {
-		if len(a[i]) != len(a) || len(b[i]) != len(b) {
-			return 0, fmt.Errorf("%w: non-square cophenetic matrix", ErrMismatch)
-		}
-		for j := i + 1; j < len(a); j++ {
-			xs = append(xs, a[i][j])
-			ys = append(ys, b[i][j])
-		}
-	}
-	if len(xs) == 0 {
-		return 1, nil
-	}
-	return Pearson(xs, ys)
-}
-
-// MeanAbs returns the mean absolute value of a series.
-func MeanAbs(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s / float64(len(x))
-}
-
-// Purity measures how well predicted clusters match true groups: the
-// fraction of items in each predicted cluster belonging to that cluster's
-// majority true group, weighted by cluster size.
-func Purity(pred, truth []int) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrMismatch, len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("%w: empty clustering", ErrMismatch)
-	}
-	byCluster := map[int]map[int]int{}
-	for i, c := range pred {
-		if byCluster[c] == nil {
-			byCluster[c] = map[int]int{}
-		}
-		byCluster[c][truth[i]]++
-	}
-	correct := 0
-	for _, dist := range byCluster {
-		best := 0
-		for _, cnt := range dist {
-			if cnt > best {
-				best = cnt
-			}
-		}
-		correct += best
-	}
-	return float64(correct) / float64(len(pred)), nil
 }

@@ -139,53 +139,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestCopheneticCorrelation(t *testing.T) {
-	a := [][]float64{{0, 1, 4}, {1, 0, 4}, {4, 4, 0}}
-	r, err := CopheneticCorrelation(a, a)
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("r=%v err=%v", r, err)
-	}
-	if _, err := CopheneticCorrelation(a, [][]float64{{0}}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v", err)
-	}
-	bad := [][]float64{{0, 1}, {1, 0}, {0, 0}}
-	if _, err := CopheneticCorrelation(bad, bad); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("non-square err = %v", err)
-	}
-	one := [][]float64{{0}}
-	r, err = CopheneticCorrelation(one, one)
-	if err != nil || r != 1 {
-		t.Fatalf("1x1: r=%v err=%v", r, err)
-	}
-}
-
-func TestMeanAbs(t *testing.T) {
-	if MeanAbs(nil) != 0 {
-		t.Fatal("MeanAbs(nil) != 0")
-	}
-	if got := MeanAbs([]float64{-3, 3}); got != 3 {
-		t.Fatalf("MeanAbs = %v", got)
-	}
-}
-
-func TestPurity(t *testing.T) {
-	pred := []int{0, 0, 0, 1, 1, 1}
-	truth := []int{7, 7, 8, 9, 9, 9}
-	p, err := Purity(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-5.0/6.0) > 1e-12 {
-		t.Fatalf("purity = %v, want 5/6", p)
-	}
-	if _, err := Purity(nil, nil); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("empty err = %v", err)
-	}
-	if _, err := Purity([]int{1}, []int{1, 2}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("mismatch err = %v", err)
-	}
-}
-
 // Property: RandIndex is symmetric and within [0,1]; ARI ≤ 1.
 func TestIndicesBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {

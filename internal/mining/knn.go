@@ -102,3 +102,12 @@ func (c *KNNClassifier) Accuracy(points [][]float64, labels []string) (float64, 
 	}
 	return float64(correct) / float64(len(points)), nil
 }
+
+func sqDist(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}

@@ -1,8 +1,8 @@
 // Package mining implements the attacker's data-mining toolkit from the
 // paper's threat model: multivariate linear regression (the Table IV
 // bidding attack), hierarchical agglomerative clustering with dendrograms
-// (the Figs. 4–6 GPS attack), k-means clustering, Apriori association-rule
-// mining and k-NN prediction. These are the algorithms the paper argues
+// (the Figs. 4–6 GPS attack), Apriori association-rule mining, and k-NN
+// and Gaussian naive-Bayes prediction. These are the algorithms the paper argues
 // fragmentation defeats; implementing them lets the benchmarks measure
 // mining success on whole versus fragmented data.
 package mining

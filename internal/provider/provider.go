@@ -277,14 +277,6 @@ func (p *MemProvider) Usage() Usage {
 	return u
 }
 
-// MonthlyCost estimates the provider's bill for the currently resident
-// bytes at the provider's cost level.
-func (p *MemProvider) MonthlyCost() float64 {
-	u := p.Usage()
-	gb := float64(u.BytesStored) / (1 << 30)
-	return gb * p.info.CL.DollarsPerGBMonth()
-}
-
 // Dump returns every (key, value) pair the provider holds, sorted by key —
 // the complete view available to a malicious insider. Values are copies.
 func (p *MemProvider) Dump() map[string][]byte {

@@ -195,16 +195,6 @@ func TestUsageCounters(t *testing.T) {
 	}
 }
 
-func TestMonthlyCost(t *testing.T) {
-	p, _ := New(Info{Name: "bill", PL: privacy.High, CL: 3}, Options{})
-	_ = p.Put("k", make([]byte, 1<<20)) // 1 MiB
-	cost := p.MonthlyCost()
-	want := privacy.CostLevel(3).DollarsPerGBMonth() / 1024
-	if cost < want*0.99 || cost > want*1.01 {
-		t.Fatalf("cost = %v, want ~%v", cost, want)
-	}
-}
-
 func TestDumpIsInsiderView(t *testing.T) {
 	p := newTestProvider(t)
 	_ = p.Put("x", []byte("1"))

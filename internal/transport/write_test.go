@@ -487,8 +487,19 @@ func BenchmarkClientUpload(b *testing.B) {
 // in-process providers, where asking a provider anything is free — which
 // is how a health round trip per provider per stripe, under the table
 // lock, went unmeasured. The small case is all placement and round
-// trips; the defended one is the paper's highly-sensitive path.
+// trips; the defended one is the paper's highly-sensitive path. Each case
+// has an -inproc twin, the same upload over six in-process providers
+// with no HTTP, so the pair shows what the hop itself adds to a put.
 func BenchmarkUploadLoopbackFleet(b *testing.B) {
+	hops := []struct {
+		suffix string
+		dist   func(testing.TB) *core.Distributor
+	}{
+		{"", func(tb testing.TB) *core.Distributor {
+			return newLoopbackFleet(tb, 6, 10*time.Second, core.Config{}).dist
+		}},
+		{"-inproc", func(tb testing.TB) *core.Distributor { return memDistributor(tb, 6) }},
+	}
 	for _, bc := range []struct {
 		name string
 		size int
@@ -498,22 +509,24 @@ func BenchmarkUploadLoopbackFleet(b *testing.B) {
 		{"4KiB-PL2", 4 << 10, privacy.Moderate, core.UploadOptions{}},
 		{"4MiB-PL3-RAID6-mislead", 4 << 20, privacy.High, core.UploadOptions{Assurance: raid.RAID6, MisleadFraction: 0.25}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			f := newLoopbackFleet(b, 6, 10*time.Second, core.Config{})
-			data := patterned(bc.size)
-			b.SetBytes(int64(bc.size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.dist.Upload("a", "pw", "f", data, bc.pl, bc.opts); err != nil {
-					b.Fatal(err)
+		for _, hop := range hops {
+			b.Run(bc.name+hop.suffix, func(b *testing.B) {
+				d := hop.dist(b)
+				data := patterned(bc.size)
+				b.SetBytes(int64(bc.size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := d.Upload("a", "pw", "f", data, bc.pl, bc.opts); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					if err := d.RemoveFile("a", "pw", "f"); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
 				}
-				b.StopTimer()
-				if err := f.dist.RemoveFile("a", "pw", "f"); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+			})
+		}
 	}
 }
