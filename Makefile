@@ -23,6 +23,7 @@
 #   make minecheck        adversary-in-the-loop mining campaigns + gate
 #   MINECHECK_SEEDS=64 make minecheck  bigger sweep
 #   make minebench        full 128-cell privacy-vs-performance frontier
+#   make profile-put      where a defended 4 MiB put's CPU goes (pprof -top -cum)
 
 GO        ?= go
 FUZZTIME  ?= 5s
@@ -70,7 +71,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench profile-put
 
 check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint build race fuzz
 
@@ -378,6 +379,17 @@ minebench:
 	$(GO) run ./cmd/minecheck -seed 1 -out minecheck.frontier.json -table
 	$(GO) run ./cmd/benchjson -frontier minecheck.frontier.json -out $(BENCHOUT) < /dev/null
 	@rm -f minecheck.frontier.json
+
+# Where a defended put's time goes: the in-process twin of the 4 MiB PL3
+# RAID-6 mislead upload (no HTTP, so the distributor's own CPU is all
+# there is) under the CPU profiler, then the cumulative top of the
+# upload's samples. A report, not a gate: make check leaves it out.
+PROFILETIME ?= 60x
+profile-put:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkUploadLoopbackFleet/4MiB-PL3-RAID6-mislead-inproc$$' \
+		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/transport.test" ./internal/transport && \
+	$(GO) tool pprof -top -cum "$$tmp/transport.test" "$$tmp/cpu.prof" | head -n 60
 
 fmt:
 	gofmt -l -w .

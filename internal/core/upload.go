@@ -57,23 +57,23 @@ func (d *Distributor) validateUpload(filename string, pl privacy.Level, opts Upl
 }
 
 // preparePayload builds a chunk's stored payload from its original data:
-// encryption under nonce, line decoys or byte decoys drawn from rng, per
-// opts. It is a pure function of its arguments, so every write path runs
-// it without d.mu. Byte decoys inflate into a bufpool buffer, which is
-// appended to *pooled: the caller owns that list and returns its buffers
-// once the payload has shipped (providers copy on Put). Without decoys or
-// a key the payload aliases data.
-func preparePayload(data, encKey []byte, opts UploadOptions, nonce uint64, rng *rand.Rand, pooled *[][]byte) ([]byte, mislead.Injection, error) {
+// encryption under nonce, line decoys or byte decoys drawn from the
+// write's decoy stream, per opts. It is a pure function of its arguments,
+// so every write path runs it without d.mu. Byte decoys inflate into a
+// bufpool buffer, which is appended to *pooled: the caller owns that list
+// and returns its buffers once the payload has shipped (providers copy
+// on Put). Without decoys or a key the payload aliases data.
+func preparePayload(data, encKey []byte, opts UploadOptions, nonce uint64, decoys *mislead.Stream, pooled *[][]byte) ([]byte, mislead.Injection, error) {
 	switch {
 	case encKey != nil:
 		payload, err := cryptofrag.Encrypt(encKey, data, nonce)
 		return payload, mislead.Injection{}, err
 	case len(opts.MisleadLines) > 0:
-		return mislead.InjectLines(data, opts.MisleadLines, rng)
+		return mislead.InjectLines(data, opts.MisleadLines, rand.New(decoys))
 	case opts.MisleadFraction > 0:
 		buf := bufpool.Get(mislead.InflatedLen(len(data), opts.MisleadFraction))
 		*pooled = append(*pooled, buf)
-		return mislead.InjectTo(buf[:0], data, opts.MisleadFraction, rng)
+		return mislead.InjectTo(buf[:0], data, opts.MisleadFraction, decoys)
 	}
 	return data, mislead.Injection{}, nil
 }
@@ -86,7 +86,7 @@ func preparePayload(data, encKey []byte, opts UploadOptions, nonce uint64, rng *
 // the positions of the chunk it replaces — while two distributors given
 // the same seed and the same operations still store identical bytes.
 // Returns nil when opts asks for no decoys.
-func (d *Distributor) decoyRNG(opts UploadOptions, fid uint64, serial int, gen uint64) *rand.Rand {
+func (d *Distributor) decoyRNG(opts UploadOptions, fid uint64, serial int, gen uint64) *mislead.Stream {
 	if opts.MisleadFraction == 0 && len(opts.MisleadLines) == 0 {
 		return nil
 	}
@@ -96,7 +96,7 @@ func (d *Distributor) decoyRNG(opts UploadOptions, fid uint64, serial int, gen u
 	binary.LittleEndian.PutUint64(id[16:], uint64(serial))
 	binary.LittleEndian.PutUint64(id[24:], gen)
 	sum := sha256.Sum256(id[:])
-	return rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(sum[:]))))
+	return mislead.NewStream(int64(binary.LittleEndian.Uint64(sum[:])))
 }
 
 // uploadCtx is what one upload carries from its open hold to its commit.
@@ -111,7 +111,7 @@ type uploadCtx struct {
 	width            int // data shards per stripe
 	fid              uint64
 	ticket           *writeTicket
-	decoys           *rand.Rand // nil when opts asks for none
+	decoys           *mislead.Stream // nil when opts asks for none
 }
 
 // openUpload validates the request and runs the first, short hold of

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -189,6 +192,64 @@ func TestUpdateDoesNotReplayDecoyPositions(t *testing.T) {
 			}
 		}
 		seen = append(seen, now)
+	}
+}
+
+// TestDecoyBlobsGolden pins every stored byte of a seeded mix of decoyed
+// writes, across builds: a large RAID-6 upload at the defended fraction,
+// a sparse one, a dense mirrored one, line decoys, and updates that draw
+// fresh streams. The determinism tests above compare a run with its own
+// replay, so they cannot see the decoy stream itself change; this digest
+// can. It is the digest math/rand's source (rand.NewSource) gives: a
+// change that moves it moves every stored decoy and must say so.
+func TestDecoyBlobsGolden(t *testing.T) {
+	const want = "d16ad74f28f74a05c3a6d4eccfd707582777accbe12d5722405984bfbce805bb"
+	d, err := New(Config{Fleet: testFleet(t, 6), Secret: []byte("s"), MisleadSeed: 31, StreamWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterClient("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []struct {
+		file string
+		data []byte
+		pl   privacy.Level
+		opts UploadOptions
+	}{
+		{"defended", payload(4<<20, 1), privacy.High, UploadOptions{MisleadFraction: 0.25, Assurance: raid.RAID6}},
+		{"sparse", payload(300<<10, 2), privacy.Moderate, UploadOptions{MisleadFraction: 0.05}},
+		{"dense", payload(100<<10, 3), privacy.High, UploadOptions{MisleadFraction: 0.9, Replicas: 1}},
+		{"lines", csvPayload(3000), privacy.High, UploadOptions{MisleadLines: decoyLines}},
+	} {
+		if _, err := d.UploadStream("alice", "root", u.file, bytes.NewReader(u.data), u.pl, u.opts); err != nil {
+			t.Fatalf("%s: %v", u.file, err)
+		}
+	}
+	if err := d.UpdateChunk("alice", "root", "defended", 7, payload(8<<10, 4), UploadOptions{MisleadFraction: 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.UpdateChunk("alice", "root", "dense", 1, payload(5000, 5), UploadOptions{MisleadFraction: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for i, p := range d.Providers().All() {
+		blobs := p.Dump()
+		keys := make([]string, 0, len(blobs))
+		for k := range blobs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "%d %s %d\n", i, k, len(blobs[k]))
+			h.Write(blobs[k])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("sha256 over every provider blob = %s, want %s", got, want)
 	}
 }
 

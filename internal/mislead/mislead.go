@@ -177,8 +177,23 @@ func InflatedLen(n int, fraction float64) int {
 // making the decoys hard to filter before mining). fraction ∈ [0, 1] is
 // the ratio of decoy bytes to original bytes. The returned Injection
 // records the decoy positions in the inflated payload.
+//
+// The draws continue rng's sequence: Inject reads the next 607 outputs
+// of rng into a Stream on its stack and runs InjectTo on that, so when
+// rng's source is math/rand's (rand.NewSource) the output is what
+// drawing from rng directly would give. rng advances by exactly 607
+// draws whatever the payload — a caller that injects many chunks holds
+// one Stream and calls InjectTo instead. A nil rng is rand.NewSource(1).
 func Inject(data []byte, fraction float64, rng *rand.Rand) ([]byte, Injection, error) {
-	return InjectTo(nil, data, fraction, rng)
+	var s Stream
+	if rng == nil {
+		s.Seed(1)
+	} else {
+		for i := range s.buf {
+			s.buf[i] = rng.Uint64()
+		}
+	}
+	return InjectTo(nil, data, fraction, &s)
 }
 
 // InjectTo is Inject appending the inflated payload to dst — typically a
@@ -190,14 +205,14 @@ func Inject(data []byte, fraction float64, rng *rand.Rand) ([]byte, Injection, e
 // no permutation of the whole payload. One walk over the bitmap then
 // meets the positions in order, copies the kept bytes between them in
 // bulk, draws each decoy byte and emits its gap — so nothing is sorted
-// and no per-byte flag is tested. The draw sequence, and with it the
-// output, is a pure function of the rng's state.
-func InjectTo(dst, data []byte, fraction float64, rng *rand.Rand) ([]byte, Injection, error) {
+// and no per-byte flag is tested. Both draws are below's, inlined: read
+// straight from s's block with the cursor in a local, they leave the
+// loop only for a refill and for the rare draw the reduction rejects.
+// The draw sequence, and with it the output, is a pure function of s's
+// state, and s is left just past the last draw.
+func InjectTo(dst, data []byte, fraction float64, s *Stream) ([]byte, Injection, error) {
 	if fraction < 0 || fraction > 1 {
 		return nil, Injection{}, fmt.Errorf("mislead: fraction %v outside [0,1]", fraction)
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
 	}
 	nDecoys := InflatedLen(len(data), fraction) - len(data)
 	if nDecoys == 0 {
@@ -205,19 +220,34 @@ func InjectTo(dst, data []byte, fraction float64, rng *rand.Rand) ([]byte, Injec
 	}
 	inflatedLen := len(data) + nDecoys
 
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	words := (inflatedLen + 63) / 64
-	if cap(s.bitmap) < words {
-		s.bitmap = make([]uint64, words)
+	if cap(sc.bitmap) < words {
+		sc.bitmap = make([]uint64, words)
 	}
-	bitmap := s.bitmap[:words]
+	bitmap := sc.bitmap[:words]
 	clear(bitmap)
+	// Both loops draw by below, inlined, with the cursor in next. Past 32
+	// bits every draw is below's general case.
+	huge := inflatedLen > math.MaxUint32
+	next := s.next
 	for j := inflatedLen - nDecoys; j < inflatedLen; j++ {
-		t := below(rng, j+1)
-		if bitmap[t>>6]&(1<<(t&63)) != 0 {
-			t = j // j itself cannot be taken yet: every earlier draw was below it
+		if next == streamLen {
+			s.refill()
+			next = 0
 		}
+		var t int
+		if prod := (s.buf[next] >> 31 & math.MaxUint32) * uint64(j+1); uint32(prod) >= uint32(j+1) && !huge {
+			t, next = int(prod>>32), next+1
+		} else {
+			t, next = s.below(next, j+1)
+		}
+		// A taken t becomes j, which cannot be taken yet: every earlier
+		// draw was below it. Collisions are too frequent and too random
+		// to predict, so the choice is a mask, not a branch.
+		taken := int(bitmap[t>>6] >> (t & 63) & 1)
+		t ^= (t ^ j) & -taken
 		bitmap[t>>6] |= 1 << (t & 63)
 	}
 
@@ -247,33 +277,61 @@ func InjectTo(dst, data []byte, fraction float64, rng *rand.Rand) ([]byte, Injec
 				copy(out[prev+1:p], data[src:src+kept])
 			}
 			src += kept
-			out[p] = data[below(rng, len(data))]
-			gaps = binary.AppendUvarint(gaps, uint64(kept))
+			if next == streamLen {
+				s.refill()
+				next = 0
+			}
+			var at int
+			if prod := (s.buf[next] >> 31 & math.MaxUint32) * uint64(len(data)); uint32(prod) >= uint32(len(data)) && !huge {
+				at, next = int(prod>>32), next+1
+			} else {
+				at, next = s.below(next, len(data))
+			}
+			out[p] = data[at]
+			if kept < 0x80 {
+				gaps = append(gaps, byte(kept))
+			} else {
+				gaps = binary.AppendUvarint(gaps, uint64(kept))
+			}
 			prev = p
 		}
 	}
+	s.next = next
 	copy(out[prev+1:], data[src:])
 	return dst[:base+inflatedLen], Injection{count: nDecoys, gaps: gaps}, nil
 }
 
-// below returns a uniform integer in [0, n). Two draws per decoy make
-// this the sampler's inner cost, and rand.Intn spends most of its time
-// in two integer divisions; the multiply-shift reduction (Lemire 2019,
-// the one math/rand keeps private for Shuffle) divides only when a draw
-// lands in the sliver that would bias the result, and redraws there, so
-// the outcome is exactly uniform.
-func below(rng *rand.Rand, n int) int {
+// below returns a uniform integer in [0, n), drawn from s at cursor next,
+// and the cursor after it, which may be streamLen. The draw is
+// rand.Rand.Uint32's, the high 32 of a 63-bit output, reduced by
+// multiply-shift (Lemire 2019, the one math/rand keeps private for
+// Shuffle) where rand.Intn would spend two integer divisions; a draw
+// landing in the sliver that would bias the result is redrawn, so the
+// outcome is exactly uniform. A bound past 32 bits takes rand.Intn's own
+// method. InjectTo inlines the common case, an accepted first draw, and
+// calls below, which is too large to inline, for the rest.
+func (s *Stream) below(next, n int) (int, int) {
+	s.next = next
 	if n > math.MaxUint32 {
-		return rng.Intn(n)
+		// rand.Rand.Int63n, which rand.Intn is at this size.
+		if n&(n-1) == 0 {
+			return int(s.Int63() & int64(n-1)), s.next
+		}
+		max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+		v := s.Int63()
+		for v > max {
+			v = s.Int63()
+		}
+		return int(v % int64(n)), s.next
 	}
 	bound := uint32(n)
-	prod := uint64(rng.Uint32()) * uint64(bound)
+	prod := uint64(uint32(s.Int63()>>31)) * uint64(bound)
 	if low := uint32(prod); low < bound {
 		for reject := -bound % bound; low < reject; low = uint32(prod) {
-			prod = uint64(rng.Uint32()) * uint64(bound)
+			prod = uint64(uint32(s.Int63()>>31)) * uint64(bound)
 		}
 	}
-	return int(prod >> 32)
+	return int(prod >> 32), s.next
 }
 
 // scratch is the per-call sampling bitmap, pooled by pointer so that

@@ -91,7 +91,7 @@ func TestInjectToAppendsInPlace(t *testing.T) {
 	}
 	buf := make([]byte, 3, 3+InflatedLen(len(data), 0.25))
 	copy(buf, "pre")
-	got, inj, err := InjectTo(buf, data, 0.25, rand.New(rand.NewSource(9)))
+	got, inj, err := InjectTo(buf, data, 0.25, NewStream(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestInjectToAppendsInPlace(t *testing.T) {
 		t.Fatal("InjectTo output differs from Inject under the same seed")
 	}
 	// Too little room: grows like append, prefix preserved.
-	got, _, err = InjectTo([]byte("pre"), data, 0.25, rand.New(rand.NewSource(9)))
+	got, _, err = InjectTo([]byte("pre"), data, 0.25, NewStream(9))
 	if err != nil || string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) {
 		t.Fatalf("InjectTo without capacity: err=%v", err)
 	}
@@ -573,12 +573,39 @@ func benchShapes(b *testing.B, run func(b *testing.B, data []byte, frac float64)
 	}
 }
 
+// BenchmarkInject times InjectTo the way the write path calls it: one
+// Stream carried from chunk to chunk, so no case pays Inject's 607-draw
+// bootstrap, which a write pays once per file.
 func BenchmarkInject(b *testing.B) {
 	benchShapes(b, func(b *testing.B, data []byte, frac float64) {
-		rng := rand.New(rand.NewSource(1))
+		s := NewStream(1)
+		dst := make([]byte, 0, InflatedLen(len(data), frac))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchOut, benchInj, _ = Inject(data, frac, rng)
+			benchOut, benchInj, _ = InjectTo(dst, data, frac, s)
+		}
+	})
+	// The shape a defended upload injects: a 4 MiB PL3 object's 512
+	// chunks, each its own payload, from one Stream per file into buffers
+	// of their own. The cases above replay one chunk that stays in cache.
+	b.Run("file4MiB/f0.25", func(b *testing.B) {
+		const chunk, chunks = 8 << 10, 512
+		rng := rand.New(rand.NewSource(1))
+		data := make([][]byte, chunks)
+		dsts := make([][]byte, chunks)
+		for c := range data {
+			data[c] = make([]byte, chunk)
+			rng.Read(data[c])
+			dsts[c] = make([]byte, 0, InflatedLen(chunk, 0.25))
+		}
+		b.SetBytes(chunk * chunks)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := NewStream(int64(i))
+			for c := range data {
+				benchOut, benchInj, _ = InjectTo(dsts[c], data[c], 0.25, s)
+			}
 		}
 	})
 }

@@ -29,11 +29,24 @@ var errOversizeBody = errors.New("transport: body exceeds size limit")
 //     limit+1 bytes so that reaching the cap is told apart from fitting
 //     it exactly.
 func readBody(body io.Reader, contentLength, limit int64) ([]byte, error) {
+	return readBodyInto(body, contentLength, limit, nil)
+}
+
+// readBodyInto is readBody reading a declared length into get(length)
+// instead of a buffer of its own — bufpool.Get, for a caller that is
+// done with the body when its handler returns. get is called only once
+// the length has passed the limit; nil allocates.
+func readBodyInto(body io.Reader, contentLength, limit int64, get func(n int) []byte) ([]byte, error) {
 	if contentLength > limit {
 		return nil, errOversizeBody
 	}
 	if contentLength >= 0 {
-		buf := make([]byte, contentLength)
+		var buf []byte
+		if get != nil {
+			buf = get(int(contentLength))
+		} else {
+			buf = make([]byte, contentLength)
+		}
 		if _, err := io.ReadFull(body, buf); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -165,6 +166,65 @@ func TestPutChunkOversizeAndLyingLengths(t *testing.T) {
 		if got, err := mem.Get("k"); err != nil || len(got) != 1<<10 {
 			t.Fatalf("at-cap put (declared %d) stored %d bytes, %v", declared, len(got), err)
 		}
+	}
+}
+
+// putChunk reads into a pooled buffer and hands it back once Put returns,
+// so the next put may be read into the very same bytes. A provider that
+// kept the slice instead of copying it would see its first blob turn
+// into the second; this catches it.
+func TestPutChunkReusesNoStoredBytes(t *testing.T) {
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewProviderServer(mem)
+	first, second := bytes.Repeat([]byte{1}, 10<<10), bytes.Repeat([]byte{2}, 10<<10)
+	for _, put := range []struct {
+		key  string
+		blob []byte
+	}{{"a", first}, {"b", second}} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/chunks/"+put.key, bytes.NewReader(put.blob)))
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("put %s: status %d", put.key, rec.Code)
+		}
+	}
+	if got, err := mem.Get("a"); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("first blob after a second put: %v, intact %v", err, bytes.Equal(got, first))
+	}
+	if got, err := mem.Get("b"); err != nil || !bytes.Equal(got, second) {
+		t.Fatalf("second blob: %v", err)
+	}
+}
+
+// A put through the handler allocates the provider's copy of the blob
+// and little else: the body itself is read into a pooled buffer. Reading
+// it into a buffer of its own would cost the blob twice.
+func TestPutChunkAllocationBudget(t *testing.T) {
+	const blobLen, runs = 10 << 10, 50
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewProviderServer(mem)
+	blob := bytes.Repeat([]byte{5}, blobLen)
+	reqs := make([]*http.Request, runs+1)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPut, fmt.Sprintf("/v1/chunks/k%d", i), bytes.NewReader(blob))
+	}
+	srv.ServeHTTP(discardResponse{http.Header{}}, reqs[runs]) // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs[:runs] {
+		srv.ServeHTTP(discardResponse{http.Header{}}, req)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 2*blobLen {
+		t.Errorf("a %d-byte put allocates %d bytes through the handler, want < %d", blobLen, per, 2*blobLen)
+	}
+	if n := mem.Len(); n != runs+1 {
+		t.Fatalf("%d blobs stored, want %d", n, runs+1)
 	}
 }
 

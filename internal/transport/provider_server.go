@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/bufpool"
 	"repro/internal/provider"
 )
 
@@ -64,9 +65,12 @@ func providerStatus(err error) int {
 	}
 }
 
+// putChunk reads the blob into a pooled buffer and returns it once Put
+// has: providers copy on Put, the contract core's pooled stripe buffers
+// rest on too, so a put allocates only the provider's own copy.
 func (s *ProviderServer) putChunk(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	body, err := readBody(r.Body, r.ContentLength, maxBlobRead)
+	body, err := readBodyInto(r.Body, r.ContentLength, maxBlobRead, bufpool.Get)
 	if errors.Is(err, errOversizeBody) {
 		http.Error(w, "blob too large", http.StatusRequestEntityTooLarge)
 		return
@@ -75,6 +79,7 @@ func (s *ProviderServer) putChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	defer bufpool.Put(body)
 	if err := s.p.Put(key, body); err != nil {
 		http.Error(w, err.Error(), providerStatus(err))
 		return
