@@ -20,6 +20,7 @@
 #   SIMCHECK_SEEDS=64 SIMCHECK_OPS=600 make simcheck  bigger sweep
 #   make walcheck         crash-restart recovery sweep (WAL durability)
 #   make shardcheck       the same sweep over a sharded namespace with WAL followers
+#   make trace-hashes     one "sweep seed hash" line per simcheck run, seeds 1-8 of the three sweeps (diff two trees)
 #   make minecheck        adversary-in-the-loop mining campaigns + gate
 #   MINECHECK_SEEDS=64 make minecheck  bigger sweep
 #   make minebench        full 128-cell privacy-vs-performance frontier
@@ -71,7 +72,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race minecheck minecheck-race minebench profile-put
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put
 
 check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint build race fuzz
 
@@ -356,6 +357,19 @@ shardcheck:
 # The CI variant: fewer seeds under the race detector.
 shardcheck-race:
 	$(GO) test -race ./internal/simcheck -count=1 -short -run 'TestSimCheckSharded'
+
+# The trace hash of every simcheck run, seeds 1-8 of the single, the
+# crash-restart and the sharded sweep, one "sweep seed hash" line each.
+# A change meant to keep behaviour identical prints the same lines at
+# both commits: run it in each tree and diff the two outputs. It fails
+# when a run fails or prints no hash. A report, not a gate: make check
+# leaves it out.
+trace-hashes:
+	@$(GO) test ./internal/simcheck -count=1 -json -seeds=8 \
+		-run 'TestSimCheck$$|TestSimCheckCrashRestart$$|TestSimCheckSharded$$' \
+		| grep -o '"Test":"[^"/]*/seed=[0-9]*","Output":"[^"]*trace=[0-9a-f]*' \
+		| sed -E 's/^"Test":"([^"/]*)\/seed=([0-9]+)".*trace=([0-9a-f]+)$$/\1 \2 \3/' \
+		| awk '{ print } END { if (NR != 24) { print "trace-hashes: " NR " of 24 runs passed" > "/dev/stderr"; exit 1 } }'
 
 # Adversary-in-the-loop gate (internal/minecheck): stands up the real
 # loopback deployment per seed, drives tenant traffic, and mounts the

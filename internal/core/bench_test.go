@@ -30,12 +30,11 @@ func benchDistributor(b *testing.B, n int, putLatency time.Duration) *Distributo
 		if err != nil {
 			b.Fatal(err)
 		}
-		h := provider.NewHooked(mem)
-		h.SetBeforePut(func(int, string) error {
+		mem.SetBeforePut(func(int, string) error {
 			time.Sleep(putLatency)
 			return nil
 		})
-		if err := f.Add(h); err != nil {
+		if err := f.Add(mem); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ import (
 // everything else.
 type bulkRig struct {
 	d        *core.Distributor
-	hooked   []*provider.Hooked
+	hooked   []*provider.MemProvider
 	gets     []atomic.Int64
 	multiReq []atomic.Int64
 	otherReq []atomic.Int64
@@ -41,7 +41,7 @@ const multiGetPath = "/v1/chunks:get"
 func newBulkRig(tb testing.TB, n int, remote bool, cfg core.Config) *bulkRig {
 	tb.Helper()
 	rig := &bulkRig{
-		hooked:   make([]*provider.Hooked, n),
+		hooked:   make([]*provider.MemProvider, n),
 		gets:     make([]atomic.Int64, n),
 		multiReq: make([]atomic.Int64, n),
 		otherReq: make([]atomic.Int64, n),
@@ -56,7 +56,7 @@ func newBulkRig(tb testing.TB, n int, remote bool, cfg core.Config) *bulkRig {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		rig.hooked[i] = provider.NewHooked(mem)
+		rig.hooked[i] = mem
 		rig.hooked[i].SetBeforeGet(func(string) error { rig.gets[i].Add(1); return nil })
 		var member provider.Provider = rig.hooked[i]
 		if remote {

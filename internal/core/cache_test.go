@@ -29,12 +29,11 @@ func cacheTestDistributor(t *testing.T, cacheBytes int64) (*Distributor, *atomic
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := provider.NewHooked(mem)
-		h.SetBeforeGet(func(string) error {
+		mem.SetBeforeGet(func(string) error {
 			gets.Add(1)
 			return nil
 		})
-		if err := f.Add(h); err != nil {
+		if err := f.Add(mem); err != nil {
 			t.Fatal(err)
 		}
 	}

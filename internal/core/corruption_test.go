@@ -12,7 +12,7 @@ import (
 
 // corruptServedBytes makes every Get from the provider return the stored
 // length with flipped bytes — silent rot in flight, the store untouched.
-func corruptServedBytes(h *provider.Hooked) {
+func corruptServedBytes(h *provider.MemProvider) {
 	h.SetTransformGet(func(_ string, data []byte) []byte {
 		for i := range data {
 			data[i] ^= 0xA5

@@ -16,13 +16,13 @@ import (
 // hedgeTestDistributor builds a distributor over 8 hooked in-memory
 // providers with hedged reads enabled, returning the hooks so tests can
 // stall or count individual providers' Gets.
-func hedgeTestDistributor(t *testing.T, hedgeAfter time.Duration) (*Distributor, []*provider.Hooked) {
+func hedgeTestDistributor(t *testing.T, hedgeAfter time.Duration) (*Distributor, []*provider.MemProvider) {
 	t.Helper()
 	f, err := provider.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := make([]*provider.Hooked, 8)
+	hooked := make([]*provider.MemProvider, 8)
 	for i := range hooked {
 		mem, err := provider.New(provider.Info{
 			Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: 1,
@@ -30,7 +30,7 @@ func hedgeTestDistributor(t *testing.T, hedgeAfter time.Duration) (*Distributor,
 		if err != nil {
 			t.Fatal(err)
 		}
-		hooked[i] = provider.NewHooked(mem)
+		hooked[i] = mem
 		if err := f.Add(hooked[i]); err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/privacy"
-	"repro/internal/provider"
 )
 
 // DecommissionReport summarizes a provider evacuation.
@@ -343,7 +342,7 @@ func (d *Distributor) AuditOrphans(gc bool) (AuditReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		if provider.Probe(p) { // no lock held: a fresh answer may be waited for
+		if p.Probe() { // no lock held: a fresh answer may be waited for
 			continue // unreachable; audit again after recovery
 		}
 		for _, key := range p.Keys() {

@@ -13,16 +13,16 @@ import (
 	"repro/internal/raid"
 )
 
-// hookedFleet builds n Hooked in-memory providers with identical cost
-// levels, so placement is purely load-balancing and every provider gets
-// selected deterministically.
-func hookedFleet(t *testing.T, n int) (*provider.Fleet, []*provider.Hooked) {
+// hookedFleet builds n in-memory providers, returned for their hooks,
+// with identical cost levels, so placement is purely load-balancing and
+// every provider gets selected deterministically.
+func hookedFleet(t *testing.T, n int) (*provider.Fleet, []*provider.MemProvider) {
 	t.Helper()
 	f, err := provider.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := make([]*provider.Hooked, n)
+	hooked := make([]*provider.MemProvider, n)
 	for i := 0; i < n; i++ {
 		mem, err := provider.New(provider.Info{
 			Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: 1,
@@ -30,7 +30,7 @@ func hookedFleet(t *testing.T, n int) (*provider.Fleet, []*provider.Hooked) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hooked[i] = provider.NewHooked(mem)
+		hooked[i] = mem
 		if err := f.Add(hooked[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func hookedFleet(t *testing.T, n int) (*provider.Fleet, []*provider.Hooked) {
 
 // hookedDistributor builds a distributor over a hookedFleet with
 // serialized provider I/O (so put ordinals are the staged shard order).
-func hookedDistributor(t *testing.T, n int) (*Distributor, []*provider.Hooked) {
+func hookedDistributor(t *testing.T, n int) (*Distributor, []*provider.MemProvider) {
 	t.Helper()
 	f, hooked := hookedFleet(t, n)
 	d, err := New(Config{Fleet: f, Parallelism: 1})
@@ -58,7 +58,7 @@ func hookedDistributor(t *testing.T, n int) (*Distributor, []*provider.Hooked) {
 
 // failNthFleetPut makes the k-th Put across the whole fleet fail with
 // ErrOutage (not retried as transient), everything else pass.
-func failNthFleetPut(hooked []*provider.Hooked, k int) {
+func failNthFleetPut(hooked []*provider.MemProvider, k int) {
 	var mu sync.Mutex
 	n := 0
 	for _, h := range hooked {
@@ -74,7 +74,7 @@ func failNthFleetPut(hooked []*provider.Hooked, k int) {
 	}
 }
 
-func clearPutHooks(hooked []*provider.Hooked) {
+func clearPutHooks(hooked []*provider.MemProvider) {
 	for _, h := range hooked {
 		h.SetBeforePut(nil)
 	}
@@ -110,7 +110,7 @@ type blobLedger struct {
 // watchFleet hooks every provider of the fleet into a fresh ledger. The
 // failAt-th put across the fleet fails with ErrOutage (not retried as
 // transient; 0 fails none), and every delete takes deleteDelay.
-func watchFleet(hooked []*provider.Hooked, failAt int, deleteDelay time.Duration) *blobLedger {
+func watchFleet(hooked []*provider.MemProvider, failAt int, deleteDelay time.Duration) *blobLedger {
 	l := &blobLedger{stored: map[string]bool{}, deleted: map[string]int{}}
 	for _, h := range hooked {
 		h.SetBeforePut(func(_ int, key string) error {
@@ -141,7 +141,7 @@ func watchFleet(hooked []*provider.Hooked, failAt int, deleteDelay time.Duration
 // assertRolledBack checks what a failed upload must leave: no blob on any
 // provider, every blob that was stored deleted exactly once and nothing
 // else deleted, and the counter agreeing.
-func (l *blobLedger) assertRolledBack(t *testing.T, d *Distributor, hooked []*provider.Hooked) {
+func (l *blobLedger) assertRolledBack(t *testing.T, d *Distributor, hooked []*provider.MemProvider) {
 	t.Helper()
 	for i, h := range hooked {
 		if h.Len() != 0 {
@@ -338,13 +338,13 @@ func TestConcurrentFailoversOfOneStripeLandApart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hooked []*provider.Hooked
+			var hooked []*provider.MemProvider
 			for i, cl := range []privacy.CostLevel{0, 0, 0, 0, 0, 1, 2, 2} {
 				mem, err := provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: cl}, provider.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				hooked = append(hooked, provider.NewHooked(mem))
+				hooked = append(hooked, mem)
 				if err := f.Add(hooked[i]); err != nil {
 					t.Fatal(err)
 				}
@@ -471,7 +471,7 @@ func TestConcurrentFailoversOfOneStripeLandApart(t *testing.T) {
 // darken makes one provider silently fail every data-plane operation
 // while still reporting itself up — the failure mode SetOutage cannot
 // model, and the one the health tracker exists to catch.
-func darken(h *provider.Hooked) {
+func darken(h *provider.MemProvider) {
 	h.SetBeforePut(func(int, string) error { return provider.ErrOutage })
 	h.SetBeforeGet(func(string) error { return provider.ErrOutage })
 }

@@ -56,15 +56,15 @@ func streamDistributor(t *testing.T, n int, mut func(*Config)) *Distributor {
 	return d
 }
 
-// hookedStreamDistributor is streamDistributor over Hooked providers so
+// hookedStreamDistributor is streamDistributor with the providers returned so
 // tests can count, fail or darken provider I/O.
-func hookedStreamDistributor(t *testing.T, n int, mut func(*Config)) (*Distributor, []*provider.Hooked) {
+func hookedStreamDistributor(t *testing.T, n int, mut func(*Config)) (*Distributor, []*provider.MemProvider) {
 	t.Helper()
 	f, err := provider.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := make([]*provider.Hooked, n)
+	hooked := make([]*provider.MemProvider, n)
 	for i := 0; i < n; i++ {
 		mem, err := provider.New(provider.Info{
 			Name: fmt.Sprintf("S%d", i), PL: privacy.High, CL: 1,
@@ -72,7 +72,7 @@ func hookedStreamDistributor(t *testing.T, n int, mut func(*Config)) (*Distribut
 		if err != nil {
 			t.Fatal(err)
 		}
-		hooked[i] = provider.NewHooked(mem)
+		hooked[i] = mem
 		if err := f.Add(hooked[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ type getLog struct {
 	dark map[int]bool
 }
 
-func attachGetLog(hooked []*provider.Hooked) *getLog {
+func attachGetLog(hooked []*provider.MemProvider) *getLog {
 	g := &getLog{dark: make(map[int]bool)}
 	for i, h := range hooked {
 		i := i
@@ -141,7 +141,7 @@ func (g *getLog) setDark(idx int, v bool) {
 // failFleetPutsAfter makes every provider put beyond the k-th (counted
 // across the whole fleet) fail with ErrOutage — once tripped, failover
 // has nowhere to go and the write must roll back.
-func failFleetPutsAfter(hooked []*provider.Hooked, k int) {
+func failFleetPutsAfter(hooked []*provider.MemProvider, k int) {
 	var mu sync.Mutex
 	n := 0
 	for _, h := range hooked {
@@ -157,13 +157,13 @@ func failFleetPutsAfter(hooked []*provider.Hooked, k int) {
 	}
 }
 
-func clearFleetPutHooks(hooked []*provider.Hooked) {
+func clearFleetPutHooks(hooked []*provider.MemProvider) {
 	for _, h := range hooked {
 		h.SetBeforePut(nil)
 	}
 }
 
-func fleetKeyCount(hooked []*provider.Hooked) int {
+func fleetKeyCount(hooked []*provider.MemProvider) int {
 	n := 0
 	for _, h := range hooked {
 		n += len(h.Keys())
@@ -330,7 +330,7 @@ func TestUploadStreamValidationAndDuplicates(t *testing.T) {
 
 // streamAborted asserts the post-abort state: no blobs anywhere, no file,
 // no orphans, and the filename free for a clean retry.
-func streamAborted(t *testing.T, d *Distributor, hooked []*provider.Hooked, name string, data []byte) {
+func streamAborted(t *testing.T, d *Distributor, hooked []*provider.MemProvider, name string, data []byte) {
 	t.Helper()
 	if n := fleetKeyCount(hooked); n != 0 {
 		t.Fatalf("%d blobs survived the rollback", n)

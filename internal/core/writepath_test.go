@@ -14,7 +14,7 @@ import (
 // blockFirstPut installs a fleet-wide hook that blocks the first Put to
 // reach any provider until gate is closed, signalling entered when the
 // blocked Put arrives. Every other Put passes through untouched.
-func blockFirstPut(hooked []*provider.Hooked, entered chan<- struct{}, gate <-chan struct{}) {
+func blockFirstPut(hooked []*provider.MemProvider, entered chan<- struct{}, gate <-chan struct{}) {
 	var mu sync.Mutex
 	taken := false
 	for _, h := range hooked {

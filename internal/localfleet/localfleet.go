@@ -31,10 +31,11 @@ type Config struct {
 	// per-op service time; zero keeps providers instant for
 	// deterministic harnesses.
 	ProvLatency time.Duration
-	// Wrap, when non-nil, interposes on each in-memory provider before
-	// it is served over HTTP — the hook minecheck uses to install
-	// provider-side spies (the malicious-insider vantage point).
-	Wrap func(shard, idx int, p provider.Provider) provider.Provider
+	// Hook, when non-nil, is handed each in-memory provider before it is
+	// served over HTTP — where minecheck installs its provider-side
+	// spies (the malicious-insider vantage point) on the provider's
+	// hooks.
+	Hook func(p *provider.MemProvider)
 	// Distributor tunes each shard's core.Config after the fleet is
 	// attached (cache, hedging, stream window, parallelism, …). The
 	// passed config already carries the fleet; mutate knobs in place.
@@ -103,11 +104,10 @@ func Start(cfg Config) (*Cluster, error) {
 				c.Close()
 				return nil, err
 			}
-			var p provider.Provider = mem
-			if cfg.Wrap != nil {
-				p = cfg.Wrap(s, i, p)
+			if cfg.Hook != nil {
+				cfg.Hook(mem)
 			}
-			url, srv, err := serveLoopback(transport.NewProviderServer(p))
+			url, srv, err := serveLoopback(transport.NewProviderServer(mem))
 			if err != nil {
 				c.Close()
 				return nil, err

@@ -114,8 +114,9 @@ type Result struct {
 	Scores Scores `json:"scores"`
 	Ops    int    `json:"ops"`
 	Chunks int    `json:"chunks"`
-	// OpsPerSec is wall-clock throughput of the traffic phase. It is the
-	// only non-deterministic field; determinism checks compare Scores.
+	// OpsPerSec is wall-clock throughput of the traffic phase. It and a
+	// sharded cell's Scores.ShardCorrelation (see Run) are the
+	// non-deterministic fields; determinism checks compare the rest.
 	OpsPerSec float64 `json:"opsPerSec"`
 }
 
@@ -142,9 +143,12 @@ const (
 )
 
 // Run stands up the cell's deployment, drives the tenant workload, and
-// mounts every attack. Deterministic given (Seed, Cell): serial driver,
+// mounts every attack. Deterministic given (Seed, Cell) — serial driver,
 // Parallelism 1, instant providers, hedging enabled but clamped far
-// above loopback latency, and logical-epoch timing stamps.
+// above loopback latency, and logical-epoch timing stamps — except in a
+// sharded cell's ShardCorrelation: the client's shard ring is keyed on
+// the distributor URLs, whose loopback ports are random, so which shard
+// a file lands on varies from run to run.
 func Run(cfg Config) (*Result, error) {
 	cell := cfg.Cell
 	if cell.Shards < 1 {
@@ -156,18 +160,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	var ep atomic.Int64
-	type spyAt struct {
-		shard int
-		spy   *spy
-	}
-	var spies []spyAt
+	var spies []*spy
 	cluster, err := localfleet.Start(localfleet.Config{
 		Shards:    cell.Shards,
 		Providers: provs,
-		Wrap: func(shard, idx int, p provider.Provider) provider.Provider {
-			s := newSpy(p, &ep)
-			spies = append(spies, spyAt{shard, s})
-			return s
+		Hook: func(p *provider.MemProvider) {
+			spies = append(spies, newSpy(p, &ep))
 		},
 		Distributor: func(shard int, c *core.Config) {
 			c.Secret = []byte(fmt.Sprintf("minecheck-%d-%d", cfg.Seed, shard))
@@ -285,7 +283,7 @@ func Run(cfg Config) (*Result, error) {
 	traceAt := func() []attack.TimedAccess {
 		var all []attack.TimedAccess
 		for _, s := range spies {
-			all = append(all, s.spy.Trace()...)
+			all = append(all, s.Trace()...)
 		}
 		return all
 	}

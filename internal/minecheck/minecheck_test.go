@@ -123,9 +123,10 @@ func TestMineCheck(t *testing.T) {
 
 // TestMineCheckDeterministic pins the harness's core promise: same seed
 // and cell → byte-identical campaign scores, even though the run goes
-// over real loopback HTTP.
+// over real loopback HTTP. A sharded cell's ShardCorrelation is the one
+// score left out: it follows the random loopback ports (see Run).
 func TestMineCheckDeterministic(t *testing.T) {
-	cells := []Cell{GateCells()[0], GateCells()[3]}
+	cells := []Cell{GateCells()[0], GateCells()[2], GateCells()[3]}
 	for _, cell := range cells {
 		a, err := Run(Config{Seed: 11, Cell: cell})
 		if err != nil {
@@ -134,6 +135,9 @@ func TestMineCheckDeterministic(t *testing.T) {
 		b, err := Run(Config{Seed: 11, Cell: cell})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cell.Shards > 1 {
+			a.Scores.ShardCorrelation, b.Scores.ShardCorrelation = 0, 0
 		}
 		if a.Scores != b.Scores {
 			t.Errorf("cell %s: scores differ across identical runs:\n  %+v\n  %+v", cell, a.Scores, b.Scores)
@@ -178,10 +182,8 @@ func TestTimingInvariance(t *testing.T) {
 	cluster, err := localfleet.Start(localfleet.Config{
 		Shards:    1,
 		Providers: 6,
-		Wrap: func(_, _ int, p provider.Provider) provider.Provider {
-			s := newSpy(p, &ep)
-			spies = append(spies, s)
-			return s
+		Hook: func(p *provider.MemProvider) {
+			spies = append(spies, newSpy(p, &ep))
 		},
 		Distributor: func(_ int, c *core.Config) {
 			c.Secret = []byte("timing-invariance")

@@ -8,36 +8,40 @@ import (
 	"repro/internal/provider"
 )
 
-// spy interposes on one in-memory provider and keeps the access log a
-// malicious provider operator would keep: every data-plane request with
-// its arrival burst, operation, and key. The burst stamp is the
-// harness's logical epoch counter — the deterministic stand-in for the
-// wall-clock second an adversary in a real deployment would record; the
-// driver advances the epoch between logical client operations, so
-// requests serving one client op share a stamp exactly as a co-arriving
-// burst would.
+// spy is the access log a malicious provider operator would keep on one
+// in-memory provider: every data-plane request with its arrival burst,
+// operation, and key. The burst stamp is the harness's logical epoch
+// counter — the deterministic stand-in for the wall-clock second an
+// adversary in a real deployment would record; the driver advances the
+// epoch between logical client operations, so requests serving one
+// client op share a stamp exactly as a co-arriving burst would.
 //
 // Control-plane reads (Dump, Keys, Len, Usage) are the attacker's own
 // actions and are not logged.
 type spy struct {
-	inner provider.Provider
+	name  string
 	epoch *atomic.Int64
 
 	mu    sync.Mutex
 	trace []attack.TimedAccess
 }
 
-func newSpy(inner provider.Provider, epoch *atomic.Int64) *spy {
-	return &spy{inner: inner, epoch: epoch}
+// newSpy starts logging p's requests through its before-hooks.
+func newSpy(p *provider.MemProvider, epoch *atomic.Int64) *spy {
+	s := &spy{name: p.Info().Name, epoch: epoch}
+	p.SetBeforePut(func(_ int, key string) error { return s.record("put", key) })
+	p.SetBeforeGet(func(key string) error { return s.record("get", key) })
+	p.SetBeforeDelete(func(key string) error { return s.record("delete", key) })
+	return s
 }
 
-func (s *spy) record(op, key string) {
+// record logs one request and lets it through.
+func (s *spy) record(op, key string) error {
 	t := s.epoch.Load()
 	s.mu.Lock()
-	s.trace = append(s.trace, attack.TimedAccess{
-		T: t, Provider: s.inner.Info().Name, Op: op, Key: key,
-	})
+	s.trace = append(s.trace, attack.TimedAccess{T: t, Provider: s.name, Op: op, Key: key})
 	s.mu.Unlock()
+	return nil
 }
 
 // Trace returns a copy of the access log.
@@ -46,26 +50,3 @@ func (s *spy) Trace() []attack.TimedAccess {
 	defer s.mu.Unlock()
 	return append([]attack.TimedAccess(nil), s.trace...)
 }
-
-func (s *spy) Put(key string, data []byte) error {
-	s.record("put", key)
-	return s.inner.Put(key, data)
-}
-
-func (s *spy) Get(key string) ([]byte, error) {
-	s.record("get", key)
-	return s.inner.Get(key)
-}
-
-func (s *spy) Delete(key string) error {
-	s.record("delete", key)
-	return s.inner.Delete(key)
-}
-
-func (s *spy) Info() provider.Info     { return s.inner.Info() }
-func (s *spy) Down() bool              { return s.inner.Down() }
-func (s *spy) SetOutage(down bool)     { s.inner.SetOutage(down) }
-func (s *spy) Len() int                { return s.inner.Len() }
-func (s *spy) Keys() []string          { return s.inner.Keys() }
-func (s *spy) Dump() map[string][]byte { return s.inner.Dump() }
-func (s *spy) Usage() provider.Usage   { return s.inner.Usage() }

@@ -118,6 +118,9 @@ func (p *DiskProvider) Down() bool {
 	return p.down
 }
 
+// Probe is Down: there is nothing further to ask.
+func (p *DiskProvider) Probe() bool { return p.Down() }
+
 // Put stores data under key, atomically (write + rename).
 func (p *DiskProvider) Put(key string, data []byte) error {
 	if key == "" {

@@ -19,8 +19,14 @@ type Provider interface {
 	// table lock exclusively, so an implementation that asks the provider
 	// stalls every reader and writer for as long as the provider takes to
 	// answer. An implementation with something to ask keeps the state
-	// itself and offers a Probe (see the Probe function).
+	// itself and refreshes it in Probe.
 	Down() bool
+	// Probe asks for a fresh liveness answer (true = down) and may block
+	// while it does, so it is for callers holding no lock.
+	// transport.RemoteProvider makes one health round trip under a short
+	// deadline; an in-process provider answers Down, which for it is
+	// already the truth.
+	Probe() bool
 	// SetOutage toggles simulated unavailability.
 	SetOutage(down bool)
 	// Len returns the number of stored keys.
@@ -32,18 +38,6 @@ type Provider interface {
 	Dump() map[string][]byte
 	// Usage returns billing counters.
 	Usage() Usage
-}
-
-// Probe asks p for a fresh liveness answer and may block while it does,
-// so it is for callers holding no lock: p's own Probe when it has one
-// (transport.RemoteProvider does: one health round trip under a short
-// deadline), else Down, which for an in-process provider is already the
-// truth.
-func Probe(p Provider) (down bool) {
-	if pr, ok := p.(interface{ Probe() bool }); ok {
-		return pr.Probe()
-	}
-	return p.Down()
 }
 
 // Fleet is an ordered collection of providers the distributor places

@@ -5,17 +5,75 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/privacy"
 )
 
-func newHookedMem(t *testing.T) *Hooked {
+func newHookedMem(t *testing.T) *MemProvider {
 	t.Helper()
 	p, err := New(Info{Name: "hp", PL: privacy.High, CL: 0}, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return NewHooked(p)
+	return p
+}
+
+// TestHooksRunOutsideTheLock: hooks are called with the provider's lock
+// released, so a hook may call back into its own provider, and a hook
+// that blocks stalls only its own operation.
+func TestHooksRunOutsideTheLock(t *testing.T) {
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return: a hook ran under the provider's lock", what)
+		}
+	}
+
+	h := newHookedMem(t)
+	if err := h.Put("k", []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	h.SetBeforeGet(func(key string) error {
+		if err := h.Put("seen-"+key, nil); err != nil {
+			return err
+		}
+		if keys := h.Keys(); len(keys) != 2 {
+			return fmt.Errorf("Keys inside the hook = %v", keys)
+		}
+		return nil
+	})
+	within("a Get whose hook calls Put and Keys", func() {
+		if _, err := h.Get("k"); err != nil {
+			t.Errorf("Get: %v", err)
+		}
+	})
+	h.SetBeforeGet(nil)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	h.SetBeforePut(func(_ int, key string) error {
+		if key == "blocked" {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	putDone := make(chan error, 1)
+	go func() { putDone <- h.Put("blocked", []byte("v")) }()
+	<-entered
+	within("a Get beside a Put blocked in its hook", func() {
+		if _, err := h.Get("k"); err != nil {
+			t.Errorf("Get: %v", err)
+		}
+	})
+	close(release)
+	if err := <-putDone; err != nil {
+		t.Fatalf("blocked Put after release: %v", err)
+	}
 }
 
 func TestHookedBeforeDelete(t *testing.T) {

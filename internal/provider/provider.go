@@ -9,7 +9,10 @@
 // failure model, outage simulation (the EC2 April 2011 scenario the paper
 // opens with), and billing counters. Dump exposes the provider's complete
 // view of stored data — exactly what a malicious insider (the paper's
-// "Hera") gets to mine.
+// "Hera") gets to mine. Its data-plane hooks (SetBeforePut and friends,
+// SetPartitioned) observe every request and stage the silent faults —
+// aborted operations, corrupted reads, dropped deletes, partitions —
+// that tests and simulations inject.
 package provider
 
 import (
@@ -91,6 +94,14 @@ var ErrOutage = errors.New("provider: outage")
 // ErrInjected is the transient failure produced by the failure-rate model.
 var ErrInjected = errors.New("provider: injected transient failure")
 
+// ErrSilentDrop, returned by a before-delete hook, makes the provider
+// report success WITHOUT deleting — the blob stays stored while the
+// caller believes it is gone. That models a real storage misbehavior (a
+// provider acking deletes it never applies) and is the knob simulation
+// harnesses use to prove their orphan-blob oracle has teeth: a dropped
+// delete must surface as an unexplained orphan.
+var ErrSilentDrop = errors.New("provider: operation silently dropped")
+
 // LatencyModel adds simulated service time per operation: a fixed setup
 // cost plus a per-byte transfer cost. Zero values mean no delay — the
 // default for unit tests.
@@ -129,6 +140,18 @@ type Usage struct {
 
 // MemProvider is an in-memory simulated cloud provider. It is safe for
 // concurrent use.
+//
+// Its hooks fail operations silently: unlike SetOutage, which makes Down
+// report the outage so the fleet's eligibility filter hides the provider
+// from placement, a hooked failure or a partition leaves the provider
+// claiming to be up while its operations fail. That is exactly the
+// misbehavior the distributor's health tracker exists to catch. Per
+// operation the before-hook runs first (it observes every attempt, even
+// ones the partition will swallow), then the partition gate, then the
+// outage and failure model and the store; the Get transform runs last,
+// on the stored bytes' copy. Hooks are read under the provider's lock
+// and called outside it, so a hook may block or call back into the
+// provider.
 type MemProvider struct {
 	info Info
 	opts Options
@@ -138,6 +161,14 @@ type MemProvider struct {
 	down  bool
 	rng   *rand.Rand
 	usage Usage
+
+	puts         int // Put attempts, aborted or not
+	partitioned  bool
+	beforePut    func(n int, key string) error
+	beforeGet    func(key string) error
+	transformGet func(key string, data []byte) []byte
+	beforeDelete func(key string) error
+	beforeList   func() error
 }
 
 // New creates a provider with the given identity and options.
@@ -189,6 +220,73 @@ func (p *MemProvider) Down() bool {
 	return p.down
 }
 
+// Probe is Down: an in-process provider's answer is already the truth.
+func (p *MemProvider) Probe() bool { return p.Down() }
+
+// SetBeforePut installs fn, called before every Put with the 1-based
+// ordinal of that Put on this provider; a non-nil return aborts the Put
+// with that error before anything is stored. nil removes the hook.
+func (p *MemProvider) SetBeforePut(fn func(n int, key string) error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.beforePut = fn
+}
+
+// SetBeforeGet installs fn, called before every Get; a non-nil return
+// aborts the Get with that error. nil removes the hook.
+func (p *MemProvider) SetBeforeGet(fn func(key string) error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.beforeGet = fn
+}
+
+// SetTransformGet installs fn, applied to every successful Get result
+// before it reaches the caller — the corruption hook. fn receives a
+// private copy of the stored bytes and may mutate it in place or return
+// a replacement (same-length mutations model silent bit rot; the stored
+// blob itself is untouched). nil removes the hook.
+func (p *MemProvider) SetTransformGet(fn func(key string, data []byte) []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.transformGet = fn
+}
+
+// SetBeforeDelete installs fn, called before every Delete; a non-nil
+// return aborts the Delete with that error — except ErrSilentDrop, which
+// makes the Delete report success without removing anything (see
+// ErrSilentDrop). nil removes the hook.
+func (p *MemProvider) SetBeforeDelete(fn func(key string) error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.beforeDelete = fn
+}
+
+// SetBeforeList installs fn, called before every Keys listing; a non-nil
+// return makes Keys return nil — the provider hides its inventory, the
+// failure mode that turns an orphan audit blind. nil removes the hook.
+func (p *MemProvider) SetBeforeList(fn func() error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.beforeList = fn
+}
+
+// SetPartitioned toggles a silent network partition: every data-plane
+// operation (Put/Get/Delete/Keys) fails with ErrOutage while Down keeps
+// reporting the provider as up, so placement still tries it and only the
+// health tracker can learn the truth.
+func (p *MemProvider) SetPartitioned(v bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.partitioned = v
+}
+
+// Puts returns how many Put calls reached this provider (aborted or not).
+func (p *MemProvider) Puts() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.puts
+}
+
 // gate applies outage, failure injection and latency accounting. Callers
 // hold p.mu.
 func (p *MemProvider) gate(nBytes int) error {
@@ -211,6 +309,18 @@ func (p *MemProvider) gate(nBytes int) error {
 // Put stores data under key, overwriting any previous value. The data is
 // copied.
 func (p *MemProvider) Put(key string, data []byte) error {
+	p.mu.Lock()
+	p.puts++
+	n, fn, cut := p.puts, p.beforePut, p.partitioned
+	p.mu.Unlock()
+	if fn != nil {
+		if err := fn(n, key); err != nil {
+			return err
+		}
+	}
+	if cut {
+		return ErrOutage
+	}
 	if key == "" {
 		return fmt.Errorf("provider: empty key")
 	}
@@ -232,8 +342,29 @@ func (p *MemProvider) Put(key string, data []byte) error {
 	return nil
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns a copy of the value stored under key, passed through the
+// transform hook when one is set.
 func (p *MemProvider) Get(key string) ([]byte, error) {
+	p.mu.Lock()
+	fn, tf, cut := p.beforeGet, p.transformGet, p.partitioned
+	p.mu.Unlock()
+	if fn != nil {
+		if err := fn(key); err != nil {
+			return nil, err
+		}
+	}
+	if cut {
+		return nil, ErrOutage
+	}
+	data, err := p.get(key)
+	if err == nil && tf != nil {
+		data = tf(key, data)
+	}
+	return data, err
+}
+
+// get is Get past the hooks and the partition gate.
+func (p *MemProvider) get(key string) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v, ok := p.data[key]
@@ -250,8 +381,23 @@ func (p *MemProvider) Get(key string) ([]byte, error) {
 	return cp, nil
 }
 
-// Delete removes key. Deleting an unknown key returns ErrNotFound.
+// Delete removes key. Deleting an unknown key returns ErrNotFound. A
+// before-delete hook returning ErrSilentDrop acks the delete without
+// performing it.
 func (p *MemProvider) Delete(key string) error {
+	p.mu.Lock()
+	fn, cut := p.beforeDelete, p.partitioned
+	p.mu.Unlock()
+	if fn != nil {
+		if err := fn(key); errors.Is(err, ErrSilentDrop) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+	if cut {
+		return ErrOutage
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.gate(0); err != nil {
@@ -291,8 +437,16 @@ func (p *MemProvider) Dump() map[string][]byte {
 	return out
 }
 
-// Keys returns the stored keys in sorted order.
+// Keys returns the stored keys in sorted order. A failing list hook or
+// an active partition yields nil — an empty inventory, exactly what a
+// scrubber or auditor would see from an unreachable provider.
 func (p *MemProvider) Keys() []string {
+	p.mu.Lock()
+	fn, cut := p.beforeList, p.partitioned
+	p.mu.Unlock()
+	if fn != nil && fn() != nil || cut {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	keys := make([]string, 0, len(p.data))

@@ -37,7 +37,7 @@ func (c *FaultCounts) add(o FaultCounts) {
 	c.SilentDrops += o.SilentDrops
 }
 
-// injector drives the seeded fault schedule through provider.Hooked's
+// injector drives the seeded fault schedule through provider.MemProvider's
 // hook surface. Hooks are installed once and consult the injector's
 // state, so suspending faults for a checkpoint is a single flag flip —
 // no hook churn, no lost delete observations.
@@ -51,7 +51,7 @@ type injector struct {
 	rng    *rand.Rand
 	tr     *trace
 	tick   func(time.Duration)
-	hooked []*provider.Hooked
+	hooked []*provider.MemProvider
 
 	active bool
 	curOp  int
@@ -82,7 +82,7 @@ type injector struct {
 	counts FaultCounts
 }
 
-func newInjector(cfg Config, seed int64, tr *trace, tick func(time.Duration), hooked []*provider.Hooked) *injector {
+func newInjector(cfg Config, seed int64, tr *trace, tick func(time.Duration), hooked []*provider.MemProvider) *injector {
 	inj := &injector{
 		cfg:           cfg,
 		rng:           rand.New(rand.NewSource(seed)),

@@ -232,7 +232,7 @@ type shard struct {
 	members   []*core.Distributor               // [0] primary, rest followers
 	rebuild   func() (*core.Distributor, error) // re-open the primary from its WAL dir
 	fleet     *provider.Fleet
-	hooked    []*provider.Hooked
+	hooked    []*provider.MemProvider
 	inj       *injector
 	m         *model
 	down      int // the member an open topology window holds down, -1 none
@@ -379,7 +379,7 @@ func (r *runner) newShard(s int, name, walDir string, clock func() time.Time) (*
 		if err != nil {
 			return nil, err
 		}
-		sh.hooked = append(sh.hooked, provider.NewHooked(mem))
+		sh.hooked = append(sh.hooked, mem)
 		if err := fleet.Add(sh.hooked[i]); err != nil {
 			return nil, err
 		}

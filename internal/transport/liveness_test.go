@@ -60,7 +60,6 @@ func (g *providerGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type loopbackFleet struct {
 	dist    *core.Distributor
 	mems    []*provider.MemProvider
-	hooked  []*provider.Hooked // what each server serves: mems[i], hooked
 	remotes []*RemoteProvider
 	srvs    []*httptest.Server
 	gates   []*providerGate
@@ -83,8 +82,7 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 		if err != nil {
 			tb.Fatal(err)
 		}
-		hooked := provider.NewHooked(mem)
-		gate := newProviderGate(NewProviderServer(hooked))
+		gate := newProviderGate(NewProviderServer(mem))
 		srv := httptest.NewServer(gate)
 		tb.Cleanup(srv.Close)
 		tb.Cleanup(func() { close(gate.release) }) // runs before srv.Close, which waits for handlers
@@ -95,7 +93,7 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 		if err := fleet.Add(remote); err != nil {
 			tb.Fatal(err)
 		}
-		f.mems, f.hooked, f.remotes = append(f.mems, mem), append(f.hooked, hooked), append(f.remotes, remote)
+		f.mems, f.remotes = append(f.mems, mem), append(f.remotes, remote)
 		f.srvs, f.gates = append(f.srvs, srv), append(f.gates, gate)
 	}
 	cfg.Fleet = fleet

@@ -38,11 +38,10 @@ func TestRemoteProviderGetMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := provider.NewHooked(mem)
 	var mu sync.Mutex // the server's goroutines write, the test reads
 	var seen []string
 	requests := 0
-	hooked.SetBeforeGet(func(key string) error {
+	mem.SetBeforeGet(func(key string) error {
 		mu.Lock()
 		seen = append(seen, key)
 		mu.Unlock()
@@ -56,7 +55,7 @@ func TestRemoteProviderGetMany(t *testing.T) {
 		}
 		return nil
 	})
-	server := NewProviderServer(hooked)
+	server := NewProviderServer(mem)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		requests++
@@ -121,8 +120,10 @@ func TestRemoteProviderGetMany(t *testing.T) {
 
 // TestProviderGetManyHelper: the helper takes the one-call path only when
 // the provider offers it and there is more than one key to ask for; a
-// wrapper that embeds the interface (provider.Hooked, a timing shim) hides
-// it and gets the loop.
+// wrapper that embeds the interface hides it and gets the loop. The
+// benchmark's timing shim has exactly that shape, and its traced smoke
+// test (TestSmokeTraced) counts the per-key calls the loop makes, which
+// is why GetMany stays optional.
 func TestProviderGetManyHelper(t *testing.T) {
 	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
 	for _, key := range []string{"a", "b"} {
@@ -150,7 +151,7 @@ func TestProviderGetManyHelper(t *testing.T) {
 	}
 	check(remote, []string{"a", "b"}, map[string]int{"POST " + multiGetPath: 1})
 	check(remote, []string{"a"}, map[string]int{"GET /v1/chunks/a": 1})
-	check(provider.NewHooked(remote), []string{"a", "b"}, map[string]int{"GET /v1/chunks/a": 1, "GET /v1/chunks/b": 1})
+	check(struct{ provider.Provider }{remote}, []string{"a", "b"}, map[string]int{"GET /v1/chunks/a": 1, "GET /v1/chunks/b": 1})
 }
 
 type roundTripFunc func(*http.Request) (*http.Response, error)
@@ -313,11 +314,10 @@ func TestRemoteProviderDeleteMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := provider.NewHooked(mem)
 	var mu sync.Mutex // the server's goroutines write, the test reads
 	var seen []string
 	requests := 0
-	hooked.SetBeforeDelete(func(key string) error {
+	mem.SetBeforeDelete(func(key string) error {
 		mu.Lock()
 		seen = append(seen, key)
 		mu.Unlock()
@@ -331,7 +331,7 @@ func TestRemoteProviderDeleteMany(t *testing.T) {
 		}
 		return nil
 	})
-	server := NewProviderServer(hooked)
+	server := NewProviderServer(mem)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		requests++
@@ -418,7 +418,9 @@ func TestProviderDeleteManyHelper(t *testing.T) {
 	}
 	check(remote, []string{"a", "b"}, map[string]int{"POST " + multiDeletePath: 1})
 	check(remote, []string{"a"}, map[string]int{"DELETE /v1/chunks/a": 1})
-	check(provider.NewHooked(remote), []string{"a", "b"}, map[string]int{"DELETE /v1/chunks/a": 1, "DELETE /v1/chunks/b": 1})
+	// A wrapper shaped like the benchmark's timing shim gets the per-key
+	// loop, as in TestProviderGetManyHelper.
+	check(struct{ provider.Provider }{remote}, []string{"a", "b"}, map[string]int{"DELETE /v1/chunks/a": 1, "DELETE /v1/chunks/b": 1})
 }
 
 // TestDeleteChunksRouteRefusals: a key list declared over the request cap

@@ -103,7 +103,7 @@ func TestAbortedUploadDeletesEachBlobOnce(t *testing.T) {
 	const failAt = 40 // of 80 puts: 64 chunks in 16 stripes of 4+1
 	var mu sync.Mutex
 	puts, stored, deleted := 0, map[string]bool{}, map[string]int{}
-	for _, h := range f.hooked {
+	for _, h := range f.mems {
 		h.SetBeforePut(func(_ int, key string) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -158,7 +158,7 @@ func TestRemoveWithDarkProviderIsIncomplete(t *testing.T) {
 	before := f.dist.Stats()
 	const dark = 3
 	failures := f.dist.Health()[dark].Failures
-	f.hooked[dark].SetPartitioned(true)
+	f.mems[dark].SetPartitioned(true)
 	err := f.dist.RemoveFile("a", "pw", "f")
 	if err == nil || !strings.Contains(err.Error(), "remove incomplete") || !errors.Is(err, provider.ErrOutage) {
 		t.Fatalf("RemoveFile with provider %d dark = %v, want remove incomplete: outage", dark, err)
@@ -173,7 +173,7 @@ func TestRemoveWithDarkProviderIsIncomplete(t *testing.T) {
 		t.Errorf("the dark provider holds %d blobs, want its 32 untouched", n)
 	}
 
-	f.hooked[dark].SetPartitioned(false)
+	f.mems[dark].SetPartitioned(false)
 	if err := f.dist.RemoveFile("a", "pw", "f"); err != nil {
 		t.Fatalf("retrying the remove: %v", err)
 	}

@@ -19,13 +19,13 @@ import (
 // providers, so tests can fail provider I/O mid-stream while talking to
 // the real HTTP surface. Window 1 makes the streamed read strictly
 // sequential: chunk k is on the wire before chunk k+1 is fetched.
-func hookedDistributorFixture(t *testing.T, n, window int) (*Client, []*provider.Hooked) {
+func hookedDistributorFixture(t *testing.T, n, window int) (*Client, []*provider.MemProvider) {
 	t.Helper()
 	fleet, err := provider.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked := make([]*provider.Hooked, n)
+	hooked := make([]*provider.MemProvider, n)
 	for i := 0; i < n; i++ {
 		mem, err := provider.New(provider.Info{
 			Name: fmt.Sprintf("h%d", i), PL: privacy.High, CL: 1,
@@ -33,7 +33,7 @@ func hookedDistributorFixture(t *testing.T, n, window int) (*Client, []*provider
 		if err != nil {
 			t.Fatal(err)
 		}
-		hooked[i] = provider.NewHooked(mem)
+		hooked[i] = mem
 		if err := fleet.Add(hooked[i]); err != nil {
 			t.Fatal(err)
 		}
