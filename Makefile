@@ -25,6 +25,7 @@
 #   MINECHECK_SEEDS=64 make minecheck  bigger sweep
 #   make minebench        full 128-cell privacy-vs-performance frontier
 #   make profile-put      where a defended 4 MiB put's CPU goes (pprof -top -cum)
+#   make profile-get      where a defended 4 MiB read's CPU goes (pprof -top -cum)
 
 GO        ?= go
 FUZZTIME  ?= 5s
@@ -72,7 +73,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put
+.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get
 
 check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint build race fuzz
 
@@ -404,6 +405,15 @@ profile-put:
 	$(GO) test -run '^$$' -bench 'BenchmarkUploadLoopbackFleet/4MiB-PL3-RAID6-mislead-inproc$$' \
 		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/transport.test" ./internal/transport && \
 	$(GO) tool pprof -top -cum "$$tmp/transport.test" "$$tmp/cpu.prof" | head -n 60
+
+# Its twin for the read side: a 4 MiB PL3 RAID-6 mislead GetFile over six
+# HTTP providers (BenchmarkGetFileDefended), so the provider's multi-get
+# handler is in the profile beside the distributor's strip and checks.
+profile-get:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkGetFileDefended$$' \
+		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/core.test" ./internal/core && \
+	$(GO) tool pprof -top -cum "$$tmp/core.test" "$$tmp/cpu.prof" | head -n 60
 
 fmt:
 	gofmt -l -w .

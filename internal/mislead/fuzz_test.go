@@ -46,6 +46,19 @@ func FuzzStripHostile(f *testing.F) {
 	f.Add(alnum[:17], []byte{16}, 1)
 	f.Add(alnum[:18], []byte{17}, 1)
 	f.Add(alnum[:34], []byte{16}, 1)
+	// Gaps of 16, 17, 127 and 128 within 16 bytes of either end. Each of
+	// the first three reaches one byte past the payload, and the forged
+	// count of 0 leaves the segment room for the run: only the fast
+	// loop's bounds keep the walk from stepping past the end, which the
+	// varint gap after it would then read beyond (the payloads are cut
+	// to their length, so that read panics).
+	long := bytes.Repeat(alnum, 8)
+	f.Add(long[:16:16], []byte{16, 0x80, 0x01}, 0)
+	f.Add(long[:17:17], []byte{17, 0x80, 0x01}, 0)
+	f.Add(long[:127:127], []byte{127, 0x80, 0x01}, 0)
+	f.Add(long[:129:129], []byte{0x80, 0x01}, 1)
+	f.Add(long[:145:145], []byte{0x80, 0x01, 16}, 2)
+	f.Add(long[:164:164], []byte{16, 17, 127}, 3)
 	f.Fuzz(func(t *testing.T, data, enc []byte, count int) {
 		check := func(inj Injection) {
 			want, err := Strip(data, inj)

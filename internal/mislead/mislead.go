@@ -120,19 +120,26 @@ func (inj Injection) Validate(inflatedLen int) error {
 // it goes — each gap is a run of kept bytes followed by one skipped
 // decoy. Checking inside the copying pass keeps StripTo to a single walk.
 //
-// At a 0.25 decoy rate a run averages four bytes, where a memmove call
-// costs more in size dispatch than in copying. So a run of up to 16
-// bytes is one fixed 16-byte store into dst's spare capacity, after
-// which dst grows by the run alone; the excess is overwritten by the
-// runs that follow. The store never reaches past cap(dst) — the caller's
-// neighbouring bytes may be another goroutine's segment — nor reads past
-// the end of inflated; runs within 16 bytes of either end are appended.
+// Copying, stripRuns takes almost every gap: those of one byte away
+// from either end. It hands back to walk's own step, the general one,
+// at a varint gap, within 16 bytes of the end of inflated or of
+// cap(dst), and at any gap its bounds refuse; that step appends the run.
+// Every check that can fail, and every error, is in the general step,
+// so a hostile list is judged exactly as it always was.
 func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error) {
 	if inj.count < 0 || inj.count > len(inj.gaps) {
 		return nil, fmt.Errorf("mislead: %d positions claimed by %d encoded bytes", inj.count, len(inj.gaps))
 	}
 	from, seen := 0, 0 // from: first payload index after the previous decoy
 	for b := inj.gaps; len(b) > 0; seen++ {
+		if inflated != nil {
+			var rest []byte
+			dst, rest, from = stripRuns(dst, inflated, b, from)
+			seen += len(b) - len(rest) // one byte per gap it took
+			if b = rest; len(b) == 0 {
+				break
+			}
+		}
 		// Gaps below 128 — all but a few per chunk at any useful decoy
 		// fraction — are one byte and skip the varint loop.
 		gap, w := uint64(b[0]), 1
@@ -148,12 +155,7 @@ func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error)
 		}
 		decoy := from + int(gap)
 		if inflated != nil {
-			if n := len(dst); gap <= 16 && n+16 <= cap(dst) && from+16 <= len(inflated) {
-				*(*[16]byte)(dst[n : n+16]) = *(*[16]byte)(inflated[from:])
-				dst = dst[:n+int(gap)]
-			} else {
-				dst = append(dst, inflated[from:decoy]...)
-			}
+			dst = append(dst, inflated[from:decoy]...)
 		}
 		from = decoy + 1
 	}
@@ -164,6 +166,40 @@ func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error)
 		dst = append(dst, inflated[from:]...)
 	}
 	return dst, nil
+}
+
+// stripRuns is walk's fast loop: it strips the runs of one-byte gaps
+// while a 16-byte store fits on both sides — from+17 bytes of inflated,
+// so the decoy lies inside too, and 16 bytes of dst's spare capacity —
+// and returns dst, the gaps it did not take and the index after the
+// last decoy it skipped. At a 0.25 decoy rate a run averages four
+// bytes, where a memmove call costs more in size dispatch than in
+// copying, so a run of up to 16 bytes is one fixed 16-byte store, after
+// which dst grows by the run alone; the excess is overwritten by the
+// runs that follow. A run of 17 to 127 bytes is copied once its decoy
+// and its bytes are checked to fit. Anything else is walk's to judge.
+//
+// It is a function of its own so that from, dst's length and the slice
+// headers can stay in registers; in walk's larger body the compiler
+// reloads them from the stack on every gap. The store never reaches
+// past cap(dst) — the caller's neighbouring bytes may be another
+// goroutine's segment — nor reads past the end of inflated.
+func stripRuns(dst, inflated, gaps []byte, from int) ([]byte, []byte, int) {
+	n, spare := len(dst), dst[:cap(dst)]
+	i := 0
+	for ; i < len(gaps) && from+17 <= len(inflated) && n+16 <= len(spare); i++ {
+		gap := int(gaps[i])
+		if gap <= 16 {
+			*(*[16]byte)(spare[n:]) = *(*[16]byte)(inflated[from:])
+		} else if gap < 0x80 && from+gap < len(inflated) && n+gap <= len(spare) {
+			copy(spare[n:], inflated[from:from+gap])
+		} else {
+			break
+		}
+		n += gap
+		from += gap + 1
+	}
+	return dst[:n], gaps[i:], from
 }
 
 // InflatedLen is the length Inject produces for n payload bytes: the

@@ -3,6 +3,7 @@ package mislead
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -261,6 +262,68 @@ func TestStripToStaysInsideDst(t *testing.T) {
 			}
 			if !untouched(buf[end:]) {
 				t.Errorf("%s, slack %d: bytes past the segment overwritten", s.name, slack)
+			}
+		}
+	}
+}
+
+// Property: StripTo keeps exactly the bytes a byte-by-byte strip keeps,
+// the reference being the positions First decodes. The gap lists mix
+// one-store runs (0–16), copied runs (17–127) and varint gaps (128 and
+// up), and start and end on a decoy, so both the fast loop's hand-over
+// to walk's general step and runs of decoys at either end occur. Each
+// is stripped into an exact-size segment and one with 15 bytes of
+// slack, cut from a canary-filled buffer; nothing past the segment, or
+// before it, may change.
+func TestStripToMatchesByteStrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 400; trial++ {
+		enc := []byte{0} // a decoy at position 0
+		inflatedLen := 1
+		for n := rng.Intn(300); n > 0; n-- {
+			var gap int
+			switch rng.Intn(8) {
+			case 0, 1:
+				gap = 0
+			case 2, 3, 4:
+				gap = 1 + rng.Intn(16)
+			case 5, 6:
+				gap = 17 + rng.Intn(111)
+			default:
+				gap = 128 + rng.Intn(300)
+			}
+			enc = binary.AppendUvarint(enc, uint64(gap))
+			inflatedLen += gap + 1 // the last decoy is the last byte
+		}
+		inj, err := FromEncoded(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inflated := make([]byte, inflatedLen)
+		rng.Read(inflated)
+		decoy := make([]bool, inflatedLen)
+		for _, p := range inj.First(inj.Count()) {
+			decoy[p] = true
+		}
+		if !decoy[0] || !decoy[inflatedLen-1] {
+			t.Fatalf("trial %d: positions do not start and end on a decoy", trial)
+		}
+		var want []byte
+		for i, b := range inflated {
+			if !decoy[i] {
+				want = append(want, b)
+			}
+		}
+		for _, slack := range []int{0, 15} {
+			const off = 16
+			end := off + len(want) + slack
+			buf := bytes.Repeat([]byte{canary}, end+32)
+			got, err := StripTo(buf[off:off:end], inflated, inj)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("trial %d, slack %d: StripTo differs from the byte-by-byte strip (err %v)", trial, slack, err)
+			}
+			if !untouched(buf[:off]) || !untouched(buf[end:]) {
+				t.Fatalf("trial %d, slack %d: bytes outside the segment overwritten", trial, slack)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/bufpool"
 	"repro/internal/provider"
 )
 
@@ -49,7 +50,9 @@ func writeFrames(w http.ResponseWriter, reply []byte) {
 // getChunks serves a multi-get by looping over the provider's own Get, so
 // hooks, spies and usage counters see one get per key. A reply that
 // would pass maxBlobRead — what the client refuses to read — is refused
-// here instead of built.
+// here instead of built. The reply is built in a pooled buffer and
+// handed back once written — the write copies it out — so a multi-get
+// allocates the provider's copies of its blobs and little else.
 func (s *ProviderServer) getChunks(w http.ResponseWriter, r *http.Request) {
 	var keys []string
 	if _, err := decodeJSON(r, &keys); err != nil {
@@ -73,11 +76,12 @@ func (s *ProviderServer) getChunks(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	reply := make([]byte, 0, size)
+	reply := bufpool.Get(size)[:0]
 	for _, it := range items {
 		reply = appendFrame(reply, it.status, it.data)
 	}
 	writeFrames(w, reply)
+	bufpool.Put(reply)
 }
 
 // deleteChunks serves a multi-delete by looping over the provider's own
