@@ -1,16 +1,14 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check            vet + fmt-check + routes-lint + tables-lint + placement-lint + snapshot-lint + delete-lint + replication-lint + build + race tests + fuzz seed corpora
-#   make fmt-check        gofmt -l over the tree is empty (make fmt rewrites)
-#   make routes-lint      distributor /v1/ paths appear in transport/routes.go only; one upload handler
-#   make tables-lint      the distributor's tables are written in core/apply.go only
-#   make placement-lint   which providers a blob avoids is decided in core/placement.go only
-#   make snapshot-lint    a live stripe is copied by core's stripeRowsLocked only
-#   make delete-lint      a provider blob is deleted by core's delete step (deleteBlobs) only
-#   make replication-lint followers apply the primary's own WAL records, through core's Follow only
+#   make check            vet + build + race tests + fuzz seed corpora
+#                         (the race tests include internal/archcheck: the
+#                         one-home rules routes, tables, placement, snapshot,
+#                         delete and replication, and the gofmt check)
 #   make loc              non-test Go code lines per package and in total
-#   make reach            non-test internal/ functions that no binary links (report only)
+#   make reach            fails on a non-test internal/ function that no binary links,
+#                         unless internal/archcheck/reach_allowlist.txt names it
 #   make test             plain test run
+#   make fmt              gofmt rewrites the tree in place
 #   make fuzz             short randomized fuzzing of the codec layers
 #   FUZZTIME=30s make fuzz  longer fuzz budget
 #   make loadbench        warp-class load benchmark + 1→2→4→8 shard scaling curve
@@ -73,135 +71,15 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get
+.PHONY: check build vet loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get
 
-check: vet fmt-check routes-lint tables-lint placement-lint snapshot-lint delete-lint replication-lint build race fuzz
+check: vet build race fuzz
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-
-# gofmt's output is the tree's only accepted formatting; nothing else in
-# check or CI looks at it (staticcheck does not). .bench_build/ is the
-# benchmark's build cache, module sources included, not ours to format.
-fmt-check:
-	@files=$$(gofmt -l . | grep -v '^\.bench_build/'); \
-	if [ -n "$$files" ]; then \
-		echo 'fmt-check: gofmt would rewrite (run make fmt):'; echo "$$files"; exit 1; \
-	fi
-
-# Each distributor operation is defined once, as a row of the route table
-# in internal/transport/routes.go. A /v1/ path in any other non-test file
-# of the package (outside comments) means an operation is being added in
-# a second place. provider_*.go speak the provider wire, a different
-# protocol, and are exempt. Uploads have one route as well: in the
-# package's non-test files core's UploadStream has exactly one caller, the
-# upload handler, and nothing calls core's buffered Upload (the package
-# names the distributor d wherever it holds one) — a second upload
-# handler, buffered or streamed, fails here instead of in review.
-routes-lint:
-	@if grep -n '/v1/' $$(ls internal/transport/*.go | grep -v -e '_test\.go$$' -e '/routes\.go$$' -e '/provider_[a-z]*\.go$$') \
-		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
-		echo 'routes-lint: distributor paths belong in internal/transport/routes.go'; exit 1; \
-	fi
-	@n=$$(grep -h 'UploadStream(' $$(ls internal/transport/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
-	if [ "$$n" != 1 ]; then \
-		echo "routes-lint: UploadStream( has $$n callers in internal/transport, want 1 (the upload handler)"; exit 1; \
-	fi
-	@if grep -n -E '\bd\.Upload\(' $$(ls internal/transport/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
-		echo 'routes-lint: the upload route streams (core.UploadStream); nothing in internal/transport calls core.Upload'; exit 1; \
-	fi
-
-# The distributor's tables have one writer, internal/core/apply.go: a
-# commit, a replicated record and a recovery all change them by applying
-# the same record there. So in the package's non-test files
-# logAppendLocked has exactly one caller (commitLocked), and no other file
-# assigns a provider count, a table row or a whole table — a second
-# writer fails here instead of in review.
-tables-lint:
-	@n=$$(grep -h 'logAppendLocked(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
-	if [ "$$n" != 1 ]; then \
-		echo "tables-lint: logAppendLocked( has $$n callers in internal/core, want 1 (commitLocked)"; exit 1; \
-	fi
-	@if grep -n -E 'd\.(provCount|clients|chunks|stripes)(\[[^]]*\][A-Za-z0-9_.]*)? *(=[^=]|\+=|-=|\+\+|--)' \
-		$$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/apply\.go$$') \
-		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
-		echo 'tables-lint: the tables are written in internal/core/apply.go only'; exit 1; \
-	fi
-
-# The dispersal policy has one home, internal/core/placement.go: avoid
-# computes the providers a blob may not share and homeLocked is the one
-# single-blob placer, for first placements, failovers and relocations
-# alike. So no other non-test file of the package (outside comments)
-# calls avoid or ranks providers itself, and rehomePut, the
-# write-failover loop, has one caller, shipShard — a second exclusion set
-# or ship path fails here instead of in review.
-placement-lint:
-	@if grep -n -E '\b(avoid|preferLocked|healthyEligible)\(' $$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/placement\.go$$') \
-		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
-		echo 'placement-lint: exclusion sets and provider ranking belong in internal/core/placement.go'; exit 1; \
-	fi
-	@n=$$(grep -h 'rehomePut(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
-	if [ "$$n" != 1 ]; then \
-		echo "placement-lint: rehomePut( has $$n callers in internal/core, want 1 (shipShard)"; exit 1; \
-	fi
-
-# A stripe has one model outside the tables, internal/core's stripeRows,
-# and one function copies a live stripe into it, stripeRowsLocked in
-# reencode.go: reads, re-encodes, relocations and the scrub all work over
-# that copy. Building or copying a []mirrorRef is the telltale sign of a
-# second, private copy of a row, so outside reencode.go, upload.go (a new
-# stripe's rows) and walcodec.go (decoding) no non-test file of the
-# package does it (outside comments).
-snapshot-lint:
-	@if grep -n -E 'make\(\[\]mirrorRef|\[\]mirrorRef *[({]|Clone\([^)]*Mirrors' $$(ls internal/core/*.go \
-		| grep -v -e '_test\.go$$' -e '/reencode\.go$$' -e '/upload\.go$$' -e '/walcodec\.go$$') \
-		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
-		echo 'snapshot-lint: a live stripe is copied by stripeRowsLocked (internal/core/reencode.go) only'; exit 1; \
-	fi
-
-# Every blob the distributor discards leaves through one delete step,
-# deleteBlobs in internal/core/remove.go: it groups a provider's keys into
-# batched calls and takes one health sample per call. So no non-test file
-# of the package (outside comments) calls a provider's Delete, and
-# DeleteMany has exactly one caller, the step's bulkDelete — a second
-# delete path fails here instead of in review.
-delete-lint:
-	@if grep -n -E '\.Delete\(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'; then \
-		echo 'delete-lint: provider blobs are deleted by deleteBlobs (internal/core/remove.go) only'; exit 1; \
-	fi
-	@n=$$(grep -h 'DeleteMany(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
-	if [ "$$n" != 1 ]; then \
-		echo "delete-lint: DeleteMany( has $$n callers in internal/core, want 1 (bulkDelete)"; exit 1; \
-	fi
-
-# Replication has one log, the primary's WAL, and one pull function,
-# internal/core's Follow: a follower reads the primary's records with
-# wal.Log.Since and applies each with applyReplicated. So in the package's
-# non-test files applyReplicated has exactly one caller (Follow), nothing
-# names a commit hook (a second, pushed copy of the records), and no
-# non-test file anywhere names core.Cluster, the in-memory log this
-# replaced — a second replication path fails here instead of in review.
-replication-lint:
-	@n=$$(grep -h 'applyReplicated(' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
-		| grep -v -E '^[[:space:]]*//' | grep -c -v '^func '); \
-	if [ "$$n" != 1 ]; then \
-		echo "replication-lint: applyReplicated( has $$n callers in internal/core, want 1 (Follow)"; exit 1; \
-	fi
-	@if grep -n 'commitHook' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
-		echo 'replication-lint: followers read the primary'"'"'s WAL (Follow); no commit hook feeds them'; exit 1; \
-	fi
-	@if grep -rn --include='*.go' -E 'core\.Cluster([^A-Za-z0-9_]|$$)' . | grep -v -e '_test\.go:' -e '^\./\.bench_build/'; then \
-		echo 'replication-lint: core.Cluster is gone; a follower runs core.Distributor.Follow'; exit 1; \
-	fi
 
 # Non-test Go lines that are neither blank nor comment-only, per package
 # and in total — the figure "net-negative" is measured in. A report, not
@@ -220,10 +98,14 @@ loc:
 # (cmd/*, examples/*, benchmark) is built with inlining off, so a function
 # reached only through an inlined call still shows up in the binary, and
 # go tool nm lists each binary's text symbols; a declared function found in
-# none of them runs only under its own tests. A report, not a gate: test
-# harnesses, reference implementations a test compares against and core
-# methods exported through privcloud.System appear too, and keeping them is
-# a judgement for review. It builds every binary, so make check leaves it out.
+# none of them runs only under its own tests. Each one kept on purpose (a
+# test harness, a reference implementation a test compares against, a
+# method of the product API) is named with its reason in $(REACHALLOW),
+# one line per function or per harness package. The target prints and
+# fails on an unlinked function the list does not name, and on an entry
+# that names no unlinked function. It builds every binary, so make check
+# leaves it out; CI runs it.
+REACHALLOW := internal/archcheck/reach_allowlist.txt
 reach:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mod=$$($(GO) list -m) && \
 	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
@@ -238,6 +120,7 @@ reach:
 			} \
 			return out \
 		} \
+		FILENAME == allow { if ($$0 !~ /^#/ && NF) { split($$0, e, "\t"); listed[e[1]] = 0 } next } \
 		FILENAME == nm { if ($$2 == "T" || $$2 == "t") { s = $$0; sub(/^ *[0-9a-f]+ [Tt] /, "", s); linked[unshape(s)] } next } \
 		FNR == 1 { pkg = FILENAME; sub(/^\.\//, "", pkg); sub(/\/[^\/]*$$/, "", pkg) } \
 		/^func / { \
@@ -250,10 +133,18 @@ reach:
 			name = s; sub(/[^A-Za-z0-9_].*/, "", name); \
 			if (recv == "" && name == "init") next; \
 			sym = mod "/" pkg "." recv name; \
-			if (!(sym in linked)) { printf "%s:%d\t%s\n", FILENAME, FNR, sym; unlinked++ } \
+			if (sym in linked) next; \
+			unlinked++; \
+			if (sym in listed) listed[sym]++; \
+			else if ((mod "/" pkg) in listed) listed[mod "/" pkg]++; \
+			else { printf "%s:%d\t%s\n", FILENAME, FNR, sym; bad++ } \
 		} \
-		END { printf "reach: %d non-test internal/ functions linked into no binary (report only)\n", unlinked }' \
-		nm="$$tmp/nm" "$$tmp/nm"
+		END { \
+			for (k in listed) if (!listed[k]) { printf "reach: %s is listed in %s but names no unlinked function\n", k, allow; stale++ } \
+			printf "reach: %d non-test internal/ functions linked into no binary, %d of them not on %s\n", unlinked, bad, allow; \
+			exit bad || stale \
+		}' \
+		allow=$(REACHALLOW) $(REACHALLOW) nm="$$tmp/nm" "$$tmp/nm"
 
 test:
 	$(GO) test ./...

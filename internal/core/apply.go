@@ -11,7 +11,8 @@ import (
 // on a primary, on a follower fed by replication, or replayed by a
 // recovery — changes d.clients, d.chunks, d.stripes and d.provCount only
 // by applying a walRecord here (or by installing a whole decoded state),
-// so the three can never drift apart. `make tables-lint` holds the line.
+// so the three can never drift apart. The `tables` rule in
+// internal/archcheck holds the line.
 
 // commitLocked is how every live mutation ends: the record goes on the
 // log, then the same applyWALRecord a follower and a recovery run edits

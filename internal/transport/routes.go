@@ -19,9 +19,9 @@ import (
 // ShardProxy register themselves by ranging over the route table, Client
 // sends through it, and both directions of the error mapping read the one
 // error table — so a new operation is one row here plus its typed method,
-// not a handler per module. `make routes-lint` keeps every other file in
-// the package free of "/v1/" literals (the provider wire in provider_*.go
-// is a different protocol).
+// not a handler per module. The `routes` rule in internal/archcheck keeps
+// every other file in the package free of "/v1/" literals (the provider
+// wire in provider_*.go is a different protocol).
 
 // routeClass says who answers a route when several distributors shard
 // one namespace.
