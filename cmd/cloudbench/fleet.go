@@ -7,24 +7,12 @@ import (
 	"repro/internal/localfleet"
 )
 
-// startLocalFleet stands up n provider HTTP servers and one distributor
-// HTTP server on loopback — real sockets, real transport, same wire path
-// as a multi-host deployment — and returns the distributor's base URL
-// plus a shutdown function. The distributor reaches its providers
-// through RemoteProvider clients, so the measured stack is the full
-// networked architecture, not an in-process shortcut.
-func startLocalFleet(n int, provLatency time.Duration, cacheBytes int64, hedgeAfter time.Duration, streamWindow int) (string, func(), error) {
-	urls, shutdown, err := startLocalShards(1, n, provLatency, cacheBytes, hedgeAfter, streamWindow)
-	if err != nil {
-		return "", nil, err
-	}
-	return urls[0], shutdown, nil
-}
-
 // startLocalShards stands up d independent distributors, each over its
-// own fleet of n loopback provider servers — the local form of the
-// sharded deployment the scaling curve measures (internal/localfleet,
-// the fixture shared with the minecheck adversary harness).
+// own fleet of n provider HTTP servers on loopback — real sockets, the
+// same wire path as a multi-host deployment, each distributor reaching
+// its providers through RemoteProvider clients — and returns the
+// distributors' base URLs plus a shutdown function. It is the fixture
+// the minecheck adversary harness shares (internal/localfleet).
 func startLocalShards(d, n int, provLatency time.Duration, cacheBytes int64, hedgeAfter time.Duration, streamWindow int) ([]string, func(), error) {
 	cluster, err := localfleet.Start(localfleet.Config{
 		Shards:      d,

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,9 +52,12 @@ type config struct {
 	out         string
 	strict      bool
 
-	urlResolved string    // actual base URL driven (filled by run)
-	summary     io.Writer // human digest sink; nil = discard
+	summary io.Writer // human digest sink; nil = discard
 }
+
+// errSyntax marks a command-line syntax error, which the FlagSet has
+// already printed together with the usage.
+var errSyntax = errors.New("command-line syntax")
 
 func parseConfig(args []string) (config, error) {
 	var cfg config
@@ -78,7 +82,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&cfg.out, "out", "-", "JSON report path ('-' = stdout)")
 	fs.BoolVar(&cfg.strict, "strict", false, "exit nonzero if any op fails")
 	if err := fs.Parse(args); err != nil {
-		return cfg, err
+		return cfg, fmt.Errorf("%w: %w", errSyntax, err)
 	}
 	switch {
 	case cfg.workers < 1 || cfg.tenants < 1 || cfg.keys < 1:
@@ -102,6 +106,9 @@ func parseConfig(args []string) (config, error) {
 func main() {
 	cfg, err := parseConfig(os.Args[1:])
 	if err != nil {
+		if !errors.Is(err, errSyntax) {
+			fmt.Fprintln(os.Stderr, "cloudbench:", err)
+		}
 		os.Exit(2)
 	}
 	cfg.summary = os.Stderr
@@ -139,52 +146,39 @@ func run(cfg config) (*loadreport.Report, error) {
 	// shard, sized so fan-out beyond 2 conns/host never re-dials.
 	hc := &http.Client{Timeout: 2 * time.Minute, Transport: transport.NewPooledTransport()}
 
+	// Every deployment, one distributor or many, is driven through the
+	// sharded client: a file's operations go to the distributor owning
+	// it, and account set-up repeats idempotently on each.
 	var (
-		client transport.API
+		urls   []string
 		target string
 	)
-	switch {
-	case cfg.url == "" && cfg.dists == 1:
-		url, shutdown, err := startLocalFleet(cfg.localN, cfg.provLatency, cfg.cacheBytes, cfg.hedgeAfter, cfg.streamW)
+	if cfg.url == "" {
+		var shutdown func()
+		urls, shutdown, err = startLocalShards(cfg.dists, cfg.localN, cfg.provLatency, cfg.cacheBytes, cfg.hedgeAfter, cfg.streamW)
 		if err != nil {
 			return nil, fmt.Errorf("starting fleet: %w", err)
 		}
 		defer shutdown()
-		target = fmt.Sprintf("in-process fleet (%d providers) at %s", cfg.localN, url)
-		cfg.urlResolved = url
-		client = transport.NewClient(url, hc)
-	case cfg.url == "": // sharded in-process fleet
-		urls, shutdown, err := startLocalShards(cfg.dists, cfg.localN, cfg.provLatency, cfg.cacheBytes, cfg.hedgeAfter, cfg.streamW)
-		if err != nil {
-			return nil, fmt.Errorf("starting sharded fleet: %w", err)
+		target = fmt.Sprintf("in-process fleet (%d providers) at %s", cfg.localN, urls[0])
+		if cfg.dists > 1 {
+			target = fmt.Sprintf("in-process sharded fleet (%d distributors × %d providers)", cfg.dists, cfg.localN)
 		}
-		defer shutdown()
-		target = fmt.Sprintf("in-process sharded fleet (%d distributors × %d providers)", cfg.dists, cfg.localN)
-		cfg.urlResolved = urls[0]
-		sys, err := transport.NewSystem(urls, hc)
-		if err != nil {
-			return nil, err
-		}
-		client = sys
-	case strings.Contains(cfg.url, ","): // external sharded deployment
-		var urls []string
+	} else {
 		for _, u := range strings.Split(cfg.url, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				urls = append(urls, u)
 			}
 		}
-		sys, err := transport.NewSystem(urls, hc)
-		if err != nil {
-			return nil, err
-		}
 		cfg.dists = len(urls)
-		cfg.urlResolved = urls[0]
-		target = fmt.Sprintf("sharded deployment (%d distributors)", len(urls))
-		client = sys
-	default:
-		cfg.urlResolved = cfg.url
 		target = cfg.url
-		client = transport.NewClient(cfg.url, hc)
+		if len(urls) > 1 {
+			target = fmt.Sprintf("sharded deployment (%d distributors)", len(urls))
+		}
+	}
+	client, err := transport.NewSystem(urls, hc)
+	if err != nil {
+		return nil, err
 	}
 	if err := client.Health(); err != nil {
 		return nil, fmt.Errorf("distributor unreachable: %w", err)
@@ -232,7 +226,7 @@ func run(cfg config) (*loadreport.Report, error) {
 // preload registers the tenants and uploads each namespace's initial
 // objects in parallel; any failure aborts the run before the clock
 // starts.
-func preload(cfg config, client transport.API, tenants []*tenant, sizes sizeDist) error {
+func preload(cfg config, client *transport.System, tenants []*tenant, sizes sizeDist) error {
 	for _, tn := range tenants {
 		if err := client.RegisterClient(tn.name); err != nil {
 			return fmt.Errorf("register %s: %w", tn.name, err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestParseMixAndSizes(t *testing.T) {
 	if _, err := parseMix("put=1,get=2,range=3,update=4,remove=5"); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "put", "fly=3", "put=x", "put=0,get=0"} {
+	for _, bad := range []string{"", "put", "fly=3", "put=x", "put=0,get=0", "put=9223372036854775807,get=1"} {
 		if _, err := parseMix(bad); err == nil {
 			t.Fatalf("parseMix(%q) accepted", bad)
 		}
@@ -117,7 +118,7 @@ func TestParseMixAndSizes(t *testing.T) {
 			t.Fatalf("sizes[%d] = %d, want %d", i, sz, want[i])
 		}
 	}
-	for _, bad := range []string{"", "4KiB", "0KiB=1", "-4B=1", "4KiB=0"} {
+	for _, bad := range []string{"", "4KiB", "0KiB=1", "-4B=1", "4KiB=0", "9000000000GiB=1", "4KiB=9223372036854775807,8KiB=1"} {
 		if _, err := parseSizes(bad); err == nil {
 			t.Fatalf("parseSizes(%q) accepted", bad)
 		}
@@ -131,8 +132,8 @@ func TestParseConfigValidation(t *testing.T) {
 	if _, err := parseConfig([]string{"-warmup", "10s", "-duration", "5s"}); err == nil {
 		t.Fatal("warmup >= duration accepted")
 	}
-	if _, err := parseConfig([]string{"-pl", "9"}); err == nil {
-		t.Fatal("pl=9 accepted")
+	if _, err := parseConfig([]string{"-pl", "9"}); err == nil || errors.Is(err, errSyntax) {
+		t.Fatalf("pl=9: err = %v, want a validation error for main to print", err)
 	}
 	cfg, err := parseConfig([]string{"-duration", "3s", "-warmup", "500ms", "-strict"})
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -49,7 +50,7 @@ func parseMix(s string) (opMix, error) {
 			return m, fmt.Errorf("mix term %q: want op=weight", part)
 		}
 		w, err := strconv.Atoi(val)
-		if err != nil || w < 0 {
+		if err != nil || w < 0 || w > math.MaxInt-m.total {
 			return m, fmt.Errorf("mix term %q: bad weight", part)
 		}
 		idx := -1
@@ -102,7 +103,7 @@ func parseSize(s string) (int, error) {
 		s = strings.TrimSuffix(s, "B")
 	}
 	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return n * mult, nil
@@ -120,7 +121,7 @@ func parseSizes(s string) (sizeDist, error) {
 			return d, err
 		}
 		w, err := strconv.Atoi(val)
-		if err != nil || w < 0 {
+		if err != nil || w < 0 || w > math.MaxInt-d.total {
 			return d, fmt.Errorf("size term %q: bad weight", part)
 		}
 		d.sizes = append(d.sizes, sz)
@@ -215,7 +216,7 @@ func newOpRec() *opRec { return &opRec{hist: metrics.NewHistogram()} }
 // worker drives one goroutine's share of the load.
 type worker struct {
 	rng     *rand.Rand
-	client  transport.API
+	client  *transport.System
 	tenants []*tenant
 	mix     opMix
 	sizes   sizeDist
@@ -224,7 +225,7 @@ type worker struct {
 	recs    [opCount]*opRec
 }
 
-func newWorker(seed int64, client transport.API, tenants []*tenant, mix opMix, sizes sizeDist, pl privacy.Level) *worker {
+func newWorker(seed int64, client *transport.System, tenants []*tenant, mix opMix, sizes sizeDist, pl privacy.Level) *worker {
 	w := &worker{
 		rng: rand.New(rand.NewSource(seed)), client: client,
 		tenants: tenants, mix: mix, sizes: sizes, pl: pl,

@@ -123,6 +123,3 @@ func FragmentedQueryCost(objSize, chunkSize, qStart, qLen int) (QueryCost, error
 	}
 	return QueryCost{BytesTransferred: bytes, ChunksTouched: chunks}, nil
 }
-
-// Zero reports whether a cost is empty.
-func (q QueryCost) Zero() bool { return q == QueryCost{} }

@@ -103,7 +103,7 @@ func TestFragmentedQueryCost(t *testing.T) {
 	}
 	// Zero-length query is free.
 	c, _ = FragmentedQueryCost(1000, 100, 10, 0)
-	if !c.Zero() {
+	if c != (QueryCost{}) {
 		t.Fatalf("zero query cost = %+v", c)
 	}
 }
@@ -171,7 +171,7 @@ func TestFragmentedQueryCostBoundsProperty(t *testing.T) {
 			return false
 		}
 		if qLen == 0 {
-			return c.Zero()
+			return c == QueryCost{}
 		}
 		return c.BytesTransferred >= qLen && c.BytesTransferred <= objSize+chunk
 	}

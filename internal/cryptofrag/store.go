@@ -17,12 +17,7 @@ type BaselineStore struct {
 	provider provider.Provider
 	key      []byte
 	nonce    uint64
-	files    map[string]baselineFile
-}
-
-type baselineFile struct {
-	key     string // provider object key
-	origLen int
+	files    map[string]string // filename -> provider object key
 }
 
 // NewBaselineStore wraps one provider with client-side encryption.
@@ -37,7 +32,7 @@ func NewBaselineStore(p provider.Provider, key []byte) (*BaselineStore, error) {
 	}
 	cp := make([]byte, len(key))
 	copy(cp, key)
-	return &BaselineStore{provider: p, key: cp, files: make(map[string]baselineFile)}, nil
+	return &BaselineStore{provider: p, key: cp, files: make(map[string]string)}, nil
 }
 
 // Put encrypts and uploads a whole file.
@@ -56,27 +51,8 @@ func (s *BaselineStore) Put(filename string, data []byte) error {
 	if err := s.provider.Put(objKey, ct); err != nil {
 		return err
 	}
-	s.files[filename] = baselineFile{key: objKey, origLen: len(data)}
+	s.files[filename] = objKey
 	return nil
-}
-
-// Get fetches and decrypts the whole file.
-func (s *BaselineStore) Get(filename string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getLocked(filename)
-}
-
-func (s *BaselineStore) getLocked(filename string) ([]byte, error) {
-	f, ok := s.files[filename]
-	if !ok {
-		return nil, fmt.Errorf("cryptofrag: unknown file %q", filename)
-	}
-	ct, err := s.provider.Get(f.key)
-	if err != nil {
-		return nil, err
-	}
-	return Decrypt(s.key, ct)
 }
 
 // GetRange answers a byte-range query the only way an encrypted whole-
@@ -87,7 +63,15 @@ func (s *BaselineStore) GetRange(filename string, offset, length int) ([]byte, e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pt, err := s.getLocked(filename)
+	objKey, ok := s.files[filename]
+	if !ok {
+		return nil, fmt.Errorf("cryptofrag: unknown file %q", filename)
+	}
+	ct, err := s.provider.Get(objKey)
+	if err != nil {
+		return nil, err
+	}
+	pt, err := Decrypt(s.key, ct)
 	if err != nil {
 		return nil, err
 	}
@@ -97,21 +81,6 @@ func (s *BaselineStore) GetRange(filename string, offset, length int) ([]byte, e
 	out := make([]byte, length)
 	copy(out, pt[offset:offset+length])
 	return out, nil
-}
-
-// Delete removes a file.
-func (s *BaselineStore) Delete(filename string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[filename]
-	if !ok {
-		return fmt.Errorf("cryptofrag: unknown file %q", filename)
-	}
-	if err := s.provider.Delete(f.key); err != nil {
-		return err
-	}
-	delete(s.files, filename)
-	return nil
 }
 
 // BytesOut reports cumulative bytes transferred from the provider —

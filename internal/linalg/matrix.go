@@ -1,15 +1,13 @@
-// Package linalg provides small dense-matrix linear algebra used by the
-// data-mining toolkit: matrix arithmetic, QR decomposition and
+// Package linalg provides the small dense-matrix linear algebra the
+// data-mining toolkit needs: a row-major matrix, Householder QR and
 // least-squares solves. It is deliberately minimal — just enough, written
-// against the standard library only, to support multivariate regression
-// and clustering distance computations.
+// against the standard library only, to fit the multivariate regression
+// behind the paper's Table IV leak.
 package linalg
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -32,91 +30,17 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// MustFromRows is FromRows that panics on ragged input; for literals in tests.
-func MustFromRows(rows [][]float64) *Matrix {
-	m, err := FromRows(rows)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m × other.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.Cols != other.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)×(%dx%d)", ErrShape, m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mv := range mi {
-			if mv == 0 {
-				continue
-			}
-			ok := other.Data[k*other.Cols : (k+1)*other.Cols]
-			for j, ov := range ok {
-				oi[j] += mv * ov
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns m × v for a column vector v.
@@ -134,83 +58,4 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// Add returns m + other.
-func (m *Matrix) Add(other *Matrix) (*Matrix, error) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += other.Data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) (*Matrix, error) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= other.Data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Equal reports whether two matrices agree elementwise within tol.
-func (m *Matrix) Equal(other *Matrix, tol float64) bool {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-other.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%10.4f", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -100,18 +100,6 @@ func (d *QR) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// R returns the n×n upper-triangular factor.
-func (d *QR) R() *Matrix {
-	r := NewMatrix(d.n, d.n)
-	for i := 0; i < d.n; i++ {
-		r.Set(i, i, d.rdiag[i])
-		for j := i + 1; j < d.n; j++ {
-			r.Set(i, j, d.qr.At(i, j))
-		}
-	}
-	return r
-}
-
 // LeastSquares solves min ‖A·x − b‖₂ directly.
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	d, err := QRDecompose(a)

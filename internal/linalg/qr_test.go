@@ -16,7 +16,7 @@ func TestQRShapeError(t *testing.T) {
 
 func TestQRExactSolve(t *testing.T) {
 	// x + 2y = 5; 3x + 4y = 11  →  x = 1, y = 2
-	a := MustFromRows([][]float64{{1, 2}, {3, 4}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	x, err := LeastSquares(a, []float64{5, 11})
 	if err != nil {
 		t.Fatal(err)
@@ -53,14 +53,14 @@ func TestQROverdeterminedRecoversPlantedModel(t *testing.T) {
 
 func TestQRSingular(t *testing.T) {
 	// Two identical columns → rank deficient.
-	a := MustFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 1, 2, 2, 3, 3}}
 	if _, err := LeastSquares(a, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestQRSolveLengthMismatch(t *testing.T) {
-	a := MustFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	a := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 0, 0, 1, 1, 1}}
 	d, err := QRDecompose(a)
 	if err != nil {
 		t.Fatal(err)
@@ -70,28 +70,8 @@ func TestQRSolveLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestQRRFactorUpperTriangular(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := NewMatrix(6, 4)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	d, err := QRDecompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := d.R()
-	for i := 1; i < r.Rows; i++ {
-		for j := 0; j < i; j++ {
-			if r.At(i, j) != 0 {
-				t.Fatalf("R(%d,%d) = %v, want 0", i, j, r.At(i, j))
-			}
-		}
-	}
-}
-
 func TestGaussSolveSquare(t *testing.T) {
-	a := MustFromRows([][]float64{{2, 1, 1}, {1, 3, 2}, {1, 0, 0}})
+	a := &Matrix{Rows: 3, Cols: 3, Data: []float64{2, 1, 1, 1, 3, 2, 1, 0, 0}}
 	x, err := SolveSquare(a, []float64{7, 13, 1}) // solution (1, 2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +91,7 @@ func TestSolveSquareErrors(t *testing.T) {
 	if _, err := SolveSquare(NewMatrix(2, 2), []float64{1}); !errors.Is(err, ErrShape) {
 		t.Fatalf("bad b: err = %v, want ErrShape", err)
 	}
-	sing := MustFromRows([][]float64{{1, 2}, {2, 4}})
+	sing := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 4}}
 	if _, err := SolveSquare(sing, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("singular: err = %v, want ErrSingular", err)
 	}
@@ -175,9 +155,13 @@ func TestLeastSquaresNormalEquationsProperty(t *testing.T) {
 		for i := range res {
 			res[i] = ax[i] - b[i]
 		}
-		atr, _ := a.T().MulVec(res)
-		for _, v := range atr {
-			if math.Abs(v) > 1e-7 {
+		// (Aᵀr)_j is column j of A dotted with r.
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for i := range res {
+				s += a.At(i, j) * res[i]
+			}
+			if math.Abs(s) > 1e-7 {
 				return false
 			}
 		}

@@ -1,6 +1,6 @@
 // Package metrics provides the evaluation statistics the benchmarks use to
-// quantify mining success and clustering agreement: Rand / adjusted Rand
-// index, cluster-migration counts and Pearson correlation. These turn the
+// quantify mining success and clustering agreement: adjusted Rand index,
+// cluster-migration counts and Pearson correlation. These turn the
 // paper's visual "entities moved between clusters" argument (Figs. 4–6)
 // into numbers. It also provides the HDR-style latency histogram
 // (histogram.go) the load harness uses for percentile reporting.
@@ -15,33 +15,11 @@ import (
 // ErrMismatch is returned when paired inputs disagree in length.
 var ErrMismatch = errors.New("metrics: input length mismatch")
 
-// RandIndex measures agreement between two clusterings of the same items
-// in [0, 1]; 1 means identical partitions.
-func RandIndex(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrMismatch, len(a), len(b))
-	}
-	n := len(a)
-	if n < 2 {
-		return 1, nil
-	}
-	agree := 0
-	total := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sameA := a[i] == a[j]
-			sameB := b[i] == b[j]
-			if sameA == sameB {
-				agree++
-			}
-			total++
-		}
-	}
-	return float64(agree) / float64(total), nil
-}
-
-// AdjustedRandIndex corrects RandIndex for chance; 1 = identical,
-// ~0 = random relabelling, negative = worse than chance.
+// AdjustedRandIndex measures agreement between two clusterings of the
+// same items, corrected for chance: the share of item pairs both
+// partitions treat alike (the Rand index, 1 − ClusterMigrations/pairs),
+// rescaled so 1 = identical up to relabelling, ~0 = random relabelling
+// and negative = worse than chance.
 func AdjustedRandIndex(a, b []int) (float64, error) {
 	if len(a) != len(b) {
 		return 0, fmt.Errorf("%w: %d vs %d", ErrMismatch, len(a), len(b))

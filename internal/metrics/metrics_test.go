@@ -8,48 +8,30 @@ import (
 	"testing/quick"
 )
 
-func TestRandIndexIdentical(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2}
-	ri, err := RandIndex(a, a)
-	if err != nil || ri != 1 {
-		t.Fatalf("ri=%v err=%v", ri, err)
-	}
-}
-
-func TestRandIndexRelabelInvariant(t *testing.T) {
-	a := []int{0, 0, 1, 1}
-	b := []int{5, 5, 9, 9} // same partition, different labels
-	ri, err := RandIndex(a, b)
-	if err != nil || ri != 1 {
-		t.Fatalf("ri=%v err=%v", ri, err)
-	}
-}
-
-func TestRandIndexDisagreement(t *testing.T) {
-	a := []int{0, 0, 1, 1}
-	b := []int{0, 1, 0, 1}
-	ri, _ := RandIndex(a, b)
-	// pairs: (01)s-d,(02)d-s,(03)d-d,(12)d-d,(13)d-s,(23)s-d → agree 2/6
-	if math.Abs(ri-2.0/6.0) > 1e-12 {
-		t.Fatalf("ri = %v, want 1/3", ri)
-	}
-}
-
-func TestRandIndexErrors(t *testing.T) {
-	if _, err := RandIndex([]int{1}, []int{1, 2}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v", err)
-	}
-	ri, err := RandIndex([]int{3}, []int{8})
-	if err != nil || ri != 1 {
-		t.Fatalf("singleton ri=%v err=%v", ri, err)
-	}
-}
-
 func TestAdjustedRandIndexIdentical(t *testing.T) {
 	a := []int{0, 0, 1, 1, 2, 2}
 	ari, err := AdjustedRandIndex(a, a)
 	if err != nil || math.Abs(ari-1) > 1e-12 {
 		t.Fatalf("ari=%v err=%v", ari, err)
+	}
+}
+
+func TestAdjustedRandIndexRelabelInvariant(t *testing.T) {
+	a := []int{0, 0, 1, 1}
+	b := []int{5, 5, 9, 9} // same partition, different labels
+	if ari, err := AdjustedRandIndex(a, b); err != nil || ari != 1 {
+		t.Fatalf("ari=%v err=%v", ari, err)
+	}
+	// A random partition against a copy whose labels are permuted.
+	rng := rand.New(rand.NewSource(9))
+	perm := rng.Perm(5)
+	a, b = make([]int, 60), make([]int, 60)
+	for i := range a {
+		a[i] = rng.Intn(5)
+		b[i] = 10 + perm[a[i]]
+	}
+	if ari, err := AdjustedRandIndex(a, b); err != nil || math.Abs(ari-1) > 1e-12 {
+		t.Fatalf("relabelled ari=%v err=%v", ari, err)
 	}
 }
 
@@ -139,7 +121,7 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-// Property: RandIndex is symmetric and within [0,1]; ARI ≤ 1.
+// Property: ARI is symmetric and at most 1.
 func TestIndicesBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -149,11 +131,6 @@ func TestIndicesBoundsProperty(t *testing.T) {
 		for i := range a {
 			a[i] = rng.Intn(4)
 			b[i] = rng.Intn(4)
-		}
-		r1, e1 := RandIndex(a, b)
-		r2, e2 := RandIndex(b, a)
-		if e1 != nil || e2 != nil || r1 != r2 || r1 < 0 || r1 > 1 {
-			return false
 		}
 		ari, err := AdjustedRandIndex(a, b)
 		if err != nil || ari > 1+1e-12 {
@@ -167,7 +144,11 @@ func TestIndicesBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: ClusterMigrations(a,b) = (1 - RandIndex) * nPairs.
+// Property: ClusterMigrations(a,b) = (1 - Rand index) * nPairs, with the
+// Rand index counted from the contingency table AdjustedRandIndex is built
+// on rather than pair by pair: of the pairs together in a (sumA) or in b
+// (sumB), those together in both (sumAB) agree, so the disagreeing pairs
+// number sumA + sumB - 2*sumAB.
 func TestMigrationsRandIndexRelationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -178,10 +159,24 @@ func TestMigrationsRandIndexRelationProperty(t *testing.T) {
 			a[i] = rng.Intn(3)
 			b[i] = rng.Intn(3)
 		}
-		ri, _ := RandIndex(a, b)
+		var rowA, colB [3]int
+		var cell [3][3]int
+		for i := range a {
+			rowA[a[i]]++
+			colB[b[i]]++
+			cell[a[i]][b[i]]++
+		}
+		choose2 := func(x int) int { return x * (x - 1) / 2 }
+		sumA, sumB, sumAB := 0, 0, 0
+		for i := 0; i < 3; i++ {
+			sumA += choose2(rowA[i])
+			sumB += choose2(colB[i])
+			for j := 0; j < 3; j++ {
+				sumAB += choose2(cell[i][j])
+			}
+		}
 		mig, _ := ClusterMigrations(a, b)
-		pairs := n * (n - 1) / 2
-		return math.Abs(float64(mig)-(1-ri)*float64(pairs)) < 1e-9
+		return mig == sumA+sumB-2*sumAB
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -207,40 +207,6 @@ func (t *mulTable) mulWord(w uint64) uint64 {
 	return acc
 }
 
-// mulSliceXor computes dst[i] ^= c·src[i]. len(src) must not exceed
-// len(dst).
-func (t *mulTable) mulSliceXor(src, dst []byte) {
-	n := len(src)
-	i := 0
-	if dw, sw := words(dst), words(src); dw != nil && sw != nil {
-		sw = sw[:n/8]
-		dw = dw[:len(sw)]
-		c0, c1, c2, c3 := t.pow[0], t.pow[1], t.pow[2], t.pow[3]
-		c4, c5, c6, c7 := t.pow[4], t.pow[5], t.pow[6], t.pow[7]
-		for k := range sw {
-			w := sw[k]
-			acc := (w & lsbMask) * c0
-			acc ^= (w >> 1 & lsbMask) * c1
-			acc ^= (w >> 2 & lsbMask) * c2
-			acc ^= (w >> 3 & lsbMask) * c3
-			acc ^= (w >> 4 & lsbMask) * c4
-			acc ^= (w >> 5 & lsbMask) * c5
-			acc ^= (w >> 6 & lsbMask) * c6
-			acc ^= (w >> 7 & lsbMask) * c7
-			dw[k] ^= acc
-		}
-		i = n &^ 7
-	} else {
-		for ; i+8 <= n; i += 8 {
-			dv := binary.LittleEndian.Uint64(dst[i:]) ^ t.mulWord(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], dv)
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] ^= t.at(src[i])
-	}
-}
-
 // mulSlice computes dst[i] = c·src[i]. len(src) must not exceed
 // len(dst); src and dst may be the same slice.
 func (t *mulTable) mulSlice(src, dst []byte) {

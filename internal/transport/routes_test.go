@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -78,11 +79,25 @@ func TestErrorTableRoundTrips(t *testing.T) {
 	onlySentinel(t, "bare 502", err, nil)
 }
 
+// faceAPI is the operation set that a plain Client, the sharded System
+// and a Client behind a ShardProxy all serve, for the tests that drive
+// each face alike.
+type faceAPI interface {
+	RegisterClient(name string) error
+	AddPassword(client, password string, pl privacy.Level) error
+	Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error)
+	UploadFrom(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (core.FileInfo, error)
+	GetChunk(client, password, filename string, serial int) ([]byte, error)
+	GetFile(client, password, filename string) ([]byte, error)
+	GetRange(client, password, filename string, offset, length int) ([]byte, error)
+}
+
 // TestErrorIdentityOnEveryFace drives the real failures through a plain
 // Client, the sharded System and a Client behind a ShardProxy: names that
 // contain the words the old client matched on ("concurrent", "chunk",
 // "snapshot", "serial") change nothing, and a proxied error reads exactly
-// like the owning shard's.
+// like the owning shard's. The per-chunk reads the System does not route
+// (ChunkCount, GetSnapshot) run on the two Client faces.
 func TestErrorIdentityOnEveryFace(t *testing.T) {
 	single, _ := distributorFixture(t, 4)
 	sys, _ := shardFixture(t, 3, 4)
@@ -92,12 +107,12 @@ func TestErrorIdentityOnEveryFace(t *testing.T) {
 
 	for _, face := range []struct {
 		name  string
-		api   API
-		owner func(file string) API // the distributor that answers for file, addressed directly
+		api   faceAPI
+		owner func(file string) faceAPI // the distributor that answers for file, addressed directly
 	}{
-		{"Client", single, func(string) API { return single }},
-		{"System", sys, func(f string) API { return sys.owner("concurrent", f) }},
-		{"ShardProxy", NewClient(proxy.URL, proxy.Client()), func(f string) API { return proxied.owner("concurrent", f) }},
+		{"Client", single, func(string) faceAPI { return single }},
+		{"System", sys, func(f string) faceAPI { return sys.owner("concurrent", f) }},
+		{"ShardProxy", NewClient(proxy.URL, proxy.Client()), func(f string) faceAPI { return proxied.owner("concurrent", f) }},
 	} {
 		t.Run(face.name, func(t *testing.T) {
 			if err := face.api.RegisterClient("concurrent"); err != nil {
@@ -117,22 +132,31 @@ func TestErrorIdentityOnEveryFace(t *testing.T) {
 			if _, err := face.api.Upload("concurrent", "pw", "real.bin", []byte("payload"), privacy.High, UploadOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			for _, probe := range []struct {
+			type probe struct {
 				what, file string
 				want       error
-				do         func(api API, file string) error
-			}{
-				{"missing chunk-01.bin", "chunk-01.bin", core.ErrNoSuchFile, func(a API, f string) error { _, err := a.GetFile("concurrent", "pw", f); return err }},
-				{"missing snapshot.png", "snapshot.png", core.ErrNoSuchFile, func(a API, f string) error { _, err := a.ChunkCount("concurrent", "pw", f); return err }},
-				{"missing serial", "real.bin", core.ErrNoSuchChunk, func(a API, f string) error { _, err := a.GetChunk("concurrent", "pw", f, 99); return err }},
-				{"missing snapshot", "real.bin", core.ErrNoSnapshot, func(a API, f string) error { _, err := a.GetSnapshot("concurrent", "pw", f, 0); return err }},
-				{"wrong password", "real.bin", core.ErrAuth, func(a API, f string) error { _, err := a.GetFile("concurrent", "nope", f); return err }},
-				{"range past the end", "real.bin", core.ErrRange, func(a API, f string) error { _, err := a.GetRange("concurrent", "pw", f, 1<<20, 4); return err }},
-				{"duplicate file", "real.bin", core.ErrExists, func(a API, f string) error {
+				do         func(api faceAPI, file string) error
+			}
+			probes := []probe{
+				{"missing chunk-01.bin", "chunk-01.bin", core.ErrNoSuchFile, func(a faceAPI, f string) error { _, err := a.GetFile("concurrent", "pw", f); return err }},
+				{"missing serial", "real.bin", core.ErrNoSuchChunk, func(a faceAPI, f string) error { _, err := a.GetChunk("concurrent", "pw", f, 99); return err }},
+				{"wrong password", "real.bin", core.ErrAuth, func(a faceAPI, f string) error { _, err := a.GetFile("concurrent", "nope", f); return err }},
+				{"range past the end", "real.bin", core.ErrRange, func(a faceAPI, f string) error { _, err := a.GetRange("concurrent", "pw", f, 1<<20, 4); return err }},
+				{"duplicate file", "real.bin", core.ErrExists, func(a faceAPI, f string) error {
 					_, err := a.Upload("concurrent", "pw", f, []byte("again"), privacy.High, UploadOptions{})
 					return err
 				}},
-			} {
+			}
+			if _, ok := face.api.(*Client); ok {
+				probes = append(probes,
+					probe{"missing snapshot.png", "snapshot.png", core.ErrNoSuchFile, func(a faceAPI, f string) error { _, err := a.(*Client).ChunkCount("concurrent", "pw", f); return err }},
+					probe{"missing snapshot", "real.bin", core.ErrNoSnapshot, func(a faceAPI, f string) error {
+						_, err := a.(*Client).GetSnapshot("concurrent", "pw", f, 0)
+						return err
+					}},
+				)
+			}
+			for _, probe := range probes {
 				err := probe.do(face.api, probe.file)
 				onlySentinel(t, probe.what, err, probe.want)
 				if direct := probe.do(face.owner(probe.file), probe.file); err == nil || direct == nil || err.Error() != direct.Error() {

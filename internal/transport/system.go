@@ -12,33 +12,6 @@ import (
 	"repro/internal/privacy"
 )
 
-// API is the operation surface shared by a single-endpoint Client and
-// the sharded System, so load generators, tools and proxies can drive
-// either without caring how many distributors sit behind it.
-type API interface {
-	RegisterClient(name string) error
-	AddPassword(client, password string, pl privacy.Level) error
-	Upload(client, password, filename string, data []byte, pl privacy.Level, opts UploadOptions) (core.FileInfo, error)
-	UploadFrom(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (core.FileInfo, error)
-	GetChunk(client, password, filename string, serial int) ([]byte, error)
-	GetFile(client, password, filename string) ([]byte, error)
-	GetFileTo(w io.Writer, client, password, filename string) (int64, error)
-	GetSnapshot(client, password, filename string, serial int) ([]byte, error)
-	GetRange(client, password, filename string, offset, length int) ([]byte, error)
-	UpdateChunk(client, password, filename string, serial int, data []byte) error
-	RemoveChunk(client, password, filename string, serial int) error
-	RemoveFile(client, password, filename string) error
-	ChunkCount(client, password, filename string) (int, error)
-	Scrub() (core.ScrubReport, error)
-	Stats() (core.Stats, error)
-	Health() error
-}
-
-var (
-	_ API = (*Client)(nil)
-	_ API = (*System)(nil)
-)
-
 // System is the sharded, client-side face of a multi-distributor
 // deployment: a consistent-hash ring (internal/dht, virtual-node
 // balanced) over one Client per shard. Every ⟨client, filename⟩ pair
@@ -88,10 +61,6 @@ func NewSystem(urls []string, hc *http.Client) (*System, error) {
 
 // Shards returns the number of distributors behind the system.
 func (s *System) Shards() int { return len(s.shards) }
-
-// Shard returns the i'th shard's client (config order), for tools that
-// need to address one distributor directly.
-func (s *System) Shard(i int) *Client { return s.shards[i] }
 
 // URLs returns the shard base URLs in config order.
 func (s *System) URLs() []string { return append([]string(nil), s.urls...) }
@@ -186,11 +155,6 @@ func (s *System) GetFileTo(w io.Writer, client, password, filename string) (int6
 	return s.owner(client, filename).GetFileTo(w, client, password, filename)
 }
 
-// GetSnapshot retrieves a chunk's snapshot from the owning shard.
-func (s *System) GetSnapshot(client, password, filename string, serial int) ([]byte, error) {
-	return s.owner(client, filename).GetSnapshot(client, password, filename, serial)
-}
-
 // GetRange retrieves a byte range from the owning shard.
 func (s *System) GetRange(client, password, filename string, offset, length int) ([]byte, error) {
 	return s.owner(client, filename).GetRange(client, password, filename, offset, length)
@@ -201,19 +165,9 @@ func (s *System) UpdateChunk(client, password, filename string, serial int, data
 	return s.owner(client, filename).UpdateChunk(client, password, filename, serial, data)
 }
 
-// RemoveChunk deletes one chunk on the owning shard.
-func (s *System) RemoveChunk(client, password, filename string, serial int) error {
-	return s.owner(client, filename).RemoveChunk(client, password, filename, serial)
-}
-
 // RemoveFile deletes a file on its owning shard.
 func (s *System) RemoveFile(client, password, filename string) error {
 	return s.owner(client, filename).RemoveFile(client, password, filename)
-}
-
-// ChunkCount asks the owning shard how many chunks a file has.
-func (s *System) ChunkCount(client, password, filename string) (int, error) {
-	return s.owner(client, filename).ChunkCount(client, password, filename)
 }
 
 // mergeInto folds one shard's answer into the running total, field by

@@ -104,7 +104,7 @@ func TestSystemRoutesFilesToOwningShard(t *testing.T) {
 		}
 		// Only the owning shard holds the file's metadata.
 		for s := range dists {
-			_, err := sys.Shard(s).ChunkCount("alice", "pw", name)
+			_, err := NewClient(sys.URLs()[s], nil).ChunkCount("alice", "pw", name)
 			if s == owners[name] && err != nil {
 				t.Fatalf("owner shard %d missing %s: %v", s, name, err)
 			}

@@ -63,7 +63,7 @@ func csvRows(n int) []byte {
 // without an error by UploadFrom (the stream route had no way to carry
 // them), leaving a file the caller believed defended with none. They now
 // ride the preamble of every upload, streamed or from a slice, through
-// every face of the API —
+// every face —
 // a plain Client, the sharded System and a Client behind a ShardProxy,
 // which relays the preamble without parsing it.
 func TestMisleadLinesTravelOnEveryWriteRoute(t *testing.T) {
@@ -89,7 +89,7 @@ func TestMisleadLinesTravelOnEveryWriteRoute(t *testing.T) {
 
 	for _, face := range []struct {
 		name string
-		api  API
+		api  faceAPI
 		rows func() ([]core.ChunkRow, error)
 	}{
 		{"Client", single, single.ChunkTable},

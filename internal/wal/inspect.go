@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -90,25 +87,4 @@ func countSegment(path string, isLast bool) (base uint64, records int, tornAt in
 		return 0, 0, -1, err
 	}
 	return b, len(recs), torn, nil
-}
-
-// WriteRawSegment writes payloads as a well-formed segment file based at
-// base — a test and fuzz-corpus helper, exported so harnesses outside
-// the package can fabricate directories.
-func WriteRawSegment(dir string, base uint64, payloads [][]byte) (string, error) {
-	buf := make([]byte, headerLen)
-	copy(buf, segMagic)
-	binary.BigEndian.PutUint64(buf[8:16], base)
-	for _, p := range payloads {
-		frame := make([]byte, frameHeader)
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, castagnoli))
-		buf = append(buf, frame...)
-		buf = append(buf, p...)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("wal-%016x.log", base))
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
 }

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +20,26 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Log, Recovered) {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return l, rec
+}
+
+// writeRawSegment writes payloads as a well-formed segment file based at
+// base, for tests that fabricate a log directory by hand.
+func writeRawSegment(dir string, base uint64, payloads [][]byte) (string, error) {
+	buf := make([]byte, headerLen)
+	copy(buf, segMagic)
+	binary.BigEndian.PutUint64(buf[8:16], base)
+	for _, p := range payloads {
+		frame := make([]byte, frameHeader)
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(p)))
+		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, castagnoli))
+		buf = append(buf, frame...)
+		buf = append(buf, p...)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("wal-%016x.log", base))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 func payloads(n int) [][]byte {
@@ -235,11 +257,11 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 
 func TestBrokenChainRejected(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteRawSegment(dir, 0, [][]byte{[]byte("a"), []byte("b")}); err != nil {
+	if _, err := writeRawSegment(dir, 0, [][]byte{[]byte("a"), []byte("b")}); err != nil {
 		t.Fatal(err)
 	}
 	// Next segment claims base 5 but only 2 records precede it.
-	if _, err := WriteRawSegment(dir, 5, [][]byte{[]byte("c")}); err != nil {
+	if _, err := writeRawSegment(dir, 5, [][]byte{[]byte("c")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir, Options{Policy: SyncAlways}); !errors.Is(err, ErrCorrupt) {
@@ -359,7 +381,7 @@ func TestClosedLogRejectsOps(t *testing.T) {
 
 func TestInspectTornTailReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteRawSegment(dir, 0, [][]byte{[]byte("ok")}); err != nil {
+	if _, err := writeRawSegment(dir, 0, [][]byte{[]byte("ok")}); err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, "wal-0000000000000000.log")
