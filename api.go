@@ -125,10 +125,14 @@ type SystemConfig struct {
 
 // System bundles a distributor with its provider fleet — the whole paper
 // architecture in one process. The distributor is embedded, so System is
-// the embedding API: Upload, UploadStream, GetFile, GetFileTo, GetRange,
-// UpdateChunk, Scrub, Metrics and every other core.Distributor method are
-// called on it directly. The methods below are the ones that name a
-// provider.
+// the embedding API: the paper's client operations (RegisterClient,
+// AddPassword, Upload, UploadStream, GetChunk, GetFile, GetFileTo,
+// GetRange, ChunkCount, UpdateChunk, GetSnapshot, RemoveFile,
+// RemoveChunk), Tables I–III and the counters (ProviderTable,
+// ClientTable, ChunkTable, Stats, Metrics, Health) and the operator verbs
+// (Scrub, Decommission, Follow, Close) are called on it directly. Those
+// 23 are every method core.Distributor exports. The methods below are
+// the ones that name a provider.
 type System struct {
 	*core.Distributor
 	fleet *provider.Fleet

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dht"
 	"repro/internal/experiments"
@@ -96,14 +95,14 @@ func BenchmarkFig2MultiDistributor(b *testing.B) {
 // architecture: tables I–III and the accept/deny request pair.
 func BenchmarkFig3Walkthrough(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc, err := core.NewFigure3Scenario()
+		d, err := experiments.Figure3Distributor()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sc.Distributor.GetChunk("Bob", "x9pr", "file1", 0); err != nil {
+		if _, err := d.GetChunk("Bob", "x9pr", "file1", 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sc.Distributor.GetChunk("Bob", "aB1c", "file1", 0); err == nil {
+		if _, err := d.GetChunk("Bob", "aB1c", "file1", 0); err == nil {
 			b.Fatal("denial case served")
 		}
 	}
@@ -557,7 +556,7 @@ func BenchmarkScrub(b *testing.B) {
 		b.Fatal(err)
 	}
 	calls := func() (n int64) {
-		for _, h := range sys.Health() {
+		for _, h := range sys.Health().Providers {
 			n += h.Successes + h.Failures
 		}
 		return n

@@ -286,7 +286,7 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 			s.Clients, s.Files, s.Chunks, s.ParityShards, s.Stripes, s.PerProvider)
 		return nil
 	case "health":
-		provs, err := c.ProviderHealth()
+		h, err := c.HealthReport()
 		if err != nil {
 			return err
 		}
@@ -296,7 +296,7 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 		}
 		fmt.Printf("%-12s %-9s %-5s %10s %10s %8s %6s %8s %9s\n",
 			"PROVIDER", "STATE", "LIVE", "SUCCESSES", "FAILURES", "CONSEC", "OPENS", "WINDOW", "EWMA(ms)")
-		for _, p := range provs {
+		for _, p := range h.Providers {
 			live := "up"
 			if p.Down {
 				live = "down"

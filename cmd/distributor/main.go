@@ -88,7 +88,7 @@ func main() {
 		log.Fatalf("distributor: %v", err)
 	}
 	if *walDir != "" {
-		h := dist.WALHealth()
+		h := dist.Health().WAL
 		fmt.Printf("durable metadata in %s (sync %s): replayed %d records at lsn %d\n",
 			*walDir, h.Policy, h.Replayed, h.NextLSN)
 	}

@@ -72,7 +72,8 @@ func main() {
 	fmt.Printf("uploaded report.bin via primary: %d chunks (secondaries followed its log)\n", info.Chunks)
 
 	fmt.Println("\n>>> primary distributor fails")
-	must(primary.Crash())
+	// core.Crash is the power-loss path; a graceful shutdown calls Close.
+	must(core.Crash(primary))
 
 	back, err := secondaries[0].GetFile("client", "pw", "report.bin")
 	if err != nil {

@@ -16,9 +16,11 @@ type plant struct {
 
 // plants holds, for each rule, the violations it exists to stop (a
 // second handler or caller, a write or a build in the wrong file, a
-// declaration that must stay gone) and the forms that compile without
-// spelling a call: a method value, an alias of a table, a bound Delete,
-// a call through a named or an asserted anonymous interface.
+// declaration that must stay gone, an exported method the product does
+// not declare) and the forms that compile without spelling a call or a
+// receiver: a method value, an alias of a table, a bound Delete, a call
+// through a named or an asserted anonymous interface, a method on the
+// value receiver declared through an alias of the type.
 var plants = []plant{
 	{"routes", "second_upload.go", `package transport
 import ("net/http"; "repro/internal/core")
@@ -106,6 +108,11 @@ func purgeVia(p provider.Store, keys []string) []error {
 var commitHook func(rec *walRecord)`},
 	{"replication", "cluster.go", `package core
 type Cluster struct{ members []*Distributor }`},
+	{"surface", "new_method.go", `package core
+func (d *Distributor) Export() []byte { return d.exportMetadataLocked() }`},
+	{"surface", "value_method.go", `package core
+type dist = Distributor
+func (d dist) Fleet() int { return d.fleet.Len() }`},
 	{"replication", "apply_value.go", `package core
 func (d *Distributor) applyAll(raws [][]byte) error {
 	apply := d.applyReplicated

@@ -2,8 +2,9 @@
 // the "one home" rules that keep the paper's categorize → fragment →
 // distribute mechanism in one place each (one placer, one table writer,
 // one stripe copier, one delete step, one replication path, one upload
-// route), and the gofmt check. It has test files only, so
-// `go test ./...` runs it with everything else.
+// route), the declared product surface of core.Distributor, and the
+// gofmt check. It has test files only, so `go test ./...` runs it with
+// everything else.
 //
 // Each rule is a row of rules. It parses and type-checks the package it
 // guards from source and matches the objects it names (a function, a
@@ -121,6 +122,27 @@ var rules = []rule{
 			notDeclared("Cluster"),
 		},
 	},
+	{
+		name: "surface",
+		dir:  "internal/core",
+		why: "privcloud.System embeds *core.Distributor, so every exported method of Distributor " +
+			"is product API. The product is the paper's client operations, its Tables I-III views " +
+			"and the operator verbs a binary serves; a harness verb (fault injection, the " +
+			"simulation oracle) is a package function, which embedding does not promote. So " +
+			"Distributor exports exactly the operations named here, and adding one is an edit " +
+			"to this list.",
+		checks: []check{
+			exports("Distributor",
+				// the paper's client operations
+				"RegisterClient", "AddPassword",
+				"Upload", "UploadStream", "GetChunk", "GetFile", "GetFileTo", "GetRange", "ChunkCount",
+				"UpdateChunk", "GetSnapshot", "RemoveFile", "RemoveChunk",
+				// Tables I-III and the counters
+				"ProviderTable", "ClientTable", "ChunkTable", "Stats", "Metrics", "Health",
+				// operator verbs
+				"Scrub", "Decommission", "Follow", "Close"),
+		},
+	},
 }
 
 // TestRules runs every rule over its package as it is.
@@ -162,6 +184,8 @@ func TestMissingNameFails(t *testing.T) {
 		{noMethod("provider.Store", "Remove"), "Remove"},
 		{noMethod("provider.Stores", "Delete"), "provider.Stores"},
 		{onlyThrough("provider.DeleteMania"), "provider.DeleteMania"},
+		{exports("Distributor", "Upload", "Crash"), "Crash"},
+		{exports("Distributer", "Upload"), "Distributer"},
 	} {
 		fs, err := c.check(core)
 		if err == nil || !strings.Contains(err.Error(), c.name) {
@@ -492,6 +516,71 @@ func onlyThrough(fn string) check {
 			if f, ok := o.(*types.Func); ok && f.Name() == obj.Name() && f.Type().(*types.Signature).Recv() != nil {
 				fs = append(fs, finding{id.Pos(), fmt.Sprintf("a %s method is used other than through %s", obj.Name(), fn)})
 			}
+		}
+		return fs, nil
+	}
+}
+
+// exports holds what a caller can select on a *typ under an exported
+// name — its methods, whatever the receiver's spelling and promoted ones
+// included, and its fields, promoted ones included — to exactly names.
+// An exported name not listed is a finding at its declaration; a listed
+// name that typ does not export is an error naming it.
+func exports(typ string, names ...string) check {
+	return func(p *pkg) ([]finding, error) {
+		obj, err := p.lookup(typ)
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := obj.(*types.TypeName); !ok {
+			return nil, fmt.Errorf("%s: %s is not a type", p.types.Path(), typ)
+		}
+		var got []types.Object
+		ms := types.NewMethodSet(types.NewPointer(obj.Type()))
+		for i := 0; i < ms.Len(); i++ {
+			got = append(got, ms.At(i).Obj())
+		}
+		seen := map[types.Type]bool{}
+		var fields func(t types.Type)
+		fields = func(t types.Type) {
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok || seen[t] {
+				return
+			}
+			seen[t] = true
+			for i := 0; i < st.NumFields(); i++ {
+				got = append(got, st.Field(i))
+				if st.Field(i).Embedded() {
+					fields(st.Field(i).Type())
+				}
+			}
+		}
+		fields(obj.Type())
+		want := map[string]bool{}
+		for _, name := range names {
+			want[name] = false
+		}
+		var fs []finding
+		for _, o := range got {
+			if !o.Exported() {
+				continue
+			}
+			if _, ok := want[o.Name()]; !ok {
+				fs = append(fs, finding{o.Pos(), fmt.Sprintf("%s exports %s, which is not a declared product operation", typ, o.Name())})
+			}
+			want[o.Name()] = true
+		}
+		var missing []string
+		for _, name := range names {
+			if !want[name] {
+				missing = append(missing, name)
+			}
+		}
+		if len(missing) > 0 {
+			return nil, fmt.Errorf("%s: %s does not export %s", p.types.Path(), typ, strings.Join(missing, ", "))
 		}
 		return fs, nil
 	}

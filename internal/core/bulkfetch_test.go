@@ -191,7 +191,7 @@ func TestBulkReadFaultFree(t *testing.T) {
 // data members of those stripes are in the read's hands already.
 func (rig *bulkRig) wantDegradedGets(dark int) (want []int64, total int64) {
 	want = make([]int64, len(rig.hooked))
-	for _, st := range rig.d.StateView().Stripes {
+	for _, st := range core.StateOf(rig.d).Stripes {
 		degraded := false
 		for _, m := range st.Members {
 			want[m.ProvIdx]++
@@ -340,7 +340,7 @@ func TestBulkReadStalledProvider(t *testing.T) {
 			by := rig.chunksByProvider()
 			const slow = 3
 			stalled := int64(len(by[slow]))
-			base := rig.d.Health()[slow]
+			base := rig.d.Health().Providers[slow]
 			release := make(chan struct{})
 			var once sync.Once
 			unstall := func() { once.Do(func() { close(release) }) }
@@ -387,7 +387,7 @@ func TestBulkReadStalledProvider(t *testing.T) {
 			unstall()
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				h := rig.d.Health()[slow]
+				h := rig.d.Health().Providers[slow]
 				if h.Successes > base.Successes {
 					if h.Failures != base.Failures {
 						t.Fatalf("losing the race recorded %d failures", h.Failures-base.Failures)
@@ -576,7 +576,7 @@ func TestGetRangeUsesCacheAndFlights(t *testing.T) {
 	rig := newBulkRig(t, 6, false, core.Config{CacheBytes: 8 << 20})
 	data := rig.defendedUpload(t, 256<<10)
 	primary := -1 // of serial 0, the file's first 8 KiB
-	for _, b := range rig.d.StateView().Blobs {
+	for _, b := range core.StateOf(rig.d).Blobs {
 		if b.Kind == core.BlobChunk && b.Serial == 0 {
 			primary = b.ProvIdx
 		}

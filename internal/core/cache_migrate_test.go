@@ -24,7 +24,7 @@ func TestCacheNotStaleAcrossDecommission(t *testing.T) {
 	if _, err := d.GetFile("alice", "root", "f.bin"); err != nil {
 		t.Fatal(err)
 	}
-	genBefore := d.StateView().Files[0].Gen
+	genBefore := StateOf(d).Files[0].Gen
 
 	// Decommission the provider holding serial 0's primary copy.
 	d.mu.RLock()
@@ -34,7 +34,7 @@ func TestCacheNotStaleAcrossDecommission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	genAfter := d.StateView().Files[0].Gen
+	genAfter := StateOf(d).Files[0].Gen
 	if genAfter <= genBefore {
 		t.Fatalf("decommission did not bump the file generation (%d -> %d); stale cache entries would stay live", genBefore, genAfter)
 	}

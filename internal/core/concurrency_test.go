@@ -81,7 +81,7 @@ func TestConcurrentClients(t *testing.T) {
 
 	// Accounting holds after the storm.
 	st := d.Stats()
-	for i, p := range d.Providers().All() {
+	for i, p := range d.fleet.All() {
 		if p.Len() != st.PerProvider[i] {
 			t.Fatalf("provider %d holds %d keys, table says %d", i, p.Len(), st.PerProvider[i])
 		}
@@ -111,7 +111,7 @@ func TestConcurrentReadsDuringOutage(t *testing.T) {
 				return
 			default:
 			}
-			p, _ := d.Providers().At(i % 6)
+			p, _ := d.fleet.At(i % 6)
 			p.SetOutage(true)
 			p.SetOutage(false)
 			i++

@@ -93,11 +93,11 @@ func TestDeleteStepHealthSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := d.Health()
+	before := d.Health().Providers
 	if err := d.RemoveFile("alice", "root", "f"); !errors.Is(err, provider.ErrOutage) {
 		t.Fatalf("RemoveFile with provider %d failing every delete = %v, want remove incomplete: outage", dark, err)
 	}
-	for i, h := range d.Health() {
+	for i, h := range d.Health().Providers {
 		succ, fail := h.Successes-before[i].Successes, h.Failures-before[i].Failures
 		want := [2]int64{1, 0}
 		if i == dark {

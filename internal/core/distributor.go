@@ -363,9 +363,6 @@ func (d *Distributor) fileChangedLocked(client, filename string, fe *fileEntry, 
 	return !ok || feNow != fe || feNow.Gen != gen
 }
 
-// Providers returns the fleet (for inspection in examples and tests).
-func (d *Distributor) Providers() *provider.Fleet { return d.fleet }
-
 // transientRetries bounds retry attempts for injected/transient provider
 // failures.
 const transientRetries = 3
@@ -409,13 +406,18 @@ func (d *Distributor) providerOp(provIdx int, fn func(p provider.Provider) error
 // gatedPut is a providerOp Put that consults the circuit breaker first.
 // Only write paths that can fail over use it; reads, deletes and repair
 // traffic stay ungated (their outcomes are still recorded, so a
-// successful read closes an open circuit early).
-func (d *Distributor) gatedPut(provIdx int, vid string, payload []byte) error {
+// successful read closes an open circuit early). A failed attempt takes
+// l the moment the provider answers, before anything else runs.
+func (d *Distributor) gatedPut(provIdx int, vid string, payload []byte, l *putLatch) error {
 	if !d.health.Allow(provIdx) {
 		return fmt.Errorf("%w: provider %d", ErrCircuitOpen, provIdx)
 	}
 	return d.providerOp(provIdx, func(p provider.Provider) error {
-		return p.Put(vid, payload)
+		err := p.Put(vid, payload)
+		if err != nil {
+			l.take()
+		}
+		return err
 	})
 }
 

@@ -327,7 +327,7 @@ func TestVirtualIDsConcealClientIdentity(t *testing.T) {
 	if _, err := d.Upload("alice", "root", "payroll2026.csv", payload(32<<10, 9), privacy.High, UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		for _, key := range p.Keys() {
 			lower := strings.ToLower(key)
 			if strings.Contains(lower, "alice") || strings.Contains(lower, "payroll") {
@@ -337,7 +337,7 @@ func TestVirtualIDsConcealClientIdentity(t *testing.T) {
 	}
 	// All ids unique across providers.
 	seen := map[string]bool{}
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		for _, key := range p.Keys() {
 			if seen[key] {
 				t.Fatalf("virtual id %q reused", key)

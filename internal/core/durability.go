@@ -184,7 +184,7 @@ func (d *Distributor) recoverWAL(cfg Config) error {
 		// Best-effort — unreachable providers are audited again later. The
 		// sweep is gated on having actually recovered state so that
 		// pointing a fresh WALDir at a populated fleet cannot mass-delete.
-		if rep, err := d.AuditOrphans(true); err == nil {
+		if rep, err := AuditOrphans(d, true); err == nil {
 			d.recoveryOrphans = int64(rep.Deleted)
 		}
 	}
@@ -219,10 +219,11 @@ func (d *Distributor) Close(ctx context.Context) error {
 	return errors.Join(drainErr, ckErr, d.wal.Close())
 }
 
-// Crash abandons the distributor the way a power loss would: no drain,
-// no final checkpoint, and the WAL keeps only what its sync policy made
-// durable. Fault-injection harnesses use this; production uses Close.
-func (d *Distributor) Crash() error {
+// Crash abandons d the way a power loss would: no drain, no final
+// checkpoint, and the WAL keeps only what its sync policy made durable.
+// Fault-injection harnesses use this; production uses Close. It is a
+// function, not a method, so it stays off the product surface.
+func Crash(d *Distributor) error {
 	d.mu.Lock()
 	d.closed = true
 	d.mu.Unlock()
@@ -304,10 +305,10 @@ type WALHealth struct {
 	LastCheckpointAgeMs int64  `json:"last_checkpoint_age_ms,omitempty"`
 }
 
-// WALHealth reports the durability layer's health. d.wal is assigned
-// once before the distributor is published and never reassigned, so no
-// lock is needed.
-func (d *Distributor) WALHealth() WALHealth {
+// walHealth is Health's durability view. d.wal is assigned once before
+// the distributor is published and never reassigned, so no lock is
+// needed.
+func (d *Distributor) walHealth() WALHealth {
 	if d.wal == nil {
 		return WALHealth{}
 	}

@@ -142,9 +142,9 @@ func TestWALReplayEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", s.name, err)
 		}
-		want := d.StateView()
+		want := StateOf(d)
 		for who, other := range map[string]*Distributor{"follower": follower, "recovery": recovered} {
-			if got := other.StateView(); !reflect.DeepEqual(want, got) {
+			if got := StateOf(other); !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: %s state differs from the primary's\nprimary: %+v\n%s: %+v", s.name, who, want, who, got)
 			}
 			if !reflect.DeepEqual(d.Stats().PerProvider, other.Stats().PerProvider) {
@@ -153,7 +153,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 			provCountExact(t, s.name+": "+who, other)
 		}
 		provCountExact(t, s.name+": primary", d)
-		if err := recovered.Crash(); err != nil {
+		if err := Crash(recovered); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 	// A recovered distributor keeps serving — the surviving file reads
 	// back byte-identical through the normal path — and keeps accepting
 	// mutations.
-	if err := d.Crash(); err != nil {
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := New(cfg)
@@ -228,15 +228,15 @@ func TestWALReplayAfterDecommission(t *testing.T) {
 	if _, err := d.Decommission(2); err != nil {
 		t.Fatal(err)
 	}
-	want := d.StateView()
-	if err := d.Crash(); err != nil {
+	want := StateOf(d)
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := New(Config{Fleet: fleet, Secret: []byte("s"), WALDir: dir, WALSync: wal.SyncAlways})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	if got := d2.StateView(); !reflect.DeepEqual(want, got) {
+	if got := StateOf(d2); !reflect.DeepEqual(want, got) {
 		t.Fatalf("recovered state differs after decommission replay\npre:  %+v\npost: %+v", want, got)
 	}
 }
@@ -249,7 +249,7 @@ func TestWALGracefulCloseReplaysNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWALWorkload(t, d)
-	want := d.StateView()
+	want := StateOf(d)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := d.Close(ctx); err != nil {
@@ -273,7 +273,7 @@ func TestWALGracefulCloseReplaysNothing(t *testing.T) {
 	if st.Replayed != 0 {
 		t.Fatalf("graceful close must leave no log tail; replayed %d records", st.Replayed)
 	}
-	if got := d2.StateView(); !reflect.DeepEqual(want, got) {
+	if got := StateOf(d2); !reflect.DeepEqual(want, got) {
 		t.Fatal("state recovered from the final checkpoint differs")
 	}
 }
@@ -329,7 +329,7 @@ func TestWALRecoverySweepsOrphans(t *testing.T) {
 	if err := p.Put("orphan-vid-1234", []byte("stranded")); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Crash(); err != nil {
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,7 +405,7 @@ func TestWALCountersNotReusedAfterCrash(t *testing.T) {
 	preNonce, preFID := d.encNonce, d.fidSeq
 	preVID := d.vids.(*prfAllocator).ctr
 	d.mu.Unlock()
-	if err := d.Crash(); err != nil {
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -447,7 +447,7 @@ func TestWALCorruptionFailsStartupDescriptively(t *testing.T) {
 	if _, err := d.Upload("alice", "root", "f", payload(30_000, 19), privacy.Moderate, UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Crash(); err != nil {
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -518,8 +518,8 @@ func TestValidateWALDirReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWALWorkload(t, d)
-	view := d.StateView()
-	if err := d.Crash(); err != nil {
+	view := StateOf(d)
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -559,14 +559,14 @@ func TestWALBugSkipSyncLosesCommits(t *testing.T) {
 	if err := d.RegisterClient("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Crash(); err != nil {
+	if err := Crash(d); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := New(Config{Fleet: fleet, Secret: []byte("s"), WALDir: dir, WALSync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d2.StateView().Files) != 0 {
+	if len(StateOf(d2).Files) != 0 {
 		t.Fatal("unexpected files")
 	}
 	d2.mu.Lock()
@@ -629,7 +629,7 @@ func TestTombstonesKeepNothing(t *testing.T) {
 		t.Fatalf("follower fell back to a snapshot; the record-apply path went untested: %+v, %v", rep, err)
 	}
 	live := primary.chunks
-	if err := primary.Crash(); err != nil {
+	if err := Crash(primary); err != nil {
 		t.Fatal(err)
 	}
 	recovered, err := New(cfg)

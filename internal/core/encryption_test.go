@@ -22,7 +22,7 @@ func TestEncryptedUploadRoundTrip(t *testing.T) {
 	}
 	// Providers never see plaintext.
 	probe := data[:64]
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		for _, blob := range p.Dump() {
 			if bytes.Contains(blob, probe) {
 				t.Fatalf("plaintext fragment on provider %s", p.Info().Name)
@@ -53,7 +53,7 @@ func TestEncryptedChunksSurviveOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		got, err := d.GetFile("alice", "root", "f")
 		if err != nil {
@@ -103,7 +103,7 @@ func TestEncryptedUpdateChunk(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	stored, _ := p.Get(entry.VirtualID)
 	if bytes.Contains(stored, newChunk) {
 		t.Fatal("plaintext visible after update")
@@ -119,7 +119,7 @@ func TestEncryptedAttackYieldsNothing(t *testing.T) {
 	if _, err := d.Upload("alice", "root", "bids.csv", csvLike, privacy.High, UploadOptions{EncryptKey: encKey}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		for _, blob := range p.Dump() {
 			if bytes.Contains(blob, []byte("Greece")) {
 				t.Fatal("plaintext row visible to insider")

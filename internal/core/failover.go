@@ -136,17 +136,22 @@ func (d *Distributor) restage(rows *stripeRows, s shardSlot, failed map[int]bool
 // rehomePut: the one ship step of every write. A failover restages it
 // against the rows as they stand, so on success the cell holds wherever
 // the blob landed. failed seeds the providers it may never land on (a
-// relocation's departing provider); nil for none.
-func (d *Distributor) shipShard(rows *stripeRows, s stagedShard, failed map[int]bool) (storedShard, error) {
+// relocation's departing provider); nil for none. g is the upload's gate
+// (nil for other writes): the put's first failure latches it until the
+// put lands or gives up.
+func (d *Distributor) shipShard(rows *stripeRows, s stagedShard, failed map[int]bool, g *putGate) (storedShard, error) {
 	// Only this ship writes the blob's own cell, so reading it needs no lock.
 	prov, vid, err := rows.cell(s.slot)
 	if err != nil {
 		return storedShard{}, err
 	}
 	at := storedShard{*prov, *vid}
-	at.provIdx, at.vid, err = d.rehomePut(at.provIdx, at.vid, s.payload, failed, func(failed map[int]bool) (int, string, error) {
+	l := putLatch{g: g}
+	at.provIdx, at.vid, err = d.rehomePut(at.provIdx, at.vid, s.payload, failed, &l, func(failed map[int]bool) (int, string, error) {
+		l.take() // taken already unless the circuit refused the put
 		return d.restage(rows, s.slot, failed)
 	})
+	l.release(err)
 	return at, err
 }
 
@@ -154,7 +159,7 @@ func (d *Distributor) shipShard(rows *stripeRows, s stagedShard, failed map[int]
 // blob stored to *stored for the caller's rollback.
 func (d *Distributor) shipEach(rows *stripeRows, shards []stagedShard, stored *[]storedShard) error {
 	for _, s := range shards {
-		at, err := d.shipShard(rows, s, nil)
+		at, err := d.shipShard(rows, s, nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: writing %s: %w", s.slot.kind, err)
 		}
@@ -164,17 +169,18 @@ func (d *Distributor) shipEach(rows *stripeRows, shards []stagedShard, stored *[
 }
 
 // rehomePut is the write-failover loop, the only one: it puts payload on
-// provider prov under vid through the circuit-breaker gate, and when a
-// put exhausts its transient retries or the circuit is open asks rehome
-// for the blob's next home — never a provider in failed, the ones that
-// already failed this blob — and tries there. Only when rehome has
+// provider prov under vid through the circuit-breaker gate (a failed
+// attempt takes l), and when a put exhausts its transient retries or the
+// circuit is open asks rehome for the blob's next home — never a
+// provider in failed, the ones that already failed this blob — and tries
+// there. Only when rehome has
 // nowhere left does the write fail. Returns the provider and virtual id
 // that finally stored the blob. Runs WITHOUT d.mu: the provider round
 // trips are the slow part of every write, and holding the lock here
 // would serialize all clients behind one slow provider.
-func (d *Distributor) rehomePut(prov int, vid string, payload []byte, failed map[int]bool, rehome func(failed map[int]bool) (int, string, error)) (int, string, error) {
+func (d *Distributor) rehomePut(prov int, vid string, payload []byte, failed map[int]bool, l *putLatch, rehome func(failed map[int]bool) (int, string, error)) (int, string, error) {
 	for {
-		err := d.gatedPut(prov, vid, payload)
+		err := d.gatedPut(prov, vid, payload, l)
 		if err == nil {
 			return prov, vid, nil
 		}

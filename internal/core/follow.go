@@ -113,7 +113,7 @@ func (d *Distributor) resync(primary *Distributor, rep FollowReport) (FollowRepo
 	primary.mu.RLock()
 	snap, lsn := primary.exportMetadataLocked(), primary.wal.Stats().NextLSN
 	primary.mu.RUnlock()
-	if err := d.ImportMetadata(snap); err != nil {
+	if err := d.importMetadata(snap); err != nil {
 		return rep, fmt.Errorf("core: follow: resync: %w", err)
 	}
 	d.mu.Lock()
@@ -123,35 +123,27 @@ func (d *Distributor) resync(primary *Distributor, rep FollowReport) (FollowRepo
 	return rep, nil
 }
 
-// ExportMetadata serializes the distributor's full committed state —
-// everything a secondary needs to serve retrievals plus the commit
-// generation and allocator watermarks, so an imported snapshot leaves the
-// replica able to take over as primary without re-issuing identifiers the
-// exporter already used. Because mutations stage off-table and only touch
-// the live tables in their commit (under d.mu), the snapshot always
-// reflects a consistent committed state: no half-shipped upload's rows,
-// pending provider counts or reservations ever leak into it.
-func (d *Distributor) ExportMetadata() ([]byte, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.exportMetadataLocked(), nil
-}
-
-// exportMetadataLocked is ExportMetadata under a caller-held read lock,
-// so a resync can pin the log position to the exact state it serializes.
-// The payload is the fleet size, so an importer over a different fleet
-// can refuse it, then the same encoding of the same state a WAL
-// checkpoint holds.
+// exportMetadataLocked serializes the distributor's full committed state
+// under a caller-held read lock, so a resync can pin the log position to
+// the exact state it serializes: everything a secondary needs to serve
+// retrievals plus the commit generation and allocator watermarks, so an
+// imported snapshot leaves the replica able to take over as primary
+// without re-issuing identifiers the exporter already used. Mutations
+// stage off-table and only touch the live tables in their commit, so no
+// half-shipped upload's rows, pending provider counts or reservations
+// ever leak into it. The payload is the fleet size, so an importer over a
+// different fleet can refuse it, then the same encoding of the same state
+// a WAL checkpoint holds.
 func (d *Distributor) exportMetadataLocked() []byte {
 	return append(binary.AppendUvarint(nil, uint64(d.fleet.Len())), encodeWALState(d.stateLocked())...)
 }
 
-// ImportMetadata replaces the distributor's tables with a snapshot
+// importMetadata replaces the distributor's tables with a snapshot
 // exported by another distributor over the same fleet, the way a
 // recovery installs a checkpoint: generation from the snapshot, allocator
 // watermarks only ever advancing, provider counts recomputed from the
 // tables.
-func (d *Distributor) ImportMetadata(data []byte) error {
+func (d *Distributor) importMetadata(data []byte) error {
 	fleetLen, n := binary.Uvarint(data)
 	if n <= 0 {
 		return fmt.Errorf("core: import metadata: truncated snapshot")

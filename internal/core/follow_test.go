@@ -80,7 +80,7 @@ func TestClusterUploadAndRetrieveViaSecondary(t *testing.T) {
 	for _, f := range followers {
 		follow(t, f, primary)
 	}
-	if err := primary.Crash(); err != nil {
+	if err := Crash(primary); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range followers {
@@ -129,7 +129,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	}
 	follow(t, f, primary)
 	blobs := func() (n int) {
-		for _, p := range primary.Providers().All() {
+		for _, p := range primary.fleet.All() {
 			n += p.Len()
 		}
 		return n
@@ -146,7 +146,7 @@ func TestFollowerRefusesWrites(t *testing.T) {
 		"remove chunk": func() error { return f.RemoveChunk("bob", "pw", "f", 1) },
 		"remove file":  func() error { return f.RemoveFile("bob", "pw", "f") },
 		"orphan gc": func() error {
-			_, err := f.AuditOrphans(true)
+			_, err := AuditOrphans(f, true)
 			return err
 		},
 	} {
@@ -190,12 +190,9 @@ func TestExportImportMetadata(t *testing.T) {
 	if _, err := d1.Upload("bob", "pw", "f", data, privacy.Moderate, UploadOptions{MisleadFraction: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := d1.ExportMetadata()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := d1.exportMetadataLocked()
 	d2, _ := New(Config{Fleet: fleet})
-	if err := d2.ImportMetadata(snap); err != nil {
+	if err := d2.importMetadata(snap); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d2.GetFile("bob", "pw", "f")
@@ -212,12 +209,12 @@ func TestExportImportMetadata(t *testing.T) {
 
 func TestImportMetadataRejectsWrongFleet(t *testing.T) {
 	d1, _ := New(Config{Fleet: testFleet(t, 4)})
-	snap, _ := d1.ExportMetadata()
+	snap := d1.exportMetadataLocked()
 	d2, _ := New(Config{Fleet: testFleet(t, 7)})
-	if err := d2.ImportMetadata(snap); !errors.Is(err, ErrConfig) {
+	if err := d2.importMetadata(snap); !errors.Is(err, ErrConfig) {
 		t.Fatalf("fleet-size mismatch: %v", err)
 	}
-	if err := d2.ImportMetadata([]byte("garbage")); err == nil {
+	if err := d2.importMetadata([]byte("garbage")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
 }
@@ -230,10 +227,7 @@ func TestMetadataNeverContainsPlaintextPasswords(t *testing.T) {
 	if err := d.AddPassword("bob", secretPW, privacy.High); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := d.ExportMetadata()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := d.exportMetadataLocked()
 	if bytes.Contains(snap, []byte(secretPW)) {
 		t.Fatal("plaintext password present in replicated metadata")
 	}

@@ -23,27 +23,39 @@ type ProviderHealth struct {
 	LatencyEWMAMs float64 `json:"latency_ewma_ms"`
 }
 
+// HealthReport is the distributor's health, the GET /v1/health body:
+// overall status, the per-provider circuit-breaker and liveness view,
+// the chunk-cache counters (hits/misses/evictions/bytes; capacity 0
+// means caching is disabled) and the durability view (records appended,
+// fsyncs, replay count and last-checkpoint age; enabled=false means
+// in-memory metadata).
+type HealthReport struct {
+	Status    string           `json:"status"` // ok | degraded
+	Providers []ProviderHealth `json:"providers"`
+	Cache     CacheStats       `json:"cache"`
+	WAL       WALHealth        `json:"wal"`
+}
+
 // Health reports every provider's circuit-breaker state, last known
 // liveness and accumulated success/failure counts, indexed by fleet
-// position. It does not take d.mu — the tracker has its own
-// synchronization — so it stays readable even while a slow operation
-// holds the distributor lock.
-func (d *Distributor) Health() []ProviderHealth {
+// position, with the cache and WAL views. Status is "degraded" when a
+// provider is down or its circuit is not closed, "ok" otherwise. It does
+// not take d.mu — the tracker, the cache and the log each have their
+// own synchronization — so it stays readable even while a slow
+// operation holds the distributor lock.
+func (d *Distributor) Health() HealthReport {
 	snap := d.health.Snapshot()
-	out := make([]ProviderHealth, len(snap))
+	h := HealthReport{Status: "ok", Providers: make([]ProviderHealth, len(snap)), Cache: d.cache.stats(), WAL: d.walHealth()}
 	for i, s := range snap {
-		name, down := "", false
-		if p, err := d.fleet.At(i); err == nil {
-			name, down = p.Info().Name, p.Down()
-		}
+		p, _ := d.fleet.At(i) // the tracker has a slot for each provider New saw, and fleets only grow
 		ratio := 0.0
 		if s.WindowSamples > 0 {
 			ratio = float64(s.WindowFailures) / float64(s.WindowSamples)
 		}
-		out[i] = ProviderHealth{
-			Provider:            name,
+		h.Providers[i] = ProviderHealth{
+			Provider:            p.Info().Name,
 			State:               s.State.String(),
-			Down:                down,
+			Down:                p.Down(),
 			Successes:           s.Successes,
 			Failures:            s.Failures,
 			ConsecutiveFailures: s.ConsecutiveFailures,
@@ -52,13 +64,9 @@ func (d *Distributor) Health() []ProviderHealth {
 			WindowSamples:       s.WindowSamples,
 			LatencyEWMAMs:       float64(s.LatencyEWMA) / float64(time.Millisecond),
 		}
+		if h.Providers[i].Down || h.Providers[i].State != "closed" {
+			h.Status = "degraded"
+		}
 	}
-	return out
-}
-
-// CacheHealth reports the chunk cache's hit/miss/eviction counters and
-// residency, for the health endpoint. Like Health it does not take d.mu.
-// All-zero (Capacity 0) means caching is disabled.
-func (d *Distributor) CacheHealth() CacheStats {
-	return d.cache.stats()
+	return h
 }

@@ -68,7 +68,7 @@ func TestHedgeMirrorRescue(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := d.chunks[d.clients["alice"].Files["f.bin"].ChunkIdx[0]].CPIndex
-	base := d.Health()[primary]
+	base := d.Health().Providers[primary]
 	if base.Failures != 0 {
 		t.Fatalf("failures before read = %d", base.Failures)
 	}
@@ -100,7 +100,7 @@ func TestHedgeMirrorRescue(t *testing.T) {
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		h := d.Health()[primary]
+		h := d.Health().Providers[primary]
 		if h.Successes > base.Successes {
 			if h.Failures != 0 {
 				t.Fatalf("losing a hedge race recorded %d failures", h.Failures)

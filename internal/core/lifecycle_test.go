@@ -28,7 +28,7 @@ func TestRemoveFile(t *testing.T) {
 		t.Fatalf("stats after remove = %+v", after)
 	}
 	// No shards remain anywhere in the fleet.
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		if p.Len() != 0 {
 			t.Fatalf("provider %s still holds %d keys", p.Info().Name, p.Len())
 		}
@@ -105,7 +105,7 @@ func TestRemoveChunkKeepsRAIDWorking(t *testing.T) {
 	}
 	size, _ := privacy.DefaultChunkSizes().Size(privacy.Moderate)
 	for i := 0; i < 6; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		got, err := d.GetChunk("alice", "root", "f", 1)
 		if err != nil {
@@ -129,7 +129,7 @@ func TestRemoveAllChunksOneByOne(t *testing.T) {
 			t.Fatalf("remove serial %d: %v", s, err)
 		}
 	}
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		if p.Len() != 0 {
 			t.Fatalf("provider %s still holds %d keys after removing every chunk", p.Info().Name, p.Len())
 		}
@@ -221,7 +221,7 @@ func TestUpdateChunkKeepsRAIDConsistent(t *testing.T) {
 	}
 	// After parity re-encode, the updated chunk must survive outages.
 	for i := 0; i < 6; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		got, err := d.GetChunk("alice", "root", "f", 1)
 		if err != nil {
@@ -316,7 +316,7 @@ func TestUpdateChunkWithSiblingProviderDown(t *testing.T) {
 	d.mu.Lock()
 	sibling := d.chunks[1]
 	d.mu.Unlock()
-	sp, _ := d.Providers().At(sibling.CPIndex)
+	sp, _ := d.fleet.At(sibling.CPIndex)
 	sp.SetOutage(true)
 
 	// Update chunk 0 while the sibling is unreachable (it is still
@@ -348,7 +348,7 @@ func TestUpdateChunkWithSiblingProviderDown(t *testing.T) {
 	}
 	// And the whole stripe still survives any single outage.
 	for i := 0; i < 6; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		if _, err := d.GetFile("alice", "root", "f"); err != nil {
 			t.Fatalf("provider %d down after update: %v", i, err)

@@ -231,7 +231,7 @@ func (d *Distributor) moveShard(s shardSlot, provIdx int, rep *DecommissionRepor
 		d.releaseTicket(t)
 		return 0, placeErr
 	default:
-		if dst, err = d.shipShard(rows, stagedShard{slot: at, payload: payload}, departing); err != nil {
+		if dst, err = d.shipShard(rows, stagedShard{slot: at, payload: payload}, departing, nil); err != nil {
 			d.releaseTicket(t)
 			return 0, fmt.Errorf("core: decommission: rehoming %s: %w", s.kind, err)
 		}
@@ -310,14 +310,15 @@ func (d *Distributor) referencedLocked() map[string]bool {
 	return referenced
 }
 
-// AuditOrphans scans every provider for keys absent from the distributor's
-// tables and, when gc is true, deletes them. Interrupted removals (e.g. a
-// provider outage mid-RemoveFile) can leave such orphans behind; running
-// the audit after recovery reconciles providers with the tables. The
-// provider scans run without d.mu; candidates are re-validated against
-// fresh table and in-flight state before anything is reported or deleted,
-// so a write that commits mid-scan cannot lose blobs to the collector.
-func (d *Distributor) AuditOrphans(gc bool) (AuditReport, error) {
+// AuditOrphans scans every provider for keys absent from d's tables and,
+// when gc is true, deletes them. Interrupted removals (e.g. a provider
+// outage mid-RemoveFile) can leave such orphans behind; recovery runs the
+// audit to reconcile providers with the tables, and the simulation
+// oracle runs it to find leaks. The provider scans run without d.mu;
+// candidates are re-validated against fresh table and in-flight state
+// before anything is reported or deleted, so a write that commits
+// mid-scan cannot lose blobs to the collector.
+func AuditOrphans(d *Distributor, gc bool) (AuditReport, error) {
 	d.mu.Lock()
 	if gc && d.following {
 		// A follower's tables trail its primary's: what it does not

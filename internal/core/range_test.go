@@ -49,14 +49,14 @@ func TestGetRangeTouchesOnlyOverlappingProviders(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := int64(0)
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		before += p.Usage().Gets
 	}
 	if _, err := d.GetRange("alice", "root", "f", 80_000, 100); err != nil {
 		t.Fatal(err)
 	}
 	after := int64(0)
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		after += p.Usage().Gets
 	}
 	if gets := after - before; gets > 2 {
@@ -169,7 +169,7 @@ func TestScrubRepairsCorruption(t *testing.T) {
 	}
 	d.mu.Unlock()
 	for _, v := range victims {
-		p, _ := d.Providers().At(v.CPIndex)
+		p, _ := d.fleet.At(v.CPIndex)
 		stored, err := p.Get(v.VirtualID)
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestScrubRefreshesStaleMirror(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	mp, _ := d.Providers().At(entry.Mirrors[0].CPIndex)
+	mp, _ := d.fleet.At(entry.Mirrors[0].CPIndex)
 	if err := mp.Put(entry.Mirrors[0].VirtualID, make([]byte, entry.PayloadLen)); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestScrubRefreshesStaleMirror(t *testing.T) {
 		t.Fatalf("scrub = %+v, want 1 repair", rep)
 	}
 	// The mirror must now serve correct data when the primary dies.
-	pp, _ := d.Providers().At(entry.CPIndex)
+	pp, _ := d.fleet.At(entry.CPIndex)
 	pp.SetOutage(true)
 	got, err := d.GetChunk("alice", "root", "f", 0)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestScrubReportsUnrepairable(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	corrupt := make([]byte, entry.PayloadLen)
 	if err := p.Put(entry.VirtualID, corrupt); err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func TestReadPathsAgree(t *testing.T) {
 	data := randomBytes(size, 19)
 	// primaryOf locates a serial's primary blob.
 	primaryOf := func(rig *bulkRig, serial int) (prov int, vid string) {
-		for _, b := range rig.d.StateView().Blobs {
+		for _, b := range core.StateOf(rig.d).Blobs {
 			if b.Kind == core.BlobChunk && b.Serial == serial {
 				return b.ProvIdx, b.VID
 			}

@@ -18,7 +18,7 @@ func TestGetFileSurvivesOneProviderOutageRAID5(t *testing.T) {
 	// Knock out each provider in turn; RAID-5 must mask every single
 	// failure.
 	for i := 0; i < 6; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		got, err := d.GetFile("alice", "root", "f")
 		if err != nil {
@@ -39,8 +39,8 @@ func TestGetFileSurvivesTwoOutagesRAID6(t *testing.T) {
 	}
 	for i := 0; i < 7; i++ {
 		for j := i + 1; j < 7; j++ {
-			pi, _ := d.Providers().At(i)
-			pj, _ := d.Providers().At(j)
+			pi, _ := d.fleet.At(i)
+			pj, _ := d.fleet.At(j)
 			pi.SetOutage(true)
 			pj.SetOutage(true)
 			got, err := d.GetFile("alice", "root", "f")
@@ -69,8 +69,8 @@ func TestRAID5FailsUnderTwoOutages(t *testing.T) {
 	if _, err := d.Upload("alice", "root", "f", payload(60_000, 22), privacy.Moderate, UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	p0, _ := d.Providers().At(0)
-	p1, _ := d.Providers().At(1)
+	p0, _ := d.fleet.At(0)
+	p1, _ := d.fleet.At(1)
 	p0.SetOutage(true)
 	p1.SetOutage(true)
 	if _, err := d.GetFile("alice", "root", "f"); !errors.Is(err, ErrUnavailable) {
@@ -86,7 +86,7 @@ func TestNoParityFailsUnderOneOutage(t *testing.T) {
 	// Find a provider actually hosting a shard and fail it.
 	failed := false
 	for i := 0; i < 4; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		if p.Len() == 0 {
 			continue
 		}
@@ -113,7 +113,7 @@ func TestRecoveryWithMisleadingData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		got, err := d.GetFile("alice", "root", "f")
 		if err != nil {
@@ -136,7 +136,7 @@ func TestCorruptedShardDetectedAndRecovered(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	stored, err := p.Get(entry.VirtualID)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestTruncatedShardTriggersReconstruction(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	// Replace the shard with a truncated blob: length check fails and the
 	// distributor reconstructs from parity.
 	if err := p.Put(entry.VirtualID, []byte("short")); err != nil {

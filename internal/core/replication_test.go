@@ -36,10 +36,10 @@ func statsEqual(t *testing.T, phase string, p, s Stats) {
 // converged fails unless f holds primary's whole log and the same state.
 func converged(t *testing.T, phase string, primary, f *Distributor, rep FollowReport) {
 	t.Helper()
-	if next := primary.WALHealth().NextLSN; rep.LSN != next {
+	if next := primary.Health().WAL.NextLSN; rep.LSN != next {
 		t.Fatalf("%s: follower at lsn %d, primary's log ends at %d", phase, rep.LSN, next)
 	}
-	if p, s := primary.StateView(), f.StateView(); !reflect.DeepEqual(p, s) {
+	if p, s := StateOf(primary), StateOf(f); !reflect.DeepEqual(p, s) {
 		t.Fatalf("%s: state diverged\nprimary   %+v\nsecondary %+v", phase, p, s)
 	}
 	statsEqual(t, phase, primary.Stats(), f.Stats())
@@ -93,7 +93,7 @@ func TestClusterIncrementalReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Crash(); err != nil {
+	if err := Crash(primary); err != nil {
 		t.Fatal(err)
 	}
 	got, err := f.GetFile("ann", "pw", "f0")
@@ -176,7 +176,7 @@ func TestClusterLagSurfacing(t *testing.T) {
 	for i := 0; i < 3; i++ { // the log checkpoints at record 4
 		upload(fmt.Sprintf("missed-%d", i), int64(6+i))
 	}
-	if lag, lead := behind.StateView().Gen, primary.StateView().Gen; lag >= lead {
+	if lag, lead := StateOf(behind).Gen, StateOf(primary).Gen; lag >= lead {
 		t.Fatalf("lagging follower generation %d not behind primary %d", lag, lead)
 	}
 	rep := follow(t, behind, primary)
@@ -196,7 +196,7 @@ func TestClusterLagSurfacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Crash(); err != nil {
+	if err := Crash(primary); err != nil {
 		t.Fatal(err)
 	}
 	for who, f := range map[string]*Distributor{"current": current, "healed": behind} {
@@ -277,14 +277,14 @@ func TestClusterSnapshotFallback(t *testing.T) {
 	// the recovered log ends before the follower's position.
 	upload(primary, "lost", 13)
 	follow(t, late, primary)
-	if err := primary.Crash(); err != nil {
+	if err := Crash(primary); err != nil {
 		t.Fatal(err)
 	}
 	recovered, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next := recovered.WALHealth().NextLSN; next >= late.followLSN {
+	if next := recovered.Health().WAL.NextLSN; next >= late.followLSN {
 		t.Fatalf("the crash lost nothing (log ends at %d, follower at %d): the case needs a loss", next, late.followLSN)
 	}
 	if rep = follow(t, late, recovered); !rep.Resynced {
@@ -334,7 +334,7 @@ func TestFollowEveryOpAcrossCheckpoints(t *testing.T) {
 		}
 		records += rep.Records
 	}
-	if ckpts := primary.WALHealth().Checkpoints; ckpts < 10 {
+	if ckpts := primary.Health().WAL.Checkpoints; ckpts < 10 {
 		t.Fatalf("only %d checkpoints in %d ops: the case needs many", ckpts, ops)
 	}
 	rep := follow(t, f, primary)
@@ -371,7 +371,7 @@ func TestValidateWALDirSkipsKeptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := primary.StateView()
+	want := StateOf(primary)
 	if rep.Gen != want.Gen || rep.SnapshotLSN != rec.SnapshotLSN || rep.Records != len(rec.Records) || rep.Files != len(want.Files) {
 		t.Fatalf("validator: %+v, live gen %d with %d files", rep, want.Gen, len(want.Files))
 	}
@@ -380,7 +380,7 @@ func TestValidateWALDirSkipsKeptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := recovered.StateView(); !reflect.DeepEqual(got, want) {
+	if got := StateOf(recovered); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovery from a dir with a kept segment differs\nlive      %+v\nrecovered %+v", want, got)
 	}
 }

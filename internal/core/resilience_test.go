@@ -68,7 +68,7 @@ func TestMirrorsServeReadsWhenPrimaryAndParityDown(t *testing.T) {
 	}
 	d.mu.Unlock()
 	for idx := range primaries {
-		p, _ := d.Providers().At(idx)
+		p, _ := d.fleet.At(idx)
 		p.SetOutage(true)
 	}
 	got, err := d.GetFile("alice", "root", "f")
@@ -80,6 +80,34 @@ func TestMirrorsServeReadsWhenPrimaryAndParityDown(t *testing.T) {
 	}
 }
 
+// TestHealthStatus pins the one status rule: "ok" while every provider
+// is up with its circuit closed, "degraded" once one is down (its row
+// says so) or its circuit has opened.
+func TestHealthStatus(t *testing.T) {
+	d := testDistributor(t, 4)
+	if h := d.Health(); h.Status != "ok" || len(h.Providers) != 4 {
+		t.Fatalf("healthy fleet: status %q over %d providers, want ok over 4", h.Status, len(h.Providers))
+	}
+	p, _ := d.fleet.At(1)
+	p.SetOutage(true)
+	if h := d.Health(); h.Status != "degraded" || !h.Providers[1].Down {
+		t.Fatalf("provider 1 down: status %q, row %+v; want degraded and down", h.Status, h.Providers[1])
+	}
+	p.SetOutage(false)
+	if h := d.Health(); h.Status != "ok" {
+		t.Fatalf("provider 1 back: status %q, want ok", h.Status)
+	}
+	for i := 0; d.Health().Providers[2].State != "open"; i++ {
+		if i == 100 {
+			t.Fatal("100 failures did not open provider 2's circuit")
+		}
+		d.health.Record(2, false)
+	}
+	if h := d.Health(); h.Status != "degraded" || h.Providers[2].Down {
+		t.Fatalf("provider 2's circuit open: status %q, row %+v; want degraded, not down", h.Status, h.Providers[2])
+	}
+}
+
 func TestReplicasRemovedWithFile(t *testing.T) {
 	d := testDistributor(t, 6)
 	if _, err := d.Upload("alice", "root", "f", payload(20_000, 72), privacy.Moderate, UploadOptions{Replicas: 1}); err != nil {
@@ -88,7 +116,7 @@ func TestReplicasRemovedWithFile(t *testing.T) {
 	if err := d.RemoveFile("alice", "root", "f"); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		if p.Len() != 0 {
 			t.Fatalf("provider %s still holds %d keys", p.Info().Name, p.Len())
 		}
@@ -119,7 +147,7 @@ func TestReplicasRemovedWithChunk(t *testing.T) {
 
 func totalKeys(d *Distributor) int {
 	n := 0
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		n += p.Len()
 	}
 	return n
@@ -138,7 +166,7 @@ func TestUpdateChunkRewritesMirrors(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	p.SetOutage(true)
 	got, err := d.GetChunk("alice", "root", "f", 0)
 	if err != nil {
@@ -213,7 +241,7 @@ func TestDecommissionMovesEverything(t *testing.T) {
 	}
 	// Pick the busiest provider to evacuate.
 	victim, most := 0, -1
-	for i, p := range d.Providers().All() {
+	for i, p := range d.fleet.All() {
 		if p.Len() > most {
 			victim, most = i, p.Len()
 		}
@@ -222,7 +250,7 @@ func TestDecommissionMovesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, _ := d.Providers().At(victim)
+	vp, _ := d.fleet.At(victim)
 	if vp.Len() != 0 {
 		t.Fatalf("decommissioned provider still holds %d keys", vp.Len())
 	}
@@ -240,7 +268,7 @@ func TestDecommissionMovesEverything(t *testing.T) {
 		t.Fatal("post-decommission data mismatch")
 	}
 	// Accounting stays consistent.
-	for i, p := range d.Providers().All() {
+	for i, p := range d.fleet.All() {
 		if p.Len() != d.Stats().PerProvider[i] {
 			t.Fatalf("provider %d holds %d keys, table says %d", i, p.Len(), d.Stats().PerProvider[i])
 		}
@@ -250,7 +278,7 @@ func TestDecommissionMovesEverything(t *testing.T) {
 		if i == victim {
 			continue
 		}
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		p.SetOutage(true)
 		if _, err := d.GetFile("alice", "root", "f"); err != nil {
 			t.Fatalf("provider %d down after decommission: %v", i, err)
@@ -277,13 +305,13 @@ func TestDecommissionDarkProviderUsesRAID(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := -1
-	for i, p := range d.Providers().All() {
+	for i, p := range d.fleet.All() {
 		if p.Len() > 0 {
 			victim = i
 			break
 		}
 	}
-	vp, _ := d.Providers().At(victim)
+	vp, _ := d.fleet.At(victim)
 	vp.SetOutage(true)
 	if _, err := d.Decommission(victim); err != nil {
 		t.Fatalf("decommission of dark provider: %v", err)
@@ -366,7 +394,7 @@ func TestMoveShardConflict(t *testing.T) {
 				if rep != (DecommissionReport{}) {
 					t.Fatalf("a move that did not commit was reported: %+v", rep)
 				}
-				if !d.StateView().Quiescent {
+				if !StateOf(d).Quiescent {
 					t.Fatal("ticket left open")
 				}
 			})
@@ -446,7 +474,7 @@ func TestOpMetrics(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[1]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	p.SetOutage(true)
 	if _, err := d.GetChunk("alice", "root", "f", 1); err != nil {
 		t.Fatal(err)
@@ -471,7 +499,7 @@ func TestOpMetricsReconstruction(t *testing.T) {
 	d.mu.Lock()
 	entry := d.chunks[0]
 	d.mu.Unlock()
-	p, _ := d.Providers().At(entry.CPIndex)
+	p, _ := d.fleet.At(entry.CPIndex)
 	p.SetOutage(true)
 	if _, err := d.GetChunk("alice", "root", "f", 0); err != nil {
 		t.Fatal(err)
@@ -506,7 +534,7 @@ func TestAuditOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clean system: no orphans.
-	rep, err := d.AuditOrphans(false)
+	rep, err := AuditOrphans(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,12 +543,12 @@ func TestAuditOrphans(t *testing.T) {
 	}
 	// Plant orphans directly on two providers (simulating an interrupted
 	// removal).
-	p0, _ := d.Providers().At(0)
-	p1, _ := d.Providers().At(1)
+	p0, _ := d.fleet.At(0)
+	p1, _ := d.fleet.At(1)
 	_ = p0.Put("orphan-a", []byte("junk"))
 	_ = p1.Put("orphan-b", []byte("junk"))
 
-	rep, err = d.AuditOrphans(false)
+	rep, err = AuditOrphans(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,14 +560,14 @@ func TestAuditOrphans(t *testing.T) {
 		t.Fatalf("dry run = %+v", rep)
 	}
 	// GC pass removes them and data stays intact.
-	rep, err = d.AuditOrphans(true)
+	rep, err = AuditOrphans(d, true)
 	if err != nil || rep.Deleted != 2 {
 		t.Fatalf("gc = %+v, %v", rep, err)
 	}
 	if _, err := d.GetFile("alice", "root", "f"); err != nil {
 		t.Fatalf("data damaged by GC: %v", err)
 	}
-	rep, _ = d.AuditOrphans(false)
+	rep, _ = AuditOrphans(d, false)
 	if len(rep.Orphans) != 0 {
 		t.Fatalf("orphans remain after GC: %+v", rep.Orphans)
 	}
@@ -547,10 +575,10 @@ func TestAuditOrphans(t *testing.T) {
 
 func TestAuditSkipsDownProviders(t *testing.T) {
 	d := testDistributor(t, 4)
-	p0, _ := d.Providers().At(0)
+	p0, _ := d.fleet.At(0)
 	_ = p0.Put("orphan", []byte("x"))
 	p0.SetOutage(true)
-	rep, err := d.AuditOrphans(true)
+	rep, err := AuditOrphans(d, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,6 +263,105 @@ func TestRollbackFansOut(t *testing.T) {
 	}
 }
 
+// TestUploadHoldsWhileAPutFailsOver holds a failing put's failover open
+// and checks that the upload stands still meanwhile, at the default
+// parallelism and window: no stripe is placed and no other put starts
+// until the failover is let go, and then the upload completes. Five cheap
+// providers take every stripe (RAID-5: four data shards and parity), so
+// the sixth, dearer one is only ever a failover target and its first put
+// is the failover's.
+func TestUploadHoldsWhileAPutFailsOver(t *testing.T) {
+	f, err := provider.NewFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := make([]*provider.MemProvider, 6)
+	for i := range hooked {
+		cl := privacy.CostLevel(1)
+		if i == 5 {
+			cl = 2
+		}
+		if hooked[i], err = provider.New(provider.Info{Name: fmt.Sprintf("H%d", i), PL: privacy.High, CL: cl}, provider.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Add(hooked[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := New(Config{Fleet: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterClient("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddPassword("alice", "root", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	puts := 0
+	for i, h := range hooked[:5] {
+		h.SetBeforePut(func(n int, _ string) error {
+			mu.Lock()
+			puts++
+			mu.Unlock()
+			if i == 0 && n == 3 {
+				return provider.ErrOutage
+			}
+			return nil
+		})
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	hooked[5].SetBeforePut(func(n int, _ string) error {
+		if n == 1 {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	counts := func() (int, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		staged := 0
+		for _, n := range d.provPending {
+			staged += n
+		}
+		return puts, staged
+	}
+
+	data := payload(64*chunkSizeFor(t, privacy.High), 800) // 16 stripes
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Upload("alice", "root", "f", data, privacy.High, UploadOptions{})
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("upload ended without failing over: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failover never reached the spare provider")
+	}
+	putsAt, stagedAt := counts()
+	time.Sleep(20 * time.Millisecond)
+	putsAfter, stagedAfter := counts()
+	close(release)
+	if putsAfter != putsAt || stagedAfter != stagedAt {
+		t.Errorf("while a failover was held open, %d puts started and %d shards were staged", putsAfter-putsAt, stagedAfter-stagedAt)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("upload after the failover: %v", err)
+	}
+	if got, err := d.GetFile("alice", "root", "f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip: %v", err)
+	}
+	if n := d.Metrics().WriteFailovers; n != 1 {
+		t.Fatalf("WriteFailovers = %d, want 1", n)
+	}
+}
+
 // TestConcurrentFailoversOfOneStripeLandApart forces put failures on
 // every entry point that ships a blob and checks where the failovers
 // land: every committed blob on a provider avoid allows, tables and
@@ -501,7 +600,7 @@ func TestUploadFailsOverAroundDarkProvider(t *testing.T) {
 	if hooked[0].Len() != 0 {
 		t.Fatalf("dark provider holds %d blobs", hooked[0].Len())
 	}
-	rep, err := d.AuditOrphans(false)
+	rep, err := AuditOrphans(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +634,7 @@ func TestCircuitBreakerAvoidsFailingProvider(t *testing.T) {
 			t.Fatalf("upload g%d: %v", i, err)
 		}
 	}
-	health := d.Health()
+	health := d.Health().Providers
 	if health[0].State != "open" {
 		t.Fatalf("dark provider state = %q after sustained failures, want open (health: %+v)", health[0].State, health[0])
 	}

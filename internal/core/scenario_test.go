@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/privacy"
 )
 
@@ -11,11 +13,10 @@ import (
 // scenarios: the accepted request (Bob, x9pr, file1, 0) and the denied
 // request (Bob, aB1c, file1, 0).
 func TestFigure3Walkthrough(t *testing.T) {
-	sc, err := NewFigure3Scenario()
+	d, err := experiments.Figure3Distributor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sc.Distributor
 
 	// Scenario 1: "the password x9pr is listed under Bob. The privacy
 	// level of the password x9pr is 1 and the privacy level of chunk 0 of
@@ -31,22 +32,22 @@ func TestFigure3Walkthrough(t *testing.T) {
 	// Scenario 2: "The password aB1c is listed under Bob and its privacy
 	// level is 0. As the privacy level of the requested chunk is 1, the
 	// password is not privileged enough... Hence its request is denied."
-	if _, err := d.GetChunk("Bob", "aB1c", "file1", 0); !errors.Is(err, ErrAuth) {
+	if _, err := d.GetChunk("Bob", "aB1c", "file1", 0); !errors.Is(err, core.ErrAuth) {
 		t.Fatalf("denied scenario: err = %v, want ErrAuth", err)
 	}
 }
 
 func TestFigure3VirtualIDs(t *testing.T) {
-	sc, err := NewFigure3Scenario()
+	d, err := experiments.Figure3Distributor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := sc.Distributor.ChunkTable()
+	rows := d.ChunkTable()
 	if len(rows) != 7 {
 		t.Fatalf("chunk rows = %d, want 7 (3+2+2)", len(rows))
 	}
 	want := map[string]bool{}
-	for _, v := range Figure3VIDs {
+	for _, v := range experiments.Figure3VIDs {
 		want[v] = true
 	}
 	for _, r := range rows {
@@ -55,8 +56,8 @@ func TestFigure3VirtualIDs(t *testing.T) {
 		}
 	}
 	// Chunk 0 of file1 carries the figure's id 10986.
-	ct := sc.Distributor.ClientTable()
-	var bob ClientRow
+	ct := d.ClientTable()
+	var bob core.ClientRow
 	for _, r := range ct {
 		if r.Client == "Bob" {
 			bob = r
@@ -75,11 +76,10 @@ func TestFigure3VirtualIDs(t *testing.T) {
 }
 
 func TestFigure3TablesMatchPaperShapes(t *testing.T) {
-	sc, err := NewFigure3Scenario()
+	d, err := experiments.Figure3Distributor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sc.Distributor
 
 	// Provider table: the 7 named providers with the paper's PL/CL.
 	prows := d.ProviderTable()
@@ -116,21 +116,20 @@ func TestFigure3TablesMatchPaperShapes(t *testing.T) {
 	// Every chunk sits on a provider with PL >= chunk PL (the paper's
 	// placement invariant).
 	for _, r := range d.ChunkTable() {
-		p, _ := d.Providers().At(r.CPIndex)
-		if p.Info().PL < r.PL {
-			t.Fatalf("chunk %s (PL %v) on provider %s (PL %v)", r.VirtualID, r.PL, p.Info().Name, p.Info().PL)
+		p := prows[r.CPIndex]
+		if p.PL < r.PL {
+			t.Fatalf("chunk %s (PL %v) on provider %s (PL %v)", r.VirtualID, r.PL, p.Name, p.PL)
 		}
 	}
 }
 
 func TestFigure3RoysFileNeedsHighPrivilege(t *testing.T) {
-	sc, _ := NewFigure3Scenario()
-	d := sc.Distributor
+	d, _ := experiments.Figure3Distributor()
 	if _, err := d.GetFile("Roy", "eV2t", "file3"); err != nil {
 		t.Fatal(err)
 	}
 	// Bob cannot read Roy's file even with his highest password.
-	if _, err := d.GetFile("Bob", "Ty7e", "file3"); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := d.GetFile("Bob", "Ty7e", "file3"); !errors.Is(err, core.ErrNoSuchFile) {
 		t.Fatalf("cross-client access: %v", err)
 	}
 }

@@ -30,7 +30,7 @@ func TestScrubProviderCalls(t *testing.T) {
 					if _, err := d.Upload("alice", "root", "f", payload(100_000, 93), privacy.Moderate, opts); err != nil {
 						t.Fatal(err)
 					}
-					blobs := d.StateView().Blobs
+					blobs := StateOf(d).Blobs
 					var victim BlobView
 					if damage != "" {
 						victim = blobs[slices.IndexFunc(blobs, func(b BlobView) bool { return b.Kind == damage })]

@@ -80,10 +80,11 @@ type StateView struct {
 	Stripes   []StripeView
 }
 
-// StateView snapshots the committed tables. Files are sorted by
+// StateOf snapshots d's committed tables. Files are sorted by
 // (client, filename); blobs follow chunk-table order then stripe order,
-// so two snapshots of identical state are deeply equal.
-func (d *Distributor) StateView() StateView {
+// so two snapshots of identical state are deeply equal. A harness
+// function, not a method, so it stays off the product surface.
+func StateOf(d *Distributor) StateView {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 

@@ -14,7 +14,7 @@ func TestStateViewShapeAndQuiescence(t *testing.T) {
 	if _, err := d.Upload("alice", "root", "f", data, privacy.Moderate, UploadOptions{Assurance: raid.RAID6, Replicas: 1}); err != nil {
 		t.Fatal(err)
 	}
-	v := d.StateView()
+	v := StateOf(d)
 	if !v.Quiescent {
 		t.Fatal("idle distributor must report Quiescent")
 	}
@@ -27,7 +27,7 @@ func TestStateViewShapeAndQuiescence(t *testing.T) {
 	// Every committed blob must exist on its provider at its recorded
 	// length, on a provider whose PL covers the blob's.
 	for _, b := range v.Blobs {
-		p, err := d.Providers().At(b.ProvIdx)
+		p, err := d.fleet.At(b.ProvIdx)
 		if err != nil {
 			t.Fatalf("blob %s on bad provider %d", b.VID, b.ProvIdx)
 		}
@@ -43,7 +43,7 @@ func TestStateViewShapeAndQuiescence(t *testing.T) {
 		}
 	}
 	// Two snapshots of unchanged state are identical.
-	v2 := d.StateView()
+	v2 := StateOf(d)
 	if len(v2.Blobs) != len(v.Blobs) || v2.Gen != v.Gen {
 		t.Fatal("repeated StateView of idle state differs")
 	}
@@ -57,7 +57,7 @@ func TestScrubRepairsRottedParity(t *testing.T) {
 	}
 	// Rot one parity blob at rest: same length, different bytes. The
 	// chunk phase of Scrub cannot see this — only parity recompute can.
-	v := d.StateView()
+	v := StateOf(d)
 	var target BlobView
 	for _, b := range v.Blobs {
 		if b.Kind == BlobParity {
@@ -68,7 +68,7 @@ func TestScrubRepairsRottedParity(t *testing.T) {
 	if target.VID == "" {
 		t.Fatal("no parity blob found")
 	}
-	p, _ := d.Providers().At(target.ProvIdx)
+	p, _ := d.fleet.At(target.ProvIdx)
 	stored, err := p.Get(target.VID)
 	if err != nil {
 		t.Fatal(err)

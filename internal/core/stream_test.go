@@ -338,7 +338,7 @@ func streamAborted(t *testing.T, d *Distributor, hooked []*provider.MemProvider,
 	if _, err := d.GetFile("alice", "root", name); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("aborted file visible: %v", err)
 	}
-	rep, err := d.AuditOrphans(false)
+	rep, err := AuditOrphans(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestTablesReflectState(t *testing.T) {
 			t.Fatalf("provider %d: count %d != %d listed vids", i, r.Count, len(r.VIDs))
 		}
 		totalVIDs += len(r.VIDs)
-		p, _ := d.Providers().At(i)
+		p, _ := d.fleet.At(i)
 		if r.Name != p.Info().Name || r.PL != p.Info().PL || r.CL != p.Info().CL {
 			t.Fatalf("provider row %d identity mismatch: %+v", i, r)
 		}

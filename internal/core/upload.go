@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -430,13 +431,15 @@ func (d *Distributor) planStripe(u *uploadCtx, r io.Reader, serial int) (*stripe
 // ship) and parallelism 1 issues the puts in stripe order, which
 // deterministic harnesses use.
 //
-// Once anything fails — the reader, a placement, a shard out of
-// providers — no further stripe is read and no further put issued (puts
-// already on the wire run to their end), and the one abort path
-// withdraws the staging and reservation and rolls back every blob that
-// was stored: a failed upload leaves no orphan blobs and no partial
-// file. Otherwise the staged rows are rebased onto the live tables and
-// applied as one upload record, logged before anything becomes visible.
+// A put that fails latches the pipeline (putGate): until it lands or
+// gives up, no stripe is planned and no other put started. Once anything
+// fails for good — the reader, a placement, a shard out of providers —
+// no further stripe is read and no further put issued (puts already on
+// the wire run to their end), and the one abort path withdraws the
+// staging and reservation and rolls back every blob that was stored: a
+// failed upload leaves no orphan blobs and no partial file. Otherwise the
+// staged rows are rebased onto the live tables and applied as one upload
+// record, logged before anything becomes visible.
 func (d *Distributor) upload(client, password, filename string, r io.Reader, pl privacy.Level, opts UploadOptions) (FileInfo, error) {
 	u, err := d.openUpload(client, password, filename, pl, opts)
 	if err != nil {
@@ -452,37 +455,20 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 	// producer moves on to planning the next stripe instead of waiting
 	// for a put worker to take each shard from its hand.
 	shardCh := make(chan queued, d.streamWindow*(u.width*(1+opts.Replicas)+u.level.ParityShards()))
-	var (
-		mu      sync.Mutex
-		stored  []storedShard
-		failure error // the first one; set, it stops the producer and the workers
-		wg      sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failure == nil {
-			failure = err
-		}
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return failure != nil
-	}
-	for w := 0; w < d.parallelism; w++ {
+	var g putGate
+	stored := make([][]storedShard, d.parallelism) // by worker
+	var wg sync.WaitGroup
+	for w := range stored {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ref := range shardCh {
-				if !failed() {
-					if at, err := d.shipShard(&ref.job.stripeRows, ref.job.shards[ref.i], nil); err != nil {
-						fail(err)
-					} else {
-						mu.Lock()
-						stored = append(stored, at)
-						mu.Unlock()
+				if g.enter() {
+					at, err := d.shipShard(&ref.job.stripeRows, ref.job.shards[ref.i], nil, &g)
+					if err == nil {
+						stored[w] = append(stored[w], at)
 					}
+					g.leave(err)
 				}
 				if ref.job.unshipped.Add(-1) == 0 {
 					ref.job.releaseBuffers()
@@ -496,14 +482,15 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 	total, serial := 0, 0
 	for eof := false; !eof; {
 		window <- struct{}{}
-		if failed() {
+		if !g.enter() {
 			<-window
 			break
 		}
 		job, n, err := d.planStripe(u, r, serial)
-		if eof = err == io.EOF; err != nil && !eof {
-			fail(err)
+		if eof = err == io.EOF; eof {
+			err = nil
 		}
+		g.leave(err)
 		if job == nil {
 			<-window
 			break
@@ -518,16 +505,83 @@ func (d *Distributor) upload(client, password, filename string, r io.Reader, pl 
 	close(shardCh)
 	wg.Wait()
 
-	err = failure // read without its mutex: the workers are done
-	if err == nil {
+	if failure := g.failure.Load(); failure != nil {
+		err = *failure
+	} else {
 		newChunks, newStripes, chunkIdx := assembleStripes(jobs, serial)
 		d.mu.Lock()
 		err = d.commitUploadLocked(u, newChunks, newStripes, chunkIdx)
 		d.mu.Unlock()
 	}
 	if err != nil {
-		d.abortUpload(u, stored)
+		d.abortUpload(u, slices.Concat(stored...))
 		return FileInfo{}, fmt.Errorf("core: upload aborted: %w", err)
 	}
 	return FileInfo{Filename: filename, PL: pl, Chunks: serial, Raid: u.level, Bytes: total}, nil
+}
+
+// putGate is what an upload's producer and put workers share: the first
+// failure, and the latch that holds the pipeline still while a put
+// fails. The producer planning a stripe and each worker putting a shard
+// hold the latch's read lock, from enter to leave. A put whose attempt
+// fails trades its read lock for the write lock at once (putLatch.take):
+// no one enters from then on, and the put goes on once every other
+// holder has left, so its retries and failover run with no stripe being
+// placed and no other put on the wire. A put that lands gives the write
+// lock back; one that gives up records the failure first, which every
+// later enter refuses.
+type putGate struct {
+	latch   sync.RWMutex
+	failure atomic.Pointer[error] // the first one; set, it stops the producer and the workers
+}
+
+// enter takes the latch's read lock unless the upload has failed; false
+// means the caller does nothing and does not leave.
+func (g *putGate) enter() bool {
+	g.latch.RLock()
+	if g.failure.Load() != nil {
+		g.latch.RUnlock()
+		return false
+	}
+	return true
+}
+
+// leave ends what enter began; err is what failed, if anything.
+func (g *putGate) leave(err error) {
+	g.fail(err)
+	g.latch.RUnlock()
+}
+
+// fail records err unless it is nil or an earlier failure is recorded.
+func (g *putGate) fail(err error) {
+	if err != nil {
+		g.failure.CompareAndSwap(nil, &err)
+	}
+}
+
+// A putLatch is one put's hold on its upload's gate, taken at the put's
+// first failed attempt and released when the put lands or gives up.
+type putLatch struct {
+	g    *putGate
+	held bool
+}
+
+// take trades the put's read lock for the write lock, once per put; a
+// nil gate (a write that is not an upload) latches nothing.
+func (l *putLatch) take() {
+	if l.g != nil && !l.held {
+		l.held = true
+		l.g.latch.RUnlock()
+		l.g.latch.Lock()
+	}
+}
+
+// release gives the write lock back and makes the put a reader again
+// until its leave; err, when the put gave up, is recorded first.
+func (l *putLatch) release(err error) {
+	if l.held {
+		l.g.fail(err)
+		l.g.latch.Unlock()
+		l.g.latch.RLock()
+	}
 }

@@ -103,13 +103,13 @@ func TestPlacementInvariantProperty(t *testing.T) {
 			return false
 		}
 		for _, r := range d.ChunkTable() {
-			p, err := d.Providers().At(r.CPIndex)
+			p, err := d.fleet.At(r.CPIndex)
 			if err != nil || p.Info().PL < r.PL {
 				return false
 			}
 		}
 		// Provider key counts match the distributor's accounting.
-		for idx, p := range d.Providers().All() {
+		for idx, p := range d.fleet.All() {
 			if p.Len() != d.Stats().PerProvider[idx] {
 				return false
 			}

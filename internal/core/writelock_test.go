@@ -151,7 +151,7 @@ func TestSameSeedSameBlobs(t *testing.T) {
 			}
 		}
 		var dumps []map[string][]byte
-		for _, p := range d.Providers().All() {
+		for _, p := range d.fleet.All() {
 			dumps = append(dumps, p.Dump())
 		}
 		return dumps
@@ -236,7 +236,7 @@ func TestDecoyBlobsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	for i, p := range d.Providers().All() {
+	for i, p := range d.fleet.All() {
 		blobs := p.Dump()
 		keys := make([]string, 0, len(blobs))
 		for k := range blobs {
@@ -282,7 +282,7 @@ func TestConcurrentEncryptedUploadsDistinctNonces(t *testing.T) {
 	wg.Wait()
 
 	ivs := map[string]int{}
-	for _, p := range d.Providers().All() {
+	for _, p := range d.fleet.All() {
 		for _, blob := range p.Dump() {
 			ivs[string(blob[:16])]++
 		}

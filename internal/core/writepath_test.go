@@ -222,7 +222,7 @@ func TestUpdateFailureMidwayLeavesStateIntact(t *testing.T) {
 		t.Fatalf("provider counts drifted: %v -> %v", statsBefore.PerProvider, st.PerProvider)
 	}
 	clearPutHooks(hooked)
-	rep, err := d.AuditOrphans(false)
+	rep, err := AuditOrphans(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestUpdateConflictingRemoveWinsCleanly(t *testing.T) {
 	if st.Files != 0 || st.Chunks != 0 {
 		t.Fatalf("tables not empty after remove: %+v", st)
 	}
-	rep, err := d.AuditOrphans(false)
+	rep, err := AuditOrphans(d, false)
 	if err != nil {
 		t.Fatal(err)
 	}

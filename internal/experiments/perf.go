@@ -164,7 +164,7 @@ func MultiDistributor(nDistributors, nProviders int, seed int64) (*MultiDistribu
 		}
 	}
 	primary, secondaries := dists[0], dists[1:]
-	defer primary.Crash() // closes the log before its directory goes
+	defer core.Crash(primary) // closes the log before its directory goes
 	if err := primary.RegisterClient("client"); err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func MultiDistributor(nDistributors, nProviders int, seed int64) (*MultiDistribu
 	back, err := primary.GetFile("client", "pw", "f")
 	res.PrimaryRetrievalOK = err == nil && bytes.Equal(back, data)
 
-	if err := primary.Crash(); err != nil {
+	if err := core.Crash(primary); err != nil {
 		return nil, err
 	}
 	res.FailoverRetrievalOK = len(secondaries) > 0
@@ -204,11 +204,10 @@ func MultiDistributor(nDistributors, nProviders int, seed int64) (*MultiDistribu
 // Figure3Report renders the paper's Tables I–III from the Figure 3
 // scenario plus the two walkthrough outcomes.
 func Figure3Report() (string, error) {
-	sc, err := core.NewFigure3Scenario()
+	d, err := Figure3Distributor()
 	if err != nil {
 		return "", err
 	}
-	d := sc.Distributor
 	var b strings.Builder
 	b.WriteString("Table I — Cloud Provider Table\n")
 	b.WriteString(core.FormatProviderTable(d.ProviderTable()))

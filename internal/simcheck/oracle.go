@@ -97,7 +97,7 @@ func (r *runner) checkShard(opIdx int, sh *shard) *Violation {
 				srep.Unrepairable, srep.ParityUnrepairable))
 	}
 
-	view := d.StateView()
+	view := core.StateOf(d)
 	if !view.Quiescent {
 		return r.violation(opIdx, "quiescence",
 			"StateView reports open write tickets on an idle distributor (leaked ticket or reservation)")
@@ -217,7 +217,7 @@ func (r *runner) checkShard(opIdx int, sh *shard) *Violation {
 
 	// Invariant 4: audit first, GC second. Every orphan must be a delete
 	// the injector failed; anything else is a rollback/bookkeeping bug.
-	audit, err := d.AuditOrphans(false)
+	audit, err := core.AuditOrphans(d, false)
 	if err != nil {
 		return r.violation(opIdx, "orphans", fmt.Sprintf("AuditOrphans: %v", err))
 	}
@@ -240,13 +240,13 @@ func (r *runner) checkShard(opIdx int, sh *shard) *Violation {
 		}
 	}
 	if orphanCount > 0 {
-		gcRep, err := d.AuditOrphans(true)
+		gcRep, err := core.AuditOrphans(d, true)
 		if err != nil {
 			return r.violation(opIdx, "orphans", fmt.Sprintf("AuditOrphans(gc): %v", err))
 		}
 		r.res.OrphansCollected += gcRep.Deleted
 		r.tr.addf("check op=%d orphans=%d collected=%d", opIdx, orphanCount, gcRep.Deleted)
-		clean, err := d.AuditOrphans(false)
+		clean, err := core.AuditOrphans(d, false)
 		if err != nil {
 			return r.violation(opIdx, "orphans", fmt.Sprintf("AuditOrphans recheck: %v", err))
 		}
@@ -345,14 +345,14 @@ func (r *runner) checkReplicas(opIdx int, sh *shard, files []*modelFile) *Violat
 		return v
 	}
 	prim := sh.members[0]
-	next, view := prim.WALHealth().NextLSN, prim.StateView()
+	next, view := prim.Health().WAL.NextLSN, core.StateOf(prim)
 	for f, d := range sh.members[1:] {
 		rep, err := d.Follow(prim)
 		if err != nil || rep.Records != 0 || rep.Resynced || rep.LSN != next {
 			return r.violation(opIdx, "replication-lag",
 				fmt.Sprintf("%s follower %d not at the primary's log end %d after a sync: %+v, %v", sh.name, f+1, next, rep, err))
 		}
-		if fview := d.StateView(); !reflect.DeepEqual(fview, view) {
+		if fview := core.StateOf(d); !reflect.DeepEqual(fview, view) {
 			return r.violation(opIdx, "replica-divergence",
 				fmt.Sprintf("%s follower %d tables differ from the primary's (gen %d vs %d, %d vs %d blobs)",
 					sh.name, f+1, fview.Gen, view.Gen, len(fview.Blobs), len(view.Blobs)))

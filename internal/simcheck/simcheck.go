@@ -565,7 +565,7 @@ func (r *runner) restart(i int) *Violation {
 	sh.inj.suspend()
 	defer sh.inj.resume()
 	r.tr.addf("op=%d %s crash-restart", i, sh.name)
-	if err := sh.members[0].Crash(); err != nil {
+	if err := core.Crash(sh.members[0]); err != nil {
 		return r.violation(i, "recovery", fmt.Sprintf("Crash: %v", err))
 	}
 	d, err := sh.rebuild()

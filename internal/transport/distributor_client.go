@@ -219,10 +219,9 @@ func (c *Client) Metrics() (core.OpMetrics, error) {
 	return into[core.OpMetrics](c.send(routeMetrics, nil))
 }
 
-// HealthReport fetches the full /v1/health body, including the
-// replication-lag section when the server fronts a cluster.
-func (c *Client) HealthReport() (HealthReport, error) {
-	return into[HealthReport](c.send(routeHealth, nil))
+// HealthReport fetches the full /v1/health body.
+func (c *Client) HealthReport() (core.HealthReport, error) {
+	return into[core.HealthReport](c.send(routeHealth, nil))
 }
 
 // Health probes the distributor; a degraded status (a provider down or
@@ -234,15 +233,9 @@ func (c *Client) HealthReport() (HealthReport, error) {
 func (c *Client) Health() error {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	out, err := into[HealthReport](c.once(ctx, routeHealth, nil))
+	out, err := into[core.HealthReport](c.once(ctx, routeHealth, nil))
 	if err == nil && out.Status == "" {
 		err = fmt.Errorf("transport: distributor unhealthy: %+v", out)
 	}
 	return err
-}
-
-// ProviderHealth fetches the per-provider circuit-breaker view.
-func (c *Client) ProviderHealth() ([]core.ProviderHealth, error) {
-	out, err := c.HealthReport()
-	return out.Providers, err
 }

@@ -31,28 +31,3 @@ func NewDistributorServer(d *core.Distributor) *DistributorServer {
 func (s *DistributorServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// HealthReport is the GET /v1/health body: overall status (degraded when
-// any provider is down or its circuit not closed), the per-provider
-// circuit-breaker and liveness view, the chunk-cache counters
-// (hits/misses/evictions/bytes; capacity 0 means caching is disabled),
-// the durability view (records appended, fsyncs, replay count and
-// last-checkpoint age; enabled=false means in-memory metadata).
-type HealthReport struct {
-	Status    string                `json:"status"`
-	Providers []core.ProviderHealth `json:"providers"`
-	Cache     core.CacheStats       `json:"cache"`
-	WAL       core.WALHealth        `json:"wal"`
-}
-
-func (s *DistributorServer) health(http.ResponseWriter, *http.Request) (any, error) {
-	provs := s.d.Health()
-	status := "ok"
-	for _, p := range provs {
-		if p.State != "closed" || p.Down {
-			status = "degraded"
-			break
-		}
-	}
-	return HealthReport{Status: status, Providers: provs, Cache: s.d.CacheHealth(), WAL: s.d.WALHealth()}, nil
-}

@@ -273,7 +273,7 @@ func TestKilledProviderIsFailedOverThenSkipped(t *testing.T) {
 	if !f.remotes[dead].Down() {
 		t.Fatal("a put the provider never answered left it up")
 	}
-	health := f.dist.Health()[dead]
+	health := f.dist.Health().Providers[dead]
 	if !health.Down {
 		t.Errorf("Health() of the killed provider = %+v, want Down", health)
 	}

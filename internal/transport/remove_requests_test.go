@@ -157,7 +157,7 @@ func TestRemoveWithDarkProviderIsIncomplete(t *testing.T) {
 	}
 	before := f.dist.Stats()
 	const dark = 3
-	failures := f.dist.Health()[dark].Failures
+	failures := f.dist.Health().Providers[dark].Failures
 	f.mems[dark].SetPartitioned(true)
 	err := f.dist.RemoveFile("a", "pw", "f")
 	if err == nil || !strings.Contains(err.Error(), "remove incomplete") || !errors.Is(err, provider.ErrOutage) {
@@ -166,7 +166,7 @@ func TestRemoveWithDarkProviderIsIncomplete(t *testing.T) {
 	if after := f.dist.Stats(); after.Files != before.Files || after.Chunks != before.Chunks || after.ParityShards != before.ParityShards {
 		t.Fatalf("tables changed by an incomplete remove: before %+v, after %+v", before, after)
 	}
-	if n := f.dist.Health()[dark].Failures - failures; n != 1 {
+	if n := f.dist.Health().Providers[dark].Failures - failures; n != 1 {
 		t.Errorf("the dark provider's one call cost it %d health failures, want 1", n)
 	}
 	if n := f.mems[dark].Len(); n != 32 {

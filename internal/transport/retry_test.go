@@ -213,10 +213,11 @@ func TestRemoteProviderRetriesNetworkErrors(t *testing.T) {
 
 func TestProviderHealthOverHTTP(t *testing.T) {
 	client, _, _ := flakyDistributor(t)
-	provs, err := client.ProviderHealth()
+	h, err := client.HealthReport()
 	if err != nil {
 		t.Fatal(err)
 	}
+	provs := h.Providers
 	if len(provs) != 5 {
 		t.Fatalf("providers = %d, want 5", len(provs))
 	}

@@ -188,7 +188,9 @@ var (
 	routeMetrics = raw("GET /v1/metrics", mergedAnswer, noKeys, replyJSON, replay, noReq(func(d *core.Distributor) (any, error) {
 		return d.Metrics(), nil
 	}))
-	routeHealth       = raw("GET /v1/health", mergedAnswer, noKeys, replyJSON, replay, (*DistributorServer).health)
+	routeHealth = raw("GET /v1/health", mergedAnswer, noKeys, replyJSON, replay, noReq(func(d *core.Distributor) (any, error) {
+		return d.Health(), nil
+	}))
 	routeDecommission = def("POST /v1/admin/decommission", perShard, noKeys, replyJSON, once, func(d *core.Distributor, q decommissionReq) (any, error) {
 		return d.Decommission(q.ProviderIndex)
 	})

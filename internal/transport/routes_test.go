@@ -202,7 +202,7 @@ func TestMergedRoutesMergeEveryField(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		n := int64(i)
 		answers := map[string]any{
-			routeHealth.path: HealthReport{
+			routeHealth.path: core.HealthReport{
 				Status:    map[int64]string{1: "ok", 2: "degraded"}[n],
 				Providers: []core.ProviderHealth{{Provider: fmt.Sprint("p", n)}},
 				Cache:     core.CacheStats{Hits: 10 * n, Entries: int(n), Capacity: 100},

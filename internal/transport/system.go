@@ -238,11 +238,11 @@ func (s *System) Stats() (core.Stats, error) {
 
 // HealthReport merges every shard's health: overall status degrades if
 // any shard does (or is unreachable, which is all an error means here),
-// provider and replication rows concatenate in shard order, cache and
-// WAL counters add, and the checkpoint age is the stalest shard's.
-func (s *System) HealthReport() HealthReport {
+// provider rows concatenate in shard order, cache and WAL counters add,
+// and the checkpoint age is the stalest shard's.
+func (s *System) HealthReport() core.HealthReport {
 	status, age := "ok", int64(0)
-	out, err := merged(s, (*Client).HealthReport, func(_ *HealthReport, part HealthReport) {
+	out, err := merged(s, (*Client).HealthReport, func(_ *core.HealthReport, part core.HealthReport) {
 		if part.Status != "ok" {
 			status = "degraded"
 		}

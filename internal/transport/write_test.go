@@ -284,7 +284,7 @@ func TestTruncatedUploadStoresNothing(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("the distributor never finished the request")
 			}
-			if v := d.StateView(); len(v.Blobs) != 0 || !v.Quiescent {
+			if v := core.StateOf(d); len(v.Blobs) != 0 || !v.Quiescent {
 				t.Errorf("after the broken upload: %d blobs, quiescent %v; want none, true", len(v.Blobs), v.Quiescent)
 			}
 			if _, err := d.GetFile("a", "pw", "cut"); !errors.Is(err, core.ErrNoSuchFile) {
