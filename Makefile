@@ -24,6 +24,7 @@
 #   make minebench        full 128-cell privacy-vs-performance frontier
 #   make profile-put      where a defended 4 MiB put's CPU goes (pprof -top -cum)
 #   make profile-get      where a defended 4 MiB read's CPU goes (pprof -top -cum)
+#   make profile-stream-get  where a streamed 32 MiB read's CPU goes (pprof -top -cum)
 
 GO        ?= go
 FUZZTIME  ?= 5s
@@ -71,7 +72,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get
+.PHONY: check build vet loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get profile-stream-get
 
 check: vet build race fuzz
 
@@ -305,6 +306,15 @@ profile-get:
 	$(GO) test -run '^$$' -bench 'BenchmarkGetFileDefended$$' \
 		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/core.test" ./internal/core && \
 	$(GO) tool pprof -top -cum "$$tmp/core.test" "$$tmp/cpu.prof" | head -n 60
+
+# And the streamed read's: a 32 MiB PL0 RAID-5 GetFileTo over six HTTP
+# providers (BenchmarkGetFileToLoopback), the fetch workers, the pooled
+# get bodies and the provider's get handler in one profile.
+profile-stream-get:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkGetFileToLoopback$$' \
+		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/transport.test" ./internal/transport && \
+	$(GO) tool pprof -top -cum "$$tmp/transport.test" "$$tmp/cpu.prof" | head -n 60
 
 fmt:
 	gofmt -l -w .

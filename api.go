@@ -117,9 +117,9 @@ type SystemConfig struct {
 	Secret []byte
 	// MisleadSeed makes decoy injection reproducible.
 	MisleadSeed int64
-	// StreamWindow bounds how many stripes an upload (Upload and
-	// UploadStream alike) and how many chunks a GetFileTo hold in flight;
-	// zero selects the distributor default (4).
+	// StreamWindow bounds the stripes in flight, up and down: an upload's
+	// (Upload and UploadStream alike) and a GetFileTo's; zero selects the
+	// distributor default (4).
 	StreamWindow int
 }
 

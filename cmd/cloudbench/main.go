@@ -68,7 +68,7 @@ func parseConfig(args []string) (config, error) {
 	fs.DurationVar(&cfg.provLatency, "provider-latency", 0, "simulated per-op latency of in-process providers")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "in-process distributor chunk-cache bound (0 disables)")
 	fs.DurationVar(&cfg.hedgeAfter, "hedge-after", 50*time.Millisecond, "in-process distributor hedge delay (0 disables)")
-	fs.IntVar(&cfg.streamW, "stream-window", 0, "in-process distributor upload window in stripes (0 = default 4)")
+	fs.IntVar(&cfg.streamW, "stream-window", 0, "in-process distributor stream window in stripes, up and down (0 = default 4)")
 	fs.IntVar(&cfg.workers, "workers", 16, "concurrent load workers")
 	fs.DurationVar(&cfg.duration, "duration", 30*time.Second, "total run length, warmup included")
 	fs.DurationVar(&cfg.warmup, "warmup", 5*time.Second, "initial window excluded from latency stats")

@@ -46,7 +46,7 @@ func main() {
 		secret    = flag.String("secret", "cloud-data-distributor", "virtual-id PRF secret")
 		cacheB    = flag.Int64("cache-bytes", 0, "read-side chunk cache bound in bytes (0 disables)")
 		hedge     = flag.Duration("hedge-after", 50*time.Millisecond, "max wait before hedging a read to the next replica/parity rung (0 disables)")
-		streamW   = flag.Int("stream-window", 0, "stripes an upload, chunks a streamed read, may hold in flight (0 = default 4)")
+		streamW   = flag.Int("stream-window", 0, "stripes an upload or a streamed read may hold in flight (0 = default 4)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory for durable metadata (empty = in-memory)")
 		walSync   = flag.String("wal-sync", "grouped", "WAL sync policy: always, grouped, off")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint cadence in committed records (0 = default 4096)")

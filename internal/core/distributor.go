@@ -35,18 +35,19 @@ type Config struct {
 	VIDs VIDAllocator
 	// Secret keys the default PRF allocator.
 	Secret []byte
-	// Parallelism bounds concurrent provider operations per request
-	// (default 4): an upload's puts in flight, whatever its window. 1
-	// issues them in stripe order.
+	// Parallelism bounds the provider operations a request has in flight,
+	// puts or fetches (default 4): an upload's put workers, GetFileTo's
+	// fetch workers, a read or delete step's concurrent calls, whatever
+	// the window. 1 issues them one at a time in stripe order, which
+	// deterministic harnesses rely on.
 	Parallelism int
-	// StreamWindow bounds what a transfer may hold in memory at once
-	// (default 4): every upload, Upload and UploadStream alike, counts
-	// stripes (planned or shipping), GetFileTo counts chunks (being
-	// fetched, or fetched and not yet written). Peak distributor memory
-	// for the request is O(window × stripe size) up, O(window × chunk
-	// size) down, independent of file size. 1 yields strict lockstep
-	// (plan→ship→plan→ship; one fetch at a time), which deterministic
-	// harnesses rely on; negative is rejected.
+	// StreamWindow bounds the stripes a transfer has in flight, up and
+	// down (default 4): an upload's stripes planned or shipping, Upload
+	// and UploadStream alike, and GetFileTo's stripes with a chunk being
+	// fetched, or fetched and not yet written. Peak distributor memory for
+	// the request is O(window × stripe size) either way, independent of
+	// file size. 1 yields strict lockstep up (plan→ship→plan→ship);
+	// negative is rejected.
 	StreamWindow int
 	// MisleadSeed makes decoy injection reproducible.
 	MisleadSeed int64

@@ -458,6 +458,138 @@ func TestGetFileToDegradedProvider(t *testing.T) {
 	}
 }
 
+// streamedFile uploads a 24-chunk file (six stripes of width 4 at 128-byte
+// chunks) to d and returns its bytes.
+func streamedFile(t *testing.T, d *Distributor, name string, opts UploadOptions) []byte {
+	t.Helper()
+	data := payload(24*128, 51)
+	if _, err := d.UploadStream("alice", "root", name, bytes.NewReader(data), privacy.High, opts); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestGetFileToParallelismBoundsFetches: the fetches a streamed read has
+// in flight are Parallelism's, whatever the window — one worker keeps
+// one get at a time even with four stripes admitted.
+func TestGetFileToParallelismBoundsFetches(t *testing.T) {
+	d, hooked := hookedStreamDistributor(t, 6, func(c *Config) { c.StreamWindow = 4 })
+	data := streamedFile(t, d, "p.bin", UploadOptions{})
+	var inFlight, peak atomic.Int64
+	for _, h := range hooked {
+		h.SetBeforeGet(func(string) error {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			inFlight.Add(-1)
+			return nil
+		})
+	}
+	if got := getFileTo(t, d, "root", "p.bin"); !bytes.Equal(got, data) {
+		t.Fatal("streamed read mismatch")
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d gets in flight at once with Parallelism 1, want 1", p)
+	}
+}
+
+// blockedWriter holds its first Write until release is closed.
+type blockedWriter struct {
+	entered chan struct{}
+	release chan struct{}
+	buf     bytes.Buffer
+}
+
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	if w.entered != nil {
+		close(w.entered)
+		w.entered = nil
+		<-w.release
+	}
+	return w.buf.Write(p)
+}
+
+// TestGetFileToFetchesAheadOfStalledWriter: a writer stuck on its first
+// chunk holds the window still but not the fetches inside it — with
+// window 2 at width 4, exactly the first two stripes' 8 chunks are
+// fetched, and not one more until the writer moves.
+func TestGetFileToFetchesAheadOfStalledWriter(t *testing.T) {
+	d, hooked := hookedStreamDistributor(t, 6, func(c *Config) {
+		c.Parallelism = 2
+		c.StreamWindow = 2
+	})
+	data := streamedFile(t, d, "s.bin", UploadOptions{})
+	var gets atomic.Int64
+	for _, h := range hooked {
+		h.SetBeforeGet(func(string) error { gets.Add(1); return nil })
+	}
+	w := &blockedWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	entered := w.entered
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.GetFileTo(w, "alice", "root", "s.bin")
+		done <- err
+	}()
+	<-entered
+	deadline := time.Now().Add(5 * time.Second)
+	for gets.Load() < 8 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a fetch past the window
+	if n := gets.Load(); n != 8 {
+		t.Errorf("%d chunks fetched behind a stalled writer, want 8 (window 2 × width 4)", n)
+	}
+	close(w.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.buf.Bytes(), data) {
+		t.Fatal("streamed read mismatch")
+	}
+}
+
+// TestGetFileToLeavesNoGoroutines: whichever way a streamed read ends —
+// whole, its writer failing mid-stream, or a chunk lost for good — its
+// fetch workers are gone within a second.
+func TestGetFileToLeavesNoGoroutines(t *testing.T) {
+	d, hooked := hookedStreamDistributor(t, 6, func(c *Config) {
+		c.Parallelism = 4
+		c.StreamWindow = 2
+	})
+	data := streamedFile(t, d, "ok.bin", UploadOptions{})
+	streamedFile(t, d, "bare.bin", UploadOptions{NoParity: true})
+	baseline := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if got := getFileTo(t, d, "root", "ok.bin"); !bytes.Equal(got, data) {
+		t.Fatal("streamed read mismatch")
+	}
+	settled("a whole read")
+
+	w := &failingWriter{limit: 5 * 128}
+	if _, err := d.GetFileTo(w, "alice", "root", "ok.bin"); err == nil {
+		t.Fatal("writer failure not reported")
+	}
+	settled("a failed writer")
+
+	_, memberProvs := fileStripes(t, d, "bare.bin")
+	hooked[memberProvs[2][1]].SetPartitioned(true) // the tenth chunk's provider
+	if n, err := d.GetFileTo(io.Discard, "alice", "root", "bare.bin"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("chunk on a partitioned provider without parity: n=%d err=%v, want ErrUnavailable", n, err)
+	}
+	settled("a chunk lost for good")
+}
+
 // TestGetFileToCacheInterplay: streamed reads consume the cache but never
 // populate it — a whole-file pass must not evict the point-read working
 // set, yet cached chunks should spare provider round-trips.

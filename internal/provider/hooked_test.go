@@ -197,3 +197,53 @@ func TestHookedPartition(t *testing.T) {
 		t.Fatalf("Get after partition heals: %v", err)
 	}
 }
+
+// TestViewKeepsEveryHook: View is Get without the copy, and nothing
+// else — the before-get hook sees each key once, the usage counters
+// count it, a partition refuses it, and a transform hook still gets a
+// private copy to corrupt while the stored blob stays as it was.
+func TestViewKeepsEveryHook(t *testing.T) {
+	h := newHookedMem(t)
+	orig := []byte("payload-bytes")
+	for _, k := range []string{"a", "b"} {
+		if err := h.Put(k, orig); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	seen := map[string]int{}
+	h.SetBeforeGet(func(key string) error { seen[key]++; return nil })
+	for _, k := range []string{"a", "b"} {
+		got, err := h.View(k)
+		if err != nil || !bytes.Equal(got, orig) {
+			t.Fatalf("View(%s) = %q, %v", k, got, err)
+		}
+	}
+	if seen["a"] != 1 || seen["b"] != 1 || len(seen) != 2 {
+		t.Fatalf("before-get hook saw %v, want each key once", seen)
+	}
+	if _, err := h.Get("a"); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if u := h.Usage(); u.Gets != 3 || u.BytesOut != 3*int64(len(orig)) {
+		t.Fatalf("usage after two views and a get: %d gets, %d bytes out; want 3, %d", u.Gets, u.BytesOut, 3*len(orig))
+	}
+
+	h.SetPartitioned(true)
+	if _, err := h.View("a"); !errors.Is(err, ErrOutage) {
+		t.Fatalf("View under partition = %v, want ErrOutage", err)
+	}
+	h.SetPartitioned(false)
+
+	h.SetTransformGet(func(key string, data []byte) []byte {
+		data[0] ^= 0xff
+		return data
+	})
+	got, err := h.View("a")
+	if err != nil || len(got) != len(orig) || got[0] != orig[0]^0xff {
+		t.Fatalf("View with a transform hook = %q, %v; want the transformed copy", got, err)
+	}
+	h.SetTransformGet(nil)
+	if got, err := h.View("a"); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("stored blob after a transformed View = %q, %v; the hook must get a copy", got, err)
+	}
+}

@@ -27,7 +27,10 @@ import (
 )
 
 // Store is the S3-like surface the distributor programs against: the
-// paper's put()/get()/delete() methods keyed by virtual id.
+// paper's put()/get()/delete() methods keyed by virtual id. Put must not
+// keep data past its return, and Get returns bytes the caller owns: no
+// one else holds them, so a caller done with them may hand them to a
+// buffer pool.
 type Store interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)
@@ -53,6 +56,19 @@ func GetMany(p Store, keys []string) (blobs [][]byte, errs []error) {
 		blobs[i], errs[i] = p.Get(key)
 	}
 	return blobs, errs
+}
+
+// View reads key from p without a copy when p offers a View of its own
+// (MemProvider does), with Get otherwise. The bytes may be the
+// provider's own: read them, never write them, and hand them to no
+// buffer pool.
+func View(p Store, key string) ([]byte, error) {
+	if v, ok := p.(interface {
+		View(key string) ([]byte, error)
+	}); ok {
+		return v.View(key)
+	}
+	return p.Get(key)
 }
 
 // DeleteMany removes several keys from p, the way GetMany reads them: in
@@ -344,7 +360,19 @@ func (p *MemProvider) Put(key string, data []byte) error {
 
 // Get returns a copy of the value stored under key, passed through the
 // transform hook when one is set.
-func (p *MemProvider) Get(key string) ([]byte, error) {
+func (p *MemProvider) Get(key string) ([]byte, error) { return p.read(key, true) }
+
+// View is Get without the copy, for a caller that only reads what it is
+// given: the stored bytes themselves. Put always stores a fresh copy and
+// nothing writes into a stored slice, so a view never changes, even once
+// its key is overwritten or deleted. It runs the before-get hook, the
+// partition gate and the usage counters exactly as Get does; with a
+// transform hook set it returns Get's transformed copy.
+func (p *MemProvider) View(key string) ([]byte, error) { return p.read(key, false) }
+
+// read is Get and View: the hooks, the partition gate, then the stored
+// bytes, copied when private is set or a transform hook needs its own.
+func (p *MemProvider) read(key string, private bool) ([]byte, error) {
 	p.mu.Lock()
 	fn, tf, cut := p.beforeGet, p.transformGet, p.partitioned
 	p.mu.Unlock()
@@ -356,15 +384,15 @@ func (p *MemProvider) Get(key string) ([]byte, error) {
 	if cut {
 		return nil, ErrOutage
 	}
-	data, err := p.get(key)
+	data, err := p.get(key, private || tf != nil)
 	if err == nil && tf != nil {
 		data = tf(key, data)
 	}
 	return data, err
 }
 
-// get is Get past the hooks and the partition gate.
-func (p *MemProvider) get(key string) ([]byte, error) {
+// get is read past the hooks and the partition gate.
+func (p *MemProvider) get(key string, private bool) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v, ok := p.data[key]
@@ -374,11 +402,14 @@ func (p *MemProvider) get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, p.info.Name, key)
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
+	if private {
+		cp := make([]byte, len(v))
+		copy(cp, v)
+		v = cp
+	}
 	p.usage.Gets++
 	p.usage.BytesOut += int64(len(v))
-	return cp, nil
+	return v, nil
 }
 
 // Delete removes key. Deleting an unknown key returns ErrNotFound. A

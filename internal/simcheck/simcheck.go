@@ -389,7 +389,7 @@ func (r *runner) newShard(s int, name, walDir string, clock func() time.Time) (*
 		return core.New(core.Config{
 			Fleet:        fleet,
 			StripeWidth:  3,
-			Parallelism:  1, // sequential provider I/O, an upload's puts in stripe order: determinism anchor
+			Parallelism:  1, // sequential provider I/O, puts and streamed fetches in stripe order: determinism anchor
 			StreamWindow: 1, // lockstep uploads (a stripe is placed once the last has shipped): same anchor
 			Secret:       []byte("simcheck-prf-secret"),
 			MisleadSeed:  r.cfg.Seed,
@@ -723,8 +723,9 @@ func (r *runner) checkRead(i int, f *modelFile, what string, got, want []byte, e
 func (r *runner) opGetFile(i int, live []*modelFile) *Violation {
 	f := r.pick(live)
 	d := r.owner(f.client, f.name).reader()
-	// Half the whole-file reads stream through GetFileTo (window 1), so
-	// the ordered-delivery path faces the same fault schedules as the
+	// Half the whole-file reads stream through GetFileTo (one fetch
+	// worker, so its provider calls come in serial order), so the
+	// ordered-delivery path faces the same fault schedules as the
 	// buffered one. A failed streamed read may leave a partial prefix in
 	// the buffer; only a *successful* read must match the model.
 	if r.rng.Intn(2) == 0 {

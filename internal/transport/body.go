@@ -33,16 +33,16 @@ func readBody(body io.Reader, contentLength, limit int64) ([]byte, error) {
 }
 
 // readBodyInto is readBody reading a declared length into get(length)
-// instead of a buffer of its own — bufpool.Get, for a caller that is
-// done with the body when its handler returns. get is called only once
-// the length has passed the limit; nil allocates.
+// instead of a buffer of its own — bufpool.Get, for a caller that hands
+// the body back once done with it. get is called only once a non-zero
+// length has passed the limit; nil allocates.
 func readBodyInto(body io.Reader, contentLength, limit int64, get func(n int) []byte) ([]byte, error) {
 	if contentLength > limit {
 		return nil, errOversizeBody
 	}
 	if contentLength >= 0 {
 		var buf []byte
-		if get != nil {
+		if get != nil && contentLength > 0 {
 			buf = get(int(contentLength))
 		} else {
 			buf = make([]byte, contentLength)

@@ -47,12 +47,13 @@ func writeFrames(w http.ResponseWriter, reply []byte) {
 	_, _ = w.Write(reply)
 }
 
-// getChunks serves a multi-get by looping over the provider's own Get, so
-// hooks, spies and usage counters see one get per key. A reply that
-// would pass maxBlobRead — what the client refuses to read — is refused
-// here instead of built. The reply is built in a pooled buffer and
-// handed back once written — the write copies it out — so a multi-get
-// allocates the provider's copies of its blobs and little else.
+// getChunks serves a multi-get by looping over the provider's own read
+// of one key (provider.View), so hooks, spies and usage counters see one
+// get per key. A reply that would pass maxBlobRead — what the client
+// refuses to read — is refused here instead of built. The reply is built
+// in a pooled buffer and handed back once written — the write copies it
+// out — so a multi-get over views of the stored blobs allocates little
+// else.
 func (s *ProviderServer) getChunks(w http.ResponseWriter, r *http.Request) {
 	var keys []string
 	if _, err := decodeJSON(r, &keys); err != nil {
@@ -65,7 +66,7 @@ func (s *ProviderServer) getChunks(w http.ResponseWriter, r *http.Request) {
 	}
 	items, size := make([]item, len(keys)), 0 // size: an upper bound on the reply's length
 	for i, key := range keys {
-		data, err := s.p.Get(key)
+		data, err := provider.View(s.p, key)
 		items[i] = item{http.StatusOK, data}
 		if err != nil {
 			items[i] = item{providerStatus(err), []byte(err.Error())}

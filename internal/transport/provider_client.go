@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/privacy"
 	"repro/internal/provider"
 )
@@ -120,7 +121,9 @@ func (rp *RemoteProvider) Put(key string, data []byte) error {
 	})
 }
 
-// Get fetches the value under key.
+// Get fetches the value under key. A declared-length body is read into a
+// pooled buffer (bufpool), which the caller owns: a reader that is done
+// with the blob may hand it back, one that is not leaves it to the GC.
 func (rp *RemoteProvider) Get(key string) ([]byte, error) {
 	var data []byte
 	err := rp.withNetRetry(func() (bool, error) {
@@ -136,7 +139,7 @@ func (rp *RemoteProvider) Get(key string) ([]byte, error) {
 		// length, must fail here: handed back cut off it would surface
 		// later as an inexplicable length or checksum mismatch far from
 		// the cause.
-		data, err = readBody(resp.Body, resp.ContentLength, maxBlobRead)
+		data, err = readBodyInto(resp.Body, resp.ContentLength, maxBlobRead, bufpool.Get)
 		if errors.Is(err, errOversizeBody) {
 			return false, fmt.Errorf("transport: blob %q exceeds %d-byte limit", key, maxBlobRead)
 		}

@@ -87,8 +87,11 @@ func (s *ProviderServer) putChunk(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// getChunk answers from a view of the stored blob where the provider
+// offers one (provider.View): the write copies it onto the wire, so a get
+// allocates nothing for the blob on this side.
 func (s *ProviderServer) getChunk(w http.ResponseWriter, r *http.Request) {
-	data, err := s.p.Get(r.PathValue("key"))
+	data, err := provider.View(s.p, r.PathValue("key"))
 	if err != nil {
 		http.Error(w, err.Error(), providerStatus(err))
 		return

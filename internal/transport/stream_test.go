@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
@@ -17,8 +19,9 @@ import (
 
 // hookedDistributorFixture serves a distributor over in-process hooked
 // providers, so tests can fail provider I/O mid-stream while talking to
-// the real HTTP surface. Window 1 makes the streamed read strictly
-// sequential: chunk k is on the wire before chunk k+1 is fetched.
+// the real HTTP surface. Parallelism 1 makes the streamed read's fetches
+// strictly sequential, and a failed fetch surfaces only once every chunk
+// before it is on the wire.
 func hookedDistributorFixture(t *testing.T, n, window int) (*Client, []*provider.MemProvider) {
 	t.Helper()
 	fleet, err := provider.NewFleet()
@@ -218,5 +221,27 @@ func TestStreamTruncationDetected(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes()[:n], data[:n]) {
 		t.Fatal("delivered prefix corrupt")
+	}
+}
+
+// BenchmarkGetFileToLoopback is stream-large's read in miniature: a
+// 32 MiB file at PL0 (512 chunks of 64 KiB), RAID-5, streamed by
+// GetFileTo from six in-memory providers behind real HTTP servers, with
+// the default Config (Parallelism fetch workers, a window of
+// StreamWindow stripes, no hedging). It is the streaming read's point on
+// the kernel trajectory; make profile-stream-get profiles it.
+func BenchmarkGetFileToLoopback(b *testing.B) {
+	f := newLoopbackFleet(b, 6, 10*time.Second, core.Config{})
+	data := patterned(32 << 20)
+	if _, err := f.dist.Upload("a", "pw", "f", data, privacy.Public, core.UploadOptions{Assurance: raid.RAID5}); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := f.dist.GetFileTo(io.Discard, "a", "pw", "f"); err != nil || n != int64(len(data)) {
+			b.Fatalf("GetFileTo: %d bytes, err=%v", n, err)
+		}
 	}
 }

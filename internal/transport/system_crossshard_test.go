@@ -114,19 +114,24 @@ func TestSystemRegisterReportsFailingShardAndRepairsIdempotently(t *testing.T) {
 		t.Fatalf("re-issued AddPassword after recovery: %v", err)
 	}
 
-	// The healed namespace serves uploads wherever they hash: place
-	// enough files that both shards own at least one.
-	placed := map[int]int{}
-	for i := 0; i < 8; i++ {
+	// The healed namespace serves uploads wherever they hash. The ring is
+	// keyed by the servers' random ports, so a fixed list of names can
+	// all land on one shard: pick names until every shard owns one, then
+	// upload them, so the recovered shard is always exercised.
+	var names []string
+	owned := map[int]bool{}
+	for i := 0; len(owned) < sys.Shards(); i++ {
+		if i == 256 {
+			t.Fatalf("256 names cover only shards %v of %d", owned, sys.Shards())
+		}
 		name := fmt.Sprintf("file-%d.txt", i)
+		owned[sys.Locate("ann", name).Shard] = true
+		names = append(names, name)
+	}
+	for _, name := range names {
 		if _, err := sys.Upload("ann", "pw", name, []byte("payload"), privacy.High, UploadOptions{}); err != nil {
 			t.Fatalf("upload %s after repair: %v", name, err)
 		}
-		loc := sys.Locate("ann", name)
-		placed[loc.Shard]++
-	}
-	if len(placed) < 2 {
-		t.Fatalf("uploads all landed on one shard (%v); repair untested on the recovered shard", placed)
 	}
 
 	// A genuinely duplicate password re-add remains idempotent too —
