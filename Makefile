@@ -25,6 +25,7 @@
 #   make profile-put      where a defended 4 MiB put's CPU goes (pprof -top -cum)
 #   make profile-get      where a defended 4 MiB read's CPU goes (pprof -top -cum)
 #   make profile-stream-get  where a streamed 32 MiB read's CPU goes (pprof -top -cum)
+#   make profile-stream-put  where a streamed 32 MiB upload's CPU goes (pprof -top -cum)
 
 GO        ?= go
 FUZZTIME  ?= 5s
@@ -72,7 +73,7 @@ SCALEWARM    ?= 3s
 SCALEMIX     ?= put=35,get=65
 SCALESIZES   ?= 2KiB=100
 
-.PHONY: check build vet loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get profile-stream-get
+.PHONY: check build vet loc reach test race fuzz fmt bench bench-smoke loadbench bench-loadsmoke memcheck simcheck simcheck-short walcheck walcheck-race shardcheck shardcheck-race trace-hashes minecheck minecheck-race minebench profile-put profile-get profile-stream-get profile-stream-put
 
 check: vet build race fuzz
 
@@ -313,6 +314,15 @@ profile-get:
 profile-stream-get:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) test -run '^$$' -bench 'BenchmarkGetFileToLoopback$$' \
+		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/transport.test" ./internal/transport && \
+	$(GO) tool pprof -top -cum "$$tmp/transport.test" "$$tmp/cpu.prof" | head -n 60
+
+# Its write side: a 32 MiB PL0 RAID-5 UploadStream into six HTTP providers
+# (BenchmarkUploadStreamLoopback), the put workers, the provider puts on
+# the pooled transport and the provider's put handler in one profile.
+profile-stream-put:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench 'BenchmarkUploadStreamLoopback$$' \
 		-benchtime $(PROFILETIME) -cpuprofile "$$tmp/cpu.prof" -o "$$tmp/transport.test" ./internal/transport && \
 	$(GO) tool pprof -top -cum "$$tmp/transport.test" "$$tmp/cpu.prof" | head -n 60
 

@@ -322,8 +322,11 @@ func (d *Distributor) solveStripe(rows *stripeRows, at int, known map[string][]b
 	var pooled [][]byte
 	defer func() { releaseBuffers(pooled) }()
 	// fill puts shard i, the n-byte blob vid on provider prov, in place.
+	// A body fetched here is the caller-owned buffer Get returned, so it
+	// goes back to bufpool once copied; a known entry is the caller's.
 	fill := func(i, prov int, vid string, n int) {
 		payload, ok := known[vid]
+		fetched := !ok
 		if ok {
 			ok = payload != nil
 		} else {
@@ -336,6 +339,9 @@ func (d *Distributor) solveStripe(rows *stripeRows, at int, known map[string][]b
 		clear(shard[copy(shard, payload):])
 		shards[i] = shard
 		pooled = append(pooled, shard)
+		if fetched {
+			bufpool.Put(payload)
+		}
 	}
 	for i, ci := range st.Members {
 		if i != target {

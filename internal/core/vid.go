@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 )
 
 // VIDAllocator produces virtual chunk ids. "Inside the Cloud Data
@@ -19,26 +20,35 @@ type VIDAllocator interface {
 
 // prfAllocator derives ids as HMAC-SHA256(secret, counter): unlinkable to
 // clients and files without the distributor's secret, yet deterministic
-// for a given secret so tests are reproducible.
+// for a given secret so tests are reproducible. The MAC is keyed once and
+// Reset per id, so an id costs one HMAC and allocates its hex string
+// alone: placement mints ids under the distributor's table lock, where
+// re-keying SHA-256 on every call was most of a defended stripe's
+// placement time. Like any VIDAllocator it is not safe for concurrent
+// use; every caller holds d.mu.
 type prfAllocator struct {
-	secret []byte
-	ctr    uint64
+	mac hash.Hash
+	ctr uint64
+	// in and sum are the MAC's input and output. They live here, not on
+	// the stack, because a slice passed through the hash.Hash interface
+	// escapes: as locals they would cost two allocations per id.
+	in  [8]byte
+	sum [sha256.Size]byte
 }
 
 // NewPRFAllocator builds the default allocator from a secret key.
 func NewPRFAllocator(secret []byte) VIDAllocator {
-	cp := make([]byte, len(secret))
-	copy(cp, secret)
-	return &prfAllocator{secret: cp}
+	return &prfAllocator{mac: hmac.New(sha256.New, secret)}
 }
 
 func (a *prfAllocator) Next() string {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], a.ctr)
+	var id [16]byte
+	binary.BigEndian.PutUint64(a.in[:], a.ctr)
 	a.ctr++
-	mac := hmac.New(sha256.New, a.secret)
-	mac.Write(buf[:])
-	return hex.EncodeToString(mac.Sum(nil)[:8])
+	a.mac.Reset()
+	a.mac.Write(a.in[:])
+	hex.Encode(id[:], a.mac.Sum(a.sum[:0])[:8])
+	return string(id[:])
 }
 
 // ScriptedAllocator hands out a fixed sequence of ids, then falls back to

@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,6 +49,31 @@ func TestPRFAllocatorCopiesSecret(t *testing.T) {
 	b := NewPRFAllocator([]byte("mutable"))
 	if b.Next() != first {
 		t.Fatal("allocator aliased caller's secret buffer")
+	}
+}
+
+// The allocator keeps one keyed MAC and resets it per id; every id must
+// still be HMAC-SHA256(secret, counter) keyed afresh, byte for byte.
+func TestPRFAllocatorMatchesFreshHMAC(t *testing.T) {
+	secret := []byte("distributor-secret")
+	a := NewPRFAllocator(secret)
+	for i := uint64(0); i < 1000; i++ {
+		var ctr [8]byte
+		binary.BigEndian.PutUint64(ctr[:], i)
+		mac := hmac.New(sha256.New, secret)
+		mac.Write(ctr[:])
+		if got, want := a.Next(), hex.EncodeToString(mac.Sum(nil)[:8]); got != want {
+			t.Fatalf("id %d = %s, want %s", i, got, want)
+		}
+	}
+}
+
+// Placement mints ids under the table lock, so an id may allocate its
+// hex string and nothing else: no re-keyed MAC, no digest slice.
+func TestPRFAllocatorNextAllocatesOnlyTheID(t *testing.T) {
+	a := NewPRFAllocator([]byte("secret"))
+	if n := testing.AllocsPerRun(1000, func() { _ = a.Next() }); n > 1 {
+		t.Fatalf("Next allocates %.1f times per id, want at most 1 (the string)", n)
 	}
 }
 

@@ -21,6 +21,18 @@ import (
 // distributor.
 const poolMaxIdlePerHost = 256
 
+// poolWriteBuffer sizes each pooled connection's write buffer so one
+// request leaves in one write: a request line and its headers (a few
+// hundred bytes, given 4 KiB here) plus the largest blob the default
+// chunk policy makes, the 64 KiB PL0 chunk. With net/http's 4 KiB
+// default a provider put is flushed in pieces — the headers and the
+// blob's first ~3.9 KiB, then the rest through the connection's
+// ReadFrom, which allocates a fresh copy buffer per request (the rest of
+// the body, up to 32 KiB). The cost is memory per pooled connection:
+// ~68 KiB instead of 4 KiB (DESIGN.md §13 counts the connections a
+// deployment holds).
+const poolWriteBuffer = 64<<10 + 4<<10
+
 // NewPooledTransport returns a transport tuned for this package's
 // fan-out pattern: many short JSON/octet requests against a small, hot
 // set of hosts. Callers that need custom TLS or proxies can start from
@@ -38,6 +50,7 @@ func NewPooledTransport() *http.Transport {
 		IdleConnTimeout:       90 * time.Second,
 		TLSHandshakeTimeout:   10 * time.Second,
 		ExpectContinueTimeout: 1 * time.Second,
+		WriteBufferSize:       poolWriteBuffer,
 	}
 }
 

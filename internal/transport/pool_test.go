@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mislead"
 	"repro/internal/privacy"
 	"repro/internal/provider"
 )
@@ -114,4 +117,72 @@ func TestPooledTransportReusesConnections(t *testing.T) {
 			}
 		}
 	})
+}
+
+// writeCountingConn counts the Write calls made on a connection. It
+// embeds only net.Conn, so the transport cannot reach the TCP
+// connection's ReadFrom through it: every byte sent is one of the
+// counted writes.
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestProviderPutIsOneWrite pins the pooled transport's write buffer: a
+// provider put of any blob the default chunk policy makes — the request
+// line, its headers and the whole body — leaves in one write. With
+// net/http's 4 KiB default the headers and the body's first bytes are
+// flushed first and the rest follows through a per-request copy buffer:
+// two writes for the smaller blobs, three for a 64 KiB chunk.
+func TestProviderPutIsOneWrite(t *testing.T) {
+	var writes atomic.Int64
+	pool := NewPooledTransport()
+	t.Cleanup(pool.CloseIdleConnections)
+	dial := pool.DialContext
+	pool.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return writeCountingConn{Conn: c, writes: &writes}, nil
+	}
+	mem, err := provider.New(provider.Info{Name: "p", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewProviderServer(mem))
+	t.Cleanup(srv.Close)
+	rp, err := DialProvider(srv.URL, &http.Client{Timeout: 10 * time.Second, Transport: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := privacy.DefaultChunkSizes().SizeByLevel
+	for _, bc := range []struct {
+		name string
+		size int
+	}{
+		{"4KiB", 4 << 10},
+		{"PL3-chunk-25pct-decoys", mislead.InflatedLen(sizes[privacy.High], 0.25)},
+		{"PL2-chunk", sizes[privacy.Moderate]},
+		{"PL0-chunk", sizes[privacy.Public]},
+	} {
+		t.Run(bc.name, func(t *testing.T) {
+			blob := patterned(bc.size)
+			writes.Store(0)
+			if err := rp.Put(bc.name, blob); err != nil {
+				t.Fatal(err)
+			}
+			if n := writes.Load(); n != 1 {
+				t.Fatalf("a %d-byte put took %d writes, want 1", bc.size, n)
+			}
+			if got, _ := mem.Get(bc.name); len(got) != bc.size {
+				t.Fatalf("stored %d bytes, want %d", len(got), bc.size)
+			}
+		})
+	}
 }

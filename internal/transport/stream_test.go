@@ -245,3 +245,26 @@ func BenchmarkGetFileToLoopback(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUploadStreamLoopback is BenchmarkGetFileToLoopback's put-side
+// twin and stream-large's write in miniature: a 32 MiB UploadStream at
+// PL0 (512 chunks of 64 KiB), RAID-5, into six in-memory providers
+// behind real HTTP servers, with the default Config. The file is removed
+// untimed after each upload. make profile-stream-put profiles it.
+func BenchmarkUploadStreamLoopback(b *testing.B) {
+	f := newLoopbackFleet(b, 6, 10*time.Second, core.Config{})
+	data := patterned(32 << 20)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.dist.UploadStream("a", "pw", "f", bytes.NewReader(data), privacy.Public, core.UploadOptions{Assurance: raid.RAID5}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := f.dist.RemoveFile("a", "pw", "f"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
