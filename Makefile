@@ -166,6 +166,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeReconstruct -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzMultiGetReply -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzHopReply -fuzztime $(FUZZTIME) ./internal/transport
 
 # Data-plane benchmarks: RAID and misleading-byte kernels, the
 # distributor's read and defended-write paths and the client→distributor

@@ -20,6 +20,7 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 const (
@@ -30,6 +31,11 @@ const (
 	maxBits = 20
 )
 
+// classes holds one pool per size class. A pool stores the pointer to a
+// buffer's first byte (unsafe.SliceData), which keeps the whole backing
+// array alive and, being a pointer, goes into the pool's interface
+// without an allocation; Get rebuilds the slice at the class size, which
+// Put made sure the array holds.
 var classes [maxBits - minBits + 1]sync.Pool
 
 // class returns the pool index whose buffers have capacity 2^(minBits+i),
@@ -58,7 +64,7 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := classes[idx].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		return unsafe.Slice(v.(*byte), size)[:n]
 	}
 	return make([]byte, n, size)
 }
@@ -80,6 +86,5 @@ func Put(b []byte) {
 	if idx >= len(classes) {
 		idx = len(classes) - 1
 	}
-	b = b[:1<<(idx+minBits)]
-	classes[idx].Put(&b)
+	classes[idx].Put(unsafe.SliceData(b))
 }

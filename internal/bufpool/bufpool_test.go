@@ -74,3 +74,17 @@ func BenchmarkGetPut(b *testing.B) {
 		Put(buf)
 	}
 }
+
+// TestPutDoesNotAllocate: handing a buffer back costs no allocation.
+// Each run returns a buffer and takes it out again, so the pool never
+// grows; AllocsPerRun counts whole allocations per run, which a Put that
+// boxed its slice would make one.
+func TestPutDoesNotAllocate(t *testing.T) {
+	buf := Get(16 << 10)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		Put(buf)
+		buf = Get(16 << 10)
+	}); allocs != 0 {
+		t.Fatalf("Put then Get allocates %v times per run, want 0", allocs)
+	}
+}

@@ -228,13 +228,20 @@ func TestPutChunkAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestProviderGetDeclaresLength asks the provider server with net/http's
+// own client, so what it sees is what the server sent.
 func TestProviderGetDeclaresLength(t *testing.T) {
-	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
+	mem, err := provider.New(provider.Info{Name: "N", PL: privacy.High, CL: 1}, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewProviderServer(mem))
+	t.Cleanup(srv.Close)
 	blob := bytes.Repeat([]byte{3}, 10<<10) // past net/http's 2 KiB auto-length buffer
 	if err := mem.Put("k", blob); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := remote.client.Get(remote.chunkURL("k"))
+	resp, err := srv.Client().Get(srv.URL + chunkPath + "k")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,9 @@ import (
 // one distributor tears down and re-dials connections on every burst —
 // extra RTTs and TIME_WAIT churn exactly on the latency-sensitive path.
 // Every client this package creates with a nil *http.Client therefore
-// shares one pooled transport sized for fan-out.
+// shares one pooled transport sized for fan-out. The provider hop keeps
+// a pool of its own per provider (provider_hop.go) under the same idle
+// bound, and takes from a transport only its dialer and write size.
 
 // poolMaxIdlePerHost bounds retained idle connections per distributor
 // or provider endpoint. It needs to cover the largest realistic burst
@@ -21,16 +23,16 @@ import (
 // distributor.
 const poolMaxIdlePerHost = 256
 
-// poolWriteBuffer sizes each pooled connection's write buffer so one
-// request leaves in one write: a request line and its headers (a few
-// hundred bytes, given 4 KiB here) plus the largest blob the default
-// chunk policy makes, the 64 KiB PL0 chunk. With net/http's 4 KiB
-// default a provider put is flushed in pieces — the headers and the
-// blob's first ~3.9 KiB, then the rest through the connection's
-// ReadFrom, which allocates a fresh copy buffer per request (the rest of
-// the body, up to 32 KiB). The cost is memory per pooled connection:
-// ~68 KiB instead of 4 KiB (DESIGN.md §13 counts the connections a
-// deployment holds).
+// poolWriteBuffer sizes a request's write buffer so one request leaves
+// in one write: a request line and its headers (a few hundred bytes,
+// given 4 KiB here) plus the largest blob the default chunk policy makes,
+// the 64 KiB PL0 chunk. With net/http's 4 KiB default a put is flushed in
+// pieces — the headers and the body's first ~3.9 KiB, then the rest
+// through the connection's ReadFrom, which allocates a fresh copy buffer
+// per request. net/http holds such a buffer per pooled connection (~68
+// KiB instead of 4 KiB); the provider hop takes one from bufpool for the
+// length of a send (DESIGN.md §13 counts the connections a deployment
+// holds).
 const poolWriteBuffer = 64<<10 + 4<<10
 
 // NewPooledTransport returns a transport tuned for this package's
@@ -56,8 +58,8 @@ func NewPooledTransport() *http.Transport {
 
 // sharedTransport is the process-wide pool behind every default client.
 // Sharing one transport (rather than one per NewClient call) is what
-// lets a Client and the provider dials reuse each other's warm
-// connections to the same host.
+// lets the Clients and the shard proxy reuse each other's warm
+// connections to the same host; a default provider dial uses its dialer.
 var sharedTransport = NewPooledTransport()
 
 // defaultHTTPClient wraps the shared pool with a per-use-case timeout.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -126,31 +125,26 @@ func (rp *RemoteProvider) DeleteMany(keys []string) []error {
 // batch posts keys to a batch route under withNetRetry and fills errs —
 // and blobs, when the route returns any — from the reply's frames.
 func (rp *RemoteProvider) batch(path, name string, keys []string, blobs [][]byte, errs []error) {
-	err := rp.withNetRetry(func() (bool, error) {
-		body, err := json.Marshal(keys)
-		if err != nil {
-			return false, err
-		}
-		resp, err := rp.client.Post(rp.base+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return true, fmt.Errorf("%w: %v", provider.ErrOutage, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false, statusToProviderError(resp)
-		}
-		reply, err := readBody(resp.Body, resp.ContentLength, maxBlobRead)
-		if errors.Is(err, errOversizeBody) {
-			return false, fmt.Errorf("%w: %s reply exceeds %d bytes", ErrOversizeResponse, name, maxBlobRead)
-		}
-		if err == nil {
-			err = parseFrames(reply, blobs, errs)
-		}
-		if err != nil {
-			return false, fmt.Errorf("transport: %s of %d keys: %w", name, len(keys), err)
-		}
-		return false, nil
-	})
+	body, err := json.Marshal(keys)
+	if err == nil {
+		err = rp.withNetRetry(func() (bool, error) {
+			status, reply, err := rp.hop.exchange(&hopRequest{method: http.MethodPost, path: path, json: true, body: body, limit: maxBlobRead})
+			switch {
+			case status == 0:
+				return replyError(status, reply, err)
+			case status != http.StatusOK && err == nil:
+				return false, providerErrorOf(status, reply)
+			case errors.Is(err, errOversizeBody):
+				return false, fmt.Errorf("%w: %s reply exceeds %d bytes", ErrOversizeResponse, name, maxBlobRead)
+			case err == nil:
+				err = parseFrames(reply, blobs, errs)
+			}
+			if err != nil {
+				return false, fmt.Errorf("transport: %s of %d keys: %w", name, len(keys), err)
+			}
+			return false, nil
+		})
+	}
 	if err != nil {
 		for i := range errs {
 			errs[i] = err

@@ -2,13 +2,10 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"sync/atomic"
 	"time"
 
@@ -18,11 +15,11 @@ import (
 )
 
 // probeTimeout caps one health probe round-trip. Probes share the blob
-// transfer http.Client, whose 10s timeout is sized for multi-megabyte
-// payloads; a liveness check that waits that long on a stalled provider
-// is itself the outage, so each probe carries its own short deadline.
-// It is also the shortest interval between the background probes a down
-// provider's Down() calls start.
+// transfers' connections, whose 10s default timeout is sized for
+// multi-megabyte payloads; a liveness check that waits that long on a
+// stalled provider is itself the outage, so each probe carries its own
+// short deadline. It is also the shortest interval between the
+// background probes a down provider's Down() calls start.
 const probeTimeout = time.Second
 
 // maxBlobRead bounds a chunk body on the provider hop, in both
@@ -31,14 +28,16 @@ const probeTimeout = time.Second
 // so tests can lower it without moving a 64 MiB body.
 var maxBlobRead int64 = maxBlobBytes
 
+// chunkPath is the single-blob routes' path; the key follows it.
+const chunkPath = "/v1/chunks/"
+
 // RemoteProvider is a provider.Provider backed by a ProviderServer over
 // HTTP, letting a distributor treat a networked provider exactly like an
-// in-process one.
+// in-process one. Every call is one exchange (provider_hop.go).
 type RemoteProvider struct {
-	base   string
-	client *http.Client
-	info   provider.Info
-	retry  *retrier
+	hop   *hop
+	info  provider.Info
+	retry *retrier
 
 	// down is the last known liveness, which is all Down() reads. Every
 	// data-plane call writes it with its own outcome (withNetRetry), as do
@@ -52,24 +51,22 @@ type RemoteProvider struct {
 var _ provider.Provider = (*RemoteProvider)(nil)
 
 // DialProvider connects to a provider server and caches its identity.
-// A nil client gets a default backed by the shared pooled transport, so
-// hedged and parallel shard fetches reuse warm connections instead of
-// re-dialing (the stock transport retains only 2 idle conns per host).
+// Of client it uses the Timeout, as each call's deadline, and — its
+// Transport must be an *http.Transport, or nil for the default — that
+// transport's DialContext and buffer sizes; the connections themselves
+// are the provider's own pool. A nil client gets a 10s timeout and the
+// shared pooled transport's dialer and 68 KiB write size.
 func DialProvider(baseURL string, client *http.Client) (*RemoteProvider, error) {
 	if client == nil {
 		client = defaultHTTPClient(10 * time.Second)
 	}
-	rp := &RemoteProvider{base: baseURL, client: client, retry: newRetrier()}
-	resp, err := client.Get(baseURL + "/v1/info")
+	h, err := newHop(baseURL, client)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial provider: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("transport: dial provider: status %d", resp.StatusCode)
-	}
+	rp := &RemoteProvider{hop: h, retry: newRetrier()}
 	var dto infoDTO
-	if err := json.NewDecoder(resp.Body).Decode(&dto); err != nil {
+	if err := rp.getJSON("/v1/info", &dto); err != nil {
 		return nil, fmt.Errorf("transport: dial provider: %w", err)
 	}
 	rp.info = provider.Info{Name: dto.Name, PL: privacy.Level(dto.PL), CL: privacy.CostLevel(dto.CL)}
@@ -78,10 +75,6 @@ func DialProvider(baseURL string, client *http.Client) (*RemoteProvider, error) 
 
 // Info returns the identity cached at dial time.
 func (rp *RemoteProvider) Info() provider.Info { return rp.info }
-
-func (rp *RemoteProvider) chunkURL(key string) string {
-	return rp.base + "/v1/chunks/" + url.PathEscape(key)
-}
 
 // withNetRetry runs op with jittered exponential backoff on failures at
 // the network layer (no HTTP response at all). Provider operations are
@@ -105,19 +98,25 @@ func (rp *RemoteProvider) withNetRetry(op func() (netFail bool, err error)) erro
 	}
 }
 
+// replyError reads one exchange's outcome on withNetRetry's terms: no
+// reply is a network failure, read as ErrOutage; a reply is the
+// provider's answer, 200 and 204 meaning success.
+func replyError(status int, body []byte, err error) (netFail bool, _ error) {
+	switch {
+	case status == 0:
+		return true, fmt.Errorf("%w: %v", provider.ErrOutage, err)
+	case err != nil:
+		return false, err
+	case status == http.StatusOK || status == http.StatusNoContent:
+		return false, nil
+	}
+	return false, providerErrorOf(status, body)
+}
+
 // Put stores data under key.
 func (rp *RemoteProvider) Put(key string, data []byte) error {
 	return rp.withNetRetry(func() (bool, error) {
-		req, err := http.NewRequest(http.MethodPut, rp.chunkURL(key), bytes.NewReader(data))
-		if err != nil {
-			return false, err
-		}
-		resp, err := rp.client.Do(req)
-		if err != nil {
-			return true, fmt.Errorf("%w: %v", provider.ErrOutage, err)
-		}
-		defer drain(resp)
-		return false, providerError(resp)
+		return replyError(rp.hop.exchange(&hopRequest{method: http.MethodPut, path: chunkPath, key: key, body: data}))
 	})
 }
 
@@ -127,26 +126,21 @@ func (rp *RemoteProvider) Put(key string, data []byte) error {
 func (rp *RemoteProvider) Get(key string) ([]byte, error) {
 	var data []byte
 	err := rp.withNetRetry(func() (bool, error) {
-		resp, err := rp.client.Get(rp.chunkURL(key))
-		if err != nil {
-			return true, fmt.Errorf("%w: %v", provider.ErrOutage, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false, statusToProviderError(resp)
-		}
+		status, body, err := rp.hop.exchange(&hopRequest{method: http.MethodGet, path: chunkPath, key: key, limit: maxBlobRead, get: bufpool.Get})
 		// A blob past the cap, or one that stops short of its declared
 		// length, must fail here: handed back cut off it would surface
 		// later as an inexplicable length or checksum mismatch far from
 		// the cause.
-		data, err = readBodyInto(resp.Body, resp.ContentLength, maxBlobRead, bufpool.Get)
-		if errors.Is(err, errOversizeBody) {
+		switch {
+		case status != 0 && errors.Is(err, errOversizeBody):
 			return false, fmt.Errorf("transport: blob %q exceeds %d-byte limit", key, maxBlobRead)
-		}
-		if err != nil {
+		case status != 0 && err != nil:
 			return false, fmt.Errorf("transport: blob %q: %w", key, err)
+		case status == http.StatusOK:
+			data = body
+			return false, nil
 		}
-		return false, nil
+		return replyError(status, body, err)
 	})
 	if err != nil {
 		return nil, err
@@ -157,16 +151,7 @@ func (rp *RemoteProvider) Get(key string) ([]byte, error) {
 // Delete removes key.
 func (rp *RemoteProvider) Delete(key string) error {
 	return rp.withNetRetry(func() (bool, error) {
-		req, err := http.NewRequest(http.MethodDelete, rp.chunkURL(key), nil)
-		if err != nil {
-			return false, err
-		}
-		resp, err := rp.client.Do(req)
-		if err != nil {
-			return true, fmt.Errorf("%w: %v", provider.ErrOutage, err)
-		}
-		defer drain(resp)
-		return false, providerError(resp)
+		return replyError(rp.hop.exchange(&hopRequest{method: http.MethodDelete, path: chunkPath, key: key}))
 	})
 }
 
@@ -198,18 +183,8 @@ func (rp *RemoteProvider) Probe() bool {
 }
 
 func (rp *RemoteProvider) probe() bool {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rp.base+"/v1/health", nil)
-	if err != nil {
-		return true
-	}
-	resp, err := rp.client.Do(req)
-	if err != nil {
-		return true
-	}
-	defer drain(resp)
-	return resp.StatusCode != http.StatusOK
+	status, _, err := rp.hop.exchange(&hopRequest{method: http.MethodGet, path: "/v1/health", timeout: probeTimeout})
+	return err != nil || status != http.StatusOK
 }
 
 // SetOutage toggles the remote failure-injection switch; errors are
@@ -217,12 +192,8 @@ func (rp *RemoteProvider) probe() bool {
 // the provider acknowledged is also its last known liveness.
 func (rp *RemoteProvider) SetOutage(down bool) {
 	body, _ := json.Marshal(map[string]bool{"down": down})
-	resp, err := rp.client.Post(rp.base+"/v1/outage", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	drain(resp)
-	if resp.StatusCode == http.StatusNoContent {
+	status, _, err := rp.hop.exchange(&hopRequest{method: http.MethodPost, path: "/v1/outage", json: true, body: body})
+	if err == nil && status == http.StatusNoContent {
 		rp.down.Store(down)
 	}
 }
@@ -256,38 +227,14 @@ func (rp *RemoteProvider) Usage() provider.Usage {
 }
 
 func (rp *RemoteProvider) getJSON(path string, v any) error {
-	resp, err := rp.client.Get(rp.base + path)
+	status, body, err := rp.hop.exchange(&hopRequest{method: http.MethodGet, path: path, limit: maxListingRead})
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("transport: %s: status %d", path, resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("transport: %s: status %d", path, status)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// maxDrainBytes bounds how much of an unread response body drain will
-// consume. Keep-alive reuse requires reading the body to EOF, so the
-// bound must comfortably cover any error payload the servers emit; a
-// body still flowing past it is abandoned (Close then discards the
-// connection) rather than slurped without limit.
-const maxDrainBytes = 256 << 10
-
-func drain(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes))
-	resp.Body.Close()
-}
-
-func providerError(resp *http.Response) error {
-	if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
-		return nil
-	}
-	return statusToProviderError(resp)
-}
-
-func statusToProviderError(resp *http.Response) error {
-	return providerErrorOf(resp.StatusCode, errorText(resp, 512))
+	return json.Unmarshal(body, v)
 }
 
 // providerErrorOf is providerStatus's inverse: the provider error a

@@ -127,38 +127,29 @@ func TestRemoteProviderGetMany(t *testing.T) {
 // test (TestSmokeTraced) counts the per-key calls the loop makes, which
 // is why GetMany stays optional.
 func TestProviderGetManyHelper(t *testing.T) {
-	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
+	mem, remote, requests := countedProviderPair(t)
 	for _, key := range []string{"a", "b"} {
 		if err := mem.Put(key, []byte(key)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	requests := map[string]int{}
-	remote.client = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		requests[r.Method+" "+r.URL.Path]++
-		return http.DefaultTransport.RoundTrip(r)
-	})}
 	check := func(p provider.Store, keys []string, want map[string]int) {
 		t.Helper()
-		clear(requests)
+		requests.reset()
 		blobs, errs := provider.GetMany(p, keys)
 		for i, key := range keys {
 			if errs[i] != nil || string(blobs[i]) != key {
 				t.Fatalf("GetMany(%q)[%d] = %q, %v", keys, i, blobs[i], errs[i])
 			}
 		}
-		if fmt.Sprint(requests) != fmt.Sprint(want) {
-			t.Fatalf("GetMany(%q) made requests %v, want %v", keys, requests, want)
+		if got := requests.String(); got != fmt.Sprint(want) {
+			t.Fatalf("GetMany(%q) made requests %v, want %v", keys, got, want)
 		}
 	}
 	check(remote, []string{"a", "b"}, map[string]int{"POST " + multiGetPath: 1})
 	check(remote, []string{"a"}, map[string]int{"GET /v1/chunks/a": 1})
 	check(struct{ provider.Provider }{remote}, []string{"a", "b"}, map[string]int{"GET /v1/chunks/a": 1, "GET /v1/chunks/b": 1})
 }
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestRemoteProviderGetManyFailureShapes mirrors the single Get's body
 // rules for the multi-get reply: a declared length over the cap is
@@ -373,13 +364,7 @@ func TestRemoteProviderGetManyRetriesNetworkErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewProviderServer(mem))
-	t.Cleanup(srv.Close)
-	flaky := newFlakyTransport(srv.Client().Transport)
-	remote, err := DialProvider(srv.URL, &http.Client{Transport: flaky, Timeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote, flaky := hangUpProvider(t, mem)
 	var slept []time.Duration
 	remote.retry.sleep = func(d time.Duration) { slept = append(slept, d) }
 	if err := mem.Put("a", []byte("alpha")); err != nil {
@@ -488,12 +473,7 @@ func TestRemoteProviderDeleteMany(t *testing.T) {
 // than one key; a single delete stays the plain DELETE, and a wrapper
 // that hides the method gets the loop.
 func TestProviderDeleteManyHelper(t *testing.T) {
-	mem, remote := newProviderPair(t, provider.Info{Name: "N", PL: privacy.High, CL: 1})
-	requests := map[string]int{}
-	remote.client = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		requests[r.Method+" "+r.URL.Path]++
-		return http.DefaultTransport.RoundTrip(r)
-	})}
+	mem, remote, requests := countedProviderPair(t)
 	check := func(p provider.Store, keys []string, want map[string]int) {
 		t.Helper()
 		for _, key := range keys {
@@ -501,14 +481,14 @@ func TestProviderDeleteManyHelper(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		clear(requests)
+		requests.reset()
 		for i, err := range provider.DeleteMany(p, keys) {
 			if err != nil {
 				t.Fatalf("DeleteMany(%q)[%d] = %v", keys, i, err)
 			}
 		}
-		if mem.Len() != 0 || fmt.Sprint(requests) != fmt.Sprint(want) {
-			t.Fatalf("DeleteMany(%q) left %d keys and made requests %v, want none and %v", keys, mem.Len(), requests, want)
+		if got := requests.String(); mem.Len() != 0 || got != fmt.Sprint(want) {
+			t.Fatalf("DeleteMany(%q) left %d keys and made requests %v, want none and %v", keys, mem.Len(), got, want)
 		}
 	}
 	check(remote, []string{"a", "b"}, map[string]int{"POST " + multiDeletePath: 1})
@@ -561,13 +541,7 @@ func TestRemoteProviderDeleteManyRetriesNetworkErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewProviderServer(mem))
-	t.Cleanup(srv.Close)
-	flaky := newFlakyTransport(srv.Client().Transport)
-	remote, err := DialProvider(srv.URL, &http.Client{Transport: flaky, Timeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote, flaky := hangUpProvider(t, mem)
 	var slept []time.Duration
 	remote.retry.sleep = func(d time.Duration) { slept = append(slept, d) }
 	if err := mem.Put("a", []byte("alpha")); err != nil {

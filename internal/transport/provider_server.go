@@ -111,11 +111,20 @@ func (s *ProviderServer) deleteChunk(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// writeJSON answers with v as one JSON document of declared length — as
+// every ProviderServer reply has one, since the provider hop's client
+// refuses to read to the end of the connection. The body is what
+// json.Encoder writes: the document and a newline.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // infoDTO is the wire form of provider.Info.

@@ -175,13 +175,7 @@ func TestRemoteProviderRetriesNetworkErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewProviderServer(mem))
-	t.Cleanup(srv.Close)
-	flaky := newFlakyTransport(srv.Client().Transport)
-	remote, err := DialProvider(srv.URL, &http.Client{Transport: flaky, Timeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote, flaky := hangUpProvider(t, mem)
 	var slept []time.Duration
 	remote.retry.sleep = func(d time.Duration) { slept = append(slept, d) }
 

@@ -181,10 +181,26 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Twelve file names, chosen on the ring before anything is uploaded:
+	// the last is removed below, and of the eleven left at least one must
+	// live on mortal and one elsewhere for the closing case. The shard
+	// URLs carry random ports, so which names those are changes per run.
+	var names []string
+	onMortal, elsewhere := false, false
+	for i := 0; len(names) < 12; i++ {
+		name := fmt.Sprintf("px-%02d.bin", i)
+		dead := sys.Locate("bob", name).ShardURL == mortal.URL
+		if len(names) == 10 && !(onMortal && elsewhere) && dead == onMortal {
+			continue // the eleventh survivor must be the side still missing
+		}
+		names = append(names, name)
+		onMortal, elsewhere = onMortal || dead, elsewhere || !dead
+	}
+	removed := names[11]
+
 	rng := rand.New(rand.NewSource(7))
 	files := map[string][]byte{}
-	for i := 0; i < 12; i++ {
-		name := fmt.Sprintf("px-%02d.bin", i)
+	for _, name := range names {
 		data := make([]byte, 900+rng.Intn(600))
 		rng.Read(data)
 		files[name] = data
@@ -226,10 +242,10 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	if err != nil || len(chunk) == 0 {
 		t.Fatalf("get_chunk via proxy: %v", err)
 	}
-	if err := cl.RemoveFile("bob", "pw", "px-11.bin"); err != nil {
+	if err := cl.RemoveFile("bob", "pw", removed); err != nil {
 		t.Fatalf("remove via proxy: %v", err)
 	}
-	if _, err := cl.GetFile("bob", "pw", "px-11.bin"); err == nil {
+	if _, err := cl.GetFile("bob", "pw", removed); err == nil {
 		t.Fatal("removed file still readable via proxy")
 	}
 
@@ -335,8 +351,8 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	mortal.Close()
 	orphaned, served := 0, 0
 	for name, data := range files {
-		if name == "px-11.bin" {
-			continue // removed above
+		if name == removed {
+			continue
 		}
 		got, err := cl.GetFile("bob", "pw", name)
 		if sys.Locate("bob", name).ShardURL != mortal.URL {
