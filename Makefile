@@ -5,6 +5,7 @@
 #                         one-home rules routes, tables, placement, snapshot,
 #                         delete and replication, and the gofmt check)
 #   make loc              non-test Go code lines per package and in total
+#   make loc BASE=<rev>   the same beside each package's count at <rev>
 #   make reach            fails on a non-test internal/ function that no binary links,
 #                         unless internal/archcheck/reach_allowlist.txt names it
 #   make test             plain test run
@@ -85,16 +86,31 @@ vet:
 
 # Non-test Go lines that are neither blank nor comment-only, per package
 # and in total — the figure "net-negative" is measured in. A report, not
-# a gate: run it at two commits and compare.
+# a gate. With BASE=<rev> each line also gives the count at <rev>, taken
+# from a temporary git worktree: base, tree, package ("-" where a side
+# has no such package).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \
-		FNR == 1 { block = 0 } \
-		{ line = $$0; sub(/^[ \t]+/, "", line) } \
-		block { if (index(line, "*/")) block = 0; next } \
-		line == "" || line ~ /^\/\// { next } \
-		line ~ /^\/\*/ { block = !index(line, "*/"); next } \
-		{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); n[dir]++; total++ } \
-		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	count() { \
+		find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \
+			FNR == 1 { block = 0 } \
+			{ line = $$0; sub(/^[ \t]+/, "", line) } \
+			block { if (index(line, "*/")) block = 0; next } \
+			line == "" || line ~ /^\/\// { next } \
+			line ~ /^\/\*/ { block = !index(line, "*/"); next } \
+			{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); n[dir]++; total++ } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'; \
+	} && \
+	if [ -z "$(BASE)" ]; then count; exit; fi && \
+	git worktree add --quiet --detach "$$tmp/base" "$(BASE)" && \
+	(cd "$$tmp/base" && count) > "$$tmp/base.loc" && count > "$$tmp/tree.loc" && \
+	printf "%7s %7s %s\n" base tree "package (base: $(BASE))" && \
+	awk 'FNR == NR { base[$$2] = $$1; next } { tree[$$2] = $$1 } \
+		END { \
+			for (k in base) if (!(k in tree)) tree[k] = "-"; \
+			for (k in tree) if (k != "total") printf "%7s %7s %s\n", (k in base) ? base[k] : "-", tree[k], k | "sort -k3"; \
+			close("sort -k3"); printf "%7s %7s total\n", base["total"], tree["total"] \
+		}' "$$tmp/base.loc" "$$tmp/tree.loc"
 
 # Non-test functions of internal/ that no binary links. Every main package
 # (cmd/*, examples/*, benchmark) is built with inlining off, so a function

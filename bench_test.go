@@ -14,8 +14,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/clientside"
 	"repro/internal/dataset"
-	"repro/internal/dht"
 	"repro/internal/experiments"
 	"repro/internal/mining"
 	"repro/internal/provider"
@@ -416,7 +416,7 @@ func BenchmarkDHTLookup(b *testing.B) {
 			for i := range names {
 				names[i] = fmt.Sprintf("node-%04d", i)
 			}
-			ring, err := dht.NewRing(names...)
+			ring, err := clientside.NewRing(names...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func BenchmarkDHTLookup(b *testing.B) {
 			totalHops := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ring.Lookup(members[i%len(members)], dht.ChunkKey("file", i))
+				res, err := ring.Lookup(members[i%len(members)], clientside.ChunkKey("file", i))
 				if err != nil {
 					b.Fatal(err)
 				}

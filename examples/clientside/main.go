@@ -11,7 +11,7 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/dht"
+	"repro/internal/clientside"
 	"repro/internal/privacy"
 	"repro/internal/provider"
 )
@@ -28,7 +28,7 @@ func main() {
 		must(fleet.Add(p))
 	}
 
-	cd, err := dht.NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
+	cd, err := clientside.NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 	members := ring.Members()
 	total := 0
 	for i := 0; i < 200; i++ {
-		res, err := ring.Lookup(members[i%len(members)], dht.ChunkKey("archive.bin", i))
+		res, err := ring.Lookup(members[i%len(members)], clientside.ChunkKey("archive.bin", i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func main() {
 	keys := make([]uint64, 1000)
 	before := make([]string, len(keys))
 	for i := range keys {
-		keys[i] = dht.ChunkKey("churn-probe", i)
+		keys[i] = clientside.ChunkKey("churn-probe", i)
 		before[i], _ = ring.Successor(keys[i])
 	}
 	must(ring.Leave("provider-3"))

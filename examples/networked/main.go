@@ -32,7 +32,7 @@ func main() {
 		mems = append(mems, mem)
 		srv := httptest.NewServer(transport.NewProviderServer(mem))
 		defer srv.Close()
-		remote, err := transport.DialProvider(srv.URL, srv.Client())
+		remote, err := transport.DialProvider(srv.URL, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 
 	"repro/internal/transport"
@@ -14,15 +13,15 @@ import (
 // toolkit dials each provider's HTTP surface exactly as the distributor
 // would and pulls its insider dump, so every campaign that runs against
 // an in-process provider.Fleet runs unchanged against loopback or
-// multi-host fleets. A nil hc uses the shared pooled transport.
+// multi-host fleets.
 //
 // Collusion scope is the URL list: pass one URL for the single malicious
 // insider, one shard's fleet for a colluding provider ring, or every
 // fleet of every shard for the strongest pooled adversary.
-func SniffTransport(urls []string, hc *http.Client) ([]Blob, error) {
+func SniffTransport(urls []string) ([]Blob, error) {
 	var blobs []Blob
 	for _, u := range urls {
-		rp, err := transport.DialProvider(u, hc)
+		rp, err := transport.DialProvider(u, nil)
 		if err != nil {
 			return nil, fmt.Errorf("attack: sniff %s: %w", u, err)
 		}

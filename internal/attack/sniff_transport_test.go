@@ -27,7 +27,7 @@ func TestSniffTransportCollectsNetworkedDumps(t *testing.T) {
 		urls[i] = srv.URL
 	}
 
-	blobs, err := SniffTransport(urls, nil)
+	blobs, err := SniffTransport(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSniffTransportErrorsOnUnreachableProvider(t *testing.T) {
 	dead.Close()
 	t.Cleanup(srv.Close)
 
-	if _, err := SniffTransport([]string{srv.URL, dead.URL}, nil); err == nil {
+	if _, err := SniffTransport([]string{srv.URL, dead.URL}); err == nil {
 		t.Fatal("sniff with one dead provider: want error, got nil")
 	}
 }

@@ -1,4 +1,4 @@
-package dht
+package clientside
 
 import (
 	"bytes"
@@ -39,18 +39,14 @@ type clientChunk struct {
 // (the paper's "downloadable list of Cloud Providers").
 func NewClientDistributor(fleet *provider.Fleet, policy privacy.ChunkSizePolicy) (*ClientDistributor, error) {
 	if fleet == nil || fleet.Len() == 0 {
-		return nil, fmt.Errorf("dht: empty fleet")
+		return nil, fmt.Errorf("clientside: empty fleet")
 	}
 	if len(policy.SizeByLevel) == 0 {
 		policy = privacy.DefaultChunkSizes()
 	}
-	names := make([]string, fleet.Len())
-	for i := 0; i < fleet.Len(); i++ {
-		p, err := fleet.At(i)
-		if err != nil {
-			return nil, err
-		}
-		names[i] = p.Info().Name
+	var names []string
+	for _, p := range fleet.All() {
+		names = append(names, p.Info().Name)
 	}
 	ring, err := NewRing(names...)
 	if err != nil {
@@ -73,7 +69,7 @@ func (c *ClientDistributor) Upload(filename string, data []byte, pl privacy.Leve
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.chunkTable[filename]; dup {
-		return 0, fmt.Errorf("dht: file %q already uploaded", filename)
+		return 0, fmt.Errorf("clientside: file %q already uploaded", filename)
 	}
 	chunks, err := chunker.Split(data, pl, c.policy)
 	if err != nil {
@@ -91,7 +87,7 @@ func (c *ClientDistributor) Upload(filename string, data []byte, pl privacy.Leve
 		}
 		key := fmt.Sprintf("%016x", ChunkKey(filename, ch.Serial))
 		if err := p.Put(key, ch.Data); err != nil {
-			return 0, fmt.Errorf("dht: put chunk %d on %s: %w", ch.Serial, owner, err)
+			return 0, fmt.Errorf("clientside: put chunk %d on %s: %w", ch.Serial, owner, err)
 		}
 		records[i] = clientChunk{Provider: owner, Key: key, Sum: ch.Sum, Len: len(ch.Data)}
 	}
@@ -105,7 +101,7 @@ func (c *ClientDistributor) GetFile(filename string) ([]byte, error) {
 	defer c.mu.Unlock()
 	records, ok := c.chunkTable[filename]
 	if !ok {
-		return nil, fmt.Errorf("dht: unknown file %q", filename)
+		return nil, fmt.Errorf("clientside: unknown file %q", filename)
 	}
 	var out bytes.Buffer
 	for serial, rec := range records {
@@ -115,10 +111,10 @@ func (c *ClientDistributor) GetFile(filename string) ([]byte, error) {
 		}
 		data, err := p.Get(rec.Key)
 		if err != nil {
-			return nil, fmt.Errorf("dht: chunk %d from %s: %w", serial, rec.Provider, err)
+			return nil, fmt.Errorf("clientside: chunk %d from %s: %w", serial, rec.Provider, err)
 		}
 		if sha256.Sum256(data) != rec.Sum {
-			return nil, fmt.Errorf("dht: chunk %d checksum mismatch", serial)
+			return nil, fmt.Errorf("clientside: chunk %d checksum mismatch", serial)
 		}
 		out.Write(data)
 	}
@@ -131,7 +127,7 @@ func (c *ClientDistributor) Remove(filename string) error {
 	defer c.mu.Unlock()
 	records, ok := c.chunkTable[filename]
 	if !ok {
-		return fmt.Errorf("dht: unknown file %q", filename)
+		return fmt.Errorf("clientside: unknown file %q", filename)
 	}
 	for serial, rec := range records {
 		p, _, err := c.fleet.ByName(rec.Provider)
@@ -139,7 +135,7 @@ func (c *ClientDistributor) Remove(filename string) error {
 			return err
 		}
 		if err := p.Delete(rec.Key); err != nil {
-			return fmt.Errorf("dht: delete chunk %d: %w", serial, err)
+			return fmt.Errorf("clientside: delete chunk %d: %w", serial, err)
 		}
 	}
 	delete(c.chunkTable, filename)

@@ -1,49 +1,30 @@
-// Package dht implements the Chord-style consistent-hash ring the paper
-// proposes for pushing the Cloud Data Distributor into the client
-// (§IV-C): "the Cloud Data Distributor can be implemented at client side
-// by using CAN or CHORD like hash tables that will map each
+// Package clientside is the paper's §IV-C alternative architecture: the
+// Cloud Data Distributor pushed into the client, "implemented at client
+// side by using CAN or CHORD like hash tables that will map each
 // ⟨filename, chunk Sl⟩ pair to a Cloud Provider."
 //
-// Nodes (providers) own arcs of a 64-bit identifier circle; keys map to
-// their clockwise successor. Each node keeps a finger table for O(log n)
-// lookups; Lookup reports hop counts so the benchmarks can reproduce the
-// classic Chord scaling curve.
-package dht
+// Nodes (providers) own arcs of a 64-bit identifier circle (dht.HashID);
+// keys map to their clockwise successor. Each node keeps a finger table
+// for O(log n) lookups; Lookup reports hop counts so the benchmarks can
+// reproduce the classic Chord scaling curve. ClientDistributor places
+// chunks on such a ring and keeps the client-resident chunk table.
+package clientside
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/dht"
 )
 
 // ringBits is the identifier-space width.
 const ringBits = 64
 
-// ErrEmptyRing is returned by lookups on a ring with no nodes.
-var ErrEmptyRing = errors.New("dht: ring has no nodes")
-
-// HashID maps an arbitrary name into the identifier circle.
-func HashID(name string) uint64 {
-	sum := sha256.Sum256([]byte(name))
-	return binary.BigEndian.Uint64(sum[:8])
-}
-
 // ChunkKey derives the ring key of the paper's ⟨filename, serial⟩ pair.
 func ChunkKey(filename string, serial int) uint64 {
-	return HashID(fmt.Sprintf("%s#%d", filename, serial))
-}
-
-// FileKey derives the ring key of a ⟨client, filename⟩ pair — the unit
-// the sharded data plane routes on. Every operation on one file of one
-// client lands on a single owning distributor, so per-file generation
-// counters and placement state never straddle shards. The NUL separator
-// keeps distinct pairs from colliding by concatenation ("ab"+"c" vs
-// "a"+"bc").
-func FileKey(client, filename string) uint64 {
-	return HashID(client + "\x00" + filename)
+	return dht.HashID(fmt.Sprintf("%s#%d", filename, serial))
 }
 
 // node is one ring participant.
@@ -75,17 +56,17 @@ func NewRing(names ...string) (*Ring, error) {
 // Join adds a member.
 func (r *Ring) Join(name string) error {
 	if name == "" {
-		return errors.New("dht: empty node name")
+		return errors.New("clientside: empty node name")
 	}
-	id := HashID(name)
+	id := dht.HashID(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, n := range r.nodes {
 		if n.name == name {
-			return fmt.Errorf("dht: node %q already joined", name)
+			return fmt.Errorf("clientside: node %q already joined", name)
 		}
 		if n.id == id {
-			return fmt.Errorf("dht: id collision between %q and %q", n.name, name)
+			return fmt.Errorf("clientside: id collision between %q and %q", n.name, name)
 		}
 	}
 	r.nodes = append(r.nodes, &node{id: id, name: name})
@@ -107,7 +88,7 @@ func (r *Ring) Leave(name string) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("dht: node %q not in ring", name)
+	return fmt.Errorf("clientside: node %q not in ring", name)
 }
 
 // Size returns the member count.
@@ -130,10 +111,6 @@ func (r *Ring) Members() []string {
 
 // rebuildFingers recomputes every node's finger table. Callers hold r.mu.
 func (r *Ring) rebuildFingers() {
-	n := len(r.nodes)
-	if n == 0 {
-		return
-	}
 	for _, nd := range r.nodes {
 		for b := 0; b < ringBits; b++ {
 			target := nd.id + (uint64(1) << b) // wraps mod 2^64 naturally
@@ -157,7 +134,7 @@ func (r *Ring) Successor(key uint64) (string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.nodes) == 0 {
-		return "", ErrEmptyRing
+		return "", dht.ErrEmptyRing
 	}
 	return r.nodes[r.successorIndex(key)].name, nil
 }
@@ -176,7 +153,7 @@ func (r *Ring) Lookup(start string, key uint64) (LookupResult, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.nodes) == 0 {
-		return LookupResult{}, ErrEmptyRing
+		return LookupResult{}, dht.ErrEmptyRing
 	}
 	cur := -1
 	for i, n := range r.nodes {
@@ -186,7 +163,7 @@ func (r *Ring) Lookup(start string, key uint64) (LookupResult, error) {
 		}
 	}
 	if cur == -1 {
-		return LookupResult{}, fmt.Errorf("dht: start node %q not in ring", start)
+		return LookupResult{}, fmt.Errorf("clientside: start node %q not in ring", start)
 	}
 	ownerIdx := r.successorIndex(key)
 	res := LookupResult{Path: []string{r.nodes[cur].name}}
@@ -205,7 +182,7 @@ func (r *Ring) Lookup(start string, key uint64) (LookupResult, error) {
 		res.Hops++
 		res.Path = append(res.Path, r.nodes[cur].name)
 		if res.Hops > len(r.nodes)+ringBits {
-			return res, fmt.Errorf("dht: routing loop for key %d", key)
+			return res, fmt.Errorf("clientside: routing loop for key %d", key)
 		}
 	}
 	res.Owner = r.nodes[ownerIdx].name
@@ -245,14 +222,14 @@ func (r *Ring) OwnershipHistogram(nKeys int) (map[string]int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.nodes) == 0 {
-		return nil, ErrEmptyRing
+		return nil, dht.ErrEmptyRing
 	}
 	hist := make(map[string]int, len(r.nodes))
 	for _, nd := range r.nodes {
 		hist[nd.name] = 0
 	}
 	for i := 0; i < nKeys; i++ {
-		key := HashID(fmt.Sprintf("sample-key-%d", i))
+		key := dht.HashID(fmt.Sprintf("sample-key-%d", i))
 		hist[r.nodes[r.successorIndex(key)].name]++
 	}
 	return hist, nil

@@ -14,8 +14,8 @@ import (
 const DefaultVNodes = 128
 
 // BalancedRing is the consistent-hash partition the sharded data plane
-// routes on. A plain Ring places each member at a single point of the
-// identifier circle, so a small ring carries brutal arc-size variance —
+// routes on. The §IV-C Chord ring (clientside.Ring) places each member
+// at a single point of the identifier circle, so a small ring carries brutal arc-size variance —
 // with 4 members the largest arc is routinely 2-3x fair share, and which
 // member draws the long straw depends on nothing but its name's hash. A
 // BalancedRing places every member at vnodes points instead and routes a

@@ -198,3 +198,18 @@ func TestBalancedRingMembers(t *testing.T) {
 		t.Fatalf("members after leave = %v", got)
 	}
 }
+
+// TestFileKeySeparation pins the routing key's injectivity property:
+// the client/filename boundary is part of the hash input, so moving a
+// byte across it produces a different key.
+func TestFileKeySeparation(t *testing.T) {
+	if FileKey("ab", "c") == FileKey("a", "bc") {
+		t.Fatal("client/filename boundary not separated")
+	}
+	if FileKey("alice", "f") == FileKey("bob", "f") {
+		t.Fatal("same filename for different clients must not collide")
+	}
+	if FileKey("alice", "f") != FileKey("alice", "f") {
+		t.Fatal("FileKey must be deterministic")
+	}
+}

@@ -1,4 +1,6 @@
-package dht
+// The §IV-C Chord ring and the client-side distributor (package
+// clientside) over dht's identifier circle.
+package dht_test
 
 import (
 	"bytes"
@@ -9,17 +11,19 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/clientside"
+	"repro/internal/dht"
 	"repro/internal/privacy"
 	"repro/internal/provider"
 )
 
-func ringOf(t *testing.T, n int) *Ring {
+func ringOf(t *testing.T, n int) *clientside.Ring {
 	t.Helper()
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("node-%03d", i)
 	}
-	r, err := NewRing(names...)
+	r, err := clientside.NewRing(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +31,17 @@ func ringOf(t *testing.T, n int) *Ring {
 }
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing("a", "a"); err == nil {
+	if _, err := clientside.NewRing("a", "a"); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := NewRing(""); err == nil {
+	if _, err := clientside.NewRing(""); err == nil {
 		t.Fatal("empty name accepted")
 	}
 }
 
 func TestSuccessorConsistency(t *testing.T) {
 	r := ringOf(t, 10)
-	key := HashID("some-key")
+	key := dht.HashID("some-key")
 	owner1, err := r.Successor(key)
 	if err != nil {
 		t.Fatal(err)
@@ -49,14 +53,14 @@ func TestSuccessorConsistency(t *testing.T) {
 }
 
 func TestEmptyRingErrors(t *testing.T) {
-	r, _ := NewRing()
-	if _, err := r.Successor(5); !errors.Is(err, ErrEmptyRing) {
+	r, _ := clientside.NewRing()
+	if _, err := r.Successor(5); !errors.Is(err, dht.ErrEmptyRing) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := r.Lookup("x", 5); !errors.Is(err, ErrEmptyRing) {
+	if _, err := r.Lookup("x", 5); !errors.Is(err, dht.ErrEmptyRing) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := r.OwnershipHistogram(5); !errors.Is(err, ErrEmptyRing) {
+	if _, err := r.OwnershipHistogram(5); !errors.Is(err, dht.ErrEmptyRing) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -68,7 +72,7 @@ func TestJoinLeaveMovesOnlyOwnKeys(t *testing.T) {
 	keys := make([]uint64, 500)
 	before := make([]string, len(keys))
 	for i := range keys {
-		keys[i] = HashID(fmt.Sprintf("key-%d", i))
+		keys[i] = dht.HashID(fmt.Sprintf("key-%d", i))
 		before[i], _ = r.Successor(keys[i])
 	}
 	victim := "node-004"
@@ -96,7 +100,7 @@ func TestMembersOrderedByRingPosition(t *testing.T) {
 		t.Fatalf("members = %d", len(members))
 	}
 	for i := 1; i < len(members); i++ {
-		if HashID(members[i-1]) >= HashID(members[i]) {
+		if dht.HashID(members[i-1]) >= dht.HashID(members[i]) {
 			t.Fatal("members not ordered by id")
 		}
 	}
@@ -109,7 +113,7 @@ func TestLookupFindsOwner(t *testing.T) {
 	r := ringOf(t, 20)
 	members := r.Members()
 	for i := 0; i < 100; i++ {
-		key := HashID(fmt.Sprintf("lookup-key-%d", i))
+		key := dht.HashID(fmt.Sprintf("lookup-key-%d", i))
 		owner, _ := r.Successor(key)
 		res, err := r.Lookup(members[i%len(members)], key)
 		if err != nil {
@@ -140,7 +144,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	trials := 400
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < trials; i++ {
-		key := HashID(fmt.Sprintf("hop-key-%d", i))
+		key := dht.HashID(fmt.Sprintf("hop-key-%d", i))
 		start := members[rng.Intn(len(members))]
 		res, err := r.Lookup(start, key)
 		if err != nil {
@@ -174,27 +178,14 @@ func TestOwnershipHistogramBalanced(t *testing.T) {
 }
 
 func TestChunkKeyDistinct(t *testing.T) {
-	k1 := ChunkKey("file1", 0)
-	k2 := ChunkKey("file1", 1)
-	k3 := ChunkKey("file2", 0)
+	k1 := clientside.ChunkKey("file1", 0)
+	k2 := clientside.ChunkKey("file1", 1)
+	k3 := clientside.ChunkKey("file2", 0)
 	if k1 == k2 || k1 == k3 || k2 == k3 {
 		t.Fatal("chunk keys collide on trivial inputs")
 	}
-	if k1 != ChunkKey("file1", 0) {
+	if k1 != clientside.ChunkKey("file1", 0) {
 		t.Fatal("chunk key not deterministic")
-	}
-}
-
-func TestInOpenInterval(t *testing.T) {
-	if !inOpenInterval(1, 5, 10) || inOpenInterval(1, 1, 10) || inOpenInterval(1, 10, 10) {
-		t.Fatal("plain interval wrong")
-	}
-	// Wrapped interval (a > b).
-	if !inOpenInterval(100, 5, 10) || !inOpenInterval(100, 200, 10) || inOpenInterval(100, 50, 10) {
-		t.Fatal("wrapped interval wrong")
-	}
-	if inOpenInterval(7, 7, 7) || inOpenInterval(7, 3, 7) {
-		t.Fatal("empty interval wrong")
 	}
 }
 
@@ -240,7 +231,7 @@ func dhtFleet(t *testing.T, n int) *provider.Fleet {
 
 func TestClientDistributorRoundTrip(t *testing.T) {
 	fleet := dhtFleet(t, 6)
-	cd, err := NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
+	cd, err := clientside.NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +279,11 @@ func TestClientDistributorRoundTrip(t *testing.T) {
 }
 
 func TestClientDistributorValidation(t *testing.T) {
-	if _, err := NewClientDistributor(nil, privacy.ChunkSizePolicy{}); err == nil {
+	if _, err := clientside.NewClientDistributor(nil, privacy.ChunkSizePolicy{}); err == nil {
 		t.Fatal("nil fleet accepted")
 	}
 	fleet := dhtFleet(t, 3)
-	cd, _ := NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
+	cd, _ := clientside.NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
 	if _, err := cd.Upload("f", []byte("x"), privacy.Low); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +297,7 @@ func TestClientDistributorValidation(t *testing.T) {
 
 func TestClientDistributorDetectsCorruption(t *testing.T) {
 	fleet := dhtFleet(t, 4)
-	cd, _ := NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
+	cd, _ := clientside.NewClientDistributor(fleet, privacy.ChunkSizePolicy{})
 	if _, err := cd.Upload("f", bytes.Repeat([]byte{7}, 50_000), privacy.Low); err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,23 @@
-package dht
+// How the §IV-C Chord ring (package clientside) rebalances and routes as
+// it grows.
+package dht_test
 
 import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/clientside"
 )
 
 // ringOfSize builds a ring of n deterministically named nodes.
-func ringOfSize(t *testing.T, n int) *Ring {
+func ringOfSize(t *testing.T, n int) *clientside.Ring {
 	t.Helper()
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("shard-%03d", i)
 	}
-	r, err := NewRing(names...)
+	r, err := clientside.NewRing(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,11 +25,11 @@ func ringOfSize(t *testing.T, n int) *Ring {
 }
 
 // owners maps nKeys deterministic chunk keys to their current owner.
-func owners(t *testing.T, r *Ring, nKeys int) map[uint64]string {
+func owners(t *testing.T, r *clientside.Ring, nKeys int) map[uint64]string {
 	t.Helper()
 	out := make(map[uint64]string, nKeys)
 	for i := 0; i < nKeys; i++ {
-		key := ChunkKey(fmt.Sprintf("file-%05d", i), i%7)
+		key := clientside.ChunkKey(fmt.Sprintf("file-%05d", i), i%7)
 		o, err := r.Successor(key)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +96,7 @@ func TestRebalanceOnJoinLeave(t *testing.T) {
 
 			// Leaving an original member moves only that member's keys,
 			// again ≈1/n of the space.
-			victim, err := r.Successor(ChunkKey("victim-pick", 0))
+			victim, err := r.Successor(clientside.ChunkKey("victim-pick", 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +132,7 @@ func TestLookupHopsLogN(t *testing.T) {
 			var total, worst int
 			for i := 0; i < nKeys; i++ {
 				start := members[i%len(members)]
-				res, err := r.Lookup(start, ChunkKey(fmt.Sprintf("hopfile-%05d", i), 0))
+				res, err := r.Lookup(start, clientside.ChunkKey(fmt.Sprintf("hopfile-%05d", i), 0))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,20 +149,5 @@ func TestLookupHopsLogN(t *testing.T) {
 				t.Fatalf("worst-case hops %d exceeds 2·log2(%d)+3 = %d", worst, n, int(2*logN)+3)
 			}
 		})
-	}
-}
-
-// TestFileKeySeparation pins the routing key's injectivity property:
-// the client/filename boundary is part of the hash input, so moving a
-// byte across it produces a different key.
-func TestFileKeySeparation(t *testing.T) {
-	if FileKey("ab", "c") == FileKey("a", "bc") {
-		t.Fatal("client/filename boundary not separated")
-	}
-	if FileKey("alice", "f") == FileKey("bob", "f") {
-		t.Fatal("same filename for different clients must not collide")
-	}
-	if FileKey("alice", "f") != FileKey("alice", "f") {
-		t.Fatal("FileKey must be deterministic")
 	}
 }

@@ -70,12 +70,9 @@ func Start(cfg Config) (*Cluster, error) {
 		DistURLs:     make([]string, cfg.Shards),
 		ProviderURLs: make([][]string, cfg.Shards),
 	}
-	// One pooled transport for all distributor→provider connections; the
-	// default transport's 2 idle conns per host would throttle fan-out.
-	providerHTTP := &http.Client{
-		Timeout:   30 * time.Second,
-		Transport: transport.NewPooledTransport(),
-	}
+	// Each provider call's deadline; the connections are each remote
+	// provider's own pool.
+	providerHTTP := &http.Client{Timeout: 30 * time.Second}
 	for s := 0; s < cfg.Shards; s++ {
 		fleet, err := provider.NewFleet()
 		if err != nil {

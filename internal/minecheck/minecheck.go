@@ -348,14 +348,14 @@ func Run(cfg Config) (*Result, error) {
 	for _, us := range cluster.ProviderURLs {
 		allURLs = append(allURLs, us...)
 	}
-	pooled, err := attack.SniffTransport(allURLs, hc)
+	pooled, err := attack.SniffTransport(allURLs)
 	if err != nil {
 		return nil, err
 	}
 	res.Chunks = len(pooled)
 	var insiders [][]attack.Blob
 	for _, u := range allURLs {
-		blobs, err := attack.SniffTransport([]string{u}, hc)
+		blobs, err := attack.SniffTransport([]string{u})
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/privacy"
 	"repro/internal/provider"
@@ -261,7 +262,9 @@ func TestRemoteProviderGetOversizeAndLyingLengths(t *testing.T) {
 		// decides on the header calls this oversize rather than cut off.
 		"declared oversize": {lyingBody(1<<50, 0), "exceeds"},
 		"short body":        {lyingBody(100, 10), "unexpected EOF"},
-		"chunked oversize":  {chunkedBody(1<<10 + 1), "exceeds"},
+		// A body of undeclared length is refused whatever its size.
+		"chunked oversize": {chunkedBody(1<<10 + 1), "Transfer-Encoding"},
+		"chunked at cap":   {chunkedBody(1 << 10), "Transfer-Encoding"},
 	} {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
@@ -269,30 +272,16 @@ func TestRemoteProviderGetOversizeAndLyingLengths(t *testing.T) {
 		})
 		mux.HandleFunc("/v1/chunks/", tc.serve)
 		srv := httptest.NewServer(mux)
-		remote, err := DialProvider(srv.URL, srv.Client())
+		remote, err := DialProvider(srv.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		remote.retry.sleep = func(time.Duration) {}
 		data, err := remote.Get("k")
 		if err == nil || data != nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: Get = %d bytes, %v; want an error mentioning %q", name, len(data), err, tc.wantErr)
 		}
 		srv.Close()
-	}
-	// A chunked body that fits is still accepted.
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, infoDTO{Name: "L", PL: 3, CL: 1})
-	})
-	mux.HandleFunc("/v1/chunks/", chunkedBody(1<<10))
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	remote, err := DialProvider(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, err := remote.Get("k"); err != nil || len(data) != 1<<10 {
-		t.Fatalf("chunked at-cap Get = %d bytes, %v", len(data), err)
 	}
 }
 

@@ -74,9 +74,7 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pool := NewPooledTransport()
-	tb.Cleanup(pool.CloseIdleConnections)
-	client := &http.Client{Timeout: timeout, Transport: pool}
+	client := &http.Client{Timeout: timeout}
 	for i := 0; i < n; i++ {
 		mem, err := provider.New(provider.Info{Name: fmt.Sprintf("p%d", i), PL: privacy.High, CL: 1}, provider.Options{})
 		if err != nil {

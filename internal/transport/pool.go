@@ -14,7 +14,7 @@ import (
 // Every client this package creates with a nil *http.Client therefore
 // shares one pooled transport sized for fan-out. The provider hop keeps
 // a pool of its own per provider (provider_hop.go) under the same idle
-// bound, and takes from a transport only its dialer and write size.
+// bound and dials through the same dialer.
 
 // poolMaxIdlePerHost bounds retained idle connections per distributor
 // or provider endpoint. It needs to cover the largest realistic burst
@@ -22,6 +22,10 @@ import (
 // and cloudbench drives up to a few hundred workers at one loopback
 // distributor.
 const poolMaxIdlePerHost = 256
+
+// dialer is every connection's dialer, the pooled transport's and the
+// provider hop's.
+var dialer = &net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
 
 // poolWriteBuffer sizes a request's write buffer so one request leaves
 // in one write: a request line and its headers (a few hundred bytes,
@@ -41,11 +45,8 @@ const poolWriteBuffer = 64<<10 + 4<<10
 // this and override fields before wrapping it in an http.Client.
 func NewPooledTransport() *http.Transport {
 	return &http.Transport{
-		Proxy: http.ProxyFromEnvironment,
-		DialContext: (&net.Dialer{
-			Timeout:   30 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
+		Proxy:                 http.ProxyFromEnvironment,
+		DialContext:           dialer.DialContext,
 		ForceAttemptHTTP2:     true,
 		MaxIdleConns:          1024,
 		MaxIdleConnsPerHost:   poolMaxIdlePerHost,
@@ -59,7 +60,7 @@ func NewPooledTransport() *http.Transport {
 // sharedTransport is the process-wide pool behind every default client.
 // Sharing one transport (rather than one per NewClient call) is what
 // lets the Clients and the shard proxy reuse each other's warm
-// connections to the same host; a default provider dial uses its dialer.
+// connections to the same host.
 var sharedTransport = NewPooledTransport()
 
 // defaultHTTPClient wraps the shared pool with a per-use-case timeout.

@@ -120,9 +120,8 @@ func TestPooledTransportReusesConnections(t *testing.T) {
 }
 
 // writeCountingConn counts the Write calls made on a connection. It
-// embeds only net.Conn, so the transport cannot reach the TCP
-// connection's ReadFrom through it: every byte sent is one of the
-// counted writes.
+// embeds only net.Conn, so no ReadFrom of the TCP connection is reachable
+// through it: every byte sent is one of the counted writes.
 type writeCountingConn struct {
 	net.Conn
 	writes *atomic.Int64
@@ -133,33 +132,36 @@ func (c writeCountingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestProviderPutIsOneWrite pins the pooled transport's write buffer: a
-// provider put of any blob the default chunk policy makes — the request
+// TestProviderPutIsOneWrite pins the hop's write buffer, poolWriteBuffer:
+// a provider put of any blob the default chunk policy makes — the request
 // line, its headers and the whole body — leaves in one write. With
-// net/http's 4 KiB default the headers and the body's first bytes are
-// flushed first and the rest follows through a per-request copy buffer:
+// net/http's 4 KiB default the headers and the body's first bytes were
+// flushed first and the rest followed through a per-request copy buffer:
 // two writes for the smaller blobs, three for a 64 KiB chunk.
 func TestProviderPutIsOneWrite(t *testing.T) {
-	var writes atomic.Int64
-	pool := NewPooledTransport()
-	t.Cleanup(pool.CloseIdleConnections)
-	dial := pool.DialContext
-	pool.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := dial(ctx, network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return writeCountingConn{Conn: c, writes: &writes}, nil
-	}
 	mem, err := provider.New(provider.Info{Name: "p", PL: privacy.High, CL: 1}, provider.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewProviderServer(mem))
 	t.Cleanup(srv.Close)
-	rp, err := DialProvider(srv.URL, &http.Client{Timeout: 10 * time.Second, Transport: pool})
+	rp, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Count the writes of every connection from here on: the one the
+	// dial's /v1/info left pooled, and any the hop dials later.
+	var writes atomic.Int64
+	for _, c := range rp.hop.idle {
+		c.conn = writeCountingConn{Conn: c.conn, writes: &writes}
+	}
+	dial := rp.hop.dial
+	rp.hop.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return writeCountingConn{Conn: c, writes: &writes}, nil
 	}
 	sizes := privacy.DefaultChunkSizes().SizeByLevel
 	for _, bc := range []struct {

@@ -72,7 +72,7 @@ func (s *ProviderServer) getChunks(w http.ResponseWriter, r *http.Request) {
 		}
 		size += 2*binary.MaxVarintLen32 + len(items[i].data)
 		if int64(size) > maxBlobRead {
-			http.Error(w, "multi-get reply too large", http.StatusRequestEntityTooLarge)
+			writeText(w, http.StatusRequestEntityTooLarge, "multi-get reply too large")
 			return
 		}
 	}
@@ -128,7 +128,7 @@ func (rp *RemoteProvider) batch(path, name string, keys []string, blobs [][]byte
 	body, err := json.Marshal(keys)
 	if err == nil {
 		err = rp.withNetRetry(func() (bool, error) {
-			status, reply, err := rp.hop.exchange(&hopRequest{method: http.MethodPost, path: path, json: true, body: body, limit: maxBlobRead})
+			status, reply, err := rp.hop.exchange(&hopRequest{method: http.MethodPost, path: path, body: body, limit: maxBlobRead})
 			switch {
 			case status == 0:
 				return replyError(status, reply, err)

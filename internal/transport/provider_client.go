@@ -51,16 +51,15 @@ type RemoteProvider struct {
 var _ provider.Provider = (*RemoteProvider)(nil)
 
 // DialProvider connects to a provider server and caches its identity.
-// Of client it uses the Timeout, as each call's deadline, and — its
-// Transport must be an *http.Transport, or nil for the default — that
-// transport's DialContext and buffer sizes; the connections themselves
-// are the provider's own pool. A nil client gets a 10s timeout and the
-// shared pooled transport's dialer and 68 KiB write size.
+// Of client it reads only Timeout, each call's deadline (0: none); a nil
+// client gets 10s. The connections are the provider's own pool
+// (provider_hop.go).
 func DialProvider(baseURL string, client *http.Client) (*RemoteProvider, error) {
-	if client == nil {
-		client = defaultHTTPClient(10 * time.Second)
+	timeout := 10 * time.Second
+	if client != nil {
+		timeout = client.Timeout
 	}
-	h, err := newHop(baseURL, client)
+	h, err := newHop(baseURL, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial provider: %w", err)
 	}
@@ -192,7 +191,7 @@ func (rp *RemoteProvider) probe() bool {
 // the provider acknowledged is also its last known liveness.
 func (rp *RemoteProvider) SetOutage(down bool) {
 	body, _ := json.Marshal(map[string]bool{"down": down})
-	status, _, err := rp.hop.exchange(&hopRequest{method: http.MethodPost, path: "/v1/outage", json: true, body: body})
+	status, _, err := rp.hop.exchange(&hopRequest{method: http.MethodPost, path: "/v1/outage", body: body})
 	if err == nil && status == http.StatusNoContent {
 		rp.down.Store(down)
 	}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"os"
 	"strconv"
@@ -24,20 +23,20 @@ import (
 // call per blob — 1 280 puts for an 8 MiB file at PL3 — so the client
 // side of this hop is written for that one shape instead of going through
 // net/http's client: each call writes its request line, Host,
-// Content-Length (and Content-Type for a JSON body) and body in one
-// write, and reads the status line, the headers it needs and a body of
-// the declared length, all on the caller's goroutine, over a keep-alive
-// connection from the provider's own pool. There is no http.Request or
-// http.Response, no header map and no per-connection goroutine.
+// Content-Length and body in one write, and reads the status line, the
+// headers it needs and a body of the declared length, all on the
+// caller's goroutine, over a keep-alive connection from the provider's
+// own pool. There is no http.Request or http.Response, no header map and
+// no per-connection goroutine. A provider is a third party, so nothing
+// else goes out: no header that could tie a chunk to a file or a tenant.
 //
 // What a reply must be (anything else fails the call, and the connection
 // is not reused):
 //
 //   - "HTTP/1.1 " and a status of 200 or more; a 204 or 304 has no body.
 //   - At most maxReplyHead bytes of status line and headers.
-//   - One Content-Length of plain decimal digits, or Transfer-Encoding:
-//     chunked (readBody's undeclared-length rule: cut at the cap plus
-//     one), never both and never neither.
+//   - One Content-Length of plain decimal digits, and no
+//     Transfer-Encoding of any kind.
 //   - A body read by readBody's rules: a length over the cap is refused
 //     unread, and a body that ends early is io.ErrUnexpectedEOF, never a
 //     short blob.
@@ -46,7 +45,12 @@ import (
 // nothing past it had arrived and it did not say Connection: close.
 //
 // The server side of the hop stays net/http: ProviderServer declares the
-// length of every reply, so a well-behaved provider never sends chunked.
+// length of every reply, errors included (writeText), so a well-behaved
+// provider never sends chunked.
+
+// hopReadBuffer is each connection's read buffer, net/http's default;
+// every line of a reply's head must fit it.
+const hopReadBuffer = 4 << 10
 
 // maxReplyHead bounds a reply's status line and headers together; a
 // provider's are a few hundred bytes.
@@ -76,8 +80,6 @@ type hop struct {
 	prefix  string // the base URL's path, before every request path
 	dial    func(ctx context.Context, network, addr string) (net.Conn, error)
 	timeout time.Duration // per-exchange deadline; 0 is none
-	rbuf    int           // per-connection read buffer
-	wbuf    int           // the most one write carries
 
 	mu   sync.Mutex
 	idle []*hopConn // most recently used last
@@ -94,7 +96,6 @@ type hopRequest struct {
 	method string
 	path   string
 	key    string // when set, path-escaped onto path: a chunk route's {key}
-	json   bool   // the body is a JSON document
 	body   []byte
 	// limit caps a 2xx reply's body (0: maxDrainBytes, for a call that
 	// wants only the status); get, when set, supplies a declared-length
@@ -105,11 +106,9 @@ type hopRequest struct {
 	timeout time.Duration
 }
 
-// newHop resolves a provider's base URL against the client it was
-// dialled with. Only the client's Timeout and, from an *http.Transport,
-// its DialContext and buffer sizes are used; any other RoundTripper
-// cannot carry the exchange and is refused.
-func newHop(baseURL string, client *http.Client) (*hop, error) {
+// newHop resolves a provider's base URL; timeout is each exchange's
+// deadline (0: none). Connections are dialled through dialer.
+func newHop(baseURL string, timeout time.Duration) (*hop, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, err
@@ -117,34 +116,15 @@ func newHop(baseURL string, client *http.Client) (*hop, error) {
 	if u.Scheme != "http" || u.Host == "" {
 		return nil, fmt.Errorf("provider URL %q: the provider hop speaks plain http://host[:port]", baseURL)
 	}
-	rt := client.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
-	t, ok := rt.(*http.Transport)
-	if !ok {
-		return nil, fmt.Errorf("client transport %T: the provider hop dials through an *http.Transport, it takes no other RoundTripper", rt)
-	}
 	h := &hop{
 		host:    u.Host,
 		addr:    u.Host,
 		prefix:  strings.TrimSuffix(u.EscapedPath(), "/"),
-		dial:    t.DialContext,
-		timeout: client.Timeout,
-		rbuf:    t.ReadBufferSize,
-		wbuf:    t.WriteBufferSize,
+		dial:    dialer.DialContext,
+		timeout: timeout,
 	}
 	if u.Port() == "" {
 		h.addr = net.JoinHostPort(u.Hostname(), "80")
-	}
-	if h.dial == nil {
-		h.dial = (&net.Dialer{}).DialContext
-	}
-	if h.rbuf <= 0 {
-		h.rbuf = 4 << 10 // net/http's default, both ways
-	}
-	if h.wbuf <= 0 {
-		h.wbuf = 4 << 10
 	}
 	return h, nil
 }
@@ -245,14 +225,15 @@ func (h *hop) connect(deadline time.Time) (*hopConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hopConn{conn: conn, r: bufio.NewReaderSize(conn, h.rbuf)}, nil
+	return &hopConn{conn: conn, r: bufio.NewReaderSize(conn, hopReadBuffer)}, nil
 }
 
-// send writes req in one write when it fits the hop's write size — the
-// head and the whole body copied into one pooled buffer — and otherwise
-// the head and as much body as fits, then the rest.
+// send writes req in one write when it fits poolWriteBuffer — the head
+// and the whole body copied into one pooled buffer — and otherwise the
+// head and as much body as fits, then the rest. The head is the request
+// line, Host and Content-Length, nothing more.
 func (h *hop) send(conn net.Conn, req *hopRequest) error {
-	buf := bufpool.Get(h.wbuf)[:0]
+	buf := bufpool.Get(poolWriteBuffer)[:0]
 	defer func() { bufpool.Put(buf) }()
 	buf = append(buf, req.method...)
 	buf = append(buf, ' ')
@@ -263,11 +244,8 @@ func (h *hop) send(conn net.Conn, req *hopRequest) error {
 	buf = append(buf, h.host...)
 	buf = append(buf, "\r\nContent-Length: "...)
 	buf = strconv.AppendInt(buf, int64(len(req.body)), 10)
-	if req.json {
-		buf = append(buf, "\r\nContent-Type: application/json"...)
-	}
 	buf = append(buf, "\r\n\r\n"...)
-	n := min(len(req.body), max(h.wbuf-len(buf), 0))
+	n := min(len(req.body), max(poolWriteBuffer-len(buf), 0))
 	buf = append(buf, req.body[:n]...)
 	if _, err := conn.Write(buf); err != nil {
 		return err
@@ -281,10 +259,9 @@ func (h *hop) send(conn net.Conn, req *hopRequest) error {
 
 // replyHead is what receive takes from a reply's status line and headers.
 type replyHead struct {
-	status  int
-	length  int64 // -1: chunked
-	chunked bool
-	close   bool // Connection: close
+	status int
+	length int64 // the declared Content-Length; -1 before one is read
+	close  bool  // Connection: close
 }
 
 // receive reads one reply. keep says whether the connection may carry
@@ -299,18 +276,11 @@ func (c *hopConn) receive(req *hopRequest) (status int, body []byte, keep bool, 
 	if ok && req.limit > 0 {
 		limit = req.limit
 	}
-	if head.chunked {
-		body, err = readReply(httputil.NewChunkedReader(c.r), -1, limit, nil)
-		if err == nil {
-			err = c.skipTrailer()
-		}
-	} else {
-		var get func(int) []byte
-		if ok {
-			get = req.get
-		}
-		body, err = readReply(c.r, head.length, limit, get)
+	var get func(int) []byte
+	if ok {
+		get = req.get
 	}
+	body, err = readReply(c.r, head.length, limit, get)
 	switch {
 	case err != nil && ok:
 		return head.status, nil, false, err
@@ -324,10 +294,10 @@ func (c *hopConn) receive(req *hopRequest) (status int, body []byte, keep bool, 
 	return head.status, body, !head.close && c.r.Buffered() == 0, nil
 }
 
-// readReply reads a body of length bytes (-1: up to the end of a
-// chunked body) under limit by readBody's rules, with one addition: a
-// declared length past maxBlobRead — only a listing may have one — is
-// read as its bytes arrive, not allocated on the peer's word.
+// readReply reads a body of length bytes under limit by readBody's
+// rules, with one addition: a declared length past maxBlobRead — only a
+// listing may have one — is read as its bytes arrive, not allocated on
+// the peer's word.
 func readReply(r io.Reader, length, limit int64, get func(int) []byte) ([]byte, error) {
 	if length > maxBlobRead && length <= limit {
 		data, err := readBody(io.LimitReader(r, length), -1, length)
@@ -361,7 +331,6 @@ func (c *hopConn) readHead() (replyHead, error) {
 	if h.status < 200 {
 		return h, fmt.Errorf("%w: status %d", errReplyHead, h.status)
 	}
-	declared := false
 	for {
 		if line, err = c.line(&budget); err != nil {
 			return h, err
@@ -377,15 +346,14 @@ func (c *hopConn) readHead() (replyHead, error) {
 		switch {
 		case foldEqual(name, "Content-Length"):
 			n, ok := parseLength(value)
-			if !ok || declared {
+			if !ok || h.length >= 0 {
 				return h, fmt.Errorf("%w: Content-Length %.40q", errReplyHead, value)
 			}
-			h.length, declared = n, true
+			h.length = n
 		case foldEqual(name, "Transfer-Encoding"):
-			if !foldEqual(value, "chunked") || h.chunked {
-				return h, fmt.Errorf("%w: Transfer-Encoding %.40q", errReplyHead, value)
-			}
-			h.chunked = true
+			// Only a declared length is read: a provider has no reason
+			// to send anything else.
+			return h, fmt.Errorf("%w: Transfer-Encoding %.40q", errReplyHead, value)
 		case foldEqual(name, "Connection"):
 			for opts := value; len(opts) > 0 && !h.close; {
 				var opt []byte
@@ -395,14 +363,12 @@ func (c *hopConn) readHead() (replyHead, error) {
 		}
 	}
 	switch {
-	case h.chunked && declared:
-		return h, fmt.Errorf("%w: both Content-Length and chunked", errReplyHead)
 	case h.status == http.StatusNoContent || h.status == http.StatusNotModified:
-		if h.chunked || h.length > 0 {
+		if h.length > 0 {
 			return h, fmt.Errorf("%w: a body on status %d", errReplyHead, h.status)
 		}
 		h.length = 0
-	case !h.chunked && !declared:
+	case h.length < 0:
 		return h, fmt.Errorf("%w: no declared length", errReplyHead)
 	}
 	return h, nil
@@ -428,23 +394,9 @@ func (c *hopConn) line(budget *int) ([]byte, error) {
 	return line, nil
 }
 
-// skipTrailer reads a chunked body's trailer, up to its blank line.
-func (c *hopConn) skipTrailer() error {
-	budget := maxReplyHead
-	for {
-		line, err := c.line(&budget)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil || len(line) == 0 {
-			return err
-		}
-	}
-}
-
 // foldEqual reports whether b is s, ASCII letters compared without case.
 // HTTP names and tokens are ASCII; bytes.EqualFold's Unicode folding
-// would also take the Kelvin sign (U+212A) for a 'k', as in "chunked".
+// would also take the long s (U+017F) for an 's', as in "close".
 func foldEqual(b []byte, s string) bool {
 	if len(b) != len(s) {
 		return false

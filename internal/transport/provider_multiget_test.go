@@ -65,7 +65,7 @@ func TestRemoteProviderGetMany(t *testing.T) {
 		server.ServeHTTP(w, r)
 	}))
 	t.Cleanup(srv.Close)
-	remote, err := DialProvider(srv.URL, srv.Client())
+	remote, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func testBatchFailureShapes(t *testing.T, path string, call func(remote *RemoteP
 		is      error
 	}{
 		"declared oversize": {lyingBody(1<<50, 0), "exceeds", ErrOversizeResponse},
-		"chunked oversize":  {chunkedBody(1<<10 + 1), "exceeds", ErrOversizeResponse},
+		"chunked oversize":  {chunkedBody(1<<10 + 1), "Transfer-Encoding", provider.ErrOutage},
 		"short body":        {lyingBody(100, 10), "unexpected EOF", io.ErrUnexpectedEOF},
 		"ends mid-frame":    {octets(cutFrame[:len(cutFrame)-3]), "item 1", io.ErrUnexpectedEOF},
 		"ends mid-header":   {octets(append(multiGetFrames(200, "whole"), 0xC8)), "item 1", io.ErrUnexpectedEOF},
@@ -207,10 +207,11 @@ func testBatchFailureShapes(t *testing.T, path string, call func(remote *RemoteP
 		})
 		mux.HandleFunc("POST "+path, tc.serve)
 		srv := httptest.NewServer(mux)
-		remote, err := DialProvider(srv.URL, srv.Client())
+		remote, err := DialProvider(srv.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		remote.retry.sleep = func(time.Duration) {}
 		for i, err := range call(remote, []string{"k1", "k2"}) {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: key %d = %v; want an error mentioning %q", name, i, err, tc.wantErr)
@@ -419,7 +420,7 @@ func TestRemoteProviderDeleteMany(t *testing.T) {
 		server.ServeHTTP(w, r)
 	}))
 	t.Cleanup(srv.Close)
-	remote, err := DialProvider(srv.URL, srv.Client())
+	remote, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

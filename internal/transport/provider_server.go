@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -72,16 +73,16 @@ func (s *ProviderServer) putChunk(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	body, err := readBodyInto(r.Body, r.ContentLength, maxBlobRead, bufpool.Get)
 	if errors.Is(err, errOversizeBody) {
-		http.Error(w, "blob too large", http.StatusRequestEntityTooLarge)
+		writeText(w, http.StatusRequestEntityTooLarge, "blob too large")
 		return
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeText(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	defer bufpool.Put(body)
 	if err := s.p.Put(key, body); err != nil {
-		http.Error(w, err.Error(), providerStatus(err))
+		writeText(w, providerStatus(err), err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -93,7 +94,7 @@ func (s *ProviderServer) putChunk(w http.ResponseWriter, r *http.Request) {
 func (s *ProviderServer) getChunk(w http.ResponseWriter, r *http.Request) {
 	data, err := provider.View(s.p, r.PathValue("key"))
 	if err != nil {
-		http.Error(w, err.Error(), providerStatus(err))
+		writeText(w, providerStatus(err), err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -105,7 +106,7 @@ func (s *ProviderServer) getChunk(w http.ResponseWriter, r *http.Request) {
 
 func (s *ProviderServer) deleteChunk(w http.ResponseWriter, r *http.Request) {
 	if err := s.p.Delete(r.PathValue("key")); err != nil {
-		http.Error(w, err.Error(), providerStatus(err))
+		writeText(w, providerStatus(err), err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -113,18 +114,29 @@ func (s *ProviderServer) deleteChunk(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON answers with v as one JSON document of declared length — as
 // every ProviderServer reply has one, since the provider hop's client
-// refuses to read to the end of the connection. The body is what
-// json.Encoder writes: the document and a newline.
+// reads no other. The body is what json.Encoder writes: the document and
+// a newline.
 func writeJSON(w http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeText(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
+}
+
+// writeText answers with status and msg as http.Error does, but with the
+// length declared: net/http would chunk a message past its 2 KiB buffer
+// (a not-found error quotes its key, which may be that long), and the
+// provider hop reads no reply of undeclared length.
+func writeText(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(msg)+1))
+	w.WriteHeader(status)
+	_, _ = io.WriteString(w, msg+"\n")
 }
 
 // infoDTO is the wire form of provider.Info.
@@ -157,7 +169,7 @@ func (s *ProviderServer) usage(w http.ResponseWriter, _ *http.Request) {
 
 func (s *ProviderServer) health(w http.ResponseWriter, _ *http.Request) {
 	if s.p.Down() {
-		http.Error(w, "outage", http.StatusServiceUnavailable)
+		writeText(w, http.StatusServiceUnavailable, "outage")
 		return
 	}
 	fmt.Fprintln(w, "ok")
@@ -168,7 +180,7 @@ func (s *ProviderServer) outage(w http.ResponseWriter, r *http.Request) {
 		Down bool `json:"down"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeText(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.p.SetOutage(req.Down)

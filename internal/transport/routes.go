@@ -300,7 +300,7 @@ func writeError(w http.ResponseWriter, err error) {
 			}
 		}
 	}
-	http.Error(w, err.Error(), status)
+	writeText(w, status, err.Error())
 }
 
 // wireError is a core error as it crossed the wire: it matches the

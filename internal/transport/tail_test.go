@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,16 +44,21 @@ func TestRemoteProviderGetOversizeError(t *testing.T) {
 }
 
 // TestDrainPreservesKeepAlive pins the drain fix: error responses with
-// multi-kilobyte bodies must be read to EOF so the connection stays
-// reusable — before the fix anything past 4 KiB poisoned keep-alive and
-// every provider error cost a fresh TCP connection.
+// multi-kilobyte bodies must be read to their declared end so the
+// connection stays reusable — before the fix anything past 4 KiB
+// poisoned keep-alive and every provider error cost a fresh TCP
+// connection. An error of undeclared length (chunked) is refused unread,
+// and its connection is closed, never pooled.
 func TestDrainPreservesKeepAlive(t *testing.T) {
 	bigBody := bytes.Repeat([]byte{'e'}, 8<<10)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(infoDTO{Name: "E", PL: 3, CL: 1})
 	})
-	mux.HandleFunc("/v1/chunks/", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/v1/chunks/", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodDelete { // a delete's error goes out chunked
+			w.Header().Set("Content-Length", strconv.Itoa(len(bigBody)))
+		}
 		w.WriteHeader(http.StatusInternalServerError)
 		w.Write(bigBody)
 	})
@@ -66,7 +72,7 @@ func TestDrainPreservesKeepAlive(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 
-	remote, err := DialProvider(srv.URL, srv.Client())
+	remote, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +87,19 @@ func TestDrainPreservesKeepAlive(t *testing.T) {
 	}
 	if got := conns.Load(); got != warm {
 		t.Fatalf("4 error responses opened %d new connections, want 0 (bodies not drained)", got-warm)
+	}
+
+	remote.retry.sleep = func(time.Duration) {}
+	err = remote.Delete("k")
+	if err == nil || !strings.Contains(err.Error(), "Transfer-Encoding") {
+		t.Fatalf("Delete answered chunked = %v, want a malformed reply head", err)
+	}
+	if n := len(remote.hop.idle); n != 0 {
+		t.Fatalf("%d connections pooled after chunked replies, want 0", n)
+	}
+	// The first attempt took the pooled connection; each retry dials anew.
+	if got := conns.Load() - warm; got != netRetries-1 {
+		t.Fatalf("%d attempts answered chunked opened %d new connections, want %d", netRetries, got, netRetries-1)
 	}
 }
 
@@ -99,7 +118,7 @@ func TestDownProbeDeadline(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	remote, err := DialProvider(srv.URL, srv.Client())
+	remote, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func newProviderPair(t *testing.T, info provider.Info) (*provider.MemProvider, *
 	}
 	srv := httptest.NewServer(NewProviderServer(mem))
 	t.Cleanup(srv.Close)
-	remote, err := DialProvider(srv.URL, srv.Client())
+	remote, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRemoteProviderUnreachableIsDown(t *testing.T) {
 	mem, _ := provider.New(provider.Info{Name: "gone", PL: privacy.Low, CL: 0}, provider.Options{})
 	gate := newProviderGate(NewProviderServer(mem))
 	srv := httptest.NewServer(gate)
-	remote, err := DialProvider(srv.URL, srv.Client())
+	remote, err := DialProvider(srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func distributorFixture(t *testing.T, nProviders int) (*Client, []*provider.MemP
 		mems[i] = mem
 		srv := httptest.NewServer(NewProviderServer(mem))
 		t.Cleanup(srv.Close)
-		remote, err := DialProvider(srv.URL, srv.Client())
+		remote, err := DialProvider(srv.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
