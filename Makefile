@@ -181,6 +181,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz FuzzEncodeReconstruct -fuzztime $(FUZZTIME) ./internal/raid
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzWALCodec -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMultiGetReply -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzHopReply -fuzztime $(FUZZTIME) ./internal/transport
 

@@ -65,21 +65,7 @@ func run(id string, verbose bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("end-to-end Table IV attack over the real system (%d rows)\n\n", r.RowsUploaded)
-		fmt.Printf("single provider: rows=%d relErr vs planted model=%.3f\n", r.Full.RowsRecovered, r.TruthErrFull)
-		if r.Full.Model != nil {
-			fmt.Printf("  model: %v\n", r.Full.Model)
-		}
-		fmt.Println("three-provider split, per-insider fits:")
-		for name, pr := range r.PerProvider {
-			if pr.Model == nil {
-				fmt.Printf("  %-10s rows=%d  mining FAILED (%v)\n", name, pr.RowsRecovered, pr.FitErr)
-				continue
-			}
-			fmt.Printf("  %-10s rows=%d  model: %v\n", name, pr.RowsRecovered, pr.Model)
-		}
-		fmt.Printf("fragment relErr range: [%.3f, %.3f] (whole-data: %.3f)\n",
-			r.TruthErrFragMin, r.TruthErrFragMax, r.TruthErrFull)
+		fmt.Print(experiments.FormatTable4System(r))
 	case "fig1":
 		r, err := experiments.DistributionTime(256<<10, 8, 5, provider.LatencyModel{}, 1)
 		if err != nil {

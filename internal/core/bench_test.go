@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/mislead"
 	"repro/internal/privacy"
 	"repro/internal/provider"
 	"repro/internal/raid"
@@ -360,5 +362,72 @@ func BenchmarkConcurrentUploads(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// walUploadRecord is the commit record of one 8 MiB PL3 upload in 8 KiB
+// chunks: 1024 rows, each with a 25 % decoy gap list, in 256 RAID-6
+// stripes of four data and two parity shards. The record is encoded under
+// d.mu once per upload, and decoded once per record on recovery and by
+// every follower.
+func walUploadRecord(b *testing.B) walRecord {
+	_, inj, err := mislead.Inject(make([]byte, 8<<10), 0.25, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunks, width, base, stripeBase = 1024, 4, 50000, 12000
+	rec := walRecord{
+		Op: "upload", Gen: 1 << 20, FIDSeq: 300, VIDCtr: 1 << 22,
+		Client: "alice", Filename: "bench.bin", FID: 300, PL: privacy.High, Raid: raid.RAID6,
+		ChunksBase: base, StripesBase: stripeBase, FileGen: 1, ClientGen: 300,
+	}
+	vid := func(n int) string { return fmt.Sprintf("%016x", uint64(n)*0x9e3779b97f4a7c15) }
+	for i := 0; i < chunks; i++ {
+		c := chunkEntry{
+			VirtualID: vid(i), PL: privacy.High, CPIndex: i % 6, SPIndex: -1, Mislead: inj,
+			Client: "alice", Filename: "bench.bin", Serial: i,
+			PayloadLen: 8<<10 + inj.Count(), DataLen: 8 << 10, StripeID: stripeBase + i/width,
+		}
+		c.Sum[0], c.Sum[31] = byte(i), byte(i>>8)
+		rec.Chunks = append(rec.Chunks, c)
+		rec.ChunkIdx = append(rec.ChunkIdx, base+i)
+	}
+	for s := 0; s < chunks/width; s++ {
+		rec.Stripes = append(rec.Stripes, stripeEntry{
+			ID: stripeBase + s, Level: raid.RAID6, ShardLen: 8<<10 + inj.Count(),
+			Members: []int{base + 4*s, base + 4*s + 1, base + 4*s + 2, base + 4*s + 3},
+			Parity:  []parityShard{{VirtualID: vid(chunks + 2*s), CPIndex: 4}, {VirtualID: vid(chunks + 2*s + 1), CPIndex: 5}},
+		})
+	}
+	return rec
+}
+
+var walFrameSink []byte
+
+// BenchmarkWALEncodeUpload measures encoding walUploadRecord, the part
+// of an upload's commit spent under d.mu before the WAL append.
+func BenchmarkWALEncodeUpload(b *testing.B) {
+	rec := walUploadRecord(b)
+	b.SetBytes(int64(len(encodeWALRecord(&rec))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walFrameSink = encodeWALRecord(&rec)
+	}
+}
+
+// BenchmarkWALDecodeUpload measures decoding walUploadRecord's frame, as
+// recovery and a follower do for every logged upload.
+func BenchmarkWALDecodeUpload(b *testing.B) {
+	rec := walUploadRecord(b)
+	frame := encodeWALRecord(&rec)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var got walRecord
+		if err := decodeWALRecord(frame, &got); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -146,26 +146,11 @@ func (d *Distributor) recoverWAL(cfg Config) error {
 	}
 	d.wal = log
 	d.walTailTruncated = rec.TailTruncated
-	if rec.Snapshot != nil {
-		var st walState
-		if err := decodeWALState(rec.Snapshot, &st); err != nil {
-			log.Close()
-			return fmt.Errorf("core: decoding wal snapshot (lsn %d): %w", rec.SnapshotLSN, err)
-		}
-		d.installState(&st)
-		d.walRecoveredSnapshot = true
+	if err := d.replay(rec); err != nil {
+		log.Close()
+		return err
 	}
-	for i, raw := range rec.Records {
-		var r walRecord
-		if err := decodeWALRecord(raw, &r); err != nil {
-			log.Close()
-			return fmt.Errorf("core: decoding wal record lsn %d: %w", rec.SnapshotLSN+uint64(i), err)
-		}
-		if err := d.applyWALRecord(&r); err != nil {
-			log.Close()
-			return fmt.Errorf("core: replaying wal record lsn %d (op %s): %w", rec.SnapshotLSN+uint64(i), r.Op, err)
-		}
-	}
+	d.walRecoveredSnapshot = rec.Snapshot != nil
 	d.walReplayed = int64(len(rec.Records))
 	if err := d.recomputeProvCountLocked(); err != nil {
 		log.Close()
@@ -186,6 +171,31 @@ func (d *Distributor) recoverWAL(cfg Config) error {
 		// pointing a fresh WALDir at a populated fleet cannot mass-delete.
 		if rep, err := AuditOrphans(d, true); err == nil {
 			d.recoveryOrphans = int64(rep.Deleted)
+		}
+	}
+	return nil
+}
+
+// replay rebuilds the tables from a recovered directory: it installs the
+// snapshot, then applies each logged record in order. recoverWAL and
+// ValidateWALDir both call it, so an offline validation accepts exactly
+// what a restart would.
+func (d *Distributor) replay(rec wal.Recovered) error {
+	if rec.Snapshot != nil {
+		var st walState
+		if err := decodeWALState(rec.Snapshot, &st); err != nil {
+			return fmt.Errorf("core: decoding wal snapshot (lsn %d): %w", rec.SnapshotLSN, err)
+		}
+		d.installState(&st)
+	}
+	for i, raw := range rec.Records {
+		lsn := rec.SnapshotLSN + uint64(i)
+		var r walRecord
+		if err := decodeWALRecord(raw, &r); err != nil {
+			return fmt.Errorf("core: decoding wal record lsn %d: %w", lsn, err)
+		}
+		if err := d.applyWALRecord(&r); err != nil {
+			return fmt.Errorf("core: replaying wal record lsn %d (op %s): %w", lsn, r.Op, err)
 		}
 	}
 	return nil
@@ -359,6 +369,7 @@ func ValidateWALDir(dir string) (WALReport, error) {
 		return WALReport{}, err
 	}
 	rep := WALReport{
+		HasSnapshot:   rec.Snapshot != nil,
 		SnapshotLSN:   rec.SnapshotLSN,
 		Records:       len(rec.Records),
 		TailTruncated: rec.TailTruncated,
@@ -375,22 +386,8 @@ func ValidateWALDir(dir string) (WALReport, error) {
 		}
 	}
 	d := &Distributor{clients: map[string]*clientEntry{}}
-	if rec.Snapshot != nil {
-		rep.HasSnapshot = true
-		var st walState
-		if err := decodeWALState(rec.Snapshot, &st); err != nil {
-			return rep, fmt.Errorf("core: decoding wal snapshot (lsn %d): %w", rec.SnapshotLSN, err)
-		}
-		d.installState(&st)
-	}
-	for i, raw := range rec.Records {
-		var r walRecord
-		if err := decodeWALRecord(raw, &r); err != nil {
-			return rep, fmt.Errorf("core: decoding wal record lsn %d: %w", rec.SnapshotLSN+uint64(i), err)
-		}
-		if err := d.applyWALRecord(&r); err != nil {
-			return rep, fmt.Errorf("core: replaying wal record lsn %d (op %s): %w", rec.SnapshotLSN+uint64(i), r.Op, err)
-		}
+	if err := d.replay(rec); err != nil {
+		return rep, err
 	}
 	rep.Gen = d.gen
 	rep.Clients = len(d.clients)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/mislead"
 	"repro/internal/privacy"
-	"repro/internal/raid"
 )
 
 // Hand-rolled binary codec for WAL records and checkpoint state. Every
@@ -19,6 +19,11 @@ import (
 // record itself on the upload hot path. This codec writes fields in a
 // fixed order with varint integers instead: one small allocation per
 // record and no reflection.
+//
+// Each layout is written once, as a walk over its fields with a walCodec
+// that either encodes or decodes: a primitive takes a pointer to the
+// field and appends its value or fills it in. The writer and the reader
+// therefore cannot disagree on the order of the fields.
 //
 // Layout rules:
 //   - every payload starts with a version byte (walCodecVersion; see
@@ -52,15 +57,43 @@ const (
 	walCodecV1      = 1
 )
 
-type walEnc struct{ b []byte }
+// walCodec walks a layout in one direction. Encoding, b is the frame
+// being appended to; decoding, b is the input not yet consumed, v the
+// frame's version, and the first malformed field sets err and leaves
+// every later field zero, so callers check err once at the end.
+//
+// A primitive encodes inline and calls out to the decode halves at the
+// end of the file. A record's encode runs under d.mu on every upload, so
+// its walk keeps c on the stack and appends to b in place (see seq and
+// putUvarint).
+type walCodec struct {
+	b   []byte
+	dec bool
+	v   byte
+	err error
+}
 
-// newWALEnc starts a payload in a buffer presized from the caller's
+// newWALEncoder starts a payload in a buffer presized from the caller's
 // estimate, so a multi-hundred-chunk record is built without regrowing
 // (and recopying) under d.mu.
-func newWALEnc(sizeHint int) *walEnc {
-	e := &walEnc{b: make([]byte, 0, sizeHint)}
-	e.b = append(e.b, walCodecVersion)
-	return e
+func newWALEncoder(sizeHint int) walCodec {
+	return walCodec{b: append(make([]byte, 0, sizeHint), walCodecVersion)}
+}
+
+// newWALDecoder starts reading data, consuming and checking its leading
+// version byte.
+func newWALDecoder(data []byte) walCodec {
+	c := walCodec{b: data, dec: true}
+	switch {
+	case len(data) == 0:
+		c.fail("walcodec: empty payload")
+	case data[0] != walCodecVersion && data[0] != walCodecV1:
+		c.fail("walcodec: unknown version %d (want %d or %d)", data[0], walCodecVersion, walCodecV1)
+	default:
+		c.v = data[0]
+		c.b = data[1:]
+	}
+	return c
 }
 
 // chunksSizeHint estimates the encoded size of cs: the variable-length
@@ -84,481 +117,344 @@ func stripesSizeHint(ss []stripeEntry) int {
 	return n
 }
 
-func (e *walEnc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *walEnc) i(v int)      { e.b = binary.AppendVarint(e.b, int64(v)) }
-
-func (e *walEnc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// blob writes a nil-distinguishing byte slice.
-func (e *walEnc) blob(p []byte) {
-	if p == nil {
-		e.u64(0)
+func (c *walCodec) u64(p *uint64) {
+	if c.dec {
+		*p = c.uvarint()
 		return
 	}
-	e.u64(uint64(len(p)) + 1)
-	e.b = append(e.b, p...)
+	c.putUvarint(*p)
 }
 
-// ints writes a nil-distinguishing []int.
-func (e *walEnc) ints(v []int) {
-	if v == nil {
-		e.u64(0)
+// i walks a signed field; privacy.Level and raid.Level pass as (*int).
+func (c *walCodec) i(p *int) {
+	if c.dec {
+		*p = c.varint()
 		return
 	}
-	e.u64(uint64(len(v)) + 1)
-	for _, x := range v {
-		e.i(x)
+	c.putUvarint(uint64(*p)<<1 ^ uint64(*p>>63)) // zigzag, as binary.PutVarint
+}
+
+func (c *walCodec) str(p *string) {
+	if c.dec {
+		*p = string(c.take(c.uvarint()))
+		return
+	}
+	c.putUvarint(uint64(len(*p)))
+	c.b = append(c.b, *p...)
+}
+
+// putUvarint appends v a byte at a time, as binary.AppendUvarint does.
+// A one-byte append writes c.b's pointer back only when it grows the
+// buffer; assigning c.b the slice AppendUvarint returns would store it,
+// and pay a GC write barrier while the collector runs, on every field.
+func (c *walCodec) putUvarint(v uint64) {
+	for v >= 0x80 {
+		c.b = append(c.b, byte(v)|0x80)
+		v >>= 7
+	}
+	c.b = append(c.b, byte(v))
+}
+
+// fixed walks a byte array of known size, with no length prefix.
+func (c *walCodec) fixed(p []byte) {
+	if c.dec {
+		copy(p, c.take(uint64(len(p))))
+		return
+	}
+	c.b = append(c.b, p...)
+}
+
+// blob walks a nil-distinguishing byte slice. A decoded blob is a copy:
+// the frame belongs to the WAL reader.
+func (c *walCodec) blob(p *[]byte) {
+	if c.dec {
+		if n := c.uvarint(); n > 0 {
+			*p = bytes.Clone(c.take(n - 1))
+		}
+		return
+	}
+	if *p == nil {
+		c.b = append(c.b, 0)
+		return
+	}
+	c.putUvarint(uint64(len(*p)) + 1)
+	c.b = append(c.b, *p...)
+}
+
+// seq walks a slice's length+1 prefix, allocating *s when decoding, and
+// returns the number of elements for the caller to walk. The caller's
+// loop calls each element's layout directly: passing c through a func
+// value would move it to the heap, and a write barrier would then guard
+// every append to c.b.
+//
+// Every element occupies at least one input byte, so a decoded count
+// larger than the remaining input is corruption, refused before make.
+func seq[T any](c *walCodec, s *[]T) int {
+	if !c.dec {
+		if *s == nil {
+			c.b = append(c.b, 0)
+			return 0
+		}
+		c.putUvarint(uint64(len(*s)) + 1)
+	} else if n := c.uvarint(); n > uint64(len(c.b))+1 {
+		c.fail("walcodec: collection of %d elements exceeds %d remaining bytes", n-1, len(c.b))
+	} else if n > 0 {
+		*s = make([]T, n-1)
+	}
+	return len(*s)
+}
+
+func (c *walCodec) ints(s *[]int) {
+	for i := range seq(c, s) {
+		c.i(&(*s)[i])
 	}
 }
 
-func (e *walEnc) chunk(c *chunkEntry) {
-	e.str(c.VirtualID)
-	e.i(int(c.PL))
-	e.i(c.CPIndex)
-	e.i(c.SPIndex)
-	e.u64(uint64(len(c.Mislead.Encoded())))
-	e.b = append(e.b, c.Mislead.Encoded()...)
-	e.str(c.Client)
-	e.str(c.Filename)
-	e.i(c.Serial)
-	e.i(c.PayloadLen)
-	e.i(c.DataLen)
-	e.b = append(e.b, c.Sum[:]...)
-	e.blob(c.EncKey)
-	e.i(c.StripeID)
-	e.str(c.SnapVID)
-	if c.Mirrors == nil {
-		e.u64(0)
-	} else {
-		e.u64(uint64(len(c.Mirrors)) + 1)
-		for _, m := range c.Mirrors {
-			e.str(m.VirtualID)
-			e.i(m.CPIndex)
+func (c *walCodec) parities(s *[]parityShard) {
+	for i := range seq(c, s) {
+		c.parity(&(*s)[i])
+	}
+}
+
+// table walks a string-keyed map as a seq of (key, value) pairs in
+// sorted key order. val walks one value: it is handed the value to
+// encode, or a zero V to fill, and returns it.
+func table[V any](c *walCodec, m *map[string]V, val func(*walCodec, V) V) {
+	var keys []string
+	if !c.dec && *m != nil {
+		keys = make([]string, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+	}
+	if seq(c, &keys); c.dec && keys != nil {
+		*m = make(map[string]V, len(keys))
+	}
+	for _, k := range keys {
+		c.str(&k)
+		if v := val(c, (*m)[k]); c.dec {
+			(*m)[k] = v
 		}
 	}
 }
 
-func (e *walEnc) chunks(cs []chunkEntry) {
-	if cs == nil {
-		e.u64(0)
+// mislead walks a chunk's misleading-byte positions, the one field
+// whose layout depends on the codec version: v2's gap blob, or on read
+// v1's list of absolute positions.
+func (c *walCodec) mislead(inj *mislead.Injection) {
+	if !c.dec {
+		gaps := inj.Encoded()
+		c.putUvarint(uint64(len(gaps)))
+		c.b = append(c.b, gaps...)
 		return
 	}
-	e.u64(uint64(len(cs)) + 1)
-	for i := range cs {
-		e.chunk(&cs[i])
-	}
-}
-
-func (e *walEnc) parity(ps []parityShard) {
-	if ps == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(uint64(len(ps)) + 1)
-	for _, p := range ps {
-		e.str(p.VirtualID)
-		e.i(p.CPIndex)
-	}
-}
-
-func (e *walEnc) stripes(ss []stripeEntry) {
-	if ss == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(uint64(len(ss)) + 1)
-	for i := range ss {
-		s := &ss[i]
-		e.i(s.ID)
-		e.i(int(s.Level))
-		e.i(s.ShardLen)
-		e.ints(s.Members)
-		e.parity(s.Parity)
-	}
-}
-
-// encodeWALRecord serializes one commit record. All fields are written
-// in fixed order; varints make the unset ones cost a byte each.
-func encodeWALRecord(rec *walRecord) []byte {
-	e := newWALEnc(192 + len(rec.Client) + len(rec.Filename) + chunksSizeHint(rec.Chunks) +
-		stripesSizeHint(rec.Stripes) + 3*len(rec.ChunkIdx) + len(rec.Chunk.Mislead.Encoded()))
-	e.str(rec.Op)
-	e.u64(rec.Gen)
-	e.u64(rec.FIDSeq)
-	e.u64(rec.EncNonce)
-	e.u64(rec.VIDCtr)
-	e.str(rec.Client)
-	e.str(rec.Filename)
-	e.str(rec.PassHash)
-	e.i(int(rec.PassPL))
-	e.u64(rec.FID)
-	e.i(int(rec.PL))
-	e.i(int(rec.Raid))
-	e.i(rec.ChunksBase)
-	e.i(rec.StripesBase)
-	e.chunks(rec.Chunks)
-	e.stripes(rec.Stripes)
-	e.ints(rec.ChunkIdx)
-	e.i(rec.Serial)
-	e.i(rec.StripeID)
-	e.chunk(&rec.Chunk)
-	e.parity(rec.Parity)
-	e.ints(rec.Members)
-	e.i(rec.ShardLen)
-	e.i(rec.TableIdx)
-	e.i(rec.SubIdx)
-	e.i(rec.NewProv)
-	e.str(rec.NewVID)
-	e.u64(rec.FileGen)
-	e.u64(rec.ClientGen)
-	return e.b
-}
-
-// encodeWALState serializes a checkpoint snapshot of the full tables.
-func encodeWALState(st *walState) []byte {
-	e := newWALEnc(1024 + chunksSizeHint(st.Chunks) + stripesSizeHint(st.Stripes))
-	if st.Clients == nil {
-		e.u64(0)
-	} else {
-		e.u64(uint64(len(st.Clients)) + 1)
-		for _, name := range sortedKeys(st.Clients) {
-			c := st.Clients[name]
-			e.str(name)
-			e.str(c.Name)
-			if c.Passwords == nil {
-				e.u64(0)
-			} else {
-				e.u64(uint64(len(c.Passwords)) + 1)
-				for _, h := range sortedKeys(c.Passwords) {
-					e.str(h)
-					e.i(int(c.Passwords[h]))
-				}
-			}
-			if c.Files == nil {
-				e.u64(0)
-			} else {
-				e.u64(uint64(len(c.Files)) + 1)
-				for _, fn := range sortedKeys(c.Files) {
-					fe := c.Files[fn]
-					e.str(fn)
-					e.str(fe.Filename)
-					e.i(int(fe.PL))
-					e.u64(fe.FID)
-					e.ints(fe.ChunkIdx)
-					e.i(int(fe.Raid))
-					e.u64(fe.Gen)
-				}
-			}
-			e.i(c.Count)
-			e.u64(c.Gen)
-		}
-	}
-	e.chunks(st.Chunks)
-	e.stripes(st.Stripes)
-	e.u64(st.Gen)
-	e.u64(st.FIDSeq)
-	e.u64(st.EncNonce)
-	e.u64(st.VIDCtr)
-	return e.b
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// walDec is a strict sequential decoder: the first malformed field
-// poisons it and every later read returns zero values, so call sites
-// check err once at the end.
-type walDec struct {
-	b   []byte
-	v   byte // codec version of the payload, set by version()
-	err error
-}
-
-func (d *walDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *walDec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("walcodec: truncated uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *walDec) i() int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("walcodec: truncated varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return int(v)
-}
-
-// take consumes exactly n bytes, failing before any allocation when the
-// input is shorter than claimed.
-func (d *walDec) take(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("walcodec: length %d exceeds %d remaining bytes", n, len(d.b))
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *walDec) str() string { return string(d.take(d.u64())) }
-
-func (d *walDec) blob() []byte {
-	n := d.u64()
-	if n == 0 {
-		return nil
-	}
-	p := d.take(n - 1)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
-}
-
-// count decodes a length+1 prefix for a collection whose elements each
-// occupy at least one input byte, rejecting lengths the remaining input
-// cannot possibly hold. Returns (length, isNil).
-func (d *walDec) count() (int, bool) {
-	n := d.u64()
-	if n == 0 {
-		return 0, true
-	}
-	n--
-	if n > uint64(len(d.b)) {
-		d.fail("walcodec: collection of %d elements exceeds %d remaining bytes", n, len(d.b))
-		return 0, true
-	}
-	return int(n), false
-}
-
-func (d *walDec) ints() []int {
-	n, isNil := d.count()
-	if isNil || d.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.i()
-	}
-	return out
-}
-
-// mislead decodes a chunk's misleading-byte positions — the one field
-// whose layout depends on the codec version.
-func (d *walDec) mislead() mislead.Injection {
-	var inj mislead.Injection
 	var err error
-	if d.v == walCodecV1 {
-		inj, err = mislead.FromPositions(d.ints())
+	if c.v == walCodecV1 {
+		var positions []int
+		c.ints(&positions)
+		*inj, err = mislead.FromPositions(positions)
 	} else {
-		inj, err = mislead.FromEncoded(d.take(d.u64()))
+		*inj, err = mislead.FromEncoded(c.take(c.uvarint()))
 	}
 	if err != nil {
-		d.fail("walcodec: %v", err)
+		c.fail("walcodec: %v", err)
 	}
-	return inj
 }
 
-func (d *walDec) chunk(c *chunkEntry) {
-	c.VirtualID = d.str()
-	c.PL = privacy.Level(d.i())
-	c.CPIndex = d.i()
-	c.SPIndex = d.i()
-	c.Mislead = d.mislead()
-	c.Client = d.str()
-	c.Filename = d.str()
-	c.Serial = d.i()
-	c.PayloadLen = d.i()
-	c.DataLen = d.i()
-	copy(c.Sum[:], d.take(uint64(len(c.Sum))))
-	c.EncKey = d.blob()
-	c.StripeID = d.i()
-	c.SnapVID = d.str()
-	n, isNil := d.count()
-	if !isNil && d.err == nil {
-		c.Mirrors = make([]mirrorRef, n)
-		for i := range c.Mirrors {
-			c.Mirrors[i].VirtualID = d.str()
-			c.Mirrors[i].CPIndex = d.i()
+func (c *walCodec) chunk(e *chunkEntry) {
+	c.str(&e.VirtualID)
+	c.i((*int)(&e.PL))
+	c.i(&e.CPIndex)
+	c.i(&e.SPIndex)
+	c.mislead(&e.Mislead)
+	c.str(&e.Client)
+	c.str(&e.Filename)
+	c.i(&e.Serial)
+	c.i(&e.PayloadLen)
+	c.i(&e.DataLen)
+	c.fixed(e.Sum[:])
+	c.blob(&e.EncKey)
+	c.i(&e.StripeID)
+	c.str(&e.SnapVID)
+	for i := range seq(c, &e.Mirrors) {
+		c.parity((*parityShard)(&e.Mirrors[i])) // a mirror has a parity shard's fields
+	}
+}
+
+func (c *walCodec) chunks(s *[]chunkEntry) {
+	for i := range seq(c, s) {
+		c.chunk(&(*s)[i])
+	}
+}
+
+func (c *walCodec) parity(p *parityShard) {
+	c.str(&p.VirtualID)
+	c.i(&p.CPIndex)
+}
+
+func (c *walCodec) stripe(s *stripeEntry) {
+	c.i(&s.ID)
+	c.i((*int)(&s.Level))
+	c.i(&s.ShardLen)
+	c.ints(&s.Members)
+	c.parities(&s.Parity)
+}
+
+func (c *walCodec) stripes(s *[]stripeEntry) {
+	for i := range seq(c, s) {
+		c.stripe(&(*s)[i])
+	}
+}
+
+// record walks one commit record. Every field is written whatever the
+// op; varints make the unset ones cost a byte each.
+func (c *walCodec) record(r *walRecord) {
+	c.str(&r.Op)
+	c.u64(&r.Gen)
+	c.u64(&r.FIDSeq)
+	c.u64(&r.EncNonce)
+	c.u64(&r.VIDCtr)
+	c.str(&r.Client)
+	c.str(&r.Filename)
+	c.str(&r.PassHash)
+	c.i((*int)(&r.PassPL))
+	c.u64(&r.FID)
+	c.i((*int)(&r.PL))
+	c.i((*int)(&r.Raid))
+	c.i(&r.ChunksBase)
+	c.i(&r.StripesBase)
+	c.chunks(&r.Chunks)
+	c.stripes(&r.Stripes)
+	c.ints(&r.ChunkIdx)
+	c.i(&r.Serial)
+	c.i(&r.StripeID)
+	c.chunk(&r.Chunk)
+	c.parities(&r.Parity)
+	c.ints(&r.Members)
+	c.i(&r.ShardLen)
+	c.i(&r.TableIdx)
+	c.i(&r.SubIdx)
+	c.i(&r.NewProv)
+	c.str(&r.NewVID)
+	c.u64(&r.FileGen)
+	c.u64(&r.ClientGen)
+}
+
+// state walks a checkpoint snapshot of the full tables.
+func (c *walCodec) state(st *walState) {
+	table(c, &st.Clients, func(c *walCodec, ce *clientEntry) *clientEntry {
+		if c.dec {
+			ce = new(clientEntry)
 		}
-	}
+		c.str(&ce.Name)
+		table(c, &ce.Passwords, func(c *walCodec, pl privacy.Level) privacy.Level {
+			c.i((*int)(&pl))
+			return pl
+		})
+		table(c, &ce.Files, func(c *walCodec, fe *fileEntry) *fileEntry {
+			if c.dec {
+				fe = new(fileEntry)
+			}
+			c.str(&fe.Filename)
+			c.i((*int)(&fe.PL))
+			c.u64(&fe.FID)
+			c.ints(&fe.ChunkIdx)
+			c.i((*int)(&fe.Raid))
+			c.u64(&fe.Gen)
+			return fe
+		})
+		c.i(&ce.Count)
+		c.u64(&ce.Gen)
+		return ce
+	})
+	c.chunks(&st.Chunks)
+	c.stripes(&st.Stripes)
+	c.u64(&st.Gen)
+	c.u64(&st.FIDSeq)
+	c.u64(&st.EncNonce)
+	c.u64(&st.VIDCtr)
 }
 
-func (d *walDec) chunks() []chunkEntry {
-	n, isNil := d.count()
-	if isNil || d.err != nil {
-		return nil
-	}
-	out := make([]chunkEntry, n)
-	for i := range out {
-		d.chunk(&out[i])
-	}
-	return out
-}
-
-func (d *walDec) parity() []parityShard {
-	n, isNil := d.count()
-	if isNil || d.err != nil {
-		return nil
-	}
-	out := make([]parityShard, n)
-	for i := range out {
-		out[i].VirtualID = d.str()
-		out[i].CPIndex = d.i()
-	}
-	return out
-}
-
-func (d *walDec) stripes() []stripeEntry {
-	n, isNil := d.count()
-	if isNil || d.err != nil {
-		return nil
-	}
-	out := make([]stripeEntry, n)
-	for i := range out {
-		s := &out[i]
-		s.ID = d.i()
-		s.Level = raid.Level(d.i())
-		s.ShardLen = d.i()
-		s.Members = d.ints()
-		s.Parity = d.parity()
-	}
-	return out
-}
-
-// version consumes and checks the leading codec-version byte.
-func (d *walDec) version() {
-	if len(d.b) == 0 {
-		d.fail("walcodec: empty payload")
-		return
-	}
-	if d.b[0] != walCodecVersion && d.b[0] != walCodecV1 {
-		d.fail("walcodec: unknown version %d (want %d or %d)", d.b[0], walCodecVersion, walCodecV1)
-		return
-	}
-	d.v = d.b[0]
-	d.b = d.b[1:]
-}
-
-// done fails when decoded input remains — a well-formed payload is
-// consumed exactly.
-func (d *walDec) done() error {
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("walcodec: %d trailing bytes after the last field", len(d.b))
-	}
-	return d.err
+// encodeWALRecord serializes one commit record.
+func encodeWALRecord(rec *walRecord) []byte {
+	c := newWALEncoder(192 + len(rec.Client) + len(rec.Filename) + chunksSizeHint(rec.Chunks) +
+		stripesSizeHint(rec.Stripes) + 3*len(rec.ChunkIdx) + len(rec.Chunk.Mislead.Encoded()))
+	c.record(rec)
+	return c.b
 }
 
 // decodeWALRecord parses one commit record, the exact inverse of
 // encodeWALRecord.
 func decodeWALRecord(data []byte, rec *walRecord) error {
-	d := &walDec{b: data}
-	d.version()
-	rec.Op = d.str()
-	rec.Gen = d.u64()
-	rec.FIDSeq = d.u64()
-	rec.EncNonce = d.u64()
-	rec.VIDCtr = d.u64()
-	rec.Client = d.str()
-	rec.Filename = d.str()
-	rec.PassHash = d.str()
-	rec.PassPL = privacy.Level(d.i())
-	rec.FID = d.u64()
-	rec.PL = privacy.Level(d.i())
-	rec.Raid = raid.Level(d.i())
-	rec.ChunksBase = d.i()
-	rec.StripesBase = d.i()
-	rec.Chunks = d.chunks()
-	rec.Stripes = d.stripes()
-	rec.ChunkIdx = d.ints()
-	rec.Serial = d.i()
-	rec.StripeID = d.i()
-	d.chunk(&rec.Chunk)
-	rec.Parity = d.parity()
-	rec.Members = d.ints()
-	rec.ShardLen = d.i()
-	rec.TableIdx = d.i()
-	rec.SubIdx = d.i()
-	rec.NewProv = d.i()
-	rec.NewVID = d.str()
-	rec.FileGen = d.u64()
-	rec.ClientGen = d.u64()
-	return d.done()
+	c := newWALDecoder(data)
+	c.record(rec)
+	return c.done()
+}
+
+// encodeWALState serializes a checkpoint snapshot of the full tables.
+func encodeWALState(st *walState) []byte {
+	c := newWALEncoder(1024 + chunksSizeHint(st.Chunks) + stripesSizeHint(st.Stripes))
+	c.state(st)
+	return c.b
 }
 
 // decodeWALState parses a checkpoint snapshot, the exact inverse of
 // encodeWALState.
 func decodeWALState(data []byte, st *walState) error {
-	d := &walDec{b: data}
-	d.version()
-	if n, isNil := d.count(); !isNil && d.err == nil {
-		st.Clients = make(map[string]*clientEntry, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			key := d.str()
-			c := &clientEntry{Name: d.str()}
-			if pn, pNil := d.count(); !pNil && d.err == nil {
-				c.Passwords = make(map[string]privacy.Level, pn)
-				for j := 0; j < pn && d.err == nil; j++ {
-					h := d.str()
-					c.Passwords[h] = privacy.Level(d.i())
-				}
-			}
-			if fn, fNil := d.count(); !fNil && d.err == nil {
-				c.Files = make(map[string]*fileEntry, fn)
-				for j := 0; j < fn && d.err == nil; j++ {
-					name := d.str()
-					fe := &fileEntry{
-						Filename: d.str(),
-						PL:       privacy.Level(d.i()),
-						FID:      d.u64(),
-						ChunkIdx: d.ints(),
-						Raid:     raid.Level(d.i()),
-						Gen:      d.u64(),
-					}
-					c.Files[name] = fe
-				}
-			}
-			c.Count = d.i()
-			c.Gen = d.u64()
-			st.Clients[key] = c
-		}
+	c := newWALDecoder(data)
+	c.state(st)
+	return c.done()
+}
+
+// The decode halves of the primitives.
+
+// fail records the first error and drops the rest of the input, so
+// every later field reads as truncated and stays zero.
+func (c *walCodec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
-	st.Chunks = d.chunks()
-	st.Stripes = d.stripes()
-	st.Gen = d.u64()
-	st.FIDSeq = d.u64()
-	st.EncNonce = d.u64()
-	st.VIDCtr = d.u64()
-	return d.done()
+	c.b = nil
+}
+
+func (c *walCodec) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b)
+	if n <= 0 {
+		c.fail("walcodec: truncated uvarint")
+		return 0
+	}
+	c.b = c.b[n:]
+	return v
+}
+
+func (c *walCodec) varint() int {
+	v, n := binary.Varint(c.b)
+	if n <= 0 {
+		c.fail("walcodec: truncated varint")
+		return 0
+	}
+	c.b = c.b[n:]
+	return int(v)
+}
+
+// take consumes exactly n bytes, failing before any allocation when the
+// input is shorter than claimed.
+func (c *walCodec) take(n uint64) []byte {
+	if n > uint64(len(c.b)) {
+		c.fail("walcodec: length %d exceeds %d remaining bytes", n, len(c.b))
+		return nil
+	}
+	p := c.b[:n]
+	c.b = c.b[n:]
+	return p
+}
+
+// done fails when decoded input remains — a well-formed payload is
+// consumed exactly.
+func (c *walCodec) done() error {
+	if c.err == nil && len(c.b) != 0 {
+		c.fail("walcodec: %d trailing bytes after the last field", len(c.b))
+	}
+	return c.err
 }

@@ -54,8 +54,11 @@ func codecChunk(i int) chunkEntry {
 	return c
 }
 
-func TestWALRecordRoundTrip(t *testing.T) {
-	recs := []walRecord{
+// codecRecords are one record of each shape the codec carries: a bare
+// register, an upload with rows and stripes, an update with empty (not
+// nil) collections, and a placement move.
+func codecRecords() []walRecord {
+	return []walRecord{
 		{Op: "register", Client: "alice", Gen: 1, ClientGen: 1},
 		{
 			Op: "upload", Gen: 42, FIDSeq: 17, EncNonce: 99, VIDCtr: 1 << 40,
@@ -73,6 +76,10 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		},
 		{Op: "move_parity", Gen: 44, TableIdx: 2, SubIdx: 1, NewProv: 7, NewVID: "nv"},
 	}
+}
+
+func TestWALRecordRoundTrip(t *testing.T) {
+	recs := codecRecords()
 	for _, want := range recs {
 		enc := encodeWALRecord(&want)
 		var got walRecord
@@ -215,8 +222,10 @@ func TestWALCodecDecodesGoldenV1(t *testing.T) {
 	}
 }
 
-func TestWALStateRoundTrip(t *testing.T) {
-	want := walState{
+// codecState is a checkpoint holding every collection kind: a client with
+// rows, one with empty maps and one whose maps are nil.
+func codecState() walState {
+	return walState{
 		Clients: map[string]*clientEntry{
 			"alice": {
 				Name:      "alice",
@@ -226,12 +235,17 @@ func TestWALStateRoundTrip(t *testing.T) {
 				},
 				Count: 2, Gen: 4,
 			},
-			"bob": {Name: "bob", Passwords: map[string]privacy.Level{}, Files: map[string]*fileEntry{}},
+			"bob":   {Name: "bob", Passwords: map[string]privacy.Level{}, Files: map[string]*fileEntry{}},
+			"carol": {Name: "carol", Count: 1},
 		},
 		Chunks:  []chunkEntry{codecChunk(0), codecChunk(1), codecChunk(2)},
 		Stripes: []stripeEntry{{ID: 0, Level: raid.RAID5, ShardLen: 64, Members: []int{0, 1}, Parity: []parityShard{{VirtualID: "p", CPIndex: 2}}}},
 		Gen:     9, FIDSeq: 4, EncNonce: 11, VIDCtr: 1 << 33,
 	}
+}
+
+func TestWALStateRoundTrip(t *testing.T) {
+	want := codecState()
 	enc := encodeWALState(&want)
 	var got walState
 	if err := decodeWALState(enc, &got); err != nil {
@@ -246,41 +260,110 @@ func TestWALStateRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenV2Records and goldenV2State pin the layout the encoder writes:
+// codecRecords() and codecState() as version 2 encodes them. A round-trip
+// test passes after any change that alters both sides alike; this one
+// fails when a frame already on disk would no longer decode, or would
+// re-encode differently.
+var goldenV2Records = []string{
+	"020872656769737465720100000005616c6963650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001",
+	"020675706c6f61642a116380808080802005616c6963650166000011060c140403077669642d6162630606080005616c69636501660080800280fa01000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f000406736e61702d3100077669642d6162630606010601050b00fb0205616c69636501660280800280fa010102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20040908070106736e61702d3103026d3002026d310a02040c8008031416020270300c031416000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000103",
+	"02067570646174652b00000005616c6963650166000000000000000000010204077669642d6162630606010601050b00fb0205616c69636501660680800280fa01030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122040908070106736e61702d3103026d3002026d310a0101800c000000000203",
+	"020b6d6f76655f7061726974792c00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000004020e026e760000",
+}
+
+const goldenV2State = "020405616c69636505616c696365030268310602683202020166016606030300020a02040403626f6203626f6201010000056361726f6c056361726f6c0000020004077669642d6162630606080005616c69636501660080800280fa01000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f000406736e61702d3100077669642d6162630606010601050b00fb0205616c69636501660280800280fa010102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20040908070106736e61702d3103026d3002026d310a077669642d6162630606080005616c69636501660480800280fa0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021000406736e61702d310002000a80010300020201700409040b8080808020"
+
+func TestWALCodecGoldenV2(t *testing.T) {
+	for i, want := range codecRecords() {
+		frame, err := hex.DecodeString(goldenV2Records[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got walRecord
+		if err := decodeWALRecord(frame, &got); err != nil {
+			t.Fatalf("op %s: decode: %v", want.Op, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("op %s: golden frame decoded to\n %+v\nwant\n %+v", want.Op, got, want)
+		}
+		if enc := encodeWALRecord(&got); !bytes.Equal(enc, frame) {
+			t.Errorf("op %s: re-encoded as\n %x\nwant\n %x", want.Op, enc, frame)
+		}
+	}
+	frame, err := hex.DecodeString(goldenV2State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got walState
+	if err := decodeWALState(frame, &got); err != nil {
+		t.Fatalf("state: decode: %v", err)
+	}
+	if want := codecState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("state: golden frame decoded to\n %+v\nwant\n %+v", got, want)
+	}
+	if enc := encodeWALState(&got); !bytes.Equal(enc, frame) {
+		t.Errorf("state: re-encoded as\n %x\nwant\n %x", enc, frame)
+	}
+}
+
 // TestWALCodecStrictness drives the decoder with malformed inputs: every
-// one must fail with a walcodec error, and a huge claimed length must be
-// rejected before it allocates.
+// one must fail with a walcodec error. The claimed lengths are ~2^60, so
+// a decoder that allocated before checking them against the remaining
+// input would panic instead of failing.
 func TestWALCodecStrictness(t *testing.T) {
 	good := encodeWALRecord(&walRecord{Op: "register", Client: "alice", Gen: 1})
-	cases := map[string][]byte{
+	huge := binary.AppendUvarint(nil, 1<<60)
+	update := encodeWALRecord(&codecRecords()[2])
+	gaps := codecChunk(3).Mislead.Encoded()
+	v1, err := hex.DecodeString(goldenV1Record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[string][]byte{
 		"empty":          {},
 		"bad version":    append([]byte{walCodecVersion + 1}, good[1:]...),
 		"version zero":   append([]byte{0}, good[1:]...),
 		"truncated":      good[:len(good)/2],
 		"trailing bytes": append(append([]byte{}, good...), 0),
+		// A record whose Chunks collection claims ~2^60 elements.
+		"huge collection": append(appendUvarints([]byte{walCodecVersion, 2, 'o', 'p'},
+			0, 0, 0, 0, // watermarks
+			0, 0, 0, // Client, Filename, PassHash
+			0,          // PassPL
+			0,          // FID
+			0, 0, 0, 0, // PL, Raid, ChunksBase, StripesBase
+		), huge...),
+		"EncKey past the end":       splice(t, update, []byte{4, 9, 8, 7}, huge),
+		"gap blob past the end":     splice(t, update, append([]byte{byte(len(gaps))}, gaps...), huge),
+		"cut inside Mirrors":        splice(t, update, []byte{3, 2, 'm', '0', 2, 2, 'm', '1'}, []byte{3, 2, 'm', '0', 2}),
+		"v1 positions past the end": splice(t, v1, []byte{7, 0, 2, 4}, huge),
 	}
-	// A record whose Chunks collection claims ~2^60 elements: the count
-	// guard must reject it against the remaining input, not allocate.
-	huge := []byte{walCodecVersion}
-	huge = append(huge, 2, 'o', 'p')         // Op
-	huge = appendUvarints(huge, 0, 0, 0, 0)  // watermarks
-	huge = append(huge, 0, 0, 0)             // Client, Filename, PassHash
-	huge = append(huge, 0)                   // PassPL
-	huge = append(huge, 0)                   // FID
-	huge = append(huge, 0, 0, 0, 0)          // PL, Raid, ChunksBase, StripesBase
-	huge = binary.AppendUvarint(huge, 1<<60) // Chunks length+1
-	for name, data := range map[string][]byte{"huge collection": huge} {
-		cases[name] = data
-	}
-	for name, data := range cases {
+	for name, data := range records {
 		var rec walRecord
-		err := decodeWALRecord(data, &rec)
-		if err == nil {
-			t.Errorf("%s: decode succeeded, want error", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "walcodec") {
-			t.Errorf("%s: error %q does not name the codec", name, err)
-		}
+		checkCodecErr(t, name, decodeWALRecord(data, &rec))
+	}
+	var st walState
+	checkCodecErr(t, "client count past the end", decodeWALState(append([]byte{walCodecVersion}, huge...), &st))
+}
+
+// splice returns frame up to the first occurrence of field, followed by
+// tail in place of the rest.
+func splice(t *testing.T, frame, field, tail []byte) []byte {
+	t.Helper()
+	at := bytes.Index(frame, field)
+	if at < 0 {
+		t.Fatalf("frame %x does not contain %x", frame, field)
+	}
+	return append(append([]byte{}, frame[:at]...), tail...)
+}
+
+func checkCodecErr(t *testing.T, name string, err error) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s: decode succeeded, want error", name)
+	} else if !strings.Contains(err.Error(), "walcodec") {
+		t.Errorf("%s: error %q does not name the codec", name, err)
 	}
 }
 
@@ -289,4 +372,49 @@ func appendUvarints(b []byte, vs ...uint64) []byte {
 		b = binary.AppendUvarint(b, v)
 	}
 	return b
+}
+
+// FuzzWALCodec feeds arbitrary frames to both decoders. Neither may
+// panic, and whatever one accepts must re-encode deterministically to a
+// frame that decodes to the same value. The re-encoding need not equal
+// the input: an overlong varint decodes, and the encoder writes the
+// short form and version 2.
+func FuzzWALCodec(f *testing.F) {
+	for _, h := range append([]string{goldenV1Record, goldenV1State, goldenV2State}, goldenV2Records...) {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec walRecord
+		if decodeWALRecord(data, &rec) == nil {
+			enc := encodeWALRecord(&rec)
+			if !bytes.Equal(enc, encodeWALRecord(&rec)) {
+				t.Fatal("encoding the same record twice produced different bytes")
+			}
+			var again walRecord
+			if err := decodeWALRecord(enc, &again); err != nil {
+				t.Fatalf("re-encoded record does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(again, rec) {
+				t.Fatalf("record changed across re-encoding:\n %+v\n %+v", rec, again)
+			}
+		}
+		var st walState
+		if decodeWALState(data, &st) == nil {
+			enc := encodeWALState(&st)
+			if !bytes.Equal(enc, encodeWALState(&st)) {
+				t.Fatal("encoding the same state twice produced different bytes")
+			}
+			var again walState
+			if err := decodeWALState(enc, &again); err != nil {
+				t.Fatalf("re-encoded state does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(again, st) {
+				t.Fatalf("state changed across re-encoding:\n %+v\n %+v", st, again)
+			}
+		}
+	})
 }

@@ -81,6 +81,36 @@ func TestTable4SystemEndToEnd(t *testing.T) {
 	}
 }
 
+// Two runs of the same experiment print the same text, and the
+// per-insider lines follow provider names. Each result is formatted
+// several times: ranging over the map instead would put the three names
+// in name order only about one time in three.
+func TestFormatTable4SystemIsStable(t *testing.T) {
+	var outs []string
+	for run := 0; run < 2; run++ {
+		r, err := Table4System(300, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			outs = append(outs, FormatTable4System(r))
+		}
+	}
+	for _, out := range outs {
+		if out != outs[0] {
+			t.Fatalf("two formats differ:\n%s\n---\n%s", outs[0], out)
+		}
+	}
+	at := -1
+	for _, name := range []string{"Spartans", "Titans", "Yagamis"} {
+		i := strings.Index(outs[0], "  "+name+" ")
+		if i <= at {
+			t.Fatalf("insider %s out of name order:\n%s", name, outs[0])
+		}
+		at = i
+	}
+}
+
 func TestGPSFiguresShapeMatchesPaper(t *testing.T) {
 	cfg := dataset.DefaultGPSConfig()
 	r, err := GPSFigures(cfg, 500)

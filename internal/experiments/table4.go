@@ -185,6 +185,34 @@ func Table4System(n int, seed int64) (*Table4SystemResult, error) {
 	return res, nil
 }
 
+// FormatTable4System renders the end-to-end attack, one line per insider
+// in provider-name order.
+func FormatTable4System(r *Table4SystemResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "end-to-end Table IV attack over the real system (%d rows)\n\n", r.RowsUploaded)
+	fmt.Fprintf(&b, "single provider: rows=%d relErr vs planted model=%.3f\n", r.Full.RowsRecovered, r.TruthErrFull)
+	if r.Full.Model != nil {
+		fmt.Fprintf(&b, "  model: %v\n", r.Full.Model)
+	}
+	b.WriteString("three-provider split, per-insider fits:\n")
+	names := make([]string, 0, len(r.PerProvider))
+	for name := range r.PerProvider {
+		names = append(names, name)
+	}
+	sortStrings(names)
+	for _, name := range names {
+		pr := r.PerProvider[name]
+		if pr.Model == nil {
+			fmt.Fprintf(&b, "  %-10s rows=%d  mining FAILED (%v)\n", name, pr.RowsRecovered, pr.FitErr)
+			continue
+		}
+		fmt.Fprintf(&b, "  %-10s rows=%d  model: %v\n", name, pr.RowsRecovered, pr.Model)
+	}
+	fmt.Fprintf(&b, "fragment relErr range: [%.3f, %.3f] (whole-data: %.3f)\n",
+		r.TruthErrFragMin, r.TruthErrFragMax, r.TruthErrFull)
+	return b.String()
+}
+
 func seedAndUpload(d *core.Distributor, client, filename string, data []byte, pl privacy.Level, opts core.UploadOptions) error {
 	if err := d.RegisterClient(client); err != nil {
 		return err
