@@ -18,7 +18,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/mining"
-	"repro/internal/provider"
 	"repro/internal/raid"
 )
 
@@ -64,7 +63,7 @@ func BenchmarkFig1Distribution(b *testing.B) {
 		b.Run(fmt.Sprintf("file=%dKiB", size>>10), func(b *testing.B) {
 			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.DistributionTime(size, 8, raid.RAID5, provider.LatencyModel{}, int64(i))
+				r, err := experiments.DistributionTime(size, 8, raid.RAID5, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -145,14 +144,13 @@ func BenchmarkFig5Fig6FragmentClustering(b *testing.B) {
 }
 
 // BenchmarkDistributionTimeBySize regenerates the §VIII-B distribution-
-// time series across file sizes under a WAN-ish latency model.
+// time series across file sizes.
 func BenchmarkDistributionTimeBySize(b *testing.B) {
-	latency := provider.LatencyModel{PerOp: 0, PerByte: 0}
 	for _, size := range []int{32 << 10, 128 << 10, 512 << 10} {
 		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
 			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.DistributionTime(size, 6, raid.RAID5, latency, int64(i)); err != nil {
+				if _, err := experiments.DistributionTime(size, 6, raid.RAID5, int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -165,7 +163,7 @@ func BenchmarkDistributionTimeByProviders(b *testing.B) {
 	for _, n := range []int{3, 6, 12} {
 		b.Run(fmt.Sprintf("providers=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.DistributionTime(256<<10, n, raid.RAID5, provider.LatencyModel{}, int64(i)); err != nil {
+				if _, err := experiments.DistributionTime(256<<10, n, raid.RAID5, int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,14 +1,21 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
-// TestAllExperimentsRun executes every experiment id end to end — the
-// same code path `benchrunner -exp all` takes.
+	"repro/internal/experiments"
+)
+
+// TestAllExperimentsRun executes every experiment id and alias end to
+// end — the same code path `benchrunner -exp <id>` takes.
 func TestAllExperimentsRun(t *testing.T) {
-	for _, id := range experimentsOrder {
-		id := id
+	for _, id := range ids() {
 		t.Run(id, func(t *testing.T) {
-			if err := run(id, false); err != nil {
+			r, ok := experiments.Lookup(id)
+			if !ok {
+				t.Fatalf("%s names no report", id)
+			}
+			if err := show(r, false); err != nil {
 				t.Fatalf("experiment %s: %v", id, err)
 			}
 		})
@@ -16,7 +23,8 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestVerboseGPS(t *testing.T) {
-	if err := run("fig4", true); err != nil {
+	r, _ := experiments.Lookup("fig4")
+	if err := show(r, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -41,17 +41,13 @@ func main() {
 	if *dataDir != "" {
 		p, err = provider.NewDiskProvider(info, *dataDir)
 	} else {
-		opts := provider.Options{
+		p, err = provider.New(info, provider.Options{
 			FailureRate: *failRate,
 			Latency: provider.LatencyModel{
 				PerOp:   time.Duration(*perOpMs) * time.Millisecond,
 				PerByte: time.Duration(*perByteNs),
 			},
-		}
-		if opts.Latency.PerOp > 0 || opts.Latency.PerByte > 0 {
-			opts.Sleep = time.Sleep
-		}
-		p, err = provider.New(info, opts)
+		})
 	}
 	if err != nil {
 		log.Fatalf("provider: %v", err)

@@ -22,11 +22,11 @@ import (
 // against; everything live-only (reservations, cache eviction, op
 // counters, retiring superseded blobs) stays with it.
 // t may be nil; it is released on every path. On an append failure — or
-// on a follower, which answers ErrUnavailable — the tables are untouched
-// and the caller rolls its blobs back.
+// on a follower (writeCheckLocked) — the tables are untouched and the
+// caller rolls its blobs back.
 func (d *Distributor) commitLocked(rec *walRecord, t *writeTicket) error {
-	err := errFollower
-	if !d.following {
+	err := d.writeCheckLocked(nil)
+	if err == nil {
 		err = d.logAppendLocked(rec)
 	}
 	if err == nil {

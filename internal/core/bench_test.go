@@ -156,33 +156,22 @@ func BenchmarkGetChunk(b *testing.B) {
 	}
 }
 
-// benchTailDistributor builds a distributor over 8 providers that all
-// carry a 20ms LatencyModel, but whose injected Sleep only really blocks
-// on the one provider `slow` points at — armed after upload, aimed at
-// chunk 0's primary. The slow provider stays healthy and answers
+// benchTailDistributor builds a distributor over 8 providers, one of
+// which — armed after upload, aimed at chunk 0's primary — sleeps 20ms
+// before every get. The slow provider stays healthy and answers
 // correctly; it is just late, the regime hedged reads exist for. Every
 // chunk carries one mirror replica so a hedge has somewhere to go.
 func benchTailDistributor(b *testing.B, hedgeAfter time.Duration) (*Distributor, []byte) {
 	b.Helper()
 	const perOp = 20 * time.Millisecond
-	slow := &atomic.Int64{}
-	slow.Store(-1)
 	f, err := provider.NewFleet()
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		i := i
 		mem, err := provider.New(provider.Info{
 			Name: fmt.Sprintf("T%d", i), PL: privacy.High, CL: 1,
-		}, provider.Options{
-			Latency: provider.LatencyModel{PerOp: perOp},
-			Sleep: func(d time.Duration) {
-				if int64(i) == slow.Load() {
-					time.Sleep(d)
-				}
-			},
-		})
+		}, provider.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +193,14 @@ func benchTailDistributor(b *testing.B, hedgeAfter time.Duration) (*Distributor,
 	if _, err := d.Upload("alice", "root", "bench.bin", data, privacy.Moderate, UploadOptions{Replicas: 1}); err != nil {
 		b.Fatal(err)
 	}
-	slow.Store(int64(d.chunks[d.clients["alice"].Files["bench.bin"].ChunkIdx[0]].CPIndex))
+	slow, err := f.At(d.chunks[d.clients["alice"].Files["bench.bin"].ChunkIdx[0]].CPIndex)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slow.(*provider.MemProvider).SetBeforeGet(func(string) error {
+		time.Sleep(perOp)
+		return nil
+	})
 	return d, data
 }
 

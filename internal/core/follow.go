@@ -20,6 +20,21 @@ import (
 // its primary's records, and a write of its own would diverge them.
 var errFollower = fmt.Errorf("%w: a follower takes writes from its primary's log only", ErrUnavailable)
 
+// writeCheckLocked is the one refusal of a write on a follower: it
+// passes on err, the write's own earlier refusal (a failed
+// authentication, say), and otherwise answers errFollower on a follower.
+// Every write that calls a provider takes it at its first hold of d.mu,
+// before that call: a follower shares its primary's fleet, and a put,
+// delete or repair of its own would land among the primary's blobs.
+// commitLocked takes it again, for a write already past that point when
+// its distributor began to follow. Callers hold d.mu.
+func (d *Distributor) writeCheckLocked(err error) error {
+	if err == nil && d.following {
+		return errFollower
+	}
+	return err
+}
+
 // FollowReport is what one Follow call did.
 type FollowReport struct {
 	Records  int    // primary records applied one by one

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/privacy"
+	"repro/internal/provider"
 	"repro/internal/wal"
 )
 
@@ -111,9 +112,10 @@ func TestClusterUploadAndRetrieveViaSecondary(t *testing.T) {
 }
 
 // TestFollowerRefusesWrites: a follower's tables change only by its
-// primary's records. Every write sent to it answers ErrUnavailable and
-// leaves the providers as they were — a refused upload rolls its blobs
-// back, and a refused remove deletes nothing the primary still serves.
+// primary's records. Every write sent to it answers ErrUnavailable before
+// it calls a provider: no put, not even one rolled back, and no delete.
+// A scrub, whose repairs are raw puts with no record, is refused too,
+// with a blob missing for it to repair.
 func TestFollowerRefusesWrites(t *testing.T) {
 	_, primary, followers := testCluster(t, 1, 6, 0)
 	f := followers[0]
@@ -128,13 +130,18 @@ func TestFollowerRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	follow(t, f, primary)
-	blobs := func() (n int) {
-		for _, p := range primary.fleet.All() {
-			n += p.Len()
-		}
-		return n
+	e := primary.chunks[primary.clients["bob"].Files["f"].ChunkIdx[0]]
+	if p, _ := primary.fleet.At(e.CPIndex); p.Delete(e.VirtualID) != nil {
+		t.Fatal("deleting a blob for the scrub to find")
 	}
-	before := blobs()
+	blobs := func() (puts, keys int) {
+		for _, p := range primary.fleet.All() {
+			puts += p.(*provider.MemProvider).Puts()
+			keys += p.Len()
+		}
+		return puts, keys
+	}
+	puts, keys := blobs()
 	for name, write := range map[string]func() error{
 		"register": func() error { return f.RegisterClient("eve") },
 		"passwd":   func() error { return f.AddPassword("bob", "pw2", privacy.Low) },
@@ -149,13 +156,21 @@ func TestFollowerRefusesWrites(t *testing.T) {
 			_, err := AuditOrphans(f, true)
 			return err
 		},
+		"decommission": func() error {
+			_, err := f.Decommission(0)
+			return err
+		},
+		"scrub": func() error {
+			_, err := f.Scrub()
+			return err
+		},
 	} {
 		if err := write(); !errors.Is(err, ErrUnavailable) {
 			t.Errorf("%s on a follower: %v, want ErrUnavailable", name, err)
 		}
 	}
-	if n := blobs(); n != before {
-		t.Fatalf("refused writes changed the providers: %d blobs, had %d", n, before)
+	if p, k := blobs(); p != puts || k != keys {
+		t.Fatalf("refused writes reached the providers: %d puts and %d blobs, had %d and %d", p, k, puts, keys)
 	}
 	if rep := follow(t, f, primary); rep.Resynced || rep.Records != 0 {
 		t.Fatalf("the follower diverged from its primary: %+v", rep)

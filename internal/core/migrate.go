@@ -40,7 +40,7 @@ const decommissionPasses = 5
 func (d *Distributor) Decommission(provIdx int) (DecommissionReport, error) {
 	d.mu.Lock()
 	old, err := d.fleet.At(provIdx)
-	if err != nil {
+	if err = d.writeCheckLocked(err); err != nil {
 		d.mu.Unlock()
 		return DecommissionReport{}, err
 	}
@@ -320,11 +320,11 @@ func (d *Distributor) referencedLocked() map[string]bool {
 // mid-scan cannot lose blobs to the collector.
 func AuditOrphans(d *Distributor, gc bool) (AuditReport, error) {
 	d.mu.Lock()
-	if gc && d.following {
+	if err := d.writeCheckLocked(nil); gc && err != nil {
 		// A follower's tables trail its primary's: what it does not
 		// reference yet may be the primary's newest blobs.
 		d.mu.Unlock()
-		return AuditReport{}, errFollower
+		return AuditReport{}, err
 	}
 	referenced := d.referencedLocked()
 	genAtScan := d.gen

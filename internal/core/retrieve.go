@@ -262,7 +262,7 @@ func stripAndVerify(entry *chunkEntry, payload, dst []byte) ([]byte, error) {
 		if data, err = cryptofrag.Decrypt(entry.EncKey, payload); err != nil {
 			return nil, fmt.Errorf("%w: decrypting chunk: %v", ErrUnavailable, err)
 		}
-	case entry.Mislead.Count() > 0:
+	case len(entry.Mislead.Encoded()) > 0:
 		if dst == nil {
 			data, err = mislead.Strip(payload, entry.Mislead)
 		} else {

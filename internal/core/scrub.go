@@ -38,14 +38,15 @@ type ScrubReport struct {
 // It is one pass per stripe (scrubStripe) over one copy of the stripe's
 // rows, taken in a short d.mu read hold of its own; all verification and
 // repair I/O runs without the lock, so a scrub never stalls client
-// traffic.
+// traffic. A follower refuses it: its repairs would be puts into its
+// primary's fleet.
 func (d *Distributor) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	for si := 0; ; si++ {
 		d.mu.RLock()
-		if si >= len(d.stripes) {
+		if err := d.writeCheckLocked(nil); err != nil || si >= len(d.stripes) {
 			d.mu.RUnlock()
-			return rep, nil
+			return rep, err
 		}
 		st := &d.stripes[si]
 		if len(st.Members) == 0 { // a removed file's

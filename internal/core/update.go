@@ -49,7 +49,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	// ---- Plan ----
 	d.mu.Lock()
 	entry, err := d.lookupChunk(client, password, filename, serial)
-	if err != nil {
+	if err = d.writeCheckLocked(err); err != nil {
 		d.mu.Unlock()
 		return err
 	}
@@ -92,7 +92,7 @@ func (d *Distributor) UpdateChunk(client, password, filename string, serial int,
 	row := &rows.chunks[self]
 	row.SPIndex, row.SnapVID = -1, ""
 	var shards []stagedShard
-	if old.Mislead.Count() == 0 {
+	if len(old.Mislead.Encoded()) == 0 {
 		row.SnapVID = d.vids.Next()
 		snap := shardSlot{kind: BlobSnapshot, idx: self}
 		if err := d.homeLocked(rows, snap, nil); err != nil {

@@ -139,7 +139,7 @@ func (d *Distributor) openUpload(client, password, filename string, pl privacy.L
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		c, err := d.authorize(client, password, pl)
-		if err != nil {
+		if err = d.writeCheckLocked(err); err != nil {
 			return err
 		}
 		if _, dup := c.Files[filename]; dup || d.reserved[u.resKey] {

@@ -9,9 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptofrag"
 	"repro/internal/dataset"
-	"repro/internal/mining"
 	"repro/internal/privacy"
-	"repro/internal/provider"
 	"repro/internal/raid"
 )
 
@@ -29,52 +27,34 @@ type ChunkSizePoint struct {
 // over nProviders and reports the best-positioned insider's attack
 // quality at each size.
 func AblationChunkSize(chunkSizes []int, nRows, nProviders int, seed int64) ([]ChunkSizePoint, error) {
-	model := dataset.PaperBiddingModel()
-	recs := dataset.GenerateBiddingHistory(nRows, model, rand.New(rand.NewSource(seed)))
-	csvData := dataset.BiddingCSV(recs)
-	truth := &mining.RegressionModel{Coeffs: []float64{model.A, model.B, model.C}, Intercept: model.D}
-
+	csvData, truth := biddingHistory(nRows, dataset.PaperBiddingModel(), seed)
 	var out []ChunkSizePoint
 	for _, cs := range chunkSizes {
-		fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
+		fleet, err := BuildFleet(nProviders)
 		if err != nil {
 			return nil, err
 		}
 		policy := privacy.ChunkSizePolicy{SizeByLevel: map[privacy.Level]int{
 			privacy.Public: cs, privacy.Low: cs, privacy.Moderate: cs, privacy.High: cs,
 		}}
-		d, err := core.New(core.Config{Fleet: fleet, ChunkPolicy: policy, StripeWidth: nProviders - 1})
+		l, err := runLab(fleet, core.Config{ChunkPolicy: policy, StripeWidth: nProviders - 1}, "victim", "bids.csv", csvData, privacy.Moderate, core.UploadOptions{NoParity: true})
 		if err != nil {
 			return nil, err
 		}
-		if err := seedAndUpload(d, "victim", "bids.csv", csvData, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
-			return nil, err
-		}
-		all := make([]int, fleet.Len())
-		for i := range all {
-			all[i] = i
-		}
-		blobs, err := attack.DumpProviders(fleet, all)
+		_, blobs, err := l.insiders()
 		if err != nil {
 			return nil, err
 		}
-		perProv := attack.PerProviderBiddingModels(blobs)
 		point := ChunkSizePoint{ChunkBytes: cs, MiningFailed: true}
-		for _, r := range perProv {
-			if r.RowsRecovered > point.RowsRecovered {
-				point.RowsRecovered = r.RowsRecovered
-			}
-			if r.Model == nil {
-				continue
-			}
-			e, err := mining.RelativeCoefficientError(r.Model, truth)
+		for _, r := range attack.PerProviderBiddingModels(blobs) {
+			point.RowsRecovered = max(point.RowsRecovered, r.RowsRecovered)
+			e, failed, err := fitError(r, truth)
 			if err != nil {
 				return nil, err
 			}
-			if point.MiningFailed || e < point.RelErr {
-				point.RelErr = e // best (most dangerous) insider
+			if !failed && (point.MiningFailed || e < point.RelErr) {
+				point.RelErr, point.MiningFailed = e, false // best (most dangerous) insider
 			}
-			point.MiningFailed = false
 		}
 		out = append(out, point)
 	}
@@ -86,11 +66,7 @@ func FormatChunkSizeAblation(points []ChunkSizePoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%12s %14s %12s %8s\n", "chunk bytes", "rows@insider", "best relErr", "failed")
 	for _, p := range points {
-		if p.MiningFailed {
-			fmt.Fprintf(&b, "%12d %14d %12s %8v\n", p.ChunkBytes, p.RowsRecovered, "-", true)
-			continue
-		}
-		fmt.Fprintf(&b, "%12d %14d %12.3f %8v\n", p.ChunkBytes, p.RowsRecovered, p.RelErr, false)
+		fmt.Fprintf(&b, "%12d %14d %12s %8v\n", p.ChunkBytes, p.RowsRecovered, scoreCell(p.RelErr, p.MiningFailed), p.MiningFailed)
 	}
 	return b.String()
 }
@@ -109,9 +85,7 @@ type MisleadPoint struct {
 func AblationMislead(decoyCounts []int, nRows int, seed int64) ([]MisleadPoint, error) {
 	model := dataset.PaperBiddingModel()
 	model.Noise = 0
-	recs := dataset.GenerateBiddingHistory(nRows, model, rand.New(rand.NewSource(seed)))
-	csvData := dataset.BiddingCSV(recs)
-	truth := &mining.RegressionModel{Coeffs: []float64{model.A, model.B, model.C}, Intercept: model.D}
+	csvData, truth := biddingHistory(nRows, model, seed)
 
 	decoyModel := dataset.BiddingModel{A: -3, B: 8, C: 0.1, D: 777, Noise: 0}
 	var out []MisleadPoint
@@ -124,11 +98,7 @@ func AblationMislead(decoyCounts []int, nRows int, seed int64) ([]MisleadPoint, 
 			}
 			decoyLines = append(decoyLines, []byte(line))
 		}
-		fleet, err := BuildFleet(1, provider.LatencyModel{})
-		if err != nil {
-			return nil, err
-		}
-		d, err := core.New(core.Config{Fleet: fleet, StripeWidth: 1, MisleadSeed: seed})
+		fleet, err := BuildFleet(1)
 		if err != nil {
 			return nil, err
 		}
@@ -136,10 +106,11 @@ func AblationMislead(decoyCounts []int, nRows int, seed int64) ([]MisleadPoint, 
 		if n > 0 {
 			opts.MisleadLines = decoyLines
 		}
-		if err := seedAndUpload(d, "victim", "bids.csv", csvData, privacy.Public, opts); err != nil {
+		l, err := runLab(fleet, core.Config{StripeWidth: 1, MisleadSeed: seed}, "victim", "bids.csv", csvData, privacy.Public, opts)
+		if err != nil {
 			return nil, err
 		}
-		blobs, err := attack.DumpProviders(fleet, []int{0})
+		_, blobs, err := l.insiders()
 		if err != nil {
 			return nil, err
 		}
@@ -147,18 +118,12 @@ func AblationMislead(decoyCounts []int, nRows int, seed int64) ([]MisleadPoint, 
 		for _, b := range blobs {
 			stored += len(b.Data)
 		}
-		res := attack.BiddingRegressionAttack(blobs)
 		point := MisleadPoint{
 			DecoyRows:    n,
 			ReadOverhead: float64(stored-len(csvData)) / float64(len(csvData)),
 		}
-		if res.Model == nil {
-			point.MiningFailed = true
-		} else {
-			point.RelErr, err = mining.RelativeCoefficientError(res.Model, truth)
-			if err != nil {
-				return nil, err
-			}
+		if point.RelErr, point.MiningFailed, err = fitError(attack.BiddingRegressionAttack(blobs), truth); err != nil {
+			return nil, err
 		}
 		out = append(out, point)
 	}
@@ -170,11 +135,7 @@ func FormatMisleadAblation(points []MisleadPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%10s %12s %14s %8s\n", "decoys", "relErr", "readOverhead", "failed")
 	for _, p := range points {
-		if p.MiningFailed {
-			fmt.Fprintf(&b, "%10d %12s %14.3f %8v\n", p.DecoyRows, "-", p.ReadOverhead, true)
-			continue
-		}
-		fmt.Fprintf(&b, "%10d %12.3f %14.3f %8v\n", p.DecoyRows, p.RelErr, p.ReadOverhead, false)
+		fmt.Fprintf(&b, "%10d %12s %14.3f %8v\n", p.DecoyRows, scoreCell(p.RelErr, p.MiningFailed), p.ReadOverhead, p.MiningFailed)
 	}
 	return b.String()
 }
@@ -201,18 +162,12 @@ func AblationRAID(width int, p float64, down, nProviders int, seed int64) ([]Rai
 		if err != nil {
 			return nil, err
 		}
-		fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
+		fleet, err := BuildFleet(nProviders)
 		if err != nil {
 			return nil, err
 		}
-		d, err := core.New(core.Config{Fleet: fleet, StripeWidth: width, DefaultRaid: raid.RAID5})
+		l, err := newLab(fleet, core.Config{StripeWidth: width, DefaultRaid: raid.RAID5}, "c")
 		if err != nil {
-			return nil, err
-		}
-		if err := d.RegisterClient("c"); err != nil {
-			return nil, err
-		}
-		if err := d.AddPassword("c", "pw", privacy.High); err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -223,23 +178,19 @@ func AblationRAID(width int, p float64, down, nProviders int, seed int64) ([]Rai
 			if lvl == raid.None {
 				opts = core.UploadOptions{NoParity: true}
 			}
-			if _, err := d.Upload("c", "pw", name, dataset.RandomBytes(48_000, rng), privacy.Moderate, opts); err != nil {
+			if _, err := l.store(name, dataset.RandomBytes(48_000, rng), privacy.Moderate, opts); err != nil {
 				return nil, err
 			}
 			files = append(files, name)
 		}
-		drill, err := OutageDrill(d, fleet, "c", "pw", files, down, rng)
+		drill, err := OutageDrill(l.d, fleet, l.client, labPassword, files, down, rng)
 		if err != nil {
 			return nil, err
-		}
-		factor := 1.0
-		if lvl.ParityShards() > 0 {
-			factor = float64(width+lvl.ParityShards()) / float64(width)
 		}
 		out = append(out, RaidPoint{
 			Level: lvl, FailureProb: p, AnalyticAvail: avail,
 			DrillDown: down, DrillReadable: drill.FilesReadable, DrillTotal: drill.FilesTotal,
-			StorageFactor: factor,
+			StorageFactor: float64(width+lvl.ParityShards()) / float64(width),
 		})
 	}
 	return out, nil
@@ -268,23 +219,15 @@ type CompromisePoint struct {
 // AblationCompromise uploads a bidding history across nProviders and
 // sweeps how many providers the outside attacker controls.
 func AblationCompromise(nProviders, nRows int, seed int64) ([]CompromisePoint, error) {
-	model := dataset.PaperBiddingModel()
-	recs := dataset.GenerateBiddingHistory(nRows, model, rand.New(rand.NewSource(seed)))
-	csvData := dataset.BiddingCSV(recs)
-	truth := &mining.RegressionModel{Coeffs: []float64{model.A, model.B, model.C}, Intercept: model.D}
-
-	fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
+	csvData, truth := biddingHistory(nRows, dataset.PaperBiddingModel(), seed)
+	fleet, err := BuildFleet(nProviders)
 	if err != nil {
 		return nil, err
 	}
 	policy := privacy.ChunkSizePolicy{SizeByLevel: map[privacy.Level]int{
 		privacy.Public: 1 << 10, privacy.Low: 1 << 10, privacy.Moderate: 1 << 10, privacy.High: 512,
 	}}
-	d, err := core.New(core.Config{Fleet: fleet, ChunkPolicy: policy, StripeWidth: nProviders - 1})
-	if err != nil {
-		return nil, err
-	}
-	if err := seedAndUpload(d, "victim", "bids.csv", csvData, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
+	if _, err := runLab(fleet, core.Config{ChunkPolicy: policy, StripeWidth: nProviders - 1}, "victim", "bids.csv", csvData, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
 		return nil, err
 	}
 
@@ -297,13 +240,8 @@ func AblationCompromise(nProviders, nRows int, seed int64) ([]CompromisePoint, e
 		}
 		res := attack.BiddingRegressionAttack(blobs)
 		point := CompromisePoint{Compromised: k, RowsRecovered: res.RowsRecovered}
-		if res.Model == nil {
-			point.MiningFailed = true
-		} else {
-			point.RelErr, err = mining.RelativeCoefficientError(res.Model, truth)
-			if err != nil {
-				return nil, err
-			}
+		if point.RelErr, point.MiningFailed, err = fitError(res, truth); err != nil {
+			return nil, err
 		}
 		out = append(out, point)
 	}
@@ -315,11 +253,7 @@ func FormatCompromise(points []CompromisePoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%12s %14s %12s %8s\n", "compromised", "rows", "relErr", "failed")
 	for _, p := range points {
-		if p.MiningFailed {
-			fmt.Fprintf(&b, "%12d %14d %12s %8v\n", p.Compromised, p.RowsRecovered, "-", true)
-			continue
-		}
-		fmt.Fprintf(&b, "%12d %14d %12.3f %8v\n", p.Compromised, p.RowsRecovered, p.RelErr, false)
+		fmt.Fprintf(&b, "%12d %14d %12s %8v\n", p.Compromised, p.RowsRecovered, scoreCell(p.RelErr, p.MiningFailed), p.MiningFailed)
 	}
 	return b.String()
 }

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/privacy"
-	"repro/internal/provider"
 )
 
 // BasketPoint reports rule recovery for one attacker foothold.
@@ -51,49 +49,7 @@ func BasketRuleExperiment(cfg dataset.BasketConfig, nProviders int, minSup, minC
 		return p
 	}
 
-	// Single-provider baseline.
-	solo, err := provider.NewFleet(provider.MustNew(provider.Info{Name: "solo", PL: privacy.High, CL: 0}, provider.Options{}))
-	if err != nil {
-		return nil, err
-	}
-	ds, err := core.New(core.Config{Fleet: solo, StripeWidth: 1})
-	if err != nil {
-		return nil, err
-	}
-	if err := seedAndUpload(ds, "shop", "txns.log", body, privacy.Public, core.UploadOptions{NoParity: true}); err != nil {
-		return nil, err
-	}
-	soloBlobs, err := attack.DumpProviders(solo, []int{0})
-	if err != nil {
-		return nil, err
-	}
-	out := []BasketPoint{score("full", soloBlobs)}
-
-	// Fragmented across nProviders with small chunks; each insider mines
-	// its own share.
-	fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
-	if err != nil {
-		return nil, err
-	}
-	policy := privacy.ChunkSizePolicy{SizeByLevel: map[privacy.Level]int{
-		privacy.Public: 1 << 10, privacy.Low: 1 << 10, privacy.Moderate: 512, privacy.High: 256,
-	}}
-	dd, err := core.New(core.Config{Fleet: fleet, ChunkPolicy: policy, StripeWidth: nProviders})
-	if err != nil {
-		return nil, err
-	}
-	if err := seedAndUpload(dd, "shop", "txns.log", body, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
-		return nil, err
-	}
-	for i := 0; i < fleet.Len(); i++ {
-		blobs, err := attack.DumpProviders(fleet, []int{i})
-		if err != nil {
-			return nil, err
-		}
-		p, _ := fleet.At(i)
-		out = append(out, score(p.Info().Name, blobs))
-	}
-	return out, nil
+	return wholeVersusInsiders(body, nProviders, "shop", "txns.log", privacy.Moderate, score)
 }
 
 // FormatBasketExperiment renders rule recovery per attacker scope.

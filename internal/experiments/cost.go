@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -30,25 +31,19 @@ type CostResult struct {
 // CostTradeoff uploads a mixed-sensitivity workload into a mixed-price
 // fleet and bills both architectures.
 func CostTradeoff(filesPerLevel int, fileBytes int, seed int64) (*CostResult, error) {
-	fleet, err := provider.NewFleet(
-		provider.MustNew(provider.Info{Name: "fortress", PL: privacy.High, CL: 3}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "citadel", PL: privacy.High, CL: 2}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "vaulted", PL: privacy.High, CL: 2}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "midtier", PL: privacy.Moderate, CL: 1}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "bargain", PL: privacy.Low, CL: 0}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "budget", PL: privacy.Public, CL: 0}, provider.Options{}),
+	fleet, err := fleetOf(
+		provider.Info{Name: "fortress", PL: privacy.High, CL: 3},
+		provider.Info{Name: "citadel", PL: privacy.High, CL: 2},
+		provider.Info{Name: "vaulted", PL: privacy.High, CL: 2},
+		provider.Info{Name: "midtier", PL: privacy.Moderate, CL: 1},
+		provider.Info{Name: "bargain", PL: privacy.Low, CL: 0},
+		provider.Info{Name: "budget", PL: privacy.Public, CL: 0},
 	)
 	if err != nil {
 		return nil, err
 	}
-	d, err := core.New(core.Config{Fleet: fleet})
+	l, err := newLab(fleet, core.Config{}, "acct")
 	if err != nil {
-		return nil, err
-	}
-	if err := d.RegisterClient("acct"); err != nil {
-		return nil, err
-	}
-	if err := d.AddPassword("acct", "pw", privacy.High); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -57,7 +52,7 @@ func CostTradeoff(filesPerLevel int, fileBytes int, seed int64) (*CostResult, er
 		for i := 0; i < filesPerLevel; i++ {
 			name := fmt.Sprintf("f-%v-%d", pl, i)
 			data := dataset.RandomBytes(fileBytes, rng)
-			if _, err := d.Upload("acct", "pw", name, data, pl, core.UploadOptions{}); err != nil {
+			if _, err := l.store(name, data, pl, core.UploadOptions{}); err != nil {
 				return nil, err
 			}
 			logical += int64(fileBytes)
@@ -75,7 +70,7 @@ func CostTradeoff(filesPerLevel int, fileBytes int, seed int64) (*CostResult, er
 
 	// Verify the sensitivity constraint on actual placements.
 	sensitiveTotal, sensitiveTrusted := 0, 0
-	for _, row := range d.ChunkTable() {
+	for _, row := range l.d.ChunkTable() {
 		if row.PL != privacy.High {
 			continue
 		}
@@ -112,7 +107,7 @@ func FormatCost(r *CostResult) string {
 	for n := range r.PerProvider {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&b, "  %-10s $%.6f/month\n", n, r.PerProvider[n])
 	}
@@ -120,12 +115,4 @@ func FormatCost(r *CostResult) string {
 		r.DistributedBill, r.SingleBill, r.Ratio)
 	fmt.Fprintf(&b, "PL3 chunks on PL3 providers: %.0f%%\n", r.SensitiveOnTrusted*100)
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -54,22 +54,19 @@ func EncryptionVsFragmentationLive(objectSizes []int, queryBytes int, seed int64
 		encMoved := store.BytesOut() - encBefore
 
 		// Fragmenting distributor over six providers.
-		fleet, err := BuildFleet(6, provider.LatencyModel{})
+		fleet, err := BuildFleet(6)
 		if err != nil {
 			return nil, err
 		}
-		d, err := core.New(core.Config{Fleet: fleet})
+		l, err := runLab(fleet, core.Config{}, "c", "f", data, privacy.Moderate, core.UploadOptions{})
 		if err != nil {
-			return nil, err
-		}
-		if err := seedAndUpload(d, "c", "f", data, privacy.Moderate, core.UploadOptions{}); err != nil {
 			return nil, err
 		}
 		fragBefore := int64(0)
 		for _, p := range fleet.All() {
 			fragBefore += p.Usage().BytesOut
 		}
-		fragGot, err := d.GetRange("c", "pw", "f", offset, queryBytes)
+		fragGot, err := l.d.GetRange(l.client, labPassword, "f", offset, queryBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/provider"
 	"repro/internal/raid"
 )
 
@@ -169,7 +168,7 @@ func TestGPSFiguresValidation(t *testing.T) {
 }
 
 func TestDistributionTime(t *testing.T) {
-	r, err := DistributionTime(200_000, 6, raid.RAID5, provider.LatencyModel{}, 1)
+	r, err := DistributionTime(200_000, 6, raid.RAID5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +183,8 @@ func TestDistributionTime(t *testing.T) {
 	}
 }
 
-func TestDistributionSweepAndLatencyModel(t *testing.T) {
-	rows, err := DistributionSweep([]int{50_000, 100_000}, []int{4, 8}, provider.LatencyModel{PerByte: 1})
+func TestDistributionSweep(t *testing.T) {
+	rows, err := DistributionSweep([]int{50_000, 100_000}, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +195,6 @@ func TestDistributionSweepAndLatencyModel(t *testing.T) {
 		if !r.ReadBackOK {
 			t.Fatalf("readback failed: %+v", r)
 		}
-		if r.SimulatedTime <= 0 {
-			t.Fatalf("latency model not applied: %+v", r)
-		}
-	}
-	// Larger files take more simulated provider time at equal providers.
-	if rows[1].SimulatedTime <= rows[0].SimulatedTime {
-		t.Fatalf("simulated time not increasing with size: %v vs %v", rows[0].SimulatedTime, rows[1].SimulatedTime)
 	}
 	if !strings.Contains(FormatDistributionSweep(rows), "providers") {
 		t.Fatal("sweep rendering broken")

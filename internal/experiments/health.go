@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/privacy"
-	"repro/internal/provider"
 )
 
 // HealthPoint reports prediction-attack quality for one attacker scope.
@@ -55,44 +53,9 @@ func HealthPredictionExperiment(cfg dataset.HealthConfig, nProviders int) ([]Hea
 		return p
 	}
 
-	solo, err := provider.NewFleet(provider.MustNew(provider.Info{Name: "solo", PL: privacy.High, CL: 0}, provider.Options{}))
+	out, err := wholeVersusInsiders(body, nProviders, "hospital", "patients.csv", privacy.High, score)
 	if err != nil {
 		return nil, 0, err
-	}
-	ds, err := core.New(core.Config{Fleet: solo, StripeWidth: 1})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := seedAndUpload(ds, "hospital", "patients.csv", body, privacy.Public, core.UploadOptions{NoParity: true}); err != nil {
-		return nil, 0, err
-	}
-	soloBlobs, err := attack.DumpProviders(solo, []int{0})
-	if err != nil {
-		return nil, 0, err
-	}
-	out := []HealthPoint{score("full", soloBlobs)}
-
-	fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
-	if err != nil {
-		return nil, 0, err
-	}
-	policy := privacy.ChunkSizePolicy{SizeByLevel: map[privacy.Level]int{
-		privacy.Public: 1 << 10, privacy.Low: 1 << 10, privacy.Moderate: 512, privacy.High: 256,
-	}}
-	dd, err := core.New(core.Config{Fleet: fleet, ChunkPolicy: policy, StripeWidth: nProviders})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := seedAndUpload(dd, "hospital", "patients.csv", body, privacy.High, core.UploadOptions{NoParity: true}); err != nil {
-		return nil, 0, err
-	}
-	for i := 0; i < fleet.Len(); i++ {
-		blobs, err := attack.DumpProviders(fleet, []int{i})
-		if err != nil {
-			return nil, 0, err
-		}
-		p, _ := fleet.At(i)
-		out = append(out, score(p.Info().Name, blobs))
 	}
 	return out, baseline, nil
 }
@@ -103,11 +66,7 @@ func FormatHealthExperiment(points []HealthPoint, baseline float64) string {
 	fmt.Fprintf(&b, "majority-class baseline accuracy: %.3f\n", baseline)
 	fmt.Fprintf(&b, "%-8s %10s %12s %8s\n", "scope", "rows", "accuracy", "failed")
 	for _, p := range points {
-		if p.Failed {
-			fmt.Fprintf(&b, "%-8s %10d %12s %8v\n", p.Scope, p.RowsRecovered, "-", true)
-			continue
-		}
-		fmt.Fprintf(&b, "%-8s %10d %12.3f %8v\n", p.Scope, p.RowsRecovered, p.Accuracy, false)
+		fmt.Fprintf(&b, "%-8s %10d %12s %8v\n", p.Scope, p.RowsRecovered, scoreCell(p.Accuracy, p.Failed), p.Failed)
 	}
 	return b.String()
 }

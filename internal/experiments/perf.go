@@ -12,102 +12,56 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/privacy"
-	"repro/internal/provider"
 	"repro/internal/raid"
 )
 
-// BuildFleet constructs n simulated providers with rotating cost levels
-// and the given per-operation latency model (zero for pure-throughput
-// benches, non-zero to model WAN providers like the paper's lab PCs).
-func BuildFleet(n int, latency provider.LatencyModel) (*provider.Fleet, error) {
-	fleet, err := provider.NewFleet()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		p, err := provider.New(provider.Info{
-			Name: fmt.Sprintf("cp%02d", i),
-			PL:   privacy.High,
-			CL:   privacy.CostLevel(i % 4),
-		}, provider.Options{Latency: latency})
-		if err != nil {
-			return nil, err
-		}
-		if err := fleet.Add(p); err != nil {
-			return nil, err
-		}
-	}
-	return fleet, nil
-}
-
 // DistributionTimeResult is one row of the §VIII-B performance series:
 // how long the Cloud Data Distributor takes to fragment and scatter a
-// file, wall-clock and simulated provider time.
+// file.
 type DistributionTimeResult struct {
-	FileBytes     int
-	Providers     int
-	Raid          raid.Level
-	Chunks        int
-	Parity        int
-	WallTime      time.Duration
-	SimulatedTime time.Duration
-	ReadBackOK    bool
+	FileBytes  int
+	Providers  int
+	Raid       raid.Level
+	Chunks     int
+	Parity     int
+	WallTime   time.Duration
+	ReadBackOK bool
 }
 
 // DistributionTime uploads one file of the given size into a fresh
 // system and measures distribution time, then verifies consistency by
 // reading the file back (the paper "tested the consistency of the system
 // and ... monitored its performance (Distribution time)").
-func DistributionTime(fileBytes, nProviders int, level raid.Level, latency provider.LatencyModel, seed int64) (*DistributionTimeResult, error) {
-	fleet, err := BuildFleet(nProviders, latency)
+func DistributionTime(fileBytes, nProviders int, level raid.Level, seed int64) (*DistributionTimeResult, error) {
+	fleet, err := BuildFleet(nProviders)
 	if err != nil {
-		return nil, err
-	}
-	d, err := core.New(core.Config{Fleet: fleet, DefaultRaid: level})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.RegisterClient("perf"); err != nil {
-		return nil, err
-	}
-	if err := d.AddPassword("perf", "pw", privacy.High); err != nil {
 		return nil, err
 	}
 	data := dataset.RandomBytes(fileBytes, rand.New(rand.NewSource(seed)))
-
-	start := time.Now()
-	info, err := d.Upload("perf", "pw", "payload.bin", data, privacy.Moderate, core.UploadOptions{})
+	l, err := runLab(fleet, core.Config{DefaultRaid: level}, "perf", "payload.bin", data, privacy.Moderate, core.UploadOptions{})
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
-
-	var simTime time.Duration
-	for _, p := range fleet.All() {
-		simTime += p.Usage().SimulatedTime
-	}
-	back, err := d.GetFile("perf", "pw", "payload.bin")
-	res := &DistributionTimeResult{
-		FileBytes:     fileBytes,
-		Providers:     nProviders,
-		Raid:          level,
-		Chunks:        info.Chunks,
-		Parity:        d.Stats().ParityShards,
-		WallTime:      wall,
-		SimulatedTime: simTime,
-		ReadBackOK:    err == nil && bytes.Equal(back, data),
-	}
-	return res, nil
+	back, err := l.d.GetFile(l.client, labPassword, "payload.bin")
+	return &DistributionTimeResult{
+		FileBytes:  fileBytes,
+		Providers:  nProviders,
+		Raid:       level,
+		Chunks:     l.file.Chunks,
+		Parity:     l.d.Stats().ParityShards,
+		WallTime:   l.took,
+		ReadBackOK: err == nil && bytes.Equal(back, data),
+	}, nil
 }
 
 // DistributionSweep measures distribution time across file sizes and
 // provider counts — the series behind the §VIII-B performance claim.
-func DistributionSweep(sizes []int, providerCounts []int, latency provider.LatencyModel) ([]*DistributionTimeResult, error) {
+func DistributionSweep(sizes []int, providerCounts []int) ([]*DistributionTimeResult, error) {
 	var out []*DistributionTimeResult
 	seed := int64(1)
 	for _, n := range providerCounts {
 		for _, sz := range sizes {
-			r, err := DistributionTime(sz, n, raid.RAID5, latency, seed)
+			r, err := DistributionTime(sz, n, raid.RAID5, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -121,11 +75,11 @@ func DistributionSweep(sizes []int, providerCounts []int, latency provider.Laten
 // FormatDistributionSweep renders the sweep as a table.
 func FormatDistributionSweep(rows []*DistributionTimeResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%10s %10s %6s %7s %7s %14s %14s %9s\n",
-		"bytes", "providers", "raid", "chunks", "parity", "wall", "simulated", "readback")
+	fmt.Fprintf(&b, "%10s %10s %6s %7s %7s %14s %9s\n",
+		"bytes", "providers", "raid", "chunks", "parity", "wall", "readback")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%10d %10d %6s %7d %7d %14v %14v %9v\n",
-			r.FileBytes, r.Providers, r.Raid, r.Chunks, r.Parity, r.WallTime.Round(time.Microsecond), r.SimulatedTime, r.ReadBackOK)
+		fmt.Fprintf(&b, "%10d %10d %6s %7d %7d %14v %9v\n",
+			r.FileBytes, r.Providers, r.Raid, r.Chunks, r.Parity, r.WallTime.Round(time.Microsecond), r.ReadBackOK)
 	}
 	return b.String()
 }
@@ -144,7 +98,7 @@ type MultiDistributorResult struct {
 // nProviders: a primary whose WAL lives in a temporary directory, and
 // secondaries that follow it.
 func MultiDistributor(nDistributors, nProviders int, seed int64) (*MultiDistributorResult, error) {
-	fleet, err := BuildFleet(nProviders, provider.LatencyModel{})
+	fleet, err := BuildFleet(nProviders)
 	if err != nil {
 		return nil, err
 	}
@@ -153,49 +107,34 @@ func MultiDistributor(nDistributors, nProviders int, seed int64) (*MultiDistribu
 		return nil, err
 	}
 	defer os.RemoveAll(walDir)
-	dists := make([]*core.Distributor, nDistributors)
-	for i := range dists {
-		cfg := core.Config{Fleet: fleet, Secret: []byte{byte(i + 1)}}
-		if i == 0 {
-			cfg.WALDir = walDir
-		}
-		if dists[i], err = core.New(cfg); err != nil {
-			return nil, err
-		}
-	}
-	primary, secondaries := dists[0], dists[1:]
-	defer core.Crash(primary) // closes the log before its directory goes
-	if err := primary.RegisterClient("client"); err != nil {
-		return nil, err
-	}
-	if err := primary.AddPassword("client", "pw", privacy.High); err != nil {
-		return nil, err
-	}
 	data := dataset.RandomBytes(60_000, rand.New(rand.NewSource(seed)))
-	res := &MultiDistributorResult{Distributors: nDistributors}
-	if _, err := primary.Upload("client", "pw", "f", data, privacy.Moderate, core.UploadOptions{}); err != nil {
+	l, err := runLab(fleet, core.Config{Secret: []byte{1}, WALDir: walDir}, "client", "f", data, privacy.Moderate, core.UploadOptions{})
+	if err != nil {
 		return nil, err
 	}
-	res.UploadOK = true
-	for _, s := range secondaries {
-		if _, err := s.Follow(primary); err != nil {
+	primary := l.d
+	defer core.Crash(primary) // closes the log before its directory goes
+	res := &MultiDistributorResult{Distributors: nDistributors, UploadOK: true}
+	secondaries := make([]*core.Distributor, nDistributors-1)
+	for i := range secondaries {
+		if secondaries[i], err = core.New(core.Config{Fleet: fleet, Secret: []byte{byte(i + 2)}}); err != nil {
+			return nil, err
+		}
+		if _, err := secondaries[i].Follow(primary); err != nil {
 			return nil, err
 		}
 	}
-	back, err := primary.GetFile("client", "pw", "f")
+	back, err := primary.GetFile(l.client, labPassword, "f")
 	res.PrimaryRetrievalOK = err == nil && bytes.Equal(back, data)
 
 	if err := core.Crash(primary); err != nil {
 		return nil, err
 	}
-	res.FailoverRetrievalOK = len(secondaries) > 0
+	res.FailoverRetrievalOK, res.UploadBlockedOK = len(secondaries) > 0, len(secondaries) > 0
 	for _, s := range secondaries {
-		back, err = s.GetFile("client", "pw", "f")
+		back, err = s.GetFile(l.client, labPassword, "f")
 		res.FailoverRetrievalOK = res.FailoverRetrievalOK && err == nil && bytes.Equal(back, data)
-	}
-	res.UploadBlockedOK = len(secondaries) > 0
-	for _, s := range secondaries {
-		_, err = s.Upload("client", "pw", "g", data, privacy.Low, core.UploadOptions{})
+		_, err = s.Upload(l.client, labPassword, "g", data, privacy.Low, core.UploadOptions{})
 		res.UploadBlockedOK = res.UploadBlockedOK && errors.Is(err, core.ErrUnavailable)
 	}
 	return res, nil

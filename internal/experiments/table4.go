@@ -8,7 +8,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
+	"sort"
 	"strings"
 
 	"repro/internal/attack"
@@ -110,33 +110,27 @@ type Table4SystemResult struct {
 // Table4System distributes n synthetic bidding rows over three providers
 // and runs both the single-provider and per-insider attacks.
 func Table4System(n int, seed int64) (*Table4SystemResult, error) {
-	model := dataset.PaperBiddingModel()
-	recs := dataset.GenerateBiddingHistory(n, model, rand.New(rand.NewSource(seed)))
-	csvData := dataset.BiddingCSV(recs)
-	truth := &mining.RegressionModel{Coeffs: []float64{model.A, model.B, model.C}, Intercept: model.D}
+	csvData, truth := biddingHistory(n, dataset.PaperBiddingModel(), seed)
 
 	// Single-provider baseline.
-	soloFleet, err := provider.NewFleet(provider.MustNew(provider.Info{Name: "Titans", PL: privacy.High, CL: 3}, provider.Options{}))
+	solo, err := fleetOf(provider.Info{Name: "Titans", PL: privacy.High, CL: 3})
 	if err != nil {
 		return nil, err
 	}
-	solo, err := core.New(core.Config{Fleet: soloFleet, StripeWidth: 1})
+	soloLab, err := runLab(solo, core.Config{StripeWidth: 1}, "hercules", "bids.csv", csvData, privacy.Public, core.UploadOptions{NoParity: true})
 	if err != nil {
 		return nil, err
 	}
-	if err := seedAndUpload(solo, "hercules", "bids.csv", csvData, privacy.Public, core.UploadOptions{NoParity: true}); err != nil {
-		return nil, err
-	}
-	soloBlobs, err := attack.DumpProviders(soloFleet, []int{0})
+	_, soloBlobs, err := soloLab.insiders()
 	if err != nil {
 		return nil, err
 	}
 
 	// Distributed: three equally reputable providers, paper-style.
-	triFleet, err := provider.NewFleet(
-		provider.MustNew(provider.Info{Name: "Titans", PL: privacy.High, CL: 1}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "Spartans", PL: privacy.High, CL: 1}, provider.Options{}),
-		provider.MustNew(provider.Info{Name: "Yagamis", PL: privacy.High, CL: 1}, provider.Options{}),
+	tri, err := fleetOf(
+		provider.Info{Name: "Titans", PL: privacy.High, CL: 1},
+		provider.Info{Name: "Spartans", PL: privacy.High, CL: 1},
+		provider.Info{Name: "Yagamis", PL: privacy.High, CL: 1},
 	)
 	if err != nil {
 		return nil, err
@@ -144,14 +138,11 @@ func Table4System(n int, seed int64) (*Table4SystemResult, error) {
 	policy := privacy.ChunkSizePolicy{SizeByLevel: map[privacy.Level]int{
 		privacy.Public: 2 << 10, privacy.Low: 1 << 10, privacy.Moderate: 512, privacy.High: 512,
 	}}
-	tri, err := core.New(core.Config{Fleet: triFleet, ChunkPolicy: policy, StripeWidth: 3})
+	triLab, err := runLab(tri, core.Config{ChunkPolicy: policy, StripeWidth: 3}, "hercules", "bids.csv", csvData, privacy.Moderate, core.UploadOptions{NoParity: true})
 	if err != nil {
 		return nil, err
 	}
-	if err := seedAndUpload(tri, "hercules", "bids.csv", csvData, privacy.Moderate, core.UploadOptions{NoParity: true}); err != nil {
-		return nil, err
-	}
-	triBlobs, err := attack.DumpProviders(triFleet, []int{0, 1, 2})
+	_, triBlobs, err := triLab.insiders()
 	if err != nil {
 		return nil, err
 	}
@@ -170,17 +161,13 @@ func Table4System(n int, seed int64) (*Table4SystemResult, error) {
 			continue
 		}
 		e, _ := mining.RelativeCoefficientError(r.Model, truth)
-		if first {
-			res.TruthErrFragMin, res.TruthErrFragMax = e, e
-			first = false
-			continue
-		}
-		if e < res.TruthErrFragMin {
+		if first || e < res.TruthErrFragMin {
 			res.TruthErrFragMin = e
 		}
-		if e > res.TruthErrFragMax {
+		if first || e > res.TruthErrFragMax {
 			res.TruthErrFragMax = e
 		}
+		first = false
 	}
 	return res, nil
 }
@@ -199,7 +186,7 @@ func FormatTable4System(r *Table4SystemResult) string {
 	for name := range r.PerProvider {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, name := range names {
 		pr := r.PerProvider[name]
 		if pr.Model == nil {
@@ -211,15 +198,4 @@ func FormatTable4System(r *Table4SystemResult) string {
 	fmt.Fprintf(&b, "fragment relErr range: [%.3f, %.3f] (whole-data: %.3f)\n",
 		r.TruthErrFragMin, r.TruthErrFragMax, r.TruthErrFull)
 	return b.String()
-}
-
-func seedAndUpload(d *core.Distributor, client, filename string, data []byte, pl privacy.Level, opts core.UploadOptions) error {
-	if err := d.RegisterClient(client); err != nil {
-		return err
-	}
-	if err := d.AddPassword(client, "pw", privacy.High); err != nil {
-		return err
-	}
-	_, err := d.Upload(client, "pw", filename, data, pl, opts)
-	return err
 }

@@ -67,7 +67,7 @@ type Config struct {
 	// admitting a half-open probe (default 30s).
 	Cooldown time.Duration
 	// Clock supplies the current time; nil selects time.Now. Tests inject
-	// a virtual clock, mirroring provider.Options.Sleep.
+	// a virtual clock.
 	Clock func() time.Time
 }
 

@@ -80,11 +80,7 @@ func Start(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		for i := 0; i < cfg.Providers; i++ {
-			opts := provider.Options{}
-			if cfg.ProvLatency > 0 {
-				opts.Latency = provider.LatencyModel{PerOp: cfg.ProvLatency}
-				opts.Sleep = time.Sleep
-			}
+			opts := provider.Options{Latency: provider.LatencyModel{PerOp: cfg.ProvLatency}}
 			// Uniform cost level: placement prefers strictly cheaper
 			// providers and only load-balances within a cost tier, so a
 			// mixed-cost fleet would concentrate all load on its

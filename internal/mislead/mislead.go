@@ -30,12 +30,20 @@ import (
 // increasing; a typical decoy costs one byte where a []int cost eight.
 // The zero value is "no decoys".
 type Injection struct {
-	count int
-	gaps  []byte
+	gaps []byte
 }
 
-// Count returns the number of injected bytes.
-func (inj Injection) Count() int { return inj.count }
+// Count returns the number of injected bytes: the uvarints of the gap
+// list, counted by their final bytes.
+func (inj Injection) Count() int {
+	n := 0
+	for _, b := range inj.gaps {
+		if b < 0x80 {
+			n++
+		}
+	}
+	return n
+}
 
 // Encoded returns the gap list for persistence. The slice aliases the
 // Injection and must not be modified; FromEncoded is its inverse.
@@ -51,13 +59,7 @@ func FromEncoded(enc []byte) (Injection, error) {
 	if enc[len(enc)-1] >= 0x80 {
 		return Injection{}, fmt.Errorf("mislead: encoded positions end inside a varint")
 	}
-	count := 0
-	for _, b := range enc {
-		if b < 0x80 {
-			count++
-		}
-	}
-	return Injection{count: count, gaps: append([]byte(nil), enc...)}, nil
+	return Injection{gaps: append([]byte(nil), enc...)}, nil
 }
 
 // FromPositions builds an Injection from absolute decoy positions, which
@@ -75,20 +77,20 @@ func FromPositions(positions []int) (Injection, error) {
 		gaps = binary.AppendUvarint(gaps, uint64(p-prev-1))
 		prev = p
 	}
-	return Injection{count: len(positions), gaps: gaps}, nil
+	return Injection{gaps: gaps}, nil
 }
 
 // Positions decodes the absolute decoy positions, nil when there are
 // none. A malformed gap list (see Validate) decodes as far as it is
 // well formed.
-func (inj Injection) Positions() []int { return inj.First(inj.count) }
+func (inj Injection) Positions() []int { return inj.First(inj.Count()) }
 
 // First decodes at most n leading positions — what a table view prints
 // — without expanding the whole list.
 func (inj Injection) First(n int) []int {
 	// Every position takes at least one encoded byte, which bounds the
-	// allocation even under a forged count.
-	n = min(n, inj.count, len(inj.gaps))
+	// allocation.
+	n = min(n, len(inj.gaps))
 	if n <= 0 {
 		return nil
 	}
@@ -106,8 +108,8 @@ func (inj Injection) First(n int) []int {
 	return out
 }
 
-// Validate checks that the gap list is well formed, holds exactly Count
-// positions, and that every position lies within the inflated length.
+// Validate checks that the gap list is well formed and that every
+// position lies within the inflated length.
 // Sortedness and uniqueness need no check: gaps cannot be negative.
 func (inj Injection) Validate(inflatedLen int) error {
 	_, err := inj.walk(inflatedLen, nil, nil)
@@ -127,9 +129,6 @@ func (inj Injection) Validate(inflatedLen int) error {
 // Every check that can fail, and every error, is in the general step,
 // so a hostile list is judged exactly as it always was.
 func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error) {
-	if inj.count < 0 || inj.count > len(inj.gaps) {
-		return nil, fmt.Errorf("mislead: %d positions claimed by %d encoded bytes", inj.count, len(inj.gaps))
-	}
 	from, seen := 0, 0 // from: first payload index after the previous decoy
 	for b := inj.gaps; len(b) > 0; seen++ {
 		if inflated != nil {
@@ -158,9 +157,6 @@ func (inj Injection) walk(inflatedLen int, dst, inflated []byte) ([]byte, error)
 			dst = append(dst, inflated[from:decoy]...)
 		}
 		from = decoy + 1
-	}
-	if seen != inj.count {
-		return nil, fmt.Errorf("mislead: %d positions encoded, %d claimed", seen, inj.count)
 	}
 	if inflated != nil {
 		dst = append(dst, inflated[from:]...)
@@ -334,7 +330,7 @@ func InjectTo(dst, data []byte, fraction float64, s *Stream) ([]byte, Injection,
 	}
 	s.next = next
 	copy(out[prev+1:], data[src:])
-	return dst[:base+inflatedLen], Injection{count: nDecoys, gaps: gaps}, nil
+	return dst[:base+inflatedLen], Injection{gaps: gaps}, nil
 }
 
 // below returns a uniform integer in [0, n), drawn from s at cursor next,
@@ -380,10 +376,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // The returned slice has exact capacity — it retains nothing beyond the
 // recovered bytes.
 func Strip(inflated []byte, inj Injection) ([]byte, error) {
-	if inj.count < 0 || inj.count > len(inflated) {
-		return nil, fmt.Errorf("mislead: %d decoys claimed in a payload of %d bytes", inj.count, len(inflated))
-	}
-	out := make([]byte, 0, len(inflated)-inj.count)
+	// A gap list with more decoys than the payload has bytes fails the walk.
+	out := make([]byte, 0, max(len(inflated)-inj.Count(), 0))
 	return StripTo(out, inflated, inj)
 }
 
@@ -432,12 +426,11 @@ func InjectLines(data []byte, decoyLines [][]byte, rng *rand.Rand) ([]byte, Inje
 	// A decoy line is a run of adjacent positions: its first byte carries
 	// the gap back to the previous decoy, every later byte a gap of 0.
 	var out, gaps []byte
-	count, prev := 0, -1
+	prev := -1
 	decoy := func(b byte) {
 		gaps = binary.AppendUvarint(gaps, uint64(len(out)-prev-1))
 		prev = len(out)
 		out = append(out, b)
-		count++
 	}
 	di := 0
 	for off := 0; off <= len(data); off++ {
@@ -455,7 +448,7 @@ func InjectLines(data []byte, decoyLines [][]byte, rng *rand.Rand) ([]byte, Inje
 			out = append(out, data[off])
 		}
 	}
-	return out, Injection{count: count, gaps: gaps}, nil
+	return out, Injection{gaps: gaps}, nil
 }
 
 // Overhead reports the storage overhead ratio of an injection relative to

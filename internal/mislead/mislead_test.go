@@ -120,13 +120,9 @@ func TestInjectionValidate(t *testing.T) {
 		t.Fatal("position accepted in an empty payload")
 	}
 	for name, inj := range map[string]Injection{
-		"count above encoded":   {count: 3, gaps: []byte{0, 0}},
-		"count below encoded":   {count: 1, gaps: []byte{0, 0}},
-		"negative count":        {count: -1},
-		"ends inside a varint":  {count: 1, gaps: []byte{0x80}},
-		"varint overflows":      {count: 1, gaps: append(bytes.Repeat([]byte{0xff}, 10), 0x01)},
-		"gap wraps past 2^63":   {count: 2, gaps: append([]byte{1}, append(bytes.Repeat([]byte{0xff}, 9), 0x01)...)},
-		"positions but no gaps": {count: 2},
+		"ends inside a varint": {gaps: []byte{0x80}},
+		"varint overflows":     {gaps: append(bytes.Repeat([]byte{0xff}, 10), 0x01)},
+		"gap wraps past 2^63":  {gaps: append([]byte{1}, append(bytes.Repeat([]byte{0xff}, 9), 0x01)...)},
 	} {
 		if err := inj.Validate(1 << 20); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -179,7 +175,7 @@ func TestStripRejectsBadInjection(t *testing.T) {
 	if _, err := Strip([]byte("abc"), mustPositions(t, 9)); err == nil {
 		t.Fatal("bad injection accepted by Strip")
 	}
-	if _, err := Strip([]byte("abc"), Injection{count: 7, gaps: make([]byte, 7)}); err == nil {
+	if _, err := Strip([]byte("abc"), Injection{gaps: make([]byte, 7)}); err == nil {
 		t.Fatal("more decoys than payload bytes accepted by Strip")
 	}
 }

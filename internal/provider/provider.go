@@ -118,9 +118,9 @@ var ErrInjected = errors.New("provider: injected transient failure")
 // delete must surface as an unexplained orphan.
 var ErrSilentDrop = errors.New("provider: operation silently dropped")
 
-// LatencyModel adds simulated service time per operation: a fixed setup
-// cost plus a per-byte transfer cost. Zero values mean no delay — the
-// default for unit tests.
+// LatencyModel adds service time per operation, slept for real: a fixed
+// setup cost plus a per-byte transfer cost. Zero values mean no delay —
+// the default for unit tests.
 type LatencyModel struct {
 	PerOp   time.Duration
 	PerByte time.Duration
@@ -137,10 +137,6 @@ type Options struct {
 	FailureRate float64
 	// Seed drives the failure model.
 	Seed int64
-	// Sleep replaces time.Sleep for latency simulation; nil uses a virtual
-	// clock that only accumulates (no real blocking), keeping tests fast
-	// while benchmarks can still read SimulatedTime.
-	Sleep func(time.Duration)
 }
 
 // Usage captures a provider's billing-relevant counters.
@@ -149,9 +145,6 @@ type Usage struct {
 	BytesStored         int64 // current resident bytes
 	BytesIn, BytesOut   int64 // cumulative transfer
 	Keys                int
-	// SimulatedTime is the total simulated service time accumulated by the
-	// latency model.
-	SimulatedTime time.Duration
 }
 
 // MemProvider is an in-memory simulated cloud provider. It is safe for
@@ -303,8 +296,7 @@ func (p *MemProvider) Puts() int {
 	return p.puts
 }
 
-// gate applies outage, failure injection and latency accounting. Callers
-// hold p.mu.
+// gate applies outage, failure injection and latency. Callers hold p.mu.
 func (p *MemProvider) gate(nBytes int) error {
 	if p.down {
 		return fmt.Errorf("%w: %s", ErrOutage, p.info.Name)
@@ -312,12 +304,8 @@ func (p *MemProvider) gate(nBytes int) error {
 	if p.opts.FailureRate > 0 && p.rng.Float64() < p.opts.FailureRate {
 		return fmt.Errorf("%w: %s", ErrInjected, p.info.Name)
 	}
-	d := p.opts.Latency.delay(nBytes)
-	if d > 0 {
-		p.usage.SimulatedTime += d
-		if p.opts.Sleep != nil {
-			p.opts.Sleep(d)
-		}
+	if d := p.opts.Latency.delay(nBytes); d > 0 {
+		time.Sleep(d)
 	}
 	return nil
 }

@@ -147,36 +147,19 @@ func TestFailureInjection(t *testing.T) {
 	}
 }
 
-func TestLatencyAccounting(t *testing.T) {
-	var slept time.Duration
+func TestLatencySleeps(t *testing.T) {
 	p, err := New(Info{Name: "slow", PL: privacy.Low, CL: 0}, Options{
-		Latency: LatencyModel{PerOp: time.Millisecond, PerByte: time.Microsecond},
-		Sleep:   func(d time.Duration) { slept += d },
+		Latency: LatencyModel{PerOp: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = p.Put("k", make([]byte, 1000))
-	want := time.Millisecond + 1000*time.Microsecond
-	if slept != want {
-		t.Fatalf("slept = %v, want %v", slept, want)
-	}
-	if p.Usage().SimulatedTime != want {
-		t.Fatalf("SimulatedTime = %v, want %v", p.Usage().SimulatedTime, want)
-	}
-}
-
-func TestVirtualClockWithoutSleep(t *testing.T) {
-	p, _ := New(Info{Name: "v", PL: privacy.Low, CL: 0}, Options{
-		Latency: LatencyModel{PerOp: time.Second},
-	})
 	start := time.Now()
-	_ = p.Put("k", []byte("v"))
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("virtual clock actually slept")
+	if err := p.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
 	}
-	if p.Usage().SimulatedTime != time.Second {
-		t.Fatalf("SimulatedTime = %v", p.Usage().SimulatedTime)
+	if took := time.Since(start); took < 2*time.Millisecond {
+		t.Fatalf("put with a 2ms PerOp took %v", took)
 	}
 }
 
