@@ -176,7 +176,7 @@ func run(cfg config) (*loadreport.Report, error) {
 			target = fmt.Sprintf("sharded deployment (%d distributors)", len(urls))
 		}
 	}
-	client, err := transport.NewSystem(urls, hc)
+	client, err := transport.NewShardedClient(urls, hc)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func run(cfg config) (*loadreport.Report, error) {
 // preload registers the tenants and uploads each namespace's initial
 // objects in parallel; any failure aborts the run before the clock
 // starts.
-func preload(cfg config, client *transport.System, tenants []*tenant, sizes sizeDist) error {
+func preload(cfg config, client *transport.Client, tenants []*tenant, sizes sizeDist) error {
 	for _, tn := range tenants {
 		if err := client.RegisterClient(tn.name); err != nil {
 			return fmt.Errorf("register %s: %w", tn.name, err)

@@ -216,7 +216,7 @@ func newOpRec() *opRec { return &opRec{hist: metrics.NewHistogram()} }
 // worker drives one goroutine's share of the load.
 type worker struct {
 	rng     *rand.Rand
-	client  *transport.System
+	client  *transport.Client
 	tenants []*tenant
 	mix     opMix
 	sizes   sizeDist
@@ -225,7 +225,7 @@ type worker struct {
 	recs    [opCount]*opRec
 }
 
-func newWorker(seed int64, client *transport.System, tenants []*tenant, mix opMix, sizes sizeDist, pl privacy.Level) *worker {
+func newWorker(seed int64, client *transport.Client, tenants []*tenant, mix opMix, sizes sizeDist, pl privacy.Level) *worker {
 	w := &worker{
 		rng: rand.New(rand.NewSource(seed)), client: client,
 		tenants: tenants, mix: mix, sizes: sizes, pl: pl,

@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/core"
 	"repro/internal/privacy"
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	server := flag.String("server", "http://localhost:9000", "distributor base URL")
-	shards := flag.String("shards", "", "comma-separated shard URLs for shard-aware commands (locate)")
+	shards := flag.String("shards", "", "comma-separated distributor URLs: route every command across these shards instead of -server")
 	pl := flag.Int("pl", 1, "privacy level for uploads (0-3)")
 	raid6 := flag.Bool("raid6", false, "request RAID-6 assurance on upload")
 	mislead := flag.Float64("mislead", 0, "misleading-byte fraction for uploads [0,1)")
@@ -45,49 +46,23 @@ func main() {
 		usage()
 	}
 	cmd, rest := args[0], args[1:]
-	if cmd == "locate" {
-		// locate is routing-only: it builds the client-side shard router
-		// instead of a single-distributor client.
-		if err := locateCmd(*server, *shards, rest); err != nil {
-			log.Fatalf("cloudctl locate: %v", err)
-		}
-		return
-	}
 	var hc *http.Client
 	if cmd == "upload" || cmd == "cat" {
 		// Streaming transfers run as long as the object is large; the
 		// default 30-second client timeout would sever them mid-body.
 		hc = &http.Client{}
 	}
-	c := transport.NewClient(*server, hc)
-	if err := run(c, cmd, rest, *pl, *raid6, *mislead); err != nil {
+	urls := []string{*server}
+	if *shards != "" {
+		urls = strings.FieldsFunc(*shards, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	}
+	c, err := transport.NewShardedClient(urls, hc)
+	if err == nil {
+		err = run(c, cmd, rest, *pl, *raid6, *mislead)
+	}
+	if err != nil {
 		log.Fatalf("cloudctl %s: %v", cmd, err)
 	}
-}
-
-// locateCmd resolves which shard owns ⟨client, filename⟩ using the same
-// consistent-hash router the data path uses.
-func locateCmd(server, shards string, args []string) error {
-	need(args, 2, "[-shards url1,url2,...] locate <client> <filename>")
-	urls := []string{server}
-	if shards != "" {
-		urls = nil
-		for _, u := range strings.Split(shards, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-	}
-	sys, err := transport.NewSystem(urls, nil)
-	if err != nil {
-		return err
-	}
-	loc := sys.Locate(args[0], args[1])
-	fmt.Printf("file %s/%s\n", args[0], args[1])
-	fmt.Printf("  key    %016x\n", loc.Key)
-	fmt.Printf("  shard  %d of %d\n", loc.Shard, sys.Shards())
-	fmt.Printf("  owner  %s\n", loc.ShardURL)
-	return nil
 }
 
 func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mislead float64) error {
@@ -317,6 +292,15 @@ func run(c *transport.Client, cmd string, args []string, pl int, raid6 bool, mis
 				m.WAL.Replayed, m.WAL.RecoveryOrphans)
 		}
 		return nil
+	case "locate":
+		// Routing is computed locally from the shard list: no round-trip.
+		need(args, 2, "[-shards url1,url2,...] locate <client> <filename>")
+		loc := c.Locate(args[0], args[1])
+		fmt.Printf("file %s/%s\n", args[0], args[1])
+		fmt.Printf("  key    %016x\n", loc.Key)
+		fmt.Printf("  shard  %d of %d\n", loc.Shard, c.Shards())
+		fmt.Printf("  owner  %s\n", loc.ShardURL)
+		return nil
 	case "wal-info":
 		need(args, 1, "wal-info <wal-dir>")
 		return walInfo(args[0])
@@ -373,7 +357,7 @@ func need(args []string, n int, usageLine string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: cloudctl [-server URL] [-pl N] [-raid6] [-mislead F] <command> ...
+	fmt.Fprintln(os.Stderr, `usage: cloudctl [-server URL | -shards URL,...] [-pl N] [-raid6] [-mislead F] <command> ...
 
 commands:
   register <client>
@@ -393,7 +377,7 @@ commands:
   tables
   stats
   health               (providers, op metrics, wal)
-  locate <client> <filename>   (with -shards: owning shard)
+  locate <client> <filename>   (the owning shard)
   wal-info <wal-dir>   (offline: inventory, codec versions + replay-validate a WAL directory)`)
 	os.Exit(2)
 }

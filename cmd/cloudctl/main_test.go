@@ -160,7 +160,7 @@ func TestCLIErrors(t *testing.T) {
 // pointed at a shard proxy. health needs the merged metrics route, which
 // the proxy used to answer 404; tables is per-shard and must say so.
 func TestCLIAgainstShardProxy(t *testing.T) {
-	sys, err := transport.NewSystem([]string{cliServer(t).URL, cliServer(t).URL}, nil)
+	sys, err := transport.NewShardedClient([]string{cliServer(t).URL, cliServer(t).URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

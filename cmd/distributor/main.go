@@ -95,48 +95,27 @@ func main() {
 	fmt.Printf("cloud data distributor over %d providers (default %v) listening on %s\n",
 		fleet.Len(), level, *addr)
 
-	srv := transport.NewHTTPServer(*addr, transport.NewDistributorServer(dist))
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
-		log.Fatalf("distributor: %v", err)
-	case sig := <-sigCh:
-		fmt.Printf("received %v: draining and checkpointing (bound %v)\n", sig, *drainT)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainT)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("distributor: http shutdown: %v", err)
-		}
-		if err := dist.Close(ctx); err != nil {
-			log.Fatalf("distributor: close: %v", err)
-		}
-		fmt.Println("clean shutdown: final checkpoint written")
-	}
+	serve(transport.NewHTTPServer(*addr, transport.NewDistributorServer(dist)), *drainT, dist.Close)
 }
 
 // runShardProxy serves the single-distributor wire protocol while
 // routing every data operation to the shard owning its file key.
 func runShardProxy(addr, shardURLs string, drainT time.Duration) {
-	var urls []string
-	for _, u := range strings.Split(shardURLs, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	sys, err := transport.NewSystem(urls, nil)
+	c, err := transport.NewShardedClient(splitURLs(shardURLs), nil)
 	if err != nil {
 		log.Fatalf("distributor: %v", err)
 	}
-	fmt.Printf("shard-routing proxy over %d distributors listening on %s\n", sys.Shards(), addr)
-	for i, u := range sys.URLs() {
+	fmt.Printf("shard-routing proxy over %d distributors listening on %s\n", c.Shards(), addr)
+	for i, u := range c.URLs() {
 		fmt.Printf("  shard %d: %s\n", i, u)
 	}
+	serve(transport.NewHTTPServer(addr, transport.NewShardProxy(c)), drainT, nil)
+}
 
-	srv := transport.NewHTTPServer(addr, transport.NewShardProxy(sys))
+// serve runs srv until SIGTERM or SIGINT, then drains its requests
+// within drainT. checkpoint, when set, is the step after the drain: the
+// distributor's final checkpoint. A proxy holds no state and has none.
+func serve(srv *http.Server, drainT time.Duration, checkpoint func(context.Context) error) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 
@@ -152,8 +131,27 @@ func runShardProxy(addr, shardURLs string, drainT time.Duration) {
 		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("distributor: http shutdown: %v", err)
 		}
-		fmt.Println("clean shutdown: proxy holds no state")
+		if checkpoint == nil {
+			fmt.Println("clean shutdown: proxy holds no state")
+			return
+		}
+		if err := checkpoint(ctx); err != nil {
+			log.Fatalf("distributor: close: %v", err)
+		}
+		fmt.Println("clean shutdown: final checkpoint written")
 	}
+}
+
+// splitURLs splits a comma-separated URL list, trimming spaces and
+// skipping empty entries.
+func splitURLs(list string) []string {
+	var urls []string
+	for _, u := range strings.Split(list, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	return urls
 }
 
 func buildFleet(urls string, localN int) (*provider.Fleet, error) {
@@ -163,11 +161,7 @@ func buildFleet(urls string, localN int) (*provider.Fleet, error) {
 	}
 	switch {
 	case urls != "":
-		for _, u := range strings.Split(urls, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
+		for _, u := range splitURLs(urls) {
 			rp, err := transport.DialProvider(u, nil)
 			if err != nil {
 				return nil, fmt.Errorf("dial %s: %w", u, err)

@@ -188,7 +188,7 @@ func Run(cfg Config) (*Result, error) {
 	defer cluster.Close()
 
 	hc := &http.Client{Timeout: 30 * time.Second, Transport: transport.NewPooledTransport()}
-	sys, err := transport.NewSystem(cluster.DistURLs, hc)
+	sys, err := transport.NewShardedClient(cluster.DistURLs, hc)
 	if err != nil {
 		return nil, err
 	}
@@ -512,7 +512,7 @@ func excessAccuracy(r attack.PredictionResult) float64 {
 // correlates files by tenant concentrates *every* tenant's namespace,
 // while an unlucky hash draw spikes one tenant at a time. One shard
 // carries no information: 0.
-func shardCorrelation(sys *transport.System, files []file, shards int) float64 {
+func shardCorrelation(sys *transport.Client, files []file, shards int) float64 {
 	if shards <= 1 {
 		return 0
 	}

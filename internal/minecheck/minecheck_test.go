@@ -196,7 +196,7 @@ func TestTimingInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	sys, err := transport.NewSystem(cluster.DistURLs, nil)
+	sys, err := transport.NewShardedClient(cluster.DistURLs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,7 +296,7 @@ func TestOnceOversizeAndLyingLengths(t *testing.T) {
 		"chunked oversize":  {chunkedBody(4097), true},
 	} {
 		srv := httptest.NewServer(tc.serve)
-		payload, err := quietClient(t, srv).once(context.Background(), routeGetFile.route, []byte("{}"))
+		payload, err := quietClient(t, srv).once(context.Background(), srv.URL, routeGetFile.route, []byte("{}"))
 		if err == nil || payload != nil {
 			t.Errorf("%s: once = %d bytes, %v; want an error and no payload", name, len(payload), err)
 		}
@@ -310,7 +310,7 @@ func TestOnceOversizeAndLyingLengths(t *testing.T) {
 	}
 	srv := httptest.NewServer(chunkedBody(4096))
 	t.Cleanup(srv.Close)
-	if payload, err := quietClient(t, srv).once(context.Background(), routeGetFile.route, []byte("{}")); err != nil || len(payload) != 4096 {
+	if payload, err := quietClient(t, srv).once(context.Background(), srv.URL, routeGetFile.route, []byte("{}")); err != nil || len(payload) != 4096 {
 		t.Fatalf("chunked at-cap once = %d bytes, %v", len(payload), err)
 	}
 }

@@ -30,7 +30,7 @@ type routeClass int
 const (
 	ownerRouted  routeClass = iota // the shard owning ⟨client, filename⟩
 	everyShard                     // account state: applied on every shard, "already exists" counting as done
-	mergedAnswer                   // every shard answers and System merges the answers
+	mergedAnswer                   // every shard answers and the Client merges the answers
 	perShard                       // names provider indices, which each shard numbers for itself: ask one shard
 )
 
@@ -120,25 +120,25 @@ type passwordReq struct {
 	PL       int    `json:"pl"`
 }
 
+// fileReq names a file; the per-file DTOs embed it, so the client finds
+// every owner row's routing keys in one place.
 type fileReq struct {
 	Client   string `json:"client"`
 	Password string `json:"password"`
 	Filename string `json:"filename"`
 }
 
+func (f fileReq) file() fileReq { return f }
+
 type chunkReq struct {
-	Client   string `json:"client"`
-	Password string `json:"password"`
-	Filename string `json:"filename"`
-	Serial   int    `json:"serial"`
+	fileReq
+	Serial int `json:"serial"`
 }
 
 type rangeReq struct {
-	Client   string `json:"client"`
-	Password string `json:"password"`
-	Filename string `json:"filename"`
-	Offset   int    `json:"offset"`
-	Length   int    `json:"length"`
+	fileReq
+	Offset int `json:"offset"`
+	Length int `json:"length"`
 }
 
 type decommissionReq struct {

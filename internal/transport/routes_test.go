@@ -43,7 +43,7 @@ func TestErrorTableRoundTrips(t *testing.T) {
 		writeError(w, failing(int(row.Load())))
 	}))
 	t.Cleanup(stub.Close)
-	sys, err := NewSystem([]string{stub.URL}, nil)
+	sys, err := NewShardedClient([]string{stub.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,9 @@ func TestErrorTableRoundTrips(t *testing.T) {
 	onlySentinel(t, "bare 502", err, nil)
 }
 
-// faceAPI is the operation set that a plain Client, the sharded System
-// and a Client behind a ShardProxy all serve, for the tests that drive
-// each face alike.
+// faceAPI is the operation set that a one-distributor Client, a sharded
+// Client and a Client behind a ShardProxy all serve, for the tests that
+// drive each face alike.
 type faceAPI interface {
 	RegisterClient(name string) error
 	AddPassword(client, password string, pl privacy.Level) error
@@ -90,20 +90,26 @@ type faceAPI interface {
 	GetChunk(client, password, filename string, serial int) ([]byte, error)
 	GetFile(client, password, filename string) ([]byte, error)
 	GetRange(client, password, filename string, offset, length int) ([]byte, error)
+	ChunkCount(client, password, filename string) (int, error)
+	GetSnapshot(client, password, filename string, serial int) ([]byte, error)
+	RemoveChunk(client, password, filename string, serial int) error
 }
 
-// TestErrorIdentityOnEveryFace drives the real failures through a plain
-// Client, the sharded System and a Client behind a ShardProxy: names that
-// contain the words the old client matched on ("concurrent", "chunk",
-// "snapshot", "serial") change nothing, and a proxied error reads exactly
-// like the owning shard's. The per-chunk reads the System does not route
-// (ChunkCount, GetSnapshot) run on the two Client faces.
+// TestErrorIdentityOnEveryFace drives the real failures through a
+// one-distributor Client, a sharded Client (the "System" face) and a
+// Client behind a ShardProxy: names that contain the words the old
+// client matched on ("concurrent", "chunk", "snapshot", "serial") change
+// nothing, and a sharded or proxied error reads exactly like the owning
+// shard's. Every per-file operation runs on every face.
 func TestErrorIdentityOnEveryFace(t *testing.T) {
 	single, _ := distributorFixture(t, 4)
 	sys, _ := shardFixture(t, 3, 4)
 	proxied, _ := shardFixture(t, 3, 4)
 	proxy := httptest.NewServer(NewShardProxy(proxied))
 	t.Cleanup(proxy.Close)
+	ownerOf := func(c *Client) func(file string) faceAPI {
+		return func(f string) faceAPI { return NewClient(c.Locate("concurrent", f).ShardURL, nil) }
+	}
 
 	for _, face := range []struct {
 		name  string
@@ -111,8 +117,8 @@ func TestErrorIdentityOnEveryFace(t *testing.T) {
 		owner func(file string) faceAPI // the distributor that answers for file, addressed directly
 	}{
 		{"Client", single, func(string) faceAPI { return single }},
-		{"System", sys, func(f string) faceAPI { return sys.owner("concurrent", f) }},
-		{"ShardProxy", NewClient(proxy.URL, proxy.Client()), func(f string) faceAPI { return proxied.owner("concurrent", f) }},
+		{"System", sys, ownerOf(sys)},
+		{"ShardProxy", NewClient(proxy.URL, proxy.Client()), ownerOf(proxied)},
 	} {
 		t.Run(face.name, func(t *testing.T) {
 			if err := face.api.RegisterClient("concurrent"); err != nil {
@@ -132,12 +138,11 @@ func TestErrorIdentityOnEveryFace(t *testing.T) {
 			if _, err := face.api.Upload("concurrent", "pw", "real.bin", []byte("payload"), privacy.High, UploadOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			type probe struct {
+			for _, probe := range []struct {
 				what, file string
 				want       error
 				do         func(api faceAPI, file string) error
-			}
-			probes := []probe{
+			}{
 				{"missing chunk-01.bin", "chunk-01.bin", core.ErrNoSuchFile, func(a faceAPI, f string) error { _, err := a.GetFile("concurrent", "pw", f); return err }},
 				{"missing serial", "real.bin", core.ErrNoSuchChunk, func(a faceAPI, f string) error { _, err := a.GetChunk("concurrent", "pw", f, 99); return err }},
 				{"wrong password", "real.bin", core.ErrAuth, func(a faceAPI, f string) error { _, err := a.GetFile("concurrent", "nope", f); return err }},
@@ -146,17 +151,10 @@ func TestErrorIdentityOnEveryFace(t *testing.T) {
 					_, err := a.Upload("concurrent", "pw", f, []byte("again"), privacy.High, UploadOptions{})
 					return err
 				}},
-			}
-			if _, ok := face.api.(*Client); ok {
-				probes = append(probes,
-					probe{"missing snapshot.png", "snapshot.png", core.ErrNoSuchFile, func(a faceAPI, f string) error { _, err := a.(*Client).ChunkCount("concurrent", "pw", f); return err }},
-					probe{"missing snapshot", "real.bin", core.ErrNoSnapshot, func(a faceAPI, f string) error {
-						_, err := a.(*Client).GetSnapshot("concurrent", "pw", f, 0)
-						return err
-					}},
-				)
-			}
-			for _, probe := range probes {
+				{"missing snapshot.png", "snapshot.png", core.ErrNoSuchFile, func(a faceAPI, f string) error { _, err := a.ChunkCount("concurrent", "pw", f); return err }},
+				{"missing snapshot", "real.bin", core.ErrNoSnapshot, func(a faceAPI, f string) error { _, err := a.GetSnapshot("concurrent", "pw", f, 0); return err }},
+				{"remove missing serial", "real.bin", core.ErrNoSuchChunk, func(a faceAPI, f string) error { return a.RemoveChunk("concurrent", "pw", f, 99) }},
+			} {
 				err := probe.do(face.api, probe.file)
 				onlySentinel(t, probe.what, err, probe.want)
 				if direct := probe.do(face.owner(probe.file), probe.file); err == nil || direct == nil || err.Error() != direct.Error() {
@@ -184,7 +182,7 @@ func TestEveryRouteIsServedByDistributorAndProxy(t *testing.T) {
 		srv := httptest.NewServer(h)
 		c := NewClient(srv.URL, srv.Client())
 		for _, stray := range []*route{{method: "GET", path: "/v1/no_such_route", retry: true}, {method: "GET", path: routeUpload.path}} {
-			_, err := c.send(stray, nil)
+			_, err := c.send(srv.URL, stray, nil)
 			if err == nil {
 				t.Errorf("%s answered %s %s", name, stray.method, stray.path)
 			}
@@ -217,7 +215,7 @@ func TestMergedRoutesMergeEveryField(t *testing.T) {
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
-	sys, err := NewSystem(urls, nil)
+	sys, err := NewShardedClient(urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

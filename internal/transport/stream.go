@@ -46,7 +46,7 @@ func (s *DistributorServer) streamFile(w http.ResponseWriter, r *http.Request) (
 	return nil, err
 }
 
-// GetFileTo streams a whole file from the distributor into w. The body
+// GetFileTo streams a whole file from its owning shard into w. The body
 // is copied through a fixed-size buffer — deliberately not subject to
 // maxRespRead, which caps buffered metadata responses, not the file
 // path. A connection abort mid-body (the server's mid-stream failure
@@ -56,7 +56,7 @@ func (s *DistributorServer) streamFile(w http.ResponseWriter, r *http.Request) (
 func (c *Client) GetFileTo(w io.Writer, client, password, filename string) (int64, error) {
 	q := url.Values{"client": {client}, "filename": {filename}}
 	rt := routeStreamFile
-	req, err := http.NewRequest(rt.method, c.base+rt.path+"?"+q.Encode(), nil)
+	req, err := http.NewRequest(rt.method, c.owner(client, filename)+rt.path+"?"+q.Encode(), nil)
 	if err != nil {
 		return 0, err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,6 +222,43 @@ func TestStreamTruncationDetected(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes()[:n], data[:n]) {
 		t.Fatal("delivered prefix corrupt")
+	}
+}
+
+// TestProxiedStreamTruncationDetected is TestStreamTruncationDetected
+// behind a ShardProxy: when the shard's stream dies mid-body, the proxy's
+// relay must abort the downstream connection too, so the client sees a
+// transport error after a correct prefix, never a short body that ends
+// cleanly.
+func TestProxiedStreamTruncationDetected(t *testing.T) {
+	direct, hooked := hookedDistributorFixture(t, 5, 1)
+	sharded, err := NewShardedClient(direct.URLs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(NewShardProxy(sharded))
+	t.Cleanup(proxy.Close)
+	client := NewClient(proxy.URL, proxy.Client())
+	data := patterned(64 << 10) // 8 chunks of 8 KiB at High
+	if _, err := client.UploadFrom("bob", "pw", "cut.bin", bytes.NewReader(data), privacy.High, UploadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var gets atomic.Int32
+	for _, h := range hooked {
+		h.SetBeforeGet(func(string) error {
+			if gets.Add(1) > 1 {
+				return provider.ErrOutage
+			}
+			return nil
+		})
+	}
+	var buf bytes.Buffer
+	n, err := client.GetFileTo(&buf, "bob", "pw", "cut.bin")
+	if err == nil || !isNetworkError(err) {
+		t.Fatalf("truncated stream through the proxy: %d bytes, %v; want a transport error", n, err)
+	}
+	if n == 0 || n >= int64(len(data)) || !bytes.Equal(buf.Bytes(), data[:n]) {
+		t.Fatalf("delivered prefix %d of %d bytes, or corrupt", n, len(data))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // gatedShard serves one distributor behind a switchable 503 gate — a
 // shard that is "down" (every request refused) until the gate opens,
-// without tearing the listener down, so the System's cached URL keeps
+// without tearing the listener down, so the sharded Client's URL keeps
 // pointing at the same place across the outage.
 type gatedShard struct {
 	down atomic.Bool
@@ -30,9 +30,9 @@ func (g *gatedShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.next.ServeHTTP(w, r)
 }
 
-// crossShardFixture is a 2-shard System where shard 1 sits behind a
+// crossShardFixture is a 2-shard Client where shard 1 sits behind a
 // gate the test can toggle.
-func crossShardFixture(t *testing.T) (*System, *gatedShard) {
+func crossShardFixture(t *testing.T) (*Client, *gatedShard) {
 	t.Helper()
 	urls := make([]string, 2)
 	var gate *gatedShard
@@ -65,7 +65,7 @@ func crossShardFixture(t *testing.T) (*System, *gatedShard) {
 		t.Cleanup(srv.Close)
 		urls[s] = srv.URL
 	}
-	sys, err := NewSystem(urls, nil)
+	sys, err := NewShardedClient(urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -19,8 +20,8 @@ import (
 )
 
 // shardFixture serves n independent distributors — each with its own
-// provider fleet — and returns a System routing across them.
-func shardFixture(t *testing.T, shards, provsPerShard int) (*System, []*core.Distributor) {
+// provider fleet — and returns a sharded Client routing across them.
+func shardFixture(t *testing.T, shards, provsPerShard int) (*Client, []*core.Distributor) {
 	t.Helper()
 	urls := make([]string, shards)
 	dists := make([]*core.Distributor, shards)
@@ -49,7 +50,7 @@ func shardFixture(t *testing.T, shards, provsPerShard int) (*System, []*core.Dis
 		t.Cleanup(srv.Close)
 		urls[s] = srv.URL
 	}
-	sys, err := NewSystem(urls, nil)
+	sys, err := NewShardedClient(urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func shardFixture(t *testing.T, shards, provsPerShard int) (*System, []*core.Dis
 
 // TestSystemRoutesFilesToOwningShard pins the routing contract: every
 // file lands on exactly the shard Locate names, account state exists on
-// every shard, and all files remain readable through the System.
+// every shard, and all files remain readable through the sharded Client.
 func TestSystemRoutesFilesToOwningShard(t *testing.T) {
 	sys, dists := shardFixture(t, 3, 4)
 	if err := sys.RegisterClient("alice"); err != nil {
@@ -135,12 +136,12 @@ func TestSystemRoutesFilesToOwningShard(t *testing.T) {
 // repartition the namespace.
 func TestSystemLocateIsStable(t *testing.T) {
 	urls := []string{"http://a:1", "http://b:2", "http://c:3"}
-	sysA, err := NewSystem(urls, nil)
+	sysA, err := NewShardedClient(urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shuffled := []string{"http://c:3", "http://a:1", "http://b:2"}
-	sysB, err := NewSystem(shuffled, nil)
+	sysB, err := NewShardedClient(shuffled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSystemLocateIsStable(t *testing.T) {
 			t.Fatalf("file %s: owner %s under one order, %s under another", name, a.ShardURL, b.ShardURL)
 		}
 	}
-	if _, err := NewSystem([]string{"http://a:1", "http://a:1"}, nil); err == nil {
+	if _, err := NewShardedClient([]string{"http://a:1", "http://a:1"}, nil); err == nil {
 		t.Fatal("duplicate shard URLs accepted")
 	}
 }
@@ -166,7 +167,7 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	base, _ := shardFixture(t, 2, 4)
 	mortal := httptest.NewServer(NewDistributorServer(memDistributor(t, 4)))
 	t.Cleanup(mortal.Close)
-	sys, err := NewSystem(append(base.URLs(), mortal.URL), nil)
+	sys, err := NewShardedClient(append(base.URLs(), mortal.URL), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,5 +371,85 @@ func TestShardProxyServesSingleDistributorProtocol(t *testing.T) {
 	}
 	if orphaned == 0 || served == 0 {
 		t.Fatalf("%d files on the dead shard, %d elsewhere: the case needs both", orphaned, served)
+	}
+}
+
+// TestShardURLTrailingSlash: a shard URL given with a trailing slash is
+// the same shard. The proxy used to relay to ShardURL+path, "//v1/...",
+// which the shard's mux redirected (turning an upload's POST into a GET)
+// or answered 404.
+func TestShardURLTrailingSlash(t *testing.T) {
+	base, _ := shardFixture(t, 2, 4)
+	var urls []string
+	for _, u := range base.URLs() {
+		urls = append(urls, u+"/")
+	}
+	sys, err := NewShardedClient(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(NewShardProxy(sys))
+	t.Cleanup(proxy.Close)
+	cl := NewClient(proxy.URL, proxy.Client())
+	if err := cl.RegisterClient("tess"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.AddPassword("tess", "pw", privacy.High); err != nil {
+		t.Fatal(err)
+	}
+	owned := map[int]bool{}
+	for i := 0; len(owned) < 2; i++ {
+		name := fmt.Sprintf("slash-%d", i)
+		loc := sys.Locate("tess", name)
+		if strings.HasSuffix(loc.ShardURL, "/") {
+			t.Fatalf("Locate(%s).ShardURL = %q keeps the trailing slash", name, loc.ShardURL)
+		}
+		owned[loc.Shard] = true
+		data := []byte("payload of " + name)
+		if _, err := cl.Upload("tess", "pw", name, data, privacy.High, UploadOptions{}); err != nil {
+			t.Fatalf("upload %s through the proxy: %v", name, err)
+		}
+		if got, err := cl.GetFile("tess", "pw", name); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("get %s through the proxy: %q, %v", name, got, err)
+		}
+	}
+}
+
+// TestShardedClientRefusesPerShardRows: over several shards the rows
+// that name provider indices are refused where the call is made, with
+// no request sent, and with the text the proxy answers them with.
+func TestShardedClientRefusesPerShardRows(t *testing.T) {
+	var requests atomic.Int32
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			requests.Add(1)
+			writeJSON(w, []core.ProviderRow{})
+		}))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	sys, err := NewShardedClient(urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(NewShardProxy(sys))
+	t.Cleanup(proxy.Close)
+	_, tableErr := sys.ProviderTable()
+	_, decomErr := sys.Decommission(0)
+	for rt, err := range map[*route]error{routeProviderTable: tableErr, routeDecommission.route: decomErr} {
+		req, _ := http.NewRequest(rt.method, proxy.URL+rt.path, strings.NewReader(`{"providerIndex":0}`))
+		resp, perr := proxy.Client().Do(req)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil || resp.StatusCode != http.StatusMisdirectedRequest || strings.TrimSpace(string(body)) != err.Error() {
+			t.Errorf("%s: client %v; proxy %d %q", rt.path, err, resp.StatusCode, body)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("%d requests reached the shards, want none", n)
 	}
 }

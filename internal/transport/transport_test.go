@@ -469,7 +469,7 @@ func TestGetRangeAndAdminOverHTTP(t *testing.T) {
 		fmt.Sprintf(`{"client":"bob","password":"pw","filename":"f","offset":10,"length":%d}`, math.MaxInt),
 		fmt.Sprintf(`{"client":"bob","password":"pw","filename":"f","offset":%d,"length":1}`, math.MaxInt),
 	} {
-		resp, err := client.http.Post(client.base+routeGetRange.path, "application/json", strings.NewReader(body))
+		resp, err := client.http.Post(client.urls[0]+routeGetRange.path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

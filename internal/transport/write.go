@@ -224,9 +224,9 @@ func prefixed(pre []byte, body io.ReadCloser) io.ReadCloser {
 	}{io.MultiReader(bytes.NewReader(pre), body), body}
 }
 
-// postOctets sends one payload-carrying request: scalar names the
-// route's own parameter ("pl" or "serial"), payload is the body. Sent
-// once, like every mutation.
+// postOctets sends one payload-carrying request to the file's owner:
+// scalar names the route's own parameter ("pl" or "serial"), payload is
+// the body. Sent once, like every mutation.
 func (c *Client) postOctets(rt *route, client, password, filename, scalar string, value int, opts UploadOptions, payload io.Reader) ([]byte, error) {
 	pre := appendLines(nil, opts.MisleadLines)
 	q := url.Values{
@@ -237,7 +237,7 @@ func (c *Client) postOctets(rt *route, client, password, filename, scalar string
 		"replicas":        {strconv.Itoa(opts.Replicas)},
 		"preamble":        {strconv.Itoa(len(pre))},
 	}
-	req, err := http.NewRequest(rt.method, c.base+rt.path+"?"+q.Encode(), payload)
+	req, err := http.NewRequest(rt.method, c.owner(client, filename)+rt.path+"?"+q.Encode(), payload)
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func csvRows(n int) []byte {
 // them), leaving a file the caller believed defended with none. They now
 // ride the preamble of every upload, streamed or from a slice, through
 // every face —
-// a plain Client, the sharded System and a Client behind a ShardProxy,
+// a plain Client, a sharded Client and a Client behind a ShardProxy,
 // which relays the preamble without parsing it.
 func TestMisleadLinesTravelOnEveryWriteRoute(t *testing.T) {
 	data := csvRows(2500) // several PL3 chunks
@@ -234,7 +234,7 @@ func TestTruncatedUploadStoresNothing(t *testing.T) {
 			t.Cleanup(shard.Close)
 			target := shard.Listener.Addr().String()
 			if tc.proxied {
-				sys, err := NewSystem([]string{shard.URL}, nil)
+				sys, err := NewShardedClient([]string{shard.URL}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
