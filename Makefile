@@ -56,10 +56,10 @@ LOADKEYS  ?= 3
 LOADTENANTS ?= 2
 LOADWINDOW ?= 16
 # Shard-scaling profile: small objects over deliberately slow providers.
-# Each in-process provider serializes its ops behind a 12 ms service
-# time, so a shard's fleet is a bank of single-server queues and
-# aggregate throughput is queueing-bound, not CPU-bound — the curve
-# measures namespace sharding, not host parallelism. 24 closed-loop
+# Each in-process provider serves one request at a time, each after a
+# 12 ms service time, so a shard's fleet is a bank of single-server
+# queues and aggregate throughput is queueing-bound, not CPU-bound — the
+# curve measures namespace sharding, not host parallelism. 24 closed-loop
 # workers keep the 1-distributor baseline saturated so added shards
 # show up as throughput rather than idle capacity; 4 tenants × 64 keys
 # leaves the per-key lease pool well above the worker count so the

@@ -65,7 +65,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&cfg.url, "url", "", "distributor base URL, or comma-separated shard URLs (empty = start an in-process fleet)")
 	fs.IntVar(&cfg.localN, "local-providers", 6, "provider count per distributor for the in-process fleet")
 	fs.IntVar(&cfg.dists, "distributors", 1, "in-process distributor (shard) count; >1 drives a consistent-hash sharded namespace")
-	fs.DurationVar(&cfg.provLatency, "provider-latency", 0, "simulated per-op latency of in-process providers")
+	fs.DurationVar(&cfg.provLatency, "provider-latency", 0, "service time per request of each in-process provider, one request in service at a time")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "in-process distributor chunk-cache bound (0 disables)")
 	fs.DurationVar(&cfg.hedgeAfter, "hedge-after", 50*time.Millisecond, "in-process distributor hedge delay (0 disables)")
 	fs.IntVar(&cfg.streamW, "stream-window", 0, "in-process distributor stream window in stripes, up and down (0 = default 4)")

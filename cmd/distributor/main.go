@@ -95,7 +95,11 @@ func main() {
 	fmt.Printf("cloud data distributor over %d providers (default %v) listening on %s\n",
 		fleet.Len(), level, *addr)
 
-	serve(transport.NewHTTPServer(*addr, transport.NewDistributorServer(dist)), *drainT, dist.Close)
+	done := "clean shutdown: metadata was in memory only, no checkpoint to write"
+	if *walDir != "" {
+		done = "clean shutdown: final checkpoint written"
+	}
+	serve(transport.NewHTTPServer(*addr, transport.NewDistributorServer(dist)), *drainT, dist.Close, done)
 }
 
 // runShardProxy serves the single-distributor wire protocol while
@@ -109,13 +113,16 @@ func runShardProxy(addr, shardURLs string, drainT time.Duration) {
 	for i, u := range c.URLs() {
 		fmt.Printf("  shard %d: %s\n", i, u)
 	}
-	serve(transport.NewHTTPServer(addr, transport.NewShardProxy(c)), drainT, nil)
+	closeNothing := func(context.Context) error { return nil }
+	serve(transport.NewHTTPServer(addr, transport.NewShardProxy(c)), drainT, closeNothing, "clean shutdown: proxy holds no state")
 }
 
 // serve runs srv until SIGTERM or SIGINT, then drains its requests
-// within drainT. checkpoint, when set, is the step after the drain: the
-// distributor's final checkpoint. A proxy holds no state and has none.
-func serve(srv *http.Server, drainT time.Duration, checkpoint func(context.Context) error) {
+// within drainT. closeFn is the step after the drain: the distributor's
+// Close, which checkpoints when it keeps a WAL; a proxy holds no state
+// and closes nothing. done is the line printed once both succeeded,
+// saying what they did.
+func serve(srv *http.Server, drainT time.Duration, closeFn func(context.Context) error, done string) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 
@@ -131,14 +138,10 @@ func serve(srv *http.Server, drainT time.Duration, checkpoint func(context.Conte
 		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("distributor: http shutdown: %v", err)
 		}
-		if checkpoint == nil {
-			fmt.Println("clean shutdown: proxy holds no state")
-			return
-		}
-		if err := checkpoint(ctx); err != nil {
+		if err := closeFn(ctx); err != nil {
 			log.Fatalf("distributor: close: %v", err)
 		}
-		fmt.Println("clean shutdown: final checkpoint written")
+		fmt.Println(done)
 	}
 }
 

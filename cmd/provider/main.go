@@ -26,8 +26,7 @@ func main() {
 		cl        = flag.Int("cl", 1, "cost level 0-3")
 		dataDir   = flag.String("data-dir", "", "persist blobs under this directory (empty = in-memory)")
 		failRate  = flag.Float64("fail-rate", 0, "injected transient failure probability [0,1)")
-		perOpMs   = flag.Int("latency-ms", 0, "simulated per-operation latency in milliseconds")
-		perByteNs = flag.Int("latency-ns-per-byte", 0, "simulated per-byte latency in nanoseconds")
+		latencyMs = flag.Int("latency-ms", 0, "simulated network round trip per request in milliseconds")
 	)
 	flag.Parse()
 
@@ -41,13 +40,7 @@ func main() {
 	if *dataDir != "" {
 		p, err = provider.NewDiskProvider(info, *dataDir)
 	} else {
-		p, err = provider.New(info, provider.Options{
-			FailureRate: *failRate,
-			Latency: provider.LatencyModel{
-				PerOp:   time.Duration(*perOpMs) * time.Millisecond,
-				PerByte: time.Duration(*perByteNs),
-			},
-		})
+		p, err = provider.New(info, provider.Options{FailureRate: *failRate})
 	}
 	if err != nil {
 		log.Fatalf("provider: %v", err)
@@ -57,5 +50,6 @@ func main() {
 		storage = "disk:" + *dataDir
 	}
 	fmt.Printf("cloud provider %q (PL%d, CL%d, %s) listening on %s\n", *name, *pl, *cl, storage, *addr)
-	log.Fatal(transport.NewHTTPServer(*addr, transport.NewProviderServer(p)).ListenAndServe())
+	h := transport.DelayRequests(transport.NewProviderServer(p), time.Duration(*latencyMs)*time.Millisecond)
+	log.Fatal(transport.NewHTTPServer(*addr, h).ListenAndServe())
 }

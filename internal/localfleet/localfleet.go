@@ -27,9 +27,10 @@ type Config struct {
 	Shards int
 	// Providers is the fleet size per shard.
 	Providers int
-	// ProvLatency, when > 0, gives every provider a real (sleeping)
-	// per-op service time; zero keeps providers instant for
-	// deterministic harnesses.
+	// ProvLatency, when > 0, makes every provider a single-server queue
+	// with this service time per HTTP request (transport.QueueRequests):
+	// one request in service at a time, a multi-get one request. Zero
+	// keeps providers instant for deterministic harnesses.
 	ProvLatency time.Duration
 	// Hook, when non-nil, is handed each in-memory provider before it is
 	// served over HTTP — where minecheck installs its provider-side
@@ -80,7 +81,6 @@ func Start(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		for i := 0; i < cfg.Providers; i++ {
-			opts := provider.Options{Latency: provider.LatencyModel{PerOp: cfg.ProvLatency}}
 			// Uniform cost level: placement prefers strictly cheaper
 			// providers and only load-balances within a cost tier, so a
 			// mixed-cost fleet would concentrate all load on its
@@ -92,7 +92,7 @@ func Start(cfg Config) (*Cluster, error) {
 				Name: fmt.Sprintf("s%02dp%02d", s, i),
 				PL:   privacy.High,
 				CL:   1,
-			}, opts)
+			}, provider.Options{})
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -100,7 +100,7 @@ func Start(cfg Config) (*Cluster, error) {
 			if cfg.Hook != nil {
 				cfg.Hook(mem)
 			}
-			url, srv, err := serveLoopback(transport.NewProviderServer(mem))
+			url, srv, err := serveLoopback(transport.QueueRequests(transport.NewProviderServer(mem), cfg.ProvLatency))
 			if err != nil {
 				c.Close()
 				return nil, err

@@ -5,14 +5,17 @@
 // virtual id which is known as key for Amazon's simple storage service."
 //
 // A MemProvider is one provider: a concurrency-safe key→blob store with a
-// reputation (privacy) level, a cost level, a configurable latency and
-// failure model, outage simulation (the EC2 April 2011 scenario the paper
-// opens with), and billing counters. Dump exposes the provider's complete
-// view of stored data — exactly what a malicious insider (the paper's
-// "Hera") gets to mine. Its data-plane hooks (SetBeforePut and friends,
-// SetPartitioned) observe every request and stage the silent faults —
-// aborted operations, corrupted reads, dropped deletes, partitions —
-// that tests and simulations inject.
+// reputation (privacy) level, a cost level, a seeded failure model,
+// outage simulation (the EC2 April 2011 scenario the paper opens with),
+// and billing counters. It answers at once: the delay of a remote
+// provider is the network's, modelled per HTTP request in front of the
+// provider's handler (transport.DelayRequests), never under its lock.
+// Dump exposes the provider's complete view of stored data — exactly
+// what a malicious insider (the paper's "Hera") gets to mine. Its
+// data-plane hooks (SetBeforePut and friends, SetPartitioned) observe
+// every request and stage the silent faults — aborted operations,
+// corrupted reads, dropped deletes, partitions — that tests and
+// simulations inject.
 package provider
 
 import (
@@ -21,7 +24,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/privacy"
 )
@@ -118,22 +120,15 @@ var ErrInjected = errors.New("provider: injected transient failure")
 // delete must surface as an unexplained orphan.
 var ErrSilentDrop = errors.New("provider: operation silently dropped")
 
-// LatencyModel adds service time per operation, slept for real: a fixed
-// setup cost plus a per-byte transfer cost. Zero values mean no delay —
-// the default for unit tests.
-type LatencyModel struct {
-	PerOp   time.Duration
-	PerByte time.Duration
-}
-
-func (l LatencyModel) delay(n int) time.Duration {
-	return l.PerOp + time.Duration(n)*l.PerByte
-}
-
 // Options configures a MemProvider beyond its identity.
 type Options struct {
-	Latency LatencyModel
 	// FailureRate is the probability an operation fails with ErrInjected.
+	// It is drawn in gate, under the provider's lock, for two reasons.
+	// The draw comes from the one seeded source, so only serialized draws
+	// let Seed reproduce a run, and the resilience tests rely on that;
+	// unlike a delay, the draw never waits. And the before-hooks hold one
+	// function each, so a failure rate folded into them would be replaced
+	// without a word by a test's own SetBeforePut.
 	FailureRate float64
 	// Seed drives the failure model.
 	Seed int64
@@ -296,16 +291,13 @@ func (p *MemProvider) Puts() int {
 	return p.puts
 }
 
-// gate applies outage, failure injection and latency. Callers hold p.mu.
-func (p *MemProvider) gate(nBytes int) error {
+// gate applies outage and failure injection. Callers hold p.mu.
+func (p *MemProvider) gate() error {
 	if p.down {
 		return fmt.Errorf("%w: %s", ErrOutage, p.info.Name)
 	}
 	if p.opts.FailureRate > 0 && p.rng.Float64() < p.opts.FailureRate {
 		return fmt.Errorf("%w: %s", ErrInjected, p.info.Name)
-	}
-	if d := p.opts.Latency.delay(nBytes); d > 0 {
-		time.Sleep(d)
 	}
 	return nil
 }
@@ -330,7 +322,7 @@ func (p *MemProvider) Put(key string, data []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.gate(len(data)); err != nil {
+	if err := p.gate(); err != nil {
 		return err
 	}
 	if old, ok := p.data[key]; ok {
@@ -384,7 +376,7 @@ func (p *MemProvider) get(key string, private bool) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v, ok := p.data[key]
-	if err := p.gate(len(v)); err != nil {
+	if err := p.gate(); err != nil {
 		return nil, err
 	}
 	if !ok {
@@ -419,7 +411,7 @@ func (p *MemProvider) Delete(key string) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.gate(0); err != nil {
+	if err := p.gate(); err != nil {
 		return err
 	}
 	v, ok := p.data[key]

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/privacy"
 )
@@ -144,22 +143,6 @@ func TestFailureInjection(t *testing.T) {
 	}
 	if failures < 50 || failures > 150 {
 		t.Fatalf("failures = %d/200 at rate 0.5", failures)
-	}
-}
-
-func TestLatencySleeps(t *testing.T) {
-	p, err := New(Info{Name: "slow", PL: privacy.Low, CL: 0}, Options{
-		Latency: LatencyModel{PerOp: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := p.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < 2*time.Millisecond {
-		t.Fatalf("put with a 2ms PerOp took %v", took)
 	}
 }
 

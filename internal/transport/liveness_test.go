@@ -69,6 +69,14 @@ type loopbackFleet struct {
 // request timeout: what a put to a hung provider costs per attempt.
 func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Config) *loopbackFleet {
 	tb.Helper()
+	return newDelayedFleet(tb, n, timeout, 0, false, cfg)
+}
+
+// newDelayedFleet is newLoopbackFleet with each provider server behind a
+// network round trip of rtt (DelayRequests), and, with s3 set, each
+// provider offered to the distributor with S3's verbs only (s3Verbs).
+func newDelayedFleet(tb testing.TB, n int, timeout, rtt time.Duration, s3 bool, cfg core.Config) *loopbackFleet {
+	tb.Helper()
 	f := &loopbackFleet{}
 	fleet, err := provider.NewFleet()
 	if err != nil {
@@ -80,7 +88,7 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 		if err != nil {
 			tb.Fatal(err)
 		}
-		gate := newProviderGate(NewProviderServer(mem))
+		gate := newProviderGate(DelayRequests(NewProviderServer(mem), rtt))
 		srv := httptest.NewServer(gate)
 		tb.Cleanup(srv.Close)
 		tb.Cleanup(func() { close(gate.release) }) // runs before srv.Close, which waits for handlers
@@ -88,7 +96,11 @@ func newLoopbackFleet(tb testing.TB, n int, timeout time.Duration, cfg core.Conf
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := fleet.Add(remote); err != nil {
+		var p provider.Provider = remote
+		if s3 {
+			p = s3Verbs{remote}
+		}
+		if err := fleet.Add(p); err != nil {
 			tb.Fatal(err)
 		}
 		f.mems, f.remotes = append(f.mems, mem), append(f.remotes, remote)
@@ -114,6 +126,20 @@ func (f *loopbackFleet) requests(route string) int {
 	for _, g := range f.gates {
 		g.mu.Lock()
 		total += g.seen[route]
+		g.mu.Unlock()
+	}
+	return total
+}
+
+// allRequests sums, over every provider server and route, the requests
+// seen since the last reset.
+func (f *loopbackFleet) allRequests() int {
+	total := 0
+	for _, g := range f.gates {
+		g.mu.Lock()
+		for _, n := range g.seen {
+			total += n
+		}
 		g.mu.Unlock()
 	}
 	return total

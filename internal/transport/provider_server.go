@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/provider"
@@ -52,6 +53,37 @@ func NewProviderServer(p provider.Provider) *ProviderServer {
 
 // ServeHTTP implements http.Handler.
 func (s *ProviderServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// DelayRequests puts a network round trip of d in front of a provider's
+// handler h: every request waits d before h serves it, and concurrent
+// requests wait side by side, so a multi-get of 32 keys pays d once, as
+// it would over a real link. The wait holds no store lock. d <= 0
+// returns h.
+func DelayRequests(h http.Handler, d time.Duration) http.Handler { return delayed(h, d, nil) }
+
+// QueueRequests makes a provider's handler h a single-server queue with
+// service time d: one request at a time waits d and is then served by h,
+// and the others queue for their turn in arrival order. It is the model
+// of a provider whose throughput, not distance, bounds a fleet. d <= 0
+// returns h.
+func QueueRequests(h http.Handler, d time.Duration) http.Handler {
+	return delayed(h, d, make(chan struct{}, 1))
+}
+
+// delayed is both: slot, when set, is the one request in service.
+func delayed(h http.Handler, d time.Duration, slot chan struct{}) http.Handler {
+	if d <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if slot != nil {
+			slot <- struct{}{}
+			defer func() { <-slot }()
+		}
+		time.Sleep(d)
+		h.ServeHTTP(w, r)
+	})
+}
 
 func providerStatus(err error) int {
 	switch {
