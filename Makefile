@@ -12,7 +12,10 @@
 #   make fmt              gofmt rewrites the tree in place
 #   make fuzz             short randomized fuzzing of the codec layers
 #   FUZZTIME=30s make fuzz  longer fuzz budget
-#   make loadbench        warp-class load benchmark + 1→2→4→8 shard scaling curve
+#   make bench            every data-plane benchmark 5 times: one line of medians appended to BENCH.jsonl
+#   make bench BASE=<rev>  the short list, <rev> against this tree in 20 alternated pairs:
+#                         better/worse/same per benchmark, one line appended to BENCH.jsonl
+#   make loadbench        warp-class load benchmark + 1→2→4→8 shard scaling curve (cloudbench JSON reports)
 #   make bench-loadsmoke  CI load smoke: short strict cloudbench run
 #   make memcheck         bounded-memory streaming check (256 MiB object)
 #   make simcheck         tier-2: deterministic fault-schedule simulation
@@ -22,7 +25,7 @@
 #   make trace-hashes     one "sweep seed hash" line per simcheck run, seeds 1-8 of the three sweeps (diff two trees)
 #   make minecheck        adversary-in-the-loop mining campaigns + gate
 #   MINECHECK_SEEDS=64 make minecheck  bigger sweep
-#   make minebench        full 128-cell privacy-vs-performance frontier
+#   make minebench        full 128-cell privacy-vs-performance frontier (minecheck JSON report)
 #   make profile-put      where a defended 4 MiB put's CPU goes (pprof -top -cum)
 #   make profile-get      where a defended 4 MiB read's CPU goes (pprof -top -cum)
 #   make profile-stream-get  where a streamed 32 MiB read's CPU goes (pprof -top -cum)
@@ -33,11 +36,6 @@ FUZZTIME  ?= 5s
 SIMCHECK_SEEDS ?= 32
 SIMCHECK_OPS   ?= 0
 MINECHECK_SEEDS ?= 32
-# The bench trajectory point: BENCH_<n>.json where n is one past the
-# highest index already recorded, so a fresh `make bench`/`make loadbench`
-# never silently overwrites the previous PR's numbers. Override with
-# BENCHOUT=... to deliberately re-record a point.
-BENCHOUT  ?= $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -1 | { read n; echo BENCH_$$((n+1)).json; })
 BENCHTIME ?= 1s
 LOADDUR   ?= 120s
 LOADWARM  ?= 6s
@@ -186,12 +184,69 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHopReply -fuzztime $(FUZZTIME) ./internal/transport
 
 # Data-plane benchmarks: RAID and misleading-byte kernels, the
-# distributor's read and defended-write paths and the client→distributor
-# upload hop, three interleaved repetitions, summarized to $(BENCHOUT)
-# with speedups over the recorded pre-optimization baselines.
+# distributor's read and defended-write paths, the WAL codec and the
+# client→distributor and provider hops. cmd/benchjson appends one line to
+# BENCH.jsonl: the revision, the Go version, nproc, the CPU steal over
+# the run, and each benchmark's median, IQR and n of ns/op.
+#
+# With BASE=<rev> it judges this tree against <rev> instead, on the short
+# list below. Both trees' test binaries are built once (<rev>'s in a
+# temporary git worktree) and run in $(BENCHPAIRS) alternated pairs, the
+# base first in odd pairs. A pair is one list entry run by both binaries
+# back to back, so the machine's load rarely changes between its halves.
+# A benchmark is better or worse when one side is faster in at least nine
+# tenths of the pairs and the medians differ by more than the base's
+# IQR, and same otherwise. The line then holds both sides, the pairs won
+# and the verdict; the target fails on worse.
+#
+# Twenty pairs, not ten: on identical code each pair is a coin flip, so
+# a benchmark loses at least 9 of 10 with probability 11/1024, and one
+# of the list's 30 does in about one run in four; at least 18 of 20 has
+# probability 211/1048576. The run lengths below are halved to pay for
+# the extra pairs.
+BENCHPKGS  := ./internal/raid ./internal/mislead ./internal/core ./internal/transport
+BENCHPAIRS := 20
+# The short list: package, -bench pattern and -benchtime per entry.
+BENCHLIST := \
+	internal/mislead 'BenchmarkInject$$|BenchmarkStripTo$$' 100ms \
+	internal/raid 'BenchmarkParityKernel$$/^raid6/word/' 100ms \
+	internal/core 'BenchmarkGetFileDefended$$' 10x \
+	internal/core 'BenchmarkWALEncodeUpload$$|BenchmarkWALDecodeUpload$$' 100ms \
+	internal/transport 'BenchmarkUploadStreamLoopback$$|BenchmarkGetFileToLoopback$$|BenchmarkUploadLoopbackFleet$$' 5x \
+	internal/transport 'DefendedRTT$$/^rtt=2ms$$' 1x
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 3 \
-		./internal/raid ./internal/mislead ./internal/core ./internal/transport | $(GO) run ./cmd/benchjson -out $(BENCHOUT)
+	@if [ -z "$(BASE)" ]; then \
+		echo "rev: $$(git rev-parse --short=12 HEAD)$$(git diff --quiet HEAD || echo -dirty)"; \
+		$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 5 $(BENCHPKGS); \
+	else \
+		tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+		git worktree add --quiet --detach "$$tmp/base" "$(BASE)" && \
+		build() { \
+			mkdir -p "$$tmp/$$1" && \
+			for pkg in $(BENCHPKGS); do \
+				(cd "$$2" && $(GO) test -c -o "$$tmp/$$1/$${pkg##*/}.test" "$$pkg") || { echo "FAIL: cannot build $$pkg at $$1"; exit 1; }; \
+			done; \
+		} && \
+		side() { \
+			echo "side: $$1"; echo "rev: $$3"; \
+			(cd "$$2/$$4" && "$$tmp/$$1/$${4##*/}.test" -test.run '^$$' -test.bench "$$5" -test.benchtime "$$6" -test.benchmem -test.timeout 5m) \
+				|| echo "FAIL: $$4 at $$1"; \
+		} && \
+		base=$$(git rev-parse --short=12 "$(BASE)") && \
+		change="$$(git rev-parse --short=12 HEAD)$$(git diff --quiet HEAD || echo -dirty)" && \
+		build base "$$tmp/base" && build change . && \
+		for i in $$(seq $(BENCHPAIRS)); do \
+			set -- $(BENCHLIST); \
+			while [ $$# -gt 0 ]; do \
+				if [ $$((i % 2)) = 1 ]; then \
+					side base "$$tmp/base" "$$base" "$$@"; side change . "$$change" "$$@"; \
+				else \
+					side change . "$$change" "$$@"; side base "$$tmp/base" "$$base" "$$@"; \
+				fi; \
+				shift 3; \
+			done; \
+		done; \
+	fi | $(GO) run ./cmd/benchjson
 
 # One-iteration smoke run for CI: proves every benchmark still compiles
 # and executes without spending CI minutes on stable numbers.
@@ -200,11 +255,10 @@ bench-smoke:
 
 # Warp-class mixed-workload load benchmark (cmd/cloudbench) against an
 # in-process networked fleet; latency percentiles and the throughput
-# timeline merge into $(BENCHOUT) as the "load" record. A second pass
-# re-runs a strict small-object put/get workload at each shard count in
-# $(SCALEDISTS) — every point the same profile, only -distributors
-# varies — and benchjson folds the runs into the report's scaling curve
-# with speedups over the 1-distributor baseline.
+# timeline land in cloudbench.out.json. A second pass re-runs a strict
+# small-object put/get workload at each shard count in $(SCALEDISTS) —
+# every point the same profile, only -distributors varies — into
+# cloudbench.scale<n>.json, one report per point.
 loadbench:
 	$(GO) run ./cmd/cloudbench -local-providers 6 -workers $(LOADWORKERS) \
 		-tenants $(LOADTENANTS) -keys $(LOADKEYS) -pl $(LOADPL) \
@@ -218,10 +272,6 @@ loadbench:
 			-duration $(SCALEDUR) -warmup $(SCALEWARM) -seed 7 -strict \
 			-out cloudbench.scale$$d.json || exit 1; \
 	done
-	$(GO) run ./cmd/benchjson -load cloudbench.out.json \
-		$(foreach d,$(SCALEDISTS),-scaling cloudbench.scale$(d).json) \
-		-out $(BENCHOUT) < /dev/null
-	@rm -f cloudbench.out.json cloudbench.scale*.json
 
 # CI smoke: a few seconds of mixed load against the in-process fleet;
 # strict mode fails the target on any op error.
@@ -300,11 +350,9 @@ minecheck-race:
 	$(GO) test -race ./internal/minecheck ./internal/attack ./internal/mining -count=1 -short
 
 # Full privacy-vs-performance frontier: 128 configuration cells swept by
-# cmd/minecheck, embedded into $(BENCHOUT) as the "frontier" record.
+# cmd/minecheck into minecheck.frontier.json.
 minebench:
 	$(GO) run ./cmd/minecheck -seed 1 -out minecheck.frontier.json -table
-	$(GO) run ./cmd/benchjson -frontier minecheck.frontier.json -out $(BENCHOUT) < /dev/null
-	@rm -f minecheck.frontier.json
 
 # Where a defended put's time goes: the in-process twin of the 4 MiB PL3
 # RAID-6 mislead upload (no HTTP, so the distributor's own CPU is all

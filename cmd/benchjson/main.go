@@ -1,369 +1,345 @@
-// Command benchjson summarizes `go test -bench` output into a JSON
-// report. It reads the benchmark text from stdin, aggregates repeated
-// runs (-count N) by taking the fastest repetition — the least-noise
-// estimate on a shared machine — and emits per-benchmark numbers plus
-// three derived sections:
+// Command benchjson keeps the repository's benchmark record, BENCH.jsonl:
+// one JSON line per recorded run. It reads `go test -bench` output on
+// stdin and does one of two jobs.
 //
-//   - kernel_speedups: word-wide kernel vs the scalar reference compiled
-//     into the same binary (the scalar/word sub-benchmark pairs),
-//   - tail_speedups: hedged vs unhedged slow-provider reads from the
-//     same binary (the tail-read acceptance ratio), and
-//   - baseline_speedups: current numbers vs the recorded
-//     pre-optimization baselines of the data-plane fast-path work.
+//   - Writer: every sample is one revision's. The line holds each
+//     benchmark's median, interquartile range (IQR) and n of ns/op, and
+//     the medians of B/op and allocs/op where -benchmem printed them.
+//   - Judge: `side: base` and `side: change` configuration lines split
+//     the input between two revisions, whose test binaries ran in
+//     alternated pairs (make bench BASE=<rev>). The i-th base sample of a
+//     benchmark pairs with its i-th change sample. A benchmark is
+//     `better` when the change is faster in at least nine tenths of the
+//     pairs (ties count for neither) and its median is faster than the
+//     base's by more than the base's IQR, `worse` the other way round,
+//     and `same` otherwise, and always on fewer than 10 pairs.
 //
-// With -load it additionally embeds a cmd/cloudbench mixed-workload
-// report (latency percentiles + throughput timeline) as the "load"
-// record, so load-harness runs land in the same BENCH_N.json trajectory
-// as the microbenchmarks. Repeatable -scaling flags condense further
-// cloudbench reports — one per distributor count — into the "scaling"
-// curve plus "scaling_speedups" (put+get throughput vs the
-// 1-distributor point). -frontier embeds a cmd/minecheck sweep (the
-// adversary-in-the-loop privacy-vs-performance frontier) as the
-// "frontier" record.
+// Either way the appended line also names each side's revision (from
+// `rev:` configuration lines), the Go version, nproc, the CPU and the
+// share of CPU time /proc/stat counts as stolen while the input was
+// read. benchjson exits 1 when the input reports a failed test or
+// build, and when a benchmark is judged worse.
 //
-// Usage: go test -bench . -benchmem ./... | benchjson -out BENCH.json
+// Usage:
 //
-//	benchjson -load cloudbench.json -out BENCH.json < /dev/null
-//	benchjson -scaling d1.json -scaling d2.json -scaling d4.json -out BENCH.json < /dev/null
+//	go test -run '^$' -bench . -count 5 ./internal/raid | benchjson -out BENCH.jsonl
+//	make bench BASE=<rev>
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"regexp"
-	"sort"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-
-	"repro/internal/loadreport"
-	"repro/internal/minecheck"
 )
 
-// result is one benchmark's aggregated numbers.
-type result struct {
+// record is one line of BENCH.jsonl. Lines folded in from older records
+// name the PR they were taken at and the statistic they hold.
+type record struct {
+	Rev        string           `json:"rev"`
+	Base       string           `json:"base,omitempty"`
+	PR         int              `json:"pr,omitempty"`
+	Go         string           `json:"go,omitempty"`
+	Nproc      int              `json:"nproc,omitempty"`
+	CPU        string           `json:"cpu,omitempty"`
+	Steal      *float64         `json:"steal,omitempty"` // share of CPU time stolen over the run
+	Statistic  string           `json:"statistic"`       // what ns_op is: "median" for the lines benchjson writes
+	Note       string           `json:"note,omitempty"`
+	Benchmarks map[string]entry `json:"benchmarks"`
+}
+
+// entry is one benchmark of a record: the change's summary and, from a
+// judged run, the base's, the pairs the change won and the verdict.
+type entry struct {
+	Change  summary  `json:"change"`
+	Base    *summary `json:"base,omitempty"`
+	Wins    string   `json:"wins,omitempty"` // "9/10": pairs the change ran faster in
+	Verdict string   `json:"verdict,omitempty"`
+}
+
+// summary is one side's samples of one benchmark.
+type summary struct {
 	NsOp     float64 `json:"ns_op"`
-	MBs      float64 `json:"mb_s,omitempty"`
-	BOp      int64   `json:"b_op,omitempty"`
-	AllocsOp int64   `json:"allocs_op,omitempty"`
-	Runs     int     `json:"runs"`
+	IQR      float64 `json:"iqr,omitempty"`
+	N        int     `json:"n"`
+	BOp      float64 `json:"b_op,omitempty"`
+	AllocsOp float64 `json:"allocs_op,omitempty"`
 }
 
-// baseline records a pre-optimization measurement this report compares
-// against. Captured on the same class of machine before the word-wide
-// kernels, pooled buffers and single-buffer file assembly landed.
-type baseline struct {
-	NsOp     float64 `json:"ns_op,omitempty"`
-	AllocsOp int64   `json:"allocs_op,omitempty"`
-	Note     string  `json:"note"`
+// samples is one side's measurements of one benchmark, in input order.
+type samples struct{ ns, bytes, allocs []float64 }
+
+// input is what one benchmark run printed.
+type input struct {
+	sides  map[string]map[string]*samples // side → benchmark → samples
+	revs   map[string]string              // side → revision
+	cpu    string
+	failed []string // the lines that report a failed test or build
 }
 
-// baselines are the seed-tree numbers the fast-path acceptance criteria
-// are measured against.
-var baselines = map[string]baseline{
-	"BenchmarkStripe/raid5/64KiB": {
-		NsOp: 146975, Note: "scalar byte-loop parity, seed tree"},
-	"BenchmarkStripe/raid6/64KiB": {
-		NsOp: 469695, Note: "scalar byte-loop P+Q, seed tree"},
-	"BenchmarkReconstruct/raid6/2data/64KiB": {
-		NsOp: 419898, Note: "scalar two-loss solve, seed tree"},
-	"BenchmarkGetFile/plain/256KiB": {
-		NsOp: 1344019, AllocsOp: 139, Note: "per-chunk slices + concat assembly, seed tree"},
-	"BenchmarkGetFile/mislead/256KiB": {
-		NsOp: 9795698, AllocsOp: 139, Note: "map-lookup Strip + concat assembly, seed tree"},
-}
+// writerSide is the side of every sample that no `side:` line names.
+const writerSide = "change"
 
-// kernelPairs maps a word-kernel benchmark to its scalar reference run
-// from the same binary; the ratio is the in-tree kernel speedup.
-var kernelPairs = map[string]string{
-	"BenchmarkParityKernel/raid6/word/64KiB":            "BenchmarkParityKernel/raid6/scalar/64KiB",
-	"BenchmarkReconstructKernel/raid6/2data/word/64KiB": "BenchmarkReconstructKernel/raid6/2data/scalar/64KiB",
-}
-
-// tailPairs maps a hedged tail-read benchmark to its unhedged reference
-// from the same binary; the ratio is the slow-provider read speedup the
-// hedging acceptance criterion (>= 2x) is measured on.
-var tailPairs = map[string]string{
-	"BenchmarkGetFileTail/hedged/256KiB": "BenchmarkGetFileTail/unhedged/256KiB",
-}
-
-// walPairs maps each durable upload benchmark to the in-memory baseline
-// from the same binary; the ratio is the WAL overhead (>1 = slower than
-// mem). The acceptance criterion is grouped <= 1.15x.
-var walPairs = map[string]string{
-	"BenchmarkUploadWALOverhead/off":     "BenchmarkUploadWALOverhead/mem",
-	"BenchmarkUploadWALOverhead/grouped": "BenchmarkUploadWALOverhead/mem",
-	"BenchmarkUploadWALOverhead/always":  "BenchmarkUploadWALOverhead/mem",
-}
-
-// report is the emitted JSON document.
-type report struct {
-	Results          map[string]result   `json:"results"`
-	KernelSpeedups   map[string]float64  `json:"kernel_speedups"`
-	TailSpeedups     map[string]float64  `json:"tail_speedups"`
-	WALOverheads     map[string]float64  `json:"wal_overheads"`
-	BaselineSpeedups map[string]float64  `json:"baseline_speedups"`
-	Baselines        map[string]baseline `json:"baselines"`
-	Load             *loadreport.Report  `json:"load,omitempty"`
-	Scaling          []scalingPoint      `json:"scaling,omitempty"`
-	ScalingSpeedups  map[string]float64  `json:"scaling_speedups,omitempty"`
-	Frontier         *minecheck.Frontier `json:"frontier,omitempty"`
-}
-
-// scalingPoint condenses one cloudbench run of the multi-distributor
-// scaling sweep: the same workload profile replayed against 1, 2, 4, …
-// shards. putget_ops_per_s is the aggregate put+get throughput the
-// scaling acceptance criterion is measured on.
-type scalingPoint struct {
-	Distributors  int     `json:"distributors"`
-	PutGetOpsPerS float64 `json:"putget_ops_per_s"`
-	TotalOpsPerS  float64 `json:"total_ops_per_s"`
-	TotalMBPerS   float64 `json:"total_mb_per_s"`
-	Errors        int64   `json:"errors"`
-}
-
-// scalingFromLoad condenses a full cloudbench report to its sweep point.
-func scalingFromLoad(lr *loadreport.Report) scalingPoint {
-	d := lr.Config.Distributors
-	if d == 0 {
-		d = 1
-	}
-	return scalingPoint{
-		Distributors:  d,
-		PutGetOpsPerS: round2(lr.Ops["put"].OpsPerS + lr.Ops["get"].OpsPerS),
-		TotalOpsPerS:  lr.Total.OpsPerS,
-		TotalMBPerS:   lr.Total.MBPerS,
-		Errors:        lr.Errors,
-	}
-}
-
-// readLoad parses a cmd/cloudbench report for embedding.
-func readLoad(path string) (*loadreport.Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var lr loadreport.Report
-	if err := json.Unmarshal(raw, &lr); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if lr.Schema != loadreport.Schema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, lr.Schema, loadreport.Schema)
-	}
-	return &lr, nil
-}
-
-// readFrontier parses a cmd/minecheck sweep for embedding.
-func readFrontier(path string) (*minecheck.Frontier, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f minecheck.Frontier
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if f.Schema != minecheck.FrontierSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, minecheck.FrontierSchema)
-	}
-	return &f, nil
-}
-
-// benchLine matches one `go test -bench` result line, with the optional
-// -benchmem and MB/s columns.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
-
-func main() {
-	out := flag.String("out", "", "write the JSON report to this file ('' or '-' = stdout)")
-	loadPath := flag.String("load", "", "embed this cloudbench JSON report as the load record")
-	frontierPath := flag.String("frontier", "", "embed this cmd/minecheck JSON sweep as the frontier record")
-	var scalingPaths []string
-	flag.Func("scaling", "cloudbench JSON report for one point of the distributor-scaling sweep (repeatable)", func(p string) error {
-		scalingPaths = append(scalingPaths, p)
-		return nil
-	})
-	flag.Parse()
-
-	var load *loadreport.Report
-	if *loadPath != "" {
-		var err error
-		if load, err = readLoad(*loadPath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: load report:", err)
-			os.Exit(1)
-		}
-	}
-	var frontier *minecheck.Frontier
-	if *frontierPath != "" {
-		var err error
-		if frontier, err = readFrontier(*frontierPath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: frontier report:", err)
-			os.Exit(1)
-		}
-	}
-	var scaling []scalingPoint
-	for _, p := range scalingPaths {
-		lr, err := readLoad(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: scaling report:", err)
-			os.Exit(1)
-		}
-		scaling = append(scaling, scalingFromLoad(lr))
-	}
-	sort.Slice(scaling, func(i, j int) bool { return scaling[i].Distributors < scaling[j].Distributors })
-
-	results := make(map[string]result)
-	sc := bufio.NewScanner(os.Stdin)
+// parse reads `go test -bench` output: result lines, and the `side:`,
+// `rev:` and `cpu:` configuration lines.
+func parse(r io.Reader) (*input, error) {
+	in := &input{sides: map[string]map[string]*samples{}, revs: map[string]string{}}
+	side := writerSide
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
+		line := sc.Text()
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "panic:") {
+			in.failed = append(in.failed, line)
 			continue
 		}
-		name := m[1]
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		r, seen := results[name]
-		if !seen || ns < r.NsOp {
-			r.NsOp = ns
-			if m[3] != "" {
-				r.MBs, _ = strconv.ParseFloat(m[3], 64)
+		if key, val, ok := strings.Cut(line, ": "); ok && !strings.ContainsAny(key, " \t") {
+			switch key {
+			case "side":
+				side = val
+			case "rev":
+				in.revs[side] = val
+			case "cpu":
+				in.cpu = val
 			}
-			if m[4] != "" {
-				r.BOp, _ = strconv.ParseInt(m[4], 10, 64)
-			}
-			if m[5] != "" {
-				r.AllocsOp, _ = strconv.ParseInt(m[5], 10, 64)
-			}
-		}
-		r.Runs++
-		results[name] = r
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: reading stdin:", err)
-		os.Exit(1)
-	}
-	if len(results) == 0 && load == nil && len(scaling) == 0 && frontier == nil {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin and no -load/-scaling/-frontier reports")
-		os.Exit(1)
-	}
-
-	rep := report{
-		Load:             load,
-		Scaling:          scaling,
-		Frontier:         frontier,
-		Results:          results,
-		KernelSpeedups:   make(map[string]float64),
-		TailSpeedups:     make(map[string]float64),
-		WALOverheads:     make(map[string]float64),
-		BaselineSpeedups: make(map[string]float64),
-		Baselines:        baselines,
-	}
-	for word, scalar := range kernelPairs {
-		w, okW := results[word]
-		s, okS := results[scalar]
-		if okW && okS && w.NsOp > 0 {
-			rep.KernelSpeedups[word] = round2(s.NsOp / w.NsOp)
-		}
-	}
-	for hedged, unhedged := range tailPairs {
-		h, okH := results[hedged]
-		u, okU := results[unhedged]
-		if okH && okU && h.NsOp > 0 {
-			rep.TailSpeedups[hedged] = round2(u.NsOp / h.NsOp)
-		}
-	}
-	for durable, mem := range walPairs {
-		d, okD := results[durable]
-		m, okM := results[mem]
-		if okD && okM && m.NsOp > 0 {
-			rep.WALOverheads[durable] = round2(d.NsOp / m.NsOp)
-		}
-	}
-	for name, base := range baselines {
-		r, ok := results[name]
-		if !ok || r.NsOp <= 0 {
 			continue
 		}
-		if base.NsOp > 0 {
-			rep.BaselineSpeedups[name] = round2(base.NsOp / r.NsOp)
+		name, vals, ok := parseResult(line)
+		if !ok {
+			continue
 		}
-		if base.AllocsOp > 0 && r.AllocsOp > 0 {
-			rep.BaselineSpeedups[name+"#allocs"] = round2(float64(base.AllocsOp) / float64(r.AllocsOp))
+		if in.sides[side] == nil {
+			in.sides[side] = map[string]*samples{}
 		}
-	}
-	// Scaling speedups: every sweep point's put+get throughput against
-	// the 1-distributor point of the same sweep.
-	if len(rep.Scaling) > 0 {
-		var base float64
-		for _, p := range rep.Scaling {
-			if p.Distributors == 1 {
-				base = p.PutGetOpsPerS
-			}
+		s := in.sides[side][name]
+		if s == nil {
+			s = &samples{}
+			in.sides[side][name] = s
 		}
-		if base > 0 {
-			rep.ScalingSpeedups = make(map[string]float64)
-			for _, p := range rep.Scaling {
-				rep.ScalingSpeedups[fmt.Sprintf("%dx", p.Distributors)] = round2(p.PutGetOpsPerS / base)
-			}
+		s.ns = append(s.ns, vals["ns/op"])
+		if v, ok := vals["B/op"]; ok {
+			s.bytes = append(s.bytes, v)
+		}
+		if v, ok := vals["allocs/op"]; ok {
+			s.allocs = append(s.allocs, v)
 		}
 	}
+	return in, sc.Err()
+}
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+// parseResult reads one benchmark result line: the name without its
+// -GOMAXPROCS suffix, the iteration count, then value-unit pairs
+// (ns/op, MB/s, B/op, allocs/op and any custom metric).
+func parseResult(line string) (name string, vals map[string]float64, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
+		return "", nil, false
 	}
-	enc = append(enc, '\n')
-	if *out == "" || *out == "-" {
-		os.Stdout.Write(enc)
-		return
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return "", nil, false
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("benchjson: %d benchmarks -> %s\n", len(results), *out)
-	for n, x := range rep.KernelSpeedups {
-		fmt.Printf("  kernel  %-55s %.2fx vs scalar\n", shortName(n), x)
-	}
-	for n, x := range rep.TailSpeedups {
-		fmt.Printf("  tail    %-55s %.2fx vs unhedged\n", shortName(n), x)
-	}
-	for n, x := range rep.WALOverheads {
-		fmt.Printf("  wal     %-55s %.2fx vs mem\n", shortName(n), x)
-	}
-	for n, x := range rep.BaselineSpeedups {
-		fmt.Printf("  vs-seed %-55s %.2fx\n", shortName(n), x)
-	}
-	if rep.Load != nil {
-		for _, name := range []string{"put", "get", "range", "update", "remove", "total"} {
-			o, ok := rep.Load.Ops[name]
-			if name == "total" {
-				o, ok = rep.Load.Total, true
-			}
-			if !ok {
-				continue
-			}
-			fmt.Printf("  load    %-7s p50 %8.2fms  p99 %8.2fms  p99.9 %8.2fms  %8.1f ops/s  %7.2f MB/s\n",
-				name, o.P50ms, o.P99ms, o.P999ms, o.OpsPerS, o.MBPerS)
+	vals = map[string]float64{}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", nil, false
 		}
-		if rep.Load.Errors > 0 {
-			fmt.Printf("  load    %d op errors\n", rep.Load.Errors)
+		vals[f[i+1]] = v
+	}
+	if _, ok := vals["ns/op"]; !ok {
+		return "", nil, false
+	}
+	name = f[0]
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
 		}
 	}
-	for _, p := range rep.Scaling {
-		fmt.Printf("  scale   %2d distributors  put+get %9.1f ops/s  total %9.1f ops/s  %7.2f MB/s  %d err  (%.2fx)\n",
-			p.Distributors, p.PutGetOpsPerS, p.TotalOpsPerS, p.TotalMBPerS, p.Errors,
-			rep.ScalingSpeedups[fmt.Sprintf("%dx", p.Distributors)])
+	return name, vals, true
+}
+
+// quantile is the q-quantile of sorted xs, interpolated linearly between
+// the closest ranks (the default of R and numpy).
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	if rep.Frontier != nil {
-		fmt.Printf("  frontier %d cells at seed %d (see \"frontier\" record)\n",
-			len(rep.Frontier.Cells), rep.Frontier.Seed)
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
+// medianIQR returns the median of xs and its interquartile range.
+func medianIQR(xs []float64) (median, iqr float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return quantile(s, 0.5), quantile(s, 0.75) - quantile(s, 0.25)
+}
+
+func summarize(s *samples) summary {
+	out := summary{N: len(s.ns)}
+	out.NsOp, out.IQR = medianIQR(s.ns)
+	out.BOp, _ = medianIQR(s.bytes)
+	out.AllocsOp, _ = medianIQR(s.allocs)
+	return out
+}
+
+// minPairs is the fewest pairs a verdict other than "same" is given on:
+// nine tenths of fewer pairs is too few wins to mean anything.
+const minPairs = 10
+
+// judge pairs base[i] with change[i] and applies the verdict rule: the
+// change must be faster (or, for worse, slower) in at least nine tenths
+// of the pairs, and its median must differ from the base's by more than
+// the base's IQR. wins counts the pairs the change was faster in.
+func judge(base, change []float64) (verdict string, wins, pairs int) {
+	pairs = min(len(base), len(change))
+	losses := 0
+	for i := 0; i < pairs; i++ {
+		switch {
+		case change[i] < base[i]:
+			wins++
+		case change[i] > base[i]:
+			losses++
+		}
+	}
+	bMed, bIQR := medianIQR(base[:pairs])
+	cMed, _ := medianIQR(change[:pairs])
+	switch {
+	case pairs < minPairs:
+		return "same", wins, pairs
+	case 10*wins >= 9*pairs && bMed-cMed > bIQR:
+		return "better", wins, pairs
+	case 10*losses >= 9*pairs && cMed-bMed > bIQR:
+		return "worse", wins, pairs
+	}
+	return "same", wins, pairs
+}
+
+// build turns a parsed run into its record: one side, or two judged.
+func build(in *input) (*record, error) {
+	change := in.sides[writerSide]
+	if len(in.failed) > 0 {
+		return nil, fmt.Errorf("the run failed, nothing recorded:\n  %s", strings.Join(in.failed, "\n  "))
+	}
+	if len(change) == 0 {
+		return nil, errors.New("no benchmark results on stdin")
+	}
+	rec := &record{Rev: in.revs[writerSide], Base: in.revs["base"], Go: runtime.Version(), Nproc: runtime.NumCPU(),
+		CPU: in.cpu, Statistic: "median", Benchmarks: map[string]entry{}}
+	for name, c := range change {
+		e := entry{Change: summarize(c)}
+		if b, ok := in.sides["base"][name]; ok {
+			bs := summarize(b)
+			verdict, wins, pairs := judge(b.ns, c.ns)
+			e.Base, e.Verdict, e.Wins = &bs, verdict, fmt.Sprintf("%d/%d", wins, pairs)
+		}
+		rec.Benchmarks[name] = e
+	}
+	return rec, nil
+}
+
+// cpuTicks reads the aggregate cpu line of /proc/stat: the steal ticks
+// and the total of user, nice, system, idle, iowait, irq, softirq and
+// steal (guest time is already counted in user and nice). Both are 0
+// where there is no such file.
+func cpuTicks() (steal, total float64) {
+	raw, _ := os.ReadFile("/proc/stat")
+	line, _, _ := strings.Cut(string(raw), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, 0
+	}
+	for _, s := range f[1:9] {
+		v, _ := strconv.ParseFloat(s, 64)
+		total += v
+		steal = v // the eighth field
+	}
+	return steal, total
+}
+
+func main() {
+	out := flag.String("out", "BENCH.jsonl", "append the record to this file")
+	flag.Parse()
+	if err := run(os.Stdin, os.Stdout, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
 	}
 }
 
-func round2(x float64) float64 { return float64(int64(x*100+0.5)) / 100 }
+func run(stdin io.Reader, stdout io.Writer, out string) error {
+	steal0, total0 := cpuTicks()
+	in, err := parse(stdin)
+	if err != nil {
+		return fmt.Errorf("reading stdin: %w", err)
+	}
+	rec, err := build(in)
+	if err != nil {
+		return err
+	}
+	if steal1, total1 := cpuTicks(); total1 > total0 {
+		share := math.Round((steal1-steal0)/(total1-total0)*1e4) / 1e4
+		rec.Steal = &share
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(out, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(f, "%s\n", line)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return printRecord(stdout, rec, out)
+}
 
-func shortName(n string) string { return strings.TrimPrefix(n, "Benchmark") }
+// printRecord writes the human-readable digest, and fails when a
+// benchmark was judged worse.
+func printRecord(w io.Writer, rec *record, out string) error {
+	names := make([]string, 0, len(rec.Benchmarks))
+	for n := range rec.Benchmarks {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	side := func(s *summary) string {
+		if s == nil {
+			return "-"
+		}
+		return fmt.Sprintf("%.0f ±%.0f (n=%d)", s.NsOp, s.IQR, s.N)
+	}
+	var worse []string
+	for _, n := range names {
+		e := rec.Benchmarks[n]
+		fmt.Fprintf(w, "%-60s %28s → %-28s ns/op  %5s %s\n", n, side(e.Base), side(&e.Change), e.Wins, e.Verdict)
+		if e.Verdict == "worse" {
+			worse = append(worse, n)
+		}
+	}
+	steal := "unknown"
+	if rec.Steal != nil {
+		steal = fmt.Sprintf("%.2f%%", 100**rec.Steal)
+	}
+	fmt.Fprintf(w, "benchjson: %d benchmarks, rev %q base %q, %s, nproc %d, steal %s -> %s\n",
+		len(names), rec.Rev, rec.Base, rec.Go, rec.Nproc, steal, out)
+	if len(worse) > 0 {
+		return fmt.Errorf("worse than the base: %s", strings.Join(worse, ", "))
+	}
+	return nil
+}

@@ -5,8 +5,7 @@
 // ratios, worker concurrency, object-size distribution, multi-tenant
 // client/key spaces — for a fixed duration with warmup exclusion, and
 // reports p50/p90/p99/p99.9 latency per op plus a throughput timeline
-// as JSON (internal/loadreport) that cmd/benchjson merges into the
-// BENCH_N.json trajectory.
+// as JSON (Report, report.go).
 //
 // Usage:
 //
@@ -26,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/loadreport"
 	"repro/internal/privacy"
 	"repro/internal/transport"
 )
@@ -129,7 +127,7 @@ func main() {
 
 // run executes one full benchmark: fleet (if local), preload, timed
 // mixed load, report assembly.
-func run(cfg config) (*loadreport.Report, error) {
+func run(cfg config) (*Report, error) {
 	if cfg.dists < 1 {
 		cfg.dists = 1 // zero value (hand-built configs) means unsharded
 	}

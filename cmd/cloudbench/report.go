@@ -8,9 +8,64 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/loadreport"
 	"repro/internal/metrics"
 )
+
+// reportSchema identifies the report's format; bump on incompatible
+// changes.
+const reportSchema = "cloudbench/v1"
+
+// Report is one cloudbench run: per-op and aggregate latency/throughput
+// over the measured (post-warmup) window, plus a whole-run timeline.
+type Report struct {
+	Schema   string          `json:"schema"`
+	Target   string          `json:"target"`
+	Config   ReportConfig    `json:"config"`
+	Ops      map[string]Op   `json:"ops"`
+	Total    Op              `json:"total"`
+	Timeline []TimelinePoint `json:"timeline"`
+	Errors   int64           `json:"errors"`
+}
+
+// ReportConfig echoes the knobs that shaped the run, so a report is
+// reproducible from its own record.
+type ReportConfig struct {
+	Workers      int    `json:"workers"`
+	Tenants      int    `json:"tenants"`
+	Keys         int    `json:"keys_per_tenant"`
+	Providers    int    `json:"providers,omitempty"`    // in-process fleet only, per distributor
+	Distributors int    `json:"distributors,omitempty"` // shard count (1 = single distributor)
+	Mix          string `json:"mix"`
+	Sizes        string `json:"sizes"`
+	Duration     string `json:"duration"`
+	Warmup       string `json:"warmup"`
+	Seed         int64  `json:"seed"`
+}
+
+// Op is one operation class's measured-window summary. Latencies are
+// milliseconds; rates are over the measured window.
+type Op struct {
+	Count   int64   `json:"count"`
+	Errors  int64   `json:"errors"`
+	Bytes   int64   `json:"bytes"`
+	OpsPerS float64 `json:"ops_per_s"`
+	MBPerS  float64 `json:"mb_per_s"`
+	P50ms   float64 `json:"p50_ms"`
+	P90ms   float64 `json:"p90_ms"`
+	P99ms   float64 `json:"p99_ms"`
+	P999ms  float64 `json:"p99_9_ms"`
+	MaxMs   float64 `json:"max_ms"`
+	MeanMs  float64 `json:"mean_ms"`
+}
+
+// TimelinePoint is one interval of the whole-run (warmup included)
+// throughput series.
+type TimelinePoint struct {
+	TSec    float64 `json:"t_s"`
+	OpsPerS float64 `json:"ops_per_s"`
+	MBPerS  float64 `json:"mb_per_s"`
+	Errors  int64   `json:"errors"`
+}
 
 // timeline accumulates whole-run throughput per fixed interval. Workers
 // hit it on every op completion, so the buckets are lock-free atomics.
@@ -48,7 +103,7 @@ func (t *timeline) record(at time.Time, n int64, failed bool) {
 }
 
 // points renders the series, trimming trailing empty buckets.
-func (t *timeline) points() []loadreport.TimelinePoint {
+func (t *timeline) points() []TimelinePoint {
 	last := -1
 	for i := range t.buckets {
 		if t.buckets[i].ops.Load() > 0 {
@@ -56,10 +111,10 @@ func (t *timeline) points() []loadreport.TimelinePoint {
 		}
 	}
 	sec := t.interval.Seconds()
-	pts := make([]loadreport.TimelinePoint, 0, last+1)
+	pts := make([]TimelinePoint, 0, last+1)
 	for i := 0; i <= last; i++ {
 		b := &t.buckets[i]
-		pts = append(pts, loadreport.TimelinePoint{
+		pts = append(pts, TimelinePoint{
 			TSec:    float64(i) * sec,
 			OpsPerS: round3(float64(b.ops.Load()) / sec),
 			MBPerS:  round3(float64(b.bytes.Load()) / sec / (1 << 20)),
@@ -73,17 +128,17 @@ func ms(ns int64) float64      { return round3(float64(ns) / 1e6) }
 func round3(x float64) float64 { return float64(int64(x*1000+0.5)) / 1000 }
 
 // buildReport merges the per-worker recorders into the emitted document.
-func buildReport(cfg config, target string, workers []*worker, tl *timeline, measured time.Duration) *loadreport.Report {
-	rep := &loadreport.Report{
-		Schema: loadreport.Schema,
+func buildReport(cfg config, target string, workers []*worker, tl *timeline, measured time.Duration) *Report {
+	rep := &Report{
+		Schema: reportSchema,
 		Target: target,
-		Config: loadreport.Config{
+		Config: ReportConfig{
 			Workers: cfg.workers, Tenants: cfg.tenants, Keys: cfg.keys,
 			Mix: cfg.mix, Sizes: cfg.sizes,
 			Duration: cfg.duration.String(), Warmup: cfg.warmup.String(),
 			Seed: cfg.seed,
 		},
-		Ops:      map[string]loadreport.Op{},
+		Ops:      map[string]Op{},
 		Timeline: tl.points(),
 	}
 	if cfg.url == "" {
@@ -95,7 +150,7 @@ func buildReport(cfg config, target string, workers []*worker, tl *timeline, mea
 
 	sec := measured.Seconds()
 	totalHist := metrics.NewHistogram()
-	var total loadreport.Op
+	var total Op
 	for op := opKind(0); op < opCount; op++ {
 		hist := metrics.NewHistogram()
 		var count, errs, bytes int64
@@ -120,9 +175,9 @@ func buildReport(cfg config, target string, workers []*worker, tl *timeline, mea
 	return rep
 }
 
-func opSummary(h *metrics.Histogram, count, errs, bytes int64, sec float64) loadreport.Op {
+func opSummary(h *metrics.Histogram, count, errs, bytes int64, sec float64) Op {
 	s := h.Snapshot()
-	op := loadreport.Op{
+	op := Op{
 		Count: count, Errors: errs, Bytes: bytes,
 		P50ms: ms(s.P50), P90ms: ms(s.P90), P99ms: ms(s.P99),
 		P999ms: ms(s.P999), MaxMs: ms(s.Max), MeanMs: round3(s.Mean / 1e6),
@@ -135,7 +190,7 @@ func opSummary(h *metrics.Histogram, count, errs, bytes int64, sec float64) load
 }
 
 // writeReport emits the JSON document to path ("" or "-" = stdout).
-func writeReport(rep *loadreport.Report, path string) error {
+func writeReport(rep *Report, path string) error {
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -145,15 +200,12 @@ func writeReport(rep *loadreport.Report, path string) error {
 		_, err = os.Stdout.Write(enc)
 		return err
 	}
-	if path == os.DevNull {
-		return nil
-	}
 	return os.WriteFile(path, enc, 0o644)
 }
 
 // printSummary writes the human-readable digest (stderr, so a piped
 // stdout stays pure JSON).
-func printSummary(w io.Writer, rep *loadreport.Report, workers []*worker) {
+func printSummary(w io.Writer, rep *Report, workers []*worker) {
 	fmt.Fprintf(w, "cloudbench: %s · %d workers · mix %s\n", rep.Target, rep.Config.Workers, rep.Config.Mix)
 	for op := opKind(0); op < opCount; op++ {
 		o, ok := rep.Ops[opNames[op]]

@@ -3,8 +3,8 @@
 // (privacy level 0–3 × RAID-5/6 × mislead on/off × cache on/off ×
 // hedging on/off × 1/4 shards), drives the mixed tenant workload, mounts
 // the full mining arsenal from malicious-provider vantage points, and
-// emits the privacy-vs-performance frontier as minecheck/v1 JSON (for
-// cmd/benchjson -frontier) plus an optional markdown table.
+// emits the privacy-vs-performance frontier as minecheck/v1 JSON
+// plus an optional markdown table.
 //
 // Usage:
 //

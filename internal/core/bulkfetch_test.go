@@ -403,6 +403,31 @@ func TestBulkReadStalledProvider(t *testing.T) {
 	}
 }
 
+// TestBulkReadKeyByKeyIsNotHedged: over providers without a multi-get
+// (S3's verbs), a call reads its blobs one Get at a time, so at a round
+// trip of rtt it outlasts HedgeAfter on every provider alike. A healthy
+// fleet like that must not be raced: the hedge ceiling follows what the
+// fleet's median provider takes for the call.
+func TestBulkReadKeyByKeyIsNotHedged(t *testing.T) {
+	const rtt = 5 * time.Millisecond
+	rig := newBulkRig(t, 6, false, core.Config{HedgeAfter: 2 * rtt, Parallelism: 4})
+	for _, mem := range rig.hooked {
+		mem.SetBeforePut(func(int, string) error { time.Sleep(rtt); return nil })
+		mem.SetBeforeGet(func(string) error { time.Sleep(rtt); return nil })
+	}
+	data := rig.defendedUpload(t, 256<<10)
+	if _, blobs := wantCalls(rig.chunksByProvider()); blobs < 4*int64(len(rig.hooked)) {
+		t.Fatalf("%d chunks over %d providers: too few for a call to outlast HedgeAfter", blobs, len(rig.hooked))
+	}
+	got, err := rig.d.GetFile("alice", "root", "f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("GetFile: err=%v, equal=%v", err, bytes.Equal(got, data))
+	}
+	if m := rig.d.Metrics(); m.HedgedReads != 0 || m.Reconstructions != 0 {
+		t.Errorf("hedged=%d reconstructions=%d on a healthy key-by-key fleet, want 0/0", m.HedgedReads, m.Reconstructions)
+	}
+}
+
 // TestBulkReadDeterministicOrder is the anchor simcheck and minecheck
 // stand on: with Parallelism 1 the providers see the same keys in the
 // same order on every run of the same read.

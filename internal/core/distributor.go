@@ -61,8 +61,10 @@ type Config struct {
 	// reconstruction) is raced against it instead of waiting for the
 	// first to exhaust its retries. The per-rung delay is derived from
 	// the launched provider's latency EWMA, clamped to
-	// [HedgeAfter/8, HedgeAfter]. 0 disables hedging (the ladder stays
-	// strictly sequential); negative is rejected.
+	// [HedgeAfter/8, HedgeAfter], except that the ceiling never undercuts
+	// what the fleet's median provider takes for the same read. 0
+	// disables hedging (the ladder stays strictly sequential); negative
+	// is rejected.
 	HedgeAfter time.Duration
 	// Health tunes the per-provider circuit breakers. The zero value
 	// selects the health package defaults.

@@ -104,26 +104,23 @@ func (d *Distributor) recordRungWin(kind rungKind) {
 // from provIdx run before racing the next rung against it: twice what the
 // provider's latency EWMA — a per-blob figure — predicts for that many,
 // comfortably above a typical response, so a healthy provider is almost
-// never hedged — clamped to [hedgeAfter/8, hedgeAfter] so a freshly
-// started distributor (no samples, EWMA 0) or a pathological average can
-// neither hedge instantly nor never.
+// never hedged — clamped below by hedgeAfter/8 so a freshly started
+// distributor (no samples, EWMA 0) cannot hedge instantly, and above by
+// hedgeAfter or by what the fleet's median provider predicts for that
+// many blobs, whichever is longer. The second ceiling is for a provider
+// that serves a batch key by key (S3's verbs: one GET per blob at a
+// cloud round trip): there every call outlasts hedgeAfter, and only a
+// provider slower than the fleet's median is worth racing.
 func (d *Distributor) hedgeDelay(provIdx, blobs int) time.Duration {
-	base := d.hedgeAfter
+	ceiling := max(d.hedgeAfter, 2*d.health.MedianLatencyEWMA()*time.Duration(blobs))
 	if provIdx < 0 {
-		return base
+		return ceiling
 	}
 	ewma := d.health.LatencyEWMA(provIdx)
 	if ewma <= 0 {
-		return base
+		return ceiling
 	}
-	delay := 2 * ewma * time.Duration(blobs)
-	if floor := base / 8; delay < floor {
-		delay = floor
-	}
-	if delay > base {
-		delay = base
-	}
-	return delay
+	return min(max(2*ewma*time.Duration(blobs), d.hedgeAfter/8), ceiling)
 }
 
 // fetchHedged runs a ladder, the only runner: rung 0 launches

@@ -15,6 +15,7 @@
 package health
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -236,6 +237,26 @@ func (t *Tracker) LatencyEWMA(i int) time.Duration {
 		return 0
 	}
 	return time.Duration(t.provs[i].ewmaNs)
+}
+
+// MedianLatencyEWMA returns the median of the latency EWMAs of the
+// providers that have one, or 0 when none has a sample yet: what the
+// fleet's typical provider takes, against which one provider's EWMA
+// reads as an outlier or not.
+func (t *Tracker) MedianLatencyEWMA() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var ewmas []float64
+	for i := range t.provs {
+		if e := t.provs[i].ewmaNs; e > 0 {
+			ewmas = append(ewmas, e)
+		}
+	}
+	slices.Sort(ewmas)
+	if len(ewmas) == 0 {
+		return 0
+	}
+	return time.Duration(ewmas[len(ewmas)/2])
 }
 
 // push records one outcome in the sliding window.

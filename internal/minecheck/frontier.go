@@ -8,8 +8,7 @@ import (
 	"repro/internal/raid"
 )
 
-// FrontierSchema identifies the JSON layout cmd/minecheck emits and
-// cmd/benchjson embeds.
+// FrontierSchema identifies the JSON layout cmd/minecheck emits.
 const FrontierSchema = "minecheck/v1"
 
 // Frontier is one full sweep: every cell's attack scores plus read

@@ -13,8 +13,10 @@ package minecheck
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -114,9 +116,8 @@ type Result struct {
 	Scores Scores `json:"scores"`
 	Ops    int    `json:"ops"`
 	Chunks int    `json:"chunks"`
-	// OpsPerSec is wall-clock throughput of the traffic phase. It and a
-	// sharded cell's Scores.ShardCorrelation (see Run) are the
-	// non-deterministic fields; determinism checks compare the rest.
+	// OpsPerSec is wall-clock throughput of the traffic phase, the one
+	// non-deterministic field; determinism checks compare the rest.
 	OpsPerSec float64 `json:"opsPerSec"`
 }
 
@@ -145,10 +146,9 @@ const (
 // Run stands up the cell's deployment, drives the tenant workload, and
 // mounts every attack. Deterministic given (Seed, Cell) — serial driver,
 // Parallelism 1, instant providers, hedging enabled but clamped far
-// above loopback latency, and logical-epoch timing stamps — except in a
-// sharded cell's ShardCorrelation: the client's shard ring is keyed on
-// the distributor URLs, whose loopback ports are random, so which shard
-// a file lands on varies from run to run.
+// above loopback latency, logical-epoch timing stamps, and a shard ring
+// keyed on names made of the seed and the shard index rather than on
+// the distributors' random loopback ports (shardClient).
 func Run(cfg Config) (*Result, error) {
 	cell := cfg.Cell
 	if cell.Shards < 1 {
@@ -187,8 +187,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer cluster.Close()
 
-	hc := &http.Client{Timeout: 30 * time.Second, Transport: transport.NewPooledTransport()}
-	sys, err := transport.NewShardedClient(cluster.DistURLs, hc)
+	sys, err := shardClient(cfg.Seed, cluster.DistURLs)
 	if err != nil {
 		return nil, err
 	}
@@ -424,8 +423,28 @@ func Run(cfg Config) (*Result, error) {
 	_, _, res.Scores.CoOwnershipF1 = attack.PairScore(groups, fileTruth)
 	res.Scores.TenantConfusion = attack.CrossLabelFraction(groups, tenantTruth)
 
-	res.Scores.ShardCorrelation = shardCorrelation(sys, files, cell.Shards)
+	res.Scores.ShardCorrelation = shardCorrelation(func(f file) int { return sys.Locate(f.tenant, f.name).Shard }, files, cell.Shards)
 	return &res, nil
+}
+
+// shardClient is the tenants' client of the distributors at urls. Its
+// ring names shard i http://seed<seed>-shard<i>.minecheck, and its dialer
+// sends each name to that shard's loopback address. So the production
+// ring places every file, and where it lands depends on the seed and
+// the cell only.
+func shardClient(seed int64, urls []string) (*transport.Client, error) {
+	names := make([]string, len(urls))
+	addrs := map[string]string{}
+	for i, u := range urls {
+		host := fmt.Sprintf("seed%d-shard%d.minecheck", seed, i)
+		names[i] = "http://" + host
+		addrs[host+":80"] = strings.TrimPrefix(u, "http://")
+	}
+	var dialer net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return dialer.DialContext(ctx, network, addrs[addr])
+	}}
+	return transport.NewShardedClient(names, &http.Client{Timeout: 30 * time.Second, Transport: tr})
 }
 
 // regressionScore evaluates the attacker's fitted model on fresh data
@@ -511,19 +530,18 @@ func excessAccuracy(r attack.PredictionResult) float64 {
 // tenants. The mean is the gateable statistic — a routing leak that
 // correlates files by tenant concentrates *every* tenant's namespace,
 // while an unlucky hash draw spikes one tenant at a time. One shard
-// carries no information: 0.
-func shardCorrelation(sys *transport.Client, files []file, shards int) float64 {
+// carries no information: 0. shardOf names the shard a file lives on.
+func shardCorrelation(shardOf func(file) int, files []file, shards int) float64 {
 	if shards <= 1 {
 		return 0
 	}
 	byTenant := map[string]map[int]int{}
 	total := map[string]int{}
 	for _, f := range files {
-		loc := sys.Locate(f.tenant, f.name)
 		if byTenant[f.tenant] == nil {
 			byTenant[f.tenant] = map[int]int{}
 		}
-		byTenant[f.tenant][loc.Shard]++
+		byTenant[f.tenant][shardOf(f)]++
 		total[f.tenant]++
 	}
 	var sum float64

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,8 +124,8 @@ func TestMineCheck(t *testing.T) {
 
 // TestMineCheckDeterministic pins the harness's core promise: same seed
 // and cell → byte-identical campaign scores, even though the run goes
-// over real loopback HTTP. A sharded cell's ShardCorrelation is the one
-// score left out: it follows the random loopback ports (see Run).
+// over real loopback HTTP to distributors on random ports — a sharded
+// cell's ShardCorrelation included.
 func TestMineCheckDeterministic(t *testing.T) {
 	cells := []Cell{GateCells()[0], GateCells()[2], GateCells()[3]}
 	for _, cell := range cells {
@@ -136,15 +137,39 @@ func TestMineCheckDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cell.Shards > 1 {
-			a.Scores.ShardCorrelation, b.Scores.ShardCorrelation = 0, 0
-		}
 		if a.Scores != b.Scores {
 			t.Errorf("cell %s: scores differ across identical runs:\n  %+v\n  %+v", cell, a.Scores, b.Scores)
 		}
 		if a.Chunks != b.Chunks || a.Ops != b.Ops {
 			t.Errorf("cell %s: chunks/ops differ: %d/%d vs %d/%d", cell, a.Chunks, a.Ops, b.Chunks, b.Ops)
 		}
+	}
+}
+
+// TestShardConcentrationTripsGate: a placement that keeps each tenant's
+// files on one shard scores 1 and trips the gate, whichever shard that
+// is; an even spread scores 0.
+func TestShardConcentrationTripsGate(t *testing.T) {
+	var files []file
+	for i := 0; i < 8; i++ {
+		for _, tenant := range []string{"acme", "globex"} {
+			files = append(files, file{tenant: tenant, name: fmt.Sprintf("f%d", i)})
+		}
+	}
+	cell := GateCells()[2]
+	for name, shardOf := range map[string]func(file) int{
+		"every tenant on shard 0":  func(file) int { return 0 },
+		"one shard to each tenant": func(f file) int { return len(f.tenant) % cell.Shards },
+	} {
+		r := Result{Cell: cell, Seed: 1}
+		r.Scores.ShardCorrelation = shardCorrelation(shardOf, files, cell.Shards)
+		if v := r.Gate(DefaultThresholds()); r.Scores.ShardCorrelation != 1 || len(v) != 1 || !strings.Contains(v[0], "shard correlation") {
+			t.Errorf("%s: shardCorrelation %.3f, gate %v", name, r.Scores.ShardCorrelation, v)
+		}
+	}
+	spread := func(f file) int { return int(f.name[1]-'0') % cell.Shards }
+	if got := shardCorrelation(spread, files, cell.Shards); got != 0 {
+		t.Errorf("an even spread scores %.3f, want 0", got)
 	}
 }
 
